@@ -38,7 +38,6 @@ from .model import (
 from .policies import (
     POLICY_KINDS,
     PolicyRef,
-    decide,
     naive_gcmu_index,
     oracle_gcmu_index,
     pcmu_index,
@@ -47,13 +46,10 @@ from .engine import (
     Curves,
     Job,
     PathResult,
-    QueueState,
     RateSchedule,
-    composition_snapshot,
     export_curves_csv,
     export_jobs_csv,
     run_path,
-    sample_classification,
 )
 from .cost import (
     COMPLETED_ONLY,

@@ -24,7 +24,7 @@ from . import httheory as ht
 from . import ingest as ingest_mod
 from . import triage as triage_mod
 from .engine import export_curves_csv, export_jobs_csv, run_path
-from .model import ConfusionMatrix, load_config
+from .model import ConfusionMatrix, load_config, load_json
 from .policies import POLICY_KINDS
 
 
@@ -177,8 +177,7 @@ def cmd_lower_bound(config_path, paths, steps, seed, out_dir):
 def _load_candidate(path: str):
     """Candidate file: either a bare K x K JSON array or
     {"name": ..., "confusion": [[...], ...]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json(path)
     if isinstance(doc, dict):
         name = doc.get("name", Path(path).stem)
         entries = doc["confusion"]

@@ -68,16 +68,13 @@ class CostCurve:
 def _job_costs(path: PathResult, config: SystemConfig, rule: str) -> np.ndarray:
     if rule not in _RULES:
         raise ConfigError(f"unknown charging rule {rule!r}; expected one of {_RULES}")
-    costs = config.costs
-    horizon = path.horizon
-    out = np.empty(len(path.jobs))
-    for i, job in enumerate(path.jobs):
-        if job.completion_time is not None:
-            out[i] = costs[job.true_class](job.completion_time - job.arrival_time)
-        elif rule == TRUNCATE_AT_HORIZON:
-            out[i] = costs[job.true_class](horizon - job.arrival_time)
-        else:
-            out[i] = 0.0
+    done = path.done
+    charged = done if rule == COMPLETED_ONLY else np.ones_like(done)
+    sojourn = np.where(done, path.completion, path.horizon) - path.arrival_times
+    out = np.zeros(len(sojourn))
+    for k, cost in enumerate(config.costs):
+        rows = charged & (path.true_class == k)
+        out[rows] = cost(sojourn[rows])
     return out
 
 
@@ -132,8 +129,8 @@ class ReplicationSummary:
 
 
 def _one_replication(args):
-    config, kind, seed, rule, eval_times, sampling_grid = args
-    path = run_path(config, kind, seed, sampling_grid=sampling_grid)
+    config, policy, seed, rule, eval_times, sampling_grid = args
+    path = run_path(config, policy, seed, sampling_grid=sampling_grid)
     curve = path_cost(path, config, rule, grid=eval_times)
     return curve.values
 
@@ -159,16 +156,18 @@ def replicate(config: SystemConfig, policy, n_paths: int, base_seed: int,
     """Run n_paths independent paths on seeds base_seed..base_seed+n_paths-1.
 
     Results are aggregated in seed order whether or not a worker pool is used,
-    so the summary is independent of scheduling.
+    so the summary is independent of scheduling.  A policy kind is resolved
+    to its PolicyRef once, and every path (and worker) shares it.
     """
     if n_paths < 2:
         raise ConfigError("replicate needs n_paths >= 2 for a standard error")
-    kind = policy.kind if isinstance(policy, PolicyRef) else str(policy)
+    if not isinstance(policy, PolicyRef):
+        policy = PolicyRef.for_config(str(policy), config)
     if eval_times is None:
         eval_times = np.linspace(0.0, config.horizon, 11)
     eval_times = np.asarray(eval_times, dtype=float)
 
-    tasks = [(config, kind, base_seed + i, rule, eval_times, sampling_grid)
+    tasks = [(config, policy, base_seed + i, rule, eval_times, sampling_grid)
              for i in range(n_paths)]
     workers = resolve_n_jobs(n_jobs)
     if workers > 1:
@@ -182,7 +181,7 @@ def replicate(config: SystemConfig, policy, n_paths: int, base_seed: int,
     mean = values.mean(axis=0)
     stderr = values.std(axis=0, ddof=1) / np.sqrt(n_paths)
     return ReplicationSummary(
-        policy_kind=kind,
+        policy_kind=policy.kind,
         n_paths=n_paths,
         base_seed=base_seed,
         charging_rule=rule,

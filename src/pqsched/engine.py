@@ -1,4 +1,4 @@
-"""Discrete-event simulator of a single-server preemptive-resume queue.
+"""Simulator of a single-server preemptive-resume queue, one path as columns.
 
 The scheduler groups jobs by *scheduling class* -- predicted class for every
 policy except the oracle, which sees true classes -- and serves FIFO within a
@@ -9,130 +9,56 @@ from the confusion-matrix row of the true class, independently per job.
 
 Randomness is split into four independent substreams of one counter-based
 generator (Philox keyed by the path seed): interarrivals, true classes,
-service requirements, classification.  Changing the policy or the confusion
-matrix therefore never perturbs the arrival times or the work each job
-brings, which is what makes paired-seed comparisons and the total-workload
-invariance checks exact.  Exponential draws use the inverse CDF
-(-ln(1-U)/rate) and normal draws use ndtri(U), so a path is a pure function
-of (config, policy, seed) across platforms.
+service requirements, classification.  None depends on the policy, so the
+arrival stream (epoch, true class, label, service of every job up to the
+horizon) is drawn first as numpy columns, with `Generator.random(n)` in
+chunks of at most event_cap + 1 values -- exactly the values one-at-a-time
+draws give.  Exponential draws use the inverse CDF -ln(1-U)/rate and normal
+draws ndtri(U), through the scalar `math.log`/`math.exp` so every value is
+bit-stable: a path is a pure function of (config, policy, seed).
 
-The total-workload curve W_+(t) is tracked with the Lindley recursion over
-arrival epochs (jump by the service requirement at each arrival, drain at
-unit rate while work remains).  In a work-conserving single-server system
-this equals the sum of remaining work over present jobs -- a unit test pins
-the two together -- but the recursion touches only arrival data, so the
-recorded curve is bitwise identical across policies and classifiers.
+The policy only fills in the completion column.  Global FCFS serves in
+arrival order without preemption, so c_i = max(a_i, c_{i-1}) + s_i in one
+pass; the index policies run one flat event loop that asks
+PolicyRef.decide_counts for the class to serve at each arrival and
+completion.  The total workload W_+ follows the Lindley recursion over
+arrivals, W_i = max(0, W_{i-1} - (a_i - a_{i-1})) + s_i, which in a
+work-conserving system equals the remaining work present; it touches only
+arrival data, so it is bitwise identical across policies and classifiers
+(a service schedule adds a jump where it rescales a job at its first start).
+The grid curves are derived from the columns afterwards, and
+`PathResult.jobs`/`completed`/`open_jobs` are read-only views.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-from .errors import (
-    ConfigError,
-    EventOverflowError,
-    OracleUnavailableError,
-    ScheduleNonPositiveError,
-)
-from .model import ConfusionMatrix, SystemConfig
-from .policies import PolicyRef, decide
+from .errors import ConfigError, EventOverflowError, ScheduleNonPositiveError
+from .model import SystemConfig
+from .policies import PolicyRef
 
 __all__ = [
     "Job",
-    "QueueState",
     "Curves",
     "PathResult",
     "RateSchedule",
     "run_path",
-    "sample_classification",
-    "composition_snapshot",
     "export_jobs_csv",
     "export_curves_csv",
 ]
 
 _INF = float("inf")
 
-# Substream indices within a path's Philox stream.
-_SUB_ARRIVALS, _SUB_CLASSES, _SUB_SERVICES, _SUB_LABELS = 0, 1, 2, 3
-
-
-class Job:
-    """One job's record; `remaining` is only refreshed at preemption/horizon."""
-
-    __slots__ = ("id", "arrival_time", "true_class", "predicted_class",
-                 "service_req", "remaining", "completion_time", "started")
-
-    def __init__(self, id, arrival_time, true_class, predicted_class, service_req):
-        self.id = id
-        self.arrival_time = arrival_time
-        self.true_class = true_class
-        self.predicted_class = predicted_class
-        self.service_req = service_req
-        self.remaining = service_req
-        self.completion_time = None
-        self.started = False
-
-    @property
-    def sojourn(self) -> Optional[float]:
-        if self.completion_time is None:
-            return None
-        return self.completion_time - self.arrival_time
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return (f"Job(id={self.id}, t={self.arrival_time:.4g}, k={self.true_class}, "
-                f"l={self.predicted_class}, s={self.service_req:.4g}, done={self.completion_time})")
-
-
-class QueueState:
-    """Live state of the system, grouped by scheduling class.
-
-    pred_counts is always available (it is what the non-oracle policies see);
-    true_counts is gated behind the oracle-visibility flag so that a policy
-    asking for true classes against a blinded run fails loudly.
-    """
-
-    __slots__ = ("clock", "queues", "pred_counts", "_true_counts", "comp",
-                 "oracle_visible", "n_classes")
-
-    def __init__(self, n_classes: int, oracle_visible: bool = False):
-        self.clock = 0.0
-        self.n_classes = n_classes
-        self.queues = [deque() for _ in range(n_classes)]
-        self.pred_counts = [0] * n_classes
-        self._true_counts = [0] * n_classes
-        self.comp = [[0] * n_classes for _ in range(n_classes)]  # comp[k][l]
-        self.oracle_visible = oracle_visible
-
-    @property
-    def true_counts(self):
-        if not self.oracle_visible:
-            raise OracleUnavailableError(
-                "true-class queue lengths requested from a run without oracle visibility"
-            )
-        return self._true_counts
-
-    def head_arrivals(self):
-        """Arrival time of the oldest job per scheduling class (inf if empty)."""
-        return [q[0].arrival_time if q else _INF for q in self.queues]
-
-
-def composition_snapshot(state: QueueState) -> np.ndarray:
-    """N~_kl matrix: present jobs counted by (true class k, predicted class l)."""
-    return np.array(state.comp, dtype=np.int64)
-
-
-def sample_classification(true_class: int, q: ConfusionMatrix, rng: Generator) -> int:
-    """Inverse-CDF draw of the predicted label from row `true_class` of Q."""
-    row = np.cumsum(q.entries[true_class])
-    return int(np.searchsorted(row, rng.random(), side="right"))
+# Largest number of uniforms drawn from a substream at once.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -183,78 +109,102 @@ class Curves:
     composition: np.ndarray   # (G, K, K) present jobs by (true, predicted)
 
 
+class Job(NamedTuple):
+    """One job of a path, read off the path's columns (see PathResult)."""
+
+    id: int
+    arrival_time: float
+    true_class: int
+    predicted_class: int
+    service_req: float
+    completion_time: Optional[float]  # None while open at the horizon
+    remaining: float                  # unfinished work at the horizon
+
+    @property
+    def sojourn(self) -> Optional[float]:
+        if self.completion_time is None:
+            return None
+        return self.completion_time - self.arrival_time
+
+    @property
+    def started(self) -> bool:
+        return self.completion_time is not None or self.remaining != self.service_req
+
+
+class JobsView:
+    """Read-only sequence of the `Job` records in some rows of a path."""
+
+    __slots__ = ("_path", "_rows")
+
+    def __init__(self, path: "PathResult", rows: np.ndarray):
+        self._path = path
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i: int) -> Job:
+        return self._path.job(int(self._rows[i]))
+
+    def __iter__(self):
+        return map(self._path.job, self._rows.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, (list, tuple, JobsView)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 @dataclass(frozen=True)
 class PathResult:
-    """One simulated sample path.
+    """One simulated sample path, stored as per-job columns in arrival order.
 
-    jobs are in arrival order; open jobs at the horizon have
-    completion_time None and `remaining` equal to their unfinished work.
+    completion is NaN for jobs still open at the horizon, and remaining is
+    their unfinished work there (0 for completed jobs; a job whose service
+    started under a service schedule carries its rescaled requirement).
     arrival_workloads[i] is W_+ immediately after the i-th arrival -- an
     event-aligned trace that is comparable across policies and classifiers
-    because arrival epochs are shared under a common seed.
+    because arrival epochs are shared under a common seed.  `jobs`,
+    `completed` and `open_jobs` are read-only views built on access.
     """
 
-    jobs: list
+    arrival_times: np.ndarray     # (n,) float, increasing
+    true_class: np.ndarray        # (n,) int
+    predicted_class: np.ndarray   # (n,) int
+    service: np.ndarray           # (n,) drawn service requirement
+    completion: np.ndarray        # (n,) float, NaN while open
+    remaining: np.ndarray         # (n,) unfinished work at the horizon
+    arrival_workloads: np.ndarray  # (n,)
     curves: Curves
     seed: int
     event_count: int
     horizon: float
     n_classes: int
     policy_kind: str
-    arrival_times: np.ndarray
-    arrival_workloads: np.ndarray
 
     @property
-    def completed(self) -> list:
-        return [j for j in self.jobs if j.completion_time is not None]
+    def done(self) -> np.ndarray:
+        """Mask of the jobs completed by the horizon."""
+        return ~np.isnan(self.completion)
+
+    def job(self, i: int) -> Job:
+        """The record of job i (row i of the columns)."""
+        c = float(self.completion[i])
+        return Job(i, float(self.arrival_times[i]), int(self.true_class[i]),
+                   int(self.predicted_class[i]), float(self.service[i]),
+                   None if c != c else c, float(self.remaining[i]))
 
     @property
-    def open_jobs(self) -> list:
-        return [j for j in self.jobs if j.completion_time is None]
+    def jobs(self) -> JobsView:
+        return JobsView(self, np.arange(len(self.arrival_times)))
 
+    @property
+    def completed(self) -> JobsView:
+        return JobsView(self, np.flatnonzero(self.done))
 
-def _uniform_to_positive(u: float) -> float:
-    # rng.random() is in [0, 1); 1-u is in (0, 1], making -log safe.
-    return 1.0 - u
-
-
-def _make_service_sampler(dist, rates: np.ndarray, rng: Generator):
-    """Returns draw(true_class) -> service requirement with mean 1/mu_k."""
-    family, params = _dist_family(dist)
-    if family == "exponential":
-        def draw(k):
-            return -math.log(_uniform_to_positive(rng.random())) / rates[k]
-    elif family == "deterministic":
-        def draw(k):
-            return 1.0 / rates[k]
-    elif family == "lognormal":
-        sigma = float(params.get("sigma", 0.5))
-        mu_log = -0.5 * sigma * sigma  # exp(m + s Z) has mean exp(m + s^2/2)
-        def draw(k):
-            z = ndtri(_uniform_to_positive(rng.random()))
-            return math.exp(mu_log + sigma * z) / rates[k]
-    else:
-        raise ConfigError(f"unknown service distribution family {family!r}")
-    return draw
-
-
-def _make_interarrival_sampler(dist, lam: float, rng: Generator):
-    family, params = _dist_family(dist)
-    if family == "exponential":
-        def draw(rate=lam):
-            return -math.log(_uniform_to_positive(rng.random())) / rate
-    elif family == "deterministic":
-        def draw(rate=lam):
-            return 1.0 / rate
-    elif family == "lognormal":
-        sigma = float(params.get("sigma", 0.5))
-        mu_log = -0.5 * sigma * sigma
-        def draw(rate=lam):
-            z = ndtri(_uniform_to_positive(rng.random()))
-            return math.exp(mu_log + sigma * z) / rate
-    else:
-        raise ConfigError(f"unknown arrival distribution family {family!r}")
-    return family, draw
+    @property
+    def open_jobs(self) -> JobsView:
+        return JobsView(self, np.flatnonzero(~self.done))
 
 
 def _dist_family(dist):
@@ -263,6 +213,200 @@ def _dist_family(dist):
     if isinstance(dist, dict):
         return dist.get("family", "exponential"), dist
     raise ConfigError(f"distribution tag must be str or dict, got {type(dist)}")
+
+
+def _sample(dist, what: str, rng: Generator, rate, n: int) -> np.ndarray:
+    """n draws with mean 1/rate (a scalar, or one rate per draw) from a family tag."""
+    family, params = _dist_family(dist)
+    if family == "deterministic":
+        return np.ones(n) / rate
+    one_minus_u = 1.0 - rng.random(n)  # in (0, 1], making -log safe
+    if family == "exponential":
+        log = math.log
+        return -np.array([log(v) for v in one_minus_u.tolist()]) / rate
+    if family == "lognormal":
+        sigma = float(params.get("sigma", 0.5))
+        # exp(m + s Z) has mean exp(m + s^2/2), so m = -s^2/2 gives mean 1
+        x = -0.5 * sigma * sigma + sigma * ndtri(one_minus_u)
+        exp = math.exp
+        return np.array([exp(v) for v in x.tolist()]) / rate
+    raise ConfigError(f"unknown {what} distribution family {family!r}")
+
+
+def _overflow(event_cap: int, horizon: float) -> EventOverflowError:
+    return EventOverflowError(f"more than {event_cap} events before the horizon "
+                              f"{horizon}; check rho or raise event_cap")
+
+
+def _substreams(seed: int):
+    """The path's four substreams in order: Philox(key=seed).jumped(i) for
+    i = 0 (interarrivals), 1 (true classes), 2 (services), 3 (labels).
+
+    Each is read to the end before the next starts, so one bit generator
+    serves all four by setting the counter word a jump advances.
+    """
+    bits = Philox(key=seed)
+    rng, state = Generator(bits), bits.state
+    for i in range(4):
+        state["state"]["counter"][2] = i
+        bits.state = state
+        yield rng
+
+
+def _uniforms(rng: Generator, chunk: int):
+    """The substream's uniforms one by one, drawn chunk by chunk."""
+    while True:
+        yield from rng.random(chunk).tolist()
+
+
+def _arrival_times(config: SystemConfig, rng: Generator,
+                   schedule: Optional[RateSchedule], event_cap: int) -> np.ndarray:
+    """Arrival epochs up to the horizon, drawn chunk by chunk; raises once
+    there are more than event_cap of them, so memory stays bounded."""
+    horizon, lam = config.horizon, config.lam
+    m_max = 1.0 if schedule is None else schedule.max_multiplier
+    chunk = max(1, int(min(event_cap + 1, _CHUNK, 1.1 * lam * m_max * horizon + 20)))
+    if schedule is not None:
+        # Poisson thinning at the bounding rate; one or two uniforms per candidate
+        lam_max = lam * m_max
+        log, uniform, times, t = math.log, _uniforms(rng, chunk).__next__, [], 0.0
+        while True:
+            t = t - log(1.0 - uniform()) / lam_max
+            m = schedule(t)
+            # acceptance is certain at the bound: don't burn a thinning draw
+            if m >= m_max or uniform() * m_max <= m:
+                if t > horizon:
+                    return np.array(times)
+                times.append(t)
+                if len(times) > event_cap:
+                    raise _overflow(event_cap, horizon)
+    parts, n, t = [], 0, 0.0
+    while True:
+        gaps = _sample(config.arrival_dist, "arrival", rng, lam, chunk)
+        ts = np.cumsum(np.concatenate(([t], gaps)))[1:]
+        kept = int(np.searchsorted(ts, horizon, side="right"))
+        n += kept
+        if n > event_cap:
+            raise _overflow(event_cap, horizon)
+        parts.append(ts[:kept])
+        if kept < chunk:
+            return np.concatenate(parts)
+        t = ts[-1]
+
+
+def _fcfs(a: np.ndarray, s: np.ndarray, horizon: float):
+    """Global FCFS in closed form, with the Lindley workload at each arrival."""
+    completion, work = [], []
+    c = w = prev = 0.0
+    for ai, si in zip(a.tolist(), s.tolist()):
+        c = (ai if ai > c else c) + si
+        x = w - (ai - prev)
+        w = (x if x > 0.0 else 0.0) + si
+        prev = ai
+        completion.append(c)
+        work.append(w)
+    c = np.array(completion)
+    n_done = int(np.searchsorted(c, horizon, side="right"))  # c is nondecreasing
+    remaining = s.copy()
+    remaining[:n_done] = 0.0
+    if n_done < len(c):
+        remaining[n_done] = c[n_done] - horizon  # in service at the horizon
+    c[n_done:] = np.nan
+    return c, remaining, np.array(work), []
+
+
+def _event_loop(decide, preemptive: bool, sched: np.ndarray, n_sched: int,
+                a: np.ndarray, s: np.ndarray, horizon: float,
+                schedule: Optional[RateSchedule]):
+    """p-FCFS over scheduling classes `sched` (0..n_sched-1), serving the class
+    `decide(counts)` picks at each completion, and at each arrival if preemptive.
+
+    Returns completion (NaN while open), remaining work at the horizon, W_+
+    after each arrival, and the workload jumps (arrivals so far, t, W_+) made
+    when a service schedule rescales a job at its first start.
+    """
+    n = len(a)
+    at = a.tolist() + [_INF]
+    cls = sched.tolist()
+    rem = s.tolist()
+    completion = [math.nan] * n
+    queues = [[] for _ in range(n_sched)]
+    heads = [0] * n_sched
+    counts = [0] * n_sched
+    started = [False] * n
+    work, jumps = [], []
+    w = wt = 0.0
+    job, cur, end = -1, -1, _INF
+    i, t_arr = 0, at[0]
+    while True:
+        if end <= t_arr:
+            if end > horizon:
+                break
+            t = end
+            completion[job] = t
+            rem[job] = 0.0
+            heads[cur] += 1
+            counts[cur] -= 1
+            job, cur, end = -1, -1, _INF
+        else:
+            t = t_arr
+            c = cls[i]
+            queues[c].append(i)
+            counts[c] += 1
+            x = w - (t - wt)
+            w = (x if x > 0.0 else 0.0) + rem[i]
+            wt = t
+            work.append(w)
+            i += 1
+            t_arr = at[i]
+            if job >= 0 and not preemptive:
+                continue
+        target = decide(counts)
+        if target is None or target == cur:
+            continue  # idle, or the same head keeps the server
+        if job >= 0:
+            rem[job] = end - t  # preempt; resume later
+        job, cur = queues[target][heads[target]], target
+        if schedule is not None and not started[job]:
+            started[job] = True
+            scaled = rem[job] / schedule(t)
+            x = w - (t - wt)
+            w = (x if x > 0.0 else 0.0) + (scaled - rem[job])
+            wt = t
+            jumps.append((i, t, w))
+            rem[job] = scaled
+        end = t + rem[job]
+    if job >= 0:
+        rem[job] = end - horizon  # unfinished work at the horizon
+    return np.array(completion), np.array(rem), np.array(work), jumps
+
+
+def _curves(grid: np.ndarray, k_classes: int, a, true_class, label, completion,
+            work, jumps) -> Curves:
+    """Grid values are the state after every event at or before the grid time."""
+    g = len(grid)
+    # W_+ drains at unit rate from its last update (0 at time 0)
+    knot_t = np.concatenate(([0.0], a))
+    knot_w = np.concatenate(([0.0], work))
+    if jumps:
+        pos, t, w = (np.array(v) for v in zip(*jumps))
+        knot_t, knot_w = np.insert(knot_t, pos + 1, t), np.insert(knot_w, pos + 1, w)
+    j = np.searchsorted(knot_t, grid, side="right") - 1
+    x = knot_w[j] - (grid - knot_t[j])
+    workload = np.where(x > 0.0, x, 0.0)
+    # a job is present from the first grid time >= its arrival to the first
+    # grid time >= its completion; count it per (true, predicted) cell
+    cells = k_classes * k_classes
+    code = true_class * k_classes + label
+    enter = np.searchsorted(grid, a, side="left") * cells + code
+    leave = np.searchsorted(grid, np.where(np.isnan(completion), _INF, completion),
+                            side="left") * cells + code
+    size = (g + 1) * cells
+    delta = np.bincount(enter, minlength=size) - np.bincount(leave, minlength=size)
+    composition = np.cumsum(delta.reshape(g + 1, cells)[:g], axis=0).reshape(
+        g, k_classes, k_classes)
+    return Curves(grid=grid, queue_lengths=composition.sum(axis=1), workload=workload,
+                  composition=composition)
 
 
 def run_path(config: SystemConfig, policy, seed: int, sampling_grid: int = 51, *,
@@ -274,6 +418,8 @@ def run_path(config: SystemConfig, policy, seed: int, sampling_grid: int = 51, *
     The policy re-evaluates at arrivals and completions only; queue-length
     indices are constant between events, so no decision could change anywhere
     else.  `policy` may be a PolicyRef or one of {"oracle","naive","pcmu","fcfs"}.
+    Raises EventOverflowError if the path has more than event_cap arrivals
+    and completions up to the horizon.
     """
     if sampling_grid < 2:
         raise ConfigError("sampling_grid must be >= 2")
@@ -284,154 +430,36 @@ def run_path(config: SystemConfig, policy, seed: int, sampling_grid: int = 51, *
 
     k_classes = config.n_classes
     horizon = config.horizon
-    lam = config.lam
-    by_true = policy.uses_true_class
-
-    root = Philox(key=seed)
-    rngs = [Generator(root.jumped(i)) for i in (_SUB_ARRIVALS, _SUB_CLASSES,
-                                                _SUB_SERVICES, _SUB_LABELS)]
-    rng_arr, rng_cls, rng_srv, rng_lab = rngs
-
-    _, draw_gap = _make_interarrival_sampler(config.arrival_dist, lam, rng_arr)
-    draw_service = _make_service_sampler(config.service_dist, config.service_rates, rng_srv)
-    prev_cdf = np.cumsum(config.prevalences)
+    # the policy-independent arrival stream
+    streams = _substreams(seed)
+    a = _arrival_times(config, next(streams), arrival_schedule, event_cap)
+    n = len(a)
+    true_class = np.searchsorted(np.cumsum(config.prevalences), next(streams).random(n),
+                                 side="right")
+    service = _sample(config.service_dist, "service", next(streams),
+                      config.service_rates[true_class], n)
+    # inverse CDF of row k of Q: the number of row entries <= U
     label_cdf = np.cumsum(config.confusion.entries, axis=1)
+    label = np.sum(label_cdf[true_class] <= next(streams).random(n)[:, None], axis=1)
 
-    if arrival_schedule is None:
-        def next_arrival(t):
-            return t + draw_gap()
+    if policy.kind == "fcfs" and service_schedule is None:
+        completion, remaining, work, jumps = _fcfs(a, service, horizon)
     else:
-        lam_max = lam * arrival_schedule.max_multiplier
-        def next_arrival(t):
-            # Poisson thinning at the bounding rate.
-            while True:
-                t = t - math.log(_uniform_to_positive(rng_arr.random())) / lam_max
-                m = arrival_schedule(t)
-                if m >= arrival_schedule.max_multiplier:
-                    return t  # acceptance certain: don't burn a thinning draw
-                if rng_arr.random() * arrival_schedule.max_multiplier <= m:
-                    return t
-
-    state = QueueState(k_classes, oracle_visible=by_true)
-    queues = state.queues
-    pred_counts = state.pred_counts
-    true_counts = state._true_counts
-    comp = state.comp
-    sched_counts = true_counts if by_true else pred_counts
-
-    grid = np.linspace(0.0, horizon, sampling_grid)
-    rec_n = np.zeros((sampling_grid, k_classes), dtype=np.int64)
-    rec_w = np.zeros(sampling_grid)
-    rec_comp = np.zeros((sampling_grid, k_classes, k_classes), dtype=np.int64)
-    gi = 0  # next grid index to record
-
-    jobs: list[Job] = []
-    arrival_w: list[float] = []
-
-    w = 0.0          # Lindley workload
-    w_t = 0.0        # time w refers to
-    serving: Optional[Job] = None
-    serving_end = _INF
-    serving_class = -1
-    t_arr = next_arrival(0.0)
-    events = 0
-
-    def start_service(job: Job, now: float):
-        nonlocal serving, serving_end, serving_class, w, w_t
-        if service_schedule is not None and not job.started:
-            m = service_schedule(now)
-            scaled = job.remaining / m
-            # keep the workload tracker consistent with the rescaled requirement
-            w = max(0.0, w - (now - w_t)) + (scaled - job.remaining)
-            w_t = now
-            job.remaining = scaled
-        job.started = True
-        serving = job
-        serving_class = job.true_class if by_true else job.predicted_class
-        serving_end = now + job.remaining
-
-    def choose_and_start(now: float):
-        nonlocal serving, serving_end, serving_class
-        target = decide(state, policy)
-        if target is None:
-            serving, serving_end, serving_class = None, _INF, -1
-            return
-        if serving is not None and target == serving_class:
-            return  # head unchanged; same job keeps the server
-        if serving is not None:
-            serving.remaining = serving_end - now  # preempt, resume later
-        start_service(queues[target][0], now)
-
-    while True:
-        t_next = serving_end if serving_end <= t_arr else t_arr
-        bound = horizon if t_next > horizon else t_next
-        while gi < sampling_grid and grid[gi] < bound:
-            rec_n[gi] = pred_counts
-            rec_w[gi] = max(0.0, w - (grid[gi] - w_t))
-            rec_comp[gi] = comp
-            gi += 1
-        if t_next > horizon:
-            break
-        events += 1
-        if events > event_cap:
-            raise EventOverflowError(
-                f"exceeded {event_cap} events before t={t_next:.4g} (horizon {horizon}); "
-                "check rho or raise event_cap"
-            )
-        state.clock = t_next
-
-        if serving_end <= t_arr:
-            # completion of the serving job (head of its queue)
-            t = serving_end
-            job = queues[serving_class].popleft()
-            job.completion_time = t
-            job.remaining = 0.0
-            pred_counts[job.predicted_class] -= 1
-            true_counts[job.true_class] -= 1
-            comp[job.true_class][job.predicted_class] -= 1
-            serving, serving_end, serving_class = None, _INF, -1
-            choose_and_start(t)
+        if policy.kind == "fcfs":  # under a service schedule: one FIFO line
+            sched, decide = np.zeros(n, dtype=np.int64), lambda counts: 0 if counts[0] else None
         else:
-            # arrival
-            t = t_arr
-            k = int(np.searchsorted(prev_cdf, rng_cls.random(), side="right"))
-            s = draw_service(k)
-            l = int(np.searchsorted(label_cdf[k], rng_lab.random(), side="right"))
-            job = Job(len(jobs), t, k, l, s)
-            jobs.append(job)
-            queues[job.true_class if by_true else l].append(job)
-            pred_counts[l] += 1
-            true_counts[k] += 1
-            comp[k][l] += 1
-            w = max(0.0, w - (t - w_t)) + s
-            w_t = t
-            arrival_w.append(w)
-            t_arr = next_arrival(t)
-            if serving is None or policy.preemptive:
-                choose_and_start(t)
+            sched = true_class if policy.uses_true_class else label
+            decide = policy.decide_counts
+        completion, remaining, work, jumps = _event_loop(
+            decide, policy.preemptive, sched, k_classes, a, service, horizon, service_schedule)
 
-    # flush remaining grid points (state is frozen past the last event <= horizon)
-    while gi < sampling_grid:
-        rec_n[gi] = pred_counts
-        rec_w[gi] = max(0.0, w - (grid[gi] - w_t))
-        rec_comp[gi] = comp
-        gi += 1
-    if serving is not None:
-        serving.remaining = serving_end - horizon  # unfinished work at the horizon
-    state.clock = horizon
-
-    curves = Curves(grid=grid, queue_lengths=rec_n, workload=rec_w, composition=rec_comp)
-    return PathResult(
-        jobs=jobs,
-        curves=curves,
-        seed=seed,
-        event_count=events,
-        horizon=horizon,
-        n_classes=k_classes,
-        policy_kind=policy.kind,
-        arrival_times=np.array([j.arrival_time for j in jobs]),
-        arrival_workloads=np.array(arrival_w),
-    )
+    events = n + int(np.count_nonzero(~np.isnan(completion)))
+    if events > event_cap:
+        raise _overflow(event_cap, horizon)
+    curves = _curves(np.linspace(0.0, horizon, sampling_grid), k_classes, a, true_class,
+                     label, completion, work, jumps)
+    return PathResult(a, true_class, label, service, completion, remaining, work, curves,
+                      seed, events, horizon, k_classes, policy.kind)
 
 
 def export_jobs_csv(result: PathResult, path):
@@ -441,10 +469,10 @@ def export_jobs_csv(result: PathResult, path):
         writer.writerow(["id", "arrival", "true_class", "predicted_class",
                          "service", "completion", "sojourn"])
         for j in result.jobs:
-            done = "" if j.completion_time is None else repr(float(j.completion_time))
-            soj = "" if j.sojourn is None else repr(float(j.sojourn))
-            writer.writerow([j.id, repr(float(j.arrival_time)), j.true_class,
-                             j.predicted_class, repr(float(j.service_req)), done, soj])
+            done = "" if j.completion_time is None else repr(j.completion_time)
+            soj = "" if j.sojourn is None else repr(j.sojourn)
+            writer.writerow([j.id, repr(j.arrival_time), j.true_class,
+                             j.predicted_class, repr(j.service_req), done, soj])
 
 
 def export_curves_csv(result: PathResult, path):

@@ -395,6 +395,14 @@ def save_config(config: SystemConfig, path):
         fh.write("\n")
 
 
-def load_config(path, *, strict: bool = True) -> SystemConfig:
+def load_json(path):
+    """Parse a JSON file; malformed JSON becomes a ConfigError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return config_from_json(json.load(fh), strict=strict)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def load_config(path, *, strict: bool = True) -> SystemConfig:
+    return config_from_json(load_json(path), strict=strict)

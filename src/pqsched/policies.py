@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, OracleUnavailableError
+from .errors import ConfigError
 from .model import (
     CostFn,
     MixtureCost,
@@ -40,39 +40,27 @@ __all__ = [
     "pcmu_index",
     "naive_gcmu_index",
     "oracle_gcmu_index",
-    "decide",
 ]
 
 POLICY_KINDS = ("oracle", "naive", "pcmu", "fcfs")
 
 
-def _counts_from(state, *, true_side: bool):
-    """Accept either an engine QueueState or a bare sequence of queue lengths."""
-    if true_side:
-        if hasattr(state, "true_counts"):
-            return state.true_counts  # property may raise OracleUnavailableError
-        return state
-    if hasattr(state, "pred_counts"):
-        return state.pred_counts
-    return state
-
-
-def pcmu_index(l: int, state, params: PredictedClassParams, costs: Sequence[CostFn]) -> float:
-    """mu~_l * C~_l'(N~_l / lam~_l) for predicted class l."""
-    n = _counts_from(state, true_side=False)[l]
+def pcmu_index(l: int, counts, params: PredictedClassParams, costs: Sequence[CostFn]) -> float:
+    """mu~_l * C~_l'(N~_l / lam~_l) for predicted class l; counts are per predicted class."""
+    n = counts[l]
     mix = mixture_cost(l, params, costs)
     return float(params.mu_tilde[l] * mix.prime(n / params.lambda_tilde[l]))
 
 
-def naive_gcmu_index(l: int, state, params: PredictedClassParams, costs: Sequence[CostFn]) -> float:
+def naive_gcmu_index(l: int, counts, params: PredictedClassParams, costs: Sequence[CostFn]) -> float:
     """mu~_l * C_l'(N~_l / lam~_l): the label-l cost applied as if labels were truth."""
-    n = _counts_from(state, true_side=False)[l]
+    n = counts[l]
     return float(params.mu_tilde[l] * costs[l].prime(n / params.lambda_tilde[l]))
 
 
-def oracle_gcmu_index(k: int, state, config: SystemConfig) -> float:
-    """mu_k * C_k'(N_k / lam_k); requires true-class visibility on the state."""
-    n = _counts_from(state, true_side=True)[k]
+def oracle_gcmu_index(k: int, counts, config: SystemConfig) -> float:
+    """mu_k * C_k'(N_k / lam_k); counts are per true class."""
+    n = counts[k]
     lam_k = config.lam * config.prevalences[k]
     return float(config.service_rates[k] * config.costs[k].prime(n / lam_k))
 
@@ -153,32 +141,14 @@ class PolicyRef:
         return float(self.mu_eff[l] * self.primes[l](n / self.lam_eff[l]))
 
     def decide_counts(self, counts) -> Optional[int]:
-        """Argmax of the index over nonempty classes; ties -> smallest index."""
+        """The class to serve given the queue length of each scheduling class:
+        the index argmax over nonempty classes, ties to the smallest class,
+        None (idle) if every class is empty."""
         best, best_val = None, -1.0
-        for l in range(self.n_classes):
-            n = counts[l]
-            if n <= 0:
-                continue
-            v = self.index(l, n)
-            if v > best_val:
-                best, best_val = l, v
+        coeffs, power = self.index_coeffs, self.index_power
+        for l, n in enumerate(counts):
+            if n > 0:
+                v = coeffs[l] * n ** power if coeffs is not None else self.index(l, n)
+                if v > best_val:
+                    best, best_val = l, v
         return best
-
-
-def decide(state, policy: PolicyRef) -> Optional[int]:
-    """The class to serve now, or None (idle) if every queue is empty.
-
-    For the index kinds the decision is the index argmax over nonempty
-    scheduling classes (true classes for oracle, predicted otherwise).  For
-    global FCFS it is the class whose head job arrived first; heads suffice
-    because service order within a class is arrival order.
-    """
-    if policy.kind == "fcfs":
-        heads = state.head_arrivals()
-        best, best_t = None, float("inf")
-        for l, t in enumerate(heads):
-            if t < best_t:
-                best, best_t = l, t
-        return best
-    counts = _counts_from(state, true_side=policy.uses_true_class)
-    return policy.decide_counts(counts)

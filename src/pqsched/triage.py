@@ -31,7 +31,7 @@ from scipy.special import ndtr
 
 from .errors import ConfigError, EmptyClassError, EmptyGridError, EmptyPassError
 from .httheory import bm_workload_paths, quadratic_coefficients
-from .model import ConfusionMatrix, CostFn, SystemConfig
+from .model import ConfusionMatrix, CostFn, SystemConfig, load_json
 
 __all__ = [
     "PassingCurves",
@@ -457,7 +457,4 @@ def triage_config_from_json(doc: dict) -> TriageConfig:
 
 
 def load_triage_config(path) -> TriageConfig:
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        return triage_config_from_json(json.load(fh))
+    return triage_config_from_json(load_json(path))

@@ -1,0 +1,376 @@
+"""Reference event-by-event simulator: the oracle the columnar engine is checked against.
+
+This is the scalar discrete-event loop pqsched used to ship, kept outside the
+package so tests can compare `pqsched.run_path` against it bit for bit.  It
+draws the same four Philox substreams one value at a time, keeps one `Job`
+object per arrival and a live `QueueState`, and asks `decide` for the class
+to serve after every arrival and completion.  Its result, `RefPath`, carries
+the fields the old `PathResult` had (a list of mutable jobs plus the curves),
+so each column of the new result can be compared with the corresponding
+attribute of the jobs here.  `sample_classification` is the label draw for
+a single job.
+
+Nothing in `src/` imports this module.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import deque
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+from numpy.random import Generator, Philox
+from scipy.special import ndtri
+
+from pqsched import (
+    ConfigError,
+    ConfusionMatrix,
+    Curves,
+    EventOverflowError,
+    OracleUnavailableError,
+    PolicyRef,
+    RateSchedule,
+    SystemConfig,
+)
+
+_INF = float("inf")
+
+# Substream indices within a path's Philox stream.
+_SUB_ARRIVALS, _SUB_CLASSES, _SUB_SERVICES, _SUB_LABELS = 0, 1, 2, 3
+
+
+class Job:
+    """One job's record; `remaining` is only refreshed at preemption/horizon."""
+
+    __slots__ = ("id", "arrival_time", "true_class", "predicted_class",
+                 "service_req", "remaining", "completion_time", "started")
+
+    def __init__(self, id, arrival_time, true_class, predicted_class, service_req):
+        self.id = id
+        self.arrival_time = arrival_time
+        self.true_class = true_class
+        self.predicted_class = predicted_class
+        self.service_req = service_req
+        self.remaining = service_req
+        self.completion_time = None
+        self.started = False
+
+    @property
+    def sojourn(self) -> Optional[float]:
+        if self.completion_time is None:
+            return None
+        return self.completion_time - self.arrival_time
+
+
+class QueueState:
+    """Live state of the system, grouped by scheduling class.
+
+    pred_counts is always available (it is what the non-oracle policies see);
+    true_counts is gated behind the oracle-visibility flag so that a policy
+    asking for true classes against a blinded run fails loudly.
+    """
+
+    __slots__ = ("clock", "queues", "pred_counts", "_true_counts", "comp",
+                 "oracle_visible", "n_classes")
+
+    def __init__(self, n_classes: int, oracle_visible: bool = False):
+        self.clock = 0.0
+        self.n_classes = n_classes
+        self.queues = [deque() for _ in range(n_classes)]
+        self.pred_counts = [0] * n_classes
+        self._true_counts = [0] * n_classes
+        self.comp = [[0] * n_classes for _ in range(n_classes)]  # comp[k][l]
+        self.oracle_visible = oracle_visible
+
+    @property
+    def true_counts(self):
+        if not self.oracle_visible:
+            raise OracleUnavailableError(
+                "true-class queue lengths requested from a run without oracle visibility"
+            )
+        return self._true_counts
+
+    def head_arrivals(self):
+        """Arrival time of the oldest job per scheduling class (inf if empty)."""
+        return [q[0].arrival_time if q else _INF for q in self.queues]
+
+
+def sample_classification(true_class: int, q: ConfusionMatrix, rng: Generator) -> int:
+    """Inverse-CDF draw of the predicted label from row `true_class` of Q."""
+    row = np.cumsum(q.entries[true_class])
+    return int(np.searchsorted(row, rng.random(), side="right"))
+
+
+def composition_snapshot(state: QueueState) -> np.ndarray:
+    """N~_kl matrix: present jobs counted by (true class k, predicted class l)."""
+    return np.array(state.comp, dtype=np.int64)
+
+
+def _counts_from(state, *, true_side: bool):
+    """Accept either a QueueState or a bare sequence of queue lengths."""
+    if true_side:
+        if hasattr(state, "true_counts"):
+            return state.true_counts  # property may raise OracleUnavailableError
+        return state
+    if hasattr(state, "pred_counts"):
+        return state.pred_counts
+    return state
+
+
+def decide(state, policy: PolicyRef) -> Optional[int]:
+    """The class to serve now, or None (idle) if every queue is empty.
+
+    For the index kinds the decision is the index argmax over nonempty
+    scheduling classes (true classes for oracle, predicted otherwise).  For
+    global FCFS it is the class whose head job arrived first; heads suffice
+    because service order within a class is arrival order.
+    """
+    if policy.kind == "fcfs":
+        heads = state.head_arrivals()
+        best, best_t = None, float("inf")
+        for l, t in enumerate(heads):
+            if t < best_t:
+                best, best_t = l, t
+        return best
+    counts = _counts_from(state, true_side=policy.uses_true_class)
+    return policy.decide_counts(counts)
+
+
+@dataclass(frozen=True)
+class RefPath:
+    """One simulated path in the old object layout: a list of `Job`s."""
+
+    jobs: list
+    curves: Curves
+    seed: int
+    event_count: int
+    horizon: float
+    n_classes: int
+    policy_kind: str
+    arrival_times: np.ndarray
+    arrival_workloads: np.ndarray
+
+    @property
+    def completed(self) -> list:
+        return [j for j in self.jobs if j.completion_time is not None]
+
+    @property
+    def open_jobs(self) -> list:
+        return [j for j in self.jobs if j.completion_time is None]
+
+
+def _uniform_to_positive(u: float) -> float:
+    # rng.random() is in [0, 1); 1-u is in (0, 1], making -log safe.
+    return 1.0 - u
+
+
+def _dist_family(dist):
+    if isinstance(dist, str):
+        return dist, {}
+    if isinstance(dist, dict):
+        return dist.get("family", "exponential"), dist
+    raise ConfigError(f"distribution tag must be str or dict, got {type(dist)}")
+
+
+def _make_service_sampler(dist, rates: np.ndarray, rng: Generator):
+    """Returns draw(true_class) -> service requirement with mean 1/mu_k."""
+    family, params = _dist_family(dist)
+    if family == "exponential":
+        def draw(k):
+            return -math.log(_uniform_to_positive(rng.random())) / rates[k]
+    elif family == "deterministic":
+        def draw(k):
+            return 1.0 / rates[k]
+    elif family == "lognormal":
+        sigma = float(params.get("sigma", 0.5))
+        mu_log = -0.5 * sigma * sigma  # exp(m + s Z) has mean exp(m + s^2/2)
+        def draw(k):
+            z = ndtri(_uniform_to_positive(rng.random()))
+            return math.exp(mu_log + sigma * z) / rates[k]
+    else:
+        raise ConfigError(f"unknown service distribution family {family!r}")
+    return draw
+
+
+def _make_interarrival_sampler(dist, lam: float, rng: Generator):
+    family, params = _dist_family(dist)
+    if family == "exponential":
+        def draw(rate=lam):
+            return -math.log(_uniform_to_positive(rng.random())) / rate
+    elif family == "deterministic":
+        def draw(rate=lam):
+            return 1.0 / rate
+    elif family == "lognormal":
+        sigma = float(params.get("sigma", 0.5))
+        mu_log = -0.5 * sigma * sigma
+        def draw(rate=lam):
+            z = ndtri(_uniform_to_positive(rng.random()))
+            return math.exp(mu_log + sigma * z) / rate
+    else:
+        raise ConfigError(f"unknown arrival distribution family {family!r}")
+    return family, draw
+
+
+def run_path(config: SystemConfig, policy, seed: int, sampling_grid: int = 51, *,
+             arrival_schedule: Optional[RateSchedule] = None,
+             service_schedule: Optional[RateSchedule] = None,
+             event_cap: int = 5_000_000) -> RefPath:
+    """Simulate [0, horizon] event by event under one policy and seed."""
+    if sampling_grid < 2:
+        raise ConfigError("sampling_grid must be >= 2")
+    if isinstance(policy, str):
+        policy = PolicyRef.for_config(policy, config)
+    if arrival_schedule is not None and _dist_family(config.arrival_dist)[0] != "exponential":
+        raise ConfigError("arrival schedules require exponential interarrivals (thinning)")
+
+    k_classes = config.n_classes
+    horizon = config.horizon
+    lam = config.lam
+    by_true = policy.uses_true_class
+
+    root = Philox(key=seed)
+    rngs = [Generator(root.jumped(i)) for i in (_SUB_ARRIVALS, _SUB_CLASSES,
+                                                _SUB_SERVICES, _SUB_LABELS)]
+    rng_arr, rng_cls, rng_srv, rng_lab = rngs
+
+    _, draw_gap = _make_interarrival_sampler(config.arrival_dist, lam, rng_arr)
+    draw_service = _make_service_sampler(config.service_dist, config.service_rates, rng_srv)
+    prev_cdf = np.cumsum(config.prevalences)
+    label_cdf = np.cumsum(config.confusion.entries, axis=1)
+
+    if arrival_schedule is None:
+        def next_arrival(t):
+            return t + draw_gap()
+    else:
+        lam_max = lam * arrival_schedule.max_multiplier
+        def next_arrival(t):
+            # Poisson thinning at the bounding rate.
+            while True:
+                t = t - math.log(_uniform_to_positive(rng_arr.random())) / lam_max
+                m = arrival_schedule(t)
+                if m >= arrival_schedule.max_multiplier:
+                    return t  # acceptance certain: don't burn a thinning draw
+                if rng_arr.random() * arrival_schedule.max_multiplier <= m:
+                    return t
+
+    state = QueueState(k_classes, oracle_visible=by_true)
+    queues = state.queues
+    pred_counts = state.pred_counts
+    true_counts = state._true_counts
+    comp = state.comp
+
+    grid = np.linspace(0.0, horizon, sampling_grid)
+    rec_n = np.zeros((sampling_grid, k_classes), dtype=np.int64)
+    rec_w = np.zeros(sampling_grid)
+    rec_comp = np.zeros((sampling_grid, k_classes, k_classes), dtype=np.int64)
+    gi = 0  # next grid index to record
+
+    jobs: list[Job] = []
+    arrival_w: list[float] = []
+
+    w = 0.0          # Lindley workload
+    w_t = 0.0        # time w refers to
+    serving: Optional[Job] = None
+    serving_end = _INF
+    serving_class = -1
+    t_arr = next_arrival(0.0)
+    events = 0
+
+    def start_service(job: Job, now: float):
+        nonlocal serving, serving_end, serving_class, w, w_t
+        if service_schedule is not None and not job.started:
+            m = service_schedule(now)
+            scaled = job.remaining / m
+            # keep the workload tracker consistent with the rescaled requirement
+            w = max(0.0, w - (now - w_t)) + (scaled - job.remaining)
+            w_t = now
+            job.remaining = scaled
+        job.started = True
+        serving = job
+        serving_class = job.true_class if by_true else job.predicted_class
+        serving_end = now + job.remaining
+
+    def choose_and_start(now: float):
+        nonlocal serving, serving_end, serving_class
+        target = decide(state, policy)
+        if target is None:
+            serving, serving_end, serving_class = None, _INF, -1
+            return
+        if serving is not None and target == serving_class:
+            return  # head unchanged; same job keeps the server
+        if serving is not None:
+            serving.remaining = serving_end - now  # preempt, resume later
+        start_service(queues[target][0], now)
+
+    while True:
+        t_next = serving_end if serving_end <= t_arr else t_arr
+        bound = horizon if t_next > horizon else t_next
+        while gi < sampling_grid and grid[gi] < bound:
+            rec_n[gi] = pred_counts
+            rec_w[gi] = max(0.0, w - (grid[gi] - w_t))
+            rec_comp[gi] = comp
+            gi += 1
+        if t_next > horizon:
+            break
+        events += 1
+        if events > event_cap:
+            raise EventOverflowError(
+                f"exceeded {event_cap} events before t={t_next:.4g} (horizon {horizon}); "
+                "check rho or raise event_cap"
+            )
+        state.clock = t_next
+
+        if serving_end <= t_arr:
+            # completion of the serving job (head of its queue)
+            t = serving_end
+            job = queues[serving_class].popleft()
+            job.completion_time = t
+            job.remaining = 0.0
+            pred_counts[job.predicted_class] -= 1
+            true_counts[job.true_class] -= 1
+            comp[job.true_class][job.predicted_class] -= 1
+            serving, serving_end, serving_class = None, _INF, -1
+            choose_and_start(t)
+        else:
+            # arrival
+            t = t_arr
+            k = int(np.searchsorted(prev_cdf, rng_cls.random(), side="right"))
+            s = draw_service(k)
+            l = int(np.searchsorted(label_cdf[k], rng_lab.random(), side="right"))
+            job = Job(len(jobs), t, k, l, s)
+            jobs.append(job)
+            queues[job.true_class if by_true else l].append(job)
+            pred_counts[l] += 1
+            true_counts[k] += 1
+            comp[k][l] += 1
+            w = max(0.0, w - (t - w_t)) + s
+            w_t = t
+            arrival_w.append(w)
+            t_arr = next_arrival(t)
+            if serving is None or policy.preemptive:
+                choose_and_start(t)
+
+    # flush remaining grid points (state is frozen past the last event <= horizon)
+    while gi < sampling_grid:
+        rec_n[gi] = pred_counts
+        rec_w[gi] = max(0.0, w - (grid[gi] - w_t))
+        rec_comp[gi] = comp
+        gi += 1
+    if serving is not None:
+        serving.remaining = serving_end - horizon  # unfinished work at the horizon
+    state.clock = horizon
+
+    curves = Curves(grid=grid, queue_lengths=rec_n, workload=rec_w, composition=rec_comp)
+    return RefPath(
+        jobs=jobs,
+        curves=curves,
+        seed=seed,
+        event_count=events,
+        horizon=horizon,
+        n_classes=k_classes,
+        policy_kind=policy.kind,
+        arrival_times=np.array([j.arrival_time for j in jobs]),
+        arrival_workloads=np.array(arrival_w),
+    )

@@ -273,6 +273,37 @@ def test_invalid_config_contents(runner, tmp_path):
     assert "NonPositiveRate" in result.output
 
 
+def _assert_one_line_error(result):
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and "not valid JSON" in errors[0]
+
+
+def test_truncated_config_json(runner, tmp_path, config_path):
+    bad = tmp_path / "truncated.json"
+    bad.write_text(config_path.read_text()[:40])
+    result = runner.invoke(main, ["simulate", "--config", str(bad),
+                                  "--out", str(tmp_path / "o")])
+    _assert_one_line_error(result)
+
+
+def test_truncated_model_json(runner, tmp_path, config_path):
+    bad = tmp_path / "model.json"
+    bad.write_text('{"name": "m", "confusion": [[0.9, 0.1], [0.2')
+    result = runner.invoke(main, ["select-model", "--config", str(config_path),
+                                  "--model", str(bad), "--out", str(tmp_path / "o")])
+    _assert_one_line_error(result)
+
+
+def test_truncated_triage_json(runner, tmp_path):
+    bad = tmp_path / "triage.json"
+    bad.write_text('{"Lambda": 50000.0, "p": [0.2, ')
+    result = runner.invoke(main, ["triage", "--config", str(bad),
+                                  "--out", str(tmp_path / "o")])
+    _assert_one_line_error(result)
+
+
 def test_unknown_policy_rejected(runner, tmp_path, config_path):
     result = runner.invoke(main, ["simulate", "--config", str(config_path),
                                   "--policy", "lifo",

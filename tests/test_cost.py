@@ -23,11 +23,8 @@ from conftest import make_two_class
 
 
 def _job(jid, arrival, true_class, predicted, service, completion=None):
-    j = Job(jid, arrival, true_class, predicted, service)
-    if completion is not None:
-        j.completion_time = completion
-        j.remaining = 0.0
-    return j
+    remaining = service if completion is None else 0.0
+    return Job(jid, arrival, true_class, predicted, service, completion, remaining)
 
 
 def _fake_path(jobs, horizon=10.0, n_classes=2):
@@ -36,10 +33,16 @@ def _fake_path(jobs, horizon=10.0, n_classes=2):
                     queue_lengths=np.zeros((21, n_classes), dtype=np.int64),
                     workload=np.zeros(21),
                     composition=np.zeros((21, n_classes, n_classes), dtype=np.int64))
-    return PathResult(jobs=list(jobs), curves=curves, seed=0, event_count=0,
-                      horizon=horizon, n_classes=n_classes, policy_kind="pcmu",
-                      arrival_times=np.array([j.arrival_time for j in jobs]),
-                      arrival_workloads=np.zeros(len(jobs)))
+    return PathResult(
+        arrival_times=np.array([j.arrival_time for j in jobs], dtype=float),
+        true_class=np.array([j.true_class for j in jobs], dtype=np.int64),
+        predicted_class=np.array([j.predicted_class for j in jobs], dtype=np.int64),
+        service=np.array([j.service_req for j in jobs], dtype=float),
+        completion=np.array([np.nan if j.completion_time is None else j.completion_time
+                             for j in jobs], dtype=float),
+        remaining=np.array([j.remaining for j in jobs], dtype=float),
+        arrival_workloads=np.zeros(len(jobs)), curves=curves, seed=0,
+        event_count=0, horizon=horizon, n_classes=n_classes, policy_kind="pcmu")
 
 
 # --------------------------------------------------------------- charging
@@ -114,6 +117,16 @@ def test_replicate_summary_statistics(critical_config):
     # default evaluation grid spans [0, horizon]
     assert s.grid[0] == 0.0 and s.grid[-1] == pytest.approx(cfg.horizon)
     assert np.all(np.diff(s.mean) >= -1e-12)
+
+
+def test_replicate_pool_matches_serial(critical_config):
+    # the resolved policy is pickled to the workers; seed-order aggregation
+    # makes the summary independent of the pool
+    serial = replicate(critical_config, "pcmu", n_paths=6, base_seed=3, n_jobs=1)
+    pooled = replicate(critical_config, "pcmu", n_paths=6, base_seed=3, n_jobs=2)
+    for field in ("grid", "mean", "stderr", "terminal_costs"):
+        assert np.array_equal(getattr(serial, field), getattr(pooled, field))
+    assert pooled.policy_kind == "pcmu"
 
 
 def test_replicate_needs_two_paths(two_class_config):

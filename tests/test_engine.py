@@ -1,4 +1,6 @@
 import csv
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,19 +13,17 @@ from pqsched import (
     EventOverflowError,
     OracleUnavailableError,
     PolicyRef,
-    QueueState,
     RateSchedule,
     ScheduleNonPositiveError,
     SystemConfig,
-    composition_snapshot,
     derive_predicted_params,
     export_curves_csv,
     export_jobs_csv,
     run_path,
-    sample_classification,
 )
 from conftest import make_two_class
 from helpers import exact_int_w2, workload_at_horizon
+from reference_engine import QueueState, composition_snapshot, decide, sample_classification
 
 
 def _det_config(**overrides):
@@ -131,7 +131,7 @@ def test_oracle_visibility_gate():
 
 
 def test_oracle_policy_on_blind_state_raises(two_class_config):
-    from pqsched import decide          # oracle decide needs true counts
+    # oracle decide needs true counts
     pol = PolicyRef.for_config("oracle", two_class_config)
     state = QueueState(n_classes=2, oracle_visible=False)
     with pytest.raises(OracleUnavailableError):
@@ -329,8 +329,42 @@ def test_schedule_guards():
 # ------------------------------------------------------------------ guards
 
 def test_event_overflow(critical_config):
-    with pytest.raises(EventOverflowError):
-        run_path(critical_config, "pcmu", seed=0, event_cap=10)
+    for kind in ("pcmu", "fcfs"):
+        with pytest.raises(EventOverflowError):
+            run_path(critical_config, kind, seed=0, event_cap=10)
+        with pytest.raises(EventOverflowError):
+            run_path(critical_config, kind, seed=0, event_cap=10,
+                     arrival_schedule=RateSchedule.constant(1.0))
+
+
+def test_event_cap_counts_arrivals_and_completions(critical_config):
+    # the cap bounds arrivals plus completions up to the horizon, exactly
+    for kind in ("oracle", "naive", "pcmu", "fcfs"):
+        path = run_path(critical_config, kind, seed=3)
+        events = path.event_count
+        assert events > len(path.jobs)
+        run_path(critical_config, kind, seed=3, event_cap=events)
+        with pytest.raises(EventOverflowError):
+            run_path(critical_config, kind, seed=3, event_cap=events - 1)
+
+
+def test_event_overflow_is_prompt_at_huge_rate():
+    # lambda * T = 1e12 arrivals: the cap must stop the arrival stream after
+    # about event_cap draws, not after drawing the whole horizon
+    cfg = make_two_class(lam=1e6, horizon=1e6)
+    for kind in ("oracle", "naive", "pcmu", "fcfs"):
+        for schedule in (None, RateSchedule.constant(1.0)):
+            tracemalloc.start()
+            t0 = time.perf_counter()
+            try:
+                with pytest.raises(EventOverflowError):
+                    run_path(cfg, kind, seed=0, event_cap=1000,
+                             arrival_schedule=schedule)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert time.perf_counter() - t0 < 5.0
+            assert peak < 2_000_000
 
 
 def test_sampling_grid_minimum(critical_config):

@@ -7,13 +7,13 @@ from pqsched import (
     CostFn,
     PolicyRef,
     PredictedClassParams,
-    decide,
     derive_predicted_params,
     naive_gcmu_index,
     oracle_gcmu_index,
     pcmu_index,
 )
 from conftest import make_two_class
+from reference_engine import decide
 
 
 def _plain_params():
