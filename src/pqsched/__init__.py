@@ -23,6 +23,7 @@ from .errors import (
 from .model import (
     ConfusionMatrix,
     CostFn,
+    Dist,
     MixtureCost,
     PredictedClassParams,
     SystemConfig,

@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import PqschedError
+from .errors import ConfigError, PqschedError
 from . import cost as cost_mod
 from . import httheory as ht
 from . import ingest as ingest_mod
@@ -178,12 +178,12 @@ def _load_candidate(path: str):
     """Candidate file: either a bare K x K JSON array or
     {"name": ..., "confusion": [[...], ...]}."""
     doc = load_json(path)
-    if isinstance(doc, dict):
-        name = doc.get("name", Path(path).stem)
-        entries = doc["confusion"]
-    else:
-        name, entries = Path(path).stem, doc
-    return str(name), ConfusionMatrix(entries)
+    try:
+        if isinstance(doc, dict):
+            return str(doc.get("name", Path(path).stem)), ConfusionMatrix(doc["confusion"])
+        return Path(path).stem, ConfusionMatrix(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed model file: {type(exc).__name__} {exc}") from exc
 
 
 @main.command("select-model")
@@ -197,9 +197,9 @@ def cmd_select_model(config_path, model_paths, out_dir):
     """Rank candidate classifiers by scheduling regret (no simulation)."""
     try:
         config = load_config(config_path)
+        models = [_load_candidate(p) for p in model_paths]
         run = _Run("select-model", out_dir, config_path, {},
                    {"models": [str(p) for p in model_paths]})
-        models = [_load_candidate(p) for p in model_paths]
         ranked = ht.rank_models(models, config)
         with open(run.path("criteria.csv"), "w", encoding="utf-8") as fh:
             writer = _csv_writer(fh)

@@ -13,9 +13,9 @@ service requirements, classification.  None depends on the policy, so the
 arrival stream (epoch, true class, label, service of every job up to the
 horizon) is drawn first as numpy columns, with `Generator.random(n)` in
 chunks of at most event_cap + 1 values -- exactly the values one-at-a-time
-draws give.  Exponential draws use the inverse CDF -ln(1-U)/rate and normal
-draws ndtri(U), through the scalar `math.log`/`math.exp` so every value is
-bit-stable: a path is a pure function of (config, policy, seed).
+draws give.  Interarrival and service times come from `Dist.sample` of the
+config's laws, which keeps every value bit-stable: a path is a pure function
+of (config, policy, seed).
 
 The policy only fills in the completion column.  Global FCFS serves in
 arrival order without preemption, so c_i = max(a_i, c_{i-1}) + s_i in one
@@ -39,7 +39,6 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 from .errors import ConfigError, EventOverflowError, ScheduleNonPositiveError
 from .model import SystemConfig
@@ -207,32 +206,6 @@ class PathResult:
         return JobsView(self, np.flatnonzero(~self.done))
 
 
-def _dist_family(dist):
-    if isinstance(dist, str):
-        return dist, {}
-    if isinstance(dist, dict):
-        return dist.get("family", "exponential"), dist
-    raise ConfigError(f"distribution tag must be str or dict, got {type(dist)}")
-
-
-def _sample(dist, what: str, rng: Generator, rate, n: int) -> np.ndarray:
-    """n draws with mean 1/rate (a scalar, or one rate per draw) from a family tag."""
-    family, params = _dist_family(dist)
-    if family == "deterministic":
-        return np.ones(n) / rate
-    one_minus_u = 1.0 - rng.random(n)  # in (0, 1], making -log safe
-    if family == "exponential":
-        log = math.log
-        return -np.array([log(v) for v in one_minus_u.tolist()]) / rate
-    if family == "lognormal":
-        sigma = float(params.get("sigma", 0.5))
-        # exp(m + s Z) has mean exp(m + s^2/2), so m = -s^2/2 gives mean 1
-        x = -0.5 * sigma * sigma + sigma * ndtri(one_minus_u)
-        exp = math.exp
-        return np.array([exp(v) for v in x.tolist()]) / rate
-    raise ConfigError(f"unknown {what} distribution family {family!r}")
-
-
 def _overflow(event_cap: int, horizon: float) -> EventOverflowError:
     return EventOverflowError(f"more than {event_cap} events before the horizon "
                               f"{horizon}; check rho or raise event_cap")
@@ -282,7 +255,7 @@ def _arrival_times(config: SystemConfig, rng: Generator,
                     raise _overflow(event_cap, horizon)
     parts, n, t = [], 0, 0.0
     while True:
-        gaps = _sample(config.arrival_dist, "arrival", rng, lam, chunk)
+        gaps = config.arrival_dist.sample(rng, lam, chunk)
         ts = np.cumsum(np.concatenate(([t], gaps)))[1:]
         kept = int(np.searchsorted(ts, horizon, side="right"))
         n += kept
@@ -425,7 +398,7 @@ def run_path(config: SystemConfig, policy, seed: int, sampling_grid: int = 51, *
         raise ConfigError("sampling_grid must be >= 2")
     if isinstance(policy, str):
         policy = PolicyRef.for_config(policy, config)
-    if arrival_schedule is not None and _dist_family(config.arrival_dist)[0] != "exponential":
+    if arrival_schedule is not None and config.arrival_dist.family != "exponential":
         raise ConfigError("arrival schedules require exponential interarrivals (thinning)")
 
     k_classes = config.n_classes
@@ -436,8 +409,7 @@ def run_path(config: SystemConfig, policy, seed: int, sampling_grid: int = 51, *
     n = len(a)
     true_class = np.searchsorted(np.cumsum(config.prevalences), next(streams).random(n),
                                  side="right")
-    service = _sample(config.service_dist, "service", next(streams),
-                      config.service_rates[true_class], n)
+    service = config.service_dist.sample(next(streams), config.service_rates[true_class], n)
     # inverse CDF of row k of Q: the number of row entries <= U
     label_cdf = np.cumsum(config.confusion.entries, axis=1)
     label = np.sum(label_cdf[true_class] <= next(streams).random(n)[:, None], axis=1)

@@ -112,32 +112,8 @@ class Moments:
 
     @classmethod
     def for_config(cls, config: SystemConfig) -> "Moments":
-        mu = config.service_rates
-        if config.arrival_dist == "exponential":
-            alpha_u = 2.0 / config.lam ** 2
-        elif config.arrival_dist == "deterministic":
-            alpha_u = 1.0 / config.lam ** 2
-        else:
-            raise ConfigError(
-                f"no closed-form moments for arrival_dist={config.arrival_dist!r}")
-        if config.service_dist == "exponential":
-            alpha_v = 2.0 / mu ** 2
-        elif config.service_dist == "deterministic":
-            alpha_v = 1.0 / mu ** 2
-        elif config.service_dist.startswith("lognormal"):
-            sigma = _lognormal_sigma(config.service_dist)
-            alpha_v = np.exp(sigma ** 2) / mu ** 2
-        else:
-            raise ConfigError(
-                f"no closed-form moments for service_dist={config.service_dist!r}")
-        return cls(alpha_u=float(alpha_u), alpha_v=np.asarray(alpha_v, dtype=float))
-
-
-def _lognormal_sigma(tag: str) -> float:
-    # tag format "lognormal" (sigma=1) or "lognormal:0.25"
-    if ":" in tag:
-        return float(tag.split(":", 1)[1])
-    return 1.0
+        return cls(alpha_u=float(config.arrival_dist.second_moment(config.lam)),
+                   alpha_v=config.service_dist.second_moment(config.service_rates))
 
 
 def workload_variance_rate(config: SystemConfig, moments: Optional[Moments] = None) -> float:
@@ -255,10 +231,9 @@ def kkt_solve(r: float, params: PredictedClassParams, costs) -> Allocation:
     if r < 0:
         raise ConfigError("total workload must be nonnegative")
     K = len(params.rho_tilde)
-    mixes = [mixture_cost(l, params, costs) for l in range(K)]
     if r == 0.0:
-        x = np.zeros(K)
-        return Allocation(r=0.0, x=x, objective=0.0)
+        return Allocation(r=0.0, x=np.zeros(K), objective=0.0)
+    mixes = [mixture_cost(l, params, costs) for l in range(K)]
     if K == 1:
         x = np.array([r], dtype=float)
         return Allocation(r=r, x=x, objective=_allocation_objective(x, params, mixes))
@@ -425,17 +400,8 @@ def jstar(confusion, config: SystemConfig, w_paths: WorkloadPathSet,
     params = derive_predicted_params(cfg)
     dt = np.diff(w_paths.grid)
     per_path = np.empty(len(w_paths))
-    cache: dict[float, float] = {}
-    for i, row in enumerate(w_paths.values):
-        total = 0.0
-        for j in range(len(dt)):
-            w = float(row[j])
-            val = cache.get(w)
-            if val is None:
-                val = kkt_solve(w, params, cfg.costs).objective
-                cache[w] = val
-            total += val * dt[j]
-        per_path[i] = total
+    for i, row in enumerate(w_paths.values.tolist()):  # left endpoints: zip stops at len(dt)
+        per_path[i] = sum(kkt_solve(w, params, cfg.costs).objective * h for w, h in zip(row, dt))
     return _estimate(per_path, "general")
 
 

@@ -22,17 +22,20 @@ in closed form; power=2 is the usual (1/2) c t^2.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import ndtri
 
 from .errors import ConfigError, ZeroColumnError
 
 __all__ = [
     "CostFn",
     "ConfusionMatrix",
+    "Dist",
     "SystemConfig",
     "PredictedClassParams",
     "MixtureCost",
@@ -121,6 +124,57 @@ class ConfusionMatrix:
 
 
 @dataclass(frozen=True)
+class Dist:
+    """Law of a positive time with mean 1/rate.  parse reads the only tags:
+    "exponential", "deterministic", or {"family": "lognormal", "sigma": s}
+    (exp(-s^2/2 + s Z) / rate, Z standard normal).  The simulator draws with
+    sample and the diffusion analytics use second_moment, so both read a
+    config the same way."""
+
+    family: str
+    sigma: float = 0.0
+
+    @classmethod
+    def parse(cls, tag, what: str = "distribution") -> "Dist":
+        if isinstance(tag, Dist):
+            return tag
+        if isinstance(tag, str) and tag in ("exponential", "deterministic"):
+            return cls(tag)
+        if isinstance(tag, dict) and tag.keys() == {"family", "sigma"}:
+            s = tag["sigma"]
+            if (tag["family"] == "lognormal" and isinstance(s, (int, float))
+                    and not isinstance(s, bool) and 0.0 <= s < math.inf):
+                return cls("lognormal", float(s))
+        raise ConfigError(f'{what} {tag!r} is not "exponential", "deterministic" or {{"family": '
+                          '"lognormal", "sigma": s} with s a finite number >= 0')
+
+    def to_json(self):
+        if self.family == "lognormal":
+            return {"family": "lognormal", "sigma": self.sigma}
+        return self.family
+
+    def sample(self, rng, rate, n: int) -> np.ndarray:
+        """n draws with mean 1/rate (a scalar, or one rate per draw), through the
+        scalar math.log/math.exp so every value is bit-stable; none from rng
+        for the deterministic family."""
+        if self.family == "deterministic":
+            return np.ones(n) / rate
+        one_minus_u = 1.0 - rng.random(n)  # in (0, 1], making -log safe
+        if self.family == "exponential":
+            log = math.log
+            return -np.array([log(v) for v in one_minus_u.tolist()]) / rate
+        # exp(m + s Z) has mean exp(m + s^2/2), so m = -s^2/2 gives mean 1
+        x = -0.5 * self.sigma * self.sigma + self.sigma * ndtri(one_minus_u)
+        exp = math.exp
+        return np.array([exp(v) for v in x.tolist()]) / rate
+
+    def second_moment(self, rate):
+        """E[X^2] of a draw with mean 1/rate: 2/rate^2, 1/rate^2 or e^(s^2)/rate^2."""
+        scale = {"exponential": 2.0, "deterministic": 1.0}.get(self.family)
+        return (np.exp(self.sigma ** 2) if scale is None else scale) / rate ** 2
+
+
+@dataclass(frozen=True)
 class SystemConfig:
     """Prelimit description of one single-server multiclass system.
 
@@ -130,10 +184,11 @@ class SystemConfig:
     costs     -- per-class delay costs C_k
     confusion -- classifier confusion matrix Q
     horizon   -- simulated time window [0, horizon]
-    arrival_dist / service_dist -- distribution family tags; "exponential"
-        (default), "deterministic", or {"family": "lognormal", "sigma": s}.
-        Rates always mean what they say: the mean interarrival time is 1/lam
-        and the mean class-k service time is 1/mu_k under every family.
+    arrival_dist / service_dist -- interarrival and service laws, stored as
+        Dist: "exponential" (default), "deterministic", or {"family":
+        "lognormal", "sigma": s}; any other tag is a ConfigError.  Rates
+        always mean what they say: the mean interarrival time is 1/lam and
+        the mean class-k service time is 1/mu_k under every family.
     """
 
     lam: float
@@ -142,13 +197,15 @@ class SystemConfig:
     costs: tuple[CostFn, ...]
     confusion: ConfusionMatrix
     horizon: float = 1.0
-    arrival_dist: str | dict = "exponential"
-    service_dist: str | dict = "exponential"
+    arrival_dist: Dist = "exponential"
+    service_dist: Dist = "exponential"
 
     def __post_init__(self):
         object.__setattr__(self, "prevalences", _as_readonly(self.prevalences))
         object.__setattr__(self, "service_rates", _as_readonly(self.service_rates))
         object.__setattr__(self, "costs", tuple(self.costs))
+        for name in ("arrival_dist", "service_dist"):
+            object.__setattr__(self, name, Dist.parse(getattr(self, name), name))
 
     @property
     def n_classes(self) -> int:
@@ -364,8 +421,8 @@ def config_to_json(config: SystemConfig) -> dict:
         "costs": [{"coeff": c.coeff, "power": c.power} for c in config.costs],
         "confusion": config.confusion.entries.tolist(),
         "horizon": config.horizon,
-        "arrival_dist": config.arrival_dist,
-        "service_dist": config.service_dist,
+        "arrival_dist": config.arrival_dist.to_json(),
+        "service_dist": config.service_dist.to_json(),
     }
 
 

@@ -454,6 +454,8 @@ def triage_config_from_json(doc: dict) -> TriageConfig:
         )
     except KeyError as exc:
         raise ConfigError(f"triage config missing field {exc.args[0]!r}")
+    except (AttributeError, TypeError, ValueError) as exc:  # e.g. "curves" not an object
+        raise ConfigError(f"malformed triage config: {exc}") from exc
 
 
 def load_triage_config(path) -> TriageConfig:

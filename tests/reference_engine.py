@@ -167,11 +167,7 @@ def _uniform_to_positive(u: float) -> float:
 
 
 def _dist_family(dist):
-    if isinstance(dist, str):
-        return dist, {}
-    if isinstance(dist, dict):
-        return dist.get("family", "exponential"), dist
-    raise ConfigError(f"distribution tag must be str or dict, got {type(dist)}")
+    return dist.family, {"sigma": dist.sigma}
 
 
 def _make_service_sampler(dist, rates: np.ndarray, rng: Generator):

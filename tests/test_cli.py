@@ -273,11 +273,11 @@ def test_invalid_config_contents(runner, tmp_path):
     assert "NonPositiveRate" in result.output
 
 
-def _assert_one_line_error(result):
+def _assert_one_line_error(result, needle="not valid JSON"):
     assert result.exit_code == 1
     assert "Traceback" not in result.output
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
-    assert len(errors) == 1 and "not valid JSON" in errors[0]
+    assert len(errors) == 1 and needle in errors[0]
 
 
 def test_truncated_config_json(runner, tmp_path, config_path):
@@ -309,3 +309,64 @@ def test_unknown_policy_rejected(runner, tmp_path, config_path):
                                   "--policy", "lifo",
                                   "--out", str(tmp_path / "o")])
     assert result.exit_code != 0
+
+
+README_CONFIG = {
+    "lambda": 1.0, "prevalences": [0.3, 0.7], "service_rates": [2.0, 1.0],
+    "costs": [{"coeff": 1.0, "power": 2.0}, {"coeff": 10.0, "power": 2.0}],
+    "confusion": [[0.9, 0.1], [0.2, 0.8]], "horizon": 1.0,
+}
+
+
+@pytest.mark.parametrize("key", ["arrival_dist", "service_dist"])
+def test_lower_bound_on_dict_form_lognormal(runner, tmp_path, key):
+    # regression: lower-bound read tags as strings and crashed on the dict form
+    cfg = tmp_path / "lognormal.json"
+    cfg.write_text(json.dumps({**README_CONFIG, key: {"family": "lognormal", "sigma": 0.5}}))
+    out = tmp_path / "lb"
+    result = runner.invoke(main, ["lower-bound", "--config", str(cfg), "--paths", "20",
+                                  "--steps", "100", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    table = {name: float(value) for name, value in _read_csv(out / "lower_bound.csv")[1:]}
+    lam, p, mu = 1.0, np.array([0.3, 0.7]), np.array([2.0, 1.0])
+    scv = {"arrival_dist": (np.exp(0.25), 2.0), "service_dist": (2.0, np.exp(0.25))}[key]
+    mean_work = float(p @ (1.0 / mu))
+    c_u = scv[0] / lam ** 2 - 1.0 / lam ** 2          # E[U^2] - E[U]^2
+    c_v = float(p @ (scv[1] / mu ** 2)) - mean_work ** 2
+    expected = lam * c_v + lam ** 3 * c_u * mean_work ** 2
+    assert table["variance_rate"] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("command", ["simulate", "lower-bound", "select-model"])
+@pytest.mark.parametrize("tag", ["gamma", "lognormal:0.25", "lognormal",
+                                 {"family": "lognormal", "sigma": "x"}, 5])
+def test_bad_distribution_tag_fails_before_writing(runner, tmp_path, command, tag):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**README_CONFIG, "service_dist": tag}))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(README_CONFIG["confusion"]))
+    extra = ["--model", str(model)] if command == "select-model" else []
+    out = tmp_path / "o"
+    result = runner.invoke(main, [command, "--config", str(cfg), *extra, "--out", str(out)])
+    _assert_one_line_error(result, "service_dist")
+    assert not out.exists()
+
+
+def test_model_file_without_confusion(runner, tmp_path, config_path):
+    bad = tmp_path / "model.json"
+    bad.write_text('{"name": "m"}')
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["select-model", "--config", str(config_path),
+                                  "--model", str(bad), "--out", str(out)])
+    _assert_one_line_error(result, "confusion")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [("Lambda", "abc"), ("p", 0.5), ("curves", [1, 2])])
+def test_triage_field_of_wrong_type(runner, tmp_path, triage_path, field, value):
+    bad = tmp_path / "bad_triage.json"
+    bad.write_text(json.dumps({**json.loads(triage_path.read_text()), field: value}))
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["triage", "--config", str(bad), "--out", str(out)])
+    _assert_one_line_error(result, "malformed triage config")
+    assert not out.exists()

@@ -25,6 +25,7 @@ from pqsched import (
     rank_models,
     reflect,
     relative_regret,
+    run_path,
     two_class_xstar,
     workload_variance_rate,
 )
@@ -86,9 +87,30 @@ def test_moments_closed_forms():
     md = Moments.for_config(det)
     assert md.alpha_u == pytest.approx(1.0)
     assert md.alpha_v == pytest.approx([0.25, 1.0])
-    logn = make_two_class(service_dist="lognormal:0.5")
+    logn = make_two_class(service_dist={"family": "lognormal", "sigma": 0.5})
     ml = Moments.for_config(logn)
     assert ml.alpha_v == pytest.approx(np.exp(0.25) / np.array([4.0, 1.0]))
+
+
+@pytest.mark.parametrize("arrival", ["exponential", "deterministic",
+                                     {"family": "lognormal", "sigma": 0.6}])
+@pytest.mark.parametrize("service", ["exponential", "deterministic",
+                                     {"family": "lognormal", "sigma": 0.5},
+                                     {"family": "lognormal", "sigma": 0.8}])
+def test_simulated_second_moments_match_moments(arrival, service):
+    # the simulator's draws and the analytics' moments read one config alike:
+    # sample means of U^2 (arrival gaps) and V_k^2 (service column of each
+    # true class) sit within 5 standard errors of Moments.for_config
+    cfg = make_two_class(lam=1.0, horizon=1e5, arrival_dist=arrival, service_dist=service)
+    path = run_path(cfg, "fcfs", seed=11)
+    m = Moments.for_config(cfg)
+    samples = [(np.diff(path.arrival_times, prepend=0.0), m.alpha_u)]
+    samples += [(path.service[path.true_class == k], m.alpha_v[k]) for k in range(2)]
+    for x, alpha in samples:
+        assert len(x) > 25_000
+        sq = x ** 2
+        stderr = sq.std(ddof=1) / math.sqrt(len(sq))
+        assert abs(sq.mean() - alpha) <= 5.0 * stderr + 1e-12 * alpha
 
 
 def test_variance_rate_mm1():

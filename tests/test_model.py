@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from pqsched import (
     ConfigError,
     ConfusionMatrix,
     CostFn,
+    Dist,
     MixtureCost,
     SystemConfig,
     ZeroColumnError,
@@ -184,6 +187,47 @@ def test_mixture_cost_mixed_powers_numeric_inverse():
     assert np.all(d2 > -1e-12)
 
 
+# ------------------------------------------------------------------ Dist
+
+LOGNORMAL = {"family": "lognormal", "sigma": 0.5}
+FAMILY_TAGS = ["exponential", "deterministic", LOGNORMAL, {"family": "lognormal", "sigma": 0}]
+
+
+@pytest.mark.parametrize("tag", [
+    "gamma", "lognormal", "lognormal:0.25", "Exponential", 5, None, ["exponential"],
+    {"family": "exponential"}, {"family": "lognormal"}, {"family": "lognormal", "sigma": "x"},
+    {"family": "lognormal", "sigma": -0.1}, {"family": "lognormal", "sigma": math.nan},
+    {"family": "lognormal", "sigma": math.inf}, {"family": "lognormal", "sigma": True},
+    {"family": "lognormal", "sigma": 0.5, "mu": 0.0}, {"family": "gamma", "sigma": 0.5},
+])
+def test_dist_parse_rejects_everything_else(tag):
+    forms = '"exponential", "deterministic" or {"family": "lognormal", "sigma": s} with s a'
+    with pytest.raises(ConfigError, match=re.escape(forms)):
+        Dist.parse(tag)
+    with pytest.raises(ConfigError, match="^service_dist "):
+        make_two_class(service_dist=tag)
+
+
+def test_system_config_parses_its_dist_fields():
+    cfg = make_two_class(arrival_dist="deterministic", service_dist=LOGNORMAL)
+    assert cfg.arrival_dist == Dist("deterministic")
+    assert cfg.service_dist == Dist("lognormal", 0.5)
+    assert replace(cfg, horizon=2.0).service_dist is cfg.service_dist
+    assert replace(cfg, service_dist="exponential").service_dist == Dist("exponential")
+    with pytest.raises(ConfigError, match="^arrival_dist "):
+        replace(cfg, arrival_dist="lognormal")
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_json_roundtrip_every_family(two_class_config, tag):
+    cfg = replace(two_class_config, arrival_dist=tag, service_dist=tag)
+    doc = json.loads(json.dumps(config_to_json(cfg)))
+    assert doc["arrival_dist"] == doc["service_dist"] == tag
+    back = config_from_json(doc)
+    assert back.arrival_dist == back.service_dist == Dist.parse(tag)
+    assert config_to_json(back) == config_to_json(cfg)
+
+
 # -------------------------------------------------------------- validation
 
 def test_validate_ok_and_heavy_traffic_warning(two_class_config):
@@ -253,7 +297,7 @@ def test_json_roundtrip(two_class_config):
     assert np.array_equal(back.service_rates, two_class_config.service_rates)
     assert np.allclose(back.confusion.entries, two_class_config.confusion.entries)
     assert back.horizon == two_class_config.horizon
-    assert back.arrival_dist == "exponential"
+    assert back.arrival_dist.family == "exponential"
     assert [(c.coeff, c.power) for c in back.costs] == [(1.0, 2.0), (10.0, 2.0)]
 
 
