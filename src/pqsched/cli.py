@@ -1,10 +1,10 @@
 """Command-line front end: simulate, lower-bound, select-model, triage, estimate.
 
 Every command reads a config, writes CSV result tables into --out, and
-finishes with a manifest.json naming the command, inputs, seed schedule, and
-every file written.  The manifest is written last, so its presence marks a
-completed run.  All randomness descends from --seed; reruns with identical
-flags produce byte-identical CSVs.
+finishes with a manifest.json naming the command, inputs, seed schedule,
+config warnings (also echoed on stderr) and every file written.  The manifest
+is written last, so its presence marks a completed run.  All randomness
+descends from --seed; reruns with identical flags produce byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import httheory as ht
 from . import ingest as ingest_mod
 from . import triage as triage_mod
 from .engine import export_curves_csv, export_jobs_csv, run_path
-from .model import ConfusionMatrix, load_config, load_json
+from .model import ConfusionMatrix, load_config, load_json, validate_config
 from .policies import POLICY_KINDS
 
 
@@ -47,16 +47,20 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 class _Run:
-    """Collects output paths as files are written; emits the manifest last."""
+    """Collects output paths as files are written; emits the manifest last.
+    A system config's validation warnings are echoed on stderr at once."""
 
     def __init__(self, command: str, out_dir: str, config_path, seed_schedule: dict,
-                 grids: dict):
+                 grids: dict, config=None):
         self.command = command
         self.out = Path(out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self.config_path = None if config_path is None else str(config_path)
         self.seed_schedule = seed_schedule
         self.grids = grids
+        self.warnings = [] if config is None else validate_config(config).warnings
+        for text in self.warnings:
+            click.echo(f"warning: {text}", err=True)
         self.outputs = []
         self.t0 = time.monotonic()
 
@@ -72,6 +76,7 @@ class _Run:
             "outputs": sorted(self.outputs),
             "seed_schedule": self.seed_schedule,
             "version": __version__,
+            "warnings": self.warnings,
             "wall_clock_s": round(time.monotonic() - self.t0, 3),
         }
         target = self.out / "manifest.json"
@@ -107,7 +112,7 @@ def cmd_simulate(config_path, policies, paths, seed, out_dir):
         config = load_config(config_path)
         run = _Run("simulate", out_dir, config_path,
                    {"base_seed": seed, "n_paths": paths},
-                   {"policies": list(policies)})
+                   {"policies": list(policies)}, config)
         if paths == 1:
             for kind in policies:
                 path = run_path(config, kind, seed, sampling_grid=201)
@@ -141,7 +146,7 @@ def cmd_lower_bound(config_path, paths, steps, seed, out_dir):
         config = load_config(config_path)
         run = _Run("lower-bound", out_dir, config_path,
                    {"seed": seed, "n_paths": paths},
-                   {"n_steps": steps})
+                   {"n_steps": steps}, config)
         v = ht.workload_variance_rate(config)
         w = ht.bm_workload_paths(v, steps, config.horizon, paths, seed)
         rows = [("variance_rate", v)]
@@ -199,7 +204,7 @@ def cmd_select_model(config_path, model_paths, out_dir):
         config = load_config(config_path)
         models = [_load_candidate(p) for p in model_paths]
         run = _Run("select-model", out_dir, config_path, {},
-                   {"models": [str(p) for p in model_paths]})
+                   {"models": [str(p) for p in model_paths]}, config)
         ranked = ht.rank_models(models, config)
         with open(run.path("criteria.csv"), "w", encoding="utf-8") as fh:
             writer = _csv_writer(fh)

@@ -60,6 +60,8 @@ __all__ = [
 
 KKT_TOL = 1e-10
 _KKT_MAX_ITER = 200
+# kkt_solve works through at most this many workloads at a time
+_KKT_BLOCK = 2 ** 16
 # uniform draws are clipped into the open unit interval before the normal
 # inverse CDF so a measure-zero 0.0 draw cannot produce -inf
 _U_EPS = 2.0 ** -53
@@ -205,104 +207,98 @@ def bm_workload_paths(variance_rate: float, n_steps: int, horizon: float,
 
 @dataclass(frozen=True)
 class Allocation:
-    """Split of total workload r across predicted classes."""
+    """Split x of total workload r across predicted classes, and its cost."""
 
-    r: float
+    r: float | np.ndarray
     x: np.ndarray
-    objective: float
+    objective: float | np.ndarray
 
 
-def _allocation_objective(x: np.ndarray, params: PredictedClassParams,
-                          mixes: Sequence[MixtureCost]) -> float:
-    total = 0.0
-    for l, mix in enumerate(mixes):
-        total += params.lambda_tilde[l] * mix(x[l] / params.rho_tilde[l])
-    return float(total)
-
-
-def kkt_solve(r: float, params: PredictedClassParams, costs) -> Allocation:
+def kkt_solve(r, params: PredictedClassParams, costs) -> Allocation:
     """Workload split equalizing marginal value mu~_l C~'_l(x_l / rho~_l).
 
     Pivot on class 0: for trial x_0, every other class's share follows from
-    inverting its marginal at the pivot's level, and total share
+    inverting its marginal at the pivot's level (MixtureCost.prime_inv, with
+    the shares at the bracket's hi end as upper bounds), and total share
     g(x_0) = x_0 + sum_{l>0} x_l(x_0) is strictly increasing.  Bisection on
     g(x_0) = r converges unconditionally on [0, r].
+
+    r may be an array (x then gains a trailing K axis, objective is per entry);
+    NaN, infinite or negative entries are a ConfigError.  The bisection runs
+    on arrays, _KKT_BLOCK entries at a time; an entry freezes once its mid
+    equals lo or hi or its residual is <= 1e-15 max(1, r), so no split
+    depends on its batch.
     """
-    if r < 0:
-        raise ConfigError("total workload must be nonnegative")
+    r_arr = np.asarray(r, dtype=float)
+    if not (np.all(np.isfinite(r_arr)) and np.all(r_arr >= 0.0)):
+        raise ConfigError("total workload must be finite and nonnegative")
     K = len(params.rho_tilde)
-    if r == 0.0:
-        return Allocation(r=0.0, x=np.zeros(K), objective=0.0)
     mixes = [mixture_cost(l, params, costs) for l in range(K)]
-    if K == 1:
-        x = np.array([r], dtype=float)
-        return Allocation(r=r, x=x, objective=_allocation_objective(x, params, mixes))
+    flat = r_arr.reshape(-1)
+    x = np.zeros((K, flat.size))
+    x[0] = flat  # the whole split when K == 1, and zero where r == 0
+    for i in range(0, flat.size if K > 1 else 0, _KKT_BLOCK):
+        rows = i + np.flatnonzero(flat[i:i + _KKT_BLOCK] > 0.0)
+        x[:, rows] = _bisect_shares(flat[rows], params, mixes)
+    objective = sum(params.lambda_tilde[l] * mixes[l](x[l] / params.rho_tilde[l])
+                    for l in range(K))
+    if r_arr.ndim == 0:
+        return Allocation(r=float(r_arr), x=x[:, 0].copy(), objective=float(objective[0]))
+    return Allocation(r=r_arr, x=x.T.reshape(r_arr.shape + (K,)),
+                      objective=objective.reshape(r_arr.shape))
 
-    rho = params.rho_tilde
-    mu = params.mu_tilde
 
-    def shares(x0: float) -> np.ndarray:
+def _bisect_shares(r: np.ndarray, params: PredictedClassParams,
+                   mixes: Sequence[MixtureCost]) -> np.ndarray:
+    """Optimal splits, shape (K, len(r)), of a 1-D array of workloads r > 0."""
+    K, rho, mu = len(mixes), params.rho_tilde, params.mu_tilde
+
+    def shares(x0: np.ndarray, upper: np.ndarray):
         level = mu[0] * mixes[0].prime(x0 / rho[0])
-        x = np.empty(K)
-        x[0] = x0
-        for l in range(1, K):
-            x[l] = rho[l] * mixes[l].prime_inv(level / mu[l])
-        return x
+        t = np.stack([mixes[l].prime_inv(level / mu[l], upper[l - 1]) for l in range(1, K)])
+        return np.vstack([x0[None], rho[1:, None] * t]), t
 
-    tol = KKT_TOL * max(1.0, r)
-    lo, hi = 0.0, r
-    g_hi = float(shares(hi).sum())
-    if g_hi < r - tol:
-        raise BracketFailureError(
-            f"allocation bracket failed: g({r}) = {g_hi} < r")
-    # bisect past the stated tolerance down to float resolution so the
+    # g(r) = r + (nonnegative shares) >= r, so [0, r] always brackets the
+    # root; bisect past the stated tolerance down to float resolution so the
     # objective is usable inside tight integrand comparisons
-    best_x, best_res = shares(hi), abs(g_hi - r)
+    best, t_hi = shares(r, np.full((K - 1, r.size), np.inf))
+    best_res = np.abs(sum(best) - r)
+    lo, hi, act = np.zeros(r.size), r.copy(), np.arange(r.size)
     for _ in range(_KKT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        mid = 0.5 * (lo[act] + hi[act])
+        moving = (mid != lo[act]) & (mid != hi[act])
+        act, mid = act[moving], mid[moving]
+        if act.size == 0:
             break
-        x = shares(mid)
-        g = float(x.sum())
-        res = abs(g - r)
-        if res < best_res:
-            best_x, best_res = x, res
-        if res <= 1e-15 * max(1.0, r):
-            break
-        if g < r:
-            lo = mid
-        else:
-            hi = mid
-    if best_res > tol:
+        xs, t = shares(mid, t_hi[:, act])
+        g = sum(xs)
+        res = np.abs(g - r[act])
+        better = res < best_res[act]
+        best[:, act[better]], best_res[act[better]] = xs[:, better], res[better]
+        below = g < r[act]
+        lo[act[below]], hi[act[~below]], t_hi[:, act[~below]] = mid[below], mid[~below], t[:, ~below]
+        act = act[res > 1e-15 * np.maximum(1.0, r[act])]
+    tol = KKT_TOL * np.maximum(1.0, r)
+    if np.any(best_res > tol):
+        i = int(np.argmax(best_res - tol))
         raise BracketFailureError(
-            f"allocation bisection stalled at residual {best_res} > {tol}")
-    return Allocation(r=r, x=best_x,
-                      objective=_allocation_objective(best_x, params, mixes))
+            f"allocation bisection stalled at residual {best_res[i]} > {tol[i]}")
+    return best
 
 
 def two_class_xstar(r: float, confusion, config: SystemConfig) -> np.ndarray:
     """Closed-form split for two predicted classes with quadratic costs.
 
-    With curvature a_l = sum_k lam p_k q_kl c_k / (sum_k lam p_k q_kl/mu_k)^2
-    the balance condition a_1 x_1 = a_2 x_2 gives x_1 = r a_2 / (a_1 + a_2).
-    Under a perfect classifier and lam = 1 this reduces to a_l = c_l mu_l^2 / p_l.
+    The balance condition beta_1 x_1 = beta_2 x_2 on the stiffnesses of
+    quadratic_coefficients, beta_l = sum_k lam p_k q_kl c_k / (sum_k lam p_k
+    q_kl / mu_k)^2, gives x_1 = r beta_2 / (beta_1 + beta_2).  Under a perfect
+    classifier and lam = 1 this reduces to beta_l = c_l mu_l^2 / p_l.
     """
     cfg = _with_confusion(config, confusion)
     if cfg.n_classes != 2:
         raise ConfigError("two_class_xstar needs exactly two classes")
-    if not cfg.all_quadratic():
-        raise NonQuadraticError("closed form requires quadratic costs")
-    q = cfg.confusion.entries
-    lam_p = cfg.lam * cfg.prevalences
-    c = np.array([fn.coeff for fn in cfg.costs])
-    a = np.empty(2)
-    for l in range(2):
-        num = float(lam_p @ (q[:, l] * c))
-        den = float(lam_p @ (q[:, l] / cfg.service_rates))
-        if den <= 0.0:
-            raise ConfigError(f"predicted class {l} carries no load")
-        a[l] = num / den ** 2
-    x1 = r * a[1] / (a[0] + a[1])
+    beta = quadratic_coefficients(cfg).beta  # NonQuadraticError unless all power 2
+    x1 = r * beta[1] / (beta[0] + beta[1])
     return np.array([x1, r - x1])
 
 
@@ -337,14 +333,9 @@ def quadratic_coefficients(config: SystemConfig,
         raise NonQuadraticError("coefficient formulas require power-2 costs")
     if params is None:
         params = derive_predicted_params(config)
-    K = len(params.rho_tilde)
-    beta = np.empty(K)
-    beta_naive = np.empty(K)
-    for l in range(K):
-        mix = mixture_cost(l, params, config.costs)
-        beta[l] = params.mu_tilde[l] * mix.coeff / params.rho_tilde[l]
-        beta_naive[l] = (params.mu_tilde[l] * config.costs[l].coeff
-                         / params.rho_tilde[l])
+    c_mix = [mixture_cost(l, params, config.costs).coeff for l in range(len(params.rho_tilde))]
+    beta = params.mu_tilde * np.array(c_mix) / params.rho_tilde
+    beta_naive = params.mu_tilde * np.array([fn.coeff for fn in config.costs]) / params.rho_tilde
     inv = 1.0 / beta
     jstar_coeff = 1.0 / float(inv.sum())
     s = (1.0 / beta_naive)
@@ -398,11 +389,8 @@ def jstar(confusion, config: SystemConfig, w_paths: WorkloadPathSet,
         return _estimate(coeff * 0.5 * w_paths.integral_sq(), "coefficient")
 
     params = derive_predicted_params(cfg)
-    dt = np.diff(w_paths.grid)
-    per_path = np.empty(len(w_paths))
-    for i, row in enumerate(w_paths.values.tolist()):  # left endpoints: zip stops at len(dt)
-        per_path[i] = sum(kkt_solve(w, params, cfg.costs).objective * h for w, h in zip(row, dt))
-    return _estimate(per_path, "general")
+    split = kkt_solve(w_paths.values[:, :-1], params, cfg.costs)  # left endpoints
+    return _estimate(split.objective @ np.diff(w_paths.grid), "general")
 
 
 def jnaive(confusion, config: SystemConfig, w_paths: WorkloadPathSet) -> JEstimate:
@@ -443,11 +431,7 @@ def rank_models(models: Sequence[tuple], config: SystemConfig) -> list:
     ranked = []
     for name, confusion in models:
         coeffs = quadratic_coefficients(_with_confusion(config, confusion))
-        ranked.append(RankedModel(
-            name=str(name),
-            relative_regret=float(coeffs.jstar_coeff / den),
-            jstar_coeff=coeffs.jstar_coeff,
-            jnaive_coeff=coeffs.jnaive_coeff,
-        ))
+        ranked.append(RankedModel(str(name), float(coeffs.jstar_coeff / den),
+                                  coeffs.jstar_coeff, coeffs.jnaive_coeff))
     ranked.sort(key=lambda m: m.relative_regret)
     return ranked

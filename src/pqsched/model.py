@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtri
 
 from .errors import ConfigError, ZeroColumnError
@@ -52,6 +51,9 @@ __all__ = [
 # |rho - 1| beyond this is flagged as "not really heavy traffic" (a warning,
 # never an error: deliberately overloaded transients are legitimate configs).
 HEAVY_TRAFFIC_BAND = 0.05
+# Newton on a mixture's marginal cost stops after a step of at most this
+# fraction of t, which leaves an error of order its square, below an ulp
+_NEWTON_RTOL, _NEWTON_MAX_ITER = 2.0 ** -27, 100
 
 _ROW_SUM_TOL = 1e-12
 
@@ -221,11 +223,6 @@ class SystemConfig:
         """Traffic intensity lam * sum_k p_k / mu_k."""
         return float(self.lam * np.sum(self.prevalences / self.service_rates))
 
-    @property
-    def mean_work_per_job(self) -> float:
-        """sum_k p_k / mu_k, the unconditional mean service requirement."""
-        return float(np.sum(self.prevalences / self.service_rates))
-
     def with_confusion(self, q) -> "SystemConfig":
         """Same system under a different classifier."""
         if not isinstance(q, ConfusionMatrix):
@@ -294,8 +291,11 @@ class MixtureCost:
     C~(t) = sum_k w_k C_k(t) and C~'(t) = sum_k w_k C_k'(t).  When every
     component shares the same power the mixture is itself a monomial with
     coefficient c~ = sum_k w_k c_k (exposed as .coeff), and the marginal cost
-    inverts in closed form; otherwise prime_inv falls back to a bracketed
-    root find (C~' is strictly increasing, so the root is unique).
+    inverts in closed form.  Otherwise prime_inv runs Newton on an array of
+    levels y from min_k (y / (w_k c_k))^(1/(p_k-1)), above the root since each
+    term alone reaches y; C~' is increasing and, for powers >= 2, convex, so
+    the iterates fall monotonically onto the root.  A step leaving the known
+    bracket is replaced by its midpoint, so any power > 1 converges.
     """
 
     def __init__(self, weights: Sequence[float], costs: Sequence[CostFn]):
@@ -316,18 +316,33 @@ class MixtureCost:
     def prime(self, t):
         return sum(w * c.prime(t) for c, w in zip(self.costs, self.weights) if w > 0)
 
-    def prime_inv(self, y):
+    def prime_inv(self, y, upper=None):
+        """t with C~'(t) = y, elementwise; upper, if given, bounds t from above."""
+        y = np.asarray(y, dtype=float)
         if self.common_power is not None:
-            return np.power(np.asarray(y, dtype=float) / self.coeff, 1.0 / (self.common_power - 1.0))
-        y = float(y)
-        if y <= 0.0:
-            return 0.0
-        hi = 1.0
-        while self.prime(hi) < y:
-            hi *= 2.0
-            if hi > 1e30:  # pragma: no cover - pathological input
-                raise ConfigError("marginal-cost inverse failed to bracket")
-        return float(brentq(lambda t: self.prime(t) - y, 0.0, hi, xtol=1e-14, rtol=1e-14))
+            return np.power(y / self.coeff, 1.0 / (self.common_power - 1.0))
+        # C~'(t) = t * sum_k a_k t^(q_k - 1) and C~''(t) = sum_k a_k q_k t^(q_k - 1)
+        terms = [(w * c.coeff, c.power - 1.0) for c, w in zip(self.costs, self.weights) if w > 0]
+        out = np.zeros(y.size)
+        idx = np.flatnonzero(y.reshape(-1) > 0.0)
+        level = y.reshape(-1)[idx]
+        hi = np.min([np.power(level / a, 1.0 / q) for a, q in terms], axis=0)
+        if upper is not None:
+            hi = np.minimum(hi, np.asarray(upper, dtype=float).reshape(-1)[idx])
+        lo, t = np.zeros(idx.size), hi
+        for _ in range(_NEWTON_MAX_ITER):
+            u = [np.power(t, q - 1.0) for _, q in terms]
+            f = t * sum(a * uk for (a, _), uk in zip(terms, u)) - level
+            hi, lo = np.where(f > 0.0, t, hi), np.where(f < 0.0, t, lo)
+            step = t - f / sum(a * q * uk for (a, q), uk in zip(terms, u))
+            newton = (step >= lo) & (step <= hi)
+            step = np.where(newton, step, 0.5 * (lo + hi))
+            out[idx] = step
+            live = np.abs(step - t) > np.where(newton, _NEWTON_RTOL * t, 0.0)
+            idx, level, lo, hi, t = idx[live], level[live], lo[live], hi[live], step[live]
+            if idx.size == 0:
+                break
+        return out.reshape(y.shape)[()]
 
     @property
     def is_quadratic(self) -> bool:

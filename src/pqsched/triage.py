@@ -410,11 +410,7 @@ def evaluate_grid(config: TriageConfig, z_tx, zfl_grid,
 def optimize(config: TriageConfig, z_tx, zfl_grid,
              mc: McParams = McParams()) -> TriageDecision:
     """Grid argmin of total cost; ties resolve to the smaller (z_fl, z_tx)."""
-    best = None
-    for decision in evaluate_grid(config, z_tx, zfl_grid, mc):
-        if best is None or decision.total < best.total:
-            best = decision
-    return best
+    return min(evaluate_grid(config, z_tx, zfl_grid, mc), key=lambda d: d.total)
 
 
 # ---------------------------------------------------------------------------

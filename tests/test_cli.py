@@ -370,3 +370,47 @@ def test_triage_field_of_wrong_type(runner, tmp_path, triage_path, field, value)
     result = runner.invoke(main, ["triage", "--config", str(bad), "--out", str(out)])
     _assert_one_line_error(result, "malformed triage config")
     assert not out.exists()
+
+
+# ------------------------------------------------------- validation warnings
+
+MIXED_CONFIG = {**README_CONFIG,
+                "costs": [{"coeff": 1.0, "power": 2.0}, {"coeff": 10.0, "power": 3.0}]}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("lower-bound", ["--paths", "8", "--steps", "100", "--seed", "4"]),
+    ("simulate", ["--paths", "3", "--policy", "pcmu", "--seed", "4"]),
+    ("select-model", ["--model", "MODEL"]),
+])
+def test_validation_warnings_in_manifest_and_stderr(runner, tmp_path, command, extra):
+    # rho = 0.3/2 + 0.7/1 = 0.85, outside the heavy-traffic band; select-model
+    # ranks quadratic costs only, so it reads the all-quadratic README system
+    cfg = tmp_path / "mixed.json"
+    cfg.write_text(json.dumps(MIXED_CONFIG if command != "select-model" else README_CONFIG))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(README_CONFIG["confusion"]))
+    extra = [str(model) if arg == "MODEL" else arg for arg in extra]
+    outs = [tmp_path / "a", tmp_path / "b"]
+    results = [runner.invoke(main, [command, "--config", str(cfg), *extra,
+                                    "--out", str(out)]) for out in outs]
+    for result, out in zip(results, outs):
+        assert result.exit_code == 0, result.output
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: HeavyTrafficDeviation: rho = 0.85")
+        assert "warning:" not in result.stdout
+        assert _manifest(out)["warnings"] == [lines[0][len("warning: "):]]
+    csvs = _csv_bytes(outs[0])
+    assert csvs and csvs == _csv_bytes(outs[1])
+    assert not any(b"warning" in data.lower() for data in csvs.values())
+
+
+def test_heavy_traffic_config_has_no_warnings(runner, tmp_path, critical_config):
+    cfg = tmp_path / "critical.json"
+    save_config(critical_config, cfg)
+    out = tmp_path / "lb"
+    result = runner.invoke(main, ["lower-bound", "--config", str(cfg), "--paths", "8",
+                                  "--steps", "100", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    assert _manifest(out)["warnings"] == []

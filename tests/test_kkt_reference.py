@@ -1,0 +1,143 @@
+"""The array KKT solver against the scalar reference, and its input contract."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import pqsched
+from pqsched import (
+    ConfigError,
+    ConfusionMatrix,
+    CostFn,
+    MixtureCost,
+    SystemConfig,
+    derive_predicted_params,
+    httheory,
+    kkt_solve,
+    mixture_cost,
+)
+import reference_kkt
+from conftest import make_two_class
+
+
+def _random_system(rng, K, powers):
+    return SystemConfig(
+        lam=rng.uniform(0.5, 5.0),
+        prevalences=rng.dirichlet(np.ones(K) * 2.0),
+        service_rates=rng.uniform(0.5, 10.0, K),
+        costs=tuple(CostFn(c, pw) for c, pw in zip(rng.uniform(0.5, 5.0, K), powers)),
+        confusion=ConfusionMatrix(rng.dirichlet(np.ones(K) * 1.5, size=K)))
+
+
+@st.composite
+def kkt_cases(draw):
+    K = draw(st.integers(1, 4))
+    powers = draw(st.lists(st.sampled_from([2.0, 2.5, 3.0]), min_size=K, max_size=K))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rs = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-2, 50.0)),
+                       min_size=1, max_size=6))
+    return _random_system(rng, K, powers), np.array(rs)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(kkt_cases())
+def test_array_solve_matches_reference(case):
+    cfg, rs = case
+    params = derive_predicted_params(cfg)
+    batch = kkt_solve(rs, params, cfg.costs)
+    assert batch.x.shape == rs.shape + (cfg.n_classes,)
+    assert batch.objective.shape == rs.shape
+    for i, r in enumerate(rs):
+        ref = reference_kkt.kkt_solve(float(r), params, cfg.costs)
+        assert np.max(np.abs(batch.x[i] - ref.x)) <= 1e-10 * max(1.0, r)
+        assert abs(batch.objective[i] - ref.objective) <= 1e-10 * abs(ref.objective)
+        # a point's split does not depend on the points solved with it
+        one = kkt_solve(r, params, cfg.costs)
+        assert isinstance(one.objective, float) and one.r == r
+        assert np.array_equal(one.x, batch.x[i])
+        assert one.objective == batch.objective[i]
+
+
+def test_row_blocks_do_not_change_the_split(monkeypatch):
+    cfg = make_two_class(costs=(CostFn(1.0), CostFn(10.0, power=3.0)))
+    params = derive_predicted_params(cfg)
+    rs = np.random.default_rng(5).uniform(0.0, 3.0, (4, 7))
+    rs[1, 2] = 0.0
+    whole = kkt_solve(rs, params, cfg.costs)
+    monkeypatch.setattr(httheory, "_KKT_BLOCK", 3)
+    blocked = kkt_solve(rs, params, cfg.costs)
+    assert np.array_equal(whole.x, blocked.x)
+    assert np.array_equal(whole.objective, blocked.objective)
+    assert np.array_equal(whole.x.sum(axis=-1) == 0.0, rs == 0.0)
+
+
+@pytest.mark.parametrize("r", [1e-8, 1e-4])
+def test_small_workload_marginal_balance(r):
+    # criterion 2's 100 random instances, solved at tiny workloads, where an
+    # absolute root-finding tolerance would swamp the shares
+    rng = np.random.default_rng(42)
+    worst = 0.0
+    for _ in range(100):
+        K = int(rng.integers(2, 5))
+        p = rng.dirichlet(np.ones(K) * 2.0)
+        mu = rng.uniform(0.5, 10.0, K)
+        lam = rng.uniform(0.5, 5.0)
+        coeff = rng.uniform(0.5, 5.0, K)
+        power = rng.choice([2.0, 2.5, 3.0], K)
+        Q = rng.dirichlet(np.ones(K) * 1.5, size=K)
+        cfg = SystemConfig(
+            lam=lam, prevalences=p, service_rates=mu,
+            costs=tuple(CostFn(c, pw) for c, pw in zip(coeff, power)),
+            confusion=ConfusionMatrix(Q))
+        params = derive_predicted_params(cfg)
+        rng.uniform(0.2, 3.0)  # criterion 2's workload draw, kept for the stream
+        alloc = kkt_solve(r, params, cfg.costs)
+        marg = np.array([params.mu_tilde[l]
+                         * mixture_cost(l, params, cfg.costs).prime(alloc.x[l] / params.rho_tilde[l])
+                         for l in range(K)])
+        worst = max(worst, (marg.max() - marg.min()) / marg.mean())
+        assert alloc.x.sum() == pytest.approx(r, rel=1e-12)
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("costs", [(CostFn(1.0), CostFn(10.0)),
+                                   (CostFn(1.0), CostFn(10.0, power=3.0))],
+                         ids=["common-power", "mixed-power"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
+def test_kkt_rejects_bad_workloads(costs, bad):
+    cfg = make_two_class(costs=costs)
+    params = derive_predicted_params(cfg)
+    with pytest.raises(ConfigError, match="finite and nonnegative"):
+        kkt_solve(bad, params, costs)
+    with pytest.raises(ConfigError, match="finite and nonnegative"):
+        kkt_solve(np.array([[0.5, 1.0], [bad, 2.0]]), params, costs)
+
+
+@pytest.mark.parametrize("powers", [(2.0, 3.0), (1.5, 3.0), (1.2, 1.8), (2.5, 6.0)])
+def test_mixture_prime_inv_newton(powers):
+    # powers below 2 make C~' concave somewhere, so Newton from above would
+    # overshoot without its bracket
+    mix = MixtureCost((0.3, 0.7), (CostFn(2.0, powers[0]), CostFn(3.0, powers[1])))
+    y = np.concatenate([[0.0, -1.0], np.logspace(-12, 12, 49)])
+    t = mix.prime_inv(y)
+    assert t.shape == y.shape
+    assert t[0] == 0.0 and t[1] == 0.0
+    assert np.allclose(mix.prime(t[2:]), y[2:], rtol=1e-13, atol=0.0)
+    ref = [reference_kkt.prime_inv(mix, v) for v in y[2:]]
+    assert np.allclose(t[2:], ref, rtol=1e-9, atol=1e-14)
+    assert np.array_equal(t, [mix.prime_inv(v) for v in y])
+
+
+def test_import_leaves_scipy_optimize_out():
+    env = dict(os.environ, PYTHONPATH=str(Path(pqsched.__file__).resolve().parents[1]))
+    code = "import sys, pqsched, pqsched.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
