@@ -103,7 +103,7 @@ from .triage import (
     total_cost,
 )
 from .ingest import (
-    ValidationRecord,
+    ValidationTable,
     estimate_confusion,
     estimate_rates,
     read_validation_csv,

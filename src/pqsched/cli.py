@@ -68,8 +68,15 @@ class _Run:
         self.outputs.append(name)
         return self.out / name
 
-    def finish(self) -> Path:
-        manifest = {
+    def write_csv(self, name: str, header: list, rows):
+        with open(self.path(name), "w", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    def finish(self, **facts) -> Path:
+        """Write manifest.json; facts are command-specific entries."""
+        manifest = facts | {
             "command": self.command,
             "config": self.config_path,
             "grids": self.grids,
@@ -86,11 +93,17 @@ class _Run:
         return target
 
 
-def _csv_writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+class _Group(click.Group):
+    """Reports a PqschedError or OSError from any command as one Error: line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (PqschedError, OSError) as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
-@click.group()
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="pqsched")
 def main():
     """Predicted-class queue scheduling: simulation, limits, triage design."""
@@ -108,29 +121,25 @@ def main():
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def cmd_simulate(config_path, policies, paths, seed, out_dir):
     """Replicate policies on paired seeds and summarize cumulative cost."""
-    try:
-        config = load_config(config_path)
-        run = _Run("simulate", out_dir, config_path,
-                   {"base_seed": seed, "n_paths": paths},
-                   {"policies": list(policies)}, config)
-        if paths == 1:
-            for kind in policies:
-                path = run_path(config, kind, seed, sampling_grid=201)
-                export_jobs_csv(path, run.path(f"jobs_{kind}.csv"))
-                export_curves_csv(path, run.path(f"curves_{kind}.csv"))
-                click.echo(f"{kind}: {len(path.jobs)} arrivals, "
-                           f"{len(path.completed)} completed")
-        else:
-            summaries = cost_mod.compare_policies(config, list(policies),
-                                                  paths, seed)
-            cost_mod.export_summary_csv(summaries, run.path("summary.csv"))
-            for kind, s in summaries.items():
-                click.echo(f"{kind}: J(T) = {s.terminal_mean:.6g} "
-                           f"+/- {s.terminal_stderr:.2g}")
-        manifest = run.finish()
-        click.echo(f"manifest: {manifest}")
-    except (PqschedError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    config = load_config(config_path)
+    run = _Run("simulate", out_dir, config_path,
+               {"base_seed": seed, "n_paths": paths},
+               {"policies": list(policies)}, config)
+    if paths == 1:
+        for kind in policies:
+            path = run_path(config, kind, seed, sampling_grid=201)
+            export_jobs_csv(path, run.path(f"jobs_{kind}.csv"))
+            export_curves_csv(path, run.path(f"curves_{kind}.csv"))
+            click.echo(f"{kind}: {len(path.jobs)} arrivals, "
+                       f"{len(path.completed)} completed")
+    else:
+        summaries = cost_mod.compare_policies(config, list(policies),
+                                              paths, seed)
+        cost_mod.export_summary_csv(summaries, run.path("summary.csv"))
+        for kind, s in summaries.items():
+            click.echo(f"{kind}: J(T) = {s.terminal_mean:.6g} "
+                       f"+/- {s.terminal_stderr:.2g}")
+    click.echo(f"manifest: {run.finish()}")
 
 
 @main.command("lower-bound")
@@ -142,41 +151,35 @@ def cmd_simulate(config_path, policies, paths, seed, out_dir):
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def cmd_lower_bound(config_path, paths, steps, seed, out_dir):
     """Workload-diffusion cost floor for the configured system."""
-    try:
-        config = load_config(config_path)
-        run = _Run("lower-bound", out_dir, config_path,
-                   {"seed": seed, "n_paths": paths},
-                   {"n_steps": steps}, config)
-        v = ht.workload_variance_rate(config)
-        w = ht.bm_workload_paths(v, steps, config.horizon, paths, seed)
-        rows = [("variance_rate", v)]
-        if config.all_quadratic():
-            coeffs = ht.quadratic_coefficients(config)
-            star = ht.jstar(None, config, w)
-            naive = ht.jnaive(None, config, w)
-            rows += [
-                ("jstar_coeff", coeffs.jstar_coeff),
-                ("jnaive_coeff", coeffs.jnaive_coeff),
-                ("jstar_mean", star.mean),
-                ("jstar_stderr", star.stderr),
-                ("jnaive_mean", naive.mean),
-                ("jnaive_stderr", naive.stderr),
-                ("relative_regret",
-                 ht.relative_regret(config.confusion, config)),
-            ]
-        else:
-            star = ht.jstar(None, config, w, method="general")
-            rows += [("jstar_mean", star.mean), ("jstar_stderr", star.stderr)]
-        with open(run.path("lower_bound.csv"), "w", encoding="utf-8") as fh:
-            writer = _csv_writer(fh)
-            writer.writerow(["quantity", "value"])
-            for name, value in rows:
-                writer.writerow([name, _fmt(value)])
-        for name, value in rows:
-            click.echo(f"{name} = {value:.8g}")
-        click.echo(f"manifest: {run.finish()}")
-    except (PqschedError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    config = load_config(config_path)
+    run = _Run("lower-bound", out_dir, config_path,
+               {"seed": seed, "n_paths": paths},
+               {"n_steps": steps}, config)
+    v = ht.workload_variance_rate(config)
+    w = ht.bm_workload_paths(v, steps, config.horizon, paths, seed)
+    rows = [("variance_rate", v)]
+    if config.all_quadratic():
+        coeffs = ht.quadratic_coefficients(config)
+        star = ht.jstar(None, config, w)
+        naive = ht.jnaive(None, config, w)
+        rows += [
+            ("jstar_coeff", coeffs.jstar_coeff),
+            ("jnaive_coeff", coeffs.jnaive_coeff),
+            ("jstar_mean", star.mean),
+            ("jstar_stderr", star.stderr),
+            ("jnaive_mean", naive.mean),
+            ("jnaive_stderr", naive.stderr),
+            ("relative_regret",
+             ht.relative_regret(config.confusion, config)),
+        ]
+    else:
+        star = ht.jstar(None, config, w, method="general")
+        rows += [("jstar_mean", star.mean), ("jstar_stderr", star.stderr)]
+    run.write_csv("lower_bound.csv", ["quantity", "value"],
+                  [(name, _fmt(value)) for name, value in rows])
+    for name, value in rows:
+        click.echo(f"{name} = {value:.8g}")
+    click.echo(f"manifest: {run.finish()}")
 
 
 def _load_candidate(path: str):
@@ -200,24 +203,17 @@ def _load_candidate(path: str):
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def cmd_select_model(config_path, model_paths, out_dir):
     """Rank candidate classifiers by scheduling regret (no simulation)."""
-    try:
-        config = load_config(config_path)
-        models = [_load_candidate(p) for p in model_paths]
-        run = _Run("select-model", out_dir, config_path, {},
-                   {"models": [str(p) for p in model_paths]}, config)
-        ranked = ht.rank_models(models, config)
-        with open(run.path("criteria.csv"), "w", encoding="utf-8") as fh:
-            writer = _csv_writer(fh)
-            writer.writerow(["model_name", "relative_regret", "jstar_coeff",
-                             "jnaive_coeff"])
-            for m in ranked:
-                writer.writerow([m.name, _fmt(m.relative_regret),
-                                 _fmt(m.jstar_coeff), _fmt(m.jnaive_coeff)])
-        for m in ranked:
-            click.echo(f"{m.name}: relative_regret = {m.relative_regret:.6g}")
-        click.echo(f"manifest: {run.finish()}")
-    except (PqschedError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    config = load_config(config_path)
+    models = [_load_candidate(p) for p in model_paths]
+    run = _Run("select-model", out_dir, config_path, {},
+               {"models": [str(p) for p in model_paths]}, config)
+    ranked = ht.rank_models(models, config)
+    run.write_csv("criteria.csv", ["model_name", "relative_regret", "jstar_coeff", "jnaive_coeff"],
+                  [[m.name] + [_fmt(x) for x in (m.relative_regret, m.jstar_coeff, m.jnaive_coeff)]
+                   for m in ranked])
+    for m in ranked:
+        click.echo(f"{m.name}: relative_regret = {m.relative_regret:.6g}")
+    click.echo(f"manifest: {run.finish()}")
 
 
 @main.command("triage")
@@ -237,30 +233,24 @@ def cmd_triage(config_path, zfl_grid, ztx, paths, steps, seed, out_dir):
 
     The final CSV row repeats the argmin decision.
     """
-    try:
-        config = triage_mod.load_triage_config(config_path)
-        grid = _parse_grid(zfl_grid)
-        run = _Run("triage", out_dir, config_path,
-                   {"seed": seed, "n_paths": paths},
-                   {"zfl_grid": zfl_grid, "ztx": ztx, "n_steps": steps})
-        mc = triage_mod.McParams(n_paths=paths, n_steps=steps, seed=seed)
-        decisions = triage_mod.evaluate_grid(config, ztx, grid, mc)
-        best = min(decisions, key=lambda d: d.total)
-        with open(run.path("triage.csv"), "w", encoding="utf-8") as fh:
-            writer = _csv_writer(fh)
-            writer.writerow(["z_fl", "z_tx", "gamma", "filtering", "hiring",
-                             "misclass", "queueing", "total"])
-            for d in decisions + [best]:
-                writer.writerow([_fmt(d.z_fl), _fmt(d.z_tx), _fmt(d.gamma),
-                                 _fmt(d.filtering), _fmt(d.hiring),
-                                 _fmt(d.misclassification), _fmt(d.queueing),
-                                 _fmt(d.total)])
-        click.echo(f"argmin: z_fl = {best.z_fl:.4g}, z_tx = {best.z_tx:.4g}, "
-                   f"total = {best.total:.6g} "
-                   f"(Gamma = {best.gamma:.4g})")
-        click.echo(f"manifest: {run.finish()}")
-    except (PqschedError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    config = triage_mod.load_triage_config(config_path)
+    grid = _parse_grid(zfl_grid)
+    run = _Run("triage", out_dir, config_path,
+               {"seed": seed, "n_paths": paths},
+               {"zfl_grid": zfl_grid, "ztx": ztx, "n_steps": steps})
+    mc = triage_mod.McParams(n_paths=paths, n_steps=steps, seed=seed)
+    decisions = triage_mod.evaluate_grid(config, ztx, grid, mc)
+    best = min(decisions, key=lambda d: d.total)
+    run.write_csv("triage.csv", ["z_fl", "z_tx", "gamma", "filtering", "hiring",
+                                 "misclass", "queueing", "total"],
+                  [[_fmt(x) for x in (d.z_fl, d.z_tx, d.gamma, d.filtering, d.hiring,
+                                      d.misclassification, d.queueing, d.total)]
+                   for d in decisions + [best]])
+    click.echo(f"argmin: z_fl = {best.z_fl:.4g}, z_tx = {best.z_tx:.4g}, "
+               f"total = {best.total:.6g} "
+               f"(Gamma = {best.gamma:.4g})")
+    argmin = {"z_fl": best.z_fl, "z_tx": best.z_tx}
+    click.echo(f"manifest: {run.finish(grid_points=len(decisions), argmin=argmin)}")
 
 
 @main.command("estimate")
@@ -271,54 +261,43 @@ def cmd_triage(config_path, zfl_grid, ztx, paths, steps, seed, out_dir):
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def cmd_estimate(csv_path, threshold, out_dir):
     """Estimate confusion matrix, prevalences, service rates, pass curves."""
-    try:
-        records = ingest_mod.read_validation_csv(csv_path)
-        run = _Run("estimate", out_dir, csv_path, {},
-                   {"threshold": threshold})
-        have_pred = all(r.predicted_class is not None for r in records)
-        have_scores = all(r.score is not None for r in records)
-        have_service = all(r.service_time is not None for r in records)
+    table = ingest_mod.read_validation_csv(csv_path)
+    run = _Run("estimate", out_dir, csv_path, {},
+               {"threshold": threshold})
+    blank = {c: table.blank_line(c) for c in ("predicted_class", "score", "service_time")}
+    skipped = {}   # output left out -> why
+    if threshold is not None or blank["predicted_class"] is None:
+        q_hat, p_hat = ingest_mod.estimate_confusion(table, threshold=threshold)
+        K = q_hat.n_classes
+        run.write_csv("confusion.csv", ["true_class"] + [f"q_{l+1}" for l in range(K)],
+                      [[k + 1] + [_fmt(x) for x in q_hat.row(k)] for k in range(K)])
+        click.echo(f"confusion: {K} classes from {len(table)} records")
+    else:
+        skipped["confusion.csv"] = ("no --threshold and predicted_class blank on line "
+                                    f"{blank['predicted_class']}")
 
-        q_hat, p_hat = None, None
-        if threshold is not None or have_pred:
-            q_hat, p_hat = ingest_mod.estimate_confusion(records, threshold=threshold)
-            K = q_hat.n_classes
-            with open(run.path("confusion.csv"), "w", encoding="utf-8") as fh:
-                writer = _csv_writer(fh)
-                writer.writerow(["true_class"] + [f"q_{l+1}" for l in range(K)])
-                for k in range(K):
-                    writer.writerow([k + 1] + [_fmt(x) for x in q_hat.row(k)])
-            click.echo(f"confusion: {K} classes from {len(records)} records")
-        else:
-            click.echo("confusion: skipped (no predicted_class, no --threshold)")
+    n_classes = int(table.true_class.max()) + 1
+    columns = [np.bincount(table.true_class, minlength=n_classes) / len(table)]
+    if blank["service_time"] is None:
+        columns += ingest_mod.estimate_rates(table)
+    else:
+        skipped["rates.csv mu_hat, alpha_v_hat"] = (
+            f"service_time blank on line {blank['service_time']}")
+    run.write_csv("rates.csv", ["class", "prevalence", "mu_hat", "alpha_v_hat"][:len(columns) + 1],
+                  [[k + 1] + [_fmt(column[k]) for column in columns] for k in range(n_classes)])
 
-        n_classes = max(r.true_class for r in records) + 1
-        counts = np.bincount([r.true_class for r in records], minlength=n_classes)
-        with open(run.path("rates.csv"), "w", encoding="utf-8") as fh:
-            writer = _csv_writer(fh)
-            if have_service:
-                mu_hat, alpha_v = ingest_mod.estimate_rates(records)
-                writer.writerow(["class", "prevalence", "mu_hat", "alpha_v_hat"])
-                for k in range(n_classes):
-                    writer.writerow([k + 1, _fmt(counts[k] / len(records)),
-                                     _fmt(mu_hat[k]), _fmt(alpha_v[k])])
-            else:
-                writer.writerow(["class", "prevalence"])
-                for k in range(n_classes):
-                    writer.writerow([k + 1, _fmt(counts[k] / len(records))])
-
-        if have_scores and n_classes == 2:
-            curves = triage_mod.estimate_curves(
-                ingest_mod.scores_by_class(records))
-            with open(run.path("curves.csv"), "w", encoding="utf-8") as fh:
-                writer = _csv_writer(fh)
-                writer.writerow(["z", "g_toxic", "g_nontoxic"])
-                for i, z in enumerate(curves.grid):
-                    writer.writerow([_fmt(z), _fmt(curves.values[0, i]),
-                                     _fmt(curves.values[1, i])])
-        click.echo(f"manifest: {run.finish()}")
-    except (PqschedError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    if blank["score"] is None and n_classes == 2:
+        curves = triage_mod.estimate_curves(ingest_mod.scores_by_class(table))
+        run.write_csv("curves.csv", ["z", "g_toxic", "g_nontoxic"],
+                      [[_fmt(x) for x in point] for point in zip(curves.grid, *curves.values)])
+    else:
+        skipped["curves.csv"] = (f"pass-rate curves need 2 classes, found {n_classes}"
+                                 if blank["score"] is None
+                                 else f"score blank on line {blank['score']}")
+    for output, reason in skipped.items():
+        click.echo(f"{output}: skipped ({reason})")
+    skipped = [{"output": output, "reason": reason} for output, reason in skipped.items()]
+    click.echo(f"manifest: {run.finish(rows=len(table), classes=n_classes, skipped=skipped)}")
 
 
 if __name__ == "__main__":

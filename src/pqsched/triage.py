@@ -18,6 +18,10 @@ Reviewers are statistically identical, so one reviewer's reflected-Brownian
 queue cost is computed and multiplied by Gamma.  The staffing rule
 Gamma = Lambda sum_k p_k g_k(z_fl) / mu_k puts every reviewer exactly at
 critical load, which is what makes the RBM approximation the right tool.
+
+Every cost function takes thresholds or arrays of them, and evaluate_grid
+prices a whole threshold grid in one array pass: one interpolation per curve,
+elementwise formulas and one unit-RBM draw.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ConfigError, EmptyClassError, EmptyGridError, EmptyPassError
-from .httheory import bm_workload_paths, quadratic_coefficients
+from .httheory import bm_workload_paths
 from .model import ConfusionMatrix, CostFn, SystemConfig, load_json
 
 __all__ = [
@@ -109,11 +113,9 @@ class PassingCurves:
         grid = np.linspace(0.0, 1.0, int(grid_size))
         inner = np.clip(grid, 1e-12, 1 - 1e-12)
         logit = np.log(inner) - np.log1p(-inner)
-        values = np.empty((2, grid.size))
-        for k in range(2):
-            values[k] = ndtr((locs[k] - logit) / scales[k])
-            values[k, 0] = 1.0
-            values[k, -1] = 0.0
+        values = ndtr((np.asarray(locs, dtype=float)[:, None] - logit)
+                      / np.asarray(scales, dtype=float)[:, None])
+        values[:, 0], values[:, -1] = 1.0, 0.0
         return cls(grid, values)
 
     @classmethod
@@ -206,12 +208,17 @@ class McParams:
     horizon: float = 1.0
 
 
-def staffing(z_fl: float, config: TriageConfig) -> float:
-    """Gamma(z_fl) = Lambda sum_k p_k g_k(z_fl) / mu_k -- the real-valued
-    reviewer count that keeps every reviewer exactly critically loaded."""
-    g = [config.curves.g(k, z_fl) for k in range(2)]
-    return config.Lambda * sum(
-        config.p[k] * g[k] / config.mu[k] for k in range(2))
+def _check_thresholds(z) -> tuple:
+    """z = (z_fl, z_tx) as float arrays; the first bad point (in flat order)
+    raises its first complaint."""
+    z_fl, z_tx = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in z))
+    bad = ~((z_fl >= 0.0) & (z_tx <= 1.0) & (z_fl <= z_tx))
+    for fl, tx in zip(z_fl[bad][:1].tolist(), z_tx[bad][:1].tolist()):
+        for name, value in (("z_fl", fl), ("z_tx", tx)):
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{name}={value} outside [0, 1]")
+        raise ConfigError(f"z_tx={tx} must be >= z_fl={fl}")
+    return z_fl, z_tx
 
 
 @dataclass(frozen=True)
@@ -221,7 +228,8 @@ class ReviewerParams:
     p_mix: class shares among passing items; q: 2x2 confusion of the
     threshold rule (column 0 = predicted toxic); lam_r: arrival rate per
     reviewer; pass_prob: sum_k p_k g_k(z_fl); c_mix: mixture delay-cost
-    coefficients per predicted class.
+    coefficients per predicted class.  Arrays of thresholds give arrays of
+    their shape, with trailing class axes on p_mix, c_mix (one) and q (two).
     """
 
     z_fl: float
@@ -235,6 +243,7 @@ class ReviewerParams:
 
     def to_system_config(self, config: TriageConfig,
                          horizon: float = 1.0) -> SystemConfig:
+        """The reviewer's SystemConfig (scalar thresholds only)."""
         return SystemConfig(
             lam=self.lam_r,
             prevalences=self.p_mix,
@@ -245,84 +254,6 @@ class ReviewerParams:
         )
 
 
-def reviewer_params(z, config: TriageConfig) -> ReviewerParams:
-    """Limiting per-reviewer primitives at thresholds z = (z_fl, z_tx)."""
-    z_fl, z_tx = _check_thresholds(z)
-    g_fl = np.array([config.curves.g(k, z_fl) for k in range(2)])
-    g_tx = np.array([config.curves.g(k, z_tx) for k in range(2)])
-    p = np.asarray(config.p, dtype=float)
-    weights = p * g_fl
-    pass_prob = float(weights.sum())
-    if pass_prob <= 0.0:
-        raise EmptyPassError(f"no content passes the filter at z_fl={z_fl}")
-    gamma = staffing(z_fl, config)
-    p_mix = weights / pass_prob
-    q = np.empty((2, 2))
-    for k in range(2):
-        # classes that never pass the filter contribute no arrivals; their
-        # confusion row is unobservable and pinned to "predicted non-toxic"
-        q[k, 0] = g_tx[k] / g_fl[k] if g_fl[k] > 0 else 0.0
-        q[k, 1] = 1.0 - q[k, 0]
-    lam_r = config.Lambda * pass_prob / gamma
-    c = np.asarray(config.delay_costs, dtype=float)
-    p_tilde = p_mix @ q
-    c_mix = np.empty(2)
-    for l in range(2):
-        c_mix[l] = (p_mix * q[:, l] @ c) / p_tilde[l] if p_tilde[l] > 0 else 0.0
-    return ReviewerParams(z_fl=z_fl, z_tx=z_tx, gamma=gamma, lam_r=lam_r,
-                          pass_prob=pass_prob, p_mix=p_mix, q=q, c_mix=c_mix)
-
-
-def _check_thresholds(z) -> tuple:
-    z_fl, z_tx = float(z[0]), float(z[1])
-    for name, value in (("z_fl", z_fl), ("z_tx", z_tx)):
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"{name}={value} outside [0, 1]")
-    if z_tx < z_fl:
-        raise ConfigError(f"z_tx={z_tx} must be >= z_fl={z_fl}")
-    return z_fl, z_tx
-
-
-def filtering_cost_rate(z_fl: float, config: TriageConfig) -> float:
-    """Cost rate of auto-resolving everything scoring below z_fl."""
-    g = [config.curves.g(k, z_fl) for k in range(2)]
-    return config.Lambda * (config.c_trp * config.p[0] * (1.0 - g[0])
-                            + config.c_trn * config.p[1] * (1.0 - g[1]))
-
-
-def misclass_cost_rate(z, config: TriageConfig) -> float:
-    """Cost rate of reviewer label outcomes at threshold z_tx among passers."""
-    z_fl, z_tx = _check_thresholds(z)
-    g_fl = [config.curves.g(k, z_fl) for k in range(2)]
-    g_tx = [config.curves.g(k, z_tx) for k in range(2)]
-    q11 = g_tx[0] / g_fl[0] if g_fl[0] > 0 else 0.0
-    q21 = g_tx[1] / g_fl[1] if g_fl[1] > 0 else 0.0
-    toxic = config.p[0] * g_fl[0] * (config.c_tp * q11 + config.c_fn * (1.0 - q11))
-    nontox = config.p[1] * g_fl[1] * (config.c_fp * q21 + config.c_tn * (1.0 - q21))
-    return config.Lambda * (toxic + nontox)
-
-
-def reviewer_variance_rate(z_fl: float, config: TriageConfig) -> float:
-    """Variance rate of one reviewer's workload diffusion.
-
-    A reviewer receives each of the Lambda-stream arrivals independently with
-    probability q = pass_prob / Gamma, so the arrival-count variance rate is
-    q^2 Lambda^3 c_u + Lambda q (1 - q) (splitting noise included; for a
-    Poisson stream this collapses to lam_r, the thinned-Poisson rate).  Work
-    variance uses the passing mix at z_fl.
-    """
-    params = reviewer_params((z_fl, z_fl), config)
-    alpha_v = np.asarray(config.alpha_v, dtype=float)
-    mu = np.asarray(config.mu, dtype=float)
-    mean_work = float(params.p_mix @ (1.0 / mu))
-    c_v = float(params.p_mix @ alpha_v) - mean_work ** 2
-    c_u = config.alpha_u - 1.0 / config.Lambda ** 2
-    q_split = params.pass_prob / params.gamma
-    count_var_rate = (q_split ** 2 * config.Lambda ** 3 * max(c_u, 0.0)
-                      + config.Lambda * q_split * (1.0 - q_split))
-    return params.lam_r * max(c_v, 0.0) + mean_work ** 2 * count_var_rate
-
-
 @lru_cache(maxsize=8)
 def _unit_rbm_mean_isq(n_paths: int, n_steps: int, seed: int, horizon: float) -> float:
     """Mean of int W^2 dt over unit-variance RBM paths; reused across the
@@ -331,7 +262,94 @@ def _unit_rbm_mean_isq(n_paths: int, n_steps: int, seed: int, horizon: float) ->
     return float(paths.integral_sq().mean())
 
 
-def reviewer_queue_cost(z, config: TriageConfig, mc: McParams = McParams()) -> float:
+def _design(z_fl, z_tx, config: TriageConfig, mc: Optional[McParams] = None,
+            passing: bool = False) -> tuple:
+    """(ReviewerParams, {term: array}) at arrays of thresholds: one np.interp
+    per curve, then one elementwise formula per term, the reviewer's queue
+    cost only given mc; NaN where nothing passes the filter, or an
+    EmptyPassError if passing is set.
+
+    The reviewer's queue coefficient jstar_coeff = 1 / sum_l 1/beta_l has
+    beta_l = mu~_l c~_l / rho~_l = m_l / (lam_r s_l^2), with s_l = sum_k p_k
+    q_kl / mu_k and m_l = sum_k p_k q_kl c_k.  An empty predicted label has
+    beta_l = inf and adds 0: the one-class limit.
+    """
+    z_fl, z_tx = np.broadcast_arrays(np.asarray(z_fl, dtype=float), np.asarray(z_tx, dtype=float))
+    g_fl, g_tx = np.stack([np.interp(np.stack([z_fl, z_tx]), config.curves.grid, v)
+                           for v in config.curves.values], axis=-1)
+    (g0, g1), (p0, p1), L = np.moveaxis(g_fl, -1, 0), config.p, config.Lambda
+    mu, c = np.asarray(config.mu), np.asarray(config.delay_costs)
+    weights = np.asarray(config.p) * g_fl
+    pass_prob = weights.sum(axis=-1)
+    gamma = L * (weights / mu).sum(axis=-1)
+    terms = {"gamma": gamma,
+             "filtering": L * (config.c_trp * p0 * (1.0 - g0) + config.c_trn * p1 * (1.0 - g1))}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_mix = weights / pass_prob[..., None]
+        # classes that never pass the filter contribute no arrivals; their
+        # confusion row is unobservable and pinned to "predicted non-toxic"
+        q_toxic = np.divide(g_tx, g_fl, out=np.zeros_like(g_fl), where=g_fl > 0)
+        q, (q11, q21) = np.stack([q_toxic, 1.0 - q_toxic], axis=-1), np.moveaxis(q_toxic, -1, 0)
+        terms["misclass"] = L * (p0 * g0 * (config.c_tp * q11 + config.c_fn * (1.0 - q11))
+                                 + p1 * g1 * (config.c_fp * q21 + config.c_tn * (1.0 - q21)))
+        lam_r = L * pass_prob / gamma
+        mass = p_mix[..., None] * q                                   # p_k q_kl
+        m, p_tilde = (mass * c[:, None]).sum(axis=-2), mass.sum(axis=-2)
+        c_mix = np.divide(m, p_tilde, out=np.zeros_like(m), where=p_tilde > 0)
+        # x * x: numpy takes x ** 2 by pow for scalars only, and no point may hang on its batch
+        mean_work = (p_mix * (1.0 / mu)).sum(axis=-1)
+        c_v = (p_mix * np.asarray(config.alpha_v)).sum(axis=-1) - mean_work * mean_work
+        c_u = config.alpha_u - 1.0 / L ** 2
+        q_split = pass_prob / gamma
+        count_var_rate = q_split * q_split * L ** 3 * max(c_u, 0.0) + L * q_split * (1.0 - q_split)
+        terms["variance"] = lam_r * np.maximum(c_v, 0.0) + mean_work * mean_work * count_var_rate
+        s = (mass / mu[:, None]).sum(axis=-2)
+        inv_beta = np.divide(s * s, m, out=np.zeros_like(m), where=m > 0)
+        coeff = 1.0 / (lam_r * inv_beta.sum(axis=-1))
+    if mc is not None:
+        base = _unit_rbm_mean_isq(mc.n_paths, mc.n_steps, mc.seed, mc.horizon)
+        terms["queue"] = coeff * 0.5 * terms["variance"] * base
+    if passing and np.any(pass_prob <= 0.0):
+        raise EmptyPassError(f"no content passes the filter at z_fl={z_fl[pass_prob <= 0.0][0]}")
+    params = ReviewerParams(z_fl=z_fl[()], z_tx=z_tx[()], gamma=gamma[()], lam_r=lam_r[()],
+                            pass_prob=pass_prob[()], p_mix=p_mix, q=q, c_mix=c_mix)
+    return params, terms
+
+
+def staffing(z_fl, config: TriageConfig):
+    """Gamma(z_fl) = Lambda sum_k p_k g_k(z_fl) / mu_k -- the real-valued
+    reviewer count that keeps every reviewer exactly critically loaded."""
+    return _design(z_fl, z_fl, config)[1]["gamma"][()]
+
+
+def reviewer_params(z, config: TriageConfig) -> ReviewerParams:
+    """Limiting per-reviewer primitives at thresholds z = (z_fl, z_tx)."""
+    return _design(*_check_thresholds(z), config, passing=True)[0]
+
+
+def filtering_cost_rate(z_fl, config: TriageConfig):
+    """Cost rate of auto-resolving everything scoring below z_fl."""
+    return _design(z_fl, z_fl, config)[1]["filtering"][()]
+
+
+def misclass_cost_rate(z, config: TriageConfig):
+    """Cost rate of reviewer label outcomes at threshold z_tx among passers."""
+    return _design(*_check_thresholds(z), config)[1]["misclass"][()]
+
+
+def reviewer_variance_rate(z_fl, config: TriageConfig):
+    """Variance rate of one reviewer's workload diffusion.
+
+    A reviewer receives each of the Lambda-stream arrivals independently with
+    probability q = pass_prob / Gamma, so the arrival-count variance rate is
+    q^2 Lambda^3 c_u + Lambda q (1 - q) (splitting noise included; for a
+    Poisson stream this collapses to lam_r, the thinned-Poisson rate).  Work
+    variance uses the passing mix at z_fl.
+    """
+    return _design(*_check_thresholds((z_fl, z_fl)), config, passing=True)[1]["variance"][()]
+
+
+def reviewer_queue_cost(z, config: TriageConfig, mc: McParams = McParams()):
     """Expected integrated delay cost of one reviewer over [0, horizon].
 
     The coefficient is the optimal-split quadratic constant of the reviewer's
@@ -339,17 +357,13 @@ def reviewer_queue_cost(z, config: TriageConfig, mc: McParams = McParams()) -> f
     workload factor is a Monte Carlo mean of int W^2 over RBM paths with the
     per-reviewer variance rate.
     """
-    params = reviewer_params(z, config)
-    cfg = params.to_system_config(config, horizon=mc.horizon)
-    coeff = quadratic_coefficients(cfg).jstar_coeff
-    v = reviewer_variance_rate(params.z_fl, config)
-    base = _unit_rbm_mean_isq(mc.n_paths, mc.n_steps, mc.seed, mc.horizon)
-    return coeff * 0.5 * v * base
+    return _design(*_check_thresholds(z), config, mc, passing=True)[1]["queue"][()]
 
 
 @dataclass(frozen=True)
 class TriageDecision:
-    """One evaluated threshold pair with its cost breakdown at t = 1."""
+    """One evaluated threshold pair with its cost breakdown at t = 1
+    (arrays of them for arrays of thresholds)."""
 
     z_fl: float
     z_tx: float
@@ -366,45 +380,37 @@ class TriageDecision:
 
 def total_cost(z, config: TriageConfig, mc: McParams = McParams()) -> TriageDecision:
     """Four-part design cost at thresholds z = (z_fl, z_tx), evaluated at t=1."""
-    z_fl, z_tx = _check_thresholds(z)
-    gamma = staffing(z_fl, config)
-    filtering = filtering_cost_rate(z_fl, config)
-    g_fl = [config.curves.g(k, z_fl) for k in range(2)]
-    pass_prob = sum(config.p[k] * g_fl[k] for k in range(2))
-    if pass_prob <= 0.0:
-        # everything auto-resolved: no reviewers, no labels, no queues
-        return TriageDecision(z_fl=z_fl, z_tx=z_tx, gamma=0.0,
-                              filtering=filtering, hiring=0.0,
-                              misclassification=0.0, queueing=0.0)
+    return _decisions(*_check_thresholds(z), config, mc)
+
+
+def _decisions(z_fl, z_tx, config: TriageConfig, mc: McParams) -> TriageDecision:
+    params, terms = _design(z_fl, z_tx, config, mc)
+    # where everything is auto-resolved: no reviewers, no labels, no queues
+    passes = np.asarray(params.pass_prob) > 0.0
+    gamma = np.where(passes, terms["gamma"], 0.0)
+    queueing = np.where(passes, gamma * terms["queue"], 0.0)
     return TriageDecision(
-        z_fl=z_fl,
-        z_tx=z_tx,
-        gamma=gamma,
-        filtering=filtering,
-        hiring=config.c_r * gamma,
-        misclassification=misclass_cost_rate((z_fl, z_tx), config),
-        queueing=gamma * reviewer_queue_cost((z_fl, z_tx), config, mc),
-    )
+        z_fl=z_fl[()], z_tx=z_tx[()], gamma=gamma[()], filtering=terms["filtering"][()],
+        hiring=(config.c_r * gamma)[()],
+        misclassification=np.where(passes, terms["misclass"], 0.0)[()], queueing=queueing[()])
 
 
 def evaluate_grid(config: TriageConfig, z_tx, zfl_grid,
                   mc: McParams = McParams()) -> list:
-    """total_cost at every feasible (z_fl, z_tx) pair, common random numbers.
+    """total_cost at every feasible (z_fl, z_tx) pair, as one array pass
+    with common random numbers.
 
     z_tx may be a scalar or a grid; pairs with z_tx < z_fl are skipped.
     Results are ordered by (z_fl, z_tx).
     """
-    zfl_values = np.atleast_1d(np.asarray(zfl_grid, dtype=float))
-    ztx_values = np.atleast_1d(np.asarray(z_tx, dtype=float))
-    decisions = []
-    for z_fl in sorted(zfl_values):
-        for ztx in sorted(ztx_values):
-            if ztx < z_fl:
-                continue
-            decisions.append(total_cost((z_fl, ztx), config, mc))
-    if not decisions:
+    axes = (np.sort(np.atleast_1d(np.asarray(g, dtype=float)), kind="stable")
+            for g in (zfl_grid, z_tx))
+    z_fl, z_tx = (a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
+    feasible = ~(z_tx < z_fl)
+    if not feasible.any():
         raise EmptyGridError("no feasible (z_fl, z_tx) pair on the grids")
-    return decisions
+    d = _decisions(*_check_thresholds((z_fl[feasible], z_tx[feasible])), config, mc)
+    return [TriageDecision(*point) for point in zip(*(v.tolist() for v in vars(d).values()))]
 
 
 def optimize(config: TriageConfig, z_tx, zfl_grid,

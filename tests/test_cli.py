@@ -252,6 +252,59 @@ def test_estimate_threshold_mode(runner, tmp_path):
     assert rates[0] == ["class", "prevalence"]     # no service_time column
 
 
+def test_estimate_threshold_cites_csv_line(runner, tmp_path):
+    # line 4 (the third data row) has a blank score
+    csv_path = tmp_path / "scores.csv"
+    csv_path.write_text("true_class,score\n1,0.9\n2,0.1\n1,\n2,0.3\n")
+    out = tmp_path / "est"
+    result = runner.invoke(main, ["estimate", "--csv", str(csv_path),
+                                  "--threshold", "0.5", "--out", str(out)])
+    _assert_one_line_error(result, "line 4: no score to threshold")
+
+
+def test_estimate_manifest_records_rows_classes_and_skips(runner, tmp_path):
+    # no predicted_class, a blank service time on line 3, three classes
+    csv_path = tmp_path / "three.csv"
+    csv_path.write_text("true_class,score,service_time\n1,0.9,0.5\n2,0.1,\n"
+                        "3,0.4,1.0\n1,0.7,0.25\n")
+    out = tmp_path / "est"
+    result = runner.invoke(main, ["estimate", "--csv", str(csv_path), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    man = _manifest(out)
+    assert man["outputs"] == ["rates.csv"]
+    assert (man["rows"], man["classes"]) == (4, 3)
+    assert man["skipped"] == [
+        {"output": "confusion.csv",
+         "reason": "no --threshold and predicted_class blank on line 2"},
+        {"output": "rates.csv mu_hat, alpha_v_hat", "reason": "service_time blank on line 3"},
+        {"output": "curves.csv", "reason": "pass-rate curves need 2 classes, found 3"},
+    ]
+    assert "curves.csv: skipped" in result.output
+    assert _read_csv(out / "rates.csv") == [["class", "prevalence"], ["1", "0.5"],
+                                            ["2", "0.25"], ["3", "0.25"]]
+
+
+def test_estimate_manifest_with_nothing_skipped(runner, tmp_path):
+    out = tmp_path / "est"
+    result = runner.invoke(main, ["estimate", "--csv", str(_validation_csv(tmp_path)),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    man = _manifest(out)
+    assert (man["rows"], man["classes"], man["skipped"]) == (20, 2, [])
+
+
+def test_triage_manifest_records_grid_and_argmin(runner, tmp_path, triage_path):
+    out = tmp_path / "triage_out"
+    result = runner.invoke(main, ["triage", "--config", str(triage_path),
+                                  "--zfl-grid", "0.2:0.4:5", "--ztx", "0.5",
+                                  "--paths", "100", "--steps", "100", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    best = _read_csv(out / "triage.csv")[-1]
+    man = _manifest(out)
+    assert man["grid_points"] == 5
+    assert man["argmin"] == {"z_fl": float(best[0]), "z_tx": float(best[1])}
+
+
 # ------------------------------------------------------------------ errors
 
 def test_missing_config_file(runner, tmp_path):

@@ -4,17 +4,18 @@ import pytest
 from pqsched import (
     EmptyClassError,
     IngestError,
-    ValidationRecord,
+    ValidationTable,
     ZeroColumnError,
     estimate_confusion,
     estimate_rates,
     read_validation_csv,
     scores_by_class,
 )
+from reference_ingest import ValidationRecord, as_table
 
 
 def _records(pairs):
-    return [ValidationRecord(true_class=k, predicted_class=l) for k, l in pairs]
+    return as_table([ValidationRecord(true_class=k, predicted_class=l) for k, l in pairs])
 
 
 # ----------------------------------------------------------- confusion
@@ -56,15 +57,15 @@ def test_confusion_order_invariance(rng):
 def test_confusion_threshold_mode():
     recs = [ValidationRecord(0, score=s) for s in (0.9, 0.6, 0.2)]
     recs += [ValidationRecord(1, score=s) for s in (0.7, 0.1, 0.3, 0.4)]
-    q, p = estimate_confusion(recs, threshold=0.5)
+    q, p = estimate_confusion(as_table(recs), threshold=0.5)
     assert np.allclose(q.entries, [[2 / 3, 1 / 3], [0.25, 0.75]])
     assert p == pytest.approx([3 / 7, 4 / 7])
     with pytest.raises(IngestError):
-        estimate_confusion([ValidationRecord(0, score=None),
-                            ValidationRecord(1, score=0.2)], threshold=0.5)
+        estimate_confusion(as_table([ValidationRecord(0, score=None),
+                                     ValidationRecord(1, score=0.2)]), threshold=0.5)
     three = [ValidationRecord(k, score=0.5) for k in (0, 1, 2)]
     with pytest.raises(IngestError):
-        estimate_confusion(three, threshold=0.5)   # binary rule only
+        estimate_confusion(as_table(three), threshold=0.5)   # binary rule only
 
 
 def test_confusion_zero_column_and_laplace():
@@ -85,7 +86,7 @@ def test_confusion_empty_class():
 
 def test_confusion_missing_predictions():
     with pytest.raises(IngestError):
-        estimate_confusion([ValidationRecord(0), ValidationRecord(1)])
+        estimate_confusion(as_table([ValidationRecord(0), ValidationRecord(1)]))
 
 
 # --------------------------------------------------------------- rates
@@ -94,7 +95,7 @@ def test_rates_from_constant_services():
     recs = [ValidationRecord(0, service_time=0.5),
             ValidationRecord(0, service_time=0.5),
             ValidationRecord(1, service_time=0.25)]
-    mu, alpha_v = estimate_rates(recs)
+    mu, alpha_v = estimate_rates(as_table(recs))
     assert mu == pytest.approx([2.0, 4.0])
     assert alpha_v == pytest.approx([0.25, 0.0625])
 
@@ -103,16 +104,16 @@ def test_rates_concentrate_for_exponential(rng):
     n = 20_000
     draws = rng.exponential(scale=0.5, size=n)    # rate 2
     recs = [ValidationRecord(0, service_time=float(s)) for s in draws]
-    mu, alpha_v = estimate_rates(recs)
+    mu, alpha_v = estimate_rates(as_table(recs))
     assert mu[0] == pytest.approx(2.0, rel=0.03)
     assert alpha_v[0] == pytest.approx(0.5, rel=0.06)   # 2 / mu^2
 
 
 def test_rates_guards():
     with pytest.raises(IngestError):
-        estimate_rates([ValidationRecord(0, service_time=None)])
+        estimate_rates(as_table([ValidationRecord(0, service_time=None)]))
     with pytest.raises(EmptyClassError):
-        estimate_rates([ValidationRecord(0, service_time=1.0)], n_classes=2)
+        estimate_rates(as_table([ValidationRecord(0, service_time=1.0)]), n_classes=2)
 
 
 # ------------------------------------------------------------- grouping
@@ -120,13 +121,13 @@ def test_rates_guards():
 def test_scores_by_class():
     recs = [ValidationRecord(0, score=0.9), ValidationRecord(1, score=0.1),
             ValidationRecord(0, score=0.7)]
-    groups = scores_by_class(recs)
+    groups = scores_by_class(as_table(recs))
     assert groups[0] == pytest.approx([0.9, 0.7])
     assert groups[1] == pytest.approx([0.1])
     with pytest.raises(IngestError):
-        scores_by_class([ValidationRecord(0, score=None)])
+        scores_by_class(as_table([ValidationRecord(0, score=None)]))
     with pytest.raises(IngestError):
-        scores_by_class([ValidationRecord(2, score=0.5)], n_classes=2)
+        scores_by_class(as_table([ValidationRecord(2, score=0.5)]), n_classes=2)
 
 
 # ------------------------------------------------------------ CSV reader
@@ -142,15 +143,16 @@ def test_read_validation_csv_happy_path(tmp_path):
         "true_class,score,predicted_class,service_time",
         "1,0.9,1,0.5",
         "2,0.1,2,0.25",
-        "1,,2,",          # blanks stay None
+        "1,,2,",          # blanks read as NaN
     ]) + "\n")
-    recs = read_validation_csv(path)
-    assert len(recs) == 3
-    assert recs[0] == ValidationRecord(0, score=0.9, predicted_class=0,
-                                       service_time=0.5)
-    assert recs[2].true_class == 0
-    assert recs[2].score is None and recs[2].service_time is None
-    assert recs[2].predicted_class == 1      # 1-based file, 0-based memory
+    table = read_validation_csv(path)
+    assert len(table) == 3
+    assert (table.true_class[0], table.score[0], table.predicted_class[0],
+            table.service_time[0]) == (0, 0.9, 0, 0.5)
+    assert table.true_class[2] == 0
+    assert np.isnan(table.score[2]) and np.isnan(table.service_time[2])
+    assert table.predicted_class[2] == 1     # 1-based file, 0-based memory
+    assert table.line.tolist() == [2, 3, 4]
 
 
 def test_read_validation_csv_errors_cite_lines(tmp_path):
@@ -181,6 +183,38 @@ def test_read_validation_csv_errors_cite_lines(tmp_path):
     path = _write(tmp_path, "true_class,score\n")
     with pytest.raises(IngestError, match="no data rows"):
         read_validation_csv(path)
+
+
+def test_estimator_errors_cite_csv_lines(tmp_path):
+    # blank lines count; each error names the first row missing its field
+    path = _write(tmp_path, "\n".join([
+        "true_class,score,predicted_class,service_time",
+        "1,0.9,1,0.5",
+        "",
+        "2,,2,0.25",
+        "1,0.4,,",
+    ]) + "\n")
+    table = read_validation_csv(path)
+    with pytest.raises(IngestError, match=r"^line 4: no score to threshold$"):
+        estimate_confusion(table, threshold=0.5)
+    with pytest.raises(IngestError, match=r"^line 5: no predicted_class and no threshold given$"):
+        estimate_confusion(table)
+    with pytest.raises(IngestError, match=r"^line 5: missing service_time$"):
+        estimate_rates(table)
+    with pytest.raises(IngestError, match=r"^line 4: missing score$"):
+        scores_by_class(table)
+
+
+def test_validation_table_columns():
+    table = ValidationTable(true_class=[0, 1], score=[0.5, np.nan], predicted_class=[0, -1],
+                            service_time=[1.0, 2.0], line=[2, 3])
+    assert table.true_class.dtype == np.int64 and table.score.dtype == float
+    assert len(table) == 2
+    assert table.blank_line("score") == 3 and table.blank_line("predicted_class") == 3
+    assert table.blank_line("service_time") is None
+    with pytest.raises(IngestError, match="one entry per row"):
+        ValidationTable(true_class=[0, 1], score=[0.5], predicted_class=[0, 1],
+                        service_time=[1.0, 2.0], line=[2, 3])
 
 
 def test_csv_to_estimates_end_to_end(tmp_path):

@@ -1,0 +1,151 @@
+"""The columnar validation-CSV reader and estimators against the per-row reference."""
+
+import csv
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pqsched import (
+    IngestError,
+    estimate_confusion,
+    estimate_rates,
+    read_validation_csv,
+    scores_by_class,
+)
+import reference_ingest as ref
+from reference_ingest import ValidationRecord, as_table
+
+COLUMNS = ("true_class", "score", "predicted_class", "service_time")
+# tokens Python's int/float read in surprising ways, plus plain good and bad ones
+TOKENS = ("", " ", "1", "2", "3", " 2 ", "+3", "1_0", "0", "-1", "0.5", ".25",
+          "1.5", "1e-3", "nan", "inf", "-inf", "NaN", "abc", "1,5", "0x1", "٣",
+          "2.0", "1 2", '"', "\u00a02\u2003", "\u2003")
+
+
+@st.composite
+def csv_texts(draw):
+    """Validation CSVs with optional, repeated or unknown columns, blank
+    lines, short and long rows, quoted fields (some spanning lines) and
+    either line ending."""
+    header = draw(st.lists(st.sampled_from(COLUMNS + ("extra",)), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        header.insert(draw(st.integers(0, len(header))), "true_class")
+    rows = [header]
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 9)) == 0:
+            rows.append([])                                    # a blank line
+            continue
+        width = len(header) + draw(st.sampled_from((0, 0, 0, -1, 1)))
+        rows.append([draw(st.sampled_from(TOKENS)) for _ in range(max(width, 1))])
+    lines = []
+    for row in rows:
+        cells = []
+        for cell in row:
+            if draw(st.integers(0, 7)) == 0:                   # quote it, maybe across lines
+                cell = '"' + cell.replace('"', '""') + draw(st.sampled_from(("", "\n"))) + '"'
+            cells.append(cell)
+        lines.append(",".join(cells))
+    return draw(st.sampled_from(("\n", "\r\n"))).join(lines) + "\n"
+
+
+def _outcome(read, path):
+    try:
+        return read(path), None
+    except Exception as exc:  # the oracle's own exception types are the contract
+        return None, (type(exc), str(exc))
+
+
+def _dictreader_lines(path):
+    """The line csv.DictReader reports for each data row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        return [reader.line_num for _ in reader]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=csv_texts())
+def test_reader_matches_reference(tmp_path, text):
+    path = tmp_path / "validation.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected, expected_error = _outcome(ref.read_validation_csv, path)
+    table, error = _outcome(read_validation_csv, path)
+    assert error == expected_error
+    if expected is None:
+        return
+    want = as_table(expected)
+    for name in COLUMNS:
+        got = getattr(table, name)
+        assert got.dtype == getattr(want, name).dtype
+        assert np.array_equal(got, getattr(want, name), equal_nan=True), name
+    assert table.line.tolist() == _dictreader_lines(path)
+    assert len(table) == len(expected)
+
+
+@pytest.mark.parametrize("text, message", [
+    # the first offending line wins, whatever its column
+    ("true_class,score,service_time\n1,0.5,-1\n0,0.5,1\n",
+     "line 2: service_time=-1.0 must be positive"),
+    ("true_class,score,service_time\n1,0.5,1\n1,x,-1\n", "line 3: score='x' is not a number"),
+    # blank lines count, and a short row reads blanks
+    ("true_class,score,service_time\n1,0.5\n\n\n1,2\n", "line 5: score=2.0 outside [0, 1]"),
+    # a quoted field spanning lines is cited by the line the row ends on
+    ('true_class,score\n1,"0.5\n"\n,0.5\n', "line 4: empty true_class"),
+    ("true_class\n1\n99999999999999999999\n",
+     "line 3: true_class='99999999999999999999' is too large"),
+])
+def test_reader_cites_first_offending_line(tmp_path, text, message):
+    path = tmp_path / "validation.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(IngestError) as info:
+        read_validation_csv(path)
+    assert str(info.value) == message
+
+
+# ------------------------------------------------------------ estimators
+
+@st.composite
+def record_lists(draw):
+    K = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
+    maybe = lambda strategy: st.one_of(st.none(), strategy) if draw(st.booleans()) else strategy
+    score = maybe(st.floats(0.0, 1.0))
+    pred = maybe(st.integers(0, K - 1))
+    service = maybe(st.floats(1e-3, 5.0))
+    return [ValidationRecord(draw(st.integers(0, K - 1)), draw(score), draw(pred), draw(service))
+            for _ in range(n)]
+
+
+def _same(new, old):
+    if isinstance(new, tuple):
+        return all(_same(a, b) for a, b in zip(new, old))
+    if isinstance(new, list):
+        return len(new) == len(old) and all(_same(a, b) for a, b in zip(new, old))
+    if hasattr(new, "entries"):
+        return np.array_equal(new.entries, old.entries)
+    return np.array_equal(new, old)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=record_lists(), threshold=st.sampled_from((None, 0.5)),
+       n_classes=st.sampled_from((None, 2, 3)), laplace=st.sampled_from((0.0, 1.0)))
+def test_estimators_match_reference(records, threshold, n_classes, laplace):
+    table = as_table(records)
+    for new_fn, old_fn, kwargs in (
+            (estimate_confusion, ref.estimate_confusion,
+             dict(threshold=threshold, n_classes=n_classes, laplace=laplace)),
+            (estimate_rates, ref.estimate_rates, dict(n_classes=n_classes)),
+            (scores_by_class, ref.scores_by_class, dict(n_classes=n_classes or 2))):
+        got, error = _outcome(lambda t: new_fn(t, **kwargs), table)
+        want, want_error = _outcome(lambda r: old_fn(r, **kwargs), records)
+        if want_error is not None:
+            # bit for bit the same failure, the record number now a CSV line
+            kind, text = want_error
+            if text.startswith("record "):
+                number, rest = text[len("record "):].split(":", 1)
+                text = f"line {int(number) + 2}:{rest}"
+            assert error == (kind, text)
+        else:
+            assert error is None and _same(got, want)
