@@ -15,7 +15,6 @@ from .errors import (
     IngestError,
     NonFiniteMomentError,
     NonQuadraticError,
-    OracleUnavailableError,
     PqschedError,
     ScheduleNonPositiveError,
     ZeroColumnError,
@@ -39,9 +38,6 @@ from .model import (
 from .policies import (
     POLICY_KINDS,
     PolicyRef,
-    naive_gcmu_index,
-    oracle_gcmu_index,
-    pcmu_index,
 )
 from .engine import (
     Curves,
@@ -71,7 +67,6 @@ from .httheory import (
     Moments,
     QuadraticCostCoefficients,
     RankedModel,
-    ReflectedPath,
     WorkloadPathSet,
     bm_workload_paths,
     jnaive,
@@ -79,7 +74,6 @@ from .httheory import (
     kkt_solve,
     quadratic_coefficients,
     rank_models,
-    reflect,
     relative_regret,
     two_class_xstar,
     workload_variance_rate,

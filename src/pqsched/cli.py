@@ -182,16 +182,21 @@ def cmd_lower_bound(config_path, paths, steps, seed, out_dir):
     click.echo(f"manifest: {run.finish()}")
 
 
-def _load_candidate(path: str):
+def _load_candidate(path: str, k: int):
     """Candidate file: either a bare K x K JSON array or
-    {"name": ..., "confusion": [[...], ...]}."""
+    {"name": ..., "confusion": [[...], ...]}, with the config's K and
+    stochastic rows of entries in [0, 1]."""
     doc = load_json(path)
     try:
-        if isinstance(doc, dict):
-            return str(doc.get("name", Path(path).stem)), ConfusionMatrix(doc["confusion"])
-        return Path(path).stem, ConfusionMatrix(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+        q = ConfusionMatrix(doc["confusion"] if isinstance(doc, dict) else doc)
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed model file: {type(exc).__name__} {exc}") from exc
+    issues = q.issues() if q.n_classes == k else [
+        f"ShapeMismatch: confusion is {q.n_classes} x {q.n_classes}, config has {k} classes"]
+    if issues:
+        raise ConfigError(f"{path}: {'; '.join(issues)}")
+    name = str(doc.get("name", Path(path).stem)) if isinstance(doc, dict) else Path(path).stem
+    return name, q
 
 
 @main.command("select-model")
@@ -204,7 +209,7 @@ def _load_candidate(path: str):
 def cmd_select_model(config_path, model_paths, out_dir):
     """Rank candidate classifiers by scheduling regret (no simulation)."""
     config = load_config(config_path)
-    models = [_load_candidate(p) for p in model_paths]
+    models = [_load_candidate(p, config.n_classes) for p in model_paths]
     run = _Run("select-model", out_dir, config_path, {},
                {"models": [str(p) for p in model_paths]}, config)
     ranked = ht.rank_models(models, config)

@@ -15,15 +15,12 @@ class ConfigError(PqschedError):
 
 
 class ZeroColumnError(ConfigError):
-    """Some predicted class has zero arrival mass: sum_k p_k * q_kl = 0."""
+    """Some predicted class has zero arrival mass: sum_k p_k * q_kl = 0
+    (the quadratic cost coefficients take the one-class limit instead)."""
 
 
 class EventOverflowError(PqschedError):
     """A simulated path exceeded the event cap (likely a runaway rho >> 1)."""
-
-
-class OracleUnavailableError(PqschedError):
-    """A true-class-indexed policy was asked to run without true-class visibility."""
 
 
 class ScheduleNonPositiveError(PqschedError):

@@ -30,7 +30,6 @@ from .errors import (
     NonQuadraticError,
 )
 from .model import (
-    ConfusionMatrix,
     MixtureCost,
     PredictedClassParams,
     SystemConfig,
@@ -39,8 +38,6 @@ from .model import (
 )
 
 __all__ = [
-    "ReflectedPath",
-    "reflect",
     "Moments",
     "workload_variance_rate",
     "WorkloadPathSet",
@@ -49,6 +46,7 @@ __all__ = [
     "kkt_solve",
     "two_class_xstar",
     "QuadraticCostCoefficients",
+    "stiffness_coefficients",
     "quadratic_coefficients",
     "JEstimate",
     "jstar",
@@ -71,31 +69,10 @@ _U_EPS = 2.0 ** -53
 # reflection map
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReflectedPath:
-    """One-sided reflection of a discrete path at zero."""
-
-    grid: Optional[np.ndarray]
-    raw: Optional[np.ndarray]
-    values: np.ndarray
-
-
-def reflect(values: Sequence[float], grid: Optional[Sequence[float]] = None) -> ReflectedPath:
-    """phi(x)(t) = x(t) - min(0, inf_{s<=t} x(s)), the minimal nonnegative
-    version of x obtained by pushing up only when the path would go negative.
-    """
-    x = np.asarray(values, dtype=float)
-    if x.ndim != 1:
-        raise ConfigError("reflect expects a one-dimensional path")
-    g = None if grid is None else np.asarray(grid, dtype=float)
-    if g is not None and g.shape != x.shape:
-        raise ConfigError("grid and values must have matching length")
-    running_min = np.minimum.accumulate(x)
-    out = x - np.minimum(0.0, running_min)
-    return ReflectedPath(grid=g, raw=x, values=out)
-
-
 def _reflect_matrix(x: np.ndarray) -> np.ndarray:
+    """phi(x)(t) = x(t) - min(0, inf_{s<=t} x(s)) along each row of x: the
+    minimal nonnegative version of the path, pushed up only when it would go
+    negative."""
     running_min = np.minimum.accumulate(x, axis=1)
     return x - np.minimum(0.0, running_min)
 
@@ -165,10 +142,6 @@ class WorkloadPathSet:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def __iter__(self):
-        for row in self.values:
-            yield ReflectedPath(grid=self.grid, raw=None, values=row)
-
     def integral_sq(self) -> np.ndarray:
         """Left-endpoint Riemann sum of W(t)^2 over the grid, per path."""
         dt = np.diff(self.grid)
@@ -227,7 +200,9 @@ def kkt_solve(r, params: PredictedClassParams, costs) -> Allocation:
     NaN, infinite or negative entries are a ConfigError.  The bisection runs
     on arrays, _KKT_BLOCK entries at a time; an entry freezes once its mid
     equals lo or hi or its residual is <= 1e-15 max(1, r), so no split
-    depends on its batch.
+    depends on its batch.  params come from derive_predicted_params, so every
+    predicted label is non-empty (ZeroColumnError otherwise), unlike the
+    one-class limit of the quadratic coefficients.
     """
     r_arr = np.asarray(r, dtype=float)
     if not (np.all(np.isfinite(r_arr)) and np.all(r_arr >= 0.0)):
@@ -291,14 +266,15 @@ def two_class_xstar(r: float, confusion, config: SystemConfig) -> np.ndarray:
 
     The balance condition beta_1 x_1 = beta_2 x_2 on the stiffnesses of
     quadratic_coefficients, beta_l = sum_k lam p_k q_kl c_k / (sum_k lam p_k
-    q_kl / mu_k)^2, gives x_1 = r beta_2 / (beta_1 + beta_2).  Under a perfect
-    classifier and lam = 1 this reduces to beta_l = c_l mu_l^2 / p_l.
+    q_kl / mu_k)^2, gives x_1 = r (1/beta_1) / (1/beta_1 + 1/beta_2).  Under a
+    perfect classifier and lam = 1 this reduces to beta_l = c_l mu_l^2 / p_l.
+    An empty label has 1/beta = 0 and gets no work: the split is (0, r) or
+    (r, 0).
     """
-    cfg = _with_confusion(config, confusion)
-    if cfg.n_classes != 2:
+    if config.n_classes != 2:
         raise ConfigError("two_class_xstar needs exactly two classes")
-    beta = quadratic_coefficients(cfg).beta  # NonQuadraticError unless all power 2
-    x1 = r * beta[1] / (beta[0] + beta[1])
+    inv_beta = 1.0 / quadratic_coefficients(config, confusion).beta  # 0 on an empty label
+    x1 = r * (inv_beta[0] / (inv_beta[0] + inv_beta[1]))
     return np.array([x1, r - x1])
 
 
@@ -318,32 +294,55 @@ class QuadraticCostCoefficients:
 
     Either coefficient times 1/2 E int W(t)^2 dt is the expected integrated
     cost of the corresponding splitting rule under quadratic delay costs.
+
+    Shapes: for one K x K confusion matrix beta and beta_naive are (K,) and
+    the coefficients are scalars; for a stack of shape (..., K, K) they are
+    (..., K) and (...).  A label that is never predicted has beta =
+    beta_naive = inf (see stiffness_coefficients).
     """
 
     beta: np.ndarray
     beta_naive: np.ndarray
-    jstar_coeff: float
-    jnaive_coeff: float
+    jstar_coeff: float | np.ndarray
+    jnaive_coeff: float | np.ndarray
 
 
-def quadratic_coefficients(config: SystemConfig,
-                           params: Optional[PredictedClassParams] = None,
-                           ) -> QuadraticCostCoefficients:
+def stiffness_coefficients(lam, p, mu, c, q) -> tuple:
+    """(1/beta, 1/beta_naive, jstar_coeff, jnaive_coeff), shaped (..., K),
+    (..., K), (...) and (...), for lam of shape () or (...), p (..., K), mu
+    and quadratic cost coefficients c (K,), and confusion matrices q (..., K, K).
+
+    With s_l = sum_k p_k q_kl / mu_k and m_l = sum_k p_k q_kl c_k = p~_l c~_l,
+    1/beta_l = lam s_l^2 / m_l and 1/beta_naive_l = lam s_l^2 / (p~_l c_l).
+    A label never predicted (p~_l = 0) takes the one-class limit: both are 0
+    and it adds nothing to either coefficient.  kkt_solve, jstar(method=
+    "general") and PolicyRef instead need every label non-empty (ZeroColumnError).
+    """
+    lam = np.asarray(lam, dtype=float)
+    mass = np.asarray(p, dtype=float)[..., :, None] * np.asarray(q, dtype=float)  # p_k q_kl
+    m, p_tilde = (mass * c[:, None]).sum(axis=-2), mass.sum(axis=-2)
+    s = (mass / mu[:, None]).sum(axis=-2)
+    u = np.divide(s * s, m, out=np.zeros_like(m), where=m > 0)
+    u_naive = np.divide(s * s, p_tilde * c, out=np.zeros_like(m), where=p_tilde > 0)
+    inv_beta, inv_naive = lam[..., None] * u, lam[..., None] * u_naive
+    shares = inv_naive / inv_naive.sum(axis=-1, keepdims=True)
+    jnaive = np.divide(shares * shares, inv_beta, out=np.zeros_like(m), where=u > 0)
+    return inv_beta, inv_naive, 1.0 / (lam * u.sum(axis=-1)), jnaive.sum(axis=-1)
+
+
+def quadratic_coefficients(config: SystemConfig, confusion=None) -> QuadraticCostCoefficients:
+    """Coefficients of config under its own classifier, or under confusion:
+    one K x K matrix, or a stack of shape (..., K, K) priced in one pass."""
     if not config.all_quadratic():
         raise NonQuadraticError("coefficient formulas require power-2 costs")
-    if params is None:
-        params = derive_predicted_params(config)
-    c_mix = [mixture_cost(l, params, config.costs).coeff for l in range(len(params.rho_tilde))]
-    beta = params.mu_tilde * np.array(c_mix) / params.rho_tilde
-    beta_naive = params.mu_tilde * np.array([fn.coeff for fn in config.costs]) / params.rho_tilde
-    inv = 1.0 / beta
-    jstar_coeff = 1.0 / float(inv.sum())
-    s = (1.0 / beta_naive)
-    s = s / s.sum()
-    jnaive_coeff = float((beta * s ** 2).sum())
-    return QuadraticCostCoefficients(beta=beta, beta_naive=beta_naive,
-                                     jstar_coeff=jstar_coeff,
-                                     jnaive_coeff=jnaive_coeff)
+    q = config.confusion if confusion is None else confusion
+    inv_beta, inv_naive, jstar_coeff, jnaive_coeff = stiffness_coefficients(
+        config.lam, config.prevalences, config.service_rates,
+        np.array([fn.coeff for fn in config.costs]), getattr(q, "entries", q))
+    with np.errstate(divide="ignore"):
+        return QuadraticCostCoefficients(beta=1.0 / inv_beta, beta_naive=1.0 / inv_naive,
+                                         jstar_coeff=jstar_coeff[()],
+                                         jnaive_coeff=jnaive_coeff[()])
 
 
 @dataclass(frozen=True)
@@ -363,41 +362,31 @@ def _estimate(per_path: np.ndarray, method: str) -> JEstimate:
                      stderr=stderr, method=method)
 
 
-def _with_confusion(config: SystemConfig, confusion) -> SystemConfig:
-    if confusion is None:
-        return config
-    if not isinstance(confusion, ConfusionMatrix):
-        confusion = ConfusionMatrix(confusion)
-    return config.with_confusion(confusion)
-
-
 def jstar(confusion, config: SystemConfig, w_paths: WorkloadPathSet,
           method: str = "auto") -> JEstimate:
     """Expected integrated cost of the optimal workload split along W paths.
 
     method "coefficient" uses the quadratic closed form; "general" re-solves
-    the allocation at every grid point (any convex costs); "auto" picks the
-    closed form when available.
+    the allocation at every grid point (any convex costs; every predicted
+    label must be non-empty); "auto" picks the closed form when available.
     """
-    cfg = _with_confusion(config, confusion)
     if method not in ("auto", "coefficient", "general"):
         raise ConfigError(f"unknown jstar method {method!r}")
     if method == "auto":
-        method = "coefficient" if cfg.all_quadratic() else "general"
+        method = "coefficient" if config.all_quadratic() else "general"
     if method == "coefficient":
-        coeff = quadratic_coefficients(cfg).jstar_coeff
+        coeff = quadratic_coefficients(config, confusion).jstar_coeff
         return _estimate(coeff * 0.5 * w_paths.integral_sq(), "coefficient")
 
-    params = derive_predicted_params(cfg)
-    split = kkt_solve(w_paths.values[:, :-1], params, cfg.costs)  # left endpoints
-    return _estimate(split.objective @ np.diff(w_paths.grid), "general")
+    cfg = config if confusion is None else config.with_confusion(confusion)
+    split = kkt_solve(w_paths.values[:, :-1], derive_predicted_params(cfg), cfg.costs)
+    return _estimate(split.objective @ np.diff(w_paths.grid), "general")  # left endpoints
 
 
 def jnaive(confusion, config: SystemConfig, w_paths: WorkloadPathSet) -> JEstimate:
     """Integrated cost when workload is split by label-only stiffness but
     charged at the true mixture costs (quadratic only)."""
-    cfg = _with_confusion(config, confusion)
-    coeff = quadratic_coefficients(cfg).jnaive_coeff
+    coeff = quadratic_coefficients(config, confusion).jnaive_coeff
     return _estimate(coeff * 0.5 * w_paths.integral_sq(), "coefficient")
 
 
@@ -405,10 +394,8 @@ def relative_regret(confusion, config: SystemConfig) -> float:
     """jstar coefficient under this classifier over the perfect-classifier
     coefficient.  >= 1, equal to 1 iff the classifier costs nothing; the W
     factor cancels, so the ratio needs no simulation."""
-    cfg = _with_confusion(config, confusion)
-    ident = ConfusionMatrix.identity(config.n_classes)
-    num = quadratic_coefficients(cfg).jstar_coeff
-    den = quadratic_coefficients(config.with_confusion(ident)).jstar_coeff
+    num = quadratic_coefficients(config, confusion).jstar_coeff
+    den = quadratic_coefficients(config, np.eye(config.n_classes)).jstar_coeff
     return float(num / den)
 
 
@@ -423,15 +410,13 @@ class RankedModel:
 def rank_models(models: Sequence[tuple], config: SystemConfig) -> list:
     """Order candidate confusion matrices by scheduling regret (ascending).
 
-    models is a sequence of (name, confusion) pairs.  Sorting is stable, so
-    exact ties keep input order.
+    models is a sequence of (name, confusion) pairs, priced as one stack.
+    Sorting is stable, so exact ties keep input order.
     """
-    ident = ConfusionMatrix.identity(config.n_classes)
-    den = quadratic_coefficients(config.with_confusion(ident)).jstar_coeff
-    ranked = []
-    for name, confusion in models:
-        coeffs = quadratic_coefficients(_with_confusion(config, confusion))
-        ranked.append(RankedModel(str(name), float(coeffs.jstar_coeff / den),
-                                  coeffs.jstar_coeff, coeffs.jnaive_coeff))
-    ranked.sort(key=lambda m: m.relative_regret)
-    return ranked
+    k = config.n_classes
+    stack = np.array([getattr(q, "entries", q) for _, q in models] or np.empty((0, k, k)))
+    coeffs = quadratic_coefficients(config, stack)
+    regret = coeffs.jstar_coeff / quadratic_coefficients(config, np.eye(k)).jstar_coeff
+    return [RankedModel(str(models[i][0]), float(regret[i]), float(coeffs.jstar_coeff[i]),
+                        float(coeffs.jnaive_coeff[i]))
+            for i in np.argsort(regret, kind="stable")]

@@ -117,7 +117,7 @@ class ConfusionMatrix:
         """Structural problems, as stable codes with detail (used by validate_config)."""
         out = []
         q = self.entries
-        if np.any(q < 0) or np.any(q > 1):
+        if not np.all((q >= 0) & (q <= 1)):  # NaN included
             out.append("EntryOutOfRange: confusion entries must lie in [0, 1]")
         bad = np.nonzero(np.abs(q.sum(axis=1) - 1.0) > _ROW_SUM_TOL)[0]
         for k in bad:

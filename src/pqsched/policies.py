@@ -19,15 +19,13 @@ sanity anchor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError
 from .model import (
-    CostFn,
-    MixtureCost,
     PredictedClassParams,
     SystemConfig,
     derive_predicted_params,
@@ -37,32 +35,9 @@ from .model import (
 __all__ = [
     "POLICY_KINDS",
     "PolicyRef",
-    "pcmu_index",
-    "naive_gcmu_index",
-    "oracle_gcmu_index",
 ]
 
 POLICY_KINDS = ("oracle", "naive", "pcmu", "fcfs")
-
-
-def pcmu_index(l: int, counts, params: PredictedClassParams, costs: Sequence[CostFn]) -> float:
-    """mu~_l * C~_l'(N~_l / lam~_l) for predicted class l; counts are per predicted class."""
-    n = counts[l]
-    mix = mixture_cost(l, params, costs)
-    return float(params.mu_tilde[l] * mix.prime(n / params.lambda_tilde[l]))
-
-
-def naive_gcmu_index(l: int, counts, params: PredictedClassParams, costs: Sequence[CostFn]) -> float:
-    """mu~_l * C_l'(N~_l / lam~_l): the label-l cost applied as if labels were truth."""
-    n = counts[l]
-    return float(params.mu_tilde[l] * costs[l].prime(n / params.lambda_tilde[l]))
-
-
-def oracle_gcmu_index(k: int, counts, config: SystemConfig) -> float:
-    """mu_k * C_k'(N_k / lam_k); counts are per true class."""
-    n = counts[k]
-    lam_k = config.lam * config.prevalences[k]
-    return float(config.service_rates[k] * config.costs[k].prime(n / lam_k))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ConfigError, EmptyClassError, EmptyGridError, EmptyPassError
-from .httheory import bm_workload_paths
+from .httheory import bm_workload_paths, stiffness_coefficients
 from .model import ConfusionMatrix, CostFn, SystemConfig, load_json
 
 __all__ = [
@@ -267,12 +267,9 @@ def _design(z_fl, z_tx, config: TriageConfig, mc: Optional[McParams] = None,
     """(ReviewerParams, {term: array}) at arrays of thresholds: one np.interp
     per curve, then one elementwise formula per term, the reviewer's queue
     cost only given mc; NaN where nothing passes the filter, or an
-    EmptyPassError if passing is set.
-
-    The reviewer's queue coefficient jstar_coeff = 1 / sum_l 1/beta_l has
-    beta_l = mu~_l c~_l / rho~_l = m_l / (lam_r s_l^2), with s_l = sum_k p_k
-    q_kl / mu_k and m_l = sum_k p_k q_kl c_k.  An empty predicted label has
-    beta_l = inf and adds 0: the one-class limit.
+    EmptyPassError if passing is set.  The reviewer's queue coefficient is
+    the jstar_coeff of stiffness_coefficients, so an empty predicted label
+    takes the one-class limit.
     """
     z_fl, z_tx = np.broadcast_arrays(np.asarray(z_fl, dtype=float), np.asarray(z_tx, dtype=float))
     g_fl, g_tx = np.stack([np.interp(np.stack([z_fl, z_tx]), config.curves.grid, v)
@@ -303,9 +300,7 @@ def _design(z_fl, z_tx, config: TriageConfig, mc: Optional[McParams] = None,
         q_split = pass_prob / gamma
         count_var_rate = q_split * q_split * L ** 3 * max(c_u, 0.0) + L * q_split * (1.0 - q_split)
         terms["variance"] = lam_r * np.maximum(c_v, 0.0) + mean_work * mean_work * count_var_rate
-        s = (mass / mu[:, None]).sum(axis=-2)
-        inv_beta = np.divide(s * s, m, out=np.zeros_like(m), where=m > 0)
-        coeff = 1.0 / (lam_r * inv_beta.sum(axis=-1))
+        coeff = stiffness_coefficients(lam_r, p_mix, mu, c, q)[2]
     if mc is not None:
         base = _unit_rbm_mean_isq(mc.n_paths, mc.n_steps, mc.seed, mc.horizon)
         terms["queue"] = coeff * 0.5 * terms["variance"] * base

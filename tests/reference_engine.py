@@ -8,7 +8,11 @@ to serve after every arrival and completion.  Its result, `RefPath`, carries
 the fields the old `PathResult` had (a list of mutable jobs plus the curves),
 so each column of the new result can be compared with the corresponding
 attribute of the jobs here.  `sample_classification` is the label draw for
-a single job.
+a single job.  `pcmu_index`, `naive_gcmu_index` and `oracle_gcmu_index` are
+the three index rules written out one class at a time, as pqsched used to
+export them, to check the closed forms `PolicyRef.for_config` resolves.
+`OracleUnavailableError` is raised when the oracle policy asks a blind
+`QueueState` for true-class counts.
 
 Nothing in `src/` imports this module.
 """
@@ -18,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -27,15 +31,43 @@ from scipy.special import ndtri
 from pqsched import (
     ConfigError,
     ConfusionMatrix,
+    CostFn,
     Curves,
     EventOverflowError,
-    OracleUnavailableError,
     PolicyRef,
+    PqschedError,
+    PredictedClassParams,
     RateSchedule,
     SystemConfig,
+    mixture_cost,
 )
 
 _INF = float("inf")
+
+
+class OracleUnavailableError(PqschedError):
+    """A true-class-indexed policy was asked to run without true-class visibility."""
+
+
+def pcmu_index(l: int, counts, params: PredictedClassParams, costs: Sequence[CostFn]) -> float:
+    """mu~_l * C~_l'(N~_l / lam~_l) for predicted class l; counts are per predicted class."""
+    n = counts[l]
+    mix = mixture_cost(l, params, costs)
+    return float(params.mu_tilde[l] * mix.prime(n / params.lambda_tilde[l]))
+
+
+def naive_gcmu_index(l: int, counts, params: PredictedClassParams, costs: Sequence[CostFn]) -> float:
+    """mu~_l * C_l'(N~_l / lam~_l): the label-l cost applied as if labels were truth."""
+    n = counts[l]
+    return float(params.mu_tilde[l] * costs[l].prime(n / params.lambda_tilde[l]))
+
+
+def oracle_gcmu_index(k: int, counts, config: SystemConfig) -> float:
+    """mu_k * C_k'(N_k / lam_k); counts are per true class."""
+    n = counts[k]
+    lam_k = config.lam * config.prevalences[k]
+    return float(config.service_rates[k] * config.costs[k].prime(n / lam_k))
+
 
 # Substream indices within a path's Philox stream.
 _SUB_ARRIVALS, _SUB_CLASSES, _SUB_SERVICES, _SUB_LABELS = 0, 1, 2, 3

@@ -3,9 +3,11 @@
 This is the per-point path pqsched used to ship: every (z_fl, z_tx) pair of
 `evaluate_grid` calls `total_cost`, which interpolates the curves one
 threshold at a time, builds the reviewer's two-class `SystemConfig` and
-takes `quadratic_coefficients(...).jstar_coeff` from it.  The functions are
-copied unchanged; the dataclasses they build (`ReviewerParams`,
-`TriageDecision`) and the configs they read stay in `pqsched.triage`.
+takes `quadratic_coefficients(...).jstar_coeff` from it -- here the
+per-config oracle of `reference_coefficients`, so this oracle shares no
+algebra with the stacked coefficient kernel.  The functions are copied
+unchanged; the dataclasses they build (`ReviewerParams`, `TriageDecision`)
+and the configs they read stay in `pqsched.triage`.
 
 Like the old code, this oracle raises `ZeroColumnError` when one of the
 reviewer's predicted labels is empty (z_fl = z_tx, or z_tx = 1).
@@ -20,8 +22,9 @@ from functools import lru_cache
 import numpy as np
 
 from pqsched.errors import ConfigError, EmptyGridError, EmptyPassError
-from pqsched.httheory import bm_workload_paths, quadratic_coefficients
+from pqsched.httheory import bm_workload_paths
 from pqsched.triage import McParams, ReviewerParams, TriageConfig, TriageDecision
+from reference_coefficients import quadratic_coefficients
 
 
 def staffing(z_fl: float, config: TriageConfig) -> float:

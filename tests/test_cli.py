@@ -415,6 +415,24 @@ def test_model_file_without_confusion(runner, tmp_path, config_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("confusion, needle", [
+    ([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
+     "ShapeMismatch: confusion is 3 x 3, config has 2 classes"),
+    ([[0.9, 0.3], [0.2, 0.8]], "RowNotStochastic: row 0 sums to 1.2"),
+    ([[1.5, -0.5], [0.2, 0.8]], "EntryOutOfRange"),
+    ([[float("nan"), 1.0], [0.2, 0.8]], "EntryOutOfRange"),
+])
+def test_malformed_candidate_rejected(runner, tmp_path, confusion, needle):
+    cfg, model = tmp_path / "system.json", tmp_path / "model.json"
+    cfg.write_text(json.dumps(README_CONFIG))
+    model.write_text(json.dumps(confusion))
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["select-model", "--config", str(cfg),
+                                  "--model", str(model), "--out", str(out)])
+    _assert_one_line_error(result, f"{model}: {needle}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value", [("Lambda", "abc"), ("p", 0.5), ("curves", [1, 2])])
 def test_triage_field_of_wrong_type(runner, tmp_path, triage_path, field, value):
     bad = tmp_path / "bad_triage.json"

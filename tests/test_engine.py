@@ -11,7 +11,6 @@ from pqsched import (
     ConfusionMatrix,
     CostFn,
     EventOverflowError,
-    OracleUnavailableError,
     PolicyRef,
     RateSchedule,
     ScheduleNonPositiveError,
@@ -23,7 +22,13 @@ from pqsched import (
 )
 from conftest import make_two_class
 from helpers import exact_int_w2, workload_at_horizon
-from reference_engine import QueueState, composition_snapshot, decide, sample_classification
+from reference_engine import (
+    OracleUnavailableError,
+    QueueState,
+    composition_snapshot,
+    decide,
+    sample_classification,
+)
 
 
 def _det_config(**overrides):

@@ -8,12 +8,9 @@ from pqsched import (
     PolicyRef,
     PredictedClassParams,
     derive_predicted_params,
-    naive_gcmu_index,
-    oracle_gcmu_index,
-    pcmu_index,
 )
 from conftest import make_two_class
-from reference_engine import decide
+from reference_engine import decide, naive_gcmu_index, oracle_gcmu_index, pcmu_index
 
 
 def _plain_params():
