@@ -179,7 +179,10 @@ def cmd_lower_bound(config_path, paths, steps, seed, out_dir):
                   [(name, _fmt(value)) for name, value in rows])
     for name, value in rows:
         click.echo(f"{name} = {value:.8g}")
-    click.echo(f"manifest: {run.finish()}")
+    manifest = run.finish(expected_integral_sq=0.5 * v * config.horizon ** 2,
+                          integral_sq_mean=float(w.integral_sq().mean()),
+                          rbm_block_rows=ht.RBM_BLOCK_ROWS)
+    click.echo(f"manifest: {manifest}")
 
 
 def _load_candidate(path: str, k: int):

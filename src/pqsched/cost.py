@@ -59,11 +59,6 @@ class CostCurve:
     values: np.ndarray
     charging_rule: str
 
-    def at(self, t: float) -> float:
-        """Right-continuous step evaluation."""
-        i = int(np.searchsorted(self.grid, t, side="right")) - 1
-        return float(self.values[max(i, 0)])
-
 
 def _job_costs(path: PathResult, config: SystemConfig, rule: str) -> np.ndarray:
     if rule not in _RULES:
@@ -180,16 +175,9 @@ def replicate(config: SystemConfig, policy, n_paths: int, base_seed: int,
     values = np.vstack(rows)  # (n_paths, n_times), row i = seed base_seed+i
     mean = values.mean(axis=0)
     stderr = values.std(axis=0, ddof=1) / np.sqrt(n_paths)
-    return ReplicationSummary(
-        policy_kind=policy.kind,
-        n_paths=n_paths,
-        base_seed=base_seed,
-        charging_rule=rule,
-        grid=eval_times,
-        mean=mean,
-        stderr=stderr,
-        terminal_costs=values[:, -1].copy(),
-    )
+    return ReplicationSummary(policy_kind=policy.kind, n_paths=n_paths, base_seed=base_seed,
+                              charging_rule=rule, grid=eval_times, mean=mean, stderr=stderr,
+                              terminal_costs=values[:, -1].copy())
 
 
 def compare_policies(config: SystemConfig, kinds: Sequence[str], n_paths: int,

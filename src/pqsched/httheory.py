@@ -17,25 +17,15 @@ coefficient machinery scores a confusion matrix before any simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import (
-    BracketFailureError,
-    ConfigError,
-    NonFiniteMomentError,
-    NonQuadraticError,
-)
-from .model import (
-    MixtureCost,
-    PredictedClassParams,
-    SystemConfig,
-    derive_predicted_params,
-    mixture_cost,
-)
+from .errors import BracketFailureError, ConfigError, NonFiniteMomentError, NonQuadraticError
+from .model import (MixtureCost, PredictedClassParams, SystemConfig, derive_predicted_params,
+                    mixture_cost)
 
 __all__ = [
     "Moments",
@@ -60,21 +50,11 @@ KKT_TOL = 1e-10
 _KKT_MAX_ITER = 200
 # kkt_solve works through at most this many workloads at a time
 _KKT_BLOCK = 2 ** 16
+# WorkloadPathSet draws, reflects and reduces this many paths at a time
+RBM_BLOCK_ROWS = 128
 # uniform draws are clipped into the open unit interval before the normal
 # inverse CDF so a measure-zero 0.0 draw cannot produce -inf
 _U_EPS = 2.0 ** -53
-
-
-# ---------------------------------------------------------------------------
-# reflection map
-# ---------------------------------------------------------------------------
-
-def _reflect_matrix(x: np.ndarray) -> np.ndarray:
-    """phi(x)(t) = x(t) - min(0, inf_{s<=t} x(s)) along each row of x: the
-    minimal nonnegative version of the path, pushed up only when it would go
-    negative."""
-    running_min = np.minimum.accumulate(x, axis=1)
-    return x - np.minimum(0.0, running_min)
 
 
 # ---------------------------------------------------------------------------
@@ -132,45 +112,68 @@ def workload_variance_rate(config: SystemConfig, moments: Optional[Moments] = No
 
 @dataclass(frozen=True)
 class WorkloadPathSet:
-    """Monte Carlo sample of reflected workload paths on a shared grid."""
+    """Reflected workload paths W = phi(sqrt(v) B) from zero on a shared grid.
+    Only each path's left-Riemann integral of W^2 is kept (integral_sq, jstar
+    and jnaive take O(RBM_BLOCK_ROWS x len(grid)) memory); blocks() redraws
+    the paths from the seed, and values stacks them on request."""
 
     grid: np.ndarray
-    values: np.ndarray  # (n_paths, len(grid))
+    n_paths: int
     variance_rate: float
     seed: int
+    isq: np.ndarray = field(init=False, repr=False)
 
-    def __len__(self) -> int:
-        return self.values.shape[0]
+    def __post_init__(self):
+        dt = np.diff(self.grid)
+        isq = np.concatenate([(w[:, :-1] ** 2) @ dt for w in self.blocks()])  # left endpoints
+        isq.setflags(write=False)
+        object.__setattr__(self, "isq", isq)
 
     def integral_sq(self) -> np.ndarray:
-        """Left-endpoint Riemann sum of W(t)^2 over the grid, per path."""
-        dt = np.diff(self.grid)
-        return (self.values[:, :-1] ** 2) @ dt
+        """Left-endpoint Riemann sum of W(t)^2 over the grid, per path (read-only)."""
+        return self.isq
+
+    def blocks(self):
+        """The paths RBM_BLOCK_ROWS rows at a time, as views of one reused buffer.
+        Philox uniforms are drawn in row order, so the blocks stack to one matrix
+        whatever their size.  A one-row remainder joins the block before it:
+        numpy takes a one-row product by a dot kernel that rounds unlike gemv."""
+        n, n_steps = self.n_paths, self.grid.size - 1
+        rng = np.random.Generator(np.random.Philox(key=self.seed))
+        scale = np.sqrt(self.variance_rate * (self.grid[-1] / n_steps))
+        path, scratch = np.empty((2, min(n, RBM_BLOCK_ROWS + 1), n_steps + 1))
+        stops = [*range(RBM_BLOCK_ROWS, n - 1, RBM_BLOCK_ROWS), n]
+        for start, stop in zip([0] + stops[:-1], stops):
+            w, s = path[:stop - start], scratch[:stop - start]
+            z = s.reshape(-1)[:w.size - len(w)].reshape(-1, n_steps)  # contiguous, for rng.random
+            ndtri(np.clip(rng.random(out=z), _U_EPS, 1.0 - _U_EPS, out=z), out=z)
+            w[:, 0] = 0.0
+            np.cumsum(np.multiply(scale, z, out=w[:, 1:]), axis=1, out=w[:, 1:])
+            # reflect: phi(x)(t) = x(t) - min(0, inf_{s<=t} x(s))
+            np.minimum(0.0, np.minimum.accumulate(w, axis=1, out=s), out=s)
+            yield np.subtract(w, s, out=w)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Every path as one (n_paths, len(grid)) matrix, drawn anew."""
+        out, i = np.empty((self.n_paths, self.grid.size)), 0
+        for w in self.blocks():
+            out[i:i + len(w)] = w
+            i += len(w)
+        return out
 
 
 def bm_workload_paths(variance_rate: float, n_steps: int, horizon: float,
                       n_paths: int, seed: int) -> WorkloadPathSet:
-    """Driftless reflected Brownian paths W = phi(sqrt(v) B) from zero.
-
-    Gaussian increments come from the inverse normal CDF applied to Philox
-    uniforms, so a (seed, shape) pair pins the sample exactly.
-    """
+    """Driftless reflected Brownian paths W = phi(sqrt(v) B) from zero, drawn
+    and reduced here block by block; a (seed, shape) pair pins them exactly."""
     if n_steps < 100:
         raise ConfigError("need n_steps >= 100 for a usable Euler grid")
     if n_paths < 1:
         raise ConfigError("need n_paths >= 1")
     if horizon <= 0 or variance_rate < 0:
         raise ConfigError("need horizon > 0 and variance_rate >= 0")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    dt = horizon / n_steps
-    u = rng.random((n_paths, n_steps))
-    z = ndtri(np.clip(u, _U_EPS, 1.0 - _U_EPS))
-    increments = np.sqrt(variance_rate * dt) * z
-    x = np.empty((n_paths, n_steps + 1))
-    x[:, 0] = 0.0
-    np.cumsum(increments, axis=1, out=x[:, 1:])
-    grid = np.linspace(0.0, horizon, n_steps + 1)
-    return WorkloadPathSet(grid=grid, values=_reflect_matrix(x),
+    return WorkloadPathSet(grid=np.linspace(0.0, horizon, n_steps + 1), n_paths=int(n_paths),
                            variance_rate=float(variance_rate), seed=int(seed))
 
 
@@ -330,15 +333,23 @@ def stiffness_coefficients(lam, p, mu, c, q) -> tuple:
     return inv_beta, inv_naive, 1.0 / (lam * u.sum(axis=-1)), jnaive.sum(axis=-1)
 
 
+def _confusions(q, k: int, what: str = "confusion") -> np.ndarray:
+    """q, a ConfusionMatrix or array, as floats of shape (..., k, k), else a ConfigError."""
+    q = np.asarray(getattr(q, "entries", q), dtype=float)
+    if q.shape[-2:] != (k, k):
+        raise ConfigError(f"{what} of shape {q.shape} does not fit a {k}-class config")
+    return q
+
+
 def quadratic_coefficients(config: SystemConfig, confusion=None) -> QuadraticCostCoefficients:
     """Coefficients of config under its own classifier, or under confusion:
     one K x K matrix, or a stack of shape (..., K, K) priced in one pass."""
     if not config.all_quadratic():
         raise NonQuadraticError("coefficient formulas require power-2 costs")
-    q = config.confusion if confusion is None else confusion
+    q = _confusions(config.confusion if confusion is None else confusion, config.n_classes)
     inv_beta, inv_naive, jstar_coeff, jnaive_coeff = stiffness_coefficients(
         config.lam, config.prevalences, config.service_rates,
-        np.array([fn.coeff for fn in config.costs]), getattr(q, "entries", q))
+        np.array([fn.coeff for fn in config.costs]), q)
     with np.errstate(divide="ignore"):
         return QuadraticCostCoefficients(beta=1.0 / inv_beta, beta_naive=1.0 / inv_naive,
                                          jstar_coeff=jstar_coeff[()],
@@ -379,8 +390,10 @@ def jstar(confusion, config: SystemConfig, w_paths: WorkloadPathSet,
         return _estimate(coeff * 0.5 * w_paths.integral_sq(), "coefficient")
 
     cfg = config if confusion is None else config.with_confusion(confusion)
-    split = kkt_solve(w_paths.values[:, :-1], derive_predicted_params(cfg), cfg.costs)
-    return _estimate(split.objective @ np.diff(w_paths.grid), "general")  # left endpoints
+    params, dt = derive_predicted_params(cfg), np.diff(w_paths.grid)
+    per_path = [kkt_solve(w[:, :-1], params, cfg.costs).objective @ dt  # left endpoints
+                for w in w_paths.blocks()]
+    return _estimate(np.concatenate(per_path), "general")
 
 
 def jnaive(confusion, config: SystemConfig, w_paths: WorkloadPathSet) -> JEstimate:
@@ -414,7 +427,8 @@ def rank_models(models: Sequence[tuple], config: SystemConfig) -> list:
     Sorting is stable, so exact ties keep input order.
     """
     k = config.n_classes
-    stack = np.array([getattr(q, "entries", q) for _, q in models] or np.empty((0, k, k)))
+    stack = np.array([_confusions(q, k, f"candidate {name!r}") for name, q in models]
+                     or np.empty((0, k, k)))
     coeffs = quadratic_coefficients(config, stack)
     regret = coeffs.jstar_coeff / quadratic_coefficients(config, np.eye(k)).jstar_coeff
     return [RankedModel(str(models[i][0]), float(regret[i]), float(coeffs.jstar_coeff[i]),

@@ -276,13 +276,8 @@ def derive_predicted_params(config: SystemConfig) -> PredictedClassParams:
     mu_tilde = lambda_tilde / rho_tilde
     mix_weights = (p[:, None] * q) / p_tilde[None, :]
 
-    return PredictedClassParams(
-        p_tilde=p_tilde,
-        lambda_tilde=lambda_tilde,
-        mu_tilde=mu_tilde,
-        rho_tilde=rho_tilde,
-        mix_weights=mix_weights,
-    )
+    return PredictedClassParams(p_tilde=p_tilde, lambda_tilde=lambda_tilde, mu_tilde=mu_tilde,
+                                rho_tilde=rho_tilde, mix_weights=mix_weights)
 
 
 class MixtureCost:
@@ -305,10 +300,8 @@ class MixtureCost:
             raise ConfigError("mixture weights and costs must align")
         powers = {c.power for c, w in zip(self.costs, self.weights) if w > 0}
         self.common_power = powers.pop() if len(powers) == 1 else None
-        if self.common_power is not None:
-            self.coeff = float(sum(w * c.coeff for c, w in zip(self.costs, self.weights)))
-        else:
-            self.coeff = None
+        self.coeff = (None if self.common_power is None
+                      else float(sum(w * c.coeff for c, w in zip(self.costs, self.weights))))
 
     def __call__(self, t):
         return sum(w * c(t) for c, w in zip(self.costs, self.weights) if w > 0)

@@ -35,7 +35,7 @@ from scipy.special import ndtr
 
 from .errors import ConfigError, EmptyClassError, EmptyGridError, EmptyPassError
 from .httheory import bm_workload_paths, stiffness_coefficients
-from .model import ConfusionMatrix, CostFn, SystemConfig, load_json
+from .model import load_json
 
 __all__ = [
     "PassingCurves",
@@ -241,18 +241,6 @@ class ReviewerParams:
     q: np.ndarray
     c_mix: np.ndarray
 
-    def to_system_config(self, config: TriageConfig,
-                         horizon: float = 1.0) -> SystemConfig:
-        """The reviewer's SystemConfig (scalar thresholds only)."""
-        return SystemConfig(
-            lam=self.lam_r,
-            prevalences=self.p_mix,
-            service_rates=np.asarray(config.mu, dtype=float),
-            costs=(CostFn(config.delay_costs[0]), CostFn(config.delay_costs[1])),
-            confusion=ConfusionMatrix(self.q),
-            horizon=horizon,
-        )
-
 
 @lru_cache(maxsize=8)
 def _unit_rbm_mean_isq(n_paths: int, n_steps: int, seed: int, horizon: float) -> float:
@@ -266,7 +254,7 @@ def _design(z_fl, z_tx, config: TriageConfig, mc: Optional[McParams] = None,
             passing: bool = False) -> tuple:
     """(ReviewerParams, {term: array}) at arrays of thresholds: one np.interp
     per curve, then one elementwise formula per term, the reviewer's queue
-    cost only given mc; NaN where nothing passes the filter, or an
+    cost only given mc; NaN where no reviewer is staffed, or an
     EmptyPassError if passing is set.  The reviewer's queue coefficient is
     the jstar_coeff of stiffness_coefficients, so an empty predicted label
     takes the one-class limit.
@@ -301,14 +289,23 @@ def _design(z_fl, z_tx, config: TriageConfig, mc: Optional[McParams] = None,
         count_var_rate = q_split * q_split * L ** 3 * max(c_u, 0.0) + L * q_split * (1.0 - q_split)
         terms["variance"] = lam_r * np.maximum(c_v, 0.0) + mean_work * mean_work * count_var_rate
         coeff = stiffness_coefficients(lam_r, p_mix, mu, c, q)[2]
+    if passing:
+        _check_staffed(gamma <= 0.0, pass_prob, z_fl)
     if mc is not None:
         base = _unit_rbm_mean_isq(mc.n_paths, mc.n_steps, mc.seed, mc.horizon)
         terms["queue"] = coeff * 0.5 * terms["variance"] * base
-    if passing and np.any(pass_prob <= 0.0):
-        raise EmptyPassError(f"no content passes the filter at z_fl={z_fl[pass_prob <= 0.0][0]}")
     params = ReviewerParams(z_fl=z_fl[()], z_tx=z_tx[()], gamma=gamma[()], lam_r=lam_r[()],
                             pass_prob=pass_prob[()], p_mix=p_mix, q=q, c_mix=c_mix)
     return params, terms
+
+
+def _check_staffed(unstaffed, pass_prob, z_fl):
+    """EmptyPassError at the first unstaffed point: nothing passes the filter
+    there, or so little that Gamma underflows to 0."""
+    for i in np.flatnonzero(unstaffed)[:1]:
+        why = ("no content passes the filter" if pass_prob.flat[i] <= 0.0
+               else "the reviewer count Gamma underflows to 0")
+        raise EmptyPassError(f"{why} at z_fl={z_fl.flat[i]}")
 
 
 def staffing(z_fl, config: TriageConfig):
@@ -382,6 +379,7 @@ def _decisions(z_fl, z_tx, config: TriageConfig, mc: McParams) -> TriageDecision
     params, terms = _design(z_fl, z_tx, config, mc)
     # where everything is auto-resolved: no reviewers, no labels, no queues
     passes = np.asarray(params.pass_prob) > 0.0
+    _check_staffed(passes & (terms["gamma"] <= 0.0), np.asarray(params.pass_prob), z_fl)
     gamma = np.where(passes, terms["gamma"], 0.0)
     queueing = np.where(passes, gamma * terms["queue"], 0.0)
     return TriageDecision(

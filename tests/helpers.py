@@ -1,6 +1,10 @@
 """Shared test utilities (no pytest imports here)."""
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from pqsched import ConfusionMatrix, CostFn, SystemConfig, WorkloadPathSet
 
 
 def exact_int_w2(path) -> float:
@@ -27,3 +31,41 @@ def workload_at_horizon(path) -> float:
         return 0.0
     w = float(path.arrival_workloads[-1])
     return max(w - (path.horizon - float(t[-1])), 0.0)
+
+
+def reviewer_system_config(params, config, horizon: float = 1.0):
+    """A reviewer's two-class SystemConfig at scalar thresholds: arrival rate
+    lam_r, the passing mix, the triage service rates and delay costs, and the
+    threshold rule's confusion matrix."""
+    return SystemConfig(
+        lam=params.lam_r,
+        prevalences=params.p_mix,
+        service_rates=np.asarray(config.mu, dtype=float),
+        costs=(CostFn(config.delay_costs[0]), CostFn(config.delay_costs[1])),
+        confusion=ConfusionMatrix(params.q),
+        horizon=horizon,
+    )
+
+
+def curve_at(curve, t: float) -> float:
+    """Right-continuous step evaluation of a CostCurve at time t."""
+    i = int(np.searchsorted(curve.grid, t, side="right")) - 1
+    return float(curve.values[max(i, 0)])
+
+
+@dataclass(frozen=True)
+class GivenPaths(WorkloadPathSet):
+    """A WorkloadPathSet over given rows (one path each) instead of RBM draws:
+    blocks() yields the matrix as one block, which the set reduces exactly as
+    it reduces drawn blocks."""
+
+    matrix: np.ndarray = None
+
+    def blocks(self):
+        yield self.matrix
+
+
+def given_paths(grid, values, variance_rate: float = 1.0, seed: int = 0) -> GivenPaths:
+    values = np.asarray(values, dtype=float)
+    return GivenPaths(grid=np.asarray(grid, dtype=float), n_paths=len(values),
+                      variance_rate=variance_rate, seed=seed, matrix=values)

@@ -24,6 +24,7 @@ import numpy as np
 from pqsched.errors import ConfigError, EmptyGridError, EmptyPassError
 from pqsched.httheory import bm_workload_paths
 from pqsched.triage import McParams, ReviewerParams, TriageConfig, TriageDecision
+from helpers import reviewer_system_config
 from reference_coefficients import quadratic_coefficients
 
 
@@ -46,6 +47,8 @@ def reviewer_params(z, config: TriageConfig) -> ReviewerParams:
     if pass_prob <= 0.0:
         raise EmptyPassError(f"no content passes the filter at z_fl={z_fl}")
     gamma = staffing(z_fl, config)
+    if gamma <= 0.0:
+        raise EmptyPassError(f"the reviewer count Gamma underflows to 0 at z_fl={z_fl}")
     p_mix = weights / pass_prob
     q = np.empty((2, 2))
     for k in range(2):
@@ -130,7 +133,7 @@ def reviewer_queue_cost(z, config: TriageConfig, mc: McParams = McParams()) -> f
     per-reviewer variance rate.
     """
     params = reviewer_params(z, config)
-    cfg = params.to_system_config(config, horizon=mc.horizon)
+    cfg = reviewer_system_config(params, config, horizon=mc.horizon)
     coeff = quadratic_coefficients(cfg).jstar_coeff
     v = reviewer_variance_rate(params.z_fl, config)
     base = _unit_rbm_mean_isq(mc.n_paths, mc.n_steps, mc.seed, mc.horizon)

@@ -35,7 +35,7 @@ from pqsched import (
 )
 from pqsched.cli import main as cli_main
 from pqsched.model import mixture_cost
-from helpers import exact_int_w2
+from helpers import exact_int_w2, reviewer_system_config
 
 
 def _verdict(ok, n, detail):
@@ -432,7 +432,7 @@ def test_criterion_09_triage_shapes():
     z = (0.376, 0.5)
     rbm = reviewer_queue_cost(z, cfg3, McParams(n_paths=4000, n_steps=2000,
                                                 seed=17, horizon=10.0))
-    sys_cfg = reviewer_params(z, cfg3).to_system_config(cfg3, horizon=10.0)
+    sys_cfg = reviewer_system_config(reviewer_params(z, cfg3), cfg3, horizon=10.0)
     assert abs(sys_cfg.rho - 1.0) < 1e-9
     n = 1200
     des = np.array([

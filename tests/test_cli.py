@@ -128,6 +128,22 @@ def test_lower_bound_outputs(runner, tmp_path, config_path):
     assert _manifest(out)["grids"] == {"n_steps": 120}
 
 
+def test_lower_bound_manifest_records_exact_integral_and_block_rows(runner, tmp_path, config_path):
+    out = tmp_path / "lb"
+    result = runner.invoke(main, ["lower-bound", "--config", str(config_path), "--paths", "300",
+                                  "--steps", "120", "--seed", "7", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    man = _manifest(out)
+    cfg = make_two_class(lam=20.0)
+    w = pqsched.bm_workload_paths(workload_variance_rate(cfg), 120, cfg.horizon, 300, 7)
+    assert man["expected_integral_sq"] == 0.5 * workload_variance_rate(cfg) * cfg.horizon ** 2
+    assert man["integral_sq_mean"] == float(w.integral_sq().mean())
+    assert man["rbm_block_rows"] == pqsched.httheory.RBM_BLOCK_ROWS == 128
+    # the lower-bound table itself carries neither
+    names = [row[0] for row in _read_csv(out / "lower_bound.csv")[1:]]
+    assert "expected_integral_sq" not in names and "integral_sq_mean" not in names
+
+
 # ------------------------------------------------------------- select-model
 
 def test_select_model_ranks(runner, tmp_path, config_path):

@@ -20,6 +20,7 @@ from pqsched import (
     terminal_cost,
 )
 from conftest import make_two_class
+from helpers import curve_at
 
 
 def _job(jid, arrival, true_class, predicted, service, completion=None):
@@ -52,9 +53,9 @@ def test_single_completed_job_cost(two_class_config):
     cfg = make_two_class(costs=(CostFn(2.0), CostFn(2.0)))
     path = _fake_path([_job(0, 1.0, 0, 0, 1.0, completion=4.0)])
     curve = path_cost(path, cfg)
-    assert curve.at(0.5) == 0.0
-    assert curve.at(1.0) == pytest.approx(9.0)
-    assert curve.at(10.0) == pytest.approx(9.0)
+    assert curve_at(curve, 0.5) == 0.0
+    assert curve_at(curve, 1.0) == pytest.approx(9.0)
+    assert curve_at(curve, 10.0) == pytest.approx(9.0)
     assert terminal_cost(path, cfg) == pytest.approx(9.0)
     assert curve.charging_rule == TRUNCATE_AT_HORIZON
 
@@ -63,7 +64,7 @@ def test_misclassified_job_charged_by_true_class(two_class_config):
     # true class 1 mislabeled as 1st class still pays the class-2 rate (10)
     path = _fake_path([_job(0, 1.0, 1, 0, 1.0, completion=3.0)])
     curve = path_cost(path, two_class_config)
-    assert curve.at(10.0) == pytest.approx(10.0 / 2.0 * 4.0)   # (10/2) * 2^2
+    assert curve_at(curve, 10.0) == pytest.approx(10.0 / 2.0 * 4.0)   # (10/2) * 2^2
 
 
 def test_truncate_vs_completed_rules(two_class_config):
@@ -85,15 +86,15 @@ def test_curve_monotone_and_right_continuous(two_class_config):
     assert curve.values[0] == 0.0
     assert np.all(np.diff(curve.values) >= 0.0)
     # step lands exactly at the second arrival: right-continuous evaluation
-    before = curve.at(3.0 - 1e-9)
-    at = curve.at(3.0)
+    before = curve_at(curve, 3.0 - 1e-9)
+    at = curve_at(curve, 3.0)
     assert at > before
-    assert curve.at(3.0 + 1e-9) == at
+    assert curve_at(curve, 3.0 + 1e-9) == at
     # custom evaluation grid is honored
     grid = np.array([0.0, 2.0, 9.0])
     curve2 = path_cost(path, two_class_config, grid=grid)
     assert np.array_equal(curve2.grid, grid)
-    assert curve2.values[1] == pytest.approx(curve.at(2.0))
+    assert curve2.values[1] == pytest.approx(curve_at(curve, 2.0))
 
 
 def test_empty_path_zero_cost(two_class_config):

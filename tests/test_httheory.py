@@ -14,7 +14,6 @@ from pqsched import (
     Moments,
     NonFiniteMomentError,
     NonQuadraticError,
-    WorkloadPathSet,
     bm_workload_paths,
     derive_predicted_params,
     jnaive,
@@ -28,8 +27,9 @@ from pqsched import (
     two_class_xstar,
     workload_variance_rate,
 )
-from pqsched.httheory import _reflect_matrix
 from conftest import make_two_class
+from helpers import given_paths
+from reference_rbm import reflect_matrix
 
 IDENTITY = ((1.0, 0.0), (0.0, 1.0))
 
@@ -38,7 +38,7 @@ IDENTITY = ((1.0, 0.0), (0.0, 1.0))
 
 def reflect(x):
     """The reflection map on one path, as a one-row matrix."""
-    return _reflect_matrix(np.asarray(x, dtype=float)[None, :])[0]
+    return reflect_matrix(np.asarray(x, dtype=float)[None, :])[0]
 
 
 def test_reflect_worked_example():
@@ -193,9 +193,9 @@ def test_bm_integral_consistency_across_step_counts():
 
 
 def test_integral_sq_left_riemann():
-    ws = WorkloadPathSet(grid=np.array([0.0, 0.5, 1.0]),
-                         values=np.array([[0.0, 2.0, 3.0]]),
-                         variance_rate=1.0, seed=0)
+    ws = given_paths(grid=np.array([0.0, 0.5, 1.0]),
+                     values=np.array([[0.0, 2.0, 3.0]]),
+                     variance_rate=1.0, seed=0)
     # left Riemann: 0^2 * 0.5 + 2^2 * 0.5
     assert ws.integral_sq() == pytest.approx([2.0])
 
@@ -372,9 +372,9 @@ def test_jstar_coeff_is_simplex_minimum(q12, q21):
 # --------------------------------------------------------------- J bounds
 
 def _unit_paths():
-    return WorkloadPathSet(grid=np.array([0.0, 0.5, 1.0]),
-                           values=np.array([[0.0, 2.0, 3.0]]),
-                           variance_rate=1.0, seed=0)
+    return given_paths(grid=np.array([0.0, 0.5, 1.0]),
+                       values=np.array([[0.0, 2.0, 3.0]]),
+                       variance_rate=1.0, seed=0)
 
 
 def test_jstar_quadratic_scaling(two_class_config):
@@ -427,8 +427,8 @@ def test_jnaive_dominates_jstar(two_class_config):
 
 
 def test_jstar_zero_paths(two_class_config):
-    w = WorkloadPathSet(grid=np.array([0.0, 1.0]),
-                        values=np.zeros((4, 2)), variance_rate=0.0, seed=0)
+    w = given_paths(grid=np.array([0.0, 1.0]),
+                    values=np.zeros((4, 2)), variance_rate=0.0, seed=0)
     est = jstar(two_class_config.confusion, two_class_config, w)
     assert est.mean == 0.0
     assert est.stderr == 0.0
@@ -449,6 +449,14 @@ def test_relative_regret_definition(two_class_config):
         two_class_config.with_confusion(ConfusionMatrix(IDENTITY))).jstar_coeff
     assert got == pytest.approx(noisy / clean, rel=1e-12)
     assert got > 1.0
+
+
+def test_wrong_shape_confusions_are_one_line_config_errors(two_class_config):
+    with pytest.raises(ConfigError, match=r"^confusion of shape \(3, 3\) does not fit a 2-class config$"):
+        quadratic_coefficients(two_class_config, np.eye(3))
+    with pytest.raises(ConfigError,
+                       match=r"^candidate 'big' of shape \(3, 3\) does not fit a 2-class config$"):
+        rank_models([("ok", np.eye(2)), ("big", np.eye(3))], two_class_config)
 
 
 def test_rank_models_orders_and_is_stable(two_class_config):

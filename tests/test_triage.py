@@ -27,6 +27,7 @@ from pqsched import (
     total_cost,
 )
 from pqsched.triage import curves_from_json, triage_config_from_json
+from helpers import reviewer_system_config
 
 GAUSS_CURVES = PassingCurves.from_gaussian_logit((-1.0, -3.0), (1.0, 1.0))
 
@@ -169,7 +170,7 @@ def test_reviewer_intensity_identity():
 def test_reviewer_system_config_is_critical():
     cfg = make_triage()
     params = reviewer_params((0.3, 0.5), cfg)
-    sys_cfg = params.to_system_config(cfg, horizon=2.0)
+    sys_cfg = reviewer_system_config(params, cfg, horizon=2.0)
     assert sys_cfg.rho == pytest.approx(1.0, rel=1e-12)
     assert sys_cfg.horizon == 2.0
     assert [c.coeff for c in sys_cfg.costs] == [15.0, 1.0]
@@ -252,13 +253,13 @@ def test_reviewer_queue_cost_factorization():
     z = (0.3, 0.5)
     got = reviewer_queue_cost(z, cfg, FAST_MC)
     params = reviewer_params(z, cfg)
-    coeff = quadratic_coefficients(params.to_system_config(cfg)).jstar_coeff
+    coeff = quadratic_coefficients(reviewer_system_config(params, cfg)).jstar_coeff
     v = reviewer_variance_rate(0.3, cfg)
     unit = got / (coeff * 0.5 * v)
     # the workload factor is the same unit-RBM mean for any thresholds
     other = reviewer_queue_cost((0.1, 0.7), cfg, FAST_MC)
     params2 = reviewer_params((0.1, 0.7), cfg)
-    coeff2 = quadratic_coefficients(params2.to_system_config(cfg)).jstar_coeff
+    coeff2 = quadratic_coefficients(reviewer_system_config(params2, cfg)).jstar_coeff
     v2 = reviewer_variance_rate(0.1, cfg)
     assert other / (coeff2 * 0.5 * v2) == pytest.approx(unit, rel=1e-12)
     assert got > 0.0

@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqsched import (
     ConfigError,
     EmptyGridError,
+    EmptyPassError,
     McParams,
     PassingCurves,
     TriageConfig,
@@ -98,8 +99,18 @@ def _reference(name, *args):
 thresholds = st.floats(0.0, 1.0) | st.sampled_from((0.0, 0.25, 0.5, 1.0))
 
 
+def underflow_config():
+    """Something passes at z_fl = 1 (the toxic share 5e-324), yet Gamma =
+    Lambda * 5e-324 / mu_0 underflows to 0."""
+    return TriageConfig(Lambda=50000.0, p=(5e-324, 1.0), mu=(50.0, 200.0),
+                        curves=PassingCurves.from_grid([0.0, 1.0], [1.0, 1.0], [1.0, 0.0]),
+                        c_trp=20.0, c_trn=-3.0, c_fp=3.0, c_fn=3.0, c_tp=-3.0, c_tn=-3.0,
+                        c_r=800.0, delay_costs=(15.0, 1.0))
+
+
 @settings(max_examples=150, deadline=None)
 @given(config=triage_configs(), z_fl=thresholds, z_tx=thresholds)
+@example(config=underflow_config(), z_fl=1.0, z_tx=1.0)
 def test_scalar_functions_match_reference(config, z_fl, z_tx):
     for name, args in (("staffing", (z_fl, config)),
                        ("filtering_cost_rate", (z_fl, config)),
@@ -183,6 +194,19 @@ def test_errors_match_reference():
     # an array of thresholds reports its first bad point
     with pytest.raises(ConfigError, match=r"^z_tx=0.1 must be >= z_fl=0.3$"):
         total_cost(([0.1, 0.3, -1.0], [0.2, 0.1, 0.5]), config, MC)
+
+
+def test_gamma_underflow_is_an_empty_pass():
+    config = underflow_config()
+    assert staffing(1.0, config) == 0.0
+    error = (EmptyPassError, "the reviewer count Gamma underflows to 0 at z_fl=1.0")
+    for fn, args in ((reviewer_params, ((1.0, 1.0), config)),
+                     (reviewer_variance_rate, (1.0, config)),
+                     (reviewer_queue_cost, ((1.0, 1.0), config, MC)),
+                     (total_cost, ((1.0, 1.0), config, MC)),
+                     (evaluate_grid, (config, 1.0, [0.5, 1.0], MC))):
+        assert _outcome(fn, *args)[1] == error, fn.__name__
+        assert _reference(fn.__name__, *args)[1] == error, fn.__name__
 
 
 # --------------------------------------------- empty predicted label: the limit
