@@ -47,6 +47,7 @@ from .engine import (
     export_curves_csv,
     export_jobs_csv,
     run_path,
+    run_paths,
 )
 from .cost import (
     COMPLETED_ONLY,

@@ -23,7 +23,7 @@ from . import cost as cost_mod
 from . import httheory as ht
 from . import ingest as ingest_mod
 from . import triage as triage_mod
-from .engine import export_curves_csv, export_jobs_csv, run_path
+from .engine import EVENT_CAP, export_curves_csv, export_jobs_csv, run_paths
 from .model import ConfusionMatrix, load_config, load_json, validate_config
 from .policies import POLICY_KINDS
 
@@ -126,12 +126,13 @@ def cmd_simulate(config_path, policies, paths, seed, out_dir):
                {"base_seed": seed, "n_paths": paths},
                {"policies": list(policies)}, config)
     if paths == 1:
-        for kind in policies:
-            path = run_path(config, kind, seed, sampling_grid=201)
+        results = run_paths(config, policies, seed, sampling_grid=201)
+        for kind, path in zip(policies, results):
             export_jobs_csv(path, run.path(f"jobs_{kind}.csv"))
             export_curves_csv(path, run.path(f"curves_{kind}.csv"))
             click.echo(f"{kind}: {len(path.jobs)} arrivals, "
                        f"{len(path.completed)} completed")
+        counts = {kind: [path.event_count] for kind, path in zip(policies, results)}
     else:
         summaries = cost_mod.compare_policies(config, list(policies),
                                               paths, seed)
@@ -139,7 +140,11 @@ def cmd_simulate(config_path, policies, paths, seed, out_dir):
         for kind, s in summaries.items():
             click.echo(f"{kind}: J(T) = {s.terminal_mean:.6g} "
                        f"+/- {s.terminal_stderr:.2g}")
-    click.echo(f"manifest: {run.finish()}")
+        counts = {kind: s.event_counts.tolist() for kind, s in summaries.items()}
+    events = {kind: {"total": sum(c), "max_per_path": max(c),
+                     "event_cap_headroom": 1.0 - max(c) / EVENT_CAP}
+              for kind, c in counts.items()}
+    click.echo(f"manifest: {run.finish(events=events)}")
 
 
 @main.command("lower-bound")
@@ -239,7 +244,9 @@ def cmd_select_model(config_path, model_paths, out_dir):
 def cmd_triage(config_path, zfl_grid, ztx, paths, steps, seed, out_dir):
     """Line-search the filtering level; report the cost breakdown per point.
 
-    The final CSV row repeats the argmin decision.
+    The final CSV row repeats the argmin decision.  Points with z_fl above
+    --ztx, and filtering levels staffed below their passing share, are
+    skipped and counted in the manifest.
     """
     config = triage_mod.load_triage_config(config_path)
     grid = _parse_grid(zfl_grid)
@@ -258,7 +265,12 @@ def cmd_triage(config_path, zfl_grid, ztx, paths, steps, seed, out_dir):
                f"total = {best.total:.6g} "
                f"(Gamma = {best.gamma:.4g})")
     argmin = {"z_fl": best.z_fl, "z_tx": best.z_tx}
-    click.echo(f"manifest: {run.finish(grid_points=len(decisions), argmin=argmin)}")
+    # evaluate_grid skips exactly these two kinds of grid point
+    below = int(np.count_nonzero(grid > ztx))
+    skipped = {"z_tx_below_z_fl": below,
+               "gamma_below_pass_share": len(grid) - below - len(decisions)}
+    manifest = run.finish(grid_points=len(decisions), argmin=argmin, skipped=skipped)
+    click.echo(f"manifest: {manifest}")
 
 
 @main.command("estimate")

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import PathResult, run_path
+from .engine import PathResult, run_paths
 from .errors import ConfigError
 from .model import SystemConfig
 from .policies import PolicyRef
@@ -100,8 +100,9 @@ class ReplicationSummary:
 
     terminal_costs holds J(horizon) per path (aligned with the seed schedule)
     so callers can form paired contrasts across policies run on the same
-    seeds.  ratio_to_oracle is filled by compare_policies when an oracle run
-    shares the seeds.
+    seeds, and event_counts each path's arrivals plus completions.
+    ratio_to_oracle is filled by compare_policies when an oracle run shares
+    the seeds.
     """
 
     policy_kind: str
@@ -112,6 +113,7 @@ class ReplicationSummary:
     mean: np.ndarray
     stderr: np.ndarray
     terminal_costs: np.ndarray
+    event_counts: np.ndarray
     ratio_to_oracle: Optional[np.ndarray] = None
 
     @property
@@ -123,11 +125,11 @@ class ReplicationSummary:
         return float(self.stderr[-1])
 
 
-def _one_replication(args):
-    config, policy, seed, rule, eval_times, sampling_grid = args
-    path = run_path(config, policy, seed, sampling_grid=sampling_grid)
-    curve = path_cost(path, config, rule, grid=eval_times)
-    return curve.values
+def _one_seed(args):
+    """Cost curves on eval_times and event counts of each policy on one seed."""
+    config, policies, seed, rule, eval_times, sampling_grid = args
+    paths = run_paths(config, policies, seed, sampling_grid=sampling_grid)
+    return [(path_cost(p, config, rule, grid=eval_times).values, p.event_count) for p in paths]
 
 
 def resolve_n_jobs(n_jobs: Optional[int] = None) -> int:
@@ -143,52 +145,64 @@ def resolve_n_jobs(n_jobs: Optional[int] = None) -> int:
     return 1
 
 
-def replicate(config: SystemConfig, policy, n_paths: int, base_seed: int,
-              rule: str = TRUNCATE_AT_HORIZON,
-              eval_times: Optional[Sequence[float]] = None,
-              sampling_grid: int = 2,
-              n_jobs: Optional[int] = None) -> ReplicationSummary:
-    """Run n_paths independent paths on seeds base_seed..base_seed+n_paths-1.
-
-    Results are aggregated in seed order whether or not a worker pool is used,
-    so the summary is independent of scheduling.  A policy kind is resolved
-    to its PolicyRef once, and every path (and worker) shares it.
+def _replicate(config: SystemConfig, policies: list, n_paths: int, base_seed: int, rule: str,
+               eval_times: Optional[Sequence[float]], sampling_grid: int,
+               n_jobs: Optional[int]) -> list:
+    """One ReplicationSummary per policy (a kind or a PolicyRef, resolved
+    once) on seeds base_seed..base_seed+n_paths-1.  A task is one seed with
+    every policy, so each seed's arrival stream is drawn once.  Results are
+    aggregated in seed order whether or not a worker pool is used, so the
+    summaries are independent of scheduling.
     """
     if n_paths < 2:
         raise ConfigError("replicate needs n_paths >= 2 for a standard error")
-    if not isinstance(policy, PolicyRef):
-        policy = PolicyRef.for_config(str(policy), config)
+    policies = [p if isinstance(p, PolicyRef) else PolicyRef.for_config(str(p), config)
+                for p in policies]
     if eval_times is None:
         eval_times = np.linspace(0.0, config.horizon, 11)
     eval_times = np.asarray(eval_times, dtype=float)
 
-    tasks = [(config, policy, base_seed + i, rule, eval_times, sampling_grid)
+    tasks = [(config, policies, base_seed + i, rule, eval_times, sampling_grid)
              for i in range(n_paths)]
     workers = resolve_n_jobs(n_jobs)
     if workers > 1:
         chunk = max(1, n_paths // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_one_replication, tasks, chunksize=chunk))
+            seeds = list(pool.map(_one_seed, tasks, chunksize=chunk))
     else:
-        rows = [_one_replication(t) for t in tasks]
+        seeds = [_one_seed(t) for t in tasks]
 
-    values = np.vstack(rows)  # (n_paths, n_times), row i = seed base_seed+i
-    mean = values.mean(axis=0)
-    stderr = values.std(axis=0, ddof=1) / np.sqrt(n_paths)
-    return ReplicationSummary(policy_kind=policy.kind, n_paths=n_paths, base_seed=base_seed,
-                              charging_rule=rule, grid=eval_times, mean=mean, stderr=stderr,
-                              terminal_costs=values[:, -1].copy())
+    summaries = []
+    for j, policy in enumerate(policies):
+        values = np.vstack([runs[j][0] for runs in seeds])  # row i = seed base_seed+i
+        summaries.append(ReplicationSummary(
+            policy_kind=policy.kind, n_paths=n_paths, base_seed=base_seed, charging_rule=rule,
+            grid=eval_times, mean=values.mean(axis=0),
+            stderr=values.std(axis=0, ddof=1) / np.sqrt(n_paths),
+            terminal_costs=values[:, -1].copy(),
+            event_counts=np.array([runs[j][1] for runs in seeds])))
+    return summaries
+
+
+def replicate(config: SystemConfig, policy, n_paths: int, base_seed: int,
+              rule: str = TRUNCATE_AT_HORIZON,
+              eval_times: Optional[Sequence[float]] = None,
+              sampling_grid: int = 2,
+              n_jobs: Optional[int] = None) -> ReplicationSummary:
+    """Run n_paths independent paths on seeds base_seed..base_seed+n_paths-1."""
+    return _replicate(config, [policy], n_paths, base_seed, rule, eval_times, sampling_grid,
+                      n_jobs)[0]
 
 
 def compare_policies(config: SystemConfig, kinds: Sequence[str], n_paths: int,
                      base_seed: int, rule: str = TRUNCATE_AT_HORIZON,
                      eval_times: Optional[Sequence[float]] = None,
                      n_jobs: Optional[int] = None) -> dict:
-    """Replicate several policies on identical seeds; fill oracle ratios."""
-    out = {}
-    for kind in kinds:
-        out[kind] = replicate(config, kind, n_paths, base_seed, rule,
-                              eval_times=eval_times, n_jobs=n_jobs)
+    """Replicate several policies on the same seeds, drawing each seed's
+    arrival stream once for all of them; fill oracle ratios."""
+    kinds = list(dict.fromkeys(kinds))
+    out = dict(zip(kinds, _replicate(config, kinds, n_paths, base_seed, rule, eval_times, 2,
+                                     n_jobs)))
     if "oracle" in out:
         base = out["oracle"].mean
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,4 +1,4 @@
-"""Simulator of a single-server preemptive-resume queue, one path as columns.
+"""Simulator of a single-server preemptive-resume queue, paths as columns.
 
 The scheduler groups jobs by *scheduling class* -- predicted class for every
 policy except the oracle, which sees true classes -- and serves FIFO within a
@@ -9,25 +9,24 @@ from the confusion-matrix row of the true class, independently per job.
 
 Randomness is split into four independent substreams of one counter-based
 generator (Philox keyed by the path seed): interarrivals, true classes,
-service requirements, classification.  None depends on the policy, so the
-arrival stream (epoch, true class, label, service of every job up to the
-horizon) is drawn first as numpy columns, with `Generator.random(n)` in
-chunks of at most event_cap + 1 values -- exactly the values one-at-a-time
-draws give.  Interarrival and service times come from `Dist.sample` of the
-config's laws, which keeps every value bit-stable: a path is a pure function
-of (config, policy, seed).
+service requirements, classification.  None depends on the policy, so
+`run_paths` draws a seed's arrival stream once, as numpy columns, and runs
+every policy on it.  Draws come in chunks of at most event_cap + 1 values --
+exactly the values one-at-a-time draws give -- through `Dist.sample` of the
+config's laws, so a path is a bit-stable function of (config, policy, seed).
 
 The policy only fills in the completion column.  Global FCFS serves in
 arrival order without preemption, so c_i = max(a_i, c_{i-1}) + s_i in one
-pass; the index policies run one flat event loop that asks
-PolicyRef.decide_counts for the class to serve at each arrival and
-completion.  The total workload W_+ follows the Lindley recursion over
-arrivals, W_i = max(0, W_{i-1} - (a_i - a_{i-1})) + s_i, which in a
-work-conserving system equals the remaining work present; it touches only
-arrival data, so it is bitwise identical across policies and classifiers
-(a service schedule adds a jump where it rescales a job at its first start).
-The grid curves are derived from the columns afterwards, and
-`PathResult.jobs`/`completed`/`open_jobs` are read-only views.
+pass.  The index policies run one flat event loop over cached
+`PolicyRef.index` values: an arrival raises only its own class's value, so
+it decides between the served class and the arriving one, and only a
+completion rescans the classes.  The total workload W_+ follows the Lindley
+recursion W_i = max(0, W_{i-1} - (a_i - a_{i-1})) + s_i over arrivals, the
+remaining work of any work-conserving policy, so one pass per seed serves
+every policy and classifier (a service schedule adds a jump where it
+rescales a job at its first start).  The grid curves are derived from the
+columns afterwards, and `PathResult.jobs`/`completed`/`open_jobs` are
+read-only views.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -50,6 +49,7 @@ __all__ = [
     "PathResult",
     "RateSchedule",
     "run_path",
+    "run_paths",
     "export_jobs_csv",
     "export_curves_csv",
 ]
@@ -58,6 +58,9 @@ _INF = float("inf")
 
 # Largest number of uniforms drawn from a substream at once.
 _CHUNK = 1 << 16
+
+# Default bound on the arrivals and completions of one path.
+EVENT_CAP = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -268,16 +271,13 @@ def _arrival_times(config: SystemConfig, rng: Generator,
 
 
 def _fcfs(a: np.ndarray, s: np.ndarray, horizon: float):
-    """Global FCFS in closed form, with the Lindley workload at each arrival."""
-    completion, work = [], []
-    c = w = prev = 0.0
+    """Global FCFS in closed form: completion (NaN while open) and remaining
+    work at the horizon."""
+    completion = []
+    c = 0.0
     for ai, si in zip(a.tolist(), s.tolist()):
         c = (ai if ai > c else c) + si
-        x = w - (ai - prev)
-        w = (x if x > 0.0 else 0.0) + si
-        prev = ai
         completion.append(c)
-        work.append(w)
     c = np.array(completion)
     n_done = int(np.searchsorted(c, horizon, side="right"))  # c is nondecreasing
     remaining = s.copy()
@@ -285,18 +285,20 @@ def _fcfs(a: np.ndarray, s: np.ndarray, horizon: float):
     if n_done < len(c):
         remaining[n_done] = c[n_done] - horizon  # in service at the horizon
     c[n_done:] = np.nan
-    return c, remaining, np.array(work), []
+    return c, remaining, []
 
 
-def _event_loop(decide, preemptive: bool, sched: np.ndarray, n_sched: int,
-                a: np.ndarray, s: np.ndarray, horizon: float,
-                schedule: Optional[RateSchedule]):
-    """p-FCFS over scheduling classes `sched` (0..n_sched-1), serving the class
-    `decide(counts)` picks at each completion, and at each arrival if preemptive.
+def _event_loop(index, sched: np.ndarray, n_sched: int, a: np.ndarray, s: np.ndarray,
+                horizon: float, schedule: Optional[RateSchedule]):
+    """p-FCFS over scheduling classes `sched` (0..n_sched-1), serving the
+    nonempty class of largest `index(l, n)`, ties to the smallest class.
 
-    Returns completion (NaN while open), remaining work at the horizon, W_+
-    after each arrival, and the workload jumps (arrivals so far, t, W_+) made
-    when a service schedule rescales a job at its first start.
+    vals[l] caches class l's index value (-1.0 while empty).  An arrival to
+    class c raises vals[c] only (the index does not decrease in n), so the
+    class to serve is the current one or c; a completion rescans vals.
+    Returns completion (NaN while open), remaining work at the horizon, and
+    the workload jumps (arrivals so far, t, added work) made when a service
+    schedule rescales a job at its first start.
     """
     n = len(a)
     at = a.tolist() + [_INF]
@@ -306,9 +308,9 @@ def _event_loop(decide, preemptive: bool, sched: np.ndarray, n_sched: int,
     queues = [[] for _ in range(n_sched)]
     heads = [0] * n_sched
     counts = [0] * n_sched
+    vals = [-1.0] * n_sched
     started = [False] * n
-    work, jumps = [], []
-    w = wt = 0.0
+    jumps = []
     job, cur, end = -1, -1, _INF
     i, t_arr = 0, at[0]
     while True:
@@ -319,54 +321,67 @@ def _event_loop(decide, preemptive: bool, sched: np.ndarray, n_sched: int,
             completion[job] = t
             rem[job] = 0.0
             heads[cur] += 1
-            counts[cur] -= 1
+            m = counts[cur] = counts[cur] - 1
+            vals[cur] = index(cur, m) if m else -1.0
             job, cur, end = -1, -1, _INF
+            best = max(vals)
+            if best <= -1.0:
+                continue  # every class is empty: idle
+            target = vals.index(best)
         else:
             t = t_arr
             c = cls[i]
             queues[c].append(i)
-            counts[c] += 1
-            x = w - (t - wt)
-            w = (x if x > 0.0 else 0.0) + rem[i]
-            wt = t
-            work.append(w)
+            m = counts[c] = counts[c] + 1
+            v = vals[c] = index(c, m)
             i += 1
             t_arr = at[i]
-            if job >= 0 and not preemptive:
-                continue
-        target = decide(counts)
-        if target is None or target == cur:
-            continue  # idle, or the same head keeps the server
+            if cur >= 0:
+                u = vals[cur]
+                if not (v > u or (v == u and c < cur)):
+                    continue  # the same head keeps the server
+            target = c
         if job >= 0:
             rem[job] = end - t  # preempt; resume later
         job, cur = queues[target][heads[target]], target
         if schedule is not None and not started[job]:
             started[job] = True
             scaled = rem[job] / schedule(t)
-            x = w - (t - wt)
-            w = (x if x > 0.0 else 0.0) + (scaled - rem[job])
-            wt = t
-            jumps.append((i, t, w))
+            jumps.append((i, t, scaled - rem[job]))
             rem[job] = scaled
         end = t + rem[job]
     if job >= 0:
         rem[job] = end - horizon  # unfinished work at the horizon
-    return np.array(completion), np.array(rem), np.array(work), jumps
+    return np.array(completion), np.array(rem), jumps
 
 
-def _curves(grid: np.ndarray, k_classes: int, a, true_class, label, completion,
-            work, jumps) -> Curves:
-    """Grid values are the state after every event at or before the grid time."""
-    g = len(grid)
-    # W_+ drains at unit rate from its last update (0 at time 0)
-    knot_t = np.concatenate(([0.0], a))
-    knot_w = np.concatenate(([0.0], work))
+def _workload(grid: np.ndarray, a: np.ndarray, s: np.ndarray, jumps: list):
+    """W_+ after each arrival and on the grid, by the Lindley recursion
+    W = max(0, W - elapsed) + added over the arrivals and, merged in after
+    their arrivals, the jumps (arrivals so far, t, added work)."""
+    t, added = a, s
     if jumps:
-        pos, t, w = (np.array(v) for v in zip(*jumps))
-        knot_t, knot_w = np.insert(knot_t, pos + 1, t), np.insert(knot_w, pos + 1, w)
+        pos, jt, jw = (np.array(v) for v in zip(*jumps))
+        t, added = np.insert(a, pos, jt), np.insert(s, pos, jw)
+    knot_w, w, prev = [0.0], 0.0, 0.0
+    for ti, dw in zip(t.tolist(), added.tolist()):
+        x = w - (ti - prev)
+        w = (x if x > 0.0 else 0.0) + dw
+        prev = ti
+        knot_w.append(w)
+    # W_+ drains at unit rate from its last update (0 at time 0)
+    knot_t, knot_w = np.concatenate(([0.0], t)), np.array(knot_w)
     j = np.searchsorted(knot_t, grid, side="right") - 1
     x = knot_w[j] - (grid - knot_t[j])
-    workload = np.where(x > 0.0, x, 0.0)
+    work = np.delete(knot_w[1:], pos + np.arange(len(pos))) if jumps else knot_w[1:]
+    return work, np.where(x > 0.0, x, 0.0)
+
+
+def _composition(grid: np.ndarray, k_classes: int, a, true_class, label,
+                 completion) -> np.ndarray:
+    """Present jobs by (true, predicted) class at each grid time: the state
+    after every event at or before it."""
+    g = len(grid)
     # a job is present from the first grid time >= its arrival to the first
     # grid time >= its completion; count it per (true, predicted) cell
     cells = k_classes * k_classes
@@ -376,28 +391,25 @@ def _curves(grid: np.ndarray, k_classes: int, a, true_class, label, completion,
                             side="left") * cells + code
     size = (g + 1) * cells
     delta = np.bincount(enter, minlength=size) - np.bincount(leave, minlength=size)
-    composition = np.cumsum(delta.reshape(g + 1, cells)[:g], axis=0).reshape(
-        g, k_classes, k_classes)
-    return Curves(grid=grid, queue_lengths=composition.sum(axis=1), workload=workload,
-                  composition=composition)
+    return np.cumsum(delta.reshape(g + 1, cells)[:g], axis=0).reshape(g, k_classes, k_classes)
 
 
-def run_path(config: SystemConfig, policy, seed: int, sampling_grid: int = 51, *,
-             arrival_schedule: Optional[RateSchedule] = None,
-             service_schedule: Optional[RateSchedule] = None,
-             event_cap: int = 5_000_000) -> PathResult:
-    """Simulate [0, horizon] under one policy and seed; fully deterministic.
+def run_paths(config: SystemConfig, policies: Sequence, seed: int, sampling_grid: int = 51,
+              *, arrival_schedule: Optional[RateSchedule] = None,
+              service_schedule: Optional[RateSchedule] = None,
+              event_cap: int = EVENT_CAP) -> list:
+    """Simulate [0, horizon] under each policy on the seed's one arrival
+    stream; one PathResult per policy, each fully deterministic.
 
-    The policy re-evaluates at arrivals and completions only; queue-length
+    The policies re-evaluate at arrivals and completions only; queue-length
     indices are constant between events, so no decision could change anywhere
-    else.  `policy` may be a PolicyRef or one of {"oracle","naive","pcmu","fcfs"}.
-    Raises EventOverflowError if the path has more than event_cap arrivals
-    and completions up to the horizon.
+    else.  A policy may be a PolicyRef or one of {"oracle","naive","pcmu","fcfs"}.
+    Raises EventOverflowError if a path has more than event_cap arrivals and
+    completions up to the horizon.
     """
     if sampling_grid < 2:
         raise ConfigError("sampling_grid must be >= 2")
-    if isinstance(policy, str):
-        policy = PolicyRef.for_config(policy, config)
+    policies = [PolicyRef.for_config(p, config) if isinstance(p, str) else p for p in policies]
     if arrival_schedule is not None and config.arrival_dist.family != "exponential":
         raise ConfigError("arrival schedules require exponential interarrivals (thinning)")
 
@@ -413,25 +425,40 @@ def run_path(config: SystemConfig, policy, seed: int, sampling_grid: int = 51, *
     # inverse CDF of row k of Q: the number of row entries <= U
     label_cdf = np.cumsum(config.confusion.entries, axis=1)
     label = np.sum(label_cdf[true_class] <= next(streams).random(n)[:, None], axis=1)
-
-    if policy.kind == "fcfs" and service_schedule is None:
-        completion, remaining, work, jumps = _fcfs(a, service, horizon)
-    else:
-        if policy.kind == "fcfs":  # under a service schedule: one FIFO line
-            sched, decide = np.zeros(n, dtype=np.int64), lambda counts: 0 if counts[0] else None
+    grid = np.linspace(0.0, horizon, sampling_grid)
+    shared = _workload(grid, a, service, []) if service_schedule is None else ()
+    for column in (a, true_class, service, label, grid, *shared):  # every policy's path holds them
+        column.setflags(write=False)
+    results = []
+    for policy in policies:
+        if policy.kind == "fcfs" and service_schedule is None:
+            completion, remaining, jumps = _fcfs(a, service, horizon)
+        elif policy.kind == "fcfs":  # under a service schedule: one FIFO line
+            completion, remaining, jumps = _event_loop(
+                lambda l, m: 0.0, np.zeros(n, dtype=np.int64), 1, a, service, horizon,
+                service_schedule)
         else:
-            sched = true_class if policy.uses_true_class else label
-            decide = policy.decide_counts
-        completion, remaining, work, jumps = _event_loop(
-            decide, policy.preemptive, sched, k_classes, a, service, horizon, service_schedule)
+            completion, remaining, jumps = _event_loop(
+                policy.index, true_class if policy.uses_true_class else label, k_classes,
+                a, service, horizon, service_schedule)
+        events = n + int(np.count_nonzero(~np.isnan(completion)))
+        if events > event_cap:
+            raise _overflow(event_cap, horizon)
+        work, workload = shared or _workload(grid, a, service, jumps)  # shared: no jumps
+        composition = _composition(grid, k_classes, a, true_class, label, completion)
+        curves = Curves(grid, composition.sum(axis=1), workload, composition)
+        results.append(PathResult(a, true_class, label, service, completion, remaining, work,
+                                  curves, seed, events, horizon, k_classes, policy.kind))
+    return results
 
-    events = n + int(np.count_nonzero(~np.isnan(completion)))
-    if events > event_cap:
-        raise _overflow(event_cap, horizon)
-    curves = _curves(np.linspace(0.0, horizon, sampling_grid), k_classes, a, true_class,
-                     label, completion, work, jumps)
-    return PathResult(a, true_class, label, service, completion, remaining, work, curves,
-                      seed, events, horizon, k_classes, policy.kind)
+
+def run_path(config: SystemConfig, policy, seed: int, sampling_grid: int = 51, *,
+             arrival_schedule: Optional[RateSchedule] = None,
+             service_schedule: Optional[RateSchedule] = None,
+             event_cap: int = EVENT_CAP) -> PathResult:
+    """`run_paths` for one policy."""
+    return run_paths(config, [policy], seed, sampling_grid, arrival_schedule=arrival_schedule,
+                     service_schedule=service_schedule, event_cap=event_cap)[0]
 
 
 def export_jobs_csv(result: PathResult, path):

@@ -15,12 +15,17 @@ Ties go to the smallest class index, and only nonempty classes compete, which
 makes every index policy work-conserving by construction.  A global-FCFS
 baseline (serve the oldest job in the system, no preemption) is included as a
 sanity anchor.
+
+`PolicyRef.for_config` resolves a kind to one function index(l, n).  The
+engine caches each class's value and, since the index does not decrease in n,
+decides at an arrival by comparing the arriving class with the served one;
+only a completion rescans the classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -41,89 +46,76 @@ POLICY_KINDS = ("oracle", "naive", "pcmu", "fcfs")
 
 
 @dataclass(frozen=True)
-class PolicyRef:
-    """A policy kind with its per-class parameters resolved.
+class _PowerIndex:
+    """coeffs[l] * n**power: the index of a common-power system."""
 
-    For the index kinds, `index_coeffs`/`index_power` hold the closed form
-    index(l, n) = index_coeffs[l] * n**index_power available whenever all the
-    relevant costs are monomials of one common power (always true for the
-    all-quadratic systems this toolkit mostly runs); `primes` keeps the general
-    per-class marginal-cost callables for mixed-power systems.
+    coeffs: tuple
+    power: float
+
+    def at(self, l: int, n: float) -> float:
+        return self.coeffs[l] * n ** self.power if n > 0 else 0.0
+
+
+@dataclass(frozen=True)
+class _PrimeIndex:
+    """mu[l] * primes[l](n / lam[l]): the index of a mixed-power system."""
+
+    mu: np.ndarray
+    primes: tuple
+    lam: np.ndarray
+
+    def at(self, l: int, n: float) -> float:
+        return float(self.mu[l] * self.primes[l](n / self.lam[l])) if n > 0 else 0.0
+
+
+def _no_index(l, n):
+    raise ConfigError("fcfs has no per-class index")
+
+
+@dataclass(frozen=True)
+class PolicyRef:
+    """A policy kind with its index resolved: index(l, n) is the index value
+    of scheduling class l holding n jobs (0 for n <= 0), the closed form
+    A_l * n**(p-1) when all the relevant costs share one power p, else
+    mu_l * C_l'(n / lam_l).  It is a bound method of a module-level class,
+    so a PolicyRef pickles to pool workers.
     """
 
     kind: str
-    n_classes: int
-    lam_eff: Optional[np.ndarray] = None
-    mu_eff: Optional[np.ndarray] = None
-    primes: tuple = ()
-    index_coeffs: Optional[list] = None
-    index_power: Optional[float] = None
+    index: Callable[[int, float], float] = _no_index
 
     @property
     def uses_true_class(self) -> bool:
         return self.kind == "oracle"
 
-    @property
-    def preemptive(self) -> bool:
-        return self.kind != "fcfs"
-
     @classmethod
     def for_config(cls, kind: str, config: SystemConfig,
                    params: Optional[PredictedClassParams] = None) -> "PolicyRef":
+        """Resolve `kind` on `config`.  The engine needs an index that does not
+        decrease in n, so an index kind refuses a cost of power < 1 or a
+        negative coefficient."""
         if kind not in POLICY_KINDS:
             raise ConfigError(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
-        k = config.n_classes
         if kind == "fcfs":
-            return cls(kind=kind, n_classes=k)
-
+            return cls(kind)
+        for l, c in enumerate(config.costs):
+            if c.power < 1.0 or c.coeff < 0.0:
+                raise ConfigError(f"{kind} needs an index nondecreasing in the queue length: "
+                                  f"class {l} cost has coeff {c.coeff}, power {c.power} "
+                                  "(need coeff >= 0, power >= 1)")
         if kind == "oracle":
-            lam_eff = config.class_arrival_rates
-            mu_eff = np.asarray(config.service_rates, dtype=float)
-            primes = tuple(c.prime for c in config.costs)
-            powers = {c.power for c in config.costs}
-            coeffs = [c.coeff for c in config.costs]
+            lam_eff, mu_eff = config.class_arrival_rates, config.service_rates
         else:
-            if params is None:
-                params = derive_predicted_params(config)
-            lam_eff = params.lambda_tilde
-            mu_eff = params.mu_tilde
-            if kind == "naive":
-                primes = tuple(c.prime for c in config.costs)
-                powers = {c.power for c in config.costs}
-                coeffs = [c.coeff for c in config.costs]
-            else:  # pcmu
-                mixes = [mixture_cost(l, params, config.costs) for l in range(k)]
-                primes = tuple(m.prime for m in mixes)
-                powers = {m.common_power for m in mixes}
-                coeffs = [m.coeff for m in mixes]
-
+            params = derive_predicted_params(config) if params is None else params
+            lam_eff, mu_eff = params.lambda_tilde, params.mu_tilde
+        costs, powers = config.costs, {c.power for c in config.costs}
+        if kind == "pcmu":
+            costs = [mixture_cost(l, params, costs) for l in range(config.n_classes)]
+            powers = {m.common_power for m in costs}
         if len(powers) == 1 and None not in powers:
             p = powers.pop()
             # index(l, n) = mu_l * c_l * (n / lam_l)^(p-1) = A_l * n^(p-1)
-            a = [float(mu_eff[l] * coeffs[l] / lam_eff[l] ** (p - 1.0)) for l in range(k)]
-            return cls(kind=kind, n_classes=k, lam_eff=lam_eff, mu_eff=mu_eff,
-                       primes=primes, index_coeffs=a, index_power=p - 1.0)
-        return cls(kind=kind, n_classes=k, lam_eff=lam_eff, mu_eff=mu_eff, primes=primes)
-
-    def index(self, l: int, n: float) -> float:
-        """Index value of scheduling class l holding n jobs."""
-        if self.kind == "fcfs":
-            raise ConfigError("fcfs has no per-class index")
-        if n <= 0:
-            return 0.0
-        if self.index_coeffs is not None:
-            return self.index_coeffs[l] * n ** self.index_power
-        return float(self.mu_eff[l] * self.primes[l](n / self.lam_eff[l]))
-
-    def decide_counts(self, counts) -> Optional[int]:
-        """The class to serve given the queue length of each scheduling class:
-        the index argmax over nonempty classes, ties to the smallest class,
-        None (idle) if every class is empty."""
-        best, best_val = None, -1.0
-        coeffs, power = self.index_coeffs, self.index_power
-        for l, n in enumerate(counts):
-            if n > 0:
-                v = coeffs[l] * n ** power if coeffs is not None else self.index(l, n)
-                if v > best_val:
-                    best, best_val = l, v
-        return best
+            a = tuple(float(mu_eff[l] * c.coeff / lam_eff[l] ** (p - 1.0))
+                      for l, c in enumerate(costs))
+            return cls(kind, _PowerIndex(a, p - 1.0).at)
+        return cls(kind, _PrimeIndex(mu_eff, tuple(c.prime for c in costs), lam_eff).at)

@@ -254,8 +254,9 @@ def _design(z_fl, z_tx, config: TriageConfig, mc: Optional[McParams] = None,
             passing: bool = False) -> tuple:
     """(ReviewerParams, {term: array}) at arrays of thresholds: one np.interp
     per curve, then one elementwise formula per term, the reviewer's queue
-    cost only given mc; NaN where no reviewer is staffed, or an
-    EmptyPassError if passing is set.  The reviewer's queue coefficient is
+    cost only given mc; NaN where no reviewer is staffed, or if passing is
+    set an EmptyPassError, and a ConfigError where the staffing is below the
+    passing share (terms["understaffed"]).  The reviewer's queue coefficient is
     the jstar_coeff of stiffness_coefficients, so an empty predicted label
     takes the one-class limit.
     """
@@ -286,11 +287,15 @@ def _design(z_fl, z_tx, config: TriageConfig, mc: Optional[McParams] = None,
         c_v = (p_mix * np.asarray(config.alpha_v)).sum(axis=-1) - mean_work * mean_work
         c_u = config.alpha_u - 1.0 / L ** 2
         q_split = pass_prob / gamma
+        # staffed below its passing share, Gamma < pass_prob, a filtering level
+        # would route each arrival to one reviewer with probability q > 1
+        terms["understaffed"] = (gamma > 0.0) & (q_split > 1.0)
         count_var_rate = q_split * q_split * L ** 3 * max(c_u, 0.0) + L * q_split * (1.0 - q_split)
         terms["variance"] = lam_r * np.maximum(c_v, 0.0) + mean_work * mean_work * count_var_rate
         coeff = stiffness_coefficients(lam_r, p_mix, mu, c, q)[2]
     if passing:
         _check_staffed(gamma <= 0.0, pass_prob, z_fl)
+        _check_feasible(terms["understaffed"], z_fl)
     if mc is not None:
         base = _unit_rbm_mean_isq(mc.n_paths, mc.n_steps, mc.seed, mc.horizon)
         terms["queue"] = coeff * 0.5 * terms["variance"] * base
@@ -306,6 +311,13 @@ def _check_staffed(unstaffed, pass_prob, z_fl):
         why = ("no content passes the filter" if pass_prob.flat[i] <= 0.0
                else "the reviewer count Gamma underflows to 0")
         raise EmptyPassError(f"{why} at z_fl={z_fl.flat[i]}")
+
+
+def _check_feasible(understaffed, z_fl):
+    """ConfigError at the first point staffed below its passing share."""
+    for i in np.flatnonzero(understaffed)[:1]:
+        raise ConfigError(f"infeasible design at z_fl={z_fl.flat[i]}: Gamma is below the passing "
+                          "share, so the split probability q = pass_prob / Gamma exceeds 1")
 
 
 def staffing(z_fl, config: TriageConfig):
@@ -372,10 +384,14 @@ class TriageDecision:
 
 def total_cost(z, config: TriageConfig, mc: McParams = McParams()) -> TriageDecision:
     """Four-part design cost at thresholds z = (z_fl, z_tx), evaluated at t=1."""
-    return _decisions(*_check_thresholds(z), config, mc)
+    z_fl, z_tx = _check_thresholds(z)
+    decisions, understaffed = _decisions(z_fl, z_tx, config, mc)
+    _check_feasible(understaffed, z_fl)
+    return decisions
 
 
-def _decisions(z_fl, z_tx, config: TriageConfig, mc: McParams) -> TriageDecision:
+def _decisions(z_fl, z_tx, config: TriageConfig, mc: McParams) -> tuple:
+    """(TriageDecision, mask of the points staffed below their passing share)."""
     params, terms = _design(z_fl, z_tx, config, mc)
     # where everything is auto-resolved: no reviewers, no labels, no queues
     passes = np.asarray(params.pass_prob) > 0.0
@@ -385,7 +401,8 @@ def _decisions(z_fl, z_tx, config: TriageConfig, mc: McParams) -> TriageDecision
     return TriageDecision(
         z_fl=z_fl[()], z_tx=z_tx[()], gamma=gamma[()], filtering=terms["filtering"][()],
         hiring=(config.c_r * gamma)[()],
-        misclassification=np.where(passes, terms["misclass"], 0.0)[()], queueing=queueing[()])
+        misclassification=np.where(passes, terms["misclass"], 0.0)[()],
+        queueing=queueing[()]), terms["understaffed"]
 
 
 def evaluate_grid(config: TriageConfig, z_tx, zfl_grid,
@@ -393,17 +410,23 @@ def evaluate_grid(config: TriageConfig, z_tx, zfl_grid,
     """total_cost at every feasible (z_fl, z_tx) pair, as one array pass
     with common random numbers.
 
-    z_tx may be a scalar or a grid; pairs with z_tx < z_fl are skipped.
-    Results are ordered by (z_fl, z_tx).
+    z_tx may be a scalar or a grid; pairs with z_tx < z_fl are skipped, and
+    so are filtering levels staffed below their passing share (q > 1).
+    Raises EmptyGridError if no pair is left.  Results are ordered by
+    (z_fl, z_tx).
     """
     axes = (np.sort(np.atleast_1d(np.asarray(g, dtype=float)), kind="stable")
             for g in (zfl_grid, z_tx))
     z_fl, z_tx = (a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
-    feasible = ~(z_tx < z_fl)
-    if not feasible.any():
+    feasible, kept = ~(z_tx < z_fl), []
+    if feasible.any():
+        d, understaffed = _decisions(*_check_thresholds((z_fl[feasible], z_tx[feasible])),
+                                     config, mc)
+        points = zip(*(v.tolist() for v in vars(d).values()))
+        kept = [TriageDecision(*p) for p, bad in zip(points, understaffed.tolist()) if not bad]
+    if not kept:
         raise EmptyGridError("no feasible (z_fl, z_tx) pair on the grids")
-    d = _decisions(*_check_thresholds((z_fl[feasible], z_tx[feasible])), config, mc)
-    return [TriageDecision(*point) for point in zip(*(v.tolist() for v in vars(d).values()))]
+    return kept
 
 
 def optimize(config: TriageConfig, z_tx, zfl_grid,

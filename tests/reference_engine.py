@@ -1,16 +1,21 @@
 """Reference event-by-event simulator: the oracle the columnar engine is checked against.
 
 This is the scalar discrete-event loop pqsched used to ship, kept outside the
-package so tests can compare `pqsched.run_path` against it bit for bit.  It
+package so tests can compare `pqsched.run_paths` against it bit for bit.  It
 draws the same four Philox substreams one value at a time, keeps one `Job`
 object per arrival and a live `QueueState`, and asks `decide` for the class
-to serve after every arrival and completion.  Its result, `RefPath`, carries
-the fields the old `PathResult` had (a list of mutable jobs plus the curves),
-so each column of the new result can be compared with the corresponding
-attribute of the jobs here.  `sample_classification` is the label draw for
-a single job.  `pcmu_index`, `naive_gcmu_index` and `oracle_gcmu_index` are
-the three index rules written out one class at a time, as pqsched used to
-export them, to check the closed forms `PolicyRef.for_config` resolves.
+to serve after every arrival and completion, a full rescan of every class.
+Its policy is `RefPolicy`, the `PolicyRef` pqsched used to ship, which keeps
+`lam_eff`, `mu_eff` and the per-class marginal costs `primes` and computes
+each index from them (or from the closed form of a common power), so the
+index the package folds into one function is checked too.  Its result,
+`RefPath`, carries the fields the old `PathResult` had (a list of mutable
+jobs plus the curves), so each column of the new result can be compared with
+the corresponding attribute of the jobs here.  `sample_classification` is
+the label draw for a single job.  `pcmu_index`, `naive_gcmu_index` and
+`oracle_gcmu_index` are the three index rules written out one class at a
+time, as pqsched used to export them, to check the closed forms
+`PolicyRef.for_config` resolves.
 `OracleUnavailableError` is raised when the oracle policy asks a blind
 `QueueState` for true-class counts.
 
@@ -34,13 +39,14 @@ from pqsched import (
     CostFn,
     Curves,
     EventOverflowError,
-    PolicyRef,
     PqschedError,
     PredictedClassParams,
     RateSchedule,
     SystemConfig,
+    derive_predicted_params,
     mixture_cost,
 )
+from pqsched.policies import POLICY_KINDS
 
 _INF = float("inf")
 
@@ -67,6 +73,95 @@ def oracle_gcmu_index(k: int, counts, config: SystemConfig) -> float:
     n = counts[k]
     lam_k = config.lam * config.prevalences[k]
     return float(config.service_rates[k] * config.costs[k].prime(n / lam_k))
+
+
+@dataclass(frozen=True)
+class RefPolicy:
+    """A policy kind with its per-class parameters resolved, as pqsched's
+    `PolicyRef` used to hold them.
+
+    For the index kinds, `index_coeffs`/`index_power` hold the closed form
+    index(l, n) = index_coeffs[l] * n**index_power available whenever all the
+    relevant costs are monomials of one common power; `primes` keeps the
+    general per-class marginal-cost callables for mixed-power systems.
+    """
+
+    kind: str
+    n_classes: int
+    lam_eff: Optional[np.ndarray] = None
+    mu_eff: Optional[np.ndarray] = None
+    primes: tuple = ()
+    index_coeffs: Optional[list] = None
+    index_power: Optional[float] = None
+
+    @property
+    def uses_true_class(self) -> bool:
+        return self.kind == "oracle"
+
+    @property
+    def preemptive(self) -> bool:
+        return self.kind != "fcfs"
+
+    @classmethod
+    def for_config(cls, kind: str, config: SystemConfig,
+                   params: Optional[PredictedClassParams] = None) -> "RefPolicy":
+        if kind not in POLICY_KINDS:
+            raise ConfigError(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
+        k = config.n_classes
+        if kind == "fcfs":
+            return cls(kind=kind, n_classes=k)
+
+        if kind == "oracle":
+            lam_eff = config.class_arrival_rates
+            mu_eff = np.asarray(config.service_rates, dtype=float)
+            primes = tuple(c.prime for c in config.costs)
+            powers = {c.power for c in config.costs}
+            coeffs = [c.coeff for c in config.costs]
+        else:
+            if params is None:
+                params = derive_predicted_params(config)
+            lam_eff = params.lambda_tilde
+            mu_eff = params.mu_tilde
+            if kind == "naive":
+                primes = tuple(c.prime for c in config.costs)
+                powers = {c.power for c in config.costs}
+                coeffs = [c.coeff for c in config.costs]
+            else:  # pcmu
+                mixes = [mixture_cost(l, params, config.costs) for l in range(k)]
+                primes = tuple(m.prime for m in mixes)
+                powers = {m.common_power for m in mixes}
+                coeffs = [m.coeff for m in mixes]
+
+        if len(powers) == 1 and None not in powers:
+            p = powers.pop()
+            # index(l, n) = mu_l * c_l * (n / lam_l)^(p-1) = A_l * n^(p-1)
+            a = [float(mu_eff[l] * coeffs[l] / lam_eff[l] ** (p - 1.0)) for l in range(k)]
+            return cls(kind=kind, n_classes=k, lam_eff=lam_eff, mu_eff=mu_eff,
+                       primes=primes, index_coeffs=a, index_power=p - 1.0)
+        return cls(kind=kind, n_classes=k, lam_eff=lam_eff, mu_eff=mu_eff, primes=primes)
+
+    def index(self, l: int, n: float) -> float:
+        """Index value of scheduling class l holding n jobs."""
+        if self.kind == "fcfs":
+            raise ConfigError("fcfs has no per-class index")
+        if n <= 0:
+            return 0.0
+        if self.index_coeffs is not None:
+            return self.index_coeffs[l] * n ** self.index_power
+        return float(self.mu_eff[l] * self.primes[l](n / self.lam_eff[l]))
+
+
+def decide_counts(index, counts) -> Optional[int]:
+    """The class to serve given the queue length of each scheduling class:
+    the argmax of index(l, n) over nonempty classes, ties to the smallest
+    class, None (idle) if every class is empty."""
+    best, best_val = None, -1.0
+    for l, n in enumerate(counts):
+        if n > 0:
+            v = index(l, n)
+            if v > best_val:
+                best, best_val = l, v
+    return best
 
 
 # Substream indices within a path's Philox stream.
@@ -151,7 +246,7 @@ def _counts_from(state, *, true_side: bool):
     return state
 
 
-def decide(state, policy: PolicyRef) -> Optional[int]:
+def decide(state, policy) -> Optional[int]:
     """The class to serve now, or None (idle) if every queue is empty.
 
     For the index kinds the decision is the index argmax over nonempty
@@ -167,7 +262,7 @@ def decide(state, policy: PolicyRef) -> Optional[int]:
                 best, best_t = l, t
         return best
     counts = _counts_from(state, true_side=policy.uses_true_class)
-    return policy.decide_counts(counts)
+    return decide_counts(policy.index, counts)
 
 
 @dataclass(frozen=True)
@@ -245,11 +340,11 @@ def run_path(config: SystemConfig, policy, seed: int, sampling_grid: int = 51, *
              arrival_schedule: Optional[RateSchedule] = None,
              service_schedule: Optional[RateSchedule] = None,
              event_cap: int = 5_000_000) -> RefPath:
-    """Simulate [0, horizon] event by event under one policy and seed."""
+    """Simulate [0, horizon] event by event under one policy (a kind or a
+    policy object, run by its kind as a `RefPolicy`) and seed."""
     if sampling_grid < 2:
         raise ConfigError("sampling_grid must be >= 2")
-    if isinstance(policy, str):
-        policy = PolicyRef.for_config(policy, config)
+    policy = RefPolicy.for_config(policy if isinstance(policy, str) else policy.kind, config)
     if arrival_schedule is not None and _dist_family(config.arrival_dist)[0] != "exponential":
         raise ConfigError("arrival schedules require exponential interarrivals (thinning)")
 

@@ -49,6 +49,9 @@ def reviewer_params(z, config: TriageConfig) -> ReviewerParams:
     gamma = staffing(z_fl, config)
     if gamma <= 0.0:
         raise EmptyPassError(f"the reviewer count Gamma underflows to 0 at z_fl={z_fl}")
+    if _understaffed(pass_prob, gamma):
+        raise ConfigError(f"infeasible design at z_fl={z_fl}: Gamma is below the passing "
+                          "share, so the split probability q = pass_prob / Gamma exceeds 1")
     p_mix = weights / pass_prob
     q = np.empty((2, 2))
     for k in range(2):
@@ -64,6 +67,11 @@ def reviewer_params(z, config: TriageConfig) -> ReviewerParams:
         c_mix[l] = (p_mix * q[:, l] @ c) / p_tilde[l] if p_tilde[l] > 0 else 0.0
     return ReviewerParams(z_fl=z_fl, z_tx=z_tx, gamma=gamma, lam_r=lam_r,
                           pass_prob=pass_prob, p_mix=p_mix, q=q, c_mix=c_mix)
+
+
+def _understaffed(pass_prob: float, gamma: float) -> bool:
+    """Fewer reviewers than the passing share: q = pass_prob / Gamma > 1."""
+    return gamma > 0.0 and pass_prob / gamma > 1.0
 
 
 def _check_thresholds(z) -> tuple:
@@ -167,7 +175,8 @@ def evaluate_grid(config: TriageConfig, z_tx, zfl_grid,
                   mc: McParams = McParams()) -> list:
     """total_cost at every feasible (z_fl, z_tx) pair, common random numbers.
 
-    z_tx may be a scalar or a grid; pairs with z_tx < z_fl are skipped.
+    z_tx may be a scalar or a grid; pairs with z_tx < z_fl are skipped, and
+    so are filtering levels staffed below their passing share (q > 1).
     Results are ordered by (z_fl, z_tx).
     """
     zfl_values = np.atleast_1d(np.asarray(zfl_grid, dtype=float))
@@ -176,6 +185,11 @@ def evaluate_grid(config: TriageConfig, z_tx, zfl_grid,
     for z_fl in sorted(zfl_values):
         for ztx in sorted(ztx_values):
             if ztx < z_fl:
+                continue
+            _check_thresholds((z_fl, ztx))
+            g_fl = [config.curves.g(k, z_fl) for k in range(2)]
+            pass_prob = sum(config.p[k] * g_fl[k] for k in range(2))
+            if _understaffed(pass_prob, staffing(z_fl, config)):
                 continue
             decisions.append(total_cost((z_fl, ztx), config, mc))
     if not decisions:

@@ -7,8 +7,10 @@ from click.testing import CliRunner
 
 import pqsched
 from pqsched import (
+    load_config,
     quadratic_coefficients,
     relative_regret,
+    run_path,
     save_config,
     workload_variance_rate,
 )
@@ -62,6 +64,21 @@ def test_simulate_summary_and_manifest(runner, tmp_path, config_path):
     assert man["seed_schedule"] == {"base_seed": 3, "n_paths": 6}
     assert man["version"] == pqsched.__version__
     assert man["wall_clock_s"] >= 0.0
+
+
+@pytest.mark.parametrize("paths", [1, 6])
+def test_simulate_manifest_records_events(runner, tmp_path, config_path, paths):
+    out = tmp_path / "sim"
+    result = runner.invoke(main, ["simulate", "--config", str(config_path), "--policy", "pcmu",
+                                  "--policy", "fcfs", "--paths", str(paths), "--seed", "3",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    events = _manifest(out)["events"]
+    cfg = load_config(config_path)
+    for kind in ("pcmu", "fcfs"):
+        counts = [run_path(cfg, kind, 3 + i).event_count for i in range(paths)]
+        assert events[kind] == {"total": sum(counts), "max_per_path": max(counts),
+                                "event_cap_headroom": 1.0 - max(counts) / 5_000_000}
 
 
 def test_simulate_single_path_exports_raw(runner, tmp_path, config_path):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -11,16 +12,26 @@ from pqsched import (
     POLICY_KINDS,
     ConfusionMatrix,
     CostFn,
+    PolicyRef,
     RateSchedule,
     SystemConfig,
+    compare_policies,
     engine,
+    export_curves_csv,
+    export_jobs_csv,
+    replicate,
     run_path,
+    run_paths,
+    save_config,
 )
+from pqsched.cli import main
 import reference_engine
 
 
-def assert_same_path(cfg, kind, seed, **kwargs):
-    new = run_path(cfg, kind, seed, **kwargs)
+def assert_same_path(cfg, kind, seed, new=None, **kwargs):
+    """`new` (run_path's result by default) equals the reference path."""
+    if new is None:
+        new = run_path(cfg, kind, seed, **kwargs)
     ref = reference_engine.run_path(cfg, kind, seed, **kwargs)
     jobs = ref.jobs
     columns = {
@@ -58,13 +69,20 @@ _SCHEDULES = st.one_of(
 
 @st.composite
 def small_configs(draw):
-    k = draw(st.integers(1, 4))
-    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k)))
-    mu = np.array(draw(st.lists(st.floats(0.5, 4.0), min_size=k, max_size=k)))
-    rows = np.array(draw(st.lists(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k),
-                                  min_size=k, max_size=k)))
-    costs = tuple(CostFn(draw(st.floats(0.5, 20.0)), draw(st.sampled_from([2.0, 3.0])))
-                  for _ in range(k))
+    k = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        # identical classes: every index ties whenever two counts are equal
+        weights, mu = np.ones(k), np.full(k, draw(st.floats(0.5, 4.0)))
+        costs = (CostFn(draw(st.floats(0.5, 20.0)), draw(st.sampled_from([2.0, 3.0]))),) * k
+        rows = np.eye(k) if draw(st.booleans()) else np.ones((k, k))
+    else:
+        weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k)))
+        mu = np.array(draw(st.lists(st.floats(0.5, 4.0), min_size=k, max_size=k)))
+        rows = np.array(draw(st.lists(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k),
+                                      min_size=k, max_size=k)))
+        # mixed powers take the marginal-cost branch of the index
+        costs = tuple(CostFn(draw(st.floats(0.5, 20.0)), draw(st.sampled_from([2.0, 3.0])))
+                      for _ in range(k))
     prevalences = weights / weights.sum()
     lam = draw(st.floats(0.5, 1.3)) / float(np.sum(prevalences / mu))  # rho in [0.5, 1.3]
     return SystemConfig(
@@ -75,15 +93,24 @@ def small_configs(draw):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(cfg=small_configs(), kind=st.sampled_from(POLICY_KINDS),
+@given(cfg=small_configs(), kinds=st.permutations(POLICY_KINDS),
        seed=st.integers(0, 2**32 - 1), grid=st.integers(2, 60),
        arrival_schedule=_SCHEDULES, service_schedule=_SCHEDULES)
-def test_matches_reference(cfg, kind, seed, grid, arrival_schedule, service_schedule):
+def test_matches_reference(cfg, kinds, seed, grid, arrival_schedule, service_schedule):
+    # every policy on one stream, FCFS under a service schedule included
     if cfg.arrival_dist.family != "exponential":
         arrival_schedule = None  # thinning needs exponential interarrivals
-    assert_same_path(cfg, kind, seed, sampling_grid=grid,
-                     arrival_schedule=arrival_schedule,
-                     service_schedule=service_schedule)
+    kwargs = dict(sampling_grid=grid, arrival_schedule=arrival_schedule,
+                  service_schedule=service_schedule)
+    paths = run_paths(cfg, kinds, seed, **kwargs)
+    assert [p.policy_kind for p in paths] == list(kinds)
+    for kind, path in zip(kinds, paths):
+        assert_same_path(cfg, kind, seed, new=path, **kwargs)
+        if kind != "fcfs":  # the folded index gives the old index's bits
+            new = PolicyRef.for_config(kind, cfg).index
+            old = reference_engine.RefPolicy.for_config(kind, cfg).index
+            for l in range(cfg.n_classes):
+                assert [new(l, n) for n in range(-1, 40)] == [old(l, n) for n in range(-1, 40)]
 
 
 @pytest.mark.parametrize("kind", POLICY_KINDS)
@@ -105,3 +132,35 @@ def test_long_critical_path_matches_reference(critical_config):
     for kind in POLICY_KINDS:
         path = assert_same_path(cfg, kind, seed=1, sampling_grid=201)
         assert len(path.jobs) > 1500
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_compare_policies_equals_replicate_per_kind(critical_config, n_jobs):
+    cfg = replace(critical_config, horizon=2.0)
+    out = compare_policies(cfg, POLICY_KINDS, n_paths=6, base_seed=3, n_jobs=n_jobs)
+    for kind in POLICY_KINDS:
+        alone = replicate(cfg, kind, n_paths=6, base_seed=3, n_jobs=1)
+        for field in ("grid", "mean", "stderr", "terminal_costs", "event_counts"):
+            assert np.array_equal(getattr(out[kind], field), getattr(alone, field)), field
+
+
+def test_simulate_single_path_csvs_match_reference(tmp_path, critical_config):
+    cfg = replace(critical_config, horizon=3.0,
+                  costs=(CostFn(1.0), CostFn(4.0, power=3.0)))
+    save_config(cfg, tmp_path / "system.json")
+    out = tmp_path / "out"
+    args = ["simulate", "--config", str(tmp_path / "system.json"), "--paths", "1",
+            "--seed", "5", "--out", str(out)]
+    result = CliRunner().invoke(main, args + [a for k in POLICY_KINDS for a in ("--policy", k)])
+    assert result.exit_code == 0, result.output
+    for kind in POLICY_KINDS:
+        ref = reference_engine.run_path(cfg, kind, 5, sampling_grid=201)
+        for job in ref.jobs:  # the reference keeps numpy scalars, the CSV Python floats
+            job.arrival_time, job.service_req = float(job.arrival_time), float(job.service_req)
+            if job.completion_time is not None:
+                job.completion_time = float(job.completion_time)
+        export_jobs_csv(ref, tmp_path / "jobs.csv")
+        export_curves_csv(ref, tmp_path / "curves.csv")
+        for name in ("jobs", "curves"):
+            expect = (tmp_path / f"{name}.csv").read_bytes()
+            assert (out / f"{name}_{kind}.csv").read_bytes() == expect, (kind, name)

@@ -108,9 +108,29 @@ def underflow_config():
                         c_r=800.0, delay_costs=(15.0, 1.0))
 
 
+def recorded_understaffed_config():
+    """A design hypothesis once drew: at z_fl = 1, Gamma = 0.444 reviewers is
+    below the passing share 0.8 (q = 1.8), where the reviewer variance rate
+    is a small negative difference of large terms."""
+    return TriageConfig(Lambda=100.0, p=(1.19e-7, 1.0 - 1.19e-7), mu=(17.27, 180.19),
+                        curves=PassingCurves.from_grid([0.0, 1.0], [1.0, 1.0], [1.0, 0.8]),
+                        c_trp=1.0, c_trn=-1.0, c_fp=0.0, c_fn=0.0, c_tp=0.0, c_tn=0.0,
+                        c_r=1.0, delay_costs=(1.0, 1.0), alpha_u=1e-8, alpha_v=(0.0067, 5.5e-5))
+
+
+def understaffed_config():
+    """Only the fast non-toxic class passes near z_fl = 1, so Gamma falls
+    below the passing share there: q = 3 at z_fl = 1, but 0.02 at z_fl = 0."""
+    return TriageConfig(Lambda=100.0, p=(0.5, 0.5), mu=(1.0, 300.0),
+                        curves=PassingCurves.from_grid([0.0, 1.0], [1.0, 0.0], [1.0, 1.0]),
+                        c_trp=20.0, c_trn=-3.0, c_fp=3.0, c_fn=3.0, c_tp=-3.0, c_tn=-3.0,
+                        c_r=800.0, delay_costs=(15.0, 1.0))
+
+
 @settings(max_examples=150, deadline=None)
 @given(config=triage_configs(), z_fl=thresholds, z_tx=thresholds)
 @example(config=underflow_config(), z_fl=1.0, z_tx=1.0)
+@example(config=recorded_understaffed_config(), z_fl=1.0, z_tx=1.0)
 def test_scalar_functions_match_reference(config, z_fl, z_tx):
     for name, args in (("staffing", (z_fl, config)),
                        ("filtering_cost_rate", (z_fl, config)),
@@ -171,9 +191,14 @@ def test_array_thresholds_match_scalar_calls(config, z):
                           [filtering_cost_rate(a, config) for a in z_fl.tolist()])
     assert np.array_equal(misclass_cost_rate((z_fl, z_tx), config),
                           [misclass_cost_rate(pair, config) for pair in pairs])
-    d = total_cost((z_fl, z_tx), config, MC)
-    for i, pair in enumerate(pairs):
-        one = total_cost(pair, config, MC)
+    d, error = _outcome(total_cost, (z_fl, z_tx), config, MC)
+    ones = [_outcome(total_cost, pair, config, MC) for pair in pairs]
+    if error is not None:
+        # an array call reports its first infeasible point, as that point's scalar call does
+        assert error == next(e for _, e in ones if e is not None)
+        return
+    assert all(e is None for _, e in ones)
+    for i, (one, _) in enumerate(ones):
         assert all(getattr(d, f)[i] == getattr(one, f) for f in FIELDS)
 
 
@@ -207,6 +232,49 @@ def test_gamma_underflow_is_an_empty_pass():
                      (evaluate_grid, (config, 1.0, [0.5, 1.0], MC))):
         assert _outcome(fn, *args)[1] == error, fn.__name__
         assert _reference(fn.__name__, *args)[1] == error, fn.__name__
+
+
+def test_understaffed_points_are_skipped_or_refused():
+    config = understaffed_config()
+    grid = [0.0, 0.5, 0.999, 1.0]
+    got = evaluate_grid(config, 1.0, grid, MC)
+    want = ref.evaluate_grid(config, 1.0, grid, MC)
+    assert [d.z_fl for d in got] == [d.z_fl for d in want] == [0.0, 0.5]
+    for new, old in zip(got, want):
+        assert all(_close(getattr(new, f), getattr(old, f)) for f in FIELDS)
+    with pytest.raises(EmptyGridError):
+        evaluate_grid(config, 1.0, [0.999, 1.0], MC)
+    for fn, args in ((reviewer_params, ((1.0, 1.0), config)),
+                     (reviewer_variance_rate, (1.0, config)),
+                     (reviewer_queue_cost, ((1.0, 1.0), config, MC)),
+                     (total_cost, ((1.0, 1.0), config, MC))):
+        error = _outcome(fn, *args)[1]
+        assert error == (ConfigError, "infeasible design at z_fl=1.0: Gamma is below the "
+                                      "passing share, so the split probability q = "
+                                      "pass_prob / Gamma exceeds 1")
+        assert _reference(fn.__name__, *args)[1] == error, fn.__name__
+    # an array call refuses its first understaffed point
+    with pytest.raises(ConfigError, match=r"^infeasible design at z_fl=0.999: "):
+        total_cost(([0.0, 0.999, 1.0], [1.0, 1.0, 1.0]), config, MC)
+
+
+def test_triage_cli_counts_skipped_points(tmp_path):
+    doc = {"Lambda": 100.0, "p": [0.5, 0.5], "mu": [1.0, 300.0],
+           "curves": {"kind": "grid", "z": [0.0, 1.0], "g_toxic": [1.0, 0.0],
+                      "g_nontoxic": [1.0, 1.0]},
+           "c_trp": 20.0, "c_trn": -3.0, "c_fp": 3.0, "c_fn": 3.0, "c_tp": -3.0,
+           "c_tn": -3.0, "c_r": 800.0, "delay_costs": [15.0, 1.0]}
+    config_path = tmp_path / "triage.json"
+    config_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    # z_fl = 0.99 is staffed, 0.995 is not (q = 1.2), 1.0 lies above --ztx
+    result = CliRunner().invoke(main, ["triage", "--config", str(config_path), "--zfl-grid",
+                                       "0.99:1.0:3", "--ztx", "0.999", "--paths", "50",
+                                       "--steps", "100", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["grid_points"] == 1
+    assert manifest["skipped"] == {"z_tx_below_z_fl": 1, "gamma_below_pass_share": 1}
 
 
 # --------------------------------------------- empty predicted label: the limit
