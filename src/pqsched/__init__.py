@@ -41,7 +41,6 @@ from .policies import (
 )
 from .engine import (
     Curves,
-    Job,
     PathResult,
     RateSchedule,
     export_curves_csv,

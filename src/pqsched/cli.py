@@ -130,8 +130,8 @@ def cmd_simulate(config_path, policies, paths, seed, out_dir):
         for kind, path in zip(policies, results):
             export_jobs_csv(path, run.path(f"jobs_{kind}.csv"))
             export_curves_csv(path, run.path(f"curves_{kind}.csv"))
-            click.echo(f"{kind}: {len(path.jobs)} arrivals, "
-                       f"{len(path.completed)} completed")
+            click.echo(f"{kind}: {path.arrival_times.size} arrivals, "
+                       f"{int(path.done.sum())} completed")
         counts = {kind: [path.event_count] for kind, path in zip(policies, results)}
     else:
         summaries = cost_mod.compare_policies(config, list(policies),

@@ -127,8 +127,8 @@ class ReplicationSummary:
 
 def _one_seed(args):
     """Cost curves on eval_times and event counts of each policy on one seed."""
-    config, policies, seed, rule, eval_times, sampling_grid = args
-    paths = run_paths(config, policies, seed, sampling_grid=sampling_grid)
+    config, policies, seed, rule, eval_times = args
+    paths = run_paths(config, policies, seed, sampling_grid=2)
     return [(path_cost(p, config, rule, grid=eval_times).values, p.event_count) for p in paths]
 
 
@@ -146,8 +146,7 @@ def resolve_n_jobs(n_jobs: Optional[int] = None) -> int:
 
 
 def _replicate(config: SystemConfig, policies: list, n_paths: int, base_seed: int, rule: str,
-               eval_times: Optional[Sequence[float]], sampling_grid: int,
-               n_jobs: Optional[int]) -> list:
+               eval_times: Optional[Sequence[float]], n_jobs: Optional[int]) -> list:
     """One ReplicationSummary per policy (a kind or a PolicyRef, resolved
     once) on seeds base_seed..base_seed+n_paths-1.  A task is one seed with
     every policy, so each seed's arrival stream is drawn once.  Results are
@@ -161,9 +160,12 @@ def _replicate(config: SystemConfig, policies: list, n_paths: int, base_seed: in
     if eval_times is None:
         eval_times = np.linspace(0.0, config.horizon, 11)
     eval_times = np.asarray(eval_times, dtype=float)
+    if not (eval_times.ndim == 1 and eval_times.size and eval_times[0] >= 0.0
+            and np.all(np.diff(eval_times) >= 0.0) and eval_times[-1] == config.horizon):
+        raise ConfigError(f"eval_times must be nondecreasing in [0, horizon] and end at the "
+                          f"horizon {config.horizon}")
 
-    tasks = [(config, policies, base_seed + i, rule, eval_times, sampling_grid)
-             for i in range(n_paths)]
+    tasks = [(config, policies, base_seed + i, rule, eval_times) for i in range(n_paths)]
     workers = resolve_n_jobs(n_jobs)
     if workers > 1:
         chunk = max(1, n_paths // (workers * 8))
@@ -187,11 +189,9 @@ def _replicate(config: SystemConfig, policies: list, n_paths: int, base_seed: in
 def replicate(config: SystemConfig, policy, n_paths: int, base_seed: int,
               rule: str = TRUNCATE_AT_HORIZON,
               eval_times: Optional[Sequence[float]] = None,
-              sampling_grid: int = 2,
               n_jobs: Optional[int] = None) -> ReplicationSummary:
     """Run n_paths independent paths on seeds base_seed..base_seed+n_paths-1."""
-    return _replicate(config, [policy], n_paths, base_seed, rule, eval_times, sampling_grid,
-                      n_jobs)[0]
+    return _replicate(config, [policy], n_paths, base_seed, rule, eval_times, n_jobs)[0]
 
 
 def compare_policies(config: SystemConfig, kinds: Sequence[str], n_paths: int,
@@ -201,8 +201,7 @@ def compare_policies(config: SystemConfig, kinds: Sequence[str], n_paths: int,
     """Replicate several policies on the same seeds, drawing each seed's
     arrival stream once for all of them; fill oracle ratios."""
     kinds = list(dict.fromkeys(kinds))
-    out = dict(zip(kinds, _replicate(config, kinds, n_paths, base_seed, rule, eval_times, 2,
-                                     n_jobs)))
+    out = dict(zip(kinds, _replicate(config, kinds, n_paths, base_seed, rule, eval_times, n_jobs)))
     if "oracle" in out:
         base = out["oracle"].mean
         with np.errstate(divide="ignore", invalid="ignore"):

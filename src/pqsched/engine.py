@@ -25,8 +25,7 @@ recursion W_i = max(0, W_{i-1} - (a_i - a_{i-1})) + s_i over arrivals, the
 remaining work of any work-conserving policy, so one pass per seed serves
 every policy and classifier (a service schedule adds a jump where it
 rescales a job at its first start).  The grid curves are derived from the
-columns afterwards, and `PathResult.jobs`/`completed`/`open_jobs` are
-read-only views.
+columns afterwards.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -44,7 +43,6 @@ from .model import SystemConfig
 from .policies import PolicyRef
 
 __all__ = [
-    "Job",
     "Curves",
     "PathResult",
     "RateSchedule",
@@ -111,52 +109,6 @@ class Curves:
     composition: np.ndarray   # (G, K, K) present jobs by (true, predicted)
 
 
-class Job(NamedTuple):
-    """One job of a path, read off the path's columns (see PathResult)."""
-
-    id: int
-    arrival_time: float
-    true_class: int
-    predicted_class: int
-    service_req: float
-    completion_time: Optional[float]  # None while open at the horizon
-    remaining: float                  # unfinished work at the horizon
-
-    @property
-    def sojourn(self) -> Optional[float]:
-        if self.completion_time is None:
-            return None
-        return self.completion_time - self.arrival_time
-
-    @property
-    def started(self) -> bool:
-        return self.completion_time is not None or self.remaining != self.service_req
-
-
-class JobsView:
-    """Read-only sequence of the `Job` records in some rows of a path."""
-
-    __slots__ = ("_path", "_rows")
-
-    def __init__(self, path: "PathResult", rows: np.ndarray):
-        self._path = path
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, i: int) -> Job:
-        return self._path.job(int(self._rows[i]))
-
-    def __iter__(self):
-        return map(self._path.job, self._rows.tolist())
-
-    def __eq__(self, other):
-        if isinstance(other, (list, tuple, JobsView)):
-            return list(self) == list(other)
-        return NotImplemented
-
-
 @dataclass(frozen=True)
 class PathResult:
     """One simulated sample path, stored as per-job columns in arrival order.
@@ -166,8 +118,7 @@ class PathResult:
     started under a service schedule carries its rescaled requirement).
     arrival_workloads[i] is W_+ immediately after the i-th arrival -- an
     event-aligned trace that is comparable across policies and classifiers
-    because arrival epochs are shared under a common seed.  `jobs`,
-    `completed` and `open_jobs` are read-only views built on access.
+    because arrival epochs are shared under a common seed.
     """
 
     arrival_times: np.ndarray     # (n,) float, increasing
@@ -188,25 +139,6 @@ class PathResult:
     def done(self) -> np.ndarray:
         """Mask of the jobs completed by the horizon."""
         return ~np.isnan(self.completion)
-
-    def job(self, i: int) -> Job:
-        """The record of job i (row i of the columns)."""
-        c = float(self.completion[i])
-        return Job(i, float(self.arrival_times[i]), int(self.true_class[i]),
-                   int(self.predicted_class[i]), float(self.service[i]),
-                   None if c != c else c, float(self.remaining[i]))
-
-    @property
-    def jobs(self) -> JobsView:
-        return JobsView(self, np.arange(len(self.arrival_times)))
-
-    @property
-    def completed(self) -> JobsView:
-        return JobsView(self, np.flatnonzero(self.done))
-
-    @property
-    def open_jobs(self) -> JobsView:
-        return JobsView(self, np.flatnonzero(~self.done))
 
 
 def _overflow(event_cap: int, horizon: float) -> EventOverflowError:
@@ -467,11 +399,12 @@ def export_jobs_csv(result: PathResult, path):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "arrival", "true_class", "predicted_class",
                          "service", "completion", "sojourn"])
-        for j in result.jobs:
-            done = "" if j.completion_time is None else repr(j.completion_time)
-            soj = "" if j.sojourn is None else repr(j.sojourn)
-            writer.writerow([j.id, repr(j.arrival_time), j.true_class,
-                             j.predicted_class, repr(j.service_req), done, soj])
+        columns = (result.arrival_times, result.true_class, result.predicted_class,
+                   result.service, result.completion)
+        for i, (a, k, l, s, c) in enumerate(zip(*(col.tolist() for col in columns))):
+            done = c == c  # c is NaN while the job is open
+            writer.writerow([i, repr(a), k, l, repr(s), repr(c) if done else "",
+                             repr(c - a) if done else ""])
 
 
 def export_curves_csv(result: PathResult, path):

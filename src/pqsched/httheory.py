@@ -36,7 +36,6 @@ __all__ = [
     "kkt_solve",
     "two_class_xstar",
     "QuadraticCostCoefficients",
-    "stiffness_coefficients",
     "quadratic_coefficients",
     "JEstimate",
     "jstar",

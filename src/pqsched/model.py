@@ -337,10 +337,6 @@ class MixtureCost:
                 break
         return out.reshape(y.shape)[()]
 
-    @property
-    def is_quadratic(self) -> bool:
-        return self.common_power == 2.0
-
 
 def mixture_cost(l: int, params: PredictedClassParams, costs: Sequence[CostFn]) -> MixtureCost:
     """The effective delay cost C~_l of predicted class l under posterior weights w_.l."""

@@ -53,6 +53,7 @@ __all__ = [
     "total_cost",
     "evaluate_grid",
     "optimize",
+    "load_triage_config",
 ]
 
 DEFAULT_SCORE_GRID = 101
@@ -323,7 +324,7 @@ def _check_feasible(understaffed, z_fl):
 def staffing(z_fl, config: TriageConfig):
     """Gamma(z_fl) = Lambda sum_k p_k g_k(z_fl) / mu_k -- the real-valued
     reviewer count that keeps every reviewer exactly critically loaded."""
-    return _design(z_fl, z_fl, config)[1]["gamma"][()]
+    return _design(*_check_thresholds((z_fl, z_fl)), config)[1]["gamma"][()]
 
 
 def reviewer_params(z, config: TriageConfig) -> ReviewerParams:
@@ -333,7 +334,7 @@ def reviewer_params(z, config: TriageConfig) -> ReviewerParams:
 
 def filtering_cost_rate(z_fl, config: TriageConfig):
     """Cost rate of auto-resolving everything scoring below z_fl."""
-    return _design(z_fl, z_fl, config)[1]["filtering"][()]
+    return _design(*_check_thresholds((z_fl, z_fl)), config)[1]["filtering"][()]
 
 
 def misclass_cost_rate(z, config: TriageConfig):

@@ -184,12 +184,6 @@ class Job:
         self.completion_time = None
         self.started = False
 
-    @property
-    def sojourn(self) -> Optional[float]:
-        if self.completion_time is None:
-            return None
-        return self.completion_time - self.arrival_time
-
 
 class QueueState:
     """Live state of the system, grouped by scheduling class.
@@ -278,14 +272,6 @@ class RefPath:
     policy_kind: str
     arrival_times: np.ndarray
     arrival_workloads: np.ndarray
-
-    @property
-    def completed(self) -> list:
-        return [j for j in self.jobs if j.completion_time is not None]
-
-    @property
-    def open_jobs(self) -> list:
-        return [j for j in self.jobs if j.completion_time is None]
 
 
 def _uniform_to_positive(u: float) -> float:

@@ -15,6 +15,7 @@ from pqsched import (
     CostFn,
     McParams,
     PassingCurves,
+    PolicyRef,
     SystemConfig,
     TriageConfig,
     TRUNCATE_AT_HORIZON,
@@ -28,6 +29,7 @@ from pqsched import (
     reviewer_params,
     reviewer_queue_cost,
     run_path,
+    run_paths,
     save_config,
     terminal_cost,
     two_class_xstar,
@@ -75,14 +77,12 @@ def _ten_class_config():
 def test_criterion_01_policy_ordering():
     cfg = _ten_class_config()
     n = 10_000
-    J = {}
-    for kind in ("oracle", "pcmu", "naive"):
-        vals = np.empty(n)
-        for s in range(n):
-            vals[s] = terminal_cost(
-                run_path(cfg, kind, seed=s, sampling_grid=2), cfg,
-                rule=TRUNCATE_AT_HORIZON)
-        J[kind] = vals
+    kinds = ("oracle", "pcmu", "naive")
+    policies = [PolicyRef.for_config(kind, cfg) for kind in kinds]
+    J = {kind: np.empty(n) for kind in kinds}
+    for s in range(n):  # every policy on the seed's one arrival stream
+        for kind, path in zip(kinds, run_paths(cfg, policies, seed=s, sampling_grid=2)):
+            J[kind][s] = terminal_cost(path, cfg, rule=TRUNCATE_AT_HORIZON)
     d_po = J["pcmu"] - J["oracle"]
     d_np = J["naive"] - J["pcmu"]
     z_po = d_po.mean() / (d_po.std(ddof=1) / np.sqrt(n))
@@ -334,8 +334,10 @@ def test_criterion_07_composition_and_little():
         path = run_path(cfg, "pcmu", seed=seed, sampling_grid=4001)
         comp_sum += path.curves.composition.mean(axis=0)
         nbar_sum += path.curves.queue_lengths.mean(axis=0)
-        for job in path.completed:
-            sojourns[job.predicted_class].append(job.sojourn)
+        done = path.done
+        sojourn = path.completion - path.arrival_times
+        for l in range(3):
+            sojourns[l].extend(sojourn[done & (path.predicted_class == l)].tolist())
 
     frac = (comp_sum / len(seeds)) / (comp_sum / len(seeds)).sum(axis=0)
     worst_comp = float(np.max(np.abs(frac - params.mix_weights)))

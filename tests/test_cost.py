@@ -9,13 +9,13 @@ from pqsched import (
     ConfigError,
     CostFn,
     Curves,
-    Job,
     PathResult,
     compare_policies,
     paired_gap,
     path_cost,
     replicate,
     resolve_n_jobs,
+    run_path,
     export_summary_csv,
     terminal_cost,
 )
@@ -23,9 +23,11 @@ from conftest import make_two_class
 from helpers import curve_at
 
 
-def _job(jid, arrival, true_class, predicted, service, completion=None):
-    remaining = service if completion is None else 0.0
-    return Job(jid, arrival, true_class, predicted, service, completion, remaining)
+def _job(arrival, true_class, predicted, service, completion=np.nan):
+    """One job's row: arrival, true and predicted class, service, completion
+    (NaN while open) and remaining work at the horizon."""
+    remaining = service if np.isnan(completion) else 0.0
+    return arrival, true_class, predicted, service, completion, remaining
 
 
 def _fake_path(jobs, horizon=10.0, n_classes=2):
@@ -34,15 +36,10 @@ def _fake_path(jobs, horizon=10.0, n_classes=2):
                     queue_lengths=np.zeros((21, n_classes), dtype=np.int64),
                     workload=np.zeros(21),
                     composition=np.zeros((21, n_classes, n_classes), dtype=np.int64))
+    # arrival_times, true_class, predicted_class, service, completion, remaining
+    columns = [np.array(col) for col in zip(*jobs)] or [np.zeros(0)] * 6
     return PathResult(
-        arrival_times=np.array([j.arrival_time for j in jobs], dtype=float),
-        true_class=np.array([j.true_class for j in jobs], dtype=np.int64),
-        predicted_class=np.array([j.predicted_class for j in jobs], dtype=np.int64),
-        service=np.array([j.service_req for j in jobs], dtype=float),
-        completion=np.array([np.nan if j.completion_time is None else j.completion_time
-                             for j in jobs], dtype=float),
-        remaining=np.array([j.remaining for j in jobs], dtype=float),
-        arrival_workloads=np.zeros(len(jobs)), curves=curves, seed=0,
+        *columns, arrival_workloads=np.zeros(len(jobs)), curves=curves, seed=0,
         event_count=0, horizon=horizon, n_classes=n_classes, policy_kind="pcmu")
 
 
@@ -51,7 +48,7 @@ def _fake_path(jobs, horizon=10.0, n_classes=2):
 def test_single_completed_job_cost(two_class_config):
     # sojourn 3 under C(t) = (2/2) t^2 -> charge 9, booked at the arrival
     cfg = make_two_class(costs=(CostFn(2.0), CostFn(2.0)))
-    path = _fake_path([_job(0, 1.0, 0, 0, 1.0, completion=4.0)])
+    path = _fake_path([_job(1.0, 0, 0, 1.0, completion=4.0)])
     curve = path_cost(path, cfg)
     assert curve_at(curve, 0.5) == 0.0
     assert curve_at(curve, 1.0) == pytest.approx(9.0)
@@ -62,13 +59,13 @@ def test_single_completed_job_cost(two_class_config):
 
 def test_misclassified_job_charged_by_true_class(two_class_config):
     # true class 1 mislabeled as 1st class still pays the class-2 rate (10)
-    path = _fake_path([_job(0, 1.0, 1, 0, 1.0, completion=3.0)])
+    path = _fake_path([_job(1.0, 1, 0, 1.0, completion=3.0)])
     curve = path_cost(path, two_class_config)
     assert curve_at(curve, 10.0) == pytest.approx(10.0 / 2.0 * 4.0)   # (10/2) * 2^2
 
 
 def test_truncate_vs_completed_rules(two_class_config):
-    open_job = _job(0, 4.0, 0, 0, 2.0)         # never completes
+    open_job = _job(4.0, 0, 0, 2.0)         # never completes
     path = _fake_path([open_job], horizon=10.0)
     trunc = terminal_cost(path, two_class_config, rule=TRUNCATE_AT_HORIZON)
     assert trunc == pytest.approx(0.5 * (10.0 - 4.0) ** 2)     # (1/2) * 6^2
@@ -79,8 +76,8 @@ def test_truncate_vs_completed_rules(two_class_config):
 
 
 def test_curve_monotone_and_right_continuous(two_class_config):
-    jobs = [_job(0, 1.0, 0, 0, 1.0, completion=2.0),
-            _job(1, 3.0, 1, 1, 1.0, completion=5.0)]
+    jobs = [_job(1.0, 0, 0, 1.0, completion=2.0),
+            _job(3.0, 1, 1, 1.0, completion=5.0)]
     path = _fake_path(jobs)
     curve = path_cost(path, two_class_config)
     assert curve.values[0] == 0.0
@@ -200,6 +197,19 @@ def test_custom_eval_times(two_class_config):
     s = replicate(cfg, "pcmu", n_paths=5, base_seed=0, eval_times=times)
     assert np.array_equal(s.grid, times)
     assert s.mean.shape == (3,)
+
+
+def test_eval_times_must_end_at_the_horizon():
+    # terminal costs are J(horizon): a grid ending early would report J there
+    cfg = make_two_class()
+    for times in ([0.0, 0.5], [0.0, 1.0, 0.5, 1.0], [-0.5, 1.0], [0.0, 2.0], [], [[0.0, 1.0]]):
+        with pytest.raises(ConfigError):
+            replicate(cfg, "pcmu", n_paths=5, base_seed=0, eval_times=times)
+        with pytest.raises(ConfigError):
+            compare_policies(cfg, ("oracle", "pcmu"), n_paths=5, base_seed=0, eval_times=times)
+    s = replicate(cfg, "pcmu", n_paths=5, base_seed=0, eval_times=[0.0, 0.5, 1.0])
+    expect = [terminal_cost(run_path(cfg, "pcmu", seed=i), cfg) for i in range(5)]
+    assert s.terminal_costs == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------- workers

@@ -45,8 +45,8 @@ def _det_config(**overrides):
 def test_empty_path_before_first_arrival():
     cfg = _det_config(horizon=1.0)  # first deterministic arrival at 1.25
     path = run_path(cfg, "pcmu", seed=0)
-    assert path.jobs == []
     assert path.arrival_times.size == 0
+    assert path.completion.size == 0
     assert np.all(path.curves.workload == 0.0)
     assert np.all(path.curves.queue_lengths == 0)
     assert exact_int_w2(path) == 0.0
@@ -56,13 +56,12 @@ def test_single_job_deterministic():
     cfg = _det_config(horizon=2.0)  # one arrival at 1.25
     for kind in ("oracle", "naive", "pcmu", "fcfs"):
         path = run_path(cfg, kind, seed=1)  # seed 1 -> first class is 0
-        assert len(path.jobs) == 1
-        job = path.jobs[0]
-        assert job.arrival_time == pytest.approx(1.25)
-        assert job.true_class == 0
-        assert job.service_req == pytest.approx(2.0)  # 1/mu_1
-        assert job.completion_time is None             # 1.25 + 2 > 2.0
-        assert job.remaining == pytest.approx(2.0 - 0.75)
+        assert path.arrival_times.size == 1
+        assert path.arrival_times[0] == pytest.approx(1.25)
+        assert path.true_class[0] == 0
+        assert path.service[0] == pytest.approx(2.0)  # 1/mu_1
+        assert not path.done[0]                       # 1.25 + 2 > 2.0
+        assert path.remaining[0] == pytest.approx(2.0 - 0.75)
 
 
 def test_two_job_preemptive_resume_trace():
@@ -71,30 +70,27 @@ def test_two_job_preemptive_resume_trace():
     # second job preempts, completes at 3.5, and the first job resumes with
     # 0.75 remaining, leaving 0.55 unfinished at the 3.7 horizon.
     path = run_path(_det_config(), "pcmu", seed=1)
-    assert len(path.jobs) == 2
-    a, b = path.jobs
-    assert (a.true_class, b.true_class) == (0, 1)
-    assert a.arrival_time == pytest.approx(1.25)
-    assert b.arrival_time == pytest.approx(2.5)
-    assert b.completion_time == pytest.approx(3.5)
-    assert b.sojourn == pytest.approx(1.0)
-    assert a.completion_time is None and a.started
-    assert a.remaining == pytest.approx(0.55)
+    assert path.arrival_times.size == 2
+    assert path.true_class.tolist() == [0, 1]
+    assert path.arrival_times == pytest.approx([1.25, 2.5])
+    assert path.completion[1] == pytest.approx(3.5)
+    assert (path.completion - path.arrival_times)[1] == pytest.approx(1.0)  # sojourn
+    started = path.done | (path.remaining != path.service)
+    assert not path.done[0] and started[0]
+    assert path.remaining[0] == pytest.approx(0.55)
     # workload snapshots: 2.0 at the first arrival, 0.75 + 1.0 at the second
     assert path.arrival_workloads == pytest.approx([2.0, 1.75])
     assert path.curves.workload[-1] == pytest.approx(0.55)
-    assert path.curves.workload[-1] == pytest.approx(
-        sum(j.remaining for j in path.open_jobs))
+    assert path.curves.workload[-1] == pytest.approx(path.remaining[~path.done].sum())
 
 
 def test_fcfs_never_preempts():
     # same two-job trace under global FCFS: the first job keeps the server,
     # so the second (4.25 due) is still open at the 3.7 horizon
     path = run_path(_det_config(), "fcfs", seed=1)
-    a, b = path.jobs
-    assert a.completion_time == pytest.approx(3.25)   # 1.25 + 2.0
-    assert b.completion_time is None
-    assert b.remaining == pytest.approx(4.25 - 3.7)
+    assert path.completion[0] == pytest.approx(3.25)   # 1.25 + 2.0
+    assert not path.done[1]
+    assert path.remaining[1] == pytest.approx(4.25 - 3.7)
 
 
 # ------------------------------------------------- classification sampling
@@ -166,26 +162,23 @@ def test_identity_confusion_composition_is_diagonal(identity_config):
 
 def test_conservation_and_horizon_workload(critical_config):
     path = run_path(critical_config, "pcmu", seed=2, sampling_grid=501)
-    assert len(path.completed) + len(path.open_jobs) == len(path.jobs)
+    done = path.done
     # trajectory workload at the horizon equals unfinished work by jobs
-    assert path.curves.workload[-1] == pytest.approx(
-        sum(j.remaining for j in path.open_jobs), abs=1e-9)
+    assert path.curves.workload[-1] == pytest.approx(path.remaining[~done].sum(), abs=1e-9)
     # and equals the Lindley recursion applied to the arrival snapshots
     assert path.curves.workload[-1] == pytest.approx(
         workload_at_horizon(path), abs=1e-9)
     # completed jobs received exactly their service requirement
-    for j in path.completed:
-        assert j.remaining == 0.0
-        assert j.completion_time >= j.arrival_time + j.service_req - 1e-9
+    assert np.all(path.remaining[done] == 0.0)
+    assert np.all(path.completion[done] >= path.arrival_times[done] + path.service[done] - 1e-9)
 
 
 def test_pfcfs_within_predicted_class(critical_config):
     path = run_path(critical_config, "pcmu", seed=7)
     for l in range(2):
-        done = [j for j in path.completed if j.predicted_class == l]
-        by_completion = sorted(done, key=lambda j: j.completion_time)
-        arrivals = [j.arrival_time for j in by_completion]
-        assert arrivals == sorted(arrivals)
+        # completions in arrival order: columns are in arrival order already
+        completions = path.completion[path.done & (path.predicted_class == l)]
+        assert np.all(np.diff(completions) >= 0.0)
 
 
 def test_little_law_diagnostic(critical_config):
@@ -193,8 +186,8 @@ def test_little_law_diagnostic(critical_config):
     # a smoke check that queue length curves and job books agree in scale.
     path = run_path(critical_config, "pcmu", seed=11, sampling_grid=2001)
     mean_n = path.curves.queue_lengths.sum(axis=1).mean()
-    total_time_in_system = sum(
-        (j.completion_time or path.horizon) - j.arrival_time for j in path.jobs)
+    total_time_in_system = np.sum(
+        np.where(path.done, path.completion, path.horizon) - path.arrival_times)
     assert mean_n == pytest.approx(total_time_in_system / path.horizon, rel=0.05)
 
 
@@ -213,11 +206,9 @@ def test_workload_queue_link_tightens_with_scale():
         den = 0.0
         for seed in range(n_paths):
             path = run_path(cfg, pol, seed=seed)
-            w_l = np.zeros(2)
-            n_l = np.zeros(2)
-            for j in path.open_jobs:
-                w_l[j.predicted_class] += j.remaining
-                n_l[j.predicted_class] += 1.0
+            label, open_ = path.predicted_class, ~path.done
+            w_l = np.bincount(label[open_], weights=path.remaining[open_], minlength=2)
+            n_l = np.bincount(label[open_], minlength=2)
             num += float(np.abs(params.mu_tilde * w_l - n_l).sum())
             den += float(n_l.sum())
         rels.append(num / den)
@@ -232,7 +223,7 @@ def test_run_path_deterministic(critical_config):
     b = run_path(critical_config, "pcmu", seed=9)
     assert np.array_equal(a.arrival_times, b.arrival_times)
     assert np.array_equal(a.arrival_workloads, b.arrival_workloads)
-    assert [j.completion_time for j in a.jobs] == [j.completion_time for j in b.jobs]
+    assert np.array_equal(a.completion, b.completion, equal_nan=True)
     c = run_path(critical_config, "pcmu", seed=10)
     assert not np.array_equal(a.arrival_times, c.arrival_times)
 
@@ -242,7 +233,7 @@ def test_policy_kind_string_equals_policy_ref(critical_config):
     pol = PolicyRef.for_config("naive", critical_config, params)
     a = run_path(critical_config, "naive", seed=4)
     b = run_path(critical_config, pol, seed=4)
-    assert [j.completion_time for j in a.jobs] == [j.completion_time for j in b.jobs]
+    assert np.array_equal(a.completion, b.completion, equal_nan=True)
 
 
 def test_workload_invariant_to_confusion_and_policy(critical_config):
@@ -274,7 +265,7 @@ def test_constant_schedule_one_is_identity(critical_config):
 def test_constant_half_rate_halves_arrivals():
     cfg = make_two_class(lam=200.0)
     half = RateSchedule.constant(0.5)
-    counts = [len(run_path(cfg, "fcfs", seed=s, arrival_schedule=half).jobs)
+    counts = [run_path(cfg, "fcfs", seed=s, arrival_schedule=half).arrival_times.size
               for s in range(30)]
     mean = np.mean(counts)
     # Poisson(100) averaged over 30 paths: 3 sigma ~ 5.5
@@ -301,18 +292,16 @@ def test_service_schedule_scales_requirements():
     cfg = _det_config(horizon=2.0)
     fast = run_path(cfg, "pcmu", seed=1,
                     service_schedule=RateSchedule.constant(2.0))
-    job = fast.jobs[0]
-    assert job.service_req == pytest.approx(2.0)   # drawn requirement kept
-    assert job.completion_time is None
-    assert job.remaining == pytest.approx(0.25)    # 1.0 scaled - 0.75 served
+    assert fast.service[0] == pytest.approx(2.0)   # drawn requirement kept
+    assert not fast.done[0]
+    assert fast.remaining[0] == pytest.approx(0.25)    # 1.0 scaled - 0.75 served
     # horizon workload still matches the remaining-work books
-    assert fast.curves.workload[-1] == pytest.approx(
-        sum(j.remaining for j in fast.open_jobs), abs=1e-12)
+    assert fast.curves.workload[-1] == pytest.approx(fast.remaining[~fast.done].sum(), abs=1e-12)
     # with a longer horizon the completion lands at 1.25 + 1.0
     slow_cfg = _det_config(horizon=2.4)
     done = run_path(slow_cfg, "pcmu", seed=1,
                     service_schedule=RateSchedule.constant(2.0))
-    assert done.jobs[0].completion_time == pytest.approx(2.25)
+    assert done.completion[0] == pytest.approx(2.25)
 
 
 def test_schedules_require_exponential_arrivals():
@@ -347,7 +336,7 @@ def test_event_cap_counts_arrivals_and_completions(critical_config):
     for kind in ("oracle", "naive", "pcmu", "fcfs"):
         path = run_path(critical_config, kind, seed=3)
         events = path.event_count
-        assert events > len(path.jobs)
+        assert events > path.arrival_times.size
         run_path(critical_config, kind, seed=3, event_cap=events)
         with pytest.raises(EventOverflowError):
             run_path(critical_config, kind, seed=3, event_cap=events - 1)
@@ -389,7 +378,7 @@ def test_export_jobs_csv_roundtrip(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["id", "arrival", "true_class", "predicted_class",
                        "service", "completion", "sojourn"]
-    assert len(rows) == 1 + len(path.jobs)
+    assert len(rows) == 1 + path.arrival_times.size
     # open job -> empty completion and sojourn cells
     open_row = rows[1]
     assert open_row[5] == "" and open_row[6] == ""

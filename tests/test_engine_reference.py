@@ -12,6 +12,7 @@ from pqsched import (
     POLICY_KINDS,
     ConfusionMatrix,
     CostFn,
+    PathResult,
     PolicyRef,
     RateSchedule,
     SystemConfig,
@@ -28,25 +29,32 @@ from pqsched.cli import main
 import reference_engine
 
 
+def reference_path(cfg, kind, seed, **kwargs) -> PathResult:
+    """The reference engine's path, its job records turned into columns."""
+    ref = reference_engine.run_path(cfg, kind, seed, **kwargs)
+    jobs = ref.jobs
+    return PathResult(
+        arrival_times=np.array([j.arrival_time for j in jobs], dtype=float),
+        true_class=np.array([j.true_class for j in jobs], dtype=np.int64),
+        predicted_class=np.array([j.predicted_class for j in jobs], dtype=np.int64),
+        service=np.array([j.service_req for j in jobs], dtype=float),
+        completion=np.array([np.nan if j.completion_time is None else j.completion_time
+                             for j in jobs], dtype=float),
+        remaining=np.array([j.remaining for j in jobs], dtype=float),
+        arrival_workloads=ref.arrival_workloads, curves=ref.curves, seed=ref.seed,
+        event_count=ref.event_count, horizon=ref.horizon, n_classes=ref.n_classes,
+        policy_kind=ref.policy_kind)
+
+
 def assert_same_path(cfg, kind, seed, new=None, **kwargs):
     """`new` (run_path's result by default) equals the reference path."""
     if new is None:
         new = run_path(cfg, kind, seed, **kwargs)
-    ref = reference_engine.run_path(cfg, kind, seed, **kwargs)
-    jobs = ref.jobs
-    columns = {
-        "arrival_times": [j.arrival_time for j in jobs],
-        "true_class": [j.true_class for j in jobs],
-        "predicted_class": [j.predicted_class for j in jobs],
-        "service": [j.service_req for j in jobs],
-        "completion": [np.nan if j.completion_time is None else j.completion_time
-                       for j in jobs],
-        "remaining": [j.remaining for j in jobs],
-        "arrival_workloads": ref.arrival_workloads,
-    }
-    for name, expect in columns.items():
-        got = getattr(new, name)
-        assert got.shape == (len(jobs),), name
+    ref = reference_path(cfg, kind, seed, **kwargs)
+    for name in ("arrival_times", "true_class", "predicted_class", "service", "completion",
+                 "remaining", "arrival_workloads"):
+        got, expect = getattr(new, name), getattr(ref, name)
+        assert got.shape == ref.arrival_times.shape, name
         assert np.array_equal(got, np.asarray(expect, dtype=got.dtype), equal_nan=True), name
     for name in ("grid", "queue_lengths", "workload", "composition"):
         got, expect = getattr(new.curves, name), getattr(ref.curves, name)
@@ -131,7 +139,7 @@ def test_long_critical_path_matches_reference(critical_config):
     cfg = replace(critical_config, horizon=20.0)
     for kind in POLICY_KINDS:
         path = assert_same_path(cfg, kind, seed=1, sampling_grid=201)
-        assert len(path.jobs) > 1500
+        assert path.arrival_times.size > 1500
 
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
@@ -154,11 +162,7 @@ def test_simulate_single_path_csvs_match_reference(tmp_path, critical_config):
     result = CliRunner().invoke(main, args + [a for k in POLICY_KINDS for a in ("--policy", k)])
     assert result.exit_code == 0, result.output
     for kind in POLICY_KINDS:
-        ref = reference_engine.run_path(cfg, kind, 5, sampling_grid=201)
-        for job in ref.jobs:  # the reference keeps numpy scalars, the CSV Python floats
-            job.arrival_time, job.service_req = float(job.arrival_time), float(job.service_req)
-            if job.completion_time is not None:
-                job.completion_time = float(job.completion_time)
+        ref = reference_path(cfg, kind, 5, sampling_grid=201)
         export_jobs_csv(ref, tmp_path / "jobs.csv")
         export_curves_csv(ref, tmp_path / "curves.csv")
         for name in ("jobs", "curves"):

@@ -295,6 +295,15 @@ def test_threshold_validation():
         total_cost((0.2, 1.4), cfg, FAST_MC)
 
 
+def test_single_threshold_functions_validate_z_fl():
+    # a function of z_fl alone checks it as a (z_fl, z_fl) pair, like total_cost
+    cfg = make_triage()
+    for fn in (staffing, filtering_cost_rate, reviewer_variance_rate):
+        for z_fl in (1.5, -0.2, np.nan, np.array([0.2, 1.5])):
+            with pytest.raises(ConfigError):
+                fn(z_fl, cfg)
+
+
 # ------------------------------------------------------------ grid search
 
 def test_evaluate_grid_order_and_feasibility():
