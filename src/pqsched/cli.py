@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -91,6 +92,14 @@ class _Run:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return target
+
+
+@contextmanager
+def _timed(timings: dict, stage: str):
+    """Record the wall time of the block as timings[stage], in seconds."""
+    t0 = time.perf_counter()
+    yield
+    timings[stage] = round(time.perf_counter() - t0, 6)
 
 
 class _Group(click.Group):
@@ -281,35 +290,42 @@ def cmd_triage(config_path, zfl_grid, ztx, paths, steps, seed, out_dir):
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def cmd_estimate(csv_path, threshold, out_dir):
     """Estimate confusion matrix, prevalences, service rates, pass curves."""
-    table = ingest_mod.read_validation_csv(csv_path)
+    timings = {}   # stage -> seconds, for the manifest
+    with _timed(timings, "read"):
+        table = ingest_mod.read_validation_csv(csv_path)
     run = _Run("estimate", out_dir, csv_path, {},
                {"threshold": threshold})
     blank = {c: table.blank_line(c) for c in ("predicted_class", "score", "service_time")}
     skipped = {}   # output left out -> why
     if threshold is not None or blank["predicted_class"] is None:
-        q_hat, p_hat = ingest_mod.estimate_confusion(table, threshold=threshold)
-        K = q_hat.n_classes
-        run.write_csv("confusion.csv", ["true_class"] + [f"q_{l+1}" for l in range(K)],
-                      [[k + 1] + [_fmt(x) for x in q_hat.row(k)] for k in range(K)])
+        with _timed(timings, "confusion"):
+            q_hat, p_hat = ingest_mod.estimate_confusion(table, threshold=threshold)
+            K = q_hat.n_classes
+            run.write_csv("confusion.csv", ["true_class"] + [f"q_{l+1}" for l in range(K)],
+                          [[k + 1] + [_fmt(x) for x in q_hat.row(k)] for k in range(K)])
         click.echo(f"confusion: {K} classes from {len(table)} records")
     else:
         skipped["confusion.csv"] = ("no --threshold and predicted_class blank on line "
                                     f"{blank['predicted_class']}")
 
     n_classes = int(table.true_class.max()) + 1
-    columns = [np.bincount(table.true_class, minlength=n_classes) / len(table)]
-    if blank["service_time"] is None:
-        columns += ingest_mod.estimate_rates(table)
-    else:
-        skipped["rates.csv mu_hat, alpha_v_hat"] = (
-            f"service_time blank on line {blank['service_time']}")
-    run.write_csv("rates.csv", ["class", "prevalence", "mu_hat", "alpha_v_hat"][:len(columns) + 1],
-                  [[k + 1] + [_fmt(column[k]) for column in columns] for k in range(n_classes)])
+    with _timed(timings, "rates"):
+        columns = [np.bincount(table.true_class, minlength=n_classes) / len(table)]
+        if blank["service_time"] is None:
+            columns += ingest_mod.estimate_rates(table)
+        else:
+            skipped["rates.csv mu_hat, alpha_v_hat"] = (
+                f"service_time blank on line {blank['service_time']}")
+        run.write_csv("rates.csv",
+                      ["class", "prevalence", "mu_hat", "alpha_v_hat"][:len(columns) + 1],
+                      [[k + 1] + [_fmt(column[k]) for column in columns]
+                       for k in range(n_classes)])
 
     if blank["score"] is None and n_classes == 2:
-        curves = triage_mod.estimate_curves(ingest_mod.scores_by_class(table))
-        run.write_csv("curves.csv", ["z", "g_toxic", "g_nontoxic"],
-                      [[_fmt(x) for x in point] for point in zip(curves.grid, *curves.values)])
+        with _timed(timings, "curves"):
+            curves = triage_mod.estimate_curves(ingest_mod.scores_by_class(table))
+            run.write_csv("curves.csv", ["z", "g_toxic", "g_nontoxic"],
+                          [[_fmt(x) for x in point] for point in zip(curves.grid, *curves.values)])
     else:
         skipped["curves.csv"] = (f"pass-rate curves need 2 classes, found {n_classes}"
                                  if blank["score"] is None
@@ -317,7 +333,9 @@ def cmd_estimate(csv_path, threshold, out_dir):
     for output, reason in skipped.items():
         click.echo(f"{output}: skipped ({reason})")
     skipped = [{"output": output, "reason": reason} for output, reason in skipped.items()]
-    click.echo(f"manifest: {run.finish(rows=len(table), classes=n_classes, skipped=skipped)}")
+    manifest = run.finish(rows=len(table), classes=n_classes, skipped=skipped,
+                          reader=table.reader, timings_s=timings)
+    click.echo(f"manifest: {manifest}")
 
 
 if __name__ == "__main__":

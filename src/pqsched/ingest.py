@@ -9,15 +9,23 @@ on every row; score / predicted_class / service_time may be blank or absent.
 Confusion estimation needs either a predicted_class column or a score column
 plus a threshold (binary: score >= threshold means predicted class 1).
 
-The file is read into a `ValidationTable` of numpy columns, converting
-tokens with Python's own int / float.  A bad file raises the error of its
-first offending line (within a line, in the column order above), and every
-error about a row, from the reader or an estimator, cites its CSV line.
+The file is read into a `ValidationTable` of numpy columns.  A clean file
+(printable ASCII without `"`, `\\n` line ends, no blank line, no line over
+`csv.field_size_limit()`, a header naming true_class) is parsed in one
+`np.loadtxt` pass; any other file, or one numpy refuses (a blank cell, `1_0`,
+a class beyond int64), row by row with the csv module and Python's own
+int / float.  Both routes give the same table and the same errors: a bad
+file raises the error of its first offending line (within a line, in the
+column order above), and every error about a row, from the reader or an
+estimator, cites its CSV line, as do a field over the csv field limit and a
+byte that is not UTF-8.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import warnings
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
@@ -43,6 +51,10 @@ _FIELDS = (
     ("service_time", float, "is not a number", lambda v: v <= 0.0, "must be positive"),
 )
 _COLUMNS = tuple(field[0] for field in _FIELDS)
+# the bytes of a clean file: printable ASCII but the quote, and \n.  Control
+# characters stay out: numpy skips \x1c-\x1f around a token as whitespace,
+# which Python's float refuses and only the per-row route's strip() removes
+_CLEAN = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,13 +62,16 @@ class ValidationTable:
     """Labeled validation examples as numpy columns (classes 0-based):
     true_class and predicted_class int64, predicted_class -1 where blank;
     score and service_time float, NaN where blank; line, the CSV line of
-    each row, cited by every error about the row."""
+    each row, cited by every error about the row; reader, the route that
+    parsed the file ("numpy" or "per-row"; None for a table built from
+    arrays)."""
 
     true_class: np.ndarray
     score: np.ndarray
     predicted_class: np.ndarray
     service_time: np.ndarray
     line: np.ndarray
+    reader: Optional[str] = None
 
     def __post_init__(self):
         for name, dtype in zip(_COLUMNS + ("line",), (np.int64, float, np.int64, float, np.int64)):
@@ -74,44 +89,49 @@ class ValidationTable:
         return int(self.line[np.argmax(blank)]) if blank.any() else None
 
 
-def _column(raw: list, name: str, conv, what: str, broken, rule: str,
-            faults: list) -> np.ndarray:
-    """One column's tokens through conv (a blank reads as NaN, or as -1 for a
-    class); its first fault of each kind goes to faults as (row, complaint),
-    in the order a line is checked."""
-    dtype, present = (np.int64 if conv is int else float), None
-    if all(raw):   # the common case: int / float read every token as it stands
+def _blank(conv, n: int) -> np.ndarray:
+    """n blank entries of a column read with conv: 0 for a class (-1 once
+    shifted to 0-based), NaN for a number."""
+    return np.full(n, 0, np.int64) if conv is int else np.full(n, np.nan)
+
+
+def _tokens(raw: list, name: str, conv, what: str) -> tuple:
+    """One column's tokens through conv: (values, present, faults), a blank
+    token reading as _blank; faults holds (row, complaint) for the first
+    unreadable token, and for true_class the first blank one."""
+    tokens = [s.strip() for s in raw]
+    present = np.fromiter(map(bool, tokens), bool, len(tokens))
+    faults = []
+    if name == "true_class" and not present.all():
+        faults.append((int(np.argmax(~present)), "empty true_class"))
+    values = _blank(conv, len(tokens))
+    for i in np.flatnonzero(present).tolist():
         try:
-            values, present = np.fromiter(map(conv, raw), dtype, len(raw)), np.ones(len(raw), bool)
-        except (ValueError, OverflowError):
-            pass
-    if present is None:
-        tokens = [s.strip() for s in raw]
-        present = np.fromiter(map(bool, tokens), bool, len(tokens))
-        if name == "true_class" and not present.all():
-            faults.append((int(np.argmax(~present)), "empty true_class"))
-        values = np.full(len(tokens), 0 if conv is int else np.nan, dtype)
-        for i in np.flatnonzero(present).tolist():
-            try:
-                values[i] = conv(tokens[i])
-            except (ValueError, OverflowError) as exc:
-                why = what if isinstance(exc, ValueError) else "is too large"
-                faults.append((i, f"{name}={tokens[i]!r} {why}"))
-                break
-    first_off = np.flatnonzero(present & broken(values))[:1].tolist()
-    faults += [(i, f"{name}={values[i].item()} {rule}") for i in first_off]
-    return values - 1 if conv is int else values
+            values[i] = conv(tokens[i])
+        except (ValueError, OverflowError) as exc:
+            why = what if isinstance(exc, ValueError) else "is too large"
+            faults.append((i, f"{name}={tokens[i]!r} {why}"))
+            break
+    return values, present, faults
 
 
-def read_validation_csv(path) -> ValidationTable:
-    """Parse a validation CSV into a ValidationTable."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+def _read_rows(path, data: bytes) -> tuple:
+    """Any file, row by row with the csv module: ({column: _tokens' triple}
+    for the columns the header names, the CSV line of each row)."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]   # its line breaks as csv counts them: \n, \r or \r\n
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise IngestError(
+            f"{path}: line {line}: not UTF-8 (byte 0x{data[exc.start]:02x})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         header = next(reader, None)
         if header is None or "true_class" not in header:
             raise IngestError(f"{path}: missing required column 'true_class'")
         # a repeated name reads its last column, a short row reads blanks, and
-        # an absent column reads true_class's tokens until it is blanked below
+        # an absent column reads true_class's tokens, which are then dropped
         where = {name: i for i, name in enumerate(header)}
         width, pad = len(header), [""] * len(header)
         (i_true, true), (i_score, score), (i_pred, pred), (i_service, service) = (
@@ -126,15 +146,70 @@ def read_validation_csv(path) -> ValidationTable:
                 pred.append(row[i_pred])
                 service.append(row[i_service])
                 lines.append(reader.line_num)
+    except csv.Error as exc:   # a field over csv.field_size_limit()
+        raise IngestError(f"line {reader.line_num}: {exc}") from None
     if not lines:
         raise IngestError(f"{path}: no data rows")
-    faults = []
-    columns = {field[0]: _column(raw if field[0] in where else [""] * len(lines), *field, faults)
-               for raw, field in zip((true, score, pred, service), _FIELDS)}
-    if faults:
+    return ({name: _tokens(raw, name, conv, what)
+             for raw, (name, conv, what, _, _) in zip((true, score, pred, service), _FIELDS)
+             if name in where}, np.asarray(lines))
+
+
+def _read_clean(path, data: bytes) -> Optional[tuple]:
+    """A clean file (see the module docstring) in one np.loadtxt pass, as
+    _read_rows would read it; None where the file is not clean or numpy
+    refuses it.  With no quotes, \\r or blank lines, row i sits on line i + 2."""
+    if data.translate(None, _CLEAN):
+        return None
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    lengths = np.diff(ends, prepend=-1) - 1   # of each line a \n ends
+    last = len(data) - 1 - (ends[-1] if ends.size else -1)
+    if (lengths == 0).any() or max(lengths.max(initial=0), last) > csv.field_size_limit():
+        return None
+    header = data[:ends[0] if ends.size else len(data)].decode("ascii").split(",")
+    if "true_class" not in header:
+        return None
+    where = {name: i for i, name in enumerate(header)}
+    fields = [(name, conv) for name, conv, *_ in _FIELDS if name in where]
+    # loadtxt reads a file named by its path in C chunks, and any other input
+    # line by line in Python (about 1.5x the time and 20 MB more for 2e5 rows),
+    # so it reads the file again; a row count off the data's (a file rewritten
+    # in between) sends the file down the per-row route
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(path, encoding="ascii", delimiter=",", skiprows=1,
+                               usecols=[where[name] for name, _ in fields],
+                               dtype=[(name, np.int64 if conv is int else float)
+                                      for name, conv in fields],
+                               comments=None, quotechar=None, ndmin=1)
+        except (ValueError, Warning):   # an unreadable token, a short row, no rows
+            return None
+    if table.size != ends.size - (last == 0):
+        return None
+    return ({name: (table[name], np.ones(table.size, bool), []) for name, _ in fields},
+            np.arange(2, table.size + 2))
+
+
+def read_validation_csv(path) -> ValidationTable:
+    """Parse a validation CSV into a ValidationTable, by the numpy route if
+    the file is clean and numpy reads it, else row by row."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    clean = _read_clean(path, data)
+    columns, lines = _read_rows(path, data) if clean is None else clean
+    faults, table = [], {}
+    for name, conv, _, broken, rule in _FIELDS:
+        values, present, column_faults = columns.get(name) or (
+            _blank(conv, lines.size), np.zeros(lines.size, bool), [])
+        faults += column_faults
+        faults += [(i, f"{name}={values[i].item()} {rule}")
+                   for i in np.flatnonzero(present & broken(values))[:1].tolist()]
+        table[name] = values - 1 if conv is int else values
+    if faults:   # the first offending line wins; within it, the column order
         row, complaint = min(faults, key=lambda fault: fault[0])
         raise IngestError(f"line {lines[row]}: {complaint}")
-    return ValidationTable(line=np.asarray(lines), **columns)
+    return ValidationTable(line=lines, reader="per-row" if clean is None else "numpy", **table)
 
 
 def _infer_n_classes(table: ValidationTable, n_classes: Optional[int]) -> int:

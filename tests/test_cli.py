@@ -326,6 +326,44 @@ def test_estimate_manifest_with_nothing_skipped(runner, tmp_path):
     assert (man["rows"], man["classes"], man["skipped"]) == (20, 2, [])
 
 
+@pytest.mark.parametrize("text, reader", [
+    ("true_class,score,service_time\n1,0.9,0.5\n2,0.1,1.0\n", "numpy"),
+    ('true_class,score,service_time\n1,"0.9",0.5\n2,0.1,1.0\n', "per-row"),
+    ("true_class,score,service_time\r\n1,0.9,0.5\r\n2,0.1,1.0\r\n", "per-row"),
+    ("true_class,score,service_time\n1,0.9\x1c,0.5\n2,0.1,1.0\n", "per-row"),
+], ids=["clean", "quoted", "crlf", "control-character"])
+def test_estimate_manifest_names_reader_and_stage_timings(runner, tmp_path, text, reader):
+    csv_path = tmp_path / "validation.csv"
+    csv_path.write_bytes(text.encode("ascii"))
+    out = tmp_path / "est"
+    result = runner.invoke(main, ["estimate", "--csv", str(csv_path), "--threshold", "0.5",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    man = _manifest(out)
+    assert man["reader"] == reader
+    assert set(man["timings_s"]) == {"read", "confusion", "rates", "curves"}
+    assert all(t >= 0.0 for t in man["timings_s"].values())
+
+
+@pytest.mark.parametrize("data, needle", [
+    (b"true_class,score\n1,0.5\n2,0.\xff5\n", "line 3: not UTF-8 (byte 0xff)"),
+    (b"true_class,score\r\n1,0.5\r\n\xff", "line 3: not UTF-8 (byte 0xff)"),
+    # a field over csv.field_size_limit(), quoted or not
+    (b'true_class,score\n1,0.5\n2,"0.' + b"0" * 200_000 + b'5"\n',
+     "line 3: field larger than field limit (131072)"),
+    (b"true_class,score\n1,0." + b"0" * 200_000 + b"5\n2,0.5\n",
+     "line 2: field larger than field limit (131072)"),
+], ids=["not-utf8", "not-utf8-crlf", "long-quoted-field", "long-field"])
+def test_estimate_unreadable_csv_is_one_line_error(runner, tmp_path, data, needle):
+    csv_path = tmp_path / "validation.csv"
+    csv_path.write_bytes(data)
+    result = runner.invoke(main, ["estimate", "--csv", str(csv_path), "--threshold", "0.5",
+                                  "--out", str(tmp_path / "est")])
+    _assert_one_line_error(result, needle)
+    if "UTF-8" in needle:
+        assert str(csv_path) in result.output
+
+
 def test_triage_manifest_records_grid_and_argmin(runner, tmp_path, triage_path):
     out = tmp_path / "triage_out"
     result = runner.invoke(main, ["triage", "--config", str(triage_path),

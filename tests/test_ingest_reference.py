@@ -21,7 +21,10 @@ COLUMNS = ("true_class", "score", "predicted_class", "service_time")
 # tokens Python's int/float read in surprising ways, plus plain good and bad ones
 TOKENS = ("", " ", "1", "2", "3", " 2 ", "+3", "1_0", "0", "-1", "0.5", ".25",
           "1.5", "1e-3", "nan", "inf", "-inf", "NaN", "abc", "1,5", "0x1", "٣",
-          "2.0", "1 2", '"', "\u00a02\u2003", "\u2003")
+          "2.0", "1 2", '"', "\u00a02\u2003", "\u2003",
+          # control and separator characters: Python's float refuses them, and
+          # str.strip, like numpy, skips all but \x00 as whitespace
+          "\x00", "1\x0b", "0.5\x1c", "\x85", "2\u2028", "2\u3000")
 
 
 @st.composite
@@ -82,6 +85,62 @@ def test_reader_matches_reference(tmp_path, text):
         assert np.array_equal(got, getattr(want, name), equal_nan=True), name
     assert table.line.tolist() == _dictreader_lines(path)
     assert len(table) == len(expected)
+
+
+# tokens np.loadtxt reads as Python's int or float does, by the kind of column
+# that holds them: in range in every column of the kind, and not always
+NUMPY_TOKENS = {int: ("1", "2", "3", " 2 ", "+3", "002"),
+                float: ("0.5", ".25", "1e-3", "+.5", "1.", "1", " 0.75 ", "0.125")}
+NUMPY_OUT_OF_RANGE = {int: ("0", "-1"), float: ("nan", "inf", "1e5000", "2.0", "-0.5", "-0.0")}
+# TOKENS that can sit in a clean file (printable ASCII without a quote) and
+# leave the columns as they are (no comma)
+CLEAN_TOKENS = tuple(t for t in TOKENS if t.isascii() and t.isprintable() and not set(t) & set(',"'))
+
+
+@st.composite
+def clean_csv_texts(draw):
+    """Clean validation CSVs, which the numpy route admits: printable ASCII
+    without quotes, \\n line ends, no blank line; with repeated, absent and
+    unknown columns, long rows, and now and then no final newline.  Returns
+    the text and whether every cell the reader uses is numpy-readable (and no
+    row is short), so that a file the oracle accepts must take that route."""
+    header = draw(st.lists(st.sampled_from(COLUMNS + ("extra",)), min_size=1, max_size=5))
+    if "true_class" not in header or draw(st.booleans()):
+        header.insert(draw(st.integers(0, len(header))), "true_class")
+    used = {i: int if name.endswith("class") else float
+            for name, i in {name: i for i, name in enumerate(header)}.items() if name != "extra"}
+    readable, in_range = draw(st.booleans()), draw(st.booleans())
+    pools = {kind: NUMPY_TOKENS[kind] + (() if in_range else NUMPY_OUT_OF_RANGE[kind])
+             for kind in (int, float)}
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 10))):
+        width = len(header) + draw(st.sampled_from((0, 0, 1, 4) if readable else (-1, 0, 0, 1, 4)))
+        lines.append(",".join(
+            draw(st.sampled_from(pools[used[i]] if readable and i in used else
+                                 CLEAN_TOKENS + pools[used.get(i, float)]))
+            for i in range(max(width, 1))) or " ")                 # a blank line is not clean
+    return "\n".join(lines) + draw(st.sampled_from(("\n", ""))), readable
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=clean_csv_texts())
+def test_clean_reader_matches_reference(tmp_path, drawn):
+    text, readable = drawn
+    path = tmp_path / "validation.csv"
+    path.write_text(text, encoding="ascii", newline="")
+    expected, expected_error = _outcome(ref.read_validation_csv, path)
+    table, error = _outcome(read_validation_csv, path)
+    assert error == expected_error
+    if expected is None:
+        return
+    want = as_table(expected)
+    for name in COLUMNS + ("line",):
+        got = getattr(table, name)
+        assert got.dtype == getattr(want, name).dtype
+        assert np.array_equal(got, getattr(want, name), equal_nan=True), name
+    assert table.line.tolist() == _dictreader_lines(path)
+    assert table.reader == "numpy" or not readable
 
 
 @pytest.mark.parametrize("text, message", [
