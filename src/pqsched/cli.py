@@ -9,8 +9,6 @@ descends from --seed; reruns with identical flags produce byte-identical CSVs.
 
 from __future__ import annotations
 
-import csv
-import json
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -25,7 +23,8 @@ from . import httheory as ht
 from . import ingest as ingest_mod
 from . import triage as triage_mod
 from .engine import EVENT_CAP, export_curves_csv, export_jobs_csv, run_paths
-from .model import ConfusionMatrix, load_config, load_json, validate_config
+from .model import (ConfusionMatrix, load_config, load_json, validate_config, write_csv,
+                    write_json)
 from .policies import POLICY_KINDS
 
 
@@ -70,10 +69,7 @@ class _Run:
         return self.out / name
 
     def write_csv(self, name: str, header: list, rows):
-        with open(self.path(name), "w", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+        write_csv(self.path(name), header, rows)
 
     def finish(self, **facts) -> Path:
         """Write manifest.json; facts are command-specific entries."""
@@ -88,9 +84,7 @@ class _Run:
             "wall_clock_s": round(time.monotonic() - self.t0, 3),
         }
         target = self.out / "manifest.json"
-        with open(target, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(target, manifest)
         return target
 
 
@@ -263,7 +257,7 @@ def cmd_triage(config_path, zfl_grid, ztx, paths, steps, seed, out_dir):
                {"seed": seed, "n_paths": paths},
                {"zfl_grid": zfl_grid, "ztx": ztx, "n_steps": steps})
     mc = triage_mod.McParams(n_paths=paths, n_steps=steps, seed=seed)
-    decisions = triage_mod.evaluate_grid(config, ztx, grid, mc)
+    decisions, skipped = triage_mod.evaluate_grid(config, ztx, grid, mc)
     best = min(decisions, key=lambda d: d.total)
     run.write_csv("triage.csv", ["z_fl", "z_tx", "gamma", "filtering", "hiring",
                                  "misclass", "queueing", "total"],
@@ -274,10 +268,6 @@ def cmd_triage(config_path, zfl_grid, ztx, paths, steps, seed, out_dir):
                f"total = {best.total:.6g} "
                f"(Gamma = {best.gamma:.4g})")
     argmin = {"z_fl": best.z_fl, "z_tx": best.z_tx}
-    # evaluate_grid skips exactly these two kinds of grid point
-    below = int(np.count_nonzero(grid > ztx))
-    skipped = {"z_tx_below_z_fl": below,
-               "gamma_below_pass_share": len(grid) - below - len(decisions)}
     manifest = run.finish(grid_points=len(decisions), argmin=argmin, skipped=skipped)
     click.echo(f"manifest: {manifest}")
 

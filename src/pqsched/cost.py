@@ -19,7 +19,6 @@ arrival/service/classification draws (common random numbers).
 
 from __future__ import annotations
 
-import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ import numpy as np
 
 from .engine import PathResult, run_paths
 from .errors import ConfigError
-from .model import SystemConfig
+from .model import SystemConfig, write_csv
 from .policies import PolicyRef
 
 __all__ = [
@@ -222,14 +221,8 @@ def export_summary_csv(summaries, path):
     """Rows (policy, t, mean_cost, stderr, ratio_to_oracle) for each summary."""
     if isinstance(summaries, dict):
         summaries = list(summaries.values())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["policy", "t", "mean_cost", "stderr", "ratio_to_oracle"])
-        for s in summaries:
-            ratios = s.ratio_to_oracle
-            for i, t in enumerate(s.grid):
-                ratio = ""
-                if ratios is not None and np.isfinite(ratios[i]):
-                    ratio = repr(float(ratios[i]))
-                writer.writerow([s.policy_kind, repr(float(t)), repr(float(s.mean[i])),
-                                 repr(float(s.stderr[i])), ratio])
+    write_csv(path, ["policy", "t", "mean_cost", "stderr", "ratio_to_oracle"],
+              ([s.policy_kind, repr(float(t)), repr(float(s.mean[i])), repr(float(s.stderr[i])),
+                repr(float(s.ratio_to_oracle[i]))
+                if s.ratio_to_oracle is not None and np.isfinite(s.ratio_to_oracle[i]) else ""]
+               for s in summaries for i, t in enumerate(s.grid)))

@@ -30,7 +30,6 @@ columns afterwards.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -39,7 +38,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ConfigError, EventOverflowError, ScheduleNonPositiveError
-from .model import SystemConfig
+from .model import SystemConfig, write_csv
 from .policies import PolicyRef
 
 __all__ = [
@@ -202,6 +201,14 @@ def _arrival_times(config: SystemConfig, rng: Generator,
         t = ts[-1]
 
 
+def _categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws of classes 0..K-1 from the K cumulative sums cdf
+    (one row, or one row per draw): how many of the first K - 1 sums are <= u.
+    The last sum is left out, so a u at or above a last sum that rounding
+    left below 1 still draws class K - 1."""
+    return np.sum(cdf[..., :-1] <= u[:, None], axis=-1)
+
+
 def _fcfs(a: np.ndarray, s: np.ndarray, horizon: float):
     """Global FCFS in closed form: completion (NaN while open) and remaining
     work at the horizon."""
@@ -351,12 +358,10 @@ def run_paths(config: SystemConfig, policies: Sequence, seed: int, sampling_grid
     streams = _substreams(seed)
     a = _arrival_times(config, next(streams), arrival_schedule, event_cap)
     n = len(a)
-    true_class = np.searchsorted(np.cumsum(config.prevalences), next(streams).random(n),
-                                 side="right")
+    true_class = _categorical(np.cumsum(config.prevalences), next(streams).random(n))
     service = config.service_dist.sample(next(streams), config.service_rates[true_class], n)
-    # inverse CDF of row k of Q: the number of row entries <= U
     label_cdf = np.cumsum(config.confusion.entries, axis=1)
-    label = np.sum(label_cdf[true_class] <= next(streams).random(n)[:, None], axis=1)
+    label = _categorical(label_cdf[true_class], next(streams).random(n))
     grid = np.linspace(0.0, horizon, sampling_grid)
     shared = _workload(grid, a, service, []) if service_schedule is None else ()
     for column in (a, true_class, service, label, grid, *shared):  # every policy's path holds them
@@ -394,25 +399,20 @@ def run_path(config: SystemConfig, policy, seed: int, sampling_grid: int = 51, *
 
 
 def export_jobs_csv(result: PathResult, path):
-    """One row per job: id, arrival, true/predicted class, service, completion, sojourn."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "arrival", "true_class", "predicted_class",
-                         "service", "completion", "sojourn"])
-        columns = (result.arrival_times, result.true_class, result.predicted_class,
-                   result.service, result.completion)
-        for i, (a, k, l, s, c) in enumerate(zip(*(col.tolist() for col in columns))):
-            done = c == c  # c is NaN while the job is open
-            writer.writerow([i, repr(a), k, l, repr(s), repr(c) if done else "",
-                             repr(c - a) if done else ""])
+    """One row per job: id, arrival, true/predicted class, service, completion,
+    sojourn; the last two are blank while the job is open."""
+    columns = (result.arrival_times, result.true_class, result.predicted_class,
+               result.service, result.completion)
+    # c == c fails only while the job is open: c is NaN
+    rows = ([i, repr(a), k, l, repr(s)] + ([repr(c), repr(c - a)] if c == c else ["", ""])
+            for i, (a, k, l, s, c) in enumerate(zip(*(col.tolist() for col in columns))))
+    write_csv(path, ["id", "arrival", "true_class", "predicted_class", "service", "completion",
+                     "sojourn"], rows)
 
 
 def export_curves_csv(result: PathResult, path):
     """Grid rows: t, N_1..N_K (predicted-class queue lengths), W_plus."""
     c = result.curves
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + [f"N_{l + 1}" for l in range(result.n_classes)] + ["W_plus"])
-        for i, t in enumerate(c.grid):
-            writer.writerow([repr(float(t))] + [int(v) for v in c.queue_lengths[i]]
-                            + [repr(float(c.workload[i]))])
+    write_csv(path, ["t"] + [f"N_{l + 1}" for l in range(result.n_classes)] + ["W_plus"],
+              ([repr(float(t))] + [int(v) for v in n] + [repr(float(w))]
+               for t, n, w in zip(c.grid, c.queue_lengths, c.workload)))

@@ -21,6 +21,7 @@ in closed form; power=2 is the usual (1/2) c t^2.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -451,8 +452,21 @@ def config_from_json(doc: dict, *, strict: bool = True) -> SystemConfig:
 
 
 def save_config(config: SystemConfig, path):
+    write_json(path, config_to_json(config))
+
+
+def write_csv(path, header, rows):
+    """Write a header row and then rows as UTF-8 CSV with \\n line ends."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, doc):
+    """Write doc as JSON with sorted keys, two-space indents and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_json(config), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

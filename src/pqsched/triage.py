@@ -27,7 +27,6 @@ elementwise formulas and one unit-RBM draw.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -243,14 +242,6 @@ class ReviewerParams:
     c_mix: np.ndarray
 
 
-@lru_cache(maxsize=8)
-def _unit_rbm_mean_isq(n_paths: int, n_steps: int, seed: int, horizon: float) -> float:
-    """Mean of int W^2 dt over unit-variance RBM paths; reused across the
-    threshold grid because reflection commutes with the sqrt(v) scaling."""
-    paths = bm_workload_paths(1.0, n_steps, horizon, n_paths, seed)
-    return float(paths.integral_sq().mean())
-
-
 def _design(z_fl, z_tx, config: TriageConfig, mc: Optional[McParams] = None,
             passing: bool = False) -> tuple:
     """(ReviewerParams, {term: array}) at arrays of thresholds: one np.interp
@@ -298,7 +289,10 @@ def _design(z_fl, z_tx, config: TriageConfig, mc: Optional[McParams] = None,
         _check_staffed(gamma <= 0.0, pass_prob, z_fl)
         _check_feasible(terms["understaffed"], z_fl)
     if mc is not None:
-        base = _unit_rbm_mean_isq(mc.n_paths, mc.n_steps, mc.seed, mc.horizon)
+        # mean int W^2 dt over unit-variance RBM paths: reflection commutes with
+        # the sqrt(v) scaling, so one draw serves every threshold
+        paths = bm_workload_paths(1.0, mc.n_steps, mc.horizon, mc.n_paths, mc.seed)
+        base = float(paths.integral_sq().mean())
         terms["queue"] = coeff * 0.5 * terms["variance"] * base
     params = ReviewerParams(z_fl=z_fl[()], z_tx=z_tx[()], gamma=gamma[()], lam_r=lam_r[()],
                             pass_prob=pass_prob[()], p_mix=p_mix, q=q, c_mix=c_mix)
@@ -407,13 +401,14 @@ def _decisions(z_fl, z_tx, config: TriageConfig, mc: McParams) -> tuple:
 
 
 def evaluate_grid(config: TriageConfig, z_tx, zfl_grid,
-                  mc: McParams = McParams()) -> list:
+                  mc: McParams = McParams()) -> tuple:
     """total_cost at every feasible (z_fl, z_tx) pair, as one array pass
-    with common random numbers.
+    with common random numbers: (decisions, skipped).
 
     z_tx may be a scalar or a grid; pairs with z_tx < z_fl are skipped, and
-    so are filtering levels staffed below their passing share (q > 1).
-    Raises EmptyGridError if no pair is left.  Results are ordered by
+    so are filtering levels staffed below their passing share (q > 1);
+    skipped counts them as "z_tx_below_z_fl" and "gamma_below_pass_share".
+    Raises EmptyGridError if no pair is left.  Decisions are ordered by
     (z_fl, z_tx).
     """
     axes = (np.sort(np.atleast_1d(np.asarray(g, dtype=float)), kind="stable")
@@ -427,13 +422,14 @@ def evaluate_grid(config: TriageConfig, z_tx, zfl_grid,
         kept = [TriageDecision(*p) for p, bad in zip(points, understaffed.tolist()) if not bad]
     if not kept:
         raise EmptyGridError("no feasible (z_fl, z_tx) pair on the grids")
-    return kept
+    return kept, {"z_tx_below_z_fl": int(np.count_nonzero(~feasible)),
+                  "gamma_below_pass_share": int(np.count_nonzero(understaffed))}
 
 
 def optimize(config: TriageConfig, z_tx, zfl_grid,
              mc: McParams = McParams()) -> TriageDecision:
     """Grid argmin of total cost; ties resolve to the smaller (z_fl, z_tx)."""
-    return min(evaluate_grid(config, z_tx, zfl_grid, mc), key=lambda d: d.total)
+    return min(evaluate_grid(config, z_tx, zfl_grid, mc)[0], key=lambda d: d.total)
 
 
 # ---------------------------------------------------------------------------

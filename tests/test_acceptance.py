@@ -422,7 +422,7 @@ def test_criterion_09_triage_shapes():
                       ("ii", _triage(20.0, 8000.0)),
                       ("iii", _triage(20.0, 800.0))):
         totals[name] = np.array([d.total
-                                 for d in evaluate_grid(cfg, 0.5, zgrid, mc)])
+                                 for d in evaluate_grid(cfg, 0.5, zgrid, mc)[0]])
     inc = bool(np.all(np.diff(totals["i"]) > 0.0))
     dec = bool(np.all(np.diff(totals["ii"]) < 0.0))
     arg = int(np.argmin(totals["iii"]))

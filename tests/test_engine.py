@@ -20,6 +20,7 @@ from pqsched import (
     export_jobs_csv,
     run_path,
 )
+from pqsched.engine import _categorical
 from conftest import make_two_class
 from helpers import exact_int_w2, workload_at_horizon
 from reference_engine import (
@@ -111,6 +112,23 @@ def test_sample_classification_frequencies():
     freq = np.mean(draws == 0)
     # binomial 3-sigma band around 0.9
     assert abs(freq - 0.9) < 3 * np.sqrt(0.9 * 0.1 / n)
+
+
+def test_categorical_never_draws_class_k():
+    # ten prevalences of 0.1 pass validation but sum to 1 - 2**-53, the
+    # largest uniform Generator.random returns
+    cdf = np.cumsum([0.1] * 10)
+    top = np.nextafter(1.0, 0.0)
+    assert cdf[-1] == top
+    assert _categorical(cdf, np.array([top, 0.0, 0.1, 0.5, 0.95])).tolist() == [9, 0, 1, 5, 9]
+    # one row per draw, as labels are drawn; a u below the last sum draws
+    # what the inverse CDF over all K sums draws
+    u = Generator(Philox(key=0)).random(1000) * top
+    rows = np.cumsum(Generator(Philox(key=1)).dirichlet(np.ones(10), 1000), axis=1)
+    assert np.array_equal(_categorical(cdf, u), np.searchsorted(cdf, u, side="right"))
+    below = u < rows[:, -1]
+    assert np.array_equal(_categorical(rows, u)[below], np.sum(rows <= u[:, None], axis=1)[below])
+    assert _categorical(rows, rows[:, -1]).max() == 9
 
 
 # ----------------------------------------------------- state and snapshots

@@ -27,26 +27,37 @@ TOKENS = ("", " ", "1", "2", "3", " 2 ", "+3", "1_0", "0", "-1", "0.5", ".25",
           "\x00", "1\x0b", "0.5\x1c", "\x85", "2\u2028", "2\u3000")
 
 
+# TOKENS that every row may hold in the column: Python's int or float reads
+# them in range, or they are blank where the column may be blank
+READABLE = {"true_class": ("1", "2", "3", " 2 ", "+3", "1_0", "٣", "\u00a02\u2003"),
+            "score": ("", "0", "0.5", ".25", "1e-3", "\x85"),
+            "predicted_class": ("", " ", "1", "2", "3", "+3", "\u2003"),
+            "service_time": ("", "1.5", "1e-3", "2.0", " 2 ", "2\u3000")}
+
+
 @st.composite
 def csv_texts(draw):
     """Validation CSVs with optional, repeated or unknown columns, blank
-    lines, short and long rows, quoted fields (some spanning lines) and
-    either line ending."""
+    lines, short and long rows, quoted fields (some spanning lines), any
+    token now and then, and either line ending.  Most cells of the columns
+    the reader uses are READABLE, so that about half the files parse."""
     header = draw(st.lists(st.sampled_from(COLUMNS + ("extra",)), min_size=1, max_size=5))
-    if draw(st.booleans()):
+    if draw(st.integers(0, 7)):
         header.insert(draw(st.integers(0, len(header))), "true_class")
     rows = [header]
-    for _ in range(draw(st.integers(0, 8))):
+    for _ in range(draw(st.integers(1, 8))):
         if draw(st.integers(0, 9)) == 0:
             rows.append([])                                    # a blank line
             continue
-        width = len(header) + draw(st.sampled_from((0, 0, 0, -1, 1)))
-        rows.append([draw(st.sampled_from(TOKENS)) for _ in range(max(width, 1))])
+        width = len(header) + draw(st.sampled_from((0, 0, 0, 0, 0, -1, 1)))
+        rows.append([draw(st.sampled_from(
+            READABLE[header[i]] if i < len(header) and header[i] in READABLE
+            and draw(st.integers(0, 15)) else TOKENS)) for i in range(max(width, 1))])
     lines = []
     for row in rows:
         cells = []
         for cell in row:
-            if draw(st.integers(0, 7)) == 0:                   # quote it, maybe across lines
+            if draw(st.integers(0, 11)) == 0:                  # quote it, maybe across lines
                 cell = '"' + cell.replace('"', '""') + draw(st.sampled_from(("", "\n"))) + '"'
             cells.append(cell)
         lines.append(",".join(cells))

@@ -309,9 +309,10 @@ def test_single_threshold_functions_validate_z_fl():
 def test_evaluate_grid_order_and_feasibility():
     cfg = make_triage()
     grid = [0.4, 0.1, 0.3]
-    decisions = evaluate_grid(cfg, 0.35, grid, FAST_MC)
-    # infeasible pair (0.4, 0.35) dropped; results sorted by z_fl
+    decisions, skipped = evaluate_grid(cfg, 0.35, grid, FAST_MC)
+    # infeasible pair (0.4, 0.35) dropped and counted; results sorted by z_fl
     assert [(d.z_fl, d.z_tx) for d in decisions] == [(0.1, 0.35), (0.3, 0.35)]
+    assert skipped == {"z_tx_below_z_fl": 1, "gamma_below_pass_share": 0}
     with pytest.raises(EmptyGridError):
         evaluate_grid(cfg, 0.05, [0.2, 0.3], FAST_MC)
 
@@ -319,15 +320,15 @@ def test_evaluate_grid_order_and_feasibility():
 def test_evaluate_grid_common_random_numbers():
     cfg = make_triage()
     grid = np.linspace(0.05, 0.45, 5)
-    a = evaluate_grid(cfg, 0.5, grid, FAST_MC)
-    b = evaluate_grid(cfg, 0.5, grid, FAST_MC)
+    a = evaluate_grid(cfg, 0.5, grid, FAST_MC)[0]
+    b = evaluate_grid(cfg, 0.5, grid, FAST_MC)[0]
     assert [d.total for d in a] == [d.total for d in b]
 
 
 def test_optimize_returns_grid_argmin():
     cfg = make_triage()
     grid = np.linspace(0.05, 0.45, 7)
-    decisions = evaluate_grid(cfg, 0.5, grid, FAST_MC)
+    decisions = evaluate_grid(cfg, 0.5, grid, FAST_MC)[0]
     best = optimize(cfg, 0.5, grid, FAST_MC)
     assert best.total == pytest.approx(min(d.total for d in decisions))
     # duplicated grid point: the first (equal) entry wins

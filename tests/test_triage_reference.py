@@ -173,7 +173,10 @@ def test_evaluate_grid_matches_reference(config, zfl_grid, z_tx):
     assert error == want_error
     if error is not None:
         return
+    got, skipped = got
     assert len(got) == len(want)
+    assert skipped["z_tx_below_z_fl"] == sum(b < a for a in zfl_grid for b in z_tx)
+    assert sum(skipped.values()) == len(zfl_grid) * len(z_tx) - len(want)
     for new, old in zip(got, want):
         assert all(_close(getattr(new, f), getattr(old, f)) for f in FIELDS)
     totals = np.array([d.total for d in got])
@@ -237,9 +240,10 @@ def test_gamma_underflow_is_an_empty_pass():
 def test_understaffed_points_are_skipped_or_refused():
     config = understaffed_config()
     grid = [0.0, 0.5, 0.999, 1.0]
-    got = evaluate_grid(config, 1.0, grid, MC)
+    got, skipped = evaluate_grid(config, 1.0, grid, MC)
     want = ref.evaluate_grid(config, 1.0, grid, MC)
     assert [d.z_fl for d in got] == [d.z_fl for d in want] == [0.0, 0.5]
+    assert skipped == {"z_tx_below_z_fl": 0, "gamma_below_pass_share": 2}
     for new, old in zip(got, want):
         assert all(_close(getattr(new, f), getattr(old, f)) for f in FIELDS)
     with pytest.raises(EmptyGridError):
