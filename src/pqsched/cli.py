@@ -47,24 +47,40 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 class _Run:
-    """Collects output paths as files are written; emits the manifest last.
-    A system config's validation warnings are echoed on stderr at once."""
+    """Collects stage timings and output paths as the command runs; emits the
+    manifest last.  The output directory is made for the first file written,
+    so a command that fails on its inputs leaves nothing behind."""
 
-    def __init__(self, command: str, out_dir: str, config_path, seed_schedule: dict,
-                 grids: dict, config=None):
+    def __init__(self, command: str, out_dir: str, config_path, seed_schedule: dict, grids: dict):
         self.command = command
         self.out = Path(out_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
         self.config_path = None if config_path is None else str(config_path)
         self.seed_schedule = seed_schedule
         self.grids = grids
-        self.warnings = [] if config is None else validate_config(config).warnings
-        for text in self.warnings:
-            click.echo(f"warning: {text}", err=True)
+        self.warnings = []
         self.outputs = []
+        self.timings = {}   # stage -> seconds
         self.t0 = time.monotonic()
 
+    def load(self):
+        """The system config at config_path, read as stage "load"; its
+        validation warnings are echoed on stderr at once."""
+        with self.timed("load"):
+            config = load_config(self.config_path)
+        self.warnings = validate_config(config).warnings
+        for text in self.warnings:
+            click.echo(f"warning: {text}", err=True)
+        return config
+
+    @contextmanager
+    def timed(self, stage: str):
+        """Record the wall time of the block as timings[stage], in seconds."""
+        t0 = time.perf_counter()
+        yield
+        self.timings[stage] = round(time.perf_counter() - t0, 6)
+
     def path(self, name: str) -> Path:
+        self.out.mkdir(parents=True, exist_ok=True)
         self.outputs.append(name)
         return self.out / name
 
@@ -79,21 +95,14 @@ class _Run:
             "grids": self.grids,
             "outputs": sorted(self.outputs),
             "seed_schedule": self.seed_schedule,
+            "timings_s": self.timings,
             "version": __version__,
             "warnings": self.warnings,
             "wall_clock_s": round(time.monotonic() - self.t0, 3),
         }
-        target = self.out / "manifest.json"
+        target = self.path("manifest.json")   # after the outputs were listed
         write_json(target, manifest)
         return target
-
-
-@contextmanager
-def _timed(timings: dict, stage: str):
-    """Record the wall time of the block as timings[stage], in seconds."""
-    t0 = time.perf_counter()
-    yield
-    timings[stage] = round(time.perf_counter() - t0, 6)
 
 
 class _Group(click.Group):
@@ -124,25 +133,26 @@ def main():
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def cmd_simulate(config_path, policies, paths, seed, out_dir):
     """Replicate policies on paired seeds and summarize cumulative cost."""
-    config = load_config(config_path)
-    run = _Run("simulate", out_dir, config_path,
-               {"base_seed": seed, "n_paths": paths},
-               {"policies": list(policies)}, config)
+    run = _Run("simulate", out_dir, config_path, {"base_seed": seed, "n_paths": paths},
+               {"policies": list(policies)})
+    config = run.load()
     if paths == 1:
-        results = run_paths(config, policies, seed, sampling_grid=201)
-        for kind, path in zip(policies, results):
-            export_jobs_csv(path, run.path(f"jobs_{kind}.csv"))
-            export_curves_csv(path, run.path(f"curves_{kind}.csv"))
-            click.echo(f"{kind}: {path.arrival_times.size} arrivals, "
-                       f"{int(path.done.sum())} completed")
+        with run.timed("simulate"):
+            results = run_paths(config, policies, seed, sampling_grid=201)
+        with run.timed("write"):
+            for kind, path in zip(policies, results):
+                export_jobs_csv(path, run.path(f"jobs_{kind}.csv"))
+                export_curves_csv(path, run.path(f"curves_{kind}.csv"))
+                click.echo(f"{kind}: {path.arrival_times.size} arrivals, "
+                           f"{int(path.done.sum())} completed")
         counts = {kind: [path.event_count] for kind, path in zip(policies, results)}
     else:
-        summaries = cost_mod.compare_policies(config, list(policies),
-                                              paths, seed)
-        cost_mod.export_summary_csv(summaries, run.path("summary.csv"))
+        with run.timed("simulate"):
+            summaries = cost_mod.compare_policies(config, list(policies), paths, seed)
+        with run.timed("write"):
+            cost_mod.export_summary_csv(summaries, run.path("summary.csv"))
         for kind, s in summaries.items():
-            click.echo(f"{kind}: J(T) = {s.terminal_mean:.6g} "
-                       f"+/- {s.terminal_stderr:.2g}")
+            click.echo(f"{kind}: J(T) = {s.terminal_mean:.6g} +/- {s.terminal_stderr:.2g}")
         counts = {kind: s.event_counts.tolist() for kind, s in summaries.items()}
     events = {kind: {"total": sum(c), "max_per_path": max(c),
                      "event_cap_headroom": 1.0 - max(c) / EVENT_CAP}
@@ -159,32 +169,28 @@ def cmd_simulate(config_path, policies, paths, seed, out_dir):
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def cmd_lower_bound(config_path, paths, steps, seed, out_dir):
     """Workload-diffusion cost floor for the configured system."""
-    config = load_config(config_path)
-    run = _Run("lower-bound", out_dir, config_path,
-               {"seed": seed, "n_paths": paths},
-               {"n_steps": steps}, config)
-    v = ht.workload_variance_rate(config)
-    w = ht.bm_workload_paths(v, steps, config.horizon, paths, seed)
+    run = _Run("lower-bound", out_dir, config_path, {"seed": seed, "n_paths": paths},
+               {"n_steps": steps})
+    config = run.load()
+    with run.timed("paths"):
+        v = ht.workload_variance_rate(config)
+        w = ht.bm_workload_paths(v, steps, config.horizon, paths, seed)
     rows = [("variance_rate", v)]
-    if config.all_quadratic():
-        coeffs = ht.quadratic_coefficients(config)
-        star = ht.jstar(None, config, w)
-        naive = ht.jnaive(None, config, w)
-        rows += [
-            ("jstar_coeff", coeffs.jstar_coeff),
-            ("jnaive_coeff", coeffs.jnaive_coeff),
-            ("jstar_mean", star.mean),
-            ("jstar_stderr", star.stderr),
-            ("jnaive_mean", naive.mean),
-            ("jnaive_stderr", naive.stderr),
-            ("relative_regret",
-             ht.relative_regret(config.confusion, config)),
-        ]
-    else:
-        star = ht.jstar(None, config, w, method="general")
-        rows += [("jstar_mean", star.mean), ("jstar_stderr", star.stderr)]
-    run.write_csv("lower_bound.csv", ["quantity", "value"],
-                  [(name, _fmt(value)) for name, value in rows])
+    with run.timed("cost"):
+        if config.all_quadratic():
+            coeffs = ht.quadratic_coefficients(config)
+            star = ht.jstar(None, config, w)
+            naive = ht.jnaive(None, config, w)
+            rows += [("jstar_coeff", coeffs.jstar_coeff), ("jnaive_coeff", coeffs.jnaive_coeff),
+                     ("jstar_mean", star.mean), ("jstar_stderr", star.stderr),
+                     ("jnaive_mean", naive.mean), ("jnaive_stderr", naive.stderr),
+                     ("relative_regret", ht.relative_regret(config.confusion, config))]
+        else:
+            star = ht.jstar(None, config, w, method="general")
+            rows += [("jstar_mean", star.mean), ("jstar_stderr", star.stderr)]
+    with run.timed("write"):
+        run.write_csv("lower_bound.csv", ["quantity", "value"],
+                      [(name, _fmt(value)) for name, value in rows])
     for name, value in rows:
         click.echo(f"{name} = {value:.8g}")
     manifest = run.finish(expected_integral_sq=0.5 * v * config.horizon ** 2,
@@ -219,14 +225,17 @@ def _load_candidate(path: str, k: int):
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def cmd_select_model(config_path, model_paths, out_dir):
     """Rank candidate classifiers by scheduling regret (no simulation)."""
-    config = load_config(config_path)
-    models = [_load_candidate(p, config.n_classes) for p in model_paths]
     run = _Run("select-model", out_dir, config_path, {},
-               {"models": [str(p) for p in model_paths]}, config)
-    ranked = ht.rank_models(models, config)
-    run.write_csv("criteria.csv", ["model_name", "relative_regret", "jstar_coeff", "jnaive_coeff"],
-                  [[m.name] + [_fmt(x) for x in (m.relative_regret, m.jstar_coeff, m.jnaive_coeff)]
-                   for m in ranked])
+               {"models": [str(p) for p in model_paths]})
+    config = run.load()
+    with run.timed("models"):
+        models = [_load_candidate(p, config.n_classes) for p in model_paths]
+    with run.timed("rank"):
+        ranked = ht.rank_models(models, config)
+    criteria = ("relative_regret", "jstar_coeff", "jnaive_coeff")
+    with run.timed("write"):
+        run.write_csv("criteria.csv", ["model_name", *criteria],
+                      [[m.name] + [_fmt(getattr(m, c)) for c in criteria] for m in ranked])
     for m in ranked:
         click.echo(f"{m.name}: relative_regret = {m.relative_regret:.6g}")
     click.echo(f"manifest: {run.finish()}")
@@ -251,22 +260,23 @@ def cmd_triage(config_path, zfl_grid, ztx, paths, steps, seed, out_dir):
     --ztx, and filtering levels staffed below their passing share, are
     skipped and counted in the manifest.
     """
-    config = triage_mod.load_triage_config(config_path)
-    grid = _parse_grid(zfl_grid)
-    run = _Run("triage", out_dir, config_path,
-               {"seed": seed, "n_paths": paths},
+    run = _Run("triage", out_dir, config_path, {"seed": seed, "n_paths": paths},
                {"zfl_grid": zfl_grid, "ztx": ztx, "n_steps": steps})
+    with run.timed("load"):
+        config = triage_mod.load_triage_config(config_path)
+    grid = _parse_grid(zfl_grid)
     mc = triage_mod.McParams(n_paths=paths, n_steps=steps, seed=seed)
-    decisions, skipped = triage_mod.evaluate_grid(config, ztx, grid, mc)
+    with run.timed("grid"):
+        decisions, skipped = triage_mod.evaluate_grid(config, ztx, grid, mc)
     best = min(decisions, key=lambda d: d.total)
-    run.write_csv("triage.csv", ["z_fl", "z_tx", "gamma", "filtering", "hiring",
-                                 "misclass", "queueing", "total"],
-                  [[_fmt(x) for x in (d.z_fl, d.z_tx, d.gamma, d.filtering, d.hiring,
-                                      d.misclassification, d.queueing, d.total)]
-                   for d in decisions + [best]])
+    with run.timed("write"):
+        run.write_csv("triage.csv", ["z_fl", "z_tx", "gamma", "filtering", "hiring",
+                                     "misclass", "queueing", "total"],
+                      [[_fmt(x) for x in (d.z_fl, d.z_tx, d.gamma, d.filtering, d.hiring,
+                                          d.misclassification, d.queueing, d.total)]
+                       for d in decisions + [best]])
     click.echo(f"argmin: z_fl = {best.z_fl:.4g}, z_tx = {best.z_tx:.4g}, "
-               f"total = {best.total:.6g} "
-               f"(Gamma = {best.gamma:.4g})")
+               f"total = {best.total:.6g} (Gamma = {best.gamma:.4g})")
     argmin = {"z_fl": best.z_fl, "z_tx": best.z_tx}
     manifest = run.finish(grid_points=len(decisions), argmin=argmin, skipped=skipped)
     click.echo(f"manifest: {manifest}")
@@ -280,15 +290,13 @@ def cmd_triage(config_path, zfl_grid, ztx, paths, steps, seed, out_dir):
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def cmd_estimate(csv_path, threshold, out_dir):
     """Estimate confusion matrix, prevalences, service rates, pass curves."""
-    timings = {}   # stage -> seconds, for the manifest
-    with _timed(timings, "read"):
+    run = _Run("estimate", out_dir, csv_path, {}, {"threshold": threshold})
+    with run.timed("read"):
         table = ingest_mod.read_validation_csv(csv_path)
-    run = _Run("estimate", out_dir, csv_path, {},
-               {"threshold": threshold})
     blank = {c: table.blank_line(c) for c in ("predicted_class", "score", "service_time")}
     skipped = {}   # output left out -> why
     if threshold is not None or blank["predicted_class"] is None:
-        with _timed(timings, "confusion"):
+        with run.timed("confusion"):
             q_hat, p_hat = ingest_mod.estimate_confusion(table, threshold=threshold)
             K = q_hat.n_classes
             run.write_csv("confusion.csv", ["true_class"] + [f"q_{l+1}" for l in range(K)],
@@ -299,7 +307,7 @@ def cmd_estimate(csv_path, threshold, out_dir):
                                     f"{blank['predicted_class']}")
 
     n_classes = int(table.true_class.max()) + 1
-    with _timed(timings, "rates"):
+    with run.timed("rates"):
         columns = [np.bincount(table.true_class, minlength=n_classes) / len(table)]
         if blank["service_time"] is None:
             columns += ingest_mod.estimate_rates(table)
@@ -312,7 +320,7 @@ def cmd_estimate(csv_path, threshold, out_dir):
                        for k in range(n_classes)])
 
     if blank["score"] is None and n_classes == 2:
-        with _timed(timings, "curves"):
+        with run.timed("curves"):
             curves = triage_mod.estimate_curves(ingest_mod.scores_by_class(table))
             run.write_csv("curves.csv", ["z", "g_toxic", "g_nontoxic"],
                           [[_fmt(x) for x in point] for point in zip(curves.grid, *curves.values)])
@@ -324,7 +332,7 @@ def cmd_estimate(csv_path, threshold, out_dir):
         click.echo(f"{output}: skipped ({reason})")
     skipped = [{"output": output, "reason": reason} for output, reason in skipped.items()]
     manifest = run.finish(rows=len(table), classes=n_classes, skipped=skipped,
-                          reader=table.reader, timings_s=timings)
+                          reader=table.reader)
     click.echo(f"manifest: {manifest}")
 
 

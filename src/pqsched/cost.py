@@ -20,7 +20,6 @@ arrival/service/classification draws (common random numbers).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -167,6 +166,7 @@ def _replicate(config: SystemConfig, policies: list, n_paths: int, base_seed: in
     tasks = [(config, policies, base_seed + i, rule, eval_times) for i in range(n_paths)]
     workers = resolve_n_jobs(n_jobs)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so one worker never loads it
         chunk = max(1, n_paths // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             seeds = list(pool.map(_one_seed, tasks, chunksize=chunk))

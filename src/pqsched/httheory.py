@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import BracketFailureError, ConfigError, NonFiniteMomentError, NonQuadraticError
 from .model import (MixtureCost, PredictedClassParams, SystemConfig, derive_predicted_params,
@@ -137,6 +136,7 @@ class WorkloadPathSet:
         Philox uniforms are drawn in row order, so the blocks stack to one matrix
         whatever their size.  A one-row remainder joins the block before it:
         numpy takes a one-row product by a dot kernel that rounds unlike gemv."""
+        from scipy.special import ndtri  # here, so only RBM draws load scipy
         n, n_steps = self.n_paths, self.grid.size - 1
         rng = np.random.Generator(np.random.Philox(key=self.seed))
         scale = np.sqrt(self.variance_rate * (self.grid[-1] / n_steps))

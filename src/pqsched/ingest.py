@@ -262,7 +262,8 @@ def estimate_rates(table: ValidationTable, n_classes: Optional[int] = None):
         raise IngestError(f"line {blank}: missing service_time")
     counts = np.bincount(table.true_class, minlength=K)
     # bincount adds the weights in row order, as a running sum would; squares
-    # are Python's x ** 2 (C pow), which np.square can miss by an ulp
+    # are Python's x ** 2 (C pow), which np.square and x * x can miss by an
+    # ulp: glibc's pow is not correctly rounded (tests/test_ingest_reference.py)
     sums = np.bincount(table.true_class, weights=table.service_time, minlength=K)
     squares = np.fromiter(map(pow, table.service_time.tolist(), repeat(2)), float, len(table))
     sq_sums = np.bincount(table.true_class, weights=squares, minlength=K)

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConfigError, ZeroColumnError
 
@@ -166,6 +165,7 @@ class Dist:
         if self.family == "exponential":
             log = math.log
             return -np.array([log(v) for v in one_minus_u.tolist()]) / rate
+        from scipy.special import ndtri  # here, so only lognormal draws load scipy
         # exp(m + s Z) has mean exp(m + s^2/2), so m = -s^2/2 gives mean 1
         x = -0.5 * self.sigma * self.sigma + self.sigma * ndtri(one_minus_u)
         exp = math.exp

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError, EmptyClassError, EmptyGridError, EmptyPassError
 from .httheory import bm_workload_paths, stiffness_coefficients
@@ -106,6 +105,7 @@ class PassingCurves:
         """Scores are sigmoid(L) with L ~ Normal(loc_k, scale_k):
         g_k(z) = Phi((loc_k - logit z) / scale_k), so the pair (loc, scale)
         controls how sharply each class's mass sits above a threshold."""
+        from scipy.special import ndtr  # here, so only these curves load scipy
         if len(locs) != 2 or len(scales) != 2:
             raise ConfigError("need one (loc, scale) pair per class")
         if min(scales) <= 0:

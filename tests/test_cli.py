@@ -1,5 +1,10 @@
 import csv
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -556,3 +561,65 @@ def test_heavy_traffic_config_has_no_warnings(runner, tmp_path, critical_config)
     assert result.exit_code == 0, result.output
     assert result.stderr == ""
     assert _manifest(out)["warnings"] == []
+
+
+# ------------------------------------------------------- manifest timings
+
+STAGES = {
+    "simulate": {"load", "simulate", "write"},
+    "lower-bound": {"load", "paths", "cost", "write"},
+    "select-model": {"load", "models", "rank", "write"},
+    "triage": {"load", "grid", "write"},
+    "estimate": {"read", "confusion", "rates", "curves"},
+}
+
+
+def test_every_manifest_records_stage_timings(runner, tmp_path, config_path, triage_path):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps([[0.7, 0.3], [0.3, 0.7]]))
+    argv = {
+        "simulate": ["--config", str(config_path), "--paths", "3", "--policy", "pcmu"],
+        "lower-bound": ["--config", str(config_path), "--paths", "8", "--steps", "100"],
+        "select-model": ["--config", str(config_path), "--model", str(model)],
+        "triage": ["--config", str(triage_path), "--zfl-grid", "0.2:0.4:3",
+                   "--paths", "50", "--steps", "100"],
+        "estimate": ["--csv", str(_validation_csv(tmp_path))],
+    }
+    assert set(argv) == set(main.commands) == set(STAGES)
+    for command, args in argv.items():
+        out = tmp_path / command
+        result = runner.invoke(main, [command, *args, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        timings = _manifest(out)["timings_s"]
+        assert set(timings) == STAGES[command]
+        assert all(isinstance(t, float) and t >= 0.0 for t in timings.values())
+
+
+# ------------------------------------------------- deferred scipy import
+
+@pytest.mark.parametrize("command, service_dist, loads_scipy", [
+    ("simulate", "exponential", False),
+    ("simulate", {"family": "lognormal", "sigma": 0.5}, True),
+    ("lower-bound", "exponential", True),
+])
+def test_fresh_process_loads_scipy_at_first_use(runner, tmp_path, command, service_dist,
+                                                loads_scipy):
+    # scipy.special is imported inside the functions that draw normals; a
+    # fresh process loads it only for them, and writes the same bytes as this
+    # process, where scipy is loaded already
+    importlib.import_module("scipy.special")
+    cfg = tmp_path / "system.json"
+    cfg.write_text(json.dumps({**README_CONFIG, "service_dist": service_dist}))
+    args = [command, "--config", str(cfg), "--seed", "4",
+            *(["--paths", "3", "--policy", "pcmu"] if command == "simulate"
+              else ["--paths", "8", "--steps", "100"])]
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    code = ("import sys; from pqsched.cli import main; "
+            "main(sys.argv[1:], standalone_mode=False); print('scipy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(pqsched.__file__).resolve().parents[1]))
+    env.pop("PQSCHED_THREADS", None)
+    proc = subprocess.run([sys.executable, "-c", code, *args, "--out", str(fresh)],
+                          env=env, check=True, capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == str(loads_scipy)
+    assert runner.invoke(main, [*args, "--out", str(here)]).exit_code == 0
+    assert _csv_bytes(fresh) and _csv_bytes(fresh) == _csv_bytes(here)

@@ -219,3 +219,14 @@ def test_estimators_match_reference(records, threshold, n_classes, laplace):
             assert error == (kind, text)
         else:
             assert error is None and _same(got, want)
+
+
+def test_second_moment_squares_like_the_reference():
+    # The reference squares with Python's x ** 2 (C pow).  On glibc 2.36 pow
+    # is not correctly rounded: for this x it is off by -2.1181e-22 and x * x
+    # by +2.1170e-22, so the two differ by one ulp.  A switch of
+    # estimate_rates to x * x or np.square fails here.
+    x = 0.0018489275439882772
+    records = [ValidationRecord(true_class=0, service_time=x)]
+    _, alpha_v_hat = estimate_rates(as_table(records))
+    assert alpha_v_hat[0] == x ** 2 == ref.estimate_rates(records)[1][0]
