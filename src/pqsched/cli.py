@@ -146,6 +146,7 @@ def cmd_simulate(config_path, policies, paths, seed, out_dir):
                 click.echo(f"{kind}: {path.arrival_times.size} arrivals, "
                            f"{int(path.done.sum())} completed")
         counts = {kind: [path.event_count] for kind, path in zip(policies, results)}
+        facts = {}
     else:
         with run.timed("simulate"):
             summaries = cost_mod.compare_policies(config, list(policies), paths, seed)
@@ -154,10 +155,14 @@ def cmd_simulate(config_path, policies, paths, seed, out_dir):
         for kind, s in summaries.items():
             click.echo(f"{kind}: J(T) = {s.terminal_mean:.6g} +/- {s.terminal_stderr:.2g}")
         counts = {kind: s.event_counts.tolist() for kind, s in summaries.items()}
+        facts = {"open_jobs": {kind: {"total": int(s.open_jobs.sum()),
+                                      "max_per_path": int(s.open_jobs.max()),
+                                      "truncated_cost_share": s.open_cost_share}
+                               for kind, s in summaries.items()}}
     events = {kind: {"total": sum(c), "max_per_path": max(c),
                      "event_cap_headroom": 1.0 - max(c) / EVENT_CAP}
               for kind, c in counts.items()}
-    click.echo(f"manifest: {run.finish(events=events)}")
+    click.echo(f"manifest: {run.finish(events=events, **facts)}")
 
 
 @main.command("lower-bound")

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import PathResult, run_paths
+from .engine import PathResult, simulate_block
 from .errors import ConfigError
 from .model import SystemConfig, write_csv
 from .policies import PolicyRef
@@ -48,6 +49,9 @@ COMPLETED_ONLY = "completed_only"
 TRUNCATE_AT_HORIZON = "truncate_at_horizon"
 _RULES = (COMPLETED_ONLY, TRUNCATE_AT_HORIZON)
 
+# Expected arrivals priced in one pass: bounds the memory a block holds
+_BATCH_JOBS = 1 << 13
+
 
 @dataclass(frozen=True)
 class CostCurve:
@@ -58,17 +62,28 @@ class CostCurve:
     charging_rule: str
 
 
-def _job_costs(path: PathResult, config: SystemConfig, rule: str) -> np.ndarray:
+def _charge(config: SystemConfig, rule: str, horizon: float, a, true_class, completion):
+    """Per job of a path or a block of paths: the charge under the rule, the
+    cost C_k(sojourn) truncated at the horizon, and whether it completed; one
+    pass, with one scalar exponent for each distinct power."""
     if rule not in _RULES:
         raise ConfigError(f"unknown charging rule {rule!r}; expected one of {_RULES}")
-    done = path.done
-    charged = done if rule == COMPLETED_ONLY else np.ones_like(done)
-    sojourn = np.where(done, path.completion, path.horizon) - path.arrival_times
-    out = np.zeros(len(sojourn))
-    for k, cost in enumerate(config.costs):
-        rows = charged & (path.true_class == k)
-        out[rows] = cost(sojourn[rows])
-    return out
+    done = ~np.isnan(completion)
+    sojourn = np.where(done, completion, horizon) - a
+    power, scale = np.array([(c.power, c.coeff / c.power) for c in config.costs])[
+        np.asarray(true_class, dtype=np.intp)].T
+    cost = np.empty_like(sojourn)
+    for p in {c.power for c in config.costs}:
+        np.power(sojourn, p, out=cost, where=power == p)
+    cost *= scale
+    return (np.where(done, cost, 0.0) if rule == COMPLETED_ONLY else cost), cost, done
+
+
+def _cumulative(charge: np.ndarray, a: np.ndarray, bounds, grid: np.ndarray) -> np.ndarray:
+    """J on the grid, a row per path of jobs [lo, hi) between consecutive
+    bounds: jobs are in arrival order, so J(t) sums the charges arrived by t."""
+    return np.array([np.concatenate(([0.0], np.cumsum(charge[lo:hi])))[
+        np.searchsorted(a[lo:hi], grid, side="right")] for lo, hi in zip(bounds, bounds[1:])])
 
 
 def path_cost(path: PathResult, config: SystemConfig,
@@ -78,18 +93,16 @@ def path_cost(path: PathResult, config: SystemConfig,
     if grid is None:
         grid = path.curves.grid
     grid = np.asarray(grid, dtype=float)
-    per_job = _job_costs(path, config, rule)
-    # jobs are stored in arrival order, so a cumulative sum indexed by
-    # arrival-count gives J at any time
-    cum = np.concatenate([[0.0], np.cumsum(per_job)])
-    idx = np.searchsorted(path.arrival_times, grid, side="right")
-    return CostCurve(grid=grid, values=cum[idx], charging_rule=rule)
+    a = path.arrival_times
+    charge = _charge(config, rule, path.horizon, a, path.true_class, path.completion)[0]
+    return CostCurve(grid, _cumulative(charge, a, [0, len(a)], grid)[0], rule)
 
 
 def terminal_cost(path: PathResult, config: SystemConfig,
                   rule: str = TRUNCATE_AT_HORIZON) -> float:
     """J(horizon): every job charged, open ones per the rule."""
-    return float(_job_costs(path, config, rule).sum())
+    return float(_charge(config, rule, path.horizon, path.arrival_times, path.true_class,
+                         path.completion)[0].sum())
 
 
 @dataclass
@@ -98,9 +111,10 @@ class ReplicationSummary:
 
     terminal_costs holds J(horizon) per path (aligned with the seed schedule)
     so callers can form paired contrasts across policies run on the same
-    seeds, and event_counts each path's arrivals plus completions.
-    ratio_to_oracle is filled by compare_policies when an oracle run shares
-    the seeds.
+    seeds, event_counts each path's arrivals plus completions, open_jobs its
+    jobs open at the horizon and open_costs their cost truncated there (under
+    either rule).  ratio_to_oracle is filled by compare_policies when an
+    oracle run shares the seeds.
     """
 
     policy_kind: str
@@ -112,6 +126,8 @@ class ReplicationSummary:
     stderr: np.ndarray
     terminal_costs: np.ndarray
     event_counts: np.ndarray
+    open_jobs: np.ndarray
+    open_costs: np.ndarray
     ratio_to_oracle: Optional[np.ndarray] = None
 
     @property
@@ -122,12 +138,41 @@ class ReplicationSummary:
     def terminal_stderr(self) -> float:
         return float(self.stderr[-1])
 
+    @property
+    def open_cost_share(self) -> float:
+        """The open jobs' share of the cost truncated at the horizon, all paths."""
+        open_cost = self.open_costs.sum()
+        total = self.terminal_costs.sum() + open_cost * (self.charging_rule == COMPLETED_ONLY)
+        return float(open_cost / total) if total > 0.0 else 0.0
 
-def _one_seed(args):
-    """Cost curves on eval_times and event counts of each policy on one seed."""
-    config, policies, seed, rule, eval_times = args
-    paths = run_paths(config, policies, seed, sampling_grid=2)
-    return [(path_cost(p, config, rule, grid=eval_times).values, p.event_count) for p in paths]
+
+def _block(args):
+    """Per policy, each seed's J on eval_times, events, open jobs and their
+    cost.  The block's seeds share each policy's index table, and are priced
+    in batches of about _BATCH_JOBS expected arrivals, one pass per batch."""
+    config, policies, seeds, rule, eval_times = args
+    paths = simulate_block(config, policies, seeds)
+    size = max(1, int(_BATCH_JOBS // (config.lam * config.horizon + 1.0)))
+    # each batch is dropped once priced, before the next one is simulated
+    return [_price(config, rule, eval_times, list(islice(paths, size)))
+            for _ in range(0, len(seeds), size)]
+
+
+def _price(config: SystemConfig, rule: str, eval_times: np.ndarray, batch: list) -> list:
+    """`_block`'s figures for a batch of simulated seeds, every job of a
+    policy priced in one pass."""
+    a, true_class, completion, events = zip(*(
+        (a, k, [r[0] for r in runs], [r[3] for r in runs]) for (a, k, *_), runs in batch))
+    n = np.array([len(x) for x in a])
+    bounds, seed_of = np.concatenate(([0], np.cumsum(n))), np.repeat(np.arange(len(n)), n)
+    a, true_class, events = np.concatenate(a), np.concatenate(true_class), np.array(events)
+    out = []
+    for j, counts in enumerate(events.T):
+        charge, cost, done = _charge(config, rule, config.horizon, a, true_class,
+                                     np.concatenate([c[j] for c in completion]))
+        out.append((_cumulative(charge, a, bounds, eval_times), counts, 2 * n - counts,
+                    np.bincount(seed_of[~done], cost[~done], minlength=len(n))))
+    return out
 
 
 def resolve_n_jobs(n_jobs: Optional[int] = None) -> int:
@@ -146,10 +191,10 @@ def resolve_n_jobs(n_jobs: Optional[int] = None) -> int:
 def _replicate(config: SystemConfig, policies: list, n_paths: int, base_seed: int, rule: str,
                eval_times: Optional[Sequence[float]], n_jobs: Optional[int]) -> list:
     """One ReplicationSummary per policy (a kind or a PolicyRef, resolved
-    once) on seeds base_seed..base_seed+n_paths-1.  A task is one seed with
-    every policy, so each seed's arrival stream is drawn once.  Results are
-    aggregated in seed order whether or not a worker pool is used, so the
-    summaries are independent of scheduling.
+    once) on seeds base_seed..base_seed+n_paths-1.  A task is a block of
+    seeds, one per worker, with every policy.  No seed's bits depend on its
+    block and results are aggregated in seed order, so the summaries are
+    independent of scheduling.
     """
     if n_paths < 2:
         raise ConfigError("replicate needs n_paths >= 2 for a standard error")
@@ -163,25 +208,27 @@ def _replicate(config: SystemConfig, policies: list, n_paths: int, base_seed: in
         raise ConfigError(f"eval_times must be nondecreasing in [0, horizon] and end at the "
                           f"horizon {config.horizon}")
 
-    tasks = [(config, policies, base_seed + i, rule, eval_times) for i in range(n_paths)]
     workers = resolve_n_jobs(n_jobs)
+    size = -(-n_paths // workers)
+    tasks = [(config, policies, range(base_seed + i, base_seed + min(i + size, n_paths)), rule,
+              eval_times) for i in range(0, n_paths, size)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, so one worker never loads it
-        chunk = max(1, n_paths // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            seeds = list(pool.map(_one_seed, tasks, chunksize=chunk))
+            blocks = list(pool.map(_block, tasks))
     else:
-        seeds = [_one_seed(t) for t in tasks]
+        blocks = [_block(t) for t in tasks]
 
     summaries = []
     for j, policy in enumerate(policies):
-        values = np.vstack([runs[j][0] for runs in seeds])  # row i = seed base_seed+i
+        values, events, open_jobs, open_costs = (  # row i = seed base_seed+i
+            np.concatenate([b[j][f] for batches in blocks for b in batches]) for f in range(4))
         summaries.append(ReplicationSummary(
             policy_kind=policy.kind, n_paths=n_paths, base_seed=base_seed, charging_rule=rule,
             grid=eval_times, mean=values.mean(axis=0),
             stderr=values.std(axis=0, ddof=1) / np.sqrt(n_paths),
-            terminal_costs=values[:, -1].copy(),
-            event_counts=np.array([runs[j][1] for runs in seeds])))
+            terminal_costs=values[:, -1].copy(), event_counts=events,
+            open_jobs=open_jobs, open_costs=open_costs))
     return summaries
 
 

@@ -10,22 +10,24 @@ from the confusion-matrix row of the true class, independently per job.
 Randomness is split into four independent substreams of one counter-based
 generator (Philox keyed by the path seed): interarrivals, true classes,
 service requirements, classification.  None depends on the policy, so
-`run_paths` draws a seed's arrival stream once, as numpy columns, and runs
-every policy on it.  Draws come in chunks of at most event_cap + 1 values --
-exactly the values one-at-a-time draws give -- through `Dist.sample` of the
-config's laws, so a path is a bit-stable function of (config, policy, seed).
+`simulate_block` draws each seed's arrival stream once, as numpy columns,
+and runs every policy on it.  Draws come in chunks of at most event_cap + 1
+values -- exactly the values one-at-a-time draws give -- through
+`Dist.sample` of the config's laws, so a path is a bit-stable function of
+(config, policy, seed) whatever block of seeds it is simulated in.
 
 The policy only fills in the completion column.  Global FCFS serves in
 arrival order without preemption, so c_i = max(a_i, c_{i-1}) + s_i in one
-pass.  The index policies run one flat event loop over cached
-`PolicyRef.index` values: an arrival raises only its own class's value, so
-it decides between the served class and the arriving one, and only a
-completion rescans the classes.  The total workload W_+ follows the Lindley
+pass.  The index policies run one flat event loop over a table of
+`PolicyRef.index` values shared by a block's seeds: an arrival raises only
+its own class's value, so it decides between the served class and the
+arriving one, and only a completion rescans the classes.  Replication
+prices a block's columns and builds no curves; `run_paths` is a block of
+one seed that also derives them.  The total workload W_+ follows the Lindley
 recursion W_i = max(0, W_{i-1} - (a_i - a_{i-1})) + s_i over arrivals, the
 remaining work of any work-conserving policy, so one pass per seed serves
 every policy and classifier (a service schedule adds a jump where it
-rescales a job at its first start).  The grid curves are derived from the
-columns afterwards.
+rescales a job at its first start).
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "RateSchedule",
     "run_path",
     "run_paths",
+    "simulate_block",
     "export_jobs_csv",
     "export_curves_csv",
 ]
@@ -227,14 +230,15 @@ def _fcfs(a: np.ndarray, s: np.ndarray, horizon: float):
     return c, remaining, []
 
 
-def _event_loop(index, sched: np.ndarray, n_sched: int, a: np.ndarray, s: np.ndarray,
+def _event_loop(tab: list, sched: np.ndarray, a: np.ndarray, s: np.ndarray,
                 horizon: float, schedule: Optional[RateSchedule]):
-    """p-FCFS over scheduling classes `sched` (0..n_sched-1), serving the
-    nonempty class of largest `index(l, n)`, ties to the smallest class.
+    """p-FCFS over scheduling classes `sched` (0..len(tab)-1), serving the
+    nonempty class of largest index value tab[l][n] (a row per class, long
+    enough for all its jobs), ties to the smallest class.
 
-    vals[l] caches class l's index value (-1.0 while empty).  An arrival to
-    class c raises vals[c] only (the index does not decrease in n), so the
-    class to serve is the current one or c; a completion rescans vals.
+    vals[l] caches class l's value (-1.0 while empty).  An arrival to class c
+    raises vals[c] only (the index does not decrease in n), so the class to
+    serve is the current one or c; a completion rescans vals.
     Returns completion (NaN while open), remaining work at the horizon, and
     the workload jumps (arrivals so far, t, added work) made when a service
     schedule rescales a job at its first start.
@@ -244,10 +248,10 @@ def _event_loop(index, sched: np.ndarray, n_sched: int, a: np.ndarray, s: np.nda
     cls = sched.tolist()
     rem = s.tolist()
     completion = [math.nan] * n
-    queues = [[] for _ in range(n_sched)]
-    heads = [0] * n_sched
-    counts = [0] * n_sched
-    vals = [-1.0] * n_sched
+    queues = [[] for _ in tab]
+    heads = [0] * len(tab)
+    counts = [0] * len(tab)
+    vals = [-1.0] * len(tab)
     started = [False] * n
     jumps = []
     job, cur, end = -1, -1, _INF
@@ -261,7 +265,7 @@ def _event_loop(index, sched: np.ndarray, n_sched: int, a: np.ndarray, s: np.nda
             rem[job] = 0.0
             heads[cur] += 1
             m = counts[cur] = counts[cur] - 1
-            vals[cur] = index(cur, m) if m else -1.0
+            vals[cur] = tab[cur][m]
             job, cur, end = -1, -1, _INF
             best = max(vals)
             if best <= -1.0:
@@ -272,7 +276,7 @@ def _event_loop(index, sched: np.ndarray, n_sched: int, a: np.ndarray, s: np.nda
             c = cls[i]
             queues[c].append(i)
             m = counts[c] = counts[c] + 1
-            v = vals[c] = index(c, m)
+            v = vals[c] = tab[c][m]
             i += 1
             t_arr = at[i]
             if cur >= 0:
@@ -333,12 +337,55 @@ def _composition(grid: np.ndarray, k_classes: int, a, true_class, label,
     return np.cumsum(delta.reshape(g + 1, cells)[:g], axis=0).reshape(g, k_classes, k_classes)
 
 
+def simulate_block(config: SystemConfig, policies: Sequence[PolicyRef], seeds,
+                   arrival_schedule: Optional[RateSchedule] = None,
+                   service_schedule: Optional[RateSchedule] = None, event_cap: int = EVENT_CAP):
+    """Yield each seed's draws (arrival times, true classes, services, labels)
+    and each policy's (completion, remaining, workload jumps, events).  The
+    seeds share each policy's index table tab[l][m] = index(l, m) (tab[l][0]
+    = -1.0: empty), grown to the largest class size among them."""
+    tabs = [[[-1.0] for _ in range(config.n_classes)] for _ in policies]
+    for seed in seeds:  # a call per seed: no columns stay in this frame between yields
+        yield _simulate_seed(config, policies, tabs, seed, arrival_schedule, service_schedule,
+                             event_cap)
+
+
+def _simulate_seed(config, policies, tabs, seed, arrival_schedule, service_schedule, event_cap):
+    """One seed of `simulate_block`; grows `tabs` to the seed's class sizes."""
+    k_classes, horizon = config.n_classes, config.horizon
+    streams = _substreams(seed)  # the policy-independent arrival stream
+    a = _arrival_times(config, next(streams), arrival_schedule, event_cap)
+    n = len(a)
+    true_class = _categorical(np.cumsum(config.prevalences), next(streams).random(n))
+    service = config.service_dist.sample(next(streams), config.service_rates[true_class], n)
+    label_cdf = np.cumsum(config.confusion.entries, axis=1)
+    label = _categorical(label_cdf[true_class], next(streams).random(n))
+    runs = []
+    for policy, tab in zip(policies, tabs):
+        if policy.kind == "fcfs" and service_schedule is None:
+            run = _fcfs(a, service, horizon)
+        elif policy.kind == "fcfs":  # under a service schedule: one FIFO line
+            run = _event_loop([[-1.0] + [0.0] * n], np.zeros(n, dtype=np.int64), a,
+                              service, horizon, service_schedule)
+        else:
+            sched = true_class if policy.uses_true_class else label
+            for l, n_l in enumerate(np.bincount(sched, minlength=k_classes).tolist()):
+                tab[l].extend(policy.index(l, m) for m in range(len(tab[l]), n_l + 1))
+            run = _event_loop(tab, sched, a, service, horizon, service_schedule)
+        events = n + int(np.count_nonzero(~np.isnan(run[0])))
+        if events > event_cap:
+            raise _overflow(event_cap, horizon)
+        runs.append((*run, events))
+    return (a, true_class, service, label), runs
+
+
 def run_paths(config: SystemConfig, policies: Sequence, seed: int, sampling_grid: int = 51,
               *, arrival_schedule: Optional[RateSchedule] = None,
               service_schedule: Optional[RateSchedule] = None,
               event_cap: int = EVENT_CAP) -> list:
     """Simulate [0, horizon] under each policy on the seed's one arrival
-    stream; one PathResult per policy, each fully deterministic.
+    stream -- a block of one seed that also builds the curves; one
+    PathResult per policy, each fully deterministic.
 
     The policies re-evaluate at arrivals and completions only; queue-length
     indices are constant between events, so no decision could change anywhere
@@ -354,33 +401,14 @@ def run_paths(config: SystemConfig, policies: Sequence, seed: int, sampling_grid
 
     k_classes = config.n_classes
     horizon = config.horizon
-    # the policy-independent arrival stream
-    streams = _substreams(seed)
-    a = _arrival_times(config, next(streams), arrival_schedule, event_cap)
-    n = len(a)
-    true_class = _categorical(np.cumsum(config.prevalences), next(streams).random(n))
-    service = config.service_dist.sample(next(streams), config.service_rates[true_class], n)
-    label_cdf = np.cumsum(config.confusion.entries, axis=1)
-    label = _categorical(label_cdf[true_class], next(streams).random(n))
+    ((a, true_class, service, label), runs), = simulate_block(
+        config, policies, [seed], arrival_schedule, service_schedule, event_cap)
     grid = np.linspace(0.0, horizon, sampling_grid)
     shared = _workload(grid, a, service, []) if service_schedule is None else ()
     for column in (a, true_class, service, label, grid, *shared):  # every policy's path holds them
         column.setflags(write=False)
     results = []
-    for policy in policies:
-        if policy.kind == "fcfs" and service_schedule is None:
-            completion, remaining, jumps = _fcfs(a, service, horizon)
-        elif policy.kind == "fcfs":  # under a service schedule: one FIFO line
-            completion, remaining, jumps = _event_loop(
-                lambda l, m: 0.0, np.zeros(n, dtype=np.int64), 1, a, service, horizon,
-                service_schedule)
-        else:
-            completion, remaining, jumps = _event_loop(
-                policy.index, true_class if policy.uses_true_class else label, k_classes,
-                a, service, horizon, service_schedule)
-        events = n + int(np.count_nonzero(~np.isnan(completion)))
-        if events > event_cap:
-            raise _overflow(event_cap, horizon)
+    for policy, (completion, remaining, jumps, events) in zip(policies, runs):
         work, workload = shared or _workload(grid, a, service, jumps)  # shared: no jumps
         composition = _composition(grid, k_classes, a, true_class, label, completion)
         curves = Curves(grid, composition.sum(axis=1), workload, composition)

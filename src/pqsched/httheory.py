@@ -148,9 +148,9 @@ class WorkloadPathSet:
             ndtri(np.clip(rng.random(out=z), _U_EPS, 1.0 - _U_EPS, out=z), out=z)
             w[:, 0] = 0.0
             np.cumsum(np.multiply(scale, z, out=w[:, 1:]), axis=1, out=w[:, 1:])
-            # reflect: phi(x)(t) = x(t) - min(0, inf_{s<=t} x(s))
-            np.minimum(0.0, np.minimum.accumulate(w, axis=1, out=s), out=s)
-            yield np.subtract(w, s, out=w)
+            # reflect: phi(x)(t) = x(t) - min(0, inf_{s<=t} x(s)); the running
+            # minimum includes x(0) = 0, so it is <= 0 and is its own min(0, .)
+            yield np.subtract(w, np.minimum.accumulate(w, axis=1, out=s), out=w)
 
     @property
     def values(self) -> np.ndarray:

@@ -17,7 +17,11 @@ the label draw for a single job.  `pcmu_index`, `naive_gcmu_index` and
 time, as pqsched used to export them, to check the closed forms
 `PolicyRef.for_config` resolves.
 `OracleUnavailableError` is raised when the oracle policy asks a blind
-`QueueState` for true-class counts.
+`QueueState` for true-class counts.  `job_costs` is the per-class pricing
+pqsched used to ship (one mask pass per class, each class's `CostFn` applied
+to its jobs' sojourns), the oracle for the one-pass pricing in `cost`, and
+`replication_oracle` rebuilds a replication's per-seed figures from
+`run_paths` and `job_costs`, one seed at a time.
 
 Nothing in `src/` imports this module.
 """
@@ -34,17 +38,21 @@ from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 from pqsched import (
+    COMPLETED_ONLY,
     ConfigError,
     ConfusionMatrix,
     CostFn,
     Curves,
     EventOverflowError,
     PqschedError,
+    PathResult,
     PredictedClassParams,
     RateSchedule,
     SystemConfig,
+    TRUNCATE_AT_HORIZON,
     derive_predicted_params,
     mixture_cost,
+    run_paths,
 )
 from pqsched.policies import POLICY_KINDS
 
@@ -483,3 +491,48 @@ def run_path(config: SystemConfig, policy, seed: int, sampling_grid: int = 51, *
         arrival_times=np.array([j.arrival_time for j in jobs]),
         arrival_workloads=np.array(arrival_w),
     )
+
+
+# ------------------------------------------------------------------ pricing
+
+_RULES = (COMPLETED_ONLY, TRUNCATE_AT_HORIZON)
+
+
+def job_costs(path: PathResult, config: SystemConfig, rule: str) -> np.ndarray:
+    """Each job's charge C_k(sojourn) under the rule, k its true class, one
+    class at a time; open jobs are charged C_k(horizon - arrival) or nothing."""
+    if rule not in _RULES:
+        raise ConfigError(f"unknown charging rule {rule!r}; expected one of {_RULES}")
+    done = path.done
+    charged = done if rule == COMPLETED_ONLY else np.ones_like(done)
+    sojourn = np.where(done, path.completion, path.horizon) - path.arrival_times
+    out = np.zeros(len(sojourn))
+    for k, cost in enumerate(config.costs):
+        rows = charged & (path.true_class == k)
+        out[rows] = cost(sojourn[rows])
+    return out
+
+
+def cost_curve(path: PathResult, config: SystemConfig, rule: str, grid) -> np.ndarray:
+    """J on the grid: the cumulative charge of the jobs arrived by each time."""
+    cum = np.concatenate([[0.0], np.cumsum(job_costs(path, config, rule))])
+    return cum[np.searchsorted(path.arrival_times, grid, side="right")]
+
+
+def replication_oracle(config: SystemConfig, kinds, n_paths: int, base_seed: int, rule: str,
+                       eval_times) -> dict:
+    """Per kind, the rows a replication aggregates, one seed at a time: J on
+    eval_times (n_paths x len(eval_times)), event counts, jobs open at the
+    horizon and their truncated cost."""
+    out = {kind: {"values": [], "events": [], "open_jobs": [], "open_costs": []}
+           for kind in kinds}
+    for seed in range(base_seed, base_seed + n_paths):
+        for kind, path in zip(kinds, run_paths(config, kinds, seed, sampling_grid=2)):
+            rows = out[kind]
+            rows["values"].append(cost_curve(path, config, rule, eval_times))
+            rows["events"].append(path.event_count)
+            rows["open_jobs"].append(int(np.count_nonzero(~path.done)))
+            truncated = job_costs(path, config, TRUNCATE_AT_HORIZON)
+            rows["open_costs"].append(float(truncated[~path.done].sum()))
+    return {kind: {name: np.array(rows) for name, rows in fields.items()}
+            for kind, fields in out.items()}

@@ -12,11 +12,13 @@ from click.testing import CliRunner
 
 import pqsched
 from pqsched import (
+    COMPLETED_ONLY,
     load_config,
     quadratic_coefficients,
     relative_regret,
     run_path,
     save_config,
+    terminal_cost,
     workload_variance_rate,
 )
 from pqsched.cli import main
@@ -84,6 +86,26 @@ def test_simulate_manifest_records_events(runner, tmp_path, config_path, paths):
         counts = [run_path(cfg, kind, 3 + i).event_count for i in range(paths)]
         assert events[kind] == {"total": sum(counts), "max_per_path": max(counts),
                                 "event_cap_headroom": 1.0 - max(counts) / 5_000_000}
+
+
+def test_simulate_manifest_records_open_jobs(runner, tmp_path, config_path):
+    out = tmp_path / "sim"
+    result = runner.invoke(main, ["simulate", "--config", str(config_path), "--policy", "pcmu",
+                                  "--policy", "fcfs", "--paths", "6", "--seed", "3",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    open_jobs = _manifest(out)["open_jobs"]
+    cfg = load_config(config_path)
+    for kind in ("pcmu", "fcfs"):
+        paths = [run_path(cfg, kind, 3 + i) for i in range(6)]
+        counts = [int(np.count_nonzero(~p.done)) for p in paths]
+        truncated = sum(terminal_cost(p, cfg) for p in paths)
+        completed = sum(terminal_cost(p, cfg, COMPLETED_ONLY) for p in paths)
+        assert sum(counts) > 0
+        got = open_jobs[kind]
+        assert (got["total"], got["max_per_path"]) == (sum(counts), max(counts))
+        assert got["truncated_cost_share"] == pytest.approx(1.0 - completed / truncated,
+                                                            rel=1e-9)
 
 
 def test_simulate_single_path_exports_raw(runner, tmp_path, config_path):
