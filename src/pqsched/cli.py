@@ -182,16 +182,15 @@ def cmd_lower_bound(config_path, paths, steps, seed, out_dir):
         w = ht.bm_workload_paths(v, steps, config.horizon, paths, seed)
     rows = [("variance_rate", v)]
     with run.timed("cost"):
+        star = ht.jstar(None, config, w)
         if config.all_quadratic():
             coeffs = ht.quadratic_coefficients(config)
-            star = ht.jstar(None, config, w)
             naive = ht.jnaive(None, config, w)
             rows += [("jstar_coeff", coeffs.jstar_coeff), ("jnaive_coeff", coeffs.jnaive_coeff),
                      ("jstar_mean", star.mean), ("jstar_stderr", star.stderr),
                      ("jnaive_mean", naive.mean), ("jnaive_stderr", naive.stderr),
                      ("relative_regret", ht.relative_regret(config.confusion, config))]
         else:
-            star = ht.jstar(None, config, w, method="general")
             rows += [("jstar_mean", star.mean), ("jstar_stderr", star.stderr)]
     with run.timed("write"):
         run.write_csv("lower_bound.csv", ["quantity", "value"],
@@ -326,7 +325,7 @@ def cmd_estimate(csv_path, threshold, out_dir):
 
     if blank["score"] is None and n_classes == 2:
         with run.timed("curves"):
-            curves = triage_mod.estimate_curves(ingest_mod.scores_by_class(table))
+            curves = triage_mod.PassingCurves.from_samples(*ingest_mod.scores_by_class(table))
             run.write_csv("curves.csv", ["z", "g_toxic", "g_nontoxic"],
                           [[_fmt(x) for x in point] for point in zip(curves.grid, *curves.values)])
     else:

@@ -100,9 +100,9 @@ def path_cost(path: PathResult, config: SystemConfig,
 
 def terminal_cost(path: PathResult, config: SystemConfig,
                   rule: str = TRUNCATE_AT_HORIZON) -> float:
-    """J(horizon): every job charged, open ones per the rule."""
-    return float(_charge(config, rule, path.horizon, path.arrival_times, path.true_class,
-                         path.completion)[0].sum())
+    """J(horizon): every job charged, open ones per the rule; the same number,
+    bit for bit, as path_cost's last value and replicate's terminal_costs."""
+    return float(path_cost(path, config, rule, [path.horizon]).values[-1])
 
 
 @dataclass

@@ -182,11 +182,11 @@ def _arrival_times(config: SystemConfig, rng: Generator,
         log, uniform, times, t = math.log, _uniforms(rng, chunk).__next__, [], 0.0
         while True:
             t = t - log(1.0 - uniform()) / lam_max
+            if t > horizon:  # the schedule's bound holds on [0, horizon] only
+                return np.array(times)
             m = schedule(t)
             # acceptance is certain at the bound: don't burn a thinning draw
             if m >= m_max or uniform() * m_max <= m:
-                if t > horizon:
-                    return np.array(times)
                 times.append(t)
                 if len(times) > event_cap:
                     raise _overflow(event_cap, horizon)

@@ -110,10 +110,10 @@ def workload_variance_rate(config: SystemConfig, moments: Optional[Moments] = No
 
 @dataclass(frozen=True)
 class WorkloadPathSet:
-    """Reflected workload paths W = phi(sqrt(v) B) from zero on a shared grid.
-    Only each path's left-Riemann integral of W^2 is kept (integral_sq, jstar
-    and jnaive take O(RBM_BLOCK_ROWS x len(grid)) memory); blocks() redraws
-    the paths from the seed, and values stacks them on request."""
+    """Reflected workload paths W = phi(sqrt(v) B) from zero on an even grid
+    from 0.  Only each path's left-Riemann integral of W^2 is kept
+    (integral_sq, jstar and jnaive take O(RBM_BLOCK_ROWS x len(grid))
+    memory); blocks() redraws the paths from the seed."""
 
     grid: np.ndarray
     n_paths: int
@@ -122,7 +122,17 @@ class WorkloadPathSet:
     isq: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        dt = np.diff(self.grid)
+        grid = np.asarray(self.grid, dtype=float)
+        if grid.ndim != 1 or grid.size < 101:
+            raise ConfigError("need n_steps >= 100 for a usable Euler grid")
+        if not grid[-1] > 0 or not np.array_equal(grid, np.linspace(0.0, grid[-1], grid.size)):
+            raise ConfigError("need an even grid from 0 to a horizon > 0")
+        if self.n_paths < 1:
+            raise ConfigError("need n_paths >= 1")
+        if not self.variance_rate >= 0:
+            raise ConfigError("need variance_rate >= 0")
+        object.__setattr__(self, "grid", grid)
+        dt = np.diff(grid)
         isq = np.concatenate([(w[:, :-1] ** 2) @ dt for w in self.blocks()])  # left endpoints
         isq.setflags(write=False)
         object.__setattr__(self, "isq", isq)
@@ -152,26 +162,11 @@ class WorkloadPathSet:
             # minimum includes x(0) = 0, so it is <= 0 and is its own min(0, .)
             yield np.subtract(w, np.minimum.accumulate(w, axis=1, out=s), out=w)
 
-    @property
-    def values(self) -> np.ndarray:
-        """Every path as one (n_paths, len(grid)) matrix, drawn anew."""
-        out, i = np.empty((self.n_paths, self.grid.size)), 0
-        for w in self.blocks():
-            out[i:i + len(w)] = w
-            i += len(w)
-        return out
-
 
 def bm_workload_paths(variance_rate: float, n_steps: int, horizon: float,
                       n_paths: int, seed: int) -> WorkloadPathSet:
     """Driftless reflected Brownian paths W = phi(sqrt(v) B) from zero, drawn
-    and reduced here block by block; a (seed, shape) pair pins them exactly."""
-    if n_steps < 100:
-        raise ConfigError("need n_steps >= 100 for a usable Euler grid")
-    if n_paths < 1:
-        raise ConfigError("need n_paths >= 1")
-    if horizon <= 0 or variance_rate < 0:
-        raise ConfigError("need horizon > 0 and variance_rate >= 0")
+    and reduced block by block; a (seed, shape) pair pins them exactly."""
     return WorkloadPathSet(grid=np.linspace(0.0, horizon, n_steps + 1), n_paths=int(n_paths),
                            variance_rate=float(variance_rate), seed=int(seed))
 
@@ -317,8 +312,8 @@ def stiffness_coefficients(lam, p, mu, c, q) -> tuple:
     With s_l = sum_k p_k q_kl / mu_k and m_l = sum_k p_k q_kl c_k = p~_l c~_l,
     1/beta_l = lam s_l^2 / m_l and 1/beta_naive_l = lam s_l^2 / (p~_l c_l).
     A label never predicted (p~_l = 0) takes the one-class limit: both are 0
-    and it adds nothing to either coefficient.  kkt_solve, jstar(method=
-    "general") and PolicyRef instead need every label non-empty (ZeroColumnError).
+    and it adds nothing to either coefficient.  kkt_solve, jstar on other than
+    quadratic costs and PolicyRef instead need every label non-empty (ZeroColumnError).
     """
     lam = np.asarray(lam, dtype=float)
     mass = np.asarray(p, dtype=float)[..., :, None] * np.asarray(q, dtype=float)  # p_k q_kl
@@ -362,44 +357,32 @@ class JEstimate:
     per_path: np.ndarray
     mean: float
     stderr: float
-    method: str
 
 
-def _estimate(per_path: np.ndarray, method: str) -> JEstimate:
+def _estimate(per_path: np.ndarray) -> JEstimate:
     n = len(per_path)
     stderr = float(per_path.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return JEstimate(per_path=per_path, mean=float(per_path.mean()),
-                     stderr=stderr, method=method)
+    return JEstimate(per_path=per_path, mean=float(per_path.mean()), stderr=stderr)
 
 
-def jstar(confusion, config: SystemConfig, w_paths: WorkloadPathSet,
-          method: str = "auto") -> JEstimate:
-    """Expected integrated cost of the optimal workload split along W paths.
-
-    method "coefficient" uses the quadratic closed form; "general" re-solves
-    the allocation at every grid point (any convex costs; every predicted
-    label must be non-empty); "auto" picks the closed form when available.
-    """
-    if method not in ("auto", "coefficient", "general"):
-        raise ConfigError(f"unknown jstar method {method!r}")
-    if method == "auto":
-        method = "coefficient" if config.all_quadratic() else "general"
-    if method == "coefficient":
+def jstar(confusion, config: SystemConfig, w_paths: WorkloadPathSet) -> JEstimate:
+    """Expected integrated cost of the optimal workload split along W paths:
+    the quadratic closed form when every cost is quadratic, else kkt_solve at
+    every grid point (any convex costs; every predicted label non-empty)."""
+    if config.all_quadratic():
         coeff = quadratic_coefficients(config, confusion).jstar_coeff
-        return _estimate(coeff * 0.5 * w_paths.integral_sq(), "coefficient")
-
+        return _estimate(coeff * 0.5 * w_paths.integral_sq())
     cfg = config if confusion is None else config.with_confusion(confusion)
     params, dt = derive_predicted_params(cfg), np.diff(w_paths.grid)
-    per_path = [kkt_solve(w[:, :-1], params, cfg.costs).objective @ dt  # left endpoints
-                for w in w_paths.blocks()]
-    return _estimate(np.concatenate(per_path), "general")
+    return _estimate(np.concatenate([kkt_solve(w[:, :-1], params, cfg.costs).objective @ dt
+                                     for w in w_paths.blocks()]))  # left endpoints
 
 
 def jnaive(confusion, config: SystemConfig, w_paths: WorkloadPathSet) -> JEstimate:
     """Integrated cost when workload is split by label-only stiffness but
     charged at the true mixture costs (quadratic only)."""
     coeff = quadratic_coefficients(config, confusion).jnaive_coeff
-    return _estimate(coeff * 0.5 * w_paths.integral_sq(), "coefficient")
+    return _estimate(coeff * 0.5 * w_paths.integral_sq())
 
 
 def relative_regret(confusion, config: SystemConfig) -> float:

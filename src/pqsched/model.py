@@ -431,8 +431,8 @@ def config_to_json(config: SystemConfig) -> dict:
     }
 
 
-def config_from_json(doc: dict, *, strict: bool = True) -> SystemConfig:
-    """Build a SystemConfig from its JSON document; validates unless strict=False."""
+def config_from_json(doc: dict) -> SystemConfig:
+    """Build a SystemConfig from its JSON document and validate it."""
     try:
         config = SystemConfig(
             lam=float(doc["lambda"]),
@@ -446,8 +446,7 @@ def config_from_json(doc: dict, *, strict: bool = True) -> SystemConfig:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config document: {exc}") from exc
-    if strict:
-        validate_config(config).raise_if_invalid()
+    validate_config(config).raise_if_invalid()
     return config
 
 
@@ -479,5 +478,5 @@ def load_json(path):
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def load_config(path, *, strict: bool = True) -> SystemConfig:
-    return config_from_json(load_json(path), strict=strict)
+def load_config(path) -> SystemConfig:
+    return config_from_json(load_json(path))

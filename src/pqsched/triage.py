@@ -37,7 +37,6 @@ from .model import load_json
 
 __all__ = [
     "PassingCurves",
-    "estimate_curves",
     "TriageConfig",
     "ReviewerParams",
     "McParams",
@@ -50,7 +49,6 @@ __all__ = [
     "reviewer_queue_cost",
     "total_cost",
     "evaluate_grid",
-    "optimize",
     "load_triage_config",
 ]
 
@@ -134,15 +132,6 @@ class PassingCurves:
             # fraction of scores >= z, evaluated on the grid
             values[k] = 1.0 - np.searchsorted(s, grid, side="left") / s.size
         return cls(grid, values)
-
-
-def estimate_curves(scores_by_class: Sequence,
-                    grid_size: int = DEFAULT_SCORE_GRID) -> PassingCurves:
-    """PassingCurves from raw validation scores (toxic first)."""
-    if len(scores_by_class) != 2:
-        raise ConfigError("expected scores for exactly two classes")
-    return PassingCurves.from_samples(scores_by_class[0], scores_by_class[1],
-                                      grid_size=grid_size)
 
 
 @dataclass(frozen=True)
@@ -424,12 +413,6 @@ def evaluate_grid(config: TriageConfig, z_tx, zfl_grid,
         raise EmptyGridError("no feasible (z_fl, z_tx) pair on the grids")
     return kept, {"z_tx_below_z_fl": int(np.count_nonzero(~feasible)),
                   "gamma_below_pass_share": int(np.count_nonzero(understaffed))}
-
-
-def optimize(config: TriageConfig, z_tx, zfl_grid,
-             mc: McParams = McParams()) -> TriageDecision:
-    """Grid argmin of total cost; ties resolve to the smaller (z_fl, z_tx)."""
-    return min(evaluate_grid(config, z_tx, zfl_grid, mc)[0], key=lambda d: d.total)
 
 
 # ---------------------------------------------------------------------------

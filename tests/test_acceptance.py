@@ -15,29 +15,28 @@ from pqsched import (
     CostFn,
     McParams,
     PassingCurves,
-    PolicyRef,
     SystemConfig,
     TriageConfig,
     TRUNCATE_AT_HORIZON,
     bm_workload_paths,
+    compare_policies,
     derive_predicted_params,
     evaluate_grid,
     jstar,
     kkt_solve,
     quadratic_coefficients,
     relative_regret,
+    replicate,
     reviewer_params,
     reviewer_queue_cost,
     run_path,
-    run_paths,
     save_config,
-    terminal_cost,
     two_class_xstar,
     workload_variance_rate,
 )
 from pqsched.cli import main as cli_main
 from pqsched.model import mixture_cost
-from helpers import exact_int_w2, reviewer_system_config
+from helpers import exact_int_w2, kkt_per_path, reviewer_system_config, ten_class_config
 
 
 def _verdict(ok, n, detail):
@@ -49,40 +48,12 @@ def _verdict(ok, n, detail):
 # 1. policy ordering on the 10-class content-moderation analogue
 
 
-def _ten_class_config():
-    # five content groups, each split into a toxic and a non-toxic class;
-    # the classifier confuses only within a group (block-diagonal 2x2)
-    lam_tox = [4.2, 2.9, 3.4, 5.0, 2.7]
-    lam_non = [12.4, 6.1, 22.1, 33.4, 7.8]
-    mu_tox = [100.0, 30.0, 110.0, 25.0, 15.0]
-    mu_non = [150.0] * 5
-    c_tox = [10.0, 22.0, 12.0, 20.0, 25.0]
-    c_non = [1.0] * 5
-    acc_tox = [0.598, 0.657, 0.688, 0.670, 0.547]
-    acc_non = [0.882, 0.860, 0.959, 0.960, 0.903]
-    p, mu, c = [], [], []
-    Q = np.zeros((10, 10))
-    for g in range(5):
-        p += [lam_tox[g] / 100.0, lam_non[g] / 100.0]
-        mu += [mu_tox[g], mu_non[g]]
-        c += [c_tox[g], c_non[g]]
-        i = 2 * g
-        Q[i, i], Q[i, i + 1] = acc_tox[g], 1.0 - acc_tox[g]
-        Q[i + 1, i], Q[i + 1, i + 1] = 1.0 - acc_non[g], acc_non[g]
-    return SystemConfig(lam=100.0, prevalences=p, service_rates=mu,
-                        costs=tuple(CostFn(x) for x in c),
-                        confusion=ConfusionMatrix(Q), horizon=1.0)
-
-
 def test_criterion_01_policy_ordering():
-    cfg = _ten_class_config()
+    cfg = ten_class_config()
     n = 10_000
-    kinds = ("oracle", "pcmu", "naive")
-    policies = [PolicyRef.for_config(kind, cfg) for kind in kinds]
-    J = {kind: np.empty(n) for kind in kinds}
-    for s in range(n):  # every policy on the seed's one arrival stream
-        for kind, path in zip(kinds, run_paths(cfg, policies, seed=s, sampling_grid=2)):
-            J[kind][s] = terminal_cost(path, cfg, rule=TRUNCATE_AT_HORIZON)
+    # every policy on each seed's one arrival stream, seeds 0..n-1
+    J = {kind: s.terminal_costs for kind, s in compare_policies(
+        cfg, ("oracle", "pcmu", "naive"), n, 0, rule=TRUNCATE_AT_HORIZON).items()}
     d_po = J["pcmu"] - J["oracle"]
     d_np = J["naive"] - J["pcmu"]
     z_po = d_po.mean() / (d_po.std(ddof=1) / np.sqrt(n))
@@ -196,8 +167,8 @@ def test_criterion_04_quadratic_identities():
                        confusion=ConfusionMatrix(((0.9, 0.1), (0.2, 0.8))),
                        horizon=1.0)
     w = bm_workload_paths(2.0, 400, 1.0, 200, seed=11)
-    general = jstar(None, cfg, w, method="general").per_path
-    fast = jstar(None, cfg, w, method="coefficient").per_path
+    general = kkt_per_path(cfg, w)
+    fast = jstar(None, cfg, w).per_path
     path_dev = float(np.max(np.abs(general - fast)))
 
     rng = np.random.default_rng(2024)
@@ -374,15 +345,9 @@ def test_criterion_08_model_selection_fidelity():
 
     n = 400
     cfg0 = build(ConfusionMatrix.identity(2))
-    oracle = np.array([
-        terminal_cost(run_path(cfg0, "oracle", seed=s, sampling_grid=2),
-                      cfg0, rule=TRUNCATE_AT_HORIZON) for s in range(n)])
-    pcmu = []
-    for q in qs:
-        cfg = build(q)
-        pcmu.append(np.array([
-            terminal_cost(run_path(cfg, "pcmu", seed=s, sampling_grid=2),
-                          cfg, rule=TRUNCATE_AT_HORIZON) for s in range(n)]))
+    oracle = replicate(cfg0, "oracle", n, 0, rule=TRUNCATE_AT_HORIZON).terminal_costs
+    pcmu = [replicate(build(q), "pcmu", n, 0, rule=TRUNCATE_AT_HORIZON).terminal_costs
+            for q in qs]
 
     rng = np.random.default_rng(123)
     B = 2000
@@ -437,9 +402,7 @@ def test_criterion_09_triage_shapes():
     sys_cfg = reviewer_system_config(reviewer_params(z, cfg3), cfg3, horizon=10.0)
     assert abs(sys_cfg.rho - 1.0) < 1e-9
     n = 1200
-    des = np.array([
-        terminal_cost(run_path(sys_cfg, "pcmu", seed=s, sampling_grid=2),
-                      sys_cfg, rule=TRUNCATE_AT_HORIZON) for s in range(n)])
+    des = replicate(sys_cfg, "pcmu", n, 0, rule=TRUNCATE_AT_HORIZON).terminal_costs
     rel = des.mean() / rbm - 1.0
     ok = inc and dec and interior and abs(rel) < 0.10
     assert _verdict(ok, 9, (

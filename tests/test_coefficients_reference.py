@@ -23,6 +23,7 @@ from pqsched import (
     two_class_xstar,
 )
 from conftest import make_two_class
+from helpers import kkt_per_path
 import reference_coefficients as ref
 
 RTOL = 1e-13
@@ -120,9 +121,9 @@ def test_dead_label_takes_the_one_class_limit(dead, two_class_config):
 def test_dead_label_still_fails_where_its_service_law_is_needed(two_class_config):
     w = bm_workload_paths(0.4, n_steps=100, horizon=1.0, n_paths=4, seed=1)
     q = ConfusionMatrix(DEAD[1])
-    assert np.isfinite(jstar(q, two_class_config, w, method="coefficient").mean)
-    with pytest.raises(ZeroColumnError):
-        jstar(q, two_class_config, w, method="general")
+    assert np.isfinite(jstar(q, two_class_config, w).mean)
+    with pytest.raises(ZeroColumnError):   # the KKT route needs the label's service law
+        kkt_per_path(two_class_config, w, q)
 
 
 def test_dead_label_in_a_three_class_system():

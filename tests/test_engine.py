@@ -304,6 +304,19 @@ def test_sinusoidal_schedule_shape():
     assert deep(float(np.pi * 1.5)) == pytest.approx(0.5)
 
 
+def test_arrival_schedule_is_read_on_the_horizon_only():
+    # 1 + t keeps its bound of 2 on [0, horizon] only: the first thinning
+    # candidate past the horizon must end the stream before it reaches the
+    # schedule, and the arrivals are those of the capped ramp
+    cfg = make_two_class(lam=20.0, horizon=1.0)
+    ramp = RateSchedule(multiplier=lambda t: 1.0 + t, max_multiplier=2.0)
+    capped = RateSchedule(multiplier=lambda t: min(1.0 + t, 2.0), max_multiplier=2.0)
+    for seed in range(20):
+        got = run_path(cfg, "pcmu", seed=seed, arrival_schedule=ramp).arrival_times
+        want = run_path(cfg, "pcmu", seed=seed, arrival_schedule=capped).arrival_times
+        assert got.size > 0 and np.array_equal(got, want)
+
+
 def test_service_schedule_scales_requirements():
     # doubling the service rate halves the remaining work when service
     # starts: the drawn 2.0 requirement becomes 1.0, due at 2.25 > horizon 2

@@ -14,6 +14,7 @@ from pqsched import (
     Moments,
     NonFiniteMomentError,
     NonQuadraticError,
+    WorkloadPathSet,
     bm_workload_paths,
     derive_predicted_params,
     jnaive,
@@ -28,7 +29,7 @@ from pqsched import (
     workload_variance_rate,
 )
 from conftest import make_two_class
-from helpers import given_paths
+from helpers import given_paths, kkt_per_path, stack
 from reference_rbm import reflect_matrix
 
 IDENTITY = ((1.0, 0.0), (0.0, 1.0))
@@ -164,21 +165,34 @@ def test_variance_rate_moment_guards(two_class_config):
 def test_bm_paths_deterministic_and_shapes():
     w1 = bm_workload_paths(0.5, n_steps=120, horizon=2.0, n_paths=7, seed=42)
     w2 = bm_workload_paths(0.5, n_steps=120, horizon=2.0, n_paths=7, seed=42)
-    assert np.array_equal(w1.values, w2.values)
-    assert w1.values.shape == (7, 121)
+    assert np.array_equal(stack(w1), stack(w2))
+    assert stack(w1).shape == (7, 121)
     assert np.array_equal(w1.grid, np.linspace(0.0, 2.0, 121))
-    assert np.all(w1.values >= 0.0)
-    assert np.all(w1.values[:, 0] == 0.0)
+    assert np.all(stack(w1) >= 0.0)
+    assert np.all(stack(w1)[:, 0] == 0.0)
     assert w1.variance_rate == 0.5
     w3 = bm_workload_paths(0.5, n_steps=120, horizon=2.0, n_paths=7, seed=43)
-    assert not np.array_equal(w1.values, w3.values)
+    assert not np.array_equal(stack(w1), stack(w3))
 
 
 def test_bm_paths_zero_variance_and_step_floor():
     flat = bm_workload_paths(0.0, n_steps=100, horizon=1.0, n_paths=3, seed=0)
-    assert np.all(flat.values == 0.0)
+    assert np.all(stack(flat) == 0.0)
     with pytest.raises(ConfigError):
         bm_workload_paths(1.0, n_steps=99, horizon=1.0, n_paths=3, seed=0)
+
+
+@pytest.mark.parametrize("bad", [dict(n_paths=0), dict(variance_rate=-1.0),
+                                 dict(grid=np.linspace(0.0, 1.0, 101) ** 2),
+                                 dict(grid=np.linspace(0.0, 1.0, 100))])
+def test_path_set_built_directly_is_checked(bad):
+    # no path (a NaN mean), a negative variance (NaN integrals), an uneven
+    # grid (drawn with grid[-1]/n_steps steps but integrated with diff(grid))
+    # and too few steps are refused as bm_workload_paths refuses them
+    args = dict(grid=np.linspace(0.0, 1.0, 101), n_paths=3, variance_rate=1.0, seed=0)
+    WorkloadPathSet(**args)
+    with pytest.raises(ConfigError):
+        WorkloadPathSet(**(args | bad))
 
 
 def test_bm_integral_consistency_across_step_counts():
@@ -193,9 +207,7 @@ def test_bm_integral_consistency_across_step_counts():
 
 
 def test_integral_sq_left_riemann():
-    ws = given_paths(grid=np.array([0.0, 0.5, 1.0]),
-                     values=np.array([[0.0, 2.0, 3.0]]),
-                     variance_rate=1.0, seed=0)
+    ws = _unit_paths()
     # left Riemann: 0^2 * 0.5 + 2^2 * 0.5
     assert ws.integral_sq() == pytest.approx([2.0])
 
@@ -372,8 +384,9 @@ def test_jstar_coeff_is_simplex_minimum(q12, q21):
 # --------------------------------------------------------------- J bounds
 
 def _unit_paths():
-    return given_paths(grid=np.array([0.0, 0.5, 1.0]),
-                       values=np.array([[0.0, 2.0, 3.0]]),
+    # W = 0 on [0, 0.5), 2 on [0.5, 1) and 3 at 1, on an even grid of 100 steps
+    return given_paths(grid=np.linspace(0.0, 1.0, 101),
+                       values=[np.repeat([0.0, 2.0, 3.0], [50, 50, 1])],
                        variance_rate=1.0, seed=0)
 
 
@@ -384,19 +397,16 @@ def test_jstar_quadratic_scaling(two_class_config):
     est = jstar(two_class_config.confusion, two_class_config, w)
     assert est.per_path == pytest.approx([coeffs.jstar_coeff], rel=1e-12)
     assert est.mean == pytest.approx(coeffs.jstar_coeff, rel=1e-12)
-    assert est.method == "coefficient"
 
 
 def test_jstar_general_matches_fast(two_class_config):
     w = bm_workload_paths(0.4, n_steps=100, horizon=1.0, n_paths=40, seed=9)
-    fast = jstar(two_class_config.confusion, two_class_config, w,
-                 method="coefficient")
-    gen = jstar(two_class_config.confusion, two_class_config, w,
-                method="general")
-    assert np.max(np.abs(fast.per_path - gen.per_path)) <= 1e-8 * max(
+    fast = jstar(two_class_config.confusion, two_class_config, w)
+    gen = kkt_per_path(two_class_config, w, two_class_config.confusion)
+    assert np.max(np.abs(fast.per_path - gen)) <= 1e-8 * max(
         1.0, float(np.max(np.abs(fast.per_path))))
-    auto = jstar(two_class_config.confusion, two_class_config, w)
-    assert auto.method == "coefficient"
+    coeff = quadratic_coefficients(two_class_config).jstar_coeff
+    assert np.array_equal(fast.per_path, coeff * 0.5 * w.integral_sq())
 
 
 def test_jstar_none_confusion_uses_config(two_class_config):
@@ -409,13 +419,11 @@ def test_jstar_none_confusion_uses_config(two_class_config):
 def test_jstar_nonquadratic_needs_general():
     cfg = make_two_class(costs=(CostFn(1.0), CostFn(10.0, power=3.0)))
     w = bm_workload_paths(0.4, n_steps=100, horizon=1.0, n_paths=10, seed=3)
-    est = jstar(cfg.confusion, cfg, w)      # auto falls back to general
-    assert est.method == "general"
+    est = jstar(cfg.confusion, cfg, w)
+    assert np.array_equal(est.per_path, kkt_per_path(cfg, w, cfg.confusion))
     assert est.mean > 0.0
     with pytest.raises(NonQuadraticError):
         jnaive(cfg.confusion, cfg, w)
-    with pytest.raises(ConfigError):
-        jstar(cfg.confusion, cfg, w, method="fastest")
 
 
 def test_jnaive_dominates_jstar(two_class_config):
@@ -427,8 +435,8 @@ def test_jnaive_dominates_jstar(two_class_config):
 
 
 def test_jstar_zero_paths(two_class_config):
-    w = given_paths(grid=np.array([0.0, 1.0]),
-                    values=np.zeros((4, 2)), variance_rate=0.0, seed=0)
+    w = given_paths(grid=np.linspace(0.0, 1.0, 101),
+                    values=np.zeros((4, 101)), variance_rate=0.0, seed=0)
     est = jstar(two_class_config.confusion, two_class_config, w)
     assert est.mean == 0.0
     assert est.stderr == 0.0

@@ -31,6 +31,7 @@ from pqsched import (
     simulate_block,
     terminal_cost,
 )
+from helpers import ten_class_config
 import reference_engine
 
 _RULES = (COMPLETED_ONLY, TRUNCATE_AT_HORIZON)
@@ -86,7 +87,20 @@ def test_one_pass_pricing_matches_per_class_oracle(case, rule, n_grid):
         curve = reference_engine.cost_curve(p, cfg, rule, grid)
         assert np.array_equal(rows[i], curve)
         assert np.array_equal(path_cost(p, cfg, rule, grid).values, curve)
-        assert terminal_cost(p, cfg, rule) == float(expect.sum())
+        assert terminal_cost(p, cfg, rule) == np.concatenate(([0.0], np.cumsum(expect)))[-1]
+
+
+@pytest.mark.parametrize("rule", _RULES)
+def test_terminal_cost_has_one_definition(rule):
+    # J(T) of a path is one number, bit for bit, whichever route reports it
+    cfg, kinds, n = ten_class_config(), ("oracle", "pcmu", "naive"), 200
+    together = compare_policies(cfg, kinds, n, 0, rule)
+    alone = replicate(cfg, "pcmu", n, 0, rule)
+    for seed in range(n):
+        for kind, p in zip(kinds, run_paths(cfg, kinds, seed, sampling_grid=2)):
+            j = terminal_cost(p, cfg, rule)
+            assert j == path_cost(p, cfg, rule).values[-1] == together[kind].terminal_costs[seed]
+            assert kind != "pcmu" or j == alone.terminal_costs[seed]
 
 
 def _critical(horizon):

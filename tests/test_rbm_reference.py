@@ -9,6 +9,7 @@ import pytest
 from pqsched import CostFn, bm_workload_paths, derive_predicted_params, jstar, kkt_solve
 from pqsched import httheory
 from conftest import make_two_class
+from helpers import stack
 import reference_rbm as ref
 
 
@@ -17,7 +18,7 @@ def test_blocks_match_dense_reference(n_paths):
     got = bm_workload_paths(0.7, n_steps=150, horizon=3.0, n_paths=n_paths, seed=5)
     want = ref.bm_workload_paths(0.7, n_steps=150, horizon=3.0, n_paths=n_paths, seed=5)
     assert np.array_equal(got.integral_sq(), want.integral_sq())
-    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(stack(got), want.values)
     assert np.array_equal(got.grid, want.grid)
     assert len(got.integral_sq()) == got.n_paths == n_paths
 
@@ -25,18 +26,19 @@ def test_blocks_match_dense_reference(n_paths):
 @pytest.mark.parametrize("rows", [64, 256, 512])
 def test_block_size_does_not_move_a_bit(monkeypatch, rows):
     want = bm_workload_paths(1.3, n_steps=200, horizon=2.0, n_paths=1000, seed=8)
+    want_paths = stack(want)
     monkeypatch.setattr(httheory, "RBM_BLOCK_ROWS", rows)
     got = bm_workload_paths(1.3, n_steps=200, horizon=2.0, n_paths=1000, seed=8)
     assert np.array_equal(got.integral_sq(), want.integral_sq())
-    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(stack(got), want_paths)
 
 
 def test_blocks_replay_the_same_stream():
     w = bm_workload_paths(0.5, n_steps=100, horizon=1.0, n_paths=257, seed=2)
     blocks = [b.copy() for b in w.blocks()]
     assert [len(b) for b in blocks] == [128, 129]      # no one-row remainder
-    assert np.array_equal(np.vstack(blocks), w.values)
-    assert np.array_equal(w.values, w.values)
+    assert np.array_equal(np.vstack(blocks), stack(w))
+    assert np.array_equal(stack(w), stack(w))
     with pytest.raises(ValueError):
         w.integral_sq()[0] = 1.0                        # the stored reduction is read-only
 
@@ -48,7 +50,7 @@ def test_jstar_general_matches_dense_reference(n_paths):
     dense = ref.bm_workload_paths(0.4, n_steps=100, horizon=1.0, n_paths=n_paths, seed=3)
     split = kkt_solve(dense.values[:, :-1], derive_predicted_params(cfg), cfg.costs)
     want = split.objective @ np.diff(dense.grid)
-    assert np.array_equal(jstar(None, cfg, w, method="general").per_path, want)
+    assert np.array_equal(jstar(None, cfg, w).per_path, want)
 
 
 # ------------------------------------------------------------ closed forms

@@ -13,12 +13,10 @@ from pqsched import (
     McParams,
     PassingCurves,
     TriageConfig,
-    estimate_curves,
     evaluate_grid,
     filtering_cost_rate,
     load_triage_config,
     misclass_cost_rate,
-    optimize,
     quadratic_coefficients,
     reviewer_params,
     reviewer_queue_cost,
@@ -88,13 +86,6 @@ def test_from_samples_empirical_rule():
     assert c.g(1, 0.99) == pytest.approx(1.0)
     with pytest.raises(EmptyClassError):
         PassingCurves.from_samples([], [0.5])
-
-
-def test_estimate_curves_matches_from_samples():
-    toxic, nontoxic = [0.9, 0.7, 0.4], [0.1, 0.2, 0.3, 0.05]
-    a = estimate_curves([np.array(toxic), np.array(nontoxic)])
-    b = PassingCurves.from_samples(toxic, nontoxic)
-    assert np.array_equal(a.values, b.values)
 
 
 def test_from_samples_concentrates_to_truth(rng):
@@ -325,14 +316,19 @@ def test_evaluate_grid_common_random_numbers():
     assert [d.total for d in a] == [d.total for d in b]
 
 
-def test_optimize_returns_grid_argmin():
+def _argmin(cfg, z_tx, grid):
+    """The triage command's argmin: the first decision of least total cost."""
+    return min(evaluate_grid(cfg, z_tx, grid, FAST_MC)[0], key=lambda d: d.total)
+
+
+def test_grid_argmin_is_the_first_least_total():
     cfg = make_triage()
     grid = np.linspace(0.05, 0.45, 7)
     decisions = evaluate_grid(cfg, 0.5, grid, FAST_MC)[0]
-    best = optimize(cfg, 0.5, grid, FAST_MC)
+    best = _argmin(cfg, 0.5, grid)
     assert best.total == pytest.approx(min(d.total for d in decisions))
     # duplicated grid point: the first (equal) entry wins
-    dup = optimize(cfg, 0.5, [0.3, 0.3], FAST_MC)
+    dup = _argmin(cfg, 0.5, [0.3, 0.3])
     assert dup.z_fl == 0.3
 
 
