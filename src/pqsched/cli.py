@@ -133,8 +133,9 @@ def main():
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def cmd_simulate(config_path, policies, paths, seed, out_dir):
     """Replicate policies on paired seeds and summarize cumulative cost."""
+    policies = list(dict.fromkeys(policies))   # a repeated --policy runs once
     run = _Run("simulate", out_dir, config_path, {"base_seed": seed, "n_paths": paths},
-               {"policies": list(policies)})
+               {"policies": policies})
     config = run.load()
     if paths == 1:
         with run.timed("simulate"):
@@ -149,7 +150,7 @@ def cmd_simulate(config_path, policies, paths, seed, out_dir):
         facts = {}
     else:
         with run.timed("simulate"):
-            summaries = cost_mod.compare_policies(config, list(policies), paths, seed)
+            summaries = cost_mod.compare_policies(config, policies, paths, seed)
         with run.timed("write"):
             cost_mod.export_summary_csv(summaries, run.path("summary.csv"))
         for kind, s in summaries.items():

@@ -155,6 +155,8 @@ def _substreams(seed: int):
     Each is read to the end before the next starts, so one bit generator
     serves all four by setting the counter word a jump advances.
     """
+    if not 0 <= seed < 2 ** 128:  # Philox keys
+        raise ConfigError(f"seed {seed} is outside [0, 2**128)")
     bits = Philox(key=seed)
     rng, state = Generator(bits), bits.state
     for i in range(4):
@@ -343,7 +345,10 @@ def simulate_block(config: SystemConfig, policies: Sequence[PolicyRef], seeds,
     """Yield each seed's draws (arrival times, true classes, services, labels)
     and each policy's (completion, remaining, workload jumps, events).  The
     seeds share each policy's index table tab[l][m] = index(l, m) (tab[l][0]
-    = -1.0: empty), grown to the largest class size among them."""
+    = -1.0: empty), grown to the largest class size among them.  An
+    arrival_schedule needs exponential interarrivals (Poisson thinning)."""
+    if arrival_schedule is not None and config.arrival_dist.family != "exponential":
+        raise ConfigError("arrival schedules require exponential interarrivals (thinning)")
     tabs = [[[-1.0] for _ in range(config.n_classes)] for _ in policies]
     for seed in seeds:  # a call per seed: no columns stay in this frame between yields
         yield _simulate_seed(config, policies, tabs, seed, arrival_schedule, service_schedule,
@@ -396,8 +401,6 @@ def run_paths(config: SystemConfig, policies: Sequence, seed: int, sampling_grid
     if sampling_grid < 2:
         raise ConfigError("sampling_grid must be >= 2")
     policies = [PolicyRef.for_config(p, config) if isinstance(p, str) else p for p in policies]
-    if arrival_schedule is not None and config.arrival_dist.family != "exponential":
-        raise ConfigError("arrival schedules require exponential interarrivals (thinning)")
 
     k_classes = config.n_classes
     horizon = config.horizon

@@ -18,7 +18,7 @@ coefficient machinery scores a confusion matrix before any simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .model import (MixtureCost, PredictedClassParams, SystemConfig, derive_pred
                     mixture_cost)
 
 __all__ = [
-    "Moments",
     "workload_variance_rate",
     "WorkloadPathSet",
     "bm_workload_paths",
@@ -59,45 +58,30 @@ _U_EPS = 2.0 ** -53
 # variance rate of the workload diffusion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Moments:
-    """Second moments of the primitives: alpha_u = E[U^2] for one
-    interarrival time, alpha_v[k] = E[V_k^2] for a class-k service time."""
-
-    alpha_u: float
-    alpha_v: np.ndarray
-
-    @classmethod
-    def for_config(cls, config: SystemConfig) -> "Moments":
-        return cls(alpha_u=float(config.arrival_dist.second_moment(config.lam)),
-                   alpha_v=config.service_dist.second_moment(config.service_rates))
-
-
-def workload_variance_rate(config: SystemConfig, moments: Optional[Moments] = None) -> float:
+def workload_variance_rate(config: SystemConfig) -> float:
     """Variance rate v of the limiting workload Brownian motion.
 
     With m = E[V] = sum_k p_k / mu_k, per-job work variance
     c_v = sum_k p_k alpha_v[k] - m^2 and interarrival variance
-    c_u = alpha_u - 1/lambda^2,
+    c_u = alpha_u - 1/lambda^2, where alpha_u = E[U^2] and alpha_v[k] =
+    E[V_k^2] are the second moments of the config's laws (Dist.second_moment,
+    the laws Dist.sample draws from),
 
         v = lambda * c_v + lambda^3 * c_u * m^2.
 
     M/M/1 sanity check: lambda = mu gives v = 2 / lambda.
     """
-    if moments is None:
-        moments = Moments.for_config(config)
     lam = config.lam
     p = config.prevalences
-    alpha_v = np.asarray(moments.alpha_v, dtype=float)
-    if alpha_v.shape != (config.n_classes,):
-        raise ConfigError("alpha_v must have one entry per class")
-    if not (np.isfinite(moments.alpha_u) and np.all(np.isfinite(alpha_v))):
+    alpha_u = float(config.arrival_dist.second_moment(lam))
+    alpha_v = config.service_dist.second_moment(config.service_rates)
+    if not (np.isfinite(alpha_u) and np.all(np.isfinite(alpha_v))):
         raise NonFiniteMomentError("second moments must be finite")
     mean_work = float(p @ (1.0 / config.service_rates))
     c_v = float(p @ alpha_v) - mean_work ** 2
-    c_u = moments.alpha_u - 1.0 / lam ** 2
+    c_u = alpha_u - 1.0 / lam ** 2
     if c_v < -1e-12 or c_u < -1e-12:
-        raise ConfigError("moments imply negative variance; check alpha_u/alpha_v")
+        raise ConfigError("moments imply negative variance; check that the prevalences sum to 1")
     v = lam * max(c_v, 0.0) + lam ** 3 * max(c_u, 0.0) * mean_work ** 2
     if not np.isfinite(v):
         raise NonFiniteMomentError("variance rate overflowed")
@@ -131,6 +115,8 @@ class WorkloadPathSet:
             raise ConfigError("need n_paths >= 1")
         if not self.variance_rate >= 0:
             raise ConfigError("need variance_rate >= 0")
+        if not 0 <= self.seed < 2 ** 128:  # Philox keys
+            raise ConfigError(f"seed {self.seed} is outside [0, 2**128)")
         object.__setattr__(self, "grid", grid)
         dt = np.diff(grid)
         isq = np.concatenate([(w[:, :-1] ** 2) @ dt for w in self.blocks()])  # left endpoints

@@ -212,16 +212,13 @@ def read_validation_csv(path) -> ValidationTable:
     return ValidationTable(line=lines, reader="per-row" if clean is None else "numpy", **table)
 
 
-def _infer_n_classes(table: ValidationTable, n_classes: Optional[int]) -> int:
-    inferred = int(max(table.true_class.max(), table.predicted_class.max())) + 1
-    if n_classes is not None and n_classes < inferred:
-        raise IngestError(f"records reference class {inferred} but n_classes={n_classes}")
-    return inferred if n_classes is None else n_classes
+def _infer_n_classes(table: ValidationTable) -> int:
+    """The class count the table implies: its largest true or predicted class."""
+    return int(max(table.true_class.max(), table.predicted_class.max())) + 1
 
 
 def estimate_confusion(table: ValidationTable,
                        threshold: Optional[float] = None,
-                       n_classes: Optional[int] = None,
                        laplace: float = 0.0):
     """Empirical confusion matrix and prevalence vector.
 
@@ -230,7 +227,7 @@ def estimate_confusion(table: ValidationTable,
     predicted_class.  laplace > 0 adds the usual pseudo-count per cell.
     Returns (ConfusionMatrix, prevalences).
     """
-    K = _infer_n_classes(table, n_classes)
+    K = _infer_n_classes(table)
     if threshold is not None and K != 2:
         raise IngestError(f"score thresholding defines a binary rule; got {K} classes")
     blank = table.blank_line("predicted_class" if threshold is None else "score")
@@ -254,9 +251,9 @@ def estimate_confusion(table: ValidationTable,
     return ConfusionMatrix(q), p_hat
 
 
-def estimate_rates(table: ValidationTable, n_classes: Optional[int] = None):
+def estimate_rates(table: ValidationTable):
     """Per-class service rates and second moments: (mu_hat, alpha_v_hat)."""
-    K = _infer_n_classes(table, n_classes)
+    K = _infer_n_classes(table)
     blank = table.blank_line("service_time")
     if blank is not None:
         raise IngestError(f"line {blank}: missing service_time")

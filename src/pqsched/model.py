@@ -76,10 +76,6 @@ class CostFn:
     def prime(self, t):
         return self.coeff * np.power(t, self.power - 1.0)
 
-    def prime_inv(self, y):
-        """Inverse of the marginal cost: t such that C'(t) = y."""
-        return np.power(np.asarray(y, dtype=float) / self.coeff, 1.0 / (self.power - 1.0))
-
     @property
     def is_quadratic(self) -> bool:
         return self.power == 2.0
@@ -364,9 +360,11 @@ class ValidationReport:
 def validate_config(config: SystemConfig) -> ValidationReport:
     """Check every type invariant; report, never raise.
 
-    Error codes: RowNotStochastic, EntryOutOfRange, NonPositiveRate,
-    PrevalenceNotNormalized, NegativePrevalence, ZeroColumn, BadCost,
-    NonPositiveHorizon, ShapeMismatch.  |rho-1| > 0.05 is a warning
+    Error codes: NonFinite (a NaN or infinite lambda, prevalence, service
+    rate, cost coeff or power, or horizon), RowNotStochastic,
+    EntryOutOfRange, NonPositiveRate, PrevalenceNotNormalized,
+    NegativePrevalence, ZeroColumn, BadCost, NonPositiveHorizon,
+    ShapeMismatch.  |rho-1| > 0.05 is a warning
     (HeavyTrafficDeviation), since overloaded transients are legitimate.
     """
     rep = ValidationReport()
@@ -379,6 +377,13 @@ def validate_config(config: SystemConfig) -> ValidationReport:
         )
         return rep
 
+    numbers = {"lambda": config.lam, "prevalences": config.prevalences,
+               "service_rates": config.service_rates, "horizon": config.horizon}
+    numbers |= {f"costs[{i}].{name}": getattr(c, name)
+                for i, c in enumerate(config.costs) for name in ("coeff", "power")}
+    for name, value in numbers.items():
+        if not np.all(np.isfinite(value)):
+            rep.errors.append(f"NonFinite: {name} = {np.asarray(value).tolist()} (must be finite)")
     if config.lam <= 0:
         rep.errors.append(f"NonPositiveRate: lambda = {config.lam}")
     if np.any(config.service_rates <= 0):

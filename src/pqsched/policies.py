@@ -25,17 +25,12 @@ only a completion rescans the classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import (
-    PredictedClassParams,
-    SystemConfig,
-    derive_predicted_params,
-    mixture_cost,
-)
+from .model import SystemConfig, derive_predicted_params, mixture_cost
 
 __all__ = [
     "POLICY_KINDS",
@@ -89,9 +84,9 @@ class PolicyRef:
         return self.kind == "oracle"
 
     @classmethod
-    def for_config(cls, kind: str, config: SystemConfig,
-                   params: Optional[PredictedClassParams] = None) -> "PolicyRef":
-        """Resolve `kind` on `config`.  The engine needs an index that does not
+    def for_config(cls, kind: str, config: SystemConfig) -> "PolicyRef":
+        """Resolve `kind` on `config`, deriving the predicted-class primitives
+        from it for naive and pcmu.  The engine needs an index that does not
         decrease in n, so an index kind refuses a cost of power < 1 or a
         negative coefficient."""
         if kind not in POLICY_KINDS:
@@ -106,7 +101,7 @@ class PolicyRef:
         if kind == "oracle":
             lam_eff, mu_eff = config.class_arrival_rates, config.service_rates
         else:
-            params = derive_predicted_params(config) if params is None else params
+            params = derive_predicted_params(config)
             lam_eff, mu_eff = params.lambda_tilde, params.mu_tilde
         costs, powers = config.costs, {c.power for c in config.costs}
         if kind == "pcmu":

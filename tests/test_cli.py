@@ -123,6 +123,20 @@ def test_simulate_single_path_exports_raw(runner, tmp_path, config_path):
     assert len(jobs) > 1
 
 
+def test_simulate_single_path_runs_a_repeated_policy_once(runner, tmp_path, config_path):
+    out = tmp_path / "raw"
+    result = runner.invoke(main, ["simulate", "--config", str(config_path), "--policy", "pcmu",
+                                  "--policy", "fcfs", "--policy", "pcmu", "--paths", "1",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    runs = [line.split(":")[0] for line in result.output.splitlines() if "arrivals" in line]
+    assert runs == ["pcmu", "fcfs"]
+    man = _manifest(out)
+    assert man["outputs"] == ["curves_fcfs.csv", "curves_pcmu.csv", "jobs_fcfs.csv",
+                              "jobs_pcmu.csv"]
+    assert man["grids"]["policies"] == ["pcmu", "fcfs"]
+
+
 def test_simulate_identity_confusion_matches_oracle(runner, tmp_path):
     cfg = make_two_class(lam=20.0, confusion=((1.0, 0.0), (0.0, 1.0)))
     config_file = tmp_path / "ident.json"
@@ -500,6 +514,25 @@ def test_bad_distribution_tag_fails_before_writing(runner, tmp_path, command, ta
     out = tmp_path / "o"
     result = runner.invoke(main, [command, "--config", str(cfg), *extra, "--out", str(out)])
     _assert_one_line_error(result, "service_dist")
+    assert not out.exists()
+
+
+def test_non_finite_config_number_fails_before_writing(runner, tmp_path):
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps({**README_CONFIG, "lambda": float("nan")}))   # a NaN token
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out)])
+    _assert_one_line_error(result, "NonFinite: lambda = nan")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "lower-bound", "triage"])
+def test_negative_seed_fails_before_writing(runner, tmp_path, config_path, triage_path, command):
+    cfg = triage_path if command == "triage" else config_path
+    out = tmp_path / "o"
+    result = runner.invoke(main, [command, "--config", str(cfg), "--paths", "2", "--seed", "-1",
+                                  "--out", str(out)])
+    _assert_one_line_error(result, "seed -1 is outside [0, 2**128)")
     assert not out.exists()
 
 

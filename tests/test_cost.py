@@ -127,6 +127,13 @@ def test_replicate_pool_matches_serial(critical_config):
     assert pooled.policy_kind == "pcmu"
 
 
+def test_replicate_seed_schedule_past_philox_keys(two_class_config):
+    # seeds 2**128 - 2, 2**128 - 1 are keys; 2**128 is not
+    with pytest.raises(ConfigError, match=r"seed 340282366920938463463374607431768211456 "):
+        replicate(two_class_config, "pcmu", 3, 2 ** 128 - 2)
+    assert replicate(two_class_config, "pcmu", 2, 2 ** 128 - 2).n_paths == 2
+
+
 def test_replicate_needs_two_paths(two_class_config):
     with pytest.raises(ConfigError):
         replicate(two_class_config, "pcmu", n_paths=1, base_seed=0)

@@ -19,6 +19,7 @@ from pqsched import (
     export_curves_csv,
     export_jobs_csv,
     run_path,
+    simulate_block,
 )
 from pqsched.engine import _categorical
 from conftest import make_two_class
@@ -219,7 +220,7 @@ def test_workload_queue_link_tightens_with_scale():
     for horizon, n_paths in ((1.0, 100), (10.0, 60), (100.0, 25)):
         cfg = SystemConfig(horizon=horizon, **base)
         params = derive_predicted_params(cfg)
-        pol = PolicyRef.for_config("pcmu", cfg, params)
+        pol = PolicyRef.for_config("pcmu", cfg)
         num = 0.0
         den = 0.0
         for seed in range(n_paths):
@@ -247,8 +248,7 @@ def test_run_path_deterministic(critical_config):
 
 
 def test_policy_kind_string_equals_policy_ref(critical_config):
-    params = derive_predicted_params(critical_config)
-    pol = PolicyRef.for_config("naive", critical_config, params)
+    pol = PolicyRef.for_config("naive", critical_config)
     a = run_path(critical_config, "naive", seed=4)
     b = run_path(critical_config, pol, seed=4)
     assert np.array_equal(a.completion, b.completion, equal_nan=True)
@@ -342,6 +342,15 @@ def test_schedules_require_exponential_arrivals():
                  arrival_schedule=RateSchedule.constant(0.5))
 
 
+def test_simulate_block_checks_the_arrival_schedule():
+    # the one check covers run_path and simulate_block alike: thinning a
+    # deterministic stream would silently give Poisson arrivals
+    cfg = _det_config(lam=20.0)
+    with pytest.raises(ConfigError, match="exponential interarrivals"):
+        next(simulate_block(cfg, [PolicyRef.for_config("pcmu", cfg)], [0],
+                            arrival_schedule=RateSchedule.constant(1.0)))
+
+
 def test_schedule_guards():
     zero = RateSchedule(multiplier=lambda t: 0.0, max_multiplier=1.0)
     with pytest.raises(ScheduleNonPositiveError):
@@ -352,6 +361,14 @@ def test_schedule_guards():
 
 
 # ------------------------------------------------------------------ guards
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 128], ids=["-1", "2**128"])
+def test_seed_outside_philox_keys(critical_config, seed):
+    with pytest.raises(ConfigError, match=r"seed .* outside \[0, 2\*\*128\)"):
+        run_path(critical_config, "pcmu", seed=seed)
+    top = run_path(critical_config, "pcmu", seed=2 ** 128 - 1)
+    assert top.arrival_times.size > 0
+
 
 def test_event_overflow(critical_config):
     for kind in ("pcmu", "fcfs"):

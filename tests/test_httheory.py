@@ -11,7 +11,6 @@ from pqsched import (
     ConfigError,
     ConfusionMatrix,
     CostFn,
-    Moments,
     NonFiniteMomentError,
     NonQuadraticError,
     WorkloadPathSet,
@@ -81,16 +80,15 @@ def test_reflect_positive_and_lipschitz(x, data):
 
 def test_moments_closed_forms():
     cfg = make_two_class()
-    m = Moments.for_config(cfg)
-    assert m.alpha_u == pytest.approx(2.0)                  # 2 / lam^2, lam=1
-    assert m.alpha_v == pytest.approx([2.0 / 4.0, 2.0])     # 2 / mu_k^2
+    assert cfg.arrival_dist.second_moment(cfg.lam) == pytest.approx(2.0)   # 2 / lam^2, lam=1
+    assert cfg.service_dist.second_moment(cfg.service_rates) == pytest.approx(
+        [2.0 / 4.0, 2.0])                                                   # 2 / mu_k^2
     det = make_two_class(arrival_dist="deterministic", service_dist="deterministic")
-    md = Moments.for_config(det)
-    assert md.alpha_u == pytest.approx(1.0)
-    assert md.alpha_v == pytest.approx([0.25, 1.0])
+    assert det.arrival_dist.second_moment(det.lam) == pytest.approx(1.0)
+    assert det.service_dist.second_moment(det.service_rates) == pytest.approx([0.25, 1.0])
     logn = make_two_class(service_dist={"family": "lognormal", "sigma": 0.5})
-    ml = Moments.for_config(logn)
-    assert ml.alpha_v == pytest.approx(np.exp(0.25) / np.array([4.0, 1.0]))
+    assert logn.service_dist.second_moment(logn.service_rates) == pytest.approx(
+        np.exp(0.25) / np.array([4.0, 1.0]))
 
 
 @pytest.mark.parametrize("arrival", ["exponential", "deterministic",
@@ -101,12 +99,12 @@ def test_moments_closed_forms():
 def test_simulated_second_moments_match_moments(arrival, service):
     # the simulator's draws and the analytics' moments read one config alike:
     # sample means of U^2 (arrival gaps) and V_k^2 (service column of each
-    # true class) sit within 5 standard errors of Moments.for_config
+    # true class) sit within 5 standard errors of Dist.second_moment
     cfg = make_two_class(lam=1.0, horizon=1e5, arrival_dist=arrival, service_dist=service)
     path = run_path(cfg, "fcfs", seed=11)
-    m = Moments.for_config(cfg)
-    samples = [(np.diff(path.arrival_times, prepend=0.0), m.alpha_u)]
-    samples += [(path.service[path.true_class == k], m.alpha_v[k]) for k in range(2)]
+    alpha_v = cfg.service_dist.second_moment(cfg.service_rates)
+    samples = [(np.diff(path.arrival_times, prepend=0.0), cfg.arrival_dist.second_moment(cfg.lam))]
+    samples += [(path.service[path.true_class == k], alpha_v[k]) for k in range(2)]
     for x, alpha in samples:
         assert len(x) > 25_000
         sq = x ** 2
@@ -147,17 +145,15 @@ def test_variance_rate_plugin_formula(critical_config):
     assert workload_variance_rate(cfg) == pytest.approx(expect, rel=1e-14)
 
 
-def test_variance_rate_moment_guards(two_class_config):
-    with pytest.raises(NonFiniteMomentError):
-        workload_variance_rate(two_class_config,
-                               Moments(alpha_u=np.inf, alpha_v=np.array([1.0, 1.0])))
-    with pytest.raises(ConfigError):
-        # alpha_v below the squared mean -> negative variance
-        workload_variance_rate(two_class_config,
-                               Moments(alpha_u=2.0, alpha_v=np.array([0.0, 0.0])))
-    with pytest.raises(ConfigError):
-        workload_variance_rate(two_class_config,
-                               Moments(alpha_u=2.0, alpha_v=np.array([1.0])))
+def test_variance_rate_moment_guards():
+    # a lognormal sigma near 30 overflows E[V^2] = e^(s^2) / mu^2
+    with pytest.raises(NonFiniteMomentError), np.errstate(over="ignore"):
+        workload_variance_rate(make_two_class(service_dist={"family": "lognormal",
+                                                            "sigma": 30.0}))
+    with pytest.raises(ConfigError, match="negative variance"):
+        # prevalences summing to 2 put sum_k p_k E[V_k^2] below the squared mean
+        workload_variance_rate(make_two_class(prevalences=(1.0, 1.0),
+                                              service_dist="deterministic"))
 
 
 # --------------------------------------------------------------- BM paths
@@ -180,6 +176,15 @@ def test_bm_paths_zero_variance_and_step_floor():
     assert np.all(stack(flat) == 0.0)
     with pytest.raises(ConfigError):
         bm_workload_paths(1.0, n_steps=99, horizon=1.0, n_paths=3, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 128], ids=["-1", "2**128"])
+def test_bm_paths_seed_outside_philox_keys(seed):
+    # Philox keys are [0, 2**128); numpy's own ValueError is not a PqschedError
+    with pytest.raises(ConfigError, match=r"seed .* outside \[0, 2\*\*128\)"):
+        bm_workload_paths(1.0, n_steps=100, horizon=1.0, n_paths=3, seed=seed)
+    top = bm_workload_paths(1.0, n_steps=100, horizon=1.0, n_paths=3, seed=2 ** 128 - 1)
+    assert top.integral_sq().shape == (3,)
 
 
 @pytest.mark.parametrize("bad", [dict(n_paths=0), dict(variance_rate=-1.0),

@@ -78,10 +78,9 @@ def test_confusion_zero_column_and_laplace():
 
 
 def test_confusion_empty_class():
+    # predicted class 2 counts as a class, and no record is truly of it
     with pytest.raises(EmptyClassError):
-        estimate_confusion(_records([(0, 0), (0, 1)]), n_classes=2)
-    with pytest.raises(IngestError):
-        estimate_confusion(_records([(0, 0), (2, 2)]), n_classes=2)
+        estimate_confusion(_records([(0, 0), (0, 1)]))
 
 
 def test_confusion_missing_predictions():
@@ -113,7 +112,7 @@ def test_rates_guards():
     with pytest.raises(IngestError):
         estimate_rates(as_table([ValidationRecord(0, service_time=None)]))
     with pytest.raises(EmptyClassError):
-        estimate_rates(as_table([ValidationRecord(0, service_time=1.0)]), n_classes=2)
+        estimate_rates(as_table([ValidationRecord(0, predicted_class=1, service_time=1.0)]))
 
 
 # ------------------------------------------------------------- grouping

@@ -41,13 +41,6 @@ def test_costfn_value_and_derivative():
     assert not cubic.is_quadratic
 
 
-def test_costfn_prime_inv_roundtrip():
-    for c in (CostFn(2.0), CostFn(5.0, power=2.5), CostFn(0.7, power=4.0)):
-        for y in (0.0, 0.3, 1.0, 17.2):
-            t = c.prime_inv(y)
-            assert c.prime(t) == pytest.approx(y, abs=1e-12)
-
-
 def test_costfn_bad_parameters_flagged_by_validation():
     # the constructor is permissive; validate_config owns the rules
     for costs in (((CostFn(0.0), CostFn(1.0))),
@@ -306,6 +299,22 @@ def test_json_strict_runs_validation(two_class_config):
     doc["service_rates"] = [-2.0, 1.0]
     with pytest.raises(ConfigError):
         config_from_json(doc)          # a document is always validated
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["lambda", "prevalences", "service_rates", "costs[0].coeff",
+                                   "costs[1].power", "horizon"])
+def test_json_non_finite_number_names_its_field(two_class_config, field, value):
+    doc = config_to_json(two_class_config)
+    if field.startswith("costs"):
+        doc["costs"][int(field[6])][field.split(".")[1]] = value
+    elif field in ("prevalences", "service_rates"):
+        doc[field][0] = value
+    else:
+        doc[field] = value
+    doc = json.loads(json.dumps(doc))   # json reads NaN and Infinity tokens
+    with pytest.raises(ConfigError, match=re.escape(f"NonFinite: {field} = ")):
+        config_from_json(doc)
 
 
 def test_json_malformed_raises(two_class_config):

@@ -77,13 +77,13 @@ def test_policy_kinds_and_flags(two_class_config):
 
 def test_index_closed_form_matches_definition(two_class_config):
     params = derive_predicted_params(two_class_config)
-    pol = PolicyRef.for_config("pcmu", two_class_config, params)
+    pol = PolicyRef.for_config("pcmu", two_class_config)
     for l in range(2):
         for n in (1, 2, 7, 30):
             direct = pcmu_index(l, [n if j == l else 0 for j in range(2)],
                                 params, two_class_config.costs)
             assert pol.index(l, n) == pytest.approx(direct, rel=1e-12)
-    npol = PolicyRef.for_config("naive", two_class_config, params)
+    npol = PolicyRef.for_config("naive", two_class_config)
     for l in range(2):
         direct = naive_gcmu_index(l, [3, 3], params, two_class_config.costs)
         assert npol.index(l, 3) == pytest.approx(direct, rel=1e-12)
@@ -96,7 +96,7 @@ def test_index_closed_form_matches_definition(two_class_config):
 def test_index_mixed_powers_falls_back_to_primes():
     cfg = make_two_class(costs=(CostFn(1.0), CostFn(10.0, power=3.0)))
     params = derive_predicted_params(cfg)
-    pol = PolicyRef.for_config("pcmu", cfg, params)
+    pol = PolicyRef.for_config("pcmu", cfg)
     for l in range(2):
         for n in (1, 4, 9):
             direct = pcmu_index(l, [n, n], params, cfg.costs)
