@@ -311,9 +311,9 @@ def cmd_estimate(csv_path, threshold, out_dir):
         skipped["confusion.csv"] = ("no --threshold and predicted_class blank on line "
                                     f"{blank['predicted_class']}")
 
-    n_classes = int(table.true_class.max()) + 1
     with run.timed("rates"):
-        columns = [np.bincount(table.true_class, minlength=n_classes) / len(table)]
+        columns = [np.bincount(table.true_class) / len(table)]   # one entry per true class
+        n_classes = columns[0].size
         if blank["service_time"] is None:
             columns += ingest_mod.estimate_rates(table)
         else:

@@ -59,33 +59,22 @@ _U_EPS = 2.0 ** -53
 # ---------------------------------------------------------------------------
 
 def workload_variance_rate(config: SystemConfig) -> float:
-    """Variance rate v of the limiting workload Brownian motion.
-
-    With m = E[V] = sum_k p_k / mu_k, per-job work variance
-    c_v = sum_k p_k alpha_v[k] - m^2 and interarrival variance
-    c_u = alpha_u - 1/lambda^2, where alpha_u = E[U^2] and alpha_v[k] =
-    E[V_k^2] are the second moments of the config's laws (Dist.second_moment,
-    the laws Dist.sample draws from),
-
-        v = lambda * c_v + lambda^3 * c_u * m^2.
-
-    M/M/1 sanity check: lambda = mu gives v = 2 / lambda.
-    """
-    lam = config.lam
-    p = config.prevalences
-    alpha_u = float(config.arrival_dist.second_moment(lam))
+    """Variance rate v = lambda c_v + lambda^3 c_u m^2 of the limiting workload
+    Brownian motion: variance_rate at q = 1 on the second moments of the
+    config's laws (Dist.second_moment, the laws Dist.sample draws from).
+    M/M/1 sanity check: lambda = mu gives v = 2 / lambda."""
+    lam, p = config.lam, config.prevalences
+    alpha_u = config.arrival_dist.second_moment(lam)
     alpha_v = config.service_dist.second_moment(config.service_rates)
     if not (np.isfinite(alpha_u) and np.all(np.isfinite(alpha_v))):
         raise NonFiniteMomentError("second moments must be finite")
-    mean_work = float(p @ (1.0 / config.service_rates))
-    c_v = float(p @ alpha_v) - mean_work ** 2
-    c_u = alpha_u - 1.0 / lam ** 2
-    if c_v < -1e-12 or c_u < -1e-12:
+    # Jensen gives c_v, c_u >= 0 for every Dist law once p is a distribution
+    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
         raise ConfigError("moments imply negative variance; check that the prevalences sum to 1")
-    v = lam * max(c_v, 0.0) + lam ** 3 * max(c_u, 0.0) * mean_work ** 2
+    v = float(variance_rate(lam, p, config.service_rates, alpha_u, alpha_v))
     if not np.isfinite(v):
         raise NonFiniteMomentError("variance rate overflowed")
-    return float(v)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +279,28 @@ class QuadraticCostCoefficients:
     jnaive_coeff: float | np.ndarray
 
 
+def variance_rate(lam, p, mu, alpha_u, alpha_v, q=1.0):
+    """Workload variance rate of a rate-lam stream each arrival of which joins
+    with probability q, shaped (...) for q of shape () or (...), p (..., K), mu
+    and alpha_v = E[V_k^2] (K,) and alpha_u = E[U^2]: with m = sum_k p_k / mu_k,
+    c_v = sum_k p_k alpha_v[k] - m^2 and c_u = alpha_u - 1/lam^2, each clipped
+    at 0, v = lam q c_v + m^2 (q^2 lam^3 c_u + lam q (1 - q)); q = 1 is unsplit."""
+    # x * x: numpy takes x ** 2 by pow for scalars only, and no point may hang on its batch
+    m = (p * (1.0 / mu)).sum(axis=-1)
+    c_v = (p * alpha_v).sum(axis=-1) - m * m
+    c_u = alpha_u - 1.0 / lam ** 2
+    count_var_rate = q * q * lam ** 3 * np.maximum(c_u, 0.0) + lam * q * (1.0 - q)
+    return lam * q * np.maximum(c_v, 0.0) + m * m * count_var_rate
+
+
 def stiffness_coefficients(lam, p, mu, c, q) -> tuple:
-    """(1/beta, 1/beta_naive, jstar_coeff, jnaive_coeff), shaped (..., K),
-    (..., K), (...) and (...), for lam of shape () or (...), p (..., K), mu
-    and quadratic cost coefficients c (K,), and confusion matrices q (..., K, K).
+    """(1/beta, 1/beta_naive, jstar_coeff, jnaive_coeff, c_mix), shaped (..., K),
+    (..., K), (...), (...) and (..., K), for lam of shape () or (...), p (..., K),
+    mu and quadratic cost coefficients c (K,), and confusion matrices q (..., K, K).
 
     With s_l = sum_k p_k q_kl / mu_k and m_l = sum_k p_k q_kl c_k = p~_l c~_l,
-    1/beta_l = lam s_l^2 / m_l and 1/beta_naive_l = lam s_l^2 / (p~_l c_l).
-    A label never predicted (p~_l = 0) takes the one-class limit: both are 0
+    1/beta_l = lam s_l^2 / m_l, 1/beta_naive_l = lam s_l^2 / (p~_l c_l), c_mix_l = c~_l.
+    A label never predicted (p~_l = 0) takes the one-class limit: all three are 0
     and it adds nothing to either coefficient.  kkt_solve, jstar on other than
     quadratic costs and PolicyRef instead need every label non-empty (ZeroColumnError).
     """
@@ -310,7 +313,8 @@ def stiffness_coefficients(lam, p, mu, c, q) -> tuple:
     inv_beta, inv_naive = lam[..., None] * u, lam[..., None] * u_naive
     shares = inv_naive / inv_naive.sum(axis=-1, keepdims=True)
     jnaive = np.divide(shares * shares, inv_beta, out=np.zeros_like(m), where=u > 0)
-    return inv_beta, inv_naive, 1.0 / (lam * u.sum(axis=-1)), jnaive.sum(axis=-1)
+    c_mix = np.divide(m, p_tilde, out=np.zeros_like(m), where=p_tilde > 0)
+    return inv_beta, inv_naive, 1.0 / (lam * u.sum(axis=-1)), jnaive.sum(axis=-1), c_mix
 
 
 def _confusions(q, k: int, what: str = "confusion") -> np.ndarray:
@@ -327,7 +331,7 @@ def quadratic_coefficients(config: SystemConfig, confusion=None) -> QuadraticCos
     if not config.all_quadratic():
         raise NonQuadraticError("coefficient formulas require power-2 costs")
     q = _confusions(config.confusion if confusion is None else confusion, config.n_classes)
-    inv_beta, inv_naive, jstar_coeff, jnaive_coeff = stiffness_coefficients(
+    inv_beta, inv_naive, jstar_coeff, jnaive_coeff, _ = stiffness_coefficients(
         config.lam, config.prevalences, config.service_rates,
         np.array([fn.coeff for fn in config.costs]), q)
     with np.errstate(divide="ignore"):

@@ -212,11 +212,6 @@ def read_validation_csv(path) -> ValidationTable:
     return ValidationTable(line=lines, reader="per-row" if clean is None else "numpy", **table)
 
 
-def _infer_n_classes(table: ValidationTable) -> int:
-    """The class count the table implies: its largest true or predicted class."""
-    return int(max(table.true_class.max(), table.predicted_class.max())) + 1
-
-
 def estimate_confusion(table: ValidationTable,
                        threshold: Optional[float] = None,
                        laplace: float = 0.0):
@@ -225,9 +220,13 @@ def estimate_confusion(table: ValidationTable,
     With a threshold, predictions come from scores (binary rule: class 1
     iff score >= threshold); otherwise every row must carry a
     predicted_class.  laplace > 0 adds the usual pseudo-count per cell.
+    The class count is that of the columns the rule reads: the true classes
+    under a threshold, the true and predicted classes otherwise.
     Returns (ConfusionMatrix, prevalences).
     """
-    K = _infer_n_classes(table)
+    K = int(table.true_class.max()) + 1
+    if threshold is None:
+        K = max(K, int(table.predicted_class.max()) + 1)
     if threshold is not None and K != 2:
         raise IngestError(f"score thresholding defines a binary rule; got {K} classes")
     blank = table.blank_line("predicted_class" if threshold is None else "score")
@@ -252,31 +251,32 @@ def estimate_confusion(table: ValidationTable,
 
 
 def estimate_rates(table: ValidationTable):
-    """Per-class service rates and second moments: (mu_hat, alpha_v_hat)."""
-    K = _infer_n_classes(table)
+    """Per-class service rates and second moments, (mu_hat, alpha_v_hat), one
+    entry per true class up to the largest."""
     blank = table.blank_line("service_time")
     if blank is not None:
         raise IngestError(f"line {blank}: missing service_time")
-    counts = np.bincount(table.true_class, minlength=K)
+    counts = np.bincount(table.true_class)
     # bincount adds the weights in row order, as a running sum would; squares
     # are Python's x ** 2 (C pow), which np.square and x * x can miss by an
     # ulp: glibc's pow is not correctly rounded (tests/test_ingest_reference.py)
-    sums = np.bincount(table.true_class, weights=table.service_time, minlength=K)
+    sums = np.bincount(table.true_class, weights=table.service_time)
     squares = np.fromiter(map(pow, table.service_time.tolist(), repeat(2)), float, len(table))
-    sq_sums = np.bincount(table.true_class, weights=squares, minlength=K)
+    sq_sums = np.bincount(table.true_class, weights=squares)
     missing = np.nonzero(counts == 0)[0]
     if missing.size:
         raise EmptyClassError(f"no service times for class(es) {[int(k) + 1 for k in missing]}")
     return counts / sums, sq_sums / counts   # (mu_hat, alpha_v_hat)
 
 
-def scores_by_class(table: ValidationTable, n_classes: int = 2) -> list:
-    """Scores grouped by true class, in row order (for passing-curve estimation)."""
+def scores_by_class(table: ValidationTable) -> list:
+    """Scores of true classes 1 (toxic) and 2, in row order, for the
+    two-class PassingCurves."""
     missing = np.isnan(table.score)
-    bad = missing | (table.true_class >= n_classes)
+    bad = missing | (table.true_class >= 2)
     if bad.any():
         i = int(np.argmax(bad))
         raise IngestError(f"line {table.line[i]}: " + (
             "missing score" if missing[i] else
-            f"class {table.true_class[i] + 1} exceeds n_classes={n_classes}"))
-    return [table.score[table.true_class == k] for k in range(n_classes)]
+            f"class {table.true_class[i] + 1} exceeds n_classes=2"))
+    return [table.score[table.true_class == k] for k in range(2)]

@@ -168,9 +168,11 @@ class Dist:
         return np.array([exp(v) for v in x.tolist()]) / rate
 
     def second_moment(self, rate):
-        """E[X^2] of a draw with mean 1/rate: 2/rate^2, 1/rate^2 or e^(s^2)/rate^2."""
+        """E[X^2] of a draw with mean 1/rate: 2/rate^2, 1/rate^2 or e^(s^2)/rate^2
+        (inf, without a warning, where it overflows: a lognormal sigma near 27)."""
         scale = {"exponential": 2.0, "deterministic": 1.0}.get(self.family)
-        return (np.exp(self.sigma ** 2) if scale is None else scale) / rate ** 2
+        with np.errstate(over="ignore"):
+            return (np.exp(self.sigma ** 2) if scale is None else scale) / rate ** 2
 
 
 @dataclass(frozen=True)
@@ -361,7 +363,8 @@ def validate_config(config: SystemConfig) -> ValidationReport:
     """Check every type invariant; report, never raise.
 
     Error codes: NonFinite (a NaN or infinite lambda, prevalence, service
-    rate, cost coeff or power, or horizon), RowNotStochastic,
+    rate, cost coeff or power, or horizon, or an arrival_dist or service_dist
+    whose second moment overflows, such as a lognormal sigma near 27), RowNotStochastic,
     EntryOutOfRange, NonPositiveRate, PrevalenceNotNormalized,
     NegativePrevalence, ZeroColumn, BadCost, NonPositiveHorizon,
     ShapeMismatch.  |rho-1| > 0.05 is a warning
@@ -404,6 +407,14 @@ def validate_config(config: SystemConfig) -> ValidationReport:
         dead = np.nonzero(p_tilde <= 0.0)[0]
         if dead.size:
             rep.errors.append(f"ZeroColumn: predicted class(es) {dead.tolist()} have zero mass")
+        # np.float64: a lambda whose square underflows divides to inf, not ZeroDivisionError
+        for name, rate in (("arrival_dist", np.float64(config.lam)),
+                           ("service_dist", config.service_rates)):
+            with np.errstate(divide="ignore"):
+                moment = getattr(config, name).second_moment(rate)
+            if not np.all(np.isfinite(moment)):
+                rep.errors.append(f"NonFinite: {name} = {getattr(config, name).to_json()} "
+                                  "(its second moment overflows)")
 
     if config.horizon <= 0:
         rep.errors.append(f"NonPositiveHorizon: horizon = {config.horizon}")

@@ -26,14 +26,14 @@ elementwise formulas and one unit-RBM draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, EmptyClassError, EmptyGridError, EmptyPassError
-from .httheory import bm_workload_paths, stiffness_coefficients
-from .model import load_json
+from .httheory import bm_workload_paths, stiffness_coefficients, variance_rate
+from .model import Dist, load_json
 
 __all__ = [
     "PassingCurves",
@@ -56,6 +56,14 @@ DEFAULT_SCORE_GRID = 101
 _MONOTONE_TOL = 1e-9
 
 
+def _check_finite(numbers: dict):
+    """ConfigError naming every field of numbers that holds a NaN or an infinity."""
+    bad = [f"NonFinite: {name} = {np.asarray(value).tolist()} (must be finite)"
+           for name, value in numbers.items() if not np.all(np.isfinite(value))]
+    if bad:
+        raise ConfigError("; ".join(bad))
+
+
 class PassingCurves:
     """Pass-rate curves g_k(z) = P[score >= z | class k], k in {0: toxic,
     1: non-toxic}, stored as piecewise-linear interpolants on a score grid.
@@ -71,6 +79,8 @@ class PassingCurves:
             raise ConfigError("curve grid needs at least two points")
         if values.shape != (2, grid.size):
             raise ConfigError("curve values must be shaped (2, len(grid))")
+        _check_finite({"curves.z": grid, "curves.g_toxic": values[0],
+                       "curves.g_nontoxic": values[1]})
         if grid[0] != 0.0 or grid[-1] != 1.0 or np.any(np.diff(grid) <= 0):
             raise ConfigError("curve grid must increase strictly from 0 to 1")
         if np.any(values < -_MONOTONE_TOL) or np.any(values > 1 + _MONOTONE_TOL):
@@ -106,6 +116,7 @@ class PassingCurves:
         from scipy.special import ndtr  # here, so only these curves load scipy
         if len(locs) != 2 or len(scales) != 2:
             raise ConfigError("need one (loc, scale) pair per class")
+        _check_finite({"curves.loc": locs, "curves.scale": scales})
         if min(scales) <= 0:
             raise ConfigError("scales must be positive")
         grid = np.linspace(0.0, 1.0, int(grid_size))
@@ -144,7 +155,8 @@ class TriageConfig:
     c_fp/c_tn (non-toxic items), any sign.  Delay costs are quadratic with
     coefficients delay_costs.  alpha_u / alpha_v are second moments of the
     total-stream interarrival and the per-class service times; omit them for
-    the exponential defaults.
+    the exponential defaults.  Every number, the curves' included, must be
+    finite: a NaN or an infinity is a ConfigError naming its field.
     """
 
     Lambda: float
@@ -163,6 +175,8 @@ class TriageConfig:
     alpha_v: Optional[tuple] = None
 
     def __post_init__(self):
+        _check_finite({f.name: getattr(self, f.name) for f in fields(self)
+                       if f.name != "curves" and getattr(self, f.name) is not None})
         if self.Lambda <= 0:
             raise ConfigError("Lambda must be positive")
         if len(self.p) != 2 or abs(sum(self.p) - 1.0) > 1e-12 or min(self.p) < 0:
@@ -177,11 +191,11 @@ class TriageConfig:
             raise ConfigError("c_r must be positive")
         if len(self.delay_costs) != 2 or min(self.delay_costs) <= 0:
             raise ConfigError("delay_costs must be two positive coefficients")
+        exponential = Dist("exponential")
         if self.alpha_u is None:
-            object.__setattr__(self, "alpha_u", 2.0 / self.Lambda ** 2)
+            object.__setattr__(self, "alpha_u", exponential.second_moment(self.Lambda))
         if self.alpha_v is None:
-            object.__setattr__(
-                self, "alpha_v", tuple(2.0 / m ** 2 for m in self.mu))
+            object.__setattr__(self, "alpha_v", tuple(map(exponential.second_moment, self.mu)))
         if self.alpha_u <= 0 or len(self.alpha_v) != 2 or min(self.alpha_v) <= 0:
             raise ConfigError("second moments must be positive")
 
@@ -259,21 +273,13 @@ def _design(z_fl, z_tx, config: TriageConfig, mc: Optional[McParams] = None,
         q, (q11, q21) = np.stack([q_toxic, 1.0 - q_toxic], axis=-1), np.moveaxis(q_toxic, -1, 0)
         terms["misclass"] = L * (p0 * g0 * (config.c_tp * q11 + config.c_fn * (1.0 - q11))
                                  + p1 * g1 * (config.c_fp * q21 + config.c_tn * (1.0 - q21)))
-        lam_r = L * pass_prob / gamma
-        mass = p_mix[..., None] * q                                   # p_k q_kl
-        m, p_tilde = (mass * c[:, None]).sum(axis=-2), mass.sum(axis=-2)
-        c_mix = np.divide(m, p_tilde, out=np.zeros_like(m), where=p_tilde > 0)
-        # x * x: numpy takes x ** 2 by pow for scalars only, and no point may hang on its batch
-        mean_work = (p_mix * (1.0 / mu)).sum(axis=-1)
-        c_v = (p_mix * np.asarray(config.alpha_v)).sum(axis=-1) - mean_work * mean_work
-        c_u = config.alpha_u - 1.0 / L ** 2
         q_split = pass_prob / gamma
+        lam_r = L * q_split
         # staffed below its passing share, Gamma < pass_prob, a filtering level
         # would route each arrival to one reviewer with probability q > 1
         terms["understaffed"] = (gamma > 0.0) & (q_split > 1.0)
-        count_var_rate = q_split * q_split * L ** 3 * max(c_u, 0.0) + L * q_split * (1.0 - q_split)
-        terms["variance"] = lam_r * np.maximum(c_v, 0.0) + mean_work * mean_work * count_var_rate
-        coeff = stiffness_coefficients(lam_r, p_mix, mu, c, q)[2]
+        terms["variance"] = variance_rate(L, p_mix, mu, config.alpha_u, config.alpha_v, q_split)
+        _, _, coeff, _, c_mix = stiffness_coefficients(lam_r, p_mix, mu, c, q)
     if passing:
         _check_staffed(gamma <= 0.0, pass_prob, z_fl)
         _check_feasible(terms["understaffed"], z_fl)
@@ -326,14 +332,9 @@ def misclass_cost_rate(z, config: TriageConfig):
 
 
 def reviewer_variance_rate(z_fl, config: TriageConfig):
-    """Variance rate of one reviewer's workload diffusion.
-
-    A reviewer receives each of the Lambda-stream arrivals independently with
-    probability q = pass_prob / Gamma, so the arrival-count variance rate is
-    q^2 Lambda^3 c_u + Lambda q (1 - q) (splitting noise included; for a
-    Poisson stream this collapses to lam_r, the thinned-Poisson rate).  Work
-    variance uses the passing mix at z_fl.
-    """
+    """Variance rate of one reviewer's workload diffusion: httheory.variance_rate
+    of the passing mix at z_fl, each Lambda-stream arrival reaching the reviewer
+    with probability q = pass_prob / Gamma (the splitting noise included)."""
     return _design(*_check_thresholds((z_fl, z_fl)), config, passing=True)[1]["variance"][()]
 
 

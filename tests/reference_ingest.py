@@ -2,8 +2,11 @@
 
 This is the per-row path pqsched used to ship: `csv.DictReader` builds one
 `ValidationRecord` per data row, and the estimators loop over the records.
-Everything below `as_table` is copied unchanged; its errors cite 0-based
-record numbers where the columnar estimators cite CSV lines.
+Everything below `as_table` is copied unchanged but the class-count rule of
+`_infer_n_classes`, which counts predicted classes only for an estimator
+that reads them (the confusion without a threshold), as the package does.
+Its errors cite 0-based record numbers where the columnar estimators cite
+CSV lines.
 
 Nothing in `src/` imports this module.
 """
@@ -105,10 +108,12 @@ def read_validation_csv(path) -> list:
 
 
 def _infer_n_classes(records: Sequence[ValidationRecord],
-                     n_classes: Optional[int]) -> int:
+                     n_classes: Optional[int], predicted: bool = True) -> int:
+    """Classes of the columns an estimator reads: the true classes, and the
+    predicted ones too where the estimator reads them."""
     seen = max(r.true_class for r in records) + 1
     pred = max((r.predicted_class for r in records
-                if r.predicted_class is not None), default=-1) + 1
+                if predicted and r.predicted_class is not None), default=-1) + 1
     inferred = max(seen, pred)
     if n_classes is None:
         return inferred
@@ -129,7 +134,7 @@ def estimate_confusion(records: Sequence[ValidationRecord],
     predicted_class.  laplace > 0 adds the usual pseudo-count per cell.
     Returns (ConfusionMatrix, prevalences).
     """
-    K = _infer_n_classes(records, n_classes)
+    K = _infer_n_classes(records, n_classes, predicted=threshold is None)
     if threshold is not None and K != 2:
         raise IngestError("score thresholding defines a binary rule; "
                           f"got {K} classes")
@@ -165,7 +170,7 @@ def estimate_confusion(records: Sequence[ValidationRecord],
 def estimate_rates(records: Sequence[ValidationRecord],
                    n_classes: Optional[int] = None):
     """Per-class service rates and second moments: (mu_hat, alpha_v_hat)."""
-    K = _infer_n_classes(records, n_classes)
+    K = _infer_n_classes(records, n_classes, predicted=False)
     sums = np.zeros(K)
     sq_sums = np.zeros(K)
     counts = np.zeros(K)

@@ -6,8 +6,11 @@ threshold at a time, builds the reviewer's two-class `SystemConfig` and
 takes `quadratic_coefficients(...).jstar_coeff` from it -- here the
 per-config oracle of `reference_coefficients`, so this oracle shares no
 algebra with the stacked coefficient kernel.  The functions are copied
-unchanged; the dataclasses they build (`ReviewerParams`, `TriageDecision`)
-and the configs they read stay in `pqsched.triage`.
+unchanged, but for `reviewer_variance_rate`'s formula, which
+`split_variance_rate` holds with the same operations so that it can check
+the variance kernel for any class count; the dataclasses they build
+(`ReviewerParams`, `TriageDecision`) and the configs they read stay in
+`pqsched.triage`.
 
 Like the old code, this oracle raises `ZeroColumnError` when one of the
 reviewer's predicted labels is empty (z_fl = z_tx, or z_tx = 1).
@@ -113,15 +116,21 @@ def reviewer_variance_rate(z_fl: float, config: TriageConfig) -> float:
     variance uses the passing mix at z_fl.
     """
     params = reviewer_params((z_fl, z_fl), config)
-    alpha_v = np.asarray(config.alpha_v, dtype=float)
-    mu = np.asarray(config.mu, dtype=float)
-    mean_work = float(params.p_mix @ (1.0 / mu))
-    c_v = float(params.p_mix @ alpha_v) - mean_work ** 2
-    c_u = config.alpha_u - 1.0 / config.Lambda ** 2
-    q_split = params.pass_prob / params.gamma
-    count_var_rate = (q_split ** 2 * config.Lambda ** 3 * max(c_u, 0.0)
-                      + config.Lambda * q_split * (1.0 - q_split))
-    return params.lam_r * max(c_v, 0.0) + mean_work ** 2 * count_var_rate
+    return split_variance_rate(config.Lambda, params.p_mix, config.mu, config.alpha_u,
+                               config.alpha_v, params.pass_prob / params.gamma, params.lam_r)
+
+
+def split_variance_rate(Lambda, p_mix, mu, alpha_u, alpha_v, q_split, lam_r) -> float:
+    """reviewer_variance_rate's formula on its own primitives, for any number
+    of classes: lam_r is the reviewer's arrival rate, Lambda q_split."""
+    alpha_v = np.asarray(alpha_v, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    mean_work = float(p_mix @ (1.0 / mu))
+    c_v = float(p_mix @ alpha_v) - mean_work ** 2
+    c_u = alpha_u - 1.0 / Lambda ** 2
+    count_var_rate = (q_split ** 2 * Lambda ** 3 * max(c_u, 0.0)
+                      + Lambda * q_split * (1.0 - q_split))
+    return lam_r * max(c_v, 0.0) + mean_work ** 2 * count_var_rate
 
 
 @lru_cache(maxsize=8)

@@ -367,6 +367,35 @@ def test_estimate_manifest_with_nothing_skipped(runner, tmp_path):
     assert (man["rows"], man["classes"], man["skipped"]) == (20, 2, [])
 
 
+def test_estimate_threshold_ignores_a_stray_predicted_class(runner, tmp_path):
+    # a threshold rule reads true classes and scores; predicted_class 3 is not read
+    csv_path = tmp_path / "stray.csv"
+    csv_path.write_text("true_class,score,predicted_class\n1,0.9,1\n2,0.1,2\n"
+                        "1,0.7,3\n2,0.3,2\n")
+    out = tmp_path / "est"
+    result = runner.invoke(main, ["estimate", "--csv", str(csv_path), "--threshold", "0.5",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert _read_csv(out / "confusion.csv")[1:] == [["1", "1.0", "0.0"], ["2", "0.0", "1.0"]]
+    assert _manifest(out)["classes"] == 2
+
+
+def test_estimate_rates_count_true_classes(runner, tmp_path):
+    # predicted_class is blank on line 2, so there is no confusion; the rates
+    # read true classes only, and a predicted class 3 adds no class to them
+    csv_path = tmp_path / "blank.csv"
+    csv_path.write_text("true_class,score,predicted_class,service_time\n1,0.9,,0.5\n"
+                        "2,0.1,3,1.0\n1,0.7,1,0.5\n2,0.3,2,1.0\n")
+    out = tmp_path / "est"
+    result = runner.invoke(main, ["estimate", "--csv", str(csv_path), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    man = _manifest(out)
+    assert man["outputs"] == ["curves.csv", "rates.csv"] and man["classes"] == 2
+    assert _read_csv(out / "rates.csv") == [["class", "prevalence", "mu_hat", "alpha_v_hat"],
+                                            ["1", "0.5", "2.0", "0.25"],
+                                            ["2", "0.5", "1.0", "1.0"]]
+
+
 @pytest.mark.parametrize("text, reader", [
     ("true_class,score,service_time\n1,0.9,0.5\n2,0.1,1.0\n", "numpy"),
     ('true_class,score,service_time\n1,"0.9",0.5\n2,0.1,1.0\n', "per-row"),
@@ -523,6 +552,34 @@ def test_non_finite_config_number_fails_before_writing(runner, tmp_path):
     out = tmp_path / "o"
     result = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out)])
     _assert_one_line_error(result, "NonFinite: lambda = nan")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["lower-bound", "simulate"])
+@pytest.mark.parametrize("key", ["arrival_dist", "service_dist"])
+def test_overflowing_second_moment_is_one_error_line(tmp_path, command, key):
+    # a lognormal sigma of 30 overflows E[X^2] = e^(s^2) / rate^2; run in a
+    # fresh interpreter so that stderr shows any raw numpy warning
+    cfg = tmp_path / "sigma30.json"
+    cfg.write_text(json.dumps({**README_CONFIG, key: {"family": "lognormal", "sigma": 30}}))
+    out = tmp_path / "o"
+    env = dict(os.environ, PYTHONPATH=str(Path(pqsched.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "pqsched.cli", command, "--config", str(cfg),
+                           "--paths", "4", "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"Error: NonFinite: {key} = {{'family': 'lognormal', 'sigma': 30.0}} "
+        "(its second moment overflows)"]
+    assert not out.exists()
+
+
+def test_non_finite_triage_number_fails_before_writing(runner, tmp_path, triage_path):
+    bad = tmp_path / "nan_triage.json"
+    bad.write_text(json.dumps({**json.loads(triage_path.read_text()), "Lambda": float("nan")}))
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["triage", "--config", str(bad), "--out", str(out)])
+    _assert_one_line_error(result, "NonFinite: Lambda = nan (must be finite)")
     assert not out.exists()
 
 

@@ -111,8 +111,8 @@ def test_rates_concentrate_for_exponential(rng):
 def test_rates_guards():
     with pytest.raises(IngestError):
         estimate_rates(as_table([ValidationRecord(0, service_time=None)]))
-    with pytest.raises(EmptyClassError):
-        estimate_rates(as_table([ValidationRecord(0, predicted_class=1, service_time=1.0)]))
+    with pytest.raises(EmptyClassError):   # no service time for true class 1
+        estimate_rates(as_table([ValidationRecord(1, predicted_class=1, service_time=1.0)]))
 
 
 # ------------------------------------------------------------- grouping
@@ -126,7 +126,7 @@ def test_scores_by_class():
     with pytest.raises(IngestError):
         scores_by_class(as_table([ValidationRecord(0, score=None)]))
     with pytest.raises(IngestError):
-        scores_by_class(as_table([ValidationRecord(2, score=0.5)]), n_classes=2)
+        scores_by_class(as_table([ValidationRecord(2, score=0.5)]))   # curves are two-class
 
 
 # ------------------------------------------------------------ CSV reader
@@ -227,3 +227,14 @@ def test_csv_to_estimates_end_to_end(tmp_path):
     assert p == pytest.approx([0.5, 0.5])
     mu, _ = estimate_rates(recs)
     assert mu == pytest.approx([2.0, 1.0])
+
+
+def test_class_count_is_that_of_the_columns_read():
+    table = as_table([ValidationRecord(0, score=0.9, predicted_class=0, service_time=0.5),
+                      ValidationRecord(1, score=0.1, predicted_class=2, service_time=1.0)])
+    q, _ = estimate_confusion(table, threshold=0.5)   # reads true classes and scores
+    assert q.n_classes == 2
+    mu, alpha_v = estimate_rates(table)                 # reads true classes only
+    assert mu.tolist() == [2.0, 1.0] and alpha_v.tolist() == [0.25, 1.0]
+    with pytest.raises(EmptyClassError, match=r"true class\(es\) \[3\]"):
+        estimate_confusion(table)                        # predicted class 3 counts here

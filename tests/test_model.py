@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -340,3 +341,14 @@ def test_save_and_load_config(tmp_path, two_class_config):
     target2 = tmp_path / "config2.json"
     save_config(back, target2)
     assert target2.read_bytes() == target.read_bytes()
+
+
+@pytest.mark.parametrize("key", ["arrival_dist", "service_dist"])
+def test_overflowing_second_moment_is_a_non_finite_error(two_class_config, key):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no raw numpy overflow warning either
+        assert Dist.parse({"family": "lognormal", "sigma": 30.0}).second_moment(2.0) == math.inf
+        doc = {**config_to_json(two_class_config), key: {"family": "lognormal", "sigma": 30.0}}
+        with pytest.raises(ConfigError, match=re.escape(
+                f"NonFinite: {key} = {{'family': 'lognormal', 'sigma': 30.0}} (its second")):
+            config_from_json(doc)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -375,3 +376,29 @@ def test_load_triage_config(tmp_path):
     target.write_text(json.dumps(_triage_doc()))
     cfg = load_triage_config(target)
     assert staffing(0.0, cfg) == pytest.approx(400.0)
+
+
+GRID_CURVES = {"kind": "grid", "z": [0.0, 0.5, 1.0],
+               "g_toxic": [1.0, 0.4, 0.0], "g_nontoxic": [1.0, 0.1, 0.0]}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", [
+    "Lambda", "p[0]", "mu[0]", "c_trp", "c_trn", "c_fp", "c_fn", "c_tp", "c_tn", "c_r",
+    "delay_costs[0]", "alpha_u", "alpha_v[1]",
+    "curves.loc[0]", "curves.scale[1]", "curves.z[1]", "curves.g_toxic[1]",
+    "curves.g_nontoxic[1]"])
+def test_triage_json_non_finite_number_names_its_field(field, value):
+    doc = {**_triage_doc(), "alpha_u": 8e-10, "alpha_v": [8e-4, 5e-5]}
+    name, _, index = field.partition("[")
+    *parent, key = name.split(".")
+    if parent and key in GRID_CURVES:
+        doc["curves"] = json.loads(json.dumps(GRID_CURVES))
+    target = doc[parent[0]] if parent else doc
+    if index:
+        target[key][int(index[0])] = value
+    else:
+        target[key] = value
+    doc = json.loads(json.dumps(doc))   # json reads NaN and Infinity tokens
+    with pytest.raises(ConfigError, match=re.escape(f"NonFinite: {name} = ")):
+        triage_config_from_json(doc)
