@@ -41,6 +41,8 @@ def _parse_grid(text: str) -> np.ndarray:
         a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise click.BadParameter(f"expected numeric a:b:n, got {text!r}")
+    if not np.isfinite([a, b]).all():
+        raise click.BadParameter(f"grid ends must be finite, got {text!r}")
     if n < 1 or b < a:
         raise click.BadParameter(f"bad grid spec {text!r}")
     return np.linspace(a, b, n)

@@ -168,11 +168,13 @@ class Dist:
         return np.array([exp(v) for v in x.tolist()]) / rate
 
     def second_moment(self, rate):
-        """E[X^2] of a draw with mean 1/rate: 2/rate^2, 1/rate^2 or e^(s^2)/rate^2
-        (inf, without a warning, where it overflows: a lognormal sigma near 27)."""
+        """E[X^2] of a draw with mean 1/rate: 2/rate^2, 1/rate^2 or e^(s^2)/rate^2,
+        without a warning: inf where it overflows (a lognormal sigma near 27, or
+        rate^2 underflowing), 0 where rate^2 does.  np.float64 takes a scalar's
+        square by pow, as a Python float does, but never raises."""
         scale = {"exponential": 2.0, "deterministic": 1.0}.get(self.family)
-        with np.errstate(over="ignore"):
-            return (np.exp(self.sigma ** 2) if scale is None else scale) / rate ** 2
+        with np.errstate(over="ignore", divide="ignore"):
+            return (np.exp(self.sigma ** 2) if scale is None else scale) / np.float64(rate) ** 2
 
 
 @dataclass(frozen=True)
@@ -342,6 +344,21 @@ def mixture_cost(l: int, params: PredictedClassParams, costs: Sequence[CostFn]) 
     return MixtureCost(params.mix_weights[:, l], costs)
 
 
+def non_finite(name: str, value, why: str = "must be finite") -> str:
+    """The text of a NonFinite error: 'NonFinite: <name> = <value> (<why>)'."""
+    return f"NonFinite: {name} = {np.asarray(value).tolist()} ({why})"
+
+
+def cube_overflow(name: str, rate) -> list:
+    """[its NonFinite error] if rate ** 3, the lambda^3 of the workload
+    variance rate, leaves the float range (past 5.6e102, where a Python
+    float's power raises), else []."""
+    with np.errstate(over="ignore"):
+        cube = np.float64(rate) ** 3
+    return [] if np.isfinite(cube) else [
+        non_finite(name, rate, "its cube, a term of the workload variance rate, overflows")]
+
+
 @dataclass
 class ValidationReport:
     """Outcome of validate_config: coded errors/warnings plus headline numbers."""
@@ -363,8 +380,9 @@ def validate_config(config: SystemConfig) -> ValidationReport:
     """Check every type invariant; report, never raise.
 
     Error codes: NonFinite (a NaN or infinite lambda, prevalence, service
-    rate, cost coeff or power, or horizon, or an arrival_dist or service_dist
-    whose second moment overflows, such as a lognormal sigma near 27), RowNotStochastic,
+    rate, cost coeff or power, or horizon, a lambda whose cube overflows, or
+    an arrival_dist or service_dist whose second moment overflows, such as a
+    lognormal sigma near 27), RowNotStochastic,
     EntryOutOfRange, NonPositiveRate, PrevalenceNotNormalized,
     NegativePrevalence, ZeroColumn, BadCost, NonPositiveHorizon,
     ShapeMismatch.  |rho-1| > 0.05 is a warning
@@ -384,9 +402,8 @@ def validate_config(config: SystemConfig) -> ValidationReport:
                "service_rates": config.service_rates, "horizon": config.horizon}
     numbers |= {f"costs[{i}].{name}": getattr(c, name)
                 for i, c in enumerate(config.costs) for name in ("coeff", "power")}
-    for name, value in numbers.items():
-        if not np.all(np.isfinite(value)):
-            rep.errors.append(f"NonFinite: {name} = {np.asarray(value).tolist()} (must be finite)")
+    rep.errors += [non_finite(name, value) for name, value in numbers.items()
+                   if not np.all(np.isfinite(value))]
     if config.lam <= 0:
         rep.errors.append(f"NonPositiveRate: lambda = {config.lam}")
     if np.any(config.service_rates <= 0):
@@ -407,14 +424,12 @@ def validate_config(config: SystemConfig) -> ValidationReport:
         dead = np.nonzero(p_tilde <= 0.0)[0]
         if dead.size:
             rep.errors.append(f"ZeroColumn: predicted class(es) {dead.tolist()} have zero mass")
-        # np.float64: a lambda whose square underflows divides to inf, not ZeroDivisionError
-        for name, rate in (("arrival_dist", np.float64(config.lam)),
-                           ("service_dist", config.service_rates)):
-            with np.errstate(divide="ignore"):
-                moment = getattr(config, name).second_moment(rate)
-            if not np.all(np.isfinite(moment)):
-                rep.errors.append(f"NonFinite: {name} = {getattr(config, name).to_json()} "
-                                  "(its second moment overflows)")
+        # workload_variance_rate's arithmetic: these moments, and lambda ** 3
+        for name, rate in (("arrival_dist", config.lam), ("service_dist", config.service_rates)):
+            dist = getattr(config, name)
+            if not np.all(np.isfinite(dist.second_moment(rate))):
+                rep.errors.append(non_finite(name, dist.to_json(), "its second moment overflows"))
+        rep.errors += cube_overflow("lambda", config.lam)
 
     if config.horizon <= 0:
         rep.errors.append(f"NonPositiveHorizon: horizon = {config.horizon}")

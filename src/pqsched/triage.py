@@ -19,9 +19,10 @@ queue cost is computed and multiplied by Gamma.  The staffing rule
 Gamma = Lambda sum_k p_k g_k(z_fl) / mu_k puts every reviewer exactly at
 critical load, which is what makes the RBM approximation the right tool.
 
-Every cost function takes thresholds or arrays of them, and evaluate_grid
-prices a whole threshold grid in one array pass: one interpolation per curve,
-elementwise formulas and one unit-RBM draw.
+total_cost prices the four parts and reviewer_params gives one reviewer's
+primitives, at thresholds or arrays of them; evaluate_grid prices a whole
+grid in one array pass: one interpolation per curve, elementwise formulas
+and one unit-RBM draw.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyClassError, EmptyGridError, EmptyPassError
 from .httheory import bm_workload_paths, stiffness_coefficients, variance_rate
-from .model import Dist, load_json
+from .model import Dist, cube_overflow, load_json, non_finite
 
 __all__ = [
     "PassingCurves",
@@ -41,12 +42,7 @@ __all__ = [
     "ReviewerParams",
     "McParams",
     "TriageDecision",
-    "staffing",
     "reviewer_params",
-    "filtering_cost_rate",
-    "misclass_cost_rate",
-    "reviewer_variance_rate",
-    "reviewer_queue_cost",
     "total_cost",
     "evaluate_grid",
     "load_triage_config",
@@ -56,10 +52,10 @@ DEFAULT_SCORE_GRID = 101
 _MONOTONE_TOL = 1e-9
 
 
-def _check_finite(numbers: dict):
+def _check_finite(numbers: dict, why: str = "must be finite"):
     """ConfigError naming every field of numbers that holds a NaN or an infinity."""
-    bad = [f"NonFinite: {name} = {np.asarray(value).tolist()} (must be finite)"
-           for name, value in numbers.items() if not np.all(np.isfinite(value))]
+    bad = [non_finite(name, value, why) for name, value in numbers.items()
+           if not np.all(np.isfinite(value))]
     if bad:
         raise ConfigError("; ".join(bad))
 
@@ -154,9 +150,11 @@ class TriageConfig:
     per unit time.  Reviewer label outcomes carry c_tp/c_fn (toxic items) and
     c_fp/c_tn (non-toxic items), any sign.  Delay costs are quadratic with
     coefficients delay_costs.  alpha_u / alpha_v are second moments of the
-    total-stream interarrival and the per-class service times; omit them for
-    the exponential defaults.  Every number, the curves' included, must be
-    finite: a NaN or an infinity is a ConfigError naming its field.
+    total-stream interarrival and the per-class service times, at least the
+    squared means 1/Lambda^2 and 1/mu_k^2 (to a relative 1e-12); omit them
+    for the exponential defaults.  Every number, the curves' and the defaults
+    included, and Lambda ** 3 must be finite: a NaN or an infinity is a
+    ConfigError naming its field.
     """
 
     Lambda: float
@@ -191,13 +189,24 @@ class TriageConfig:
             raise ConfigError("c_r must be positive")
         if len(self.delay_costs) != 2 or min(self.delay_costs) <= 0:
             raise ConfigError("delay_costs must be two positive coefficients")
+        for error in cube_overflow("Lambda", self.Lambda):
+            raise ConfigError(error)
         exponential = Dist("exponential")
-        if self.alpha_u is None:
-            object.__setattr__(self, "alpha_u", exponential.second_moment(self.Lambda))
-        if self.alpha_v is None:
-            object.__setattr__(self, "alpha_v", tuple(map(exponential.second_moment, self.mu)))
-        if self.alpha_u <= 0 or len(self.alpha_v) != 2 or min(self.alpha_v) <= 0:
-            raise ConfigError("second moments must be positive")
+        defaults = {"alpha_u": exponential.second_moment(self.Lambda),
+                    "alpha_v": tuple(map(exponential.second_moment, self.mu))}
+        for name, default in defaults.items():
+            if getattr(self, name) is None:
+                _check_finite({name: default}, "its exponential default overflows")
+                object.__setattr__(self, name, default)
+        if len(self.alpha_v) != 2:
+            raise ConfigError("alpha_v must be two second moments")
+        least = Dist("deterministic").second_moment   # 1/rate^2, a law's least E[X^2]
+        for name, moment, rate, of in (("alpha_u", self.alpha_u, self.Lambda, "Lambda"),
+                                       ("alpha_v[0]", self.alpha_v[0], self.mu[0], "mu[0]"),
+                                       ("alpha_v[1]", self.alpha_v[1], self.mu[1], "mu[1]")):
+            if moment < (1.0 - 1e-12) * least(rate):
+                raise ConfigError(f"{name} = {moment} is below its law's squared mean "
+                                  f"1/{of}^2 = {least(rate)}")
 
 
 @dataclass(frozen=True)
@@ -231,8 +240,10 @@ class ReviewerParams:
     p_mix: class shares among passing items; q: 2x2 confusion of the
     threshold rule (column 0 = predicted toxic); lam_r: arrival rate per
     reviewer; pass_prob: sum_k p_k g_k(z_fl); c_mix: mixture delay-cost
-    coefficients per predicted class.  Arrays of thresholds give arrays of
-    their shape, with trailing class axes on p_mix, c_mix (one) and q (two).
+    coefficients per predicted class; variance_rate: of the workload, each
+    arrival reaching the reviewer with probability q = pass_prob / Gamma.
+    Arrays of thresholds give arrays of their shape, with trailing class axes
+    on p_mix, c_mix (one) and q (two).
     """
 
     z_fl: float
@@ -243,17 +254,16 @@ class ReviewerParams:
     p_mix: np.ndarray
     q: np.ndarray
     c_mix: np.ndarray
+    variance_rate: Optional[float] = None
 
 
-def _design(z_fl, z_tx, config: TriageConfig, mc: Optional[McParams] = None,
-            passing: bool = False) -> tuple:
+def _design(z_fl, z_tx, config: TriageConfig, mc: Optional[McParams] = None) -> tuple:
     """(ReviewerParams, {term: array}) at arrays of thresholds: one np.interp
     per curve, then one elementwise formula per term, the reviewer's queue
-    cost only given mc; NaN where no reviewer is staffed, or if passing is
-    set an EmptyPassError, and a ConfigError where the staffing is below the
-    passing share (terms["understaffed"]).  The reviewer's queue coefficient is
-    the jstar_coeff of stiffness_coefficients, so an empty predicted label
-    takes the one-class limit.
+    cost only given mc; NaN where no reviewer is staffed, and terms
+    ["understaffed"] marks the points staffed below their passing share.  The
+    reviewer's queue coefficient is the jstar_coeff of stiffness_coefficients,
+    so an empty predicted label takes the one-class limit.
     """
     z_fl, z_tx = np.broadcast_arrays(np.asarray(z_fl, dtype=float), np.asarray(z_tx, dtype=float))
     g_fl, g_tx = np.stack([np.interp(np.stack([z_fl, z_tx]), config.curves.grid, v)
@@ -263,8 +273,7 @@ def _design(z_fl, z_tx, config: TriageConfig, mc: Optional[McParams] = None,
     weights = np.asarray(config.p) * g_fl
     pass_prob = weights.sum(axis=-1)
     gamma = L * (weights / mu).sum(axis=-1)
-    terms = {"gamma": gamma,
-             "filtering": L * (config.c_trp * p0 * (1.0 - g0) + config.c_trn * p1 * (1.0 - g1))}
+    terms = {"filtering": L * (config.c_trp * p0 * (1.0 - g0) + config.c_trn * p1 * (1.0 - g1))}
     with np.errstate(divide="ignore", invalid="ignore"):
         p_mix = weights / pass_prob[..., None]
         # classes that never pass the filter contribute no arrivals; their
@@ -278,19 +287,17 @@ def _design(z_fl, z_tx, config: TriageConfig, mc: Optional[McParams] = None,
         # staffed below its passing share, Gamma < pass_prob, a filtering level
         # would route each arrival to one reviewer with probability q > 1
         terms["understaffed"] = (gamma > 0.0) & (q_split > 1.0)
-        terms["variance"] = variance_rate(L, p_mix, mu, config.alpha_u, config.alpha_v, q_split)
+        variance = variance_rate(L, p_mix, mu, config.alpha_u, config.alpha_v, q_split)
         _, _, coeff, _, c_mix = stiffness_coefficients(lam_r, p_mix, mu, c, q)
-    if passing:
-        _check_staffed(gamma <= 0.0, pass_prob, z_fl)
-        _check_feasible(terms["understaffed"], z_fl)
     if mc is not None:
         # mean int W^2 dt over unit-variance RBM paths: reflection commutes with
         # the sqrt(v) scaling, so one draw serves every threshold
         paths = bm_workload_paths(1.0, mc.n_steps, mc.horizon, mc.n_paths, mc.seed)
         base = float(paths.integral_sq().mean())
-        terms["queue"] = coeff * 0.5 * terms["variance"] * base
+        terms["queue"] = coeff * 0.5 * variance * base
     params = ReviewerParams(z_fl=z_fl[()], z_tx=z_tx[()], gamma=gamma[()], lam_r=lam_r[()],
-                            pass_prob=pass_prob[()], p_mix=p_mix, q=q, c_mix=c_mix)
+                            pass_prob=pass_prob[()], p_mix=p_mix, q=q, c_mix=c_mix,
+                            variance_rate=variance[()])
     return params, terms
 
 
@@ -310,43 +317,14 @@ def _check_feasible(understaffed, z_fl):
                           "share, so the split probability q = pass_prob / Gamma exceeds 1")
 
 
-def staffing(z_fl, config: TriageConfig):
-    """Gamma(z_fl) = Lambda sum_k p_k g_k(z_fl) / mu_k -- the real-valued
-    reviewer count that keeps every reviewer exactly critically loaded."""
-    return _design(*_check_thresholds((z_fl, z_fl)), config)[1]["gamma"][()]
-
-
 def reviewer_params(z, config: TriageConfig) -> ReviewerParams:
-    """Limiting per-reviewer primitives at thresholds z = (z_fl, z_tx)."""
-    return _design(*_check_thresholds(z), config, passing=True)[0]
-
-
-def filtering_cost_rate(z_fl, config: TriageConfig):
-    """Cost rate of auto-resolving everything scoring below z_fl."""
-    return _design(*_check_thresholds((z_fl, z_fl)), config)[1]["filtering"][()]
-
-
-def misclass_cost_rate(z, config: TriageConfig):
-    """Cost rate of reviewer label outcomes at threshold z_tx among passers."""
-    return _design(*_check_thresholds(z), config)[1]["misclass"][()]
-
-
-def reviewer_variance_rate(z_fl, config: TriageConfig):
-    """Variance rate of one reviewer's workload diffusion: httheory.variance_rate
-    of the passing mix at z_fl, each Lambda-stream arrival reaching the reviewer
-    with probability q = pass_prob / Gamma (the splitting noise included)."""
-    return _design(*_check_thresholds((z_fl, z_fl)), config, passing=True)[1]["variance"][()]
-
-
-def reviewer_queue_cost(z, config: TriageConfig, mc: McParams = McParams()):
-    """Expected integrated delay cost of one reviewer over [0, horizon].
-
-    The coefficient is the optimal-split quadratic constant of the reviewer's
-    two-class system (equal to beta_1 beta_2 / (beta_1 + beta_2)); the
-    workload factor is a Monte Carlo mean of int W^2 over RBM paths with the
-    per-reviewer variance rate.
-    """
-    return _design(*_check_thresholds(z), config, mc, passing=True)[1]["queue"][()]
+    """Limiting per-reviewer primitives at thresholds z = (z_fl, z_tx);
+    EmptyPassError where unstaffed, ConfigError where understaffed."""
+    z_fl, z_tx = _check_thresholds(z)
+    params, terms = _design(z_fl, z_tx, config)
+    _check_staffed(params.gamma <= 0.0, params.pass_prob, z_fl)
+    _check_feasible(terms["understaffed"], z_fl)
+    return params
 
 
 @dataclass(frozen=True)
@@ -379,9 +357,9 @@ def _decisions(z_fl, z_tx, config: TriageConfig, mc: McParams) -> tuple:
     """(TriageDecision, mask of the points staffed below their passing share)."""
     params, terms = _design(z_fl, z_tx, config, mc)
     # where everything is auto-resolved: no reviewers, no labels, no queues
-    passes = np.asarray(params.pass_prob) > 0.0
-    _check_staffed(passes & (terms["gamma"] <= 0.0), np.asarray(params.pass_prob), z_fl)
-    gamma = np.where(passes, terms["gamma"], 0.0)
+    passes = params.pass_prob > 0.0
+    _check_staffed(passes & (params.gamma <= 0.0), params.pass_prob, z_fl)
+    gamma = np.where(passes, params.gamma, 0.0)
     queueing = np.where(passes, gamma * terms["queue"], 0.0)
     return TriageDecision(
         z_fl=z_fl[()], z_tx=z_tx[()], gamma=gamma[()], filtering=terms["filtering"][()],

@@ -28,9 +28,9 @@ from pqsched import (
     relative_regret,
     replicate,
     reviewer_params,
-    reviewer_queue_cost,
     run_path,
     save_config,
+    total_cost,
     two_class_xstar,
     workload_variance_rate,
 )
@@ -397,8 +397,8 @@ def test_criterion_09_triage_shapes():
     # one reviewer's critically loaded queue near the setting-(iii) optimum
     cfg3 = _triage(20.0, 800.0)
     z = (0.376, 0.5)
-    rbm = reviewer_queue_cost(z, cfg3, McParams(n_paths=4000, n_steps=2000,
-                                                seed=17, horizon=10.0))
+    d = total_cost(z, cfg3, McParams(n_paths=4000, n_steps=2000, seed=17, horizon=10.0))
+    rbm = d.queueing / d.gamma
     sys_cfg = reviewer_system_config(reviewer_params(z, cfg3), cfg3, horizon=10.0)
     assert abs(sys_cfg.rho - 1.0) < 1e-9
     n = 1200

@@ -229,17 +229,18 @@ def test_select_model_ranks(runner, tmp_path, config_path):
 
 # ------------------------------------------------------------------ triage
 
+TRIAGE_DOC = {
+    "Lambda": 50000.0, "p": [0.2, 0.8], "mu": [50.0, 200.0],
+    "curves": {"kind": "gaussian_logit", "loc": [-1.0, -3.0], "scale": [1.0, 1.0]},
+    "c_trp": 20.0, "c_trn": -3.0, "c_fp": 3.0, "c_fn": 3.0, "c_tp": -3.0, "c_tn": -3.0,
+    "c_r": 800.0, "delay_costs": [15.0, 1.0],
+}
+
+
 @pytest.fixture
 def triage_path(tmp_path):
-    doc = {
-        "Lambda": 50000.0, "p": [0.2, 0.8], "mu": [50.0, 200.0],
-        "curves": {"kind": "gaussian_logit", "loc": [-1.0, -3.0],
-                   "scale": [1.0, 1.0]},
-        "c_trp": 20.0, "c_trn": -3.0, "c_fp": 3.0, "c_fn": 3.0,
-        "c_tp": -3.0, "c_tn": -3.0, "c_r": 800.0, "delay_costs": [15.0, 1.0],
-    }
     target = tmp_path / "triage.json"
-    target.write_text(json.dumps(doc))
+    target.write_text(json.dumps(TRIAGE_DOC))
     return target
 
 
@@ -571,6 +572,52 @@ def test_overflowing_second_moment_is_one_error_line(tmp_path, command, key):
     assert proc.stderr.splitlines() == [
         f"Error: NonFinite: {key} = {{'family': 'lognormal', 'sigma': 30.0}} "
         "(its second moment overflows)"]
+    assert not out.exists()
+
+
+MIXED_POWER = {**README_CONFIG, "costs": [{"coeff": 1.0, "power": 2.0},
+                                          {"coeff": 10.0, "power": 3.0}]}
+CUBE = "(its cube, a term of the workload variance rate, overflows)"
+
+
+@pytest.mark.parametrize("command, doc, error", [
+    # lambda ** 3, or a Python float's lambda ** 2, leaves the float range
+    ("lower-bound", {**MIXED_POWER, "lambda": 1e200}, f"NonFinite: lambda = 1e+200 {CUBE}"),
+    ("lower-bound", {**MIXED_POWER, "lambda": 1e103}, f"NonFinite: lambda = 1e+103 {CUBE}"),
+    ("triage", {**TRIAGE_DOC, "Lambda": 1e103}, f"NonFinite: Lambda = 1e+103 {CUBE}"),
+    ("triage", {**TRIAGE_DOC, "Lambda": 1e160}, f"NonFinite: Lambda = 1e+160 {CUBE}"),
+    # the default alpha_v = 2 / mu^2 is inf: it once priced every row as nan
+    ("triage", {**TRIAGE_DOC, "mu": [1e-160, 200.0]},
+     "NonFinite: alpha_v = [inf, 5e-05] (its exponential default overflows)"),
+    # no law with mean 1/Lambda has E[U^2] < 1/Lambda^2
+    ("triage", {**TRIAGE_DOC, "alpha_u": 1e-12},
+     "alpha_u = 1e-12 is below its law's squared mean 1/Lambda^2 = 4e-10"),
+])
+def test_out_of_range_moments_are_one_error_line(tmp_path, command, doc, error):
+    # a fresh interpreter, so that stderr shows any raw traceback or warning
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    env = dict(os.environ, PYTHONPATH=str(Path(pqsched.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "pqsched.cli", command, "--config", str(cfg),
+                           "--paths", "4", "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"Error: {error}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["0.1:inf:3", "nan:0.4:3", "-inf:0.4:2"])
+def test_non_finite_grid_end_is_one_error_line(tmp_path, triage_path, spec):
+    out = tmp_path / "o"
+    env = dict(os.environ, PYTHONPATH=str(Path(pqsched.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "pqsched.cli", "triage", "--config",
+                           str(triage_path),
+                           "--zfl-grid", spec, "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2 and "Warning" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("Error:")]
+    assert errors == [f"Error: Invalid value: grid ends must be finite, got {spec!r}"]
     assert not out.exists()
 
 

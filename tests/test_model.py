@@ -343,6 +343,30 @@ def test_save_and_load_config(tmp_path, two_class_config):
     assert target2.read_bytes() == target.read_bytes()
 
 
+@pytest.mark.parametrize("lam", [1e103, 1e200])
+def test_lambda_whose_cube_overflows_is_a_non_finite_error(two_class_config, lam):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the moments are finite, but workload_variance_rate's Python float
+        # lam ** 3 raises past 5.6e102
+        doc = {**config_to_json(two_class_config), "lambda": lam}
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"NonFinite: lambda = {lam} (its cube, a term of the workload variance rate, "
+                "overflows)")):
+            config_from_json(doc)
+
+
+def test_second_moment_never_raises():
+    # a scalar rate is squared by pow, as a Python float is, bit for bit
+    for rate in (0.3, 7.0, 49999.0, 1e-100):
+        assert Dist("exponential").second_moment(rate) == 2.0 / rate ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Dist("deterministic").second_moment(1e-200) == math.inf
+        assert Dist("exponential").second_moment(1e-160) == math.inf
+        assert Dist("exponential").second_moment(1e200) == 0.0
+
+
 @pytest.mark.parametrize("key", ["arrival_dist", "service_dist"])
 def test_overflowing_second_moment_is_a_non_finite_error(two_class_config, key):
     with warnings.catch_warnings():

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,14 +16,9 @@ from pqsched import (
     PassingCurves,
     TriageConfig,
     evaluate_grid,
-    filtering_cost_rate,
     load_triage_config,
-    misclass_cost_rate,
     quadratic_coefficients,
     reviewer_params,
-    reviewer_queue_cost,
-    reviewer_variance_rate,
-    staffing,
     total_cost,
 )
 from pqsched.triage import curves_from_json, triage_config_from_json
@@ -47,6 +43,12 @@ def step_curves(drop_at=0.5):
 
 
 FAST_MC = McParams(n_paths=200, n_steps=100, seed=0, horizon=1.0)
+
+
+def queue_cost(z, cfg):
+    """One reviewer's queue cost: total_cost's queueing over its Gamma."""
+    d = total_cost(z, cfg, FAST_MC)
+    return d.queueing / d.gamma
 
 
 # ----------------------------------------------------------------- curves
@@ -107,11 +109,11 @@ def test_from_samples_concentrates_to_truth(rng):
 def test_staffing_reference_value():
     # Lambda p / mu = (10000/50, 40000/200) -> Gamma(0) = 200 + 200 = 400
     cfg = make_triage()
-    assert staffing(0.0, cfg) == pytest.approx(400.0, abs=1e-9)
     zs = np.linspace(0.0, 1.0, 21)
-    gammas = [staffing(z, cfg) for z in zs]
-    assert all(b <= a + 1e-12 for a, b in zip(gammas, gammas[1:]))
-    assert staffing(1.0, cfg) == pytest.approx(0.0, abs=1e-12)
+    gammas = total_cost((zs, zs), cfg, FAST_MC).gamma
+    assert gammas[0] == pytest.approx(400.0, abs=1e-9)
+    assert np.all(np.diff(gammas) <= 1e-12)
+    assert gammas[-1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_triage_config_validation():
@@ -133,6 +135,45 @@ def test_default_moments_are_exponential():
     cfg = make_triage()
     assert cfg.alpha_u == pytest.approx(2.0 / 50000.0 ** 2)
     assert cfg.alpha_v == pytest.approx((2.0 / 50.0 ** 2, 2.0 / 200.0 ** 2))
+
+
+@pytest.mark.parametrize("overrides, message", [
+    # Lambda ** 3 in the variance rate, and 2 / Lambda^2 in the default alpha_u
+    (dict(Lambda=1e103), "NonFinite: Lambda = 1e+103 (its cube, a term of the workload "
+                         "variance rate, overflows)"),
+    (dict(Lambda=1e160), "NonFinite: Lambda = 1e+160 (its cube"),
+    # the default alpha_v = 2 / mu^2 is inf
+    (dict(mu=(1e-160, 200.0)), "NonFinite: alpha_v = [inf, 5e-05] (its exponential default "
+                               "overflows)"),
+    (dict(Lambda=1e-200), "NonFinite: alpha_u = inf (its exponential default overflows)"),
+])
+def test_overflowing_moments_name_their_field(overrides, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no raw numpy warning either
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            make_triage(**overrides)
+
+
+@pytest.mark.parametrize("overrides, field", [
+    (dict(alpha_u=1e-12), "alpha_u = 1e-12 is below its law's squared mean 1/Lambda^2 = 4e-10"),
+    (dict(alpha_u=4e-10, alpha_v=(3.9e-4, 1e-4)), "alpha_v[0] = 0.00039 is below its law's "
+                                                  "squared mean 1/mu[0]^2 = 0.0004"),
+    (dict(alpha_u=4e-10, alpha_v=(4e-4, 2e-5)), "alpha_v[1] = 2e-05 is below"),
+    (dict(alpha_u=-1.0), "alpha_u = -1.0 is below"),
+    (dict(Lambda=1e-200, alpha_u=1.0), "alpha_u = 1.0 is below its law's squared mean "
+                                       "1/Lambda^2 = inf"),
+])
+def test_second_moment_below_squared_mean_is_refused(overrides, field):
+    with pytest.raises(ConfigError, match="^" + re.escape(field)):
+        make_triage(**overrides)
+
+
+def test_deterministic_moments_are_accepted():
+    # a deterministic law's own E[X^2] = 1/rate^2, however it rounds
+    for lam, mu in ((3.0, (7.0, 0.3)), (49999.0, (51.0, 199.0)), (0.1, (1e-3, 1e5))):
+        cfg = make_triage(Lambda=lam, mu=mu, alpha_u=1.0 / lam ** 2,
+                          alpha_v=tuple(1.0 / m / m for m in mu))
+        assert cfg.alpha_u == 1.0 / lam ** 2
 
 
 # -------------------------------------------------------- reviewer params
@@ -189,14 +230,15 @@ def test_never_passing_class_row_pinned():
 
 def test_filtering_cost_closed_form():
     cfg = make_triage()
-    assert filtering_cost_rate(0.0, cfg) == pytest.approx(0.0, abs=1e-9)
+    filtering = total_cost(([0.0, 1.0, 0.3], [0.0, 1.0, 0.3]), cfg, FAST_MC).filtering
+    assert filtering[0] == pytest.approx(0.0, abs=1e-9)
     # full filtering trades c_trp on toxic mass against c_trn credit
     full = cfg.Lambda * (cfg.c_trp * 0.2 + cfg.c_trn * 0.8)
-    assert filtering_cost_rate(1.0, cfg) == pytest.approx(full, rel=1e-12)
+    assert filtering[1] == pytest.approx(full, rel=1e-12)
     z = 0.3
     expect = cfg.Lambda * (20.0 * 0.2 * (1.0 - cfg.curves.g(0, z))
                            + (-3.0) * 0.8 * (1.0 - cfg.curves.g(1, z)))
-    assert filtering_cost_rate(z, cfg) == pytest.approx(expect, rel=1e-12)
+    assert filtering[2] == pytest.approx(expect, rel=1e-12)
 
 
 def test_misclass_cost_corner_and_symmetry():
@@ -205,11 +247,10 @@ def test_misclass_cost_corner_and_symmetry():
     g0, g1 = cfg.curves.g(0, z), cfg.curves.g(1, z)
     # z_tx = z_fl: all passers labeled toxic -> only c_tp and c_fp terms
     expect = cfg.Lambda * (0.2 * g0 * cfg.c_tp + 0.8 * g1 * cfg.c_fp)
-    assert misclass_cost_rate((z, z), cfg) == pytest.approx(expect, rel=1e-12)
+    assert total_cost((z, z), cfg, FAST_MC).misclassification == pytest.approx(expect, rel=1e-12)
     # with c_tp = c_fn and c_fp = c_tn the rate cannot depend on z_tx
     flat = make_triage(c_fn=-3.0, c_tn=3.0)
-    a = misclass_cost_rate((z, 0.4), flat)
-    b = misclass_cost_rate((z, 0.9), flat)
+    a, b = total_cost(([z, z], [0.4, 0.9]), flat, FAST_MC).misclassification
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -220,8 +261,8 @@ def test_reviewer_variance_zero_for_deterministic_unsplit():
     curves = PassingCurves.from_grid([0.0, 1.0], [1.0, 1.0], [1.0, 0.5])
     cfg = make_triage(Lambda=1.0, p=(0.5, 0.5), mu=(1.0, 1.0), curves=curves,
                       alpha_u=1.0, alpha_v=(1.0, 1.0))
-    assert reviewer_variance_rate(0.0, cfg) == pytest.approx(0.0, abs=1e-12)
-    assert reviewer_queue_cost((0.0, 0.5), cfg, FAST_MC) == pytest.approx(0.0, abs=1e-12)
+    assert reviewer_params((0.0, 0.0), cfg).variance_rate == pytest.approx(0.0, abs=1e-12)
+    assert queue_cost((0.0, 0.5), cfg) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_reviewer_variance_decomposition():
@@ -236,24 +277,22 @@ def test_reviewer_variance_decomposition():
     expect = (params.lam_r * c_v + mean_work ** 2
               * (q_split ** 2 * cfg.Lambda ** 3 * c_u
                  + cfg.Lambda * q_split * (1.0 - q_split)))
-    assert reviewer_variance_rate(z_fl, cfg) == pytest.approx(expect, rel=1e-12)
+    assert params.variance_rate == pytest.approx(expect, rel=1e-12)
     assert expect > 0.0
 
 
 def test_reviewer_queue_cost_factorization():
     cfg = make_triage()
     z = (0.3, 0.5)
-    got = reviewer_queue_cost(z, cfg, FAST_MC)
+    got = queue_cost(z, cfg)
     params = reviewer_params(z, cfg)
     coeff = quadratic_coefficients(reviewer_system_config(params, cfg)).jstar_coeff
-    v = reviewer_variance_rate(0.3, cfg)
-    unit = got / (coeff * 0.5 * v)
+    unit = got / (coeff * 0.5 * params.variance_rate)
     # the workload factor is the same unit-RBM mean for any thresholds
-    other = reviewer_queue_cost((0.1, 0.7), cfg, FAST_MC)
+    other = queue_cost((0.1, 0.7), cfg)
     params2 = reviewer_params((0.1, 0.7), cfg)
     coeff2 = quadratic_coefficients(reviewer_system_config(params2, cfg)).jstar_coeff
-    v2 = reviewer_variance_rate(0.1, cfg)
-    assert other / (coeff2 * 0.5 * v2) == pytest.approx(unit, rel=1e-12)
+    assert other / (coeff2 * 0.5 * params2.variance_rate) == pytest.approx(unit, rel=1e-12)
     assert got > 0.0
 
 
@@ -265,7 +304,7 @@ def test_total_cost_breakdown_sums():
     assert d.total == pytest.approx(
         d.filtering + d.hiring + d.misclassification + d.queueing, rel=1e-14)
     assert d.hiring == pytest.approx(cfg.c_r * d.gamma, rel=1e-12)
-    assert d.gamma == pytest.approx(staffing(0.3, cfg), rel=1e-12)
+    assert d.gamma == reviewer_params((0.3, 0.5), cfg).gamma
     assert d.z_fl == 0.3 and d.z_tx == 0.5
 
 
@@ -274,7 +313,9 @@ def test_total_cost_fully_filtered():
     d = total_cost((0.75, 0.8), cfg, FAST_MC)
     assert d.gamma == 0.0
     assert d.hiring == 0.0 and d.misclassification == 0.0 and d.queueing == 0.0
-    assert d.total == pytest.approx(filtering_cost_rate(0.75, cfg), rel=1e-12)
+    # nothing passes the step at 0.5: every item is filtered
+    full = cfg.Lambda * (cfg.c_trp * 0.2 + cfg.c_trn * 0.8)
+    assert d.total == d.filtering == pytest.approx(full, rel=1e-12)
 
 
 def test_threshold_validation():
@@ -287,13 +328,12 @@ def test_threshold_validation():
         total_cost((0.2, 1.4), cfg, FAST_MC)
 
 
-def test_single_threshold_functions_validate_z_fl():
-    # a function of z_fl alone checks it as a (z_fl, z_fl) pair, like total_cost
+def test_triage_entries_validate_z_fl():
     cfg = make_triage()
-    for fn in (staffing, filtering_cost_rate, reviewer_variance_rate):
+    for fn, args in ((reviewer_params, (cfg,)), (total_cost, (cfg, FAST_MC))):
         for z_fl in (1.5, -0.2, np.nan, np.array([0.2, 1.5])):
             with pytest.raises(ConfigError):
-                fn(z_fl, cfg)
+                fn((z_fl, z_fl), *args)
 
 
 # ------------------------------------------------------------ grid search
@@ -375,7 +415,7 @@ def test_load_triage_config(tmp_path):
     target = tmp_path / "triage.json"
     target.write_text(json.dumps(_triage_doc()))
     cfg = load_triage_config(target)
-    assert staffing(0.0, cfg) == pytest.approx(400.0)
+    assert reviewer_params((0.0, 0.0), cfg).gamma == pytest.approx(400.0)
 
 
 GRID_CURVES = {"kind": "grid", "z": [0.0, 0.5, 1.0],
