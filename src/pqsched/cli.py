@@ -23,8 +23,8 @@ from . import httheory as ht
 from . import ingest as ingest_mod
 from . import triage as triage_mod
 from .engine import EVENT_CAP, export_curves_csv, export_jobs_csv, run_paths
-from .model import (ConfusionMatrix, load_config, load_json, validate_config, write_csv,
-                    write_json)
+from .model import (ConfusionMatrix, _check_finite, load_config, load_json, validate_config,
+                    write_csv, write_json)
 from .policies import POLICY_KINDS
 
 
@@ -180,11 +180,12 @@ def cmd_lower_bound(config_path, paths, steps, seed, out_dir):
     run = _Run("lower-bound", out_dir, config_path, {"seed": seed, "n_paths": paths},
                {"n_steps": steps})
     config = run.load()
-    with run.timed("paths"):
+    # a floor that overflows is refused below in one line, not warned about
+    with np.errstate(all="ignore"), run.timed("paths"):
         v = ht.workload_variance_rate(config)
         w = ht.bm_workload_paths(v, steps, config.horizon, paths, seed)
     rows = [("variance_rate", v)]
-    with run.timed("cost"):
+    with np.errstate(all="ignore"), run.timed("cost"):
         star = ht.jstar(None, config, w)
         if config.all_quadratic():
             coeffs = ht.quadratic_coefficients(config)
@@ -195,6 +196,7 @@ def cmd_lower_bound(config_path, paths, steps, seed, out_dir):
                      ("relative_regret", ht.relative_regret(config.confusion, config))]
         else:
             rows += [("jstar_mean", star.mean), ("jstar_stderr", star.stderr)]
+    _check_finite(dict(rows), "overflows the float range")
     with run.timed("write"):
         run.write_csv("lower_bound.csv", ["quantity", "value"],
                       [(name, _fmt(value)) for name, value in rows])
@@ -297,6 +299,8 @@ def cmd_triage(config_path, zfl_grid, ztx, paths, steps, seed, out_dir):
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def cmd_estimate(csv_path, threshold, out_dir):
     """Estimate confusion matrix, prevalences, service rates, pass curves."""
+    if threshold is not None and not np.isfinite(threshold):
+        raise click.BadParameter(f"threshold must be finite, got {threshold!r}")
     run = _Run("estimate", out_dir, csv_path, {}, {"threshold": threshold})
     with run.timed("read"):
         table = ingest_mod.read_validation_csv(csv_path)

@@ -32,7 +32,7 @@ class NonQuadraticError(PqschedError):
 
 
 class BracketFailureError(PqschedError):
-    """The workload-split bisection could not bracket its target."""
+    """The workload-split level solve left its total off the workload by more than KKT_TOL."""
 
 
 class NonFiniteMomentError(PqschedError):

@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BracketFailureError, ConfigError, NonFiniteMomentError, NonQuadraticError
-from .model import (MixtureCost, PredictedClassParams, SystemConfig, derive_predicted_params,
-                    mixture_cost)
+from .model import (MixtureCost, PredictedClassParams, SystemConfig, _newton,
+                    derive_predicted_params, mixture_cost)
 
 __all__ = [
     "workload_variance_rate",
@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 KKT_TOL = 1e-10
-_KKT_MAX_ITER = 200
 # kkt_solve works through at most this many workloads at a time
 _KKT_BLOCK = 2 ** 16
 # WorkloadPathSet draws, reflects and reduces this many paths at a time
@@ -162,19 +161,19 @@ class Allocation:
 def kkt_solve(r, params: PredictedClassParams, costs) -> Allocation:
     """Workload split equalizing marginal value mu~_l C~'_l(x_l / rho~_l).
 
-    Pivot on class 0: for trial x_0, every other class's share follows from
-    inverting its marginal at the pivot's level (MixtureCost.prime_inv, with
-    the shares at the bracket's hi end as upper bounds), and total share
-    g(x_0) = x_0 + sum_{l>0} x_l(x_0) is strictly increasing.  Bisection on
-    g(x_0) = r converges unconditionally on [0, r].
+    At a common level y, x_l(y) = rho~_l prime_inv_l(y / mu~_l), and g(y) =
+    sum_l x_l(y) is increasing and concave, with slope sum_l rho~_l /
+    (mu~_l C~''_l) (MixtureCost.prime_inv, prime2).  Newton on g(y) = r
+    (model._newton) from y_hi = min_l mu~_l C~'_l(r / rho~_l), where one class
+    alone takes all of r; a total off r by more than KKT_TOL max(1, r), or
+    NaN past the float range, is a BracketFailureError.
 
     r may be an array (x then gains a trailing K axis, objective is per entry);
-    NaN, infinite or negative entries are a ConfigError.  The bisection runs
-    on arrays, _KKT_BLOCK entries at a time; an entry freezes once its mid
-    equals lo or hi or its residual is <= 1e-15 max(1, r), so no split
-    depends on its batch.  params come from derive_predicted_params, so every
-    predicted label is non-empty (ZeroColumnError otherwise), unlike the
-    one-class limit of the quadratic coefficients.
+    NaN, infinite or negative entries are a ConfigError.  The solve runs on
+    arrays, _KKT_BLOCK entries at a time; each entry stops on its own step,
+    so no split depends on its batch.  params come from derive_predicted_params,
+    so every predicted label is non-empty (ZeroColumnError otherwise), unlike
+    the one-class limit of the quadratic coefficients.
     """
     r_arr = np.asarray(r, dtype=float)
     if not (np.all(np.isfinite(r_arr)) and np.all(r_arr >= 0.0)):
@@ -186,7 +185,7 @@ def kkt_solve(r, params: PredictedClassParams, costs) -> Allocation:
     x[0] = flat  # the whole split when K == 1, and zero where r == 0
     for i in range(0, flat.size if K > 1 else 0, _KKT_BLOCK):
         rows = i + np.flatnonzero(flat[i:i + _KKT_BLOCK] > 0.0)
-        x[:, rows] = _bisect_shares(flat[rows], params, mixes)
+        x[:, rows] = _level_shares(flat[rows], params, mixes)
     objective = sum(params.lambda_tilde[l] * mixes[l](x[l] / params.rho_tilde[l])
                     for l in range(K))
     if r_arr.ndim == 0:
@@ -195,42 +194,27 @@ def kkt_solve(r, params: PredictedClassParams, costs) -> Allocation:
                       objective=objective.reshape(r_arr.shape))
 
 
-def _bisect_shares(r: np.ndarray, params: PredictedClassParams,
-                   mixes: Sequence[MixtureCost]) -> np.ndarray:
+def _level_shares(r: np.ndarray, params: PredictedClassParams,
+                  mixes: Sequence[MixtureCost]) -> np.ndarray:
     """Optimal splits, shape (K, len(r)), of a 1-D array of workloads r > 0."""
-    K, rho, mu = len(mixes), params.rho_tilde, params.mu_tilde
+    rho, mu = params.rho_tilde, params.mu_tilde
 
-    def shares(x0: np.ndarray, upper: np.ndarray):
-        level = mu[0] * mixes[0].prime(x0 / rho[0])
-        t = np.stack([mixes[l].prime_inv(level / mu[l], upper[l - 1]) for l in range(1, K)])
-        return np.vstack([x0[None], rho[1:, None] * t]), t
+    def loads(y):  # t_l = x_l / rho~_l at level y
+        return [mix.prime_inv(y / m) for mix, m in zip(mixes, mu)]
 
-    # g(r) = r + (nonnegative shares) >= r, so [0, r] always brackets the
-    # root; bisect past the stated tolerance down to float resolution so the
-    # objective is usable inside tight integrand comparisons
-    best, t_hi = shares(r, np.full((K - 1, r.size), np.inf))
-    best_res = np.abs(sum(best) - r)
-    lo, hi, act = np.zeros(r.size), r.copy(), np.arange(r.size)
-    for _ in range(_KKT_MAX_ITER):
-        mid = 0.5 * (lo[act] + hi[act])
-        moving = (mid != lo[act]) & (mid != hi[act])
-        act, mid = act[moving], mid[moving]
-        if act.size == 0:
-            break
-        xs, t = shares(mid, t_hi[:, act])
-        g = sum(xs)
-        res = np.abs(g - r[act])
-        better = res < best_res[act]
-        best[:, act[better]], best_res[act[better]] = xs[:, better], res[better]
-        below = g < r[act]
-        lo[act[below]], hi[act[~below]], t_hi[:, act[~below]] = mid[below], mid[~below], t[:, ~below]
-        act = act[res > 1e-15 * np.maximum(1.0, r[act])]
-    tol = KKT_TOL * np.maximum(1.0, r)
-    if np.any(best_res > tol):
-        i = int(np.argmax(best_res - tol))
+    def f_df(y, i):
+        t = loads(y)
+        return (sum(p * tl for p, tl in zip(rho, t)) - r[i],
+                sum(p / (m * mix.prime2(tl)) for p, m, mix, tl in zip(rho, mu, mixes, t)))
+
+    y_hi = np.min([m * mix.prime(r / p) for p, m, mix in zip(rho, mu, mixes)], axis=0)
+    x = np.stack([p * tl for p, tl in zip(rho, loads(_newton(f_df, y_hi)))])
+    res, tol = np.abs(sum(x) - r), KKT_TOL * np.maximum(1.0, r)
+    if not np.all(res <= tol):  # NaN-safe
+        i = int(np.argmax(~(res <= tol)))
         raise BracketFailureError(
-            f"allocation bisection stalled at residual {best_res[i]} > {tol[i]}")
-    return best
+            f"allocation level solve left residual {res[i]} > {tol[i]} at workload {r[i]}")
+    return x
 
 
 def two_class_xstar(r: float, confusion, config: SystemConfig) -> np.ndarray:

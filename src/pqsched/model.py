@@ -51,9 +51,29 @@ __all__ = [
 # |rho - 1| beyond this is flagged as "not really heavy traffic" (a warning,
 # never an error: deliberately overloaded transients are legitimate configs).
 HEAVY_TRAFFIC_BAND = 0.05
-# Newton on a mixture's marginal cost stops after a step of at most this
-# fraction of t, which leaves an error of order its square, below an ulp
+# Newton stops after a step of at most this fraction of t, which leaves an
+# error of order its square, below an ulp
 _NEWTON_RTOL, _NEWTON_MAX_ITER = 2.0 ** -27, 100
+
+
+def _newton(f_df, hi: np.ndarray) -> np.ndarray:
+    """Roots in [0, hi] of increasing f with f(0) <= 0 <= f(hi), elementwise,
+    where f_df(t, i) gives f and f' at t for the entries i of hi: Newton from
+    hi, a step leaving the bracket known so far replaced by its midpoint."""
+    out = np.empty(hi.size)
+    i, lo, t = np.arange(hi.size), np.zeros(hi.size), hi
+    for _ in range(_NEWTON_MAX_ITER):
+        f, df = f_df(t, i)
+        hi, lo = np.where(f > 0.0, t, hi), np.where(f < 0.0, t, lo)
+        step = t - f / df
+        newton = (step >= lo) & (step <= hi)
+        step = np.where(newton, step, 0.5 * (lo + hi))
+        out[i] = step
+        live = np.abs(step - t) > np.where(newton, _NEWTON_RTOL * t, 0.0)
+        i, lo, hi, t = i[live], lo[live], hi[live], step[live]
+        if i.size == 0:
+            break
+    return out
 
 _ROW_SUM_TOL = 1e-12
 
@@ -287,11 +307,11 @@ class MixtureCost:
     C~(t) = sum_k w_k C_k(t) and C~'(t) = sum_k w_k C_k'(t).  When every
     component shares the same power the mixture is itself a monomial with
     coefficient c~ = sum_k w_k c_k (exposed as .coeff), and the marginal cost
-    inverts in closed form.  Otherwise prime_inv runs Newton on an array of
+    inverts in closed form.  Otherwise prime_inv runs _newton on an array of
     levels y from min_k (y / (w_k c_k))^(1/(p_k-1)), above the root since each
     term alone reaches y; C~' is increasing and, for powers >= 2, convex, so
-    the iterates fall monotonically onto the root.  A step leaving the known
-    bracket is replaced by its midpoint, so any power > 1 converges.
+    the iterates fall monotonically onto the root.  _newton's bracket makes
+    any power > 1 converge.  prime2 is C~'', kkt_solve's slope.
     """
 
     def __init__(self, weights: Sequence[float], costs: Sequence[CostFn]):
@@ -310,8 +330,12 @@ class MixtureCost:
     def prime(self, t):
         return sum(w * c.prime(t) for c, w in zip(self.costs, self.weights) if w > 0)
 
-    def prime_inv(self, y, upper=None):
-        """t with C~'(t) = y, elementwise; upper, if given, bounds t from above."""
+    def prime2(self, t):
+        return sum(w * c.coeff * (c.power - 1.0) * np.power(t, c.power - 2.0)
+                   for c, w in zip(self.costs, self.weights) if w > 0)
+
+    def prime_inv(self, y):
+        """t with C~'(t) = y, elementwise."""
         y = np.asarray(y, dtype=float)
         if self.common_power is not None:
             return np.power(y / self.coeff, 1.0 / (self.common_power - 1.0))
@@ -320,22 +344,13 @@ class MixtureCost:
         out = np.zeros(y.size)
         idx = np.flatnonzero(y.reshape(-1) > 0.0)
         level = y.reshape(-1)[idx]
-        hi = np.min([np.power(level / a, 1.0 / q) for a, q in terms], axis=0)
-        if upper is not None:
-            hi = np.minimum(hi, np.asarray(upper, dtype=float).reshape(-1)[idx])
-        lo, t = np.zeros(idx.size), hi
-        for _ in range(_NEWTON_MAX_ITER):
+
+        def f_df(t, i):
             u = [np.power(t, q - 1.0) for _, q in terms]
-            f = t * sum(a * uk for (a, _), uk in zip(terms, u)) - level
-            hi, lo = np.where(f > 0.0, t, hi), np.where(f < 0.0, t, lo)
-            step = t - f / sum(a * q * uk for (a, q), uk in zip(terms, u))
-            newton = (step >= lo) & (step <= hi)
-            step = np.where(newton, step, 0.5 * (lo + hi))
-            out[idx] = step
-            live = np.abs(step - t) > np.where(newton, _NEWTON_RTOL * t, 0.0)
-            idx, level, lo, hi, t = idx[live], level[live], lo[live], hi[live], step[live]
-            if idx.size == 0:
-                break
+            return (t * sum(a * uk for (a, _), uk in zip(terms, u)) - level[i],
+                    sum(a * q * uk for (a, q), uk in zip(terms, u)))
+
+        out[idx] = _newton(f_df, np.min([np.power(level / a, 1.0 / q) for a, q in terms], axis=0))
         return out.reshape(y.shape)[()]
 
 
@@ -347,6 +362,14 @@ def mixture_cost(l: int, params: PredictedClassParams, costs: Sequence[CostFn]) 
 def non_finite(name: str, value, why: str = "must be finite") -> str:
     """The text of a NonFinite error: 'NonFinite: <name> = <value> (<why>)'."""
     return f"NonFinite: {name} = {np.asarray(value).tolist()} ({why})"
+
+
+def _check_finite(numbers: dict, why: str = "must be finite"):
+    """ConfigError naming every field of numbers that holds a NaN or an infinity."""
+    bad = [non_finite(name, value, why) for name, value in numbers.items()
+           if not np.all(np.isfinite(value))]
+    if bad:
+        raise ConfigError("; ".join(bad))
 
 
 def cube_overflow(name: str, rate) -> list:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyClassError, EmptyGridError, EmptyPassError
 from .httheory import bm_workload_paths, stiffness_coefficients, variance_rate
-from .model import Dist, cube_overflow, load_json, non_finite
+from .model import Dist, _check_finite, cube_overflow, load_json
 
 __all__ = [
     "PassingCurves",
@@ -50,14 +50,6 @@ __all__ = [
 
 DEFAULT_SCORE_GRID = 101
 _MONOTONE_TOL = 1e-9
-
-
-def _check_finite(numbers: dict, why: str = "must be finite"):
-    """ConfigError naming every field of numbers that holds a NaN or an infinity."""
-    bad = [non_finite(name, value, why) for name, value in numbers.items()
-           if not np.all(np.isfinite(value))]
-    if bad:
-        raise ConfigError("; ".join(bad))
 
 
 class PassingCurves:
@@ -354,18 +346,27 @@ def total_cost(z, config: TriageConfig, mc: McParams = McParams()) -> TriageDeci
 
 
 def _decisions(z_fl, z_tx, config: TriageConfig, mc: McParams) -> tuple:
-    """(TriageDecision, mask of the points staffed below their passing share)."""
-    params, terms = _design(z_fl, z_tx, config, mc)
-    # where everything is auto-resolved: no reviewers, no labels, no queues
-    passes = params.pass_prob > 0.0
-    _check_staffed(passes & (params.gamma <= 0.0), params.pass_prob, z_fl)
-    gamma = np.where(passes, params.gamma, 0.0)
-    queueing = np.where(passes, gamma * terms["queue"], 0.0)
-    return TriageDecision(
-        z_fl=z_fl[()], z_tx=z_tx[()], gamma=gamma[()], filtering=terms["filtering"][()],
-        hiring=(config.c_r * gamma)[()],
-        misclassification=np.where(passes, terms["misclass"], 0.0)[()],
-        queueing=queueing[()]), terms["understaffed"]
+    """(TriageDecision, mask of the points staffed below their passing share).
+    A cost that overflows the float range at a point staffed at or above its
+    passing share is a ConfigError naming the cost and the point's z_fl."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        params, terms = _design(z_fl, z_tx, config, mc)
+        # where everything is auto-resolved: no reviewers, no labels, no queues
+        passes = params.pass_prob > 0.0
+        _check_staffed(passes & (params.gamma <= 0.0), params.pass_prob, z_fl)
+        gamma = np.where(passes, params.gamma, 0.0)
+        decision = TriageDecision(
+            z_fl=z_fl[()], z_tx=z_tx[()], gamma=gamma[()], filtering=terms["filtering"][()],
+            hiring=(config.c_r * gamma)[()],
+            misclassification=np.where(passes, terms["misclass"], 0.0)[()],
+            queueing=np.where(passes, gamma * terms["queue"], 0.0)[()])
+        costs = {name: np.asarray(getattr(decision, name)) for name in
+                 ("gamma", "filtering", "hiring", "misclassification", "queueing", "total")}
+    for name, value in costs.items():
+        for i in np.flatnonzero(~np.isfinite(value) & ~terms["understaffed"])[:1]:
+            raise ConfigError(f"NonFinite: {name} = {value.flat[i]} at z_fl={z_fl.flat[i]} "
+                              "(overflows the float range)")
+    return decision, terms["understaffed"]
 
 
 def evaluate_grid(config: TriageConfig, z_tx, zfl_grid,

@@ -337,6 +337,20 @@ def test_estimate_threshold_cites_csv_line(runner, tmp_path):
     _assert_one_line_error(result, "line 4: no score to threshold")
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_estimate_non_finite_threshold_is_one_error_line(runner, tmp_path, threshold):
+    # a NaN threshold once sent every score to class 2 and blamed class 1
+    csv_path = tmp_path / "scores.csv"
+    csv_path.write_text("true_class,score\n1,0.9\n2,0.1\n1,0.6\n2,0.3\n")
+    out = tmp_path / "est"
+    result = runner.invoke(main, ["estimate", "--csv", str(csv_path),
+                                  "--threshold", threshold, "--out", str(out)])
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == [f"Error: Invalid value: threshold must be finite, got {float(threshold)!r}"]
+    assert not out.exists()
+
+
 def test_estimate_manifest_records_rows_classes_and_skips(runner, tmp_path):
     # no predicted_class, a blank service time on line 3, three classes
     csv_path = tmp_path / "three.csv"
@@ -578,6 +592,7 @@ def test_overflowing_second_moment_is_one_error_line(tmp_path, command, key):
 MIXED_POWER = {**README_CONFIG, "costs": [{"coeff": 1.0, "power": 2.0},
                                           {"coeff": 10.0, "power": 3.0}]}
 CUBE = "(its cube, a term of the workload variance rate, overflows)"
+OVER = "(overflows the float range)"
 
 
 @pytest.mark.parametrize("command, doc, error", [
@@ -592,6 +607,12 @@ CUBE = "(its cube, a term of the workload variance rate, overflows)"
     # no law with mean 1/Lambda has E[U^2] < 1/Lambda^2
     ("triage", {**TRIAGE_DOC, "alpha_u": 1e-12},
      "alpha_u = 1e-12 is below its law's squared mean 1/Lambda^2 = 4e-10"),
+    # a priced cost term past the float range once wrote inf into triage.csv
+    ("triage", {**TRIAGE_DOC, "alpha_u": 1e300}, f"NonFinite: queueing = inf at z_fl=0.05 {OVER}"),
+    ("triage", {**TRIAGE_DOC, "c_r": 1e308}, f"NonFinite: hiring = inf at z_fl=0.05 {OVER}"),
+    ("triage", {**TRIAGE_DOC, "c_trp": 1e308}, f"NonFinite: filtering = inf at z_fl=0.05 {OVER}"),
+    ("triage", {**TRIAGE_DOC, "delay_costs": [1e308, 1.0]},
+     f"NonFinite: queueing = inf at z_fl=0.05 {OVER}"),
 ])
 def test_out_of_range_moments_are_one_error_line(tmp_path, command, doc, error):
     # a fresh interpreter, so that stderr shows any raw traceback or warning
@@ -604,6 +625,29 @@ def test_out_of_range_moments_are_one_error_line(tmp_path, command, doc, error):
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.splitlines() == [f"Error: {error}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, error", [
+    # the quadratic floor's stderr once overflowed to inf in lower_bound.csv
+    ({**README_CONFIG, "costs": [{"coeff": 1e308, "power": 2.0}, {"coeff": 10.0, "power": 2.0}]},
+     f"NonFinite: jstar_stderr = inf {OVER}; NonFinite: jnaive_stderr = inf {OVER}"),
+    # the KKT solve once printed raw numpy overflow warnings before its error
+    ({**MIXED_POWER, "costs": [{"coeff": 1.0, "power": 2.0}, {"coeff": 1e308, "power": 3.0}]},
+     "allocation level solve left residual"),
+])
+def test_overflowing_cost_floor_is_one_error_line(tmp_path, doc, error):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    env = dict(os.environ, PYTHONPATH=str(Path(pqsched.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "pqsched.cli", "lower-bound", "--config",
+                           str(cfg), "--paths", "20", "--steps", "100", "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    warning, last = proc.stderr.splitlines()
+    assert warning.startswith("warning: HeavyTrafficDeviation: rho = 0.85")
+    assert last.startswith(f"Error: {error}")
     assert not out.exists()
 
 

@@ -80,10 +80,10 @@ def test_row_blocks_do_not_change_the_split(monkeypatch):
     assert np.array_equal(whole.x.sum(axis=-1) == 0.0, rs == 0.0)
 
 
-@pytest.mark.parametrize("r", [1e-8, 1e-4])
+@pytest.mark.parametrize("r", [1e-8, 1e-4, 1e-150, 1e-100, 1e-50, 1e-20, 1e-12, 1.0, 1e4])
 def test_small_workload_marginal_balance(r):
-    # criterion 2's 100 random instances, solved at tiny workloads, where an
-    # absolute root-finding tolerance would swamp the shares
+    # criterion 2's 100 random instances, solved at workloads from tiny to
+    # large, where an absolute root-finding tolerance would swamp the shares
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(100):
@@ -105,7 +105,7 @@ def test_small_workload_marginal_balance(r):
                          * mixture_cost(l, params, cfg.costs).prime(alloc.x[l] / params.rho_tilde[l])
                          for l in range(K)])
         worst = max(worst, (marg.max() - marg.min()) / marg.mean())
-        assert alloc.x.sum() == pytest.approx(r, rel=1e-12)
+        assert alloc.x.sum() == pytest.approx(r, rel=1e-12, abs=0.0)
     assert worst <= 1e-12
 
 
@@ -135,6 +135,29 @@ def test_mixture_prime_inv_newton(powers):
     ref = [reference_kkt.prime_inv(mix, v) for v in y[2:]]
     assert np.allclose(t[2:], ref, rtol=1e-9, atol=1e-14)
     assert np.array_equal(t, [mix.prime_inv(v) for v in y])
+
+
+# prime_inv at levels 1e-12, 1e-8, ..., 1e12, recorded when kkt_solve still
+# bisected on a pivot share; the level solve reuses prime_inv's Newton loop
+# and must not move a bit of it
+_PRIME_INV_BITS = {
+    ((0.3, 0.7), ((2.0, 2.0), (3.0, 3.0))): [
+        1.6666666666569446e-12, 1.6666665694444556e-08, 0.00016656955770522728,
+        0.5618404089023211, 68.86384666241115, 6900.512737759397, 690065.4164852261],
+    ((0.6, 0.4), ((1.0, 1.5), (10.0, 3.0))): [
+        2.777777777777777e-24, 2.777777777777778e-16, 2.7777777776063105e-08,
+        0.3946715860015218, 49.989393398341875, 4999.998939339828, 499999.99989393394],
+    ((0.2, 0.5, 0.3), ((4.0, 2.0), (0.5, 2.5), (2.0, 6.0))): [
+        1.2499995632682019e-12, 1.2499563290859928e-08, 0.00012456554288958266,
+        0.7933884016747424, 6.986844090084503, 44.09300074540271, 278.20808688327253],
+}
+
+
+@pytest.mark.parametrize("weights, costs", list(_PRIME_INV_BITS), ids=["2-3", "1.5-3", "2-2.5-6"])
+def test_mixture_prime_inv_bits_are_pinned(weights, costs):
+    mix = MixtureCost(weights, tuple(CostFn(c, pw) for c, pw in costs))
+    t = mix.prime_inv(np.logspace(-12, 12, 7))
+    assert t.tolist() == _PRIME_INV_BITS[weights, costs]
 
 
 # a cold start: import the package and the CLI, then load a system config
