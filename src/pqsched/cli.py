@@ -186,14 +186,14 @@ def cmd_lower_bound(config_path, paths, steps, seed, out_dir):
         w = ht.bm_workload_paths(v, steps, config.horizon, paths, seed)
     rows = [("variance_rate", v)]
     with np.errstate(all="ignore"), run.timed("cost"):
-        star = ht.jstar(None, config, w)
+        star = ht.jstar(config, w)
         if config.all_quadratic():
             coeffs = ht.quadratic_coefficients(config)
-            naive = ht.jnaive(None, config, w)
+            naive = ht.jnaive(config, w)
             rows += [("jstar_coeff", coeffs.jstar_coeff), ("jnaive_coeff", coeffs.jnaive_coeff),
                      ("jstar_mean", star.mean), ("jstar_stderr", star.stderr),
                      ("jnaive_mean", naive.mean), ("jnaive_stderr", naive.stderr),
-                     ("relative_regret", ht.relative_regret(config.confusion, config))]
+                     ("relative_regret", ht.relative_regret(config))]
         else:
             rows += [("jstar_mean", star.mean), ("jstar_stderr", star.stderr)]
     _check_finite(dict(rows), "overflows the float range")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .engine import PathResult, simulate_block
 from .errors import ConfigError
-from .model import SystemConfig, write_csv
+from .model import SystemConfig, _mean_stderr, write_csv
 from .policies import PolicyRef
 
 __all__ = [
@@ -223,10 +223,10 @@ def _replicate(config: SystemConfig, policies: list, n_paths: int, base_seed: in
     for j, policy in enumerate(policies):
         values, events, open_jobs, open_costs = (  # row i = seed base_seed+i
             np.concatenate([b[j][f] for batches in blocks for b in batches]) for f in range(4))
+        mean, stderr = _mean_stderr(values)
         summaries.append(ReplicationSummary(
             policy_kind=policy.kind, n_paths=n_paths, base_seed=base_seed, charging_rule=rule,
-            grid=eval_times, mean=values.mean(axis=0),
-            stderr=values.std(axis=0, ddof=1) / np.sqrt(n_paths),
+            grid=eval_times, mean=mean, stderr=stderr,
             terminal_costs=values[:, -1].copy(), event_counts=events,
             open_jobs=open_jobs, open_costs=open_costs))
     return summaries
@@ -260,8 +260,8 @@ def paired_gap(a: ReplicationSummary, b: ReplicationSummary) -> tuple[float, flo
     """Mean and standard error of J_a(T) - J_b(T) under common seeds."""
     if a.n_paths != b.n_paths or a.base_seed != b.base_seed:
         raise ConfigError("paired_gap requires summaries from identical seed schedules")
-    diff = a.terminal_costs - b.terminal_costs
-    return float(diff.mean()), float(diff.std(ddof=1) / np.sqrt(len(diff)))
+    mean, stderr = _mean_stderr(a.terminal_costs - b.terminal_costs)
+    return float(mean), float(stderr)
 
 
 def export_summary_csv(summaries, path):

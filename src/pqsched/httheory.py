@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BracketFailureError, ConfigError, NonFiniteMomentError, NonQuadraticError
-from .model import (MixtureCost, PredictedClassParams, SystemConfig, _newton,
-                    derive_predicted_params, mixture_cost)
+from .model import (MixtureCost, PredictedClassParams, SystemConfig, _mean_stderr, _newton,
+                    _shape_mismatch, derive_predicted_params)
 
 __all__ = [
     "workload_variance_rate",
@@ -158,7 +158,7 @@ class Allocation:
     objective: float | np.ndarray
 
 
-def kkt_solve(r, params: PredictedClassParams, costs) -> Allocation:
+def kkt_solve(r, config: SystemConfig) -> Allocation:
     """Workload split equalizing marginal value mu~_l C~'_l(x_l / rho~_l).
 
     At a common level y, x_l(y) = rho~_l prime_inv_l(y / mu~_l), and g(y) =
@@ -171,15 +171,16 @@ def kkt_solve(r, params: PredictedClassParams, costs) -> Allocation:
     r may be an array (x then gains a trailing K axis, objective is per entry);
     NaN, infinite or negative entries are a ConfigError.  The solve runs on
     arrays, _KKT_BLOCK entries at a time; each entry stops on its own step,
-    so no split depends on its batch.  params come from derive_predicted_params,
-    so every predicted label is non-empty (ZeroColumnError otherwise), unlike
-    the one-class limit of the quadratic coefficients.
+    so no split depends on its batch.  The predicted classes come from
+    derive_predicted_params(config), label l priced at MixtureCost(w_.l,
+    config.costs), so every label must be non-empty (ZeroColumnError
+    otherwise), unlike the one-class limit of the quadratic coefficients.
     """
     r_arr = np.asarray(r, dtype=float)
     if not (np.all(np.isfinite(r_arr)) and np.all(r_arr >= 0.0)):
         raise ConfigError("total workload must be finite and nonnegative")
-    K = len(params.rho_tilde)
-    mixes = [mixture_cost(l, params, costs) for l in range(K)]
+    params, K = derive_predicted_params(config), config.n_classes
+    mixes = [MixtureCost(params.mix_weights[:, l], config.costs) for l in range(K)]
     flat = r_arr.reshape(-1)
     x = np.zeros((K, flat.size))
     x[0] = flat  # the whole split when K == 1, and zero where r == 0
@@ -217,7 +218,7 @@ def _level_shares(r: np.ndarray, params: PredictedClassParams,
     return x
 
 
-def two_class_xstar(r: float, confusion, config: SystemConfig) -> np.ndarray:
+def two_class_xstar(r: float, config: SystemConfig) -> np.ndarray:
     """Closed-form split for two predicted classes with quadratic costs.
 
     The balance condition beta_1 x_1 = beta_2 x_2 on the stiffnesses of
@@ -229,7 +230,7 @@ def two_class_xstar(r: float, confusion, config: SystemConfig) -> np.ndarray:
     """
     if config.n_classes != 2:
         raise ConfigError("two_class_xstar needs exactly two classes")
-    inv_beta = 1.0 / quadratic_coefficients(config, confusion).beta  # 0 on an empty label
+    inv_beta = 1.0 / quadratic_coefficients(config).beta  # 0 on an empty label
     x1 = r * (inv_beta[0] / (inv_beta[0] + inv_beta[1]))
     return np.array([x1, r - x1])
 
@@ -251,10 +252,9 @@ class QuadraticCostCoefficients:
     Either coefficient times 1/2 E int W(t)^2 dt is the expected integrated
     cost of the corresponding splitting rule under quadratic delay costs.
 
-    Shapes: for one K x K confusion matrix beta and beta_naive are (K,) and
-    the coefficients are scalars; for a stack of shape (..., K, K) they are
-    (..., K) and (...).  A label that is never predicted has beta =
-    beta_naive = inf (see stiffness_coefficients).
+    They price one config under its own K x K confusion matrix: beta and
+    beta_naive are (K,) and the coefficients are scalars.  A label that is
+    never predicted has beta = beta_naive = inf (see stiffness_coefficients).
     """
 
     beta: np.ndarray
@@ -301,7 +301,7 @@ def stiffness_coefficients(lam, p, mu, c, q) -> tuple:
     return inv_beta, inv_naive, 1.0 / (lam * u.sum(axis=-1)), jnaive.sum(axis=-1), c_mix
 
 
-def _confusions(q, k: int, what: str = "confusion") -> np.ndarray:
+def _confusions(q, k: int, what: str) -> np.ndarray:
     """q, a ConfusionMatrix or array, as floats of shape (..., k, k), else a ConfigError."""
     q = np.asarray(getattr(q, "entries", q), dtype=float)
     if q.shape[-2:] != (k, k):
@@ -309,15 +309,21 @@ def _confusions(q, k: int, what: str = "confusion") -> np.ndarray:
     return q
 
 
-def quadratic_coefficients(config: SystemConfig, confusion=None) -> QuadraticCostCoefficients:
-    """Coefficients of config under its own classifier, or under confusion:
-    one K x K matrix, or a stack of shape (..., K, K) priced in one pass."""
+def _stiffness(config: SystemConfig, q) -> tuple:
+    """stiffness_coefficients of config's quadratic costs under confusion
+    matrices q of shape (..., K, K)."""
     if not config.all_quadratic():
         raise NonQuadraticError("coefficient formulas require power-2 costs")
-    q = _confusions(config.confusion if confusion is None else confusion, config.n_classes)
-    inv_beta, inv_naive, jstar_coeff, jnaive_coeff, _ = stiffness_coefficients(
-        config.lam, config.prevalences, config.service_rates,
-        np.array([fn.coeff for fn in config.costs]), q)
+    for mismatch in _shape_mismatch(config):
+        raise ConfigError(mismatch)
+    return stiffness_coefficients(config.lam, config.prevalences, config.service_rates,
+                                  np.array([fn.coeff for fn in config.costs]), q)
+
+
+def quadratic_coefficients(config: SystemConfig) -> QuadraticCostCoefficients:
+    """Coefficients of config under its own classifier."""
+    inv_beta, inv_naive, jstar_coeff, jnaive_coeff, _ = _stiffness(
+        config, config.confusion.entries)
     with np.errstate(divide="ignore"):
         return QuadraticCostCoefficients(beta=1.0 / inv_beta, beta_naive=1.0 / inv_naive,
                                          jstar_coeff=jstar_coeff[()],
@@ -334,37 +340,34 @@ class JEstimate:
 
 
 def _estimate(per_path: np.ndarray) -> JEstimate:
-    n = len(per_path)
-    stderr = float(per_path.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return JEstimate(per_path=per_path, mean=float(per_path.mean()), stderr=stderr)
+    mean, stderr = _mean_stderr(per_path)
+    return JEstimate(per_path=per_path, mean=float(mean), stderr=float(stderr))
 
 
-def jstar(confusion, config: SystemConfig, w_paths: WorkloadPathSet) -> JEstimate:
-    """Expected integrated cost of the optimal workload split along W paths:
-    the quadratic closed form when every cost is quadratic, else kkt_solve at
-    every grid point (any convex costs; every predicted label non-empty)."""
+def jstar(config: SystemConfig, w_paths: WorkloadPathSet) -> JEstimate:
+    """Expected integrated cost of config's optimal workload split along W
+    paths: the quadratic closed form when every cost is quadratic, else
+    kkt_solve at every grid point (any convex costs; every predicted label
+    non-empty).  Another classifier is priced as config.with_confusion(q)."""
     if config.all_quadratic():
-        coeff = quadratic_coefficients(config, confusion).jstar_coeff
-        return _estimate(coeff * 0.5 * w_paths.integral_sq())
-    cfg = config if confusion is None else config.with_confusion(confusion)
-    params, dt = derive_predicted_params(cfg), np.diff(w_paths.grid)
-    return _estimate(np.concatenate([kkt_solve(w[:, :-1], params, cfg.costs).objective @ dt
+        return _estimate(quadratic_coefficients(config).jstar_coeff * 0.5 * w_paths.integral_sq())
+    dt = np.diff(w_paths.grid)
+    return _estimate(np.concatenate([kkt_solve(w[:, :-1], config).objective @ dt
                                      for w in w_paths.blocks()]))  # left endpoints
 
 
-def jnaive(confusion, config: SystemConfig, w_paths: WorkloadPathSet) -> JEstimate:
+def jnaive(config: SystemConfig, w_paths: WorkloadPathSet) -> JEstimate:
     """Integrated cost when workload is split by label-only stiffness but
     charged at the true mixture costs (quadratic only)."""
-    coeff = quadratic_coefficients(config, confusion).jnaive_coeff
-    return _estimate(coeff * 0.5 * w_paths.integral_sq())
+    return _estimate(quadratic_coefficients(config).jnaive_coeff * 0.5 * w_paths.integral_sq())
 
 
-def relative_regret(confusion, config: SystemConfig) -> float:
-    """jstar coefficient under this classifier over the perfect-classifier
-    coefficient.  >= 1, equal to 1 iff the classifier costs nothing; the W
-    factor cancels, so the ratio needs no simulation."""
-    num = quadratic_coefficients(config, confusion).jstar_coeff
-    den = quadratic_coefficients(config, np.eye(config.n_classes)).jstar_coeff
+def relative_regret(config: SystemConfig) -> float:
+    """jstar coefficient of config over that of config.with_confusion(I), the
+    perfect classifier.  >= 1, equal to 1 iff the classifier costs nothing;
+    the W factor cancels, so the ratio needs no simulation."""
+    num = quadratic_coefficients(config).jstar_coeff
+    den = quadratic_coefficients(config.with_confusion(np.eye(config.n_classes))).jstar_coeff
     return float(num / den)
 
 
@@ -379,14 +382,14 @@ class RankedModel:
 def rank_models(models: Sequence[tuple], config: SystemConfig) -> list:
     """Order candidate confusion matrices by scheduling regret (ascending).
 
-    models is a sequence of (name, confusion) pairs, priced as one stack.
-    Sorting is stable, so exact ties keep input order.
+    models is a sequence of (name, confusion) pairs, priced under config as
+    one stack.  Sorting is stable, so exact ties keep input order.
     """
     k = config.n_classes
     stack = np.array([_confusions(q, k, f"candidate {name!r}") for name, q in models]
                      or np.empty((0, k, k)))
-    coeffs = quadratic_coefficients(config, stack)
-    regret = coeffs.jstar_coeff / quadratic_coefficients(config, np.eye(k)).jstar_coeff
-    return [RankedModel(str(models[i][0]), float(regret[i]), float(coeffs.jstar_coeff[i]),
-                        float(coeffs.jnaive_coeff[i]))
+    _, _, jstar_coeff, jnaive_coeff, _ = _stiffness(config, stack)
+    regret = jstar_coeff / _stiffness(config, np.eye(k))[2]
+    return [RankedModel(str(models[i][0]), float(regret[i]), float(jstar_coeff[i]),
+                        float(jnaive_coeff[i]))
             for i in np.argsort(regret, kind="stable")]

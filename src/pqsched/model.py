@@ -40,7 +40,6 @@ __all__ = [
     "MixtureCost",
     "ValidationReport",
     "derive_predicted_params",
-    "mixture_cost",
     "validate_config",
     "config_to_json",
     "config_from_json",
@@ -276,9 +275,13 @@ class PredictedClassParams:
 def derive_predicted_params(config: SystemConfig) -> PredictedClassParams:
     """Derive the predicted-class primitives from (lam, p, mu, Q).
 
-    Raises ZeroColumnError if some predicted label has no arrival mass
-    (sum_k p_k q_kl = 0), which would make its service law undefined.
+    Raises a ConfigError (ShapeMismatch) if the class counts of the config's
+    fields disagree, and ZeroColumnError if some predicted label has no
+    arrival mass (sum_k p_k q_kl = 0), which would make its service law
+    undefined.
     """
+    for mismatch in _shape_mismatch(config):
+        raise ConfigError(mismatch)
     q = config.confusion.entries
     p = config.prevalences
     mu = config.service_rates
@@ -354,9 +357,15 @@ class MixtureCost:
         return out.reshape(y.shape)[()]
 
 
-def mixture_cost(l: int, params: PredictedClassParams, costs: Sequence[CostFn]) -> MixtureCost:
-    """The effective delay cost C~_l of predicted class l under posterior weights w_.l."""
-    return MixtureCost(params.mix_weights[:, l], costs)
+def _mean_stderr(x: np.ndarray) -> tuple:
+    """Mean and standard error (0 for one row) of x along axis 0, taken on
+    x / 2**e, e the binary exponent of each column's largest |x|, and scaled
+    back: a power of two moves no bit short of a subnormal, and squaring the
+    deviations cannot overflow where the values do not."""
+    e = np.frexp(np.max(np.abs(x), axis=0))[1]
+    x, n = np.ldexp(x, -e), len(x)
+    stderr = x.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(x[0])
+    return np.ldexp(x.mean(axis=0), e), np.ldexp(stderr, e)
 
 
 def non_finite(name: str, value, why: str = "must be finite") -> str:
@@ -399,6 +408,15 @@ class ValidationReport:
             raise ConfigError("; ".join(self.errors))
 
 
+def _shape_mismatch(config: SystemConfig) -> list:
+    """[its ShapeMismatch error] if the class counts of config's fields disagree, else []."""
+    k, n_mu, n_c, n_q = (config.n_classes, len(config.service_rates), len(config.costs),
+                         config.confusion.n_classes)
+    return [] if n_mu == n_c == n_q == k else [
+        f"ShapeMismatch: prevalences({k}), service_rates({n_mu}), costs({n_c}), "
+        f"confusion({n_q}) disagree"]
+
+
 def validate_config(config: SystemConfig) -> ValidationReport:
     """Check every type invariant; report, never raise.
 
@@ -411,14 +429,8 @@ def validate_config(config: SystemConfig) -> ValidationReport:
     ShapeMismatch.  |rho-1| > 0.05 is a warning
     (HeavyTrafficDeviation), since overloaded transients are legitimate.
     """
-    rep = ValidationReport()
-    k = config.n_classes
-
-    if len(config.service_rates) != k or len(config.costs) != k or config.confusion.n_classes != k:
-        rep.errors.append(
-            f"ShapeMismatch: prevalences({k}), service_rates({len(config.service_rates)}), "
-            f"costs({len(config.costs)}), confusion({config.confusion.n_classes}) disagree"
-        )
+    rep = ValidationReport(errors=_shape_mismatch(config))
+    if rep.errors:
         return rep
 
     numbers = {"lambda": config.lam, "prevalences": config.prevalences,

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .model import SystemConfig, derive_predicted_params, mixture_cost
+from .model import MixtureCost, SystemConfig, derive_predicted_params
 
 __all__ = [
     "POLICY_KINDS",
@@ -85,10 +85,10 @@ class PolicyRef:
 
     @classmethod
     def for_config(cls, kind: str, config: SystemConfig) -> "PolicyRef":
-        """Resolve `kind` on `config`, deriving the predicted-class primitives
-        from it for naive and pcmu.  The engine needs an index that does not
-        decrease in n, so an index kind refuses a cost of power < 1 or a
-        negative coefficient."""
+        """Resolve `kind` on `config` alone: naive and pcmu derive the
+        predicted-class primitives from it, pcmu each label's MixtureCost.  The
+        engine needs an index that does not decrease in n, so an index kind
+        refuses a cost of power < 1 or a negative coefficient."""
         if kind not in POLICY_KINDS:
             raise ConfigError(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
         if kind == "fcfs":
@@ -105,7 +105,7 @@ class PolicyRef:
             lam_eff, mu_eff = params.lambda_tilde, params.mu_tilde
         costs, powers = config.costs, {c.power for c in config.costs}
         if kind == "pcmu":
-            costs = [mixture_cost(l, params, costs) for l in range(config.n_classes)]
+            costs = [MixtureCost(params.mix_weights[:, l], costs) for l in range(config.n_classes)]
             powers = {m.common_power for m in costs}
         if len(powers) == 1 and None not in powers:
             p = powers.pop()

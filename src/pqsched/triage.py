@@ -209,7 +209,6 @@ class McParams:
     n_paths: int = 2000
     n_steps: int = 400
     seed: int = 0
-    horizon: float = 1.0
 
 
 def _check_thresholds(z) -> tuple:
@@ -282,9 +281,9 @@ def _design(z_fl, z_tx, config: TriageConfig, mc: Optional[McParams] = None) -> 
         variance = variance_rate(L, p_mix, mu, config.alpha_u, config.alpha_v, q_split)
         _, _, coeff, _, c_mix = stiffness_coefficients(lam_r, p_mix, mu, c, q)
     if mc is not None:
-        # mean int W^2 dt over unit-variance RBM paths: reflection commutes with
-        # the sqrt(v) scaling, so one draw serves every threshold
-        paths = bm_workload_paths(1.0, mc.n_steps, mc.horizon, mc.n_paths, mc.seed)
+        # mean int_0^1 W^2 dt over unit-variance RBM paths: reflection commutes
+        # with the sqrt(v) scaling, so one draw serves every threshold
+        paths = bm_workload_paths(1.0, mc.n_steps, 1.0, mc.n_paths, mc.seed)
         base = float(paths.integral_sq().mean())
         terms["queue"] = coeff * 0.5 * variance * base
     params = ReviewerParams(z_fl=z_fl[()], z_tx=z_tx[()], gamma=gamma[()], lam_r=lam_r[()],

@@ -4,8 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pqsched import (ConfusionMatrix, CostFn, SystemConfig, WorkloadPathSet,
-                     derive_predicted_params, kkt_solve)
+from pqsched import ConfusionMatrix, CostFn, SystemConfig, WorkloadPathSet, kkt_solve
 
 
 def exact_int_w2(path) -> float:
@@ -66,13 +65,11 @@ def stack(w: WorkloadPathSet) -> np.ndarray:
     return np.concatenate([block.copy() for block in w.blocks()])
 
 
-def kkt_per_path(config: SystemConfig, w: WorkloadPathSet, confusion=None) -> np.ndarray:
+def kkt_per_path(config: SystemConfig, w: WorkloadPathSet) -> np.ndarray:
     """Per path of w, the left-Riemann integral of the KKT split's cost:
     kkt_solve at every grid point, block by block, whatever the cost powers."""
-    cfg = config if confusion is None else config.with_confusion(confusion)
-    params, dt = derive_predicted_params(cfg), np.diff(w.grid)
-    return np.concatenate([kkt_solve(b[:, :-1], params, cfg.costs).objective @ dt
-                           for b in w.blocks()])
+    dt = np.diff(w.grid)
+    return np.concatenate([kkt_solve(b[:, :-1], config).objective @ dt for b in w.blocks()])
 
 
 def reviewer_system_config(params, config, horizon: float = 1.0):

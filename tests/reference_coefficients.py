@@ -3,7 +3,7 @@
 This is the per-config `quadratic_coefficients` pqsched used to ship, copied
 unchanged: it derives the predicted-class primitives of one `SystemConfig`
 (`derive_predicted_params`) and takes each label's mixture cost from
-`mixture_cost`, so it shares no algebra with
+`MixtureCost`, so it shares no algebra with
 `pqsched.httheory.stiffness_coefficients`.  Like the old code, it raises
 `ZeroColumnError` when a predicted label is empty.
 
@@ -19,10 +19,10 @@ import numpy as np
 from pqsched.errors import NonQuadraticError
 from pqsched.httheory import QuadraticCostCoefficients
 from pqsched.model import (
+    MixtureCost,
     PredictedClassParams,
     SystemConfig,
     derive_predicted_params,
-    mixture_cost,
 )
 
 
@@ -33,7 +33,8 @@ def quadratic_coefficients(config: SystemConfig,
         raise NonQuadraticError("coefficient formulas require power-2 costs")
     if params is None:
         params = derive_predicted_params(config)
-    c_mix = [mixture_cost(l, params, config.costs).coeff for l in range(len(params.rho_tilde))]
+    c_mix = [MixtureCost(params.mix_weights[:, l], config.costs).coeff
+             for l in range(len(params.rho_tilde))]
     beta = params.mu_tilde * np.array(c_mix) / params.rho_tilde
     beta_naive = params.mu_tilde * np.array([fn.coeff for fn in config.costs]) / params.rho_tilde
     inv = 1.0 / beta

@@ -44,6 +44,7 @@ from pqsched import (
     CostFn,
     Curves,
     EventOverflowError,
+    MixtureCost,
     PqschedError,
     PathResult,
     PredictedClassParams,
@@ -51,7 +52,6 @@ from pqsched import (
     SystemConfig,
     TRUNCATE_AT_HORIZON,
     derive_predicted_params,
-    mixture_cost,
     run_paths,
 )
 from pqsched.policies import POLICY_KINDS
@@ -66,7 +66,7 @@ class OracleUnavailableError(PqschedError):
 def pcmu_index(l: int, counts, params: PredictedClassParams, costs: Sequence[CostFn]) -> float:
     """mu~_l * C~_l'(N~_l / lam~_l) for predicted class l; counts are per predicted class."""
     n = counts[l]
-    mix = mixture_cost(l, params, costs)
+    mix = MixtureCost(params.mix_weights[:, l], costs)
     return float(params.mu_tilde[l] * mix.prime(n / params.lambda_tilde[l]))
 
 
@@ -135,7 +135,7 @@ class RefPolicy:
                 powers = {c.power for c in config.costs}
                 coeffs = [c.coeff for c in config.costs]
             else:  # pcmu
-                mixes = [mixture_cost(l, params, config.costs) for l in range(k)]
+                mixes = [MixtureCost(params.mix_weights[:, l], config.costs) for l in range(k)]
                 primes = tuple(m.prime for m in mixes)
                 powers = {m.common_power for m in mixes}
                 coeffs = [m.coeff for m in mixes]

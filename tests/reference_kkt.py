@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from pqsched import Allocation, BracketFailureError, ConfigError
-from pqsched.model import MixtureCost, PredictedClassParams, mixture_cost
+from pqsched.model import MixtureCost, PredictedClassParams
 
 KKT_TOL = 1e-10
 _KKT_MAX_ITER = 200
@@ -59,7 +59,7 @@ def kkt_solve(r: float, params: PredictedClassParams, costs) -> Allocation:
     K = len(params.rho_tilde)
     if r == 0.0:
         return Allocation(r=0.0, x=np.zeros(K), objective=0.0)
-    mixes = [mixture_cost(l, params, costs) for l in range(K)]
+    mixes = [MixtureCost(params.mix_weights[:, l], costs) for l in range(K)]
     if K == 1:
         x = np.array([r], dtype=float)
         return Allocation(r=r, x=x, objective=_allocation_objective(x, params, mixes))

@@ -150,10 +150,10 @@ def reviewer_queue_cost(z, config: TriageConfig, mc: McParams = McParams()) -> f
     per-reviewer variance rate.
     """
     params = reviewer_params(z, config)
-    cfg = reviewer_system_config(params, config, horizon=mc.horizon)
+    cfg = reviewer_system_config(params, config, horizon=1.0)
     coeff = quadratic_coefficients(cfg).jstar_coeff
     v = reviewer_variance_rate(params.z_fl, config)
-    base = _unit_rbm_mean_isq(mc.n_paths, mc.n_steps, mc.seed, mc.horizon)
+    base = _unit_rbm_mean_isq(mc.n_paths, mc.n_steps, mc.seed, 1.0)
     return coeff * 0.5 * v * base
 
 

@@ -14,6 +14,7 @@ from pqsched import (
     ConfusionMatrix,
     CostFn,
     McParams,
+    MixtureCost,
     PassingCurves,
     SystemConfig,
     TriageConfig,
@@ -35,7 +36,6 @@ from pqsched import (
     workload_variance_rate,
 )
 from pqsched.cli import main as cli_main
-from pqsched.model import mixture_cost
 from helpers import exact_int_w2, kkt_per_path, reviewer_system_config, ten_class_config
 
 
@@ -74,7 +74,7 @@ def test_criterion_01_policy_ordering():
 
 def _grid_minimizer(r, params, costs, final_step_frac=1e-4):
     K = len(params.rho_tilde)
-    mixes = [mixture_cost(l, params, costs) for l in range(K)]
+    mixes = [MixtureCost(params.mix_weights[:, l], costs) for l in range(K)]
     lam_t, rho_t = params.lambda_tilde, params.rho_tilde
 
     def obj(X):
@@ -119,10 +119,10 @@ def test_criterion_02_kkt_vs_brute_force():
             confusion=ConfusionMatrix(Q))
         params = derive_predicted_params(cfg)
         r = rng.uniform(0.2, 3.0)
-        alloc = kkt_solve(r, params, cfg.costs)
+        alloc = kkt_solve(r, cfg)
         xg = _grid_minimizer(r, params, cfg.costs)
         worst_dx = max(worst_dx, np.max(np.abs(alloc.x - xg)) / (1e-4 * r))
-        mixes = [mixture_cost(l, params, cfg.costs) for l in range(K)]
+        mixes = [MixtureCost(params.mix_weights[:, l], cfg.costs) for l in range(K)]
         marg = np.array([params.mu_tilde[l]
                          * mixes[l].prime(alloc.x[l] / params.rho_tilde[l])
                          for l in range(K)])
@@ -144,11 +144,11 @@ def test_criterion_03_two_class_closed_form():
                        costs=(CostFn(1.0), CostFn(10.0)),
                        confusion=ConfusionMatrix.identity(2), horizon=1.0)
     target = np.array([0.51724, 0.48276])
-    x_closed = two_class_xstar(1.0, None, cfg)
-    x_kkt = kkt_solve(1.0, derive_predicted_params(cfg), cfg.costs).x
+    x_closed = two_class_xstar(1.0, cfg)
+    x_kkt = kkt_solve(1.0, cfg).x
     err = max(np.max(np.abs(x_closed - target)), np.max(np.abs(x_kkt - target)))
     # one-sided miss: slow-class jobs leak into the fast label
-    x_miss = two_class_xstar(1.0, [[1.0, 0.0], [0.1, 0.9]], cfg)
+    x_miss = two_class_xstar(1.0, cfg.with_confusion([[1.0, 0.0], [0.1, 0.9]]))
     ok = err <= 1e-5 and x_miss[0] < x_closed[0]
     assert _verdict(ok, 3, (
         f"x*(1; I) = ({x_closed[0]:.6f}, {x_closed[1]:.6f}) from closed form "
@@ -168,7 +168,7 @@ def test_criterion_04_quadratic_identities():
                        horizon=1.0)
     w = bm_workload_paths(2.0, 400, 1.0, 200, seed=11)
     general = kkt_per_path(cfg, w)
-    fast = jstar(None, cfg, w).per_path
+    fast = jstar(cfg, w).per_path
     path_dev = float(np.max(np.abs(general - fast)))
 
     rng = np.random.default_rng(2024)
@@ -340,7 +340,7 @@ def test_criterion_08_model_selection_fidelity():
 
     accs = (0.99, 0.95, 0.85)
     qs = [ConfusionMatrix([[a, 1 - a], [1 - a, a]]) for a in accs]
-    regrets = [relative_regret(q, build(q)) for q in qs]
+    regrets = [relative_regret(build(q)) for q in qs]
     separated = all(b / a >= 1.05 for a, b in zip(regrets, regrets[1:]))
 
     n = 400
@@ -381,7 +381,7 @@ def _triage(c_trp, c_r):
 
 def test_criterion_09_triage_shapes():
     zgrid = np.linspace(0.05, 0.48, 30)
-    mc = McParams(n_paths=2000, n_steps=400, seed=0, horizon=1.0)
+    mc = McParams(n_paths=2000, n_steps=400, seed=0)
     totals = {}
     for name, cfg in (("i", _triage(200.0, 800.0)),
                       ("ii", _triage(20.0, 8000.0)),
@@ -397,8 +397,10 @@ def test_criterion_09_triage_shapes():
     # one reviewer's critically loaded queue near the setting-(iii) optimum
     cfg3 = _triage(20.0, 800.0)
     z = (0.376, 0.5)
-    d = total_cost(z, cfg3, McParams(n_paths=4000, n_steps=2000, seed=17, horizon=10.0))
-    rbm = d.queueing / d.gamma
+    # queueing is a rate at t = 1; the driftless RBM's Brownian scaling gives
+    # E int_0^T W^2 dt = T^2 E int_0^1 W^2 dt for the DES horizon T = 10
+    d = total_cost(z, cfg3, McParams(n_paths=4000, n_steps=2000, seed=17))
+    rbm = 10.0 ** 2 * d.queueing / d.gamma
     sys_cfg = reviewer_system_config(reviewer_params(z, cfg3), cfg3, horizon=10.0)
     assert abs(sys_cfg.rho - 1.0) < 1e-9
     n = 1200

@@ -180,7 +180,7 @@ def test_lower_bound_outputs(runner, tmp_path, config_path):
     assert table["jstar_coeff"] == pytest.approx(coeffs.jstar_coeff, rel=1e-12)
     assert table["jnaive_coeff"] == pytest.approx(coeffs.jnaive_coeff, rel=1e-12)
     assert table["relative_regret"] == pytest.approx(
-        relative_regret(cfg.confusion, cfg), rel=1e-12)
+        relative_regret(cfg), rel=1e-12)
     assert table["jstar_mean"] > 0.0
     assert table["jnaive_mean"] >= table["jstar_mean"]
     assert _manifest(out)["grids"] == {"n_steps": 120}
@@ -629,9 +629,10 @@ def test_out_of_range_moments_are_one_error_line(tmp_path, command, doc, error):
 
 
 @pytest.mark.parametrize("doc, error", [
-    # the quadratic floor's stderr once overflowed to inf in lower_bound.csv
-    ({**README_CONFIG, "costs": [{"coeff": 1e308, "power": 2.0}, {"coeff": 10.0, "power": 2.0}]},
-     f"NonFinite: jstar_stderr = inf {OVER}; NonFinite: jnaive_stderr = inf {OVER}"),
+    # per-path costs past the float range once wrote inf into lower_bound.csv
+    ({**README_CONFIG, "costs": [{"coeff": 1e308, "power": 2.0}, {"coeff": 10.0, "power": 2.0}],
+      "horizon": 100.0},
+     f"NonFinite: jstar_mean = inf {OVER}"),
     # the KKT solve once printed raw numpy overflow warnings before its error
     ({**MIXED_POWER, "costs": [{"coeff": 1.0, "power": 2.0}, {"coeff": 1e308, "power": 3.0}]},
      "allocation level solve left residual"),
@@ -649,6 +650,26 @@ def test_overflowing_cost_floor_is_one_error_line(tmp_path, doc, error):
     assert warning.startswith("warning: HeavyTrafficDeviation: rho = 0.85")
     assert last.startswith(f"Error: {error}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {**MIXED_POWER, "costs": [{"coeff": 1.0, "power": 2.0}, {"coeff": 1e200, "power": 3.0}]},
+    {**README_CONFIG, "costs": [{"coeff": 1e308, "power": 2.0}, {"coeff": 10.0, "power": 2.0}]},
+], ids=["mixed-1e200", "quadratic-1e308"])
+def test_huge_but_finite_cost_floor_is_written(tmp_path, doc):
+    # squaring per-path costs past 1e154 once overflowed the standard error
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    env = dict(os.environ, PYTHONPATH=str(Path(pqsched.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "pqsched.cli", "lower-bound", "--config",
+                           str(cfg), "--paths", "8", "--steps", "100", "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.startswith("warning: HeavyTrafficDeviation") and "Warning" not in proc.stderr
+    table = {name: float(value) for name, value in _read_csv(out / "lower_bound.csv")[1:]}
+    assert all(np.isfinite(v) for v in table.values())
+    assert table["jstar_mean"] > 1e150 and table["jstar_stderr"] > 0.0
 
 
 @pytest.mark.parametrize("spec", ["0.1:inf:3", "nan:0.4:3", "-inf:0.4:2"])

@@ -22,6 +22,7 @@ from pqsched import (
     relative_regret,
     two_class_xstar,
 )
+from pqsched.httheory import stiffness_coefficients
 from conftest import make_two_class
 from helpers import kkt_per_path
 import reference_coefficients as ref
@@ -65,15 +66,22 @@ def _close(new, old):
 @given(systems())
 def test_kernel_matches_reference(system):
     config, stack = system
-    stacked = quadratic_coefficients(config, stack)
+    inv_beta, inv_naive, jstar_coeff, jnaive_coeff, _ = stiffness_coefficients(
+        config.lam, config.prevalences, config.service_rates,
+        np.array([fn.coeff for fn in config.costs]), stack)
+    stacked = dict(zip(FIELDS, (1.0 / inv_beta, 1.0 / inv_naive, jstar_coeff, jnaive_coeff)))
+    ranked = {m.name: m for m in rank_models([(str(i), q) for i, q in enumerate(stack)], config)}
     for i, q in enumerate(stack):
         want = ref.quadratic_coefficients(config.with_confusion(q))
-        single = quadratic_coefficients(config, q)
+        single = quadratic_coefficients(config.with_confusion(q))
         for field in FIELDS:
             assert _close(getattr(single, field), getattr(want, field)), field
             # a matrix's coefficients do not depend on the stack it is priced in
-            assert np.array_equal(getattr(stacked, field)[i], getattr(single, field)), field
-        assert np.ndim(single.jstar_coeff) == 0 and stacked.jstar_coeff.shape == (len(stack),)
+            assert np.array_equal(stacked[field][i], getattr(single, field)), field
+        m = ranked[str(i)]
+        assert (m.jstar_coeff, m.jnaive_coeff) == (single.jstar_coeff, single.jnaive_coeff)
+        assert m.relative_regret == relative_regret(config.with_confusion(q))
+        assert np.ndim(single.jstar_coeff) == 0 and jstar_coeff.shape == (len(stack),)
 
 
 def test_rank_models_matches_reference_on_benchmark_candidates():
@@ -103,27 +111,29 @@ NEAR = {1: ((1.0, 0.0), (1.0 - 1e-9, 1e-9)), 0: ((1e-9, 1.0 - 1e-9), (0.0, 1.0))
 @pytest.mark.parametrize("dead", [0, 1])
 def test_dead_label_takes_the_one_class_limit(dead, two_class_config):
     q, near = ConfusionMatrix(DEAD[dead]), ConfusionMatrix(NEAR[dead])
-    regret = relative_regret(q, two_class_config)
+    at_dead = two_class_config.with_confusion(q)
+    regret = relative_regret(at_dead)
     assert np.isfinite(regret) and regret >= 1.0
-    assert regret == pytest.approx(relative_regret(near, two_class_config), rel=1e-6)
+    assert regret == pytest.approx(relative_regret(two_class_config.with_confusion(near)),
+                                   rel=1e-6)
     ranked = {m.name: m for m in rank_models([("dead", q), ("near", near)], two_class_config)}
     assert ranked["dead"].relative_regret == pytest.approx(regret, rel=RTOL)
     for field in ("relative_regret", "jstar_coeff", "jnaive_coeff"):
         at, beside = getattr(ranked["dead"], field), getattr(ranked["near"], field)
         assert np.isfinite(at) and at == pytest.approx(beside, rel=1e-6), field
-    coeffs = quadratic_coefficients(two_class_config, q)
+    coeffs = quadratic_coefficients(at_dead)
     assert coeffs.beta[dead] == np.inf and coeffs.beta_naive[dead] == np.inf
     # the empty label gets no work
-    split = two_class_xstar(2.5, q, two_class_config)
+    split = two_class_xstar(2.5, at_dead)
     assert split.tolist() == ([0.0, 2.5] if dead == 0 else [2.5, 0.0])
 
 
 def test_dead_label_still_fails_where_its_service_law_is_needed(two_class_config):
     w = bm_workload_paths(0.4, n_steps=100, horizon=1.0, n_paths=4, seed=1)
-    q = ConfusionMatrix(DEAD[1])
-    assert np.isfinite(jstar(q, two_class_config, w).mean)
+    at_dead = two_class_config.with_confusion(DEAD[1])
+    assert np.isfinite(jstar(at_dead, w).mean)
     with pytest.raises(ZeroColumnError):   # the KKT route needs the label's service law
-        kkt_per_path(two_class_config, w, q)
+        kkt_per_path(at_dead, w)
 
 
 def test_dead_label_in_a_three_class_system():
@@ -133,9 +143,9 @@ def test_dead_label_in_a_three_class_system():
     q = np.array([[0.8, 0.0, 0.2], [0.1, 0.0, 0.9], [0.3, 0.0, 0.7]])
     near = q.copy()
     near[0, :2] = (0.8 - 1e-9, 1e-9)
-    coeffs = quadratic_coefficients(cfg, np.stack([q, near]))
+    coeffs = quadratic_coefficients(cfg.with_confusion(q))
     want = ref.quadratic_coefficients(cfg.with_confusion(near))
-    assert coeffs.beta[0, 1] == np.inf and coeffs.beta_naive[0, 1] == np.inf
+    assert coeffs.beta[1] == np.inf and coeffs.beta_naive[1] == np.inf
     for field in FIELDS:
-        at, beside = getattr(coeffs, field)[0], getattr(want, field)
+        at, beside = getattr(coeffs, field), getattr(want, field)
         assert np.allclose(1.0 / at, 1.0 / beside, rtol=1e-6, atol=1e-9), field

@@ -11,15 +11,16 @@ from pqsched import (
     ConfigError,
     ConfusionMatrix,
     CostFn,
+    MixtureCost,
     NonFiniteMomentError,
     NonQuadraticError,
+    PolicyRef,
     WorkloadPathSet,
     bm_workload_paths,
     derive_predicted_params,
     jnaive,
     jstar,
     kkt_solve,
-    mixture_cost,
     quadratic_coefficients,
     rank_models,
     relative_regret,
@@ -219,14 +220,13 @@ def test_integral_sq_left_riemann():
 
 # -------------------------------------------------------------- KKT solve
 
-def _params_costs(cfg):
+def _mixes(cfg):
     params = derive_predicted_params(cfg)
-    return params, cfg.costs
+    return params, [MixtureCost(params.mix_weights[:, l], cfg.costs) for l in range(cfg.n_classes)]
 
 
 def test_kkt_zero_budget(two_class_config):
-    params, costs = _params_costs(two_class_config)
-    alloc = kkt_solve(0.0, params, costs)
+    alloc = kkt_solve(0.0, two_class_config)
     assert np.allclose(alloc.x, 0.0)
     assert alloc.objective == 0.0
     assert alloc.r == 0.0
@@ -235,8 +235,7 @@ def test_kkt_zero_budget(two_class_config):
 def test_kkt_single_class():
     cfg = make_two_class(lam=2.0, prevalences=(1.0,), service_rates=(2.0,),
                          costs=(CostFn(3.0),), confusion=((1.0,),))
-    params, costs = _params_costs(cfg)
-    alloc = kkt_solve(1.7, params, costs)
+    alloc = kkt_solve(1.7, cfg)
     assert alloc.x == pytest.approx([1.7])
 
 
@@ -244,8 +243,7 @@ def test_kkt_symmetric_split():
     cfg = make_two_class(prevalences=(0.5, 0.5), service_rates=(1.0, 1.0),
                          costs=(CostFn(2.0), CostFn(2.0)),
                          confusion=((0.7, 0.3), (0.3, 0.7)))
-    params, costs = _params_costs(cfg)
-    alloc = kkt_solve(1.0, params, costs)
+    alloc = kkt_solve(1.0, cfg)
     assert alloc.x == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
@@ -254,26 +252,22 @@ def test_kkt_reference_closed_form():
     # a_1 = c_1 mu_1^2 / p_1 = 40/3, a_2 = c_2 mu_2^2 / p_2 = 100/7,
     # x_1 = a_2 / (a_1 + a_2) = 15/29 = 0.51724..., x_2 = 14/29.
     cfg = make_two_class(confusion=IDENTITY)
-    params, costs = _params_costs(cfg)
-    alloc = kkt_solve(1.0, params, costs)
+    params, mixes = _mixes(cfg)
+    alloc = kkt_solve(1.0, cfg)
     assert alloc.x == pytest.approx([15.0 / 29.0, 14.0 / 29.0], abs=1e-8)
     # marginal balance holds to near float resolution
-    marg = [params.mu_tilde[l]
-            * mixture_cost(l, params, costs).prime(alloc.x[l] / params.rho_tilde[l])
+    marg = [params.mu_tilde[l] * mixes[l].prime(alloc.x[l] / params.rho_tilde[l])
             for l in range(2)]
     assert abs(marg[0] - marg[1]) <= 1e-8 * max(marg)
     # objective field matches its definition
-    direct = sum(params.lambda_tilde[l]
-                 * mixture_cost(l, params, costs)(alloc.x[l] / params.rho_tilde[l])
+    direct = sum(params.lambda_tilde[l] * mixes[l](alloc.x[l] / params.rho_tilde[l])
                  for l in range(2))
     assert alloc.objective == pytest.approx(direct, rel=1e-12)
 
 
 def test_kkt_matches_brute_force_grid(two_class_config):
-    params, costs = _params_costs(two_class_config)
-    alloc = kkt_solve(1.0, params, costs)
-    mix0 = mixture_cost(0, params, costs)
-    mix1 = mixture_cost(1, params, costs)
+    params, (mix0, mix1) = _mixes(two_class_config)
+    alloc = kkt_solve(1.0, two_class_config)
     x1 = np.arange(0.0, 1.0 + 1e-9, 1e-6)
     obj = (params.lambda_tilde[0] * mix0.coeff / 2.0 * (x1 / params.rho_tilde[0]) ** 2
            + params.lambda_tilde[1] * mix1.coeff / 2.0 * ((1.0 - x1) / params.rho_tilde[1]) ** 2)
@@ -283,9 +277,8 @@ def test_kkt_matches_brute_force_grid(two_class_config):
 
 def test_kkt_matches_slsqp_mixed_powers():
     cfg = make_two_class(costs=(CostFn(1.0), CostFn(10.0, power=3.0)))
-    params, costs = _params_costs(cfg)
-    alloc = kkt_solve(1.3, params, costs)
-    mixes = [mixture_cost(l, params, costs) for l in range(2)]
+    params, mixes = _mixes(cfg)
+    alloc = kkt_solve(1.3, cfg)
 
     def objective(x):
         return sum(params.lambda_tilde[l] * mixes[l](x[l] / params.rho_tilde[l])
@@ -302,16 +295,14 @@ def test_kkt_matches_slsqp_mixed_powers():
 
 
 def test_kkt_rejects_negative_budget(two_class_config):
-    params, costs = _params_costs(two_class_config)
     with pytest.raises(ConfigError):
-        kkt_solve(-0.5, params, costs)
+        kkt_solve(-0.5, two_class_config)
 
 
 def test_allocation_monotone_and_continuous_in_r():
     cfg = make_two_class(costs=(CostFn(1.0), CostFn(10.0, power=3.0)))
-    params, costs = _params_costs(cfg)
     rs = np.linspace(0.0, 2.0, 101)
-    xs = np.array([kkt_solve(r, params, costs).x for r in rs])
+    xs = np.array([kkt_solve(r, cfg).x for r in rs])
     dx = np.diff(xs, axis=0)
     dr = np.diff(rs)[0]
     assert np.all(dx >= -1e-9)                    # each class grows with r
@@ -322,28 +313,26 @@ def test_allocation_monotone_and_continuous_in_r():
 
 def test_two_class_xstar_identity_reduction():
     cfg = make_two_class(confusion=IDENTITY)
-    x = two_class_xstar(1.0, ConfusionMatrix(IDENTITY), cfg)
+    x = two_class_xstar(1.0, cfg)
     assert x == pytest.approx([15.0 / 29.0, 14.0 / 29.0], abs=1e-10)
 
 
 def test_two_class_xstar_matches_kkt(two_class_config):
-    q = two_class_config.confusion
-    x = two_class_xstar(0.8, q, two_class_config)
-    params = derive_predicted_params(two_class_config)
-    alloc = kkt_solve(0.8, params, two_class_config.costs)
+    x = two_class_xstar(0.8, two_class_config)
+    alloc = kkt_solve(0.8, two_class_config)
     assert x == pytest.approx(alloc.x, abs=1e-8)
 
 
 def test_two_class_xstar_guards():
     cubic = make_two_class(costs=(CostFn(1.0), CostFn(10.0, power=3.0)))
     with pytest.raises(NonQuadraticError):
-        two_class_xstar(1.0, cubic.confusion, cubic)
+        two_class_xstar(1.0, cubic)
     three = make_two_class(
         lam=1.0, prevalences=(0.3, 0.3, 0.4), service_rates=(2.0, 1.0, 1.0),
         costs=(CostFn(1.0), CostFn(2.0), CostFn(3.0)),
         confusion=ConfusionMatrix.identity(3))
     with pytest.raises(ConfigError):
-        two_class_xstar(1.0, three.confusion, three)
+        two_class_xstar(1.0, three)
 
 
 # --------------------------------------------- quadratic cost coefficients
@@ -399,42 +388,42 @@ def test_jstar_quadratic_scaling(two_class_config):
     # per-path lower bound = (jstar_coeff / 2) * integral of W^2
     w = _unit_paths()                       # integral_sq = 2.0
     coeffs = quadratic_coefficients(two_class_config)
-    est = jstar(two_class_config.confusion, two_class_config, w)
+    est = jstar(two_class_config, w)
     assert est.per_path == pytest.approx([coeffs.jstar_coeff], rel=1e-12)
     assert est.mean == pytest.approx(coeffs.jstar_coeff, rel=1e-12)
 
 
 def test_jstar_general_matches_fast(two_class_config):
     w = bm_workload_paths(0.4, n_steps=100, horizon=1.0, n_paths=40, seed=9)
-    fast = jstar(two_class_config.confusion, two_class_config, w)
-    gen = kkt_per_path(two_class_config, w, two_class_config.confusion)
+    fast = jstar(two_class_config, w)
+    gen = kkt_per_path(two_class_config, w)
     assert np.max(np.abs(fast.per_path - gen)) <= 1e-8 * max(
         1.0, float(np.max(np.abs(fast.per_path))))
     coeff = quadratic_coefficients(two_class_config).jstar_coeff
     assert np.array_equal(fast.per_path, coeff * 0.5 * w.integral_sq())
 
 
-def test_jstar_none_confusion_uses_config(two_class_config):
-    w = _unit_paths()
-    a = jstar(None, two_class_config, w)
-    b = jstar(two_class_config.confusion, two_class_config, w)
-    assert a.mean == pytest.approx(b.mean, rel=1e-14)
+def test_jstar_prices_the_config_it_is_given(two_class_config):
+    w = _unit_paths()                       # integral_sq = 2.0
+    clean = two_class_config.with_confusion(IDENTITY)
+    assert jstar(clean, w).mean == quadratic_coefficients(clean).jstar_coeff
+    assert jstar(clean, w).mean < jstar(two_class_config, w).mean
 
 
 def test_jstar_nonquadratic_needs_general():
     cfg = make_two_class(costs=(CostFn(1.0), CostFn(10.0, power=3.0)))
     w = bm_workload_paths(0.4, n_steps=100, horizon=1.0, n_paths=10, seed=3)
-    est = jstar(cfg.confusion, cfg, w)
-    assert np.array_equal(est.per_path, kkt_per_path(cfg, w, cfg.confusion))
+    est = jstar(cfg, w)
+    assert np.array_equal(est.per_path, kkt_per_path(cfg, w))
     assert est.mean > 0.0
     with pytest.raises(NonQuadraticError):
-        jnaive(cfg.confusion, cfg, w)
+        jnaive(cfg, w)
 
 
 def test_jnaive_dominates_jstar(two_class_config):
     w = bm_workload_paths(0.4, n_steps=200, horizon=1.0, n_paths=50, seed=21)
-    star = jstar(two_class_config.confusion, two_class_config, w)
-    naive = jnaive(two_class_config.confusion, two_class_config, w)
+    star = jstar(two_class_config, w)
+    naive = jnaive(two_class_config, w)
     assert np.all(naive.per_path >= star.per_path - 1e-12)
     assert naive.mean >= star.mean
 
@@ -442,7 +431,7 @@ def test_jnaive_dominates_jstar(two_class_config):
 def test_jstar_zero_paths(two_class_config):
     w = given_paths(grid=np.linspace(0.0, 1.0, 101),
                     values=np.zeros((4, 101)), variance_rate=0.0, seed=0)
-    est = jstar(two_class_config.confusion, two_class_config, w)
+    est = jstar(two_class_config, w)
     assert est.mean == 0.0
     assert est.stderr == 0.0
 
@@ -450,13 +439,12 @@ def test_jstar_zero_paths(two_class_config):
 # -------------------------------------------------------- model selection
 
 def test_relative_regret_identity_is_one(two_class_config):
-    assert relative_regret(ConfusionMatrix(IDENTITY),
-                           two_class_config) == pytest.approx(1.0, abs=1e-12)
+    clean = two_class_config.with_confusion(IDENTITY)
+    assert relative_regret(clean) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_relative_regret_definition(two_class_config):
-    q = two_class_config.confusion
-    got = relative_regret(q, two_class_config)
+    got = relative_regret(two_class_config)
     noisy = quadratic_coefficients(two_class_config).jstar_coeff
     clean = quadratic_coefficients(
         two_class_config.with_confusion(ConfusionMatrix(IDENTITY))).jstar_coeff
@@ -465,8 +453,16 @@ def test_relative_regret_definition(two_class_config):
 
 
 def test_wrong_shape_confusions_are_one_line_config_errors(two_class_config):
-    with pytest.raises(ConfigError, match=r"^confusion of shape \(3, 3\) does not fit a 2-class config$"):
-        quadratic_coefficients(two_class_config, np.eye(3))
+    # 2-class configs built directly, past validate_config, with a 3 x 3 classifier
+    quad = make_two_class(confusion=np.eye(3))
+    mixed = make_two_class(confusion=np.eye(3), costs=(CostFn(1.0), CostFn(10.0, power=3.0)))
+    w = bm_workload_paths(0.4, n_steps=100, horizon=1.0, n_paths=4, seed=1)
+    for call in (lambda: quadratic_coefficients(quad), lambda: jstar(mixed, w),
+                 lambda: kkt_solve(1.0, mixed), lambda: PolicyRef.for_config("pcmu", mixed),
+                 lambda: derive_predicted_params(quad)):
+        with pytest.raises(ConfigError, match=r"^ShapeMismatch: prevalences\(2\), "
+                           r"service_rates\(2\), costs\(2\), confusion\(3\) disagree$"):
+            call()
     with pytest.raises(ConfigError,
                        match=r"^candidate 'big' of shape \(3, 3\) does not fit a 2-class config$"):
         rank_models([("ok", np.eye(2)), ("big", np.eye(3))], two_class_config)
@@ -487,3 +483,76 @@ def test_rank_models_orders_and_is_stable(two_class_config):
     assert ranked[2].jstar_coeff == pytest.approx(ranked[3].jstar_coeff)
     single = rank_models([("only", ConfusionMatrix(IDENTITY))], two_class_config)
     assert len(single) == 1 and single[0].name == "only"
+
+
+# ----------------------------------------------------------- pinned bits
+
+def _three_class():
+    return make_two_class(lam=2.0, prevalences=(0.2, 0.3, 0.5), service_rates=(3.0, 2.0, 1.0),
+                          costs=(CostFn(4.0), CostFn(2.0, 2.5), CostFn(1.0, 3.0)),
+                          confusion=((0.8, 0.1, 0.1), (0.1, 0.7, 0.2), (0.2, 0.2, 0.6)))
+
+
+# (per_path, mean, stderr) on bm_workload_paths(0.4, 100, 1.0, 5, seed=3), and
+# (x, objective) of kkt_solve at r = 1e-12, 0.3, 1, 1e4, recorded when the
+# analytics still took a confusion, params or costs beside the config: taking
+# the config alone must not move a bit
+_ESTIMATE_BITS = {
+    "jstar_mixed": ([0.20031901422445958, 1.6623229899297312, 0.8884973371604099,
+                     0.6318651355475354, 0.08450664486807127],
+                    0.6935022243460415, 0.2823598054905077),
+    "jstar_three": ([0.03964497947831137, 0.24263092096003763, 0.14148221339867267,
+                     0.10411747241123069, 0.018744705672605506],
+                    0.10932405838417159, 0.03993229786530355),
+    "jstar_quad": ([0.5417862943018042, 2.3647975879615384, 1.524017121776079,
+                    1.1646572405954168, 0.28688830227592227],
+                   1.176429309382152, 0.3692715798958735),
+    "jnaive_quad": ([0.7841260827269065, 3.4225662195459186, 2.205706545690726,
+                     1.685605799542226, 0.41521279332784045],
+                    1.7026434881667238, 0.5344459253611704),
+}
+_KKT_RS = (1e-12, 0.3, 1.0, 1e4)
+_KKT_BITS = {
+    "mixed": [([2.4784924219029694e-14, 9.752150757809701e-13], 4.4244162237701944e-26),
+              ([0.10570723683827923, 0.19429276316172073], 0.12018104227809553),
+              ([0.3833019002558425, 0.6166980997441576], 3.8461212364731354),
+              ([3981.312583192429, 6018.687416807572], 3556872160800.3936)],
+    "three": [([2.1906354808488347e-14, 2.7709134744907486e-13, 7.010022977424367e-13],
+               1.2369429460284085e-25),
+              ([0.01891270708647501, 0.07273556387735983, 0.20835172903616522],
+               0.027577381252370067),
+              ([0.10782406203757075, 0.25713489321337063, 0.6350410447490586],
+               0.5335602029493496),
+              ([2488.327439051659, 3442.887721180732, 4068.7848397676084], 109454172800.79669)],
+}
+
+
+def test_analytics_bits_are_pinned(two_class_config):
+    mixed = make_two_class(costs=(CostFn(1.0), CostFn(10.0, power=3.0)))
+    w = bm_workload_paths(0.4, n_steps=100, horizon=1.0, n_paths=5, seed=3)
+    estimates = {"jstar_mixed": jstar(mixed, w), "jstar_three": jstar(_three_class(), w),
+                 "jstar_quad": jstar(two_class_config, w),
+                 "jnaive_quad": jnaive(two_class_config, w)}
+    for name, est in estimates.items():
+        per_path, mean, stderr = _ESTIMATE_BITS[name]
+        assert np.array_equal(est.per_path, per_path), name
+        assert (est.mean, est.stderr) == (mean, stderr), name
+    for name, cfg in (("mixed", mixed), ("three", _three_class())):
+        for r, (x, objective) in zip(_KKT_RS, _KKT_BITS[name]):
+            alloc = kkt_solve(r, cfg)
+            assert np.array_equal(alloc.x, x) and alloc.objective == objective, (name, r)
+    assert relative_regret(two_class_config) == 1.3940966088479285
+    assert np.array_equal(two_class_xstar(0.8, two_class_config),
+                          [0.348308258663224, 0.45169174133677603])
+    coeffs = quadratic_coefficients(two_class_config)
+    assert np.array_equal(coeffs.beta, [22.082644628099168, 17.028355387523632])
+    assert np.array_equal(coeffs.beta_naive, [5.421487603305785, 17.84499054820416])
+    assert (coeffs.jstar_coeff, coeffs.jnaive_coeff) == (9.614459371365024, 13.914985380205746)
+    models = [("noisy", ((0.7, 0.3), (0.3, 0.7))), ("dead", ((1.0, 0.0), (1.0, 0.0))),
+              ("ref", ((0.9, 0.1), (0.2, 0.8))), ("ident", IDENTITY)]
+    assert [(m.name, m.relative_regret, m.jstar_coeff, m.jnaive_coeff)
+            for m in rank_models(models, two_class_config)] == [
+        ("ident", 1.0, 6.8965517241379315, 6.896551724137932),
+        ("ref", 1.3940966088479285, 9.614459371365024, 13.914985380205746),
+        ("noisy", 1.4454574347332576, 9.96867196367764, 16.450702537208684),
+        ("dead", 1.4650519031141869, 10.103806228373703, 10.103806228373703)]

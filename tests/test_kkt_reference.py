@@ -21,7 +21,6 @@ from pqsched import (
     derive_predicted_params,
     httheory,
     kkt_solve,
-    mixture_cost,
     save_config,
 )
 import reference_kkt
@@ -53,7 +52,7 @@ def kkt_cases(draw):
 def test_array_solve_matches_reference(case):
     cfg, rs = case
     params = derive_predicted_params(cfg)
-    batch = kkt_solve(rs, params, cfg.costs)
+    batch = kkt_solve(rs, cfg)
     assert batch.x.shape == rs.shape + (cfg.n_classes,)
     assert batch.objective.shape == rs.shape
     for i, r in enumerate(rs):
@@ -61,7 +60,7 @@ def test_array_solve_matches_reference(case):
         assert np.max(np.abs(batch.x[i] - ref.x)) <= 1e-10 * max(1.0, r)
         assert abs(batch.objective[i] - ref.objective) <= 1e-10 * abs(ref.objective)
         # a point's split does not depend on the points solved with it
-        one = kkt_solve(r, params, cfg.costs)
+        one = kkt_solve(r, cfg)
         assert isinstance(one.objective, float) and one.r == r
         assert np.array_equal(one.x, batch.x[i])
         assert one.objective == batch.objective[i]
@@ -69,12 +68,11 @@ def test_array_solve_matches_reference(case):
 
 def test_row_blocks_do_not_change_the_split(monkeypatch):
     cfg = make_two_class(costs=(CostFn(1.0), CostFn(10.0, power=3.0)))
-    params = derive_predicted_params(cfg)
     rs = np.random.default_rng(5).uniform(0.0, 3.0, (4, 7))
     rs[1, 2] = 0.0
-    whole = kkt_solve(rs, params, cfg.costs)
+    whole = kkt_solve(rs, cfg)
     monkeypatch.setattr(httheory, "_KKT_BLOCK", 3)
-    blocked = kkt_solve(rs, params, cfg.costs)
+    blocked = kkt_solve(rs, cfg)
     assert np.array_equal(whole.x, blocked.x)
     assert np.array_equal(whole.objective, blocked.objective)
     assert np.array_equal(whole.x.sum(axis=-1) == 0.0, rs == 0.0)
@@ -100,10 +98,9 @@ def test_small_workload_marginal_balance(r):
             confusion=ConfusionMatrix(Q))
         params = derive_predicted_params(cfg)
         rng.uniform(0.2, 3.0)  # criterion 2's workload draw, kept for the stream
-        alloc = kkt_solve(r, params, cfg.costs)
-        marg = np.array([params.mu_tilde[l]
-                         * mixture_cost(l, params, cfg.costs).prime(alloc.x[l] / params.rho_tilde[l])
-                         for l in range(K)])
+        alloc = kkt_solve(r, cfg)
+        marg = np.array([params.mu_tilde[l] * MixtureCost(params.mix_weights[:, l], cfg.costs)
+                         .prime(alloc.x[l] / params.rho_tilde[l]) for l in range(K)])
         worst = max(worst, (marg.max() - marg.min()) / marg.mean())
         assert alloc.x.sum() == pytest.approx(r, rel=1e-12, abs=0.0)
     assert worst <= 1e-12
@@ -115,11 +112,10 @@ def test_small_workload_marginal_balance(r):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
 def test_kkt_rejects_bad_workloads(costs, bad):
     cfg = make_two_class(costs=costs)
-    params = derive_predicted_params(cfg)
     with pytest.raises(ConfigError, match="finite and nonnegative"):
-        kkt_solve(bad, params, costs)
+        kkt_solve(bad, cfg)
     with pytest.raises(ConfigError, match="finite and nonnegative"):
-        kkt_solve(np.array([[0.5, 1.0], [bad, 2.0]]), params, costs)
+        kkt_solve(np.array([[0.5, 1.0], [bad, 2.0]]), cfg)
 
 
 @pytest.mark.parametrize("powers", [(2.0, 3.0), (1.5, 3.0), (1.2, 1.8), (2.5, 6.0)])

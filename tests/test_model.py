@@ -21,7 +21,6 @@ from pqsched import (
     config_to_json,
     derive_predicted_params,
     load_config,
-    mixture_cost,
     save_config,
     validate_config,
 )
@@ -154,7 +153,7 @@ def test_mixture_cost_common_power_coefficient():
     cfg = make_two_class(prevalences=(0.5, 0.5), service_rates=(1.0, 1.0),
                          confusion=((0.8, 0.2), (0.2, 0.8)))
     params = derive_predicted_params(cfg)
-    mix = mixture_cost(0, params, cfg.costs)
+    mix = MixtureCost(params.mix_weights[:, 0], cfg.costs)
     assert mix.common_power == 2.0
     assert mix.coeff == pytest.approx(2.8, abs=1e-14)
     assert mix(2.0) == pytest.approx(2.8 / 2 * 4.0, abs=1e-12)

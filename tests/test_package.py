@@ -31,3 +31,16 @@ def test_package_exports_only_listed_names():
     public = {name for name, value in vars(pqsched).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public <= listed, sorted(public - listed)
+
+
+def test_analytics_take_the_config_alone():
+    # a floor prices the config it is given; another classifier is priced
+    # through config.with_confusion(q), never through an argument beside it
+    want = {"kkt_solve": ["r", "config"], "two_class_xstar": ["r", "config"],
+            "jstar": ["config", "w_paths"], "jnaive": ["config", "w_paths"],
+            "relative_regret": ["config"], "quadratic_coefficients": ["config"]}
+    for name, params in want.items():
+        assert list(inspect.signature(getattr(pqsched, name)).parameters) == params, name
+    model = importlib.import_module("pqsched.model")
+    assert "mixture_cost" not in model.__all__
+    assert not hasattr(model, "mixture_cost") and not hasattr(pqsched, "mixture_cost")

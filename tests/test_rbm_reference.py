@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pqsched import CostFn, bm_workload_paths, derive_predicted_params, jstar, kkt_solve
+from pqsched import CostFn, bm_workload_paths, jstar, kkt_solve
 from pqsched import httheory
 from conftest import make_two_class
 from helpers import stack
@@ -48,9 +48,9 @@ def test_jstar_general_matches_dense_reference(n_paths):
     cfg = make_two_class(costs=(CostFn(1.0), CostFn(10.0, power=3.0)))
     w = bm_workload_paths(0.4, n_steps=100, horizon=1.0, n_paths=n_paths, seed=3)
     dense = ref.bm_workload_paths(0.4, n_steps=100, horizon=1.0, n_paths=n_paths, seed=3)
-    split = kkt_solve(dense.values[:, :-1], derive_predicted_params(cfg), cfg.costs)
+    split = kkt_solve(dense.values[:, :-1], cfg)
     want = split.objective @ np.diff(dense.grid)
-    assert np.array_equal(jstar(None, cfg, w).per_path, want)
+    assert np.array_equal(jstar(cfg, w).per_path, want)
 
 
 # ------------------------------------------------------------ closed forms

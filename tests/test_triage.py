@@ -42,7 +42,7 @@ def step_curves(drop_at=0.5):
                                    [1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
 
 
-FAST_MC = McParams(n_paths=200, n_steps=100, seed=0, horizon=1.0)
+FAST_MC = McParams(n_paths=200, n_steps=100, seed=0)
 
 
 def queue_cost(z, cfg):
@@ -375,7 +375,7 @@ def test_grid_argmin_is_the_first_least_total():
 
 def test_mcparams_defaults():
     mc = McParams()
-    assert (mc.n_paths, mc.n_steps, mc.seed, mc.horizon) == (2000, 400, 0, 1.0)
+    assert (mc.n_paths, mc.n_steps, mc.seed) == (2000, 400, 0)
 
 
 # ------------------------------------------------------------------- JSON
