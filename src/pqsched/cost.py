@@ -208,13 +208,16 @@ def _replicate(config: SystemConfig, policies: list, n_paths: int, base_seed: in
         raise ConfigError(f"eval_times must be nondecreasing in [0, horizon] and end at the "
                           f"horizon {config.horizon}")
 
-    workers = resolve_n_jobs(n_jobs)
+    # a fork pool starts all its workers at the first submit: no more than
+    # there are seeds or CPUs this process may run on
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(resolve_n_jobs(n_jobs), n_paths, cpus or 1)
     size = -(-n_paths // workers)
     tasks = [(config, policies, range(base_seed + i, base_seed + min(i + size, n_paths)), rule,
               eval_times) for i in range(0, n_paths, size)]
-    if workers > 1:
+    if len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, so one worker never loads it
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             blocks = list(pool.map(_block, tasks))
     else:
         blocks = [_block(t) for t in tasks]

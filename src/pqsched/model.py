@@ -361,11 +361,14 @@ def _mean_stderr(x: np.ndarray) -> tuple:
     """Mean and standard error (0 for one row) of x along axis 0, taken on
     x / 2**e, e the binary exponent of each column's largest |x|, and scaled
     back: a power of two moves no bit short of a subnormal, and squaring the
-    deviations cannot overflow where the values do not."""
-    e = np.frexp(np.max(np.abs(x), axis=0))[1]
+    deviations cannot overflow where the values do not.  A column holding an
+    infinity has stderr inf, not the nan of its deviations' inf - inf."""
+    peak = np.max(np.abs(x), axis=0)
+    e = np.frexp(peak)[1]
     x, n = np.ldexp(x, -e), len(x)
     stderr = x.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(x[0])
-    return np.ldexp(x.mean(axis=0), e), np.ldexp(stderr, e)
+    stderr = np.where(np.isinf(peak), np.inf, np.ldexp(stderr, e))[()]  # [()]: 0-d to scalar
+    return np.ldexp(x.mean(axis=0), e), stderr
 
 
 def non_finite(name: str, value, why: str = "must be finite") -> str:

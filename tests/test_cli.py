@@ -652,6 +652,20 @@ def test_overflowing_cost_floor_is_one_error_line(tmp_path, doc, error):
     assert not out.exists()
 
 
+def test_overflowing_cost_floor_names_inf_stderr(runner, tmp_path):
+    # a column holding inf once reported its stderr as the nan of inf - inf
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**README_CONFIG, "horizon": 100.0, "costs": [
+        {"coeff": 1e308, "power": 2.0}, {"coeff": 10.0, "power": 2.0}]}))
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["lower-bound", "--config", str(cfg), "--paths", "20",
+                                  "--steps", "100", "--out", str(out)])
+    assert result.exit_code == 1 and not out.exists()
+    assert result.output.splitlines()[-1] == "Error: " + "; ".join(
+        f"NonFinite: {name} = inf {OVER}"
+        for name in ("jstar_mean", "jstar_stderr", "jnaive_mean", "jnaive_stderr"))
+
+
 @pytest.mark.parametrize("doc", [
     {**MIXED_POWER, "costs": [{"coeff": 1.0, "power": 2.0}, {"coeff": 1e200, "power": 3.0}]},
     {**README_CONFIG, "costs": [{"coeff": 1e308, "power": 2.0}, {"coeff": 10.0, "power": 2.0}]},

@@ -1,4 +1,6 @@
+import concurrent.futures
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -231,3 +233,38 @@ def test_resolve_n_jobs(monkeypatch):
     monkeypatch.setenv("PQSCHED_THREADS", "many")
     with pytest.raises(ConfigError):
         resolve_n_jobs()
+
+
+@pytest.mark.parametrize("n_jobs, n_paths, cpus, pool", [
+    (64, 3, 4, 3),       # no more workers than seeds
+    (64, 10, 4, 4),      # nor than usable CPUs
+    (64, 9, 4, 3),       # one per block: 9 seeds in blocks of 3
+    (3, 10, 4, 3),       # the asked-for count, below both caps
+    (64, 10, 1, None),   # one usable CPU builds no pool
+])
+def test_pool_is_capped_at_seeds_and_cpus(monkeypatch, two_class_config, n_jobs, n_paths,
+                                          cpus, pool):
+    # a fork pool starts every worker at its first submit, so a large n_jobs
+    # must never reach it; a recorder stands in for the pool and maps here
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    capped = replicate(two_class_config, "pcmu", n_paths=n_paths, base_seed=0, n_jobs=n_jobs)
+    assert sizes == ([] if pool is None else [pool])
+    serial = replicate(two_class_config, "pcmu", n_paths=n_paths, base_seed=0, n_jobs=1)
+    for field in ("mean", "stderr", "terminal_costs", "event_counts", "open_jobs"):
+        assert np.array_equal(getattr(capped, field), getattr(serial, field))

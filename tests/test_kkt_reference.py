@@ -157,13 +157,15 @@ def test_mixture_prime_inv_bits_are_pinned(weights, costs):
 
 
 # a cold start: import the package and the CLI, then load a system config
-# for each path but the last and a triage config from the last
+# from each path before "--triage" and a triage config from each path after
 _COLD_START = """
 import json, sys
 import pqsched, pqsched.cli
-for path in sys.argv[1:-1]:
+cut = sys.argv.index("--triage")
+for path in sys.argv[1:cut]:
     pqsched.load_config(path)
-pqsched.load_triage_config(sys.argv[-1])
+for path in sys.argv[cut + 1:]:
+    pqsched.load_triage_config(path)
 print(json.dumps({name: name in sys.modules for name in
                   ("scipy", "scipy.optimize", "concurrent.futures", "multiprocessing")}))
 """
@@ -171,21 +173,24 @@ print(json.dumps({name: name in sys.modules for name in
 
 def test_import_leaves_scipy_optimize_out(tmp_path):
     # scipy.special and the process pool are imported where they are used, so
-    # configs that draw no normal variates and build no pool load neither
+    # configs that draw no normal variates and build no pool load neither;
+    # gaussian_logit curves take Phi from a port of Cephes ndtr
     exponential, deterministic = tmp_path / "exponential.json", tmp_path / "deterministic.json"
     save_config(make_two_class(), exponential)
     save_config(make_two_class(arrival_dist="deterministic", service_dist="deterministic"),
                 deterministic)
-    triage = tmp_path / "triage.json"
-    triage.write_text(json.dumps({
-        "Lambda": 100.0, "p": [0.2, 0.8], "mu": [50.0, 200.0],
-        "curves": {"kind": "grid", "z": [0.0, 0.5, 1.0], "g_toxic": [1.0, 0.9, 0.0],
-                   "g_nontoxic": [1.0, 0.2, 0.0]},
-        "c_trp": 20.0, "c_trn": -3.0, "c_fp": 3.0, "c_fn": 3.0, "c_tp": -3.0, "c_tn": -3.0,
-        "c_r": 800.0, "delay_costs": [15.0, 1.0]}))
+    triage = {"Lambda": 100.0, "p": [0.2, 0.8], "mu": [50.0, 200.0],
+              "c_trp": 20.0, "c_trn": -3.0, "c_fp": 3.0, "c_fn": 3.0, "c_tp": -3.0,
+              "c_tn": -3.0, "c_r": 800.0, "delay_costs": [15.0, 1.0]}
+    grid, gaussian = tmp_path / "grid.json", tmp_path / "gaussian_logit.json"
+    grid.write_text(json.dumps({**triage, "curves": {
+        "kind": "grid", "z": [0.0, 0.5, 1.0], "g_toxic": [1.0, 0.9, 0.0],
+        "g_nontoxic": [1.0, 0.2, 0.0]}}))
+    gaussian.write_text(json.dumps({**triage, "curves": {
+        "kind": "gaussian_logit", "loc": [-1.0, -3.0], "scale": [1.0, 1.0]}}))
     env = dict(os.environ, PYTHONPATH=str(Path(pqsched.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", _COLD_START, str(exponential),
-                          str(deterministic), str(triage)],
+                          str(deterministic), "--triage", str(grid), str(gaussian)],
                          env=env, check=True, capture_output=True, text=True).stdout
     assert json.loads(out) == {"scipy": False, "scipy.optimize": False,
                                "concurrent.futures": False, "multiprocessing": False}

@@ -21,6 +21,7 @@ from pqsched import (
     reviewer_params,
     total_cost,
 )
+from pqsched import triage
 from pqsched.triage import curves_from_json, triage_config_from_json
 from helpers import reviewer_system_config
 
@@ -67,6 +68,44 @@ def test_gaussian_logit_curve_values():
         assert np.all((vals >= 0.0) & (vals <= 1.0))
     # the sharper curve passes less non-toxic mass at every interior z
     assert np.all(c.g(1, zs[1:-1]) < c.g(0, zs[1:-1]))
+
+
+def test_ndtr_port_equals_scipy_bit_for_bit():
+    # Cephes ndtr branches where |a / sqrt 2| crosses sqrt(1/2), 1 and 8, and
+    # erfc underflows where a^2 / 2 passes MAXLOG (|a| near 37.68); sweep
+    # 200 ulps across each edge, on both sides of 0
+    edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * triage._MAXLOG)]
+    steps = np.arange(-200, 201)
+    near = np.concatenate([e + steps * np.spacing(e) for e in edges])
+    a = np.concatenate([np.linspace(-40.0, 40.0, 400_001), near, -near,
+                        [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, 1e200, -1e200]])
+    x = np.abs(a) * triage._SQRT1_2
+    for edge in (triage._SQRT1_2, 1.0, 8.0):
+        assert np.any(x < edge) and np.any(x >= edge)
+    square = x[x < 30.0] ** 2
+    assert np.any(square <= triage._MAXLOG) and np.any(square > triage._MAXLOG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = triage._ndtr(a)
+    assert np.array_equal(got, ndtr(a), equal_nan=True)
+
+
+@pytest.mark.parametrize("locs, scales, grid_size", [
+    ((-1.0, -3.0), (1.0, 1.0), 1001),     # the README's curves
+    ((-1.0, -3.0), (1.0, 1.0), 101),
+    ((0.5, -2.0), (0.3, 2.5), 2001),
+    ((4.0, -4.0), (0.05, 0.05), 501),     # steep: both tails underflow
+    ((-30.0, 30.0), (1.0, 7.0), 11),
+])
+def test_gaussian_logit_curves_equal_scipy_built_ones(locs, scales, grid_size):
+    # the construction as it stood with scipy.special.ndtr
+    grid = np.linspace(0.0, 1.0, grid_size)
+    inner = np.clip(grid, 1e-12, 1 - 1e-12)
+    logit = np.log(inner) - np.log1p(-inner)
+    values = ndtr((np.asarray(locs)[:, None] - logit) / np.asarray(scales)[:, None])
+    values[:, 0], values[:, -1] = 1.0, 0.0
+    got = PassingCurves.from_gaussian_logit(locs, scales, grid_size)
+    assert np.array_equal(got.grid, grid) and np.array_equal(got.values, values)
 
 
 def test_curve_validation():
