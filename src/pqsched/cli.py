@@ -208,17 +208,16 @@ def cmd_lower_bound(config_path, paths, steps, seed, out_dir):
     click.echo(f"manifest: {manifest}")
 
 
-def _load_candidate(path: str, k: int):
-    """Candidate file: either a bare K x K JSON array or
-    {"name": ..., "confusion": [[...], ...]}, with the config's K and
-    stochastic rows of entries in [0, 1]."""
+def _load_candidate(path: str):
+    """Candidate file: either a square JSON array or
+    {"name": ..., "confusion": [[...], ...]}, with stochastic rows of
+    entries in [0, 1].  rank_models checks that it has the config's K."""
     doc = load_json(path)
     try:
         q = ConfusionMatrix(doc["confusion"] if isinstance(doc, dict) else doc)
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed model file: {type(exc).__name__} {exc}") from exc
-    issues = q.issues() if q.n_classes == k else [
-        f"ShapeMismatch: confusion is {q.n_classes} x {q.n_classes}, config has {k} classes"]
+    issues = q.issues()
     if issues:
         raise ConfigError(f"{path}: {'; '.join(issues)}")
     name = str(doc.get("name", Path(path).stem)) if isinstance(doc, dict) else Path(path).stem
@@ -238,7 +237,7 @@ def cmd_select_model(config_path, model_paths, out_dir):
                {"models": [str(p) for p in model_paths]})
     config = run.load()
     with run.timed("models"):
-        models = [_load_candidate(p, config.n_classes) for p in model_paths]
+        models = [_load_candidate(p) for p in model_paths]
     with run.timed("rank"):
         ranked = ht.rank_models(models, config)
     criteria = ("relative_regret", "jstar_coeff", "jnaive_coeff")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BracketFailureError, ConfigError, NonFiniteMomentError, NonQuadraticError
 from .model import (MixtureCost, PredictedClassParams, SystemConfig, _mean_stderr, _newton,
-                    _shape_mismatch, derive_predicted_params)
+                    derive_predicted_params, shape_mismatch)
 
 __all__ = [
     "workload_variance_rate",
@@ -301,21 +301,11 @@ def stiffness_coefficients(lam, p, mu, c, q) -> tuple:
     return inv_beta, inv_naive, 1.0 / (lam * u.sum(axis=-1)), jnaive.sum(axis=-1), c_mix
 
 
-def _confusions(q, k: int, what: str) -> np.ndarray:
-    """q, a ConfusionMatrix or array, as floats of shape (..., k, k), else a ConfigError."""
-    q = np.asarray(getattr(q, "entries", q), dtype=float)
-    if q.shape[-2:] != (k, k):
-        raise ConfigError(f"{what} of shape {q.shape} does not fit a {k}-class config")
-    return q
-
-
 def _stiffness(config: SystemConfig, q) -> tuple:
     """stiffness_coefficients of config's quadratic costs under confusion
     matrices q of shape (..., K, K)."""
     if not config.all_quadratic():
         raise NonQuadraticError("coefficient formulas require power-2 costs")
-    for mismatch in _shape_mismatch(config):
-        raise ConfigError(mismatch)
     return stiffness_coefficients(config.lam, config.prevalences, config.service_rates,
                                   np.array([fn.coeff for fn in config.costs]), q)
 
@@ -383,11 +373,16 @@ def rank_models(models: Sequence[tuple], config: SystemConfig) -> list:
     """Order candidate confusion matrices by scheduling regret (ascending).
 
     models is a sequence of (name, confusion) pairs, priced under config as
-    one stack.  Sorting is stable, so exact ties keep input order.
+    one stack; a confusion that is not K x K is a ConfigError (ShapeMismatch)
+    naming it.  Sorting is stable, so exact ties keep input order.
     """
     k = config.n_classes
-    stack = np.array([_confusions(q, k, f"candidate {name!r}") for name, q in models]
-                     or np.empty((0, k, k)))
+    stack = np.empty((len(models), k, k))
+    for i, (name, q) in enumerate(models):
+        q = np.asarray(getattr(q, "entries", q), dtype=float)
+        if q.shape != (k, k):
+            raise ConfigError(shape_mismatch({"config": k, f"candidate {name!r}": q.shape}))
+        stack[i] = q
     _, _, jstar_coeff, jnaive_coeff, _ = _stiffness(config, stack)
     regret = jstar_coeff / _stiffness(config, np.eye(k))[2]
     return [RankedModel(str(models[i][0]), float(regret[i]), float(jstar_coeff[i]),

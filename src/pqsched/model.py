@@ -211,6 +211,10 @@ class SystemConfig:
         "lognormal", "sigma": s}; any other tag is a ConfigError.  Rates
         always mean what they say: the mean interarrival time is 1/lam and
         the mean class-k service time is 1/mu_k under every family.
+
+    A config that exists has one class count K: prevalences and service_rates
+    are 1-D of length K, there are K costs and confusion is K x K (an array is
+    read as a ConfusionMatrix).  The constructor refuses any other (ShapeMismatch).
     """
 
     lam: float
@@ -226,8 +230,15 @@ class SystemConfig:
         object.__setattr__(self, "prevalences", _as_readonly(self.prevalences))
         object.__setattr__(self, "service_rates", _as_readonly(self.service_rates))
         object.__setattr__(self, "costs", tuple(self.costs))
+        if not isinstance(self.confusion, ConfusionMatrix):
+            object.__setattr__(self, "confusion", ConfusionMatrix(self.confusion))
         for name in ("arrival_dist", "service_dist"):
             object.__setattr__(self, name, Dist.parse(getattr(self, name), name))
+        counts = {name: len(a) if a.ndim == 1 else a.shape for name, a in
+                  (("prevalences", self.prevalences), ("service_rates", self.service_rates))}
+        counts |= {"costs": len(self.costs), "confusion": self.confusion.n_classes}
+        if len(set(counts.values())) > 1:
+            raise ConfigError(shape_mismatch(counts))
 
     @property
     def n_classes(self) -> int:
@@ -245,8 +256,6 @@ class SystemConfig:
 
     def with_confusion(self, q) -> "SystemConfig":
         """Same system under a different classifier."""
-        if not isinstance(q, ConfusionMatrix):
-            q = ConfusionMatrix(np.asarray(q, dtype=float))
         return replace(self, confusion=q)
 
     def all_quadratic(self) -> bool:
@@ -275,13 +284,9 @@ class PredictedClassParams:
 def derive_predicted_params(config: SystemConfig) -> PredictedClassParams:
     """Derive the predicted-class primitives from (lam, p, mu, Q).
 
-    Raises a ConfigError (ShapeMismatch) if the class counts of the config's
-    fields disagree, and ZeroColumnError if some predicted label has no
-    arrival mass (sum_k p_k q_kl = 0), which would make its service law
-    undefined.
+    Raises ZeroColumnError if some predicted label has no arrival mass
+    (sum_k p_k q_kl = 0), which would make its service law undefined.
     """
-    for mismatch in _shape_mismatch(config):
-        raise ConfigError(mismatch)
     q = config.confusion.entries
     p = config.prevalences
     mu = config.service_rates
@@ -371,6 +376,14 @@ def _mean_stderr(x: np.ndarray) -> tuple:
     return np.ldexp(x.mean(axis=0), e), stderr
 
 
+def shape_mismatch(counts: dict) -> str:
+    """The text of a ShapeMismatch error: 'ShapeMismatch: <name>(<n>), ... disagree',
+    each n a class count, or the shape of an array that gives none, as (2,2) or ()."""
+    return "ShapeMismatch: " + ", ".join(
+        name + (f"({n})" if isinstance(n, int) else str(n).replace(" ", ""))
+        for name, n in counts.items()) + " disagree"
+
+
 def non_finite(name: str, value, why: str = "must be finite") -> str:
     """The text of a NonFinite error: 'NonFinite: <name> = <value> (<why>)'."""
     return f"NonFinite: {name} = {np.asarray(value).tolist()} ({why})"
@@ -411,15 +424,6 @@ class ValidationReport:
             raise ConfigError("; ".join(self.errors))
 
 
-def _shape_mismatch(config: SystemConfig) -> list:
-    """[its ShapeMismatch error] if the class counts of config's fields disagree, else []."""
-    k, n_mu, n_c, n_q = (config.n_classes, len(config.service_rates), len(config.costs),
-                         config.confusion.n_classes)
-    return [] if n_mu == n_c == n_q == k else [
-        f"ShapeMismatch: prevalences({k}), service_rates({n_mu}), costs({n_c}), "
-        f"confusion({n_q}) disagree"]
-
-
 def validate_config(config: SystemConfig) -> ValidationReport:
     """Check every type invariant; report, never raise.
 
@@ -428,14 +432,11 @@ def validate_config(config: SystemConfig) -> ValidationReport:
     an arrival_dist or service_dist whose second moment overflows, such as a
     lognormal sigma near 27), RowNotStochastic,
     EntryOutOfRange, NonPositiveRate, PrevalenceNotNormalized,
-    NegativePrevalence, ZeroColumn, BadCost, NonPositiveHorizon,
-    ShapeMismatch.  |rho-1| > 0.05 is a warning
-    (HeavyTrafficDeviation), since overloaded transients are legitimate.
+    NegativePrevalence, ZeroColumn, BadCost, NonPositiveHorizon.
+    |rho-1| > 0.05 is a warning (HeavyTrafficDeviation), since overloaded
+    transients are legitimate.  Class counts are SystemConfig's own check.
     """
-    rep = ValidationReport(errors=_shape_mismatch(config))
-    if rep.errors:
-        return rep
-
+    rep = ValidationReport()
     numbers = {"lambda": config.lam, "prevalences": config.prevalences,
                "service_rates": config.service_rates, "horizon": config.horizon}
     numbers |= {f"costs[{i}].{name}": getattr(c, name)
@@ -505,10 +506,10 @@ def config_from_json(doc: dict) -> SystemConfig:
     try:
         config = SystemConfig(
             lam=float(doc["lambda"]),
-            prevalences=np.asarray(doc["prevalences"], dtype=float),
-            service_rates=np.asarray(doc["service_rates"], dtype=float),
+            prevalences=doc["prevalences"],
+            service_rates=doc["service_rates"],
             costs=tuple(CostFn(float(c["coeff"]), float(c.get("power", 2.0))) for c in doc["costs"]),
-            confusion=ConfusionMatrix(np.asarray(doc["confusion"], dtype=float)),
+            confusion=doc["confusion"],
             horizon=float(doc.get("horizon", 1.0)),
             arrival_dist=doc.get("arrival_dist", "exponential"),
             service_dist=doc.get("service_dist", "exponential"),

@@ -174,11 +174,14 @@ class PassingCurves:
         _check_finite({"curves.loc": locs, "curves.scale": scales})
         if min(scales) <= 0:
             raise ConfigError("scales must be positive")
+        if int(grid_size) < 2:
+            raise ConfigError("curve grid needs at least two points")
         grid = np.linspace(0.0, 1.0, int(grid_size))
         inner = np.clip(grid, 1e-12, 1 - 1e-12)
         logit = np.log(inner) - np.log1p(-inner)
-        values = _ndtr((np.asarray(locs, dtype=float)[:, None] - logit)
-                       / np.asarray(scales, dtype=float)[:, None])
+        with np.errstate(over="ignore"):  # a subnormal scale: +-inf, whose Phi is 0 or 1
+            values = _ndtr((np.asarray(locs, dtype=float)[:, None] - logit)
+                           / np.asarray(scales, dtype=float)[:, None])
         values[:, 0], values[:, -1] = 1.0, 0.0
         return cls(grid, values)
 

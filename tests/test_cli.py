@@ -730,8 +730,9 @@ def test_model_file_without_confusion(runner, tmp_path, config_path):
 
 
 @pytest.mark.parametrize("confusion, needle", [
+    # rank_models names a candidate of the wrong K by its file's stem, not its path
     ([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
-     "ShapeMismatch: confusion is 3 x 3, config has 2 classes"),
+     "Error: ShapeMismatch: config(2), candidate 'model'(3,3) disagree"),
     ([[0.9, 0.3], [0.2, 0.8]], "RowNotStochastic: row 0 sums to 1.2"),
     ([[1.5, -0.5], [0.2, 0.8]], "EntryOutOfRange"),
     ([[float("nan"), 1.0], [0.2, 0.8]], "EntryOutOfRange"),
@@ -743,7 +744,40 @@ def test_malformed_candidate_rejected(runner, tmp_path, confusion, needle):
     out = tmp_path / "o"
     result = runner.invoke(main, ["select-model", "--config", str(cfg),
                                   "--model", str(model), "--out", str(out)])
-    _assert_one_line_error(result, f"{model}: {needle}")
+    _assert_one_line_error(result, needle if needle.startswith("Error:") else f"{model}: {needle}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "lower-bound"])
+@pytest.mark.parametrize("field, value, shown", [
+    ("prevalences", 0.5, "prevalences(), service_rates(2), costs(2), confusion(2)"),
+    ("prevalences", [[0.15, 0.35], [0.15, 0.35]],
+     "prevalences(2,2), service_rates(2), costs(2), confusion(2)"),
+    ("service_rates", 2.0, "prevalences(2), service_rates(), costs(2), confusion(2)"),
+    ("costs", [{"coeff": 1.0, "power": 2.0}],
+     "prevalences(2), service_rates(2), costs(1), confusion(2)"),
+])
+def test_config_of_wrong_shape_is_one_error_line(runner, tmp_path, command, field, value, shown):
+    # the first three once ended in a raw TypeError or ValueError
+    cfg = tmp_path / "system.json"
+    cfg.write_text(json.dumps({**README_CONFIG, field: value}))
+    out = tmp_path / "o"
+    result = runner.invoke(main, [command, "--config", str(cfg), "--paths", "2",
+                                  "--out", str(out)])
+    _assert_one_line_error(result, f"Error: ShapeMismatch: {shown} disagree")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid_size", [0, 1, -3])
+def test_gaussian_logit_grid_of_fewer_than_two_points(runner, tmp_path, triage_path, grid_size):
+    # grid_size 0 once ended in a raw IndexError
+    doc = json.loads(triage_path.read_text())
+    doc["curves"] = {**doc["curves"], "grid_size": grid_size}
+    bad = tmp_path / "tiny_grid.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["triage", "--config", str(bad), "--out", str(out)])
+    _assert_one_line_error(result, "Error: curve grid needs at least two points")
     assert not out.exists()
 
 

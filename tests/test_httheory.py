@@ -453,19 +453,19 @@ def test_relative_regret_definition(two_class_config):
 
 
 def test_wrong_shape_confusions_are_one_line_config_errors(two_class_config):
-    # 2-class configs built directly, past validate_config, with a 3 x 3 classifier
-    quad = make_two_class(confusion=np.eye(3))
-    mixed = make_two_class(confusion=np.eye(3), costs=(CostFn(1.0), CostFn(10.0, power=3.0)))
-    w = bm_workload_paths(0.4, n_steps=100, horizon=1.0, n_paths=4, seed=1)
-    for call in (lambda: quadratic_coefficients(quad), lambda: jstar(mixed, w),
-                 lambda: kkt_solve(1.0, mixed), lambda: PolicyRef.for_config("pcmu", mixed),
-                 lambda: derive_predicted_params(quad)):
+    # a 2-class config with a 3 x 3 classifier cannot be built, so no analytic sees one
+    mixed = (CostFn(1.0), CostFn(10.0, power=3.0))
+    for build in (lambda: make_two_class(confusion=np.eye(3)),
+                  lambda: make_two_class(confusion=np.eye(3), costs=mixed),
+                  lambda: two_class_config.with_confusion(np.eye(3))):
         with pytest.raises(ConfigError, match=r"^ShapeMismatch: prevalences\(2\), "
                            r"service_rates\(2\), costs\(2\), confusion\(3\) disagree$"):
-            call()
-    with pytest.raises(ConfigError,
-                       match=r"^candidate 'big' of shape \(3, 3\) does not fit a 2-class config$"):
-        rank_models([("ok", np.eye(2)), ("big", np.eye(3))], two_class_config)
+            build()
+    for candidate, shown in ((np.eye(3), "(3,3)"), (np.ones((2, 3)) / 3, "(2,3)"),
+                             (np.eye(2)[None], "(1,2,2)")):
+        with pytest.raises(ConfigError) as err:
+            rank_models([("ok", np.eye(2)), ("big", candidate)], two_class_config)
+        assert str(err.value) == f"ShapeMismatch: config(2), candidate 'big'{shown} disagree"
 
 
 def test_rank_models_orders_and_is_stable(two_class_config):

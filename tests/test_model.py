@@ -270,12 +270,39 @@ def test_validate_error_codes():
 
 
 def test_validate_shape_mismatch_short_circuits():
-    bad = SystemConfig(lam=1.0, prevalences=(0.3, 0.7), service_rates=(2.0,),
-                       costs=(CostFn(1.0), CostFn(10.0)),
-                       confusion=ConfusionMatrix.identity(2))
-    report = validate_config(bad)
-    assert len(report.errors) == 1
-    assert "ShapeMismatch" in report.errors[0]
+    # the constructor refuses the config, so validate_config never sees one
+    with pytest.raises(ConfigError, match=r"^ShapeMismatch: prevalences\(2\), service_rates\(1\), "
+                       r"costs\(2\), confusion\(2\) disagree$"):
+        SystemConfig(lam=1.0, prevalences=(0.3, 0.7), service_rates=(2.0,),
+                     costs=(CostFn(1.0), CostFn(10.0)),
+                     confusion=ConfusionMatrix.identity(2))
+
+
+@pytest.mark.parametrize("overrides, text", [
+    ({"costs": (CostFn(1.0),)}, "prevalences(2), service_rates(2), costs(1), confusion(2)"),
+    ({"service_rates": (2.0, 1.0, 1.0)},
+     "prevalences(2), service_rates(3), costs(2), confusion(2)"),
+    ({"confusion": np.eye(3)}, "prevalences(2), service_rates(2), costs(2), confusion(3)"),
+    ({"prevalences": 0.5}, "prevalences(), service_rates(2), costs(2), confusion(2)"),
+    ({"prevalences": ((0.15, 0.35), (0.15, 0.35))},
+     "prevalences(2,2), service_rates(2), costs(2), confusion(2)"),
+    ({"service_rates": 2.0}, "prevalences(2), service_rates(), costs(2), confusion(2)"),
+    ({"service_rates": ((2.0, 1.0), (2.0, 1.0))},
+     "prevalences(2), service_rates(2,2), costs(2), confusion(2)"),
+])
+def test_config_with_disagreeing_class_counts_cannot_be_built(overrides, text):
+    with pytest.raises(ConfigError) as err:
+        make_two_class(**overrides)
+    assert str(err.value) == f"ShapeMismatch: {text} disagree"
+
+
+def test_config_reads_a_plain_confusion_array():
+    cfg = make_two_class(confusion=ConfusionMatrix(((0.9, 0.1), (0.2, 0.8))))
+    plain = replace(cfg, confusion=[[0.9, 0.1], [0.2, 0.8]])
+    assert isinstance(plain.confusion, ConfusionMatrix)
+    assert np.array_equal(plain.confusion.entries, cfg.confusion.entries)
+    with pytest.raises(ConfigError, match=r"^ShapeMismatch: .* confusion\(3\) disagree$"):
+        cfg.with_confusion(np.eye(3))
 
 
 # ------------------------------------------------------------------- JSON

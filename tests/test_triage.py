@@ -108,6 +108,23 @@ def test_gaussian_logit_curves_equal_scipy_built_ones(locs, scales, grid_size):
     assert np.array_equal(got.grid, grid) and np.array_equal(got.values, values)
 
 
+def test_subnormal_gaussian_logit_scale_warns_nothing():
+    # (loc - logit) / 1e-310 overflows to +-inf, whose Phi is 1 or 0: the
+    # curve is the step it was, built without a numpy warning
+    locs, scales = (-1.0, 1.0), (1e-310, 1.0)
+    grid = np.linspace(0.0, 1.0, 1001)
+    inner = np.clip(grid, 1e-12, 1 - 1e-12)
+    logit = np.log(inner) - np.log1p(-inner)
+    with np.errstate(over="ignore"):
+        values = ndtr((np.asarray(locs)[:, None] - logit) / np.asarray(scales)[:, None])
+    values[:, 0], values[:, -1] = 1.0, 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = PassingCurves.from_gaussian_logit(locs, scales)
+    assert np.array_equal(got.values, values)
+    assert set(np.unique(got.values[0])) == {0.0, 1.0}
+
+
 def test_curve_validation():
     with pytest.raises(ConfigError):
         PassingCurves.from_grid([0.0, 1.0], [0.9, 0.0], [1.0, 0.0])  # g(0) != 1
