@@ -18,11 +18,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, PqschedError
-from . import cost as cost_mod
-from . import httheory as ht
-from . import ingest as ingest_mod
-from . import triage as triage_mod
-from .engine import EVENT_CAP, export_curves_csv, export_jobs_csv, run_paths
+# each command imports the simulator, pricing, analytics, triage and ingest
+# modules it runs, so a process loads only those
 from .model import (ConfusionMatrix, _check_finite, load_config, load_json, validate_config,
                     write_csv, write_json)
 from .policies import POLICY_KINDS
@@ -135,6 +132,9 @@ def main():
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def cmd_simulate(config_path, policies, paths, seed, out_dir):
     """Replicate policies on paired seeds and summarize cumulative cost."""
+    from . import cost as cost_mod
+    from .engine import EVENT_CAP, export_curves_csv, export_jobs_csv, run_paths
+
     policies = list(dict.fromkeys(policies))   # a repeated --policy runs once
     run = _Run("simulate", out_dir, config_path, {"base_seed": seed, "n_paths": paths},
                {"policies": policies})
@@ -177,6 +177,8 @@ def cmd_simulate(config_path, policies, paths, seed, out_dir):
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def cmd_lower_bound(config_path, paths, steps, seed, out_dir):
     """Workload-diffusion cost floor for the configured system."""
+    from . import httheory as ht
+
     run = _Run("lower-bound", out_dir, config_path, {"seed": seed, "n_paths": paths},
                {"n_steps": steps})
     config = run.load()
@@ -220,8 +222,9 @@ def _load_candidate(path: str):
     issues = q.issues()
     if issues:
         raise ConfigError(f"{path}: {'; '.join(issues)}")
-    name = str(doc.get("name", Path(path).stem)) if isinstance(doc, dict) else Path(path).stem
-    return name, q
+    if isinstance(doc, dict) and "name" in doc:
+        return str(doc["name"]), q
+    return Path(path).stem, q
 
 
 @main.command("select-model")
@@ -233,6 +236,8 @@ def _load_candidate(path: str):
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def cmd_select_model(config_path, model_paths, out_dir):
     """Rank candidate classifiers by scheduling regret (no simulation)."""
+    from . import httheory as ht
+
     run = _Run("select-model", out_dir, config_path, {},
                {"models": [str(p) for p in model_paths]})
     config = run.load()
@@ -268,6 +273,8 @@ def cmd_triage(config_path, zfl_grid, ztx, paths, steps, seed, out_dir):
     --ztx, and filtering levels staffed below their passing share, are
     skipped and counted in the manifest.
     """
+    from . import triage as triage_mod
+
     run = _Run("triage", out_dir, config_path, {"seed": seed, "n_paths": paths},
                {"zfl_grid": zfl_grid, "ztx": ztx, "n_steps": steps})
     with run.timed("load"):
@@ -298,6 +305,9 @@ def cmd_triage(config_path, zfl_grid, ztx, paths, steps, seed, out_dir):
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def cmd_estimate(csv_path, threshold, out_dir):
     """Estimate confusion matrix, prevalences, service rates, pass curves."""
+    from . import ingest as ingest_mod
+    from . import triage as triage_mod
+
     if threshold is not None and not np.isfinite(threshold):
         raise click.BadParameter(f"threshold must be finite, got {threshold!r}")
     run = _Run("estimate", out_dir, csv_path, {}, {"threshold": threshold})

@@ -41,7 +41,7 @@ from numpy.random import Generator, Philox
 
 from .errors import ConfigError, EventOverflowError, ScheduleNonPositiveError
 from .model import SystemConfig, write_csv
-from .policies import PolicyRef
+from .policies import PolicyRef, index_overflow
 
 __all__ = [
     "Curves",
@@ -375,13 +375,29 @@ def _simulate_seed(config, policies, tabs, seed, arrival_schedule, service_sched
         else:
             sched = true_class if policy.uses_true_class else label
             for l, n_l in enumerate(np.bincount(sched, minlength=k_classes).tolist()):
-                tab[l].extend(policy.index(l, m) for m in range(len(tab[l]), n_l + 1))
+                if n_l >= len(tab[l]):
+                    _grow(tab[l], config, policy, l, n_l)
             run = _event_loop(tab, sched, a, service, horizon, service_schedule)
         events = n + int(np.count_nonzero(~np.isnan(run[0])))
         if events > event_cap:
             raise _overflow(event_cap, horizon)
         runs.append((*run, events))
     return (a, true_class, service, label), runs
+
+
+def _grow(row: list, config: SystemConfig, policy: PolicyRef, l: int, n: int):
+    """Extend class l's table row with policy.index(l, m) up to m = n.  The
+    index does not decrease in m, so the new values are finite if the last
+    is; if not, or if a Python float power overflows, the ConfigError of
+    index_overflow."""
+    with np.errstate(all="ignore"):
+        try:
+            new = [policy.index(l, m) for m in range(len(row), n + 1)]
+        except OverflowError:
+            new = [math.inf]
+    if not math.isfinite(new[-1]):
+        raise ConfigError(index_overflow(config, policy.kind, l, n))
+    row.extend(new)
 
 
 def run_paths(config: SystemConfig, policies: Sequence, seed: int, sampling_grid: int = 51,

@@ -17,6 +17,7 @@ coefficient machinery scores a confusion matrix before any simulation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import BracketFailureError, ConfigError, NonFiniteMomentError, NonQuadraticError
 from .model import (MixtureCost, PredictedClassParams, SystemConfig, _mean_stderr, _newton,
-                    derive_predicted_params, shape_mismatch)
+                    derive_predicted_params, non_finite, shape_mismatch)
 
 __all__ = [
     "workload_variance_rate",
@@ -180,6 +181,13 @@ def kkt_solve(r, config: SystemConfig) -> Allocation:
     if not (np.all(np.isfinite(r_arr)) and np.all(r_arr >= 0.0)):
         raise ConfigError("total workload must be finite and nonnegative")
     params, K = derive_predicted_params(config), config.n_classes
+    # every slope _newton takes (MixtureCost.prime2, prime_inv) scales by w_kl c_k (p_k - 1)
+    bad = [non_finite(f"costs[{k}]", {"coeff": c.coeff, "power": c.power}, "its marginal-cost "
+                      "slope coeff * (power - 1), times its largest posterior share, overflows")
+           for k, c in enumerate(config.costs)
+           if not math.isfinite(float(params.mix_weights[k].max()) * c.coeff * (c.power - 1.0))]
+    if bad:
+        raise ConfigError("; ".join(bad))
     mixes = [MixtureCost(params.mix_weights[:, l], config.costs) for l in range(K)]
     flat = r_arr.reshape(-1)
     x = np.zeros((K, flat.size))

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .model import MixtureCost, SystemConfig, derive_predicted_params
+from .model import MixtureCost, SystemConfig, derive_predicted_params, non_finite
 
 __all__ = [
     "POLICY_KINDS",
@@ -109,8 +109,30 @@ class PolicyRef:
             powers = {m.common_power for m in costs}
         if len(powers) == 1 and None not in powers:
             p = powers.pop()
-            # index(l, n) = mu_l * c_l * (n / lam_l)^(p-1) = A_l * n^(p-1)
-            a = tuple(float(mu_eff[l] * c.coeff / lam_eff[l] ** (p - 1.0))
-                      for l, c in enumerate(costs))
+            # index(l, n) = mu_l * c_l * (n / lam_l)^(p-1) = A_l * n^(p-1); an A_l
+            # past the float range is refused where the engine tabulates it
+            with np.errstate(all="ignore"):
+                a = tuple(float(mu_eff[l] * c.coeff / lam_eff[l] ** (p - 1.0))
+                          for l, c in enumerate(costs))
             return cls(kind, _PowerIndex(a, p - 1.0).at)
         return cls(kind, _PrimeIndex(mu_eff, tuple(c.prime for c in costs), lam_eff).at)
+
+
+def index_overflow(config: SystemConfig, kind: str, l: int, n: int) -> str:
+    """The NonFinite text of an index kind whose value for class l at n jobs
+    leaves the float range.  That value is mu_l sum_k w_kl C_k'(n / lam_l),
+    w the identity but for pcmu's posterior weights; the text names the cost
+    k of the largest term."""
+    if kind == "oracle":
+        lam, w = config.class_arrival_rates, np.eye(config.n_classes)
+    else:
+        params = derive_predicted_params(config)
+        lam = params.lambda_tilde
+        w = params.mix_weights if kind == "pcmu" else np.eye(config.n_classes)
+    with np.errstate(all="ignore"):
+        terms = [w[k, l] * c.prime(n / lam[l]) if w[k, l] > 0 else -np.inf
+                 for k, c in enumerate(config.costs)]
+    k = int(np.argmax(terms))
+    c = config.costs[k]
+    return non_finite(f"costs[{k}]", {"coeff": c.coeff, "power": c.power},
+                      f"the {kind} index of class {l} overflows the float range at queue length {n}")

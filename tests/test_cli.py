@@ -633,9 +633,6 @@ def test_out_of_range_moments_are_one_error_line(tmp_path, command, doc, error):
     ({**README_CONFIG, "costs": [{"coeff": 1e308, "power": 2.0}, {"coeff": 10.0, "power": 2.0}],
       "horizon": 100.0},
      f"NonFinite: jstar_mean = inf {OVER}"),
-    # the KKT solve once printed raw numpy overflow warnings before its error
-    ({**MIXED_POWER, "costs": [{"coeff": 1.0, "power": 2.0}, {"coeff": 1e308, "power": 3.0}]},
-     "allocation level solve left residual"),
 ])
 def test_overflowing_cost_floor_is_one_error_line(tmp_path, doc, error):
     cfg = tmp_path / "config.json"
@@ -664,6 +661,43 @@ def test_overflowing_cost_floor_names_inf_stderr(runner, tmp_path):
     assert result.output.splitlines()[-1] == "Error: " + "; ".join(
         f"NonFinite: {name} = inf {OVER}"
         for name in ("jstar_mean", "jstar_stderr", "jnaive_mean", "jnaive_stderr"))
+
+
+HUGE_CUBIC = {**MIXED_POWER, "costs": [{"coeff": 1.0, "power": 2.0},
+                                       {"coeff": 1e308, "power": 3.0}]}
+HUGE = "NonFinite: costs[1] = {'coeff': 1e+308, 'power': 3.0}"
+
+
+@pytest.mark.parametrize("args, error", [
+    # the KKT solve's slopes overflowed: raw numpy warnings, then a residual
+    # error naming a workload
+    (["lower-bound", "--paths", "8", "--steps", "100"],
+     f"{HUGE} (its marginal-cost slope coeff * (power - 1), times its largest posterior "
+     "share, overflows)"),
+    # index values overflowed: a raw numpy warning, then a run on tied infs
+    (["simulate", "--policy", "pcmu", "--paths", "3"],
+     f"{HUGE} (the pcmu index of class 0 overflows the float range at queue length 2)"),
+    (["simulate", "--policy", "oracle", "--paths", "3"],
+     f"{HUGE} (the oracle index of class 1 overflows the float range at queue length 1)"),
+    (["simulate", "--policy", "naive", "--paths", "1"],
+     f"{HUGE} (the naive index of class 1 overflows the float range at queue length 1)"),
+    (["simulate", "--policy", "fcfs", "--paths", "3"], None),   # no index to overflow
+], ids=["lower-bound", "simulate-pcmu", "simulate-oracle", "simulate-naive", "simulate-fcfs"])
+def test_overflowing_cost_coefficient_is_one_error_line(tmp_path, args, error):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(HUGE_CUBIC))
+    out = tmp_path / "o"
+    env = dict(os.environ, PYTHONPATH=str(Path(pqsched.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "pqsched.cli", *args, "--config", str(cfg),
+                           "--out", str(out)], env=env, capture_output=True, text=True)
+    warning, *rest = proc.stderr.splitlines()
+    assert warning.startswith("warning: HeavyTrafficDeviation: rho = 0.85")
+    if error is None:
+        assert proc.returncode == 0 and rest == [] and (out / "summary.csv").exists()
+    else:
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert rest == [f"Error: {error}"]
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("doc", [
@@ -869,29 +903,51 @@ def test_every_manifest_records_stage_timings(runner, tmp_path, config_path, tri
 
 # ------------------------------------------------- deferred scipy import
 
+# the pqsched modules each command imports, beyond the cli's errors, model and policies
+COMMAND_MODULES = {"simulate": {"cost", "engine"}, "lower-bound": {"httheory"},
+                   "select-model": {"httheory"}, "triage": {"httheory", "triage"},
+                   "estimate": {"httheory", "ingest", "triage"}}
+
+
 @pytest.mark.parametrize("command, service_dist, loads_scipy", [
     ("simulate", "exponential", False),
     ("simulate", {"family": "lognormal", "sigma": 0.5}, True),
     ("lower-bound", "exponential", True),
+    pytest.param("select-model", "exponential", False, id="select-model"),
+    pytest.param("triage", "exponential", True, id="triage"),
+    pytest.param("estimate", "exponential", False, id="estimate"),
 ])
 def test_fresh_process_loads_scipy_at_first_use(runner, tmp_path, command, service_dist,
                                                 loads_scipy):
-    # scipy.special is imported inside the functions that draw normals; a
-    # fresh process loads it only for them, and writes the same bytes as this
-    # process, where scipy is loaded already
+    # scipy.special is imported inside the functions that draw normals, and
+    # each command imports the pqsched modules it runs; a fresh process loads
+    # only those, and writes the same bytes as this process, where everything
+    # is loaded already
     importlib.import_module("scipy.special")
     cfg = tmp_path / "system.json"
     cfg.write_text(json.dumps({**README_CONFIG, "service_dist": service_dist}))
-    args = [command, "--config", str(cfg), "--seed", "4",
-            *(["--paths", "3", "--policy", "pcmu"] if command == "simulate"
-              else ["--paths", "8", "--steps", "100"])]
+    model, triage = tmp_path / "q1.json", tmp_path / "triage.json"
+    model.write_text(json.dumps({"name": "q1", "confusion": [[0.8, 0.2], [0.3, 0.7]]}))
+    triage.write_text(json.dumps(TRIAGE_DOC))
+    args = [command, *{
+        "simulate": ["--config", str(cfg), "--seed", "4", "--paths", "3", "--policy", "pcmu"],
+        "lower-bound": ["--config", str(cfg), "--seed", "4", "--paths", "8", "--steps", "100"],
+        "select-model": ["--config", str(cfg), "--model", str(model)],
+        "triage": ["--config", str(triage), "--zfl-grid", "0.2:0.4:3", "--seed", "4",
+                   "--paths", "50", "--steps", "100"],
+        "estimate": ["--csv", str(_validation_csv(tmp_path)), "--threshold", "0.5"],
+    }[command]]
     fresh, here = tmp_path / "fresh", tmp_path / "here"
     code = ("import sys; from pqsched.cli import main; "
-            "main(sys.argv[1:], standalone_mode=False); print('scipy' in sys.modules)")
+            "main(sys.argv[1:], standalone_mode=False); print('scipy' in sys.modules); "
+            "print(sorted(m for m in sys.modules if m.startswith('pqsched.')))")
     env = dict(os.environ, PYTHONPATH=str(Path(pqsched.__file__).resolve().parents[1]))
     env.pop("PQSCHED_THREADS", None)
     proc = subprocess.run([sys.executable, "-c", code, *args, "--out", str(fresh)],
                           env=env, check=True, capture_output=True, text=True)
-    assert proc.stdout.splitlines()[-1] == str(loads_scipy)
+    *_, scipy_loaded, modules = proc.stdout.splitlines()
+    assert scipy_loaded == str(loads_scipy)
+    assert modules == str(sorted(f"pqsched.{m}" for m in {"cli", "errors", "model", "policies"}
+                                 | COMMAND_MODULES[command]))
     assert runner.invoke(main, [*args, "--out", str(here)]).exit_code == 0
     assert _csv_bytes(fresh) and _csv_bytes(fresh) == _csv_bytes(here)

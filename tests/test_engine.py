@@ -158,6 +158,18 @@ def test_oracle_policy_on_blind_state_raises(two_class_config):
         decide(state, pol)
 
 
+@pytest.mark.parametrize("kind", ["pcmu", "oracle", "naive"])
+def test_index_past_the_float_range_is_a_config_error(kind):
+    # a common power of 300 puts the closed-form index A_l n^299 past the
+    # float range at a few dozen jobs: a Python float power once raised a raw
+    # OverflowError there
+    cfg = make_two_class(horizon=200.0, costs=(CostFn(1.0, 300.0), CostFn(1.0, 300.0)))
+    with pytest.raises(ConfigError, match=rf"^NonFinite: costs\[\d\] = .* \(the {kind} index "
+                                          r"of class \d overflows the float range at queue "
+                                          r"length \d+\)$"):
+        run_path(cfg, kind, seed=0)
+
+
 def test_curves_composition_consistent_with_queue_lengths(critical_config):
     cfg = critical_config
     path = run_path(cfg, "pcmu", seed=3, sampling_grid=101)

@@ -2,7 +2,11 @@
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pqsched
 from pqsched import errors
@@ -31,6 +35,37 @@ def test_package_exports_only_listed_names():
     public = {name for name, value in vars(pqsched).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public <= listed, sorted(public - listed)
+
+
+def test_star_import_and_dir_list_every_listed_name():
+    # __all__ and dir() of the lazily filled package: every module's __all__
+    # and the error classes, as when each module was star-imported
+    listed = set().union(*(m.__all__ for m in _listing_modules()))
+    listed |= {name for name in vars(errors) if name.endswith("Error")}
+    namespace = {}
+    exec("from pqsched import *", namespace)
+    assert set(namespace) - {"__builtins__"} == listed
+    assert sorted(pqsched.__all__) == sorted(listed)
+    assert listed <= set(dir(pqsched))
+    assert not hasattr(pqsched, "no_such_name")
+
+
+def test_import_and_config_load_leave_the_other_modules_unloaded(tmp_path):
+    # only a command, or the first lookup of one of their names, loads these
+    cfg = tmp_path / "system.json"
+    pqsched.save_config(pqsched.SystemConfig(1.0, [0.3, 0.7], [2.0, 1.0],
+                                             [pqsched.CostFn(1.0), pqsched.CostFn(10.0)],
+                                             [[0.9, 0.1], [0.2, 0.8]]), cfg)
+    unloaded = ["pqsched.engine", "pqsched.cost", "pqsched.httheory", "pqsched.ingest",
+                "pqsched.triage", "numpy.random", "scipy", "concurrent.futures"]
+    code = ("import sys, pqsched, pqsched.cli; from pqsched import cli; "
+            "cli.load_config(sys.argv[1]); "
+            "print([m for m in sys.argv[2:] if m in sys.modules]); "
+            "pqsched.run_path; print('pqsched.engine' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(pqsched.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, str(cfg), *unloaded],
+                          env=env, check=True, capture_output=True, text=True)
+    assert proc.stdout.splitlines() == ["[]", "True"]
 
 
 def test_analytics_take_the_config_alone():
