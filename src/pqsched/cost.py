@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,8 +49,9 @@ COMPLETED_ONLY = "completed_only"
 TRUNCATE_AT_HORIZON = "truncate_at_horizon"
 _RULES = (COMPLETED_ONLY, TRUNCATE_AT_HORIZON)
 
-# Expected arrivals priced in one pass: bounds the memory a block holds
-_BATCH_JOBS = 1 << 13
+# Expected arrivals drawn, simulated and priced in one pass: bounds the
+# memory a batch holds
+_BATCH_JOBS = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,19 @@ def _charge(config: SystemConfig, rule: str, horizon: float, a, true_class, comp
 
 def _cumulative(charge: np.ndarray, a: np.ndarray, bounds, grid: np.ndarray) -> np.ndarray:
     """J on the grid, a row per path of jobs [lo, hi) between consecutive
-    bounds: jobs are in arrival order, so J(t) sums the charges arrived by t."""
-    return np.array([np.concatenate(([0.0], np.cumsum(charge[lo:hi])))[
-        np.searchsorted(a[lo:hi], grid, side="right")] for lo, hi in zip(bounds, bounds[1:])])
+    bounds: jobs are in arrival order, so J(t) is the running sum of a path's
+    charges over its arrivals by t.  Each row sums in order from its own
+    first charge, as the path's cumsum alone would; the arrival counts come
+    from one search of (path, arrival time) pairs, which complex numbers
+    order as pairs, real part first."""
+    n = np.diff(bounds)
+    path = np.repeat(np.arange(len(n)), n)
+    sums = np.zeros((len(n), n.max(initial=0) + 1))  # J is 0 before the first arrival
+    sums[path, np.arange(len(a)) - np.repeat(bounds[:-1], n) + 1] = charge
+    np.cumsum(sums[:, 1:], axis=1, out=sums[:, 1:])
+    arrived = np.searchsorted(path + a * 1j, np.arange(len(n))[:, None] + grid * 1j,
+                              side="right") - np.asarray(bounds[:-1])[:, None]
+    return np.take_along_axis(sums, arrived, axis=1)
 
 
 def path_cost(path: PathResult, config: SystemConfig,
@@ -148,29 +159,27 @@ class ReplicationSummary:
 
 def _block(args):
     """Per policy, each seed's J on eval_times, events, open jobs and their
-    cost.  The block's seeds share each policy's index table, and are priced
-    in batches of about _BATCH_JOBS expected arrivals, one pass per batch."""
+    cost.  The block's seeds share each policy's index table, and run in
+    batches of consecutive seeds with about _BATCH_JOBS expected arrivals,
+    each drawn, simulated and priced as one set of columns."""
     config, policies, seeds, rule, eval_times = args
-    paths = simulate_block(config, policies, seeds)
     size = max(1, int(_BATCH_JOBS // (config.lam * config.horizon + 1.0)))
-    # each batch is dropped once priced, before the next one is simulated
-    return [_price(config, rule, eval_times, list(islice(paths, size)))
-            for _ in range(0, len(seeds), size)]
+    batches = simulate_block(config, policies, [seeds[i:i + size]
+                                                for i in range(0, len(seeds), size)])
+    # map drops each batch once priced, before the next one is simulated
+    return list(map(partial(_price, config, rule, eval_times), batches))
 
 
-def _price(config: SystemConfig, rule: str, eval_times: np.ndarray, batch: list) -> list:
-    """`_block`'s figures for a batch of simulated seeds, every job of a
-    policy priced in one pass."""
-    a, true_class, completion, events = zip(*(
-        (a, k, [r[0] for r in runs], [r[3] for r in runs]) for (a, k, *_), runs in batch))
-    n = np.array([len(x) for x in a])
-    bounds, seed_of = np.concatenate(([0], np.cumsum(n))), np.repeat(np.arange(len(n)), n)
-    a, true_class, events = np.concatenate(a), np.concatenate(true_class), np.array(events)
+def _price(config: SystemConfig, rule: str, eval_times: np.ndarray, batch) -> list:
+    """`_block`'s figures for a simulated batch, every job of a policy priced
+    in one pass."""
+    bounds, (a, true_class, *_), runs = batch
+    n = np.diff(bounds)
+    seed_of = np.repeat(np.arange(len(n)), n)
     out = []
-    for j, counts in enumerate(events.T):
-        charge, cost, done = _charge(config, rule, config.horizon, a, true_class,
-                                     np.concatenate([c[j] for c in completion]))
-        out.append((_cumulative(charge, a, bounds, eval_times), counts, 2 * n - counts,
+    for completion, _, _, events in runs:
+        charge, cost, done = _charge(config, rule, config.horizon, a, true_class, completion)
+        out.append((_cumulative(charge, a, bounds, eval_times), events, 2 * n - events,
                     np.bincount(seed_of[~done], cost[~done], minlength=len(n))))
     return out
 

@@ -10,11 +10,15 @@ from the confusion-matrix row of the true class, independently per job.
 Randomness is split into four independent substreams of one counter-based
 generator (Philox keyed by the path seed): interarrivals, true classes,
 service requirements, classification.  None depends on the policy, so
-`simulate_block` draws each seed's arrival stream once, as numpy columns,
-and runs every policy on it.  Draws come in chunks of at most event_cap + 1
-values -- exactly the values one-at-a-time draws give -- through
-`Dist.sample` of the config's laws, so a path is a bit-stable function of
-(config, policy, seed) whatever block of seeds it is simulated in.
+`simulate_block` draws each seed's arrival stream once and runs every
+policy on it.  It works one batch of consecutive seeds at a time, as one
+set of columns: per seed it only reads the substreams (arrivals in chunks
+of at most event_cap + 1 values -- exactly the values one-at-a-time draws
+give) and runs the event loops; the class draws, the `Dist.draws`
+transform of the service uniforms, table growth and event counts take one
+pass over the batch.  Each value is an elementwise function of its own
+seed's uniforms, so a path is a bit-stable function of (config, policy,
+seed) whatever batch or block of seeds it is simulated in.
 
 The policy only fills in the completion column.  Global FCFS serves in
 arrival order without preemption, so c_i = max(a_i, c_{i-1}) + s_i in one
@@ -22,7 +26,7 @@ pass.  The index policies run one flat event loop over a table of
 `PolicyRef.index` values shared by a block's seeds: an arrival raises only
 its own class's value, so it decides between the served class and the
 arriving one, and only a completion rescans the classes.  Replication
-prices a block's columns and builds no curves; `run_paths` is a block of
+prices a batch's columns and builds no curves; `run_paths` is a batch of
 one seed that also derives them.  The total workload W_+ follows the Lindley
 recursion W_i = max(0, W_{i-1} - (a_i - a_{i-1})) + s_i over arrivals, the
 remaining work of any work-conserving policy, so one pass per seed serves
@@ -148,20 +152,25 @@ def _overflow(event_cap: int, horizon: float) -> EventOverflowError:
                               f"{horizon}; check rho or raise event_cap")
 
 
-def _substreams(seed: int):
-    """The path's four substreams in order: Philox(key=seed).jumped(i) for
-    i = 0 (interarrivals), 1 (true classes), 2 (services), 3 (labels).
+def _substreams(seed: int, rng: Generator):
+    """The path's four substreams in order, read through rng, a Generator on
+    a Philox bit generator: Philox(key=seed).jumped(i) for i = 0
+    (interarrivals), 1 (true classes), 2 (services), 3 (labels).
 
     Each is read to the end before the next starts, so one bit generator
-    serves all four by setting the counter word a jump advances.
+    serves every seed and substream: each starts from the state
+    Philox(key=seed) has, with the counter word a jump advances set to i.
     """
     if not 0 <= seed < 2 ** 128:  # Philox keys
         raise ConfigError(f"seed {seed} is outside [0, 2**128)")
-    bits = Philox(key=seed)
-    rng, state = Generator(bits), bits.state
+    key = np.array([seed & (2 ** 64 - 1), seed >> 64], dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, dtype=np.uint64),
+                                                  "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0,
+             "uinteger": 0}
     for i in range(4):
         state["state"]["counter"][2] = i
-        bits.state = state
+        rng.bit_generator.state = state
         yield rng
 
 
@@ -192,9 +201,9 @@ def _arrival_times(config: SystemConfig, rng: Generator,
                 times.append(t)
                 if len(times) > event_cap:
                     raise _overflow(event_cap, horizon)
-    parts, n, t = [], 0, 0.0
+    dist, parts, n, t = config.arrival_dist, [], 0, 0.0
     while True:
-        gaps = config.arrival_dist.sample(rng, lam, chunk)
+        gaps = dist.draws(dist.uniforms(rng, chunk), lam)
         ts = np.cumsum(np.concatenate(([t], gaps)))[1:]
         kept = int(np.searchsorted(ts, horizon, side="right"))
         n += kept
@@ -214,41 +223,48 @@ def _categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.sum(cdf[..., :-1] <= u[:, None], axis=-1)
 
 
-def _fcfs(a: np.ndarray, s: np.ndarray, horizon: float):
-    """Global FCFS in closed form: completion (NaN while open) and remaining
-    work at the horizon."""
+def _per_seed(mask: np.ndarray, bounds: list) -> np.ndarray:
+    """How many of each seed's jobs, [lo, hi) between consecutive bounds, the
+    mask holds."""
+    return np.diff(np.concatenate(([0], np.cumsum(mask)))[bounds])
+
+
+def _fcfs(at: list, service: np.ndarray, bounds: list, horizon: float):
+    """Global FCFS in closed form, seed by seed over a batch's arrival times
+    (a list) and services: completion (NaN while open) and remaining work at
+    the horizon."""
     completion = []
-    c = 0.0
-    for ai, si in zip(a.tolist(), s.tolist()):
-        c = (ai if ai > c else c) + si
-        completion.append(c)
-    c = np.array(completion)
-    n_done = int(np.searchsorted(c, horizon, side="right"))  # c is nondecreasing
-    remaining = s.copy()
-    remaining[:n_done] = 0.0
-    if n_done < len(c):
-        remaining[n_done] = c[n_done] - horizon  # in service at the horizon
-    c[n_done:] = np.nan
+    for lo, hi in zip(bounds, bounds[1:]):
+        c = 0.0
+        for ai, si in zip(at[lo:hi], service[lo:hi].tolist()):
+            c = (ai if ai > c else c) + si
+            completion.append(c)
+    c = np.array(completion, dtype=float)
+    done = c <= horizon  # a prefix of each seed: c is nondecreasing there
+    remaining = np.where(done, 0.0, service)
+    n_done = _per_seed(done, bounds)
+    first_open = (np.asarray(bounds[:-1]) + n_done)[n_done < np.diff(bounds)]
+    remaining[first_open] = c[first_open] - horizon  # in service at the horizon
+    c[~done] = np.nan
     return c, remaining, []
 
 
-def _event_loop(tab: list, sched: np.ndarray, a: np.ndarray, s: np.ndarray,
-                horizon: float, schedule: Optional[RateSchedule]):
-    """p-FCFS over scheduling classes `sched` (0..len(tab)-1), serving the
+def _event_loop(tab: list, cls: list, at: list, rem: list, horizon: float,
+                schedule: Optional[RateSchedule]):
+    """p-FCFS over scheduling classes `cls` (0..len(tab)-1) of one seed's jobs
+    arriving at `at` (with an _INF sentinel after the last), serving the
     nonempty class of largest index value tab[l][n] (a row per class, long
     enough for all its jobs), ties to the smallest class.
 
     vals[l] caches class l's value (-1.0 while empty).  An arrival to class c
     raises vals[c] only (the index does not decrease in n), so the class to
     serve is the current one or c; a completion rescans vals.
-    Returns completion (NaN while open), remaining work at the horizon, and
-    the workload jumps (arrivals so far, t, added work) made when a service
-    schedule rescales a job at its first start.
+    rem starts as the services and ends as the remaining work at the horizon.
+    Returns completion (NaN while open) and the workload jumps (arrivals so
+    far, t, added work) made when a service schedule rescales a job at its
+    first start.
     """
-    n = len(a)
-    at = a.tolist() + [_INF]
-    cls = sched.tolist()
-    rem = s.tolist()
+    n = len(rem)
     completion = [math.nan] * n
     queues = [[] for _ in tab]
     heads = [0] * len(tab)
@@ -297,7 +313,7 @@ def _event_loop(tab: list, sched: np.ndarray, a: np.ndarray, s: np.ndarray,
         end = t + rem[job]
     if job >= 0:
         rem[job] = end - horizon  # unfinished work at the horizon
-    return np.array(completion), np.array(rem), jumps
+    return completion, jumps
 
 
 def _workload(grid: np.ndarray, a: np.ndarray, s: np.ndarray, jumps: list):
@@ -339,50 +355,86 @@ def _composition(grid: np.ndarray, k_classes: int, a, true_class, label,
     return np.cumsum(delta.reshape(g + 1, cells)[:g], axis=0).reshape(g, k_classes, k_classes)
 
 
-def simulate_block(config: SystemConfig, policies: Sequence[PolicyRef], seeds,
+def simulate_block(config: SystemConfig, policies: Sequence[PolicyRef], batches,
                    arrival_schedule: Optional[RateSchedule] = None,
                    service_schedule: Optional[RateSchedule] = None, event_cap: int = EVENT_CAP):
-    """Yield each seed's draws (arrival times, true classes, services, labels)
-    and each policy's (completion, remaining, workload jumps, events).  The
-    seeds share each policy's index table tab[l][m] = index(l, m) (tab[l][0]
-    = -1.0: empty), grown to the largest class size among them.  An
-    arrival_schedule needs exponential interarrivals (Poisson thinning)."""
+    """Yield, for each batch of seeds in `batches`, the batch as columns: the
+    bounds of each seed's jobs, the draws (arrival times, true classes,
+    services, labels) and each policy's (completion, remaining, workload
+    jumps, events per seed).  The block's seeds share each policy's index
+    table tab[l][m] = index(l, m) (tab[l][0] = -1.0: empty), grown to the
+    largest class size among them.  An arrival_schedule needs exponential
+    interarrivals (Poisson thinning)."""
     if arrival_schedule is not None and config.arrival_dist.family != "exponential":
         raise ConfigError("arrival schedules require exponential interarrivals (thinning)")
     tabs = [[[-1.0] for _ in range(config.n_classes)] for _ in policies]
-    for seed in seeds:  # a call per seed: no columns stay in this frame between yields
-        yield _simulate_seed(config, policies, tabs, seed, arrival_schedule, service_schedule,
-                             event_cap)
+    for seeds in batches:  # a call per batch: no columns stay in this frame between yields
+        yield _simulate_batch(config, policies, tabs, seeds, arrival_schedule, service_schedule,
+                              event_cap)
 
 
-def _simulate_seed(config, policies, tabs, seed, arrival_schedule, service_schedule, event_cap):
-    """One seed of `simulate_block`; grows `tabs` to the seed's class sizes."""
-    k_classes, horizon = config.n_classes, config.horizon
-    streams = _substreams(seed)  # the policy-independent arrival stream
-    a = _arrival_times(config, next(streams), arrival_schedule, event_cap)
-    n = len(a)
-    true_class = _categorical(np.cumsum(config.prevalences), next(streams).random(n))
-    service = config.service_dist.sample(next(streams), config.service_rates[true_class], n)
-    label_cdf = np.cumsum(config.confusion.entries, axis=1)
-    label = _categorical(label_cdf[true_class], next(streams).random(n))
+def _simulate_batch(config, policies, tabs, seeds, arrival_schedule, service_schedule, event_cap):
+    """One batch of `simulate_block`; grows `tabs` to the batch's class sizes.
+
+    Per seed only the substream reads and the event loops run; the draws,
+    table growth and event counts take one pass over the batch's columns."""
+    k_classes, horizon, service_dist = config.n_classes, config.horizon, config.service_dist
+    a, u_class, u_service, u_label = [], [], [], []
+    rng = Generator(Philox(0))  # re-keyed for each seed's substreams
+    for seed in seeds:
+        streams = _substreams(seed, rng)  # the policy-independent arrival stream
+        a.append(_arrival_times(config, next(streams), arrival_schedule, event_cap))
+        u_class.append(next(streams).random(len(a[-1])))
+        u_service.append(service_dist.uniforms(next(streams), len(a[-1])))
+        u_label.append(next(streams).random(len(a[-1])))
+    bounds = np.concatenate(([0], np.cumsum([len(x) for x in a], dtype=np.int64)))
+    a, u_class, u_service, u_label = (np.concatenate(x) if x else np.zeros(0)
+                                      for x in (a, u_class, u_service, u_label))
+    true_class = _categorical(np.cumsum(config.prevalences), u_class)
+    service = service_dist.draws(u_service, config.service_rates[true_class])
+    label = _categorical(np.cumsum(config.confusion.entries, axis=1)[true_class], u_label)
+    del u_class, u_service, u_label
+
+    n = np.diff(bounds)
+    seed_of, ends, at = np.repeat(np.arange(len(n)), n), bounds.tolist(), a.tolist()
     runs = []
     for policy, tab in zip(policies, tabs):
         if policy.kind == "fcfs" and service_schedule is None:
-            run = _fcfs(a, service, horizon)
-        elif policy.kind == "fcfs":  # under a service schedule: one FIFO line
-            run = _event_loop([[-1.0] + [0.0] * n], np.zeros(n, dtype=np.int64), a,
-                              service, horizon, service_schedule)
+            run = _fcfs(at, service, ends, horizon)
         else:
-            sched = true_class if policy.uses_true_class else label
-            for l, n_l in enumerate(np.bincount(sched, minlength=k_classes).tolist()):
-                if n_l >= len(tab[l]):
-                    _grow(tab[l], config, policy, l, n_l)
-            run = _event_loop(tab, sched, a, service, horizon, service_schedule)
-        events = n + int(np.count_nonzero(~np.isnan(run[0])))
-        if events > event_cap:
+            if policy.kind == "fcfs":  # under a service schedule: one FIFO line
+                sched = np.zeros(len(a), dtype=np.int64)
+                tab = [[-1.0] + [0.0] * int(n.max(initial=0))]
+            else:
+                sched = true_class if policy.uses_true_class else label
+                counts = np.bincount(seed_of * k_classes + sched, minlength=len(n) * k_classes)
+                _grow_to(tab, config, policy, counts.reshape(-1, k_classes))
+            completion, remaining, jumps = np.empty(len(a)), np.empty(len(a)), []
+            for lo, hi in zip(ends, ends[1:]):
+                rem = service[lo:hi].tolist()
+                completion[lo:hi], js = _event_loop(tab, sched[lo:hi].tolist(),
+                                                    at[lo:hi] + [_INF], rem, horizon,
+                                                    service_schedule)
+                remaining[lo:hi] = rem
+                jumps += [(lo + i, t, w) for i, t, w in js]
+            run = completion, remaining, jumps
+        events = n + _per_seed(~np.isnan(run[0]), ends)
+        if np.any(events > event_cap):
             raise _overflow(event_cap, horizon)
         runs.append((*run, events))
-    return (a, true_class, service, label), runs
+    return bounds, (a, true_class, service, label), runs
+
+
+def _grow_to(tab: list, config: SystemConfig, policy: PolicyRef, counts: np.ndarray):
+    """Grow each row of tab to the class sizes counts[s, l] of the seeds s in
+    order, as a seed at a time would: an overflow names the first seed's size
+    that reaches it."""
+    if np.all(counts.max(axis=0, initial=0) < [len(row) for row in tab]):
+        return
+    for sizes in counts.tolist():
+        for l, n_l in enumerate(sizes):
+            if n_l >= len(tab[l]):
+                _grow(tab[l], config, policy, l, n_l)
 
 
 def _grow(row: list, config: SystemConfig, policy: PolicyRef, l: int, n: int):
@@ -405,7 +457,7 @@ def run_paths(config: SystemConfig, policies: Sequence, seed: int, sampling_grid
               service_schedule: Optional[RateSchedule] = None,
               event_cap: int = EVENT_CAP) -> list:
     """Simulate [0, horizon] under each policy on the seed's one arrival
-    stream -- a block of one seed that also builds the curves; one
+    stream -- a batch of one seed that also builds the curves; one
     PathResult per policy, each fully deterministic.
 
     The policies re-evaluate at arrivals and completions only; queue-length
@@ -420,19 +472,19 @@ def run_paths(config: SystemConfig, policies: Sequence, seed: int, sampling_grid
 
     k_classes = config.n_classes
     horizon = config.horizon
-    ((a, true_class, service, label), runs), = simulate_block(
-        config, policies, [seed], arrival_schedule, service_schedule, event_cap)
+    (_, (a, true_class, service, label), runs), = simulate_block(
+        config, policies, [[seed]], arrival_schedule, service_schedule, event_cap)
     grid = np.linspace(0.0, horizon, sampling_grid)
     shared = _workload(grid, a, service, []) if service_schedule is None else ()
     for column in (a, true_class, service, label, grid, *shared):  # every policy's path holds them
         column.setflags(write=False)
     results = []
-    for policy, (completion, remaining, jumps, events) in zip(policies, runs):
+    for policy, (completion, remaining, jumps, (events,)) in zip(policies, runs):
         work, workload = shared or _workload(grid, a, service, jumps)  # shared: no jumps
         composition = _composition(grid, k_classes, a, true_class, label, completion)
         curves = Curves(grid, composition.sum(axis=1), workload, composition)
         results.append(PathResult(a, true_class, label, service, completion, remaining, work,
-                                  curves, seed, events, horizon, k_classes, policy.kind))
+                                  curves, seed, int(events), horizon, k_classes, policy.kind))
     return results
 
 

@@ -61,7 +61,7 @@ _U_EPS = 2.0 ** -53
 def workload_variance_rate(config: SystemConfig) -> float:
     """Variance rate v = lambda c_v + lambda^3 c_u m^2 of the limiting workload
     Brownian motion: variance_rate at q = 1 on the second moments of the
-    config's laws (Dist.second_moment, the laws Dist.sample draws from).
+    config's laws (Dist.second_moment, the laws Dist.draws maps uniforms to).
     M/M/1 sanity check: lambda = mu gives v = 2 / lambda."""
     lam, p = config.lam, config.prevalences
     alpha_u = config.arrival_dist.second_moment(lam)
@@ -166,8 +166,10 @@ def kkt_solve(r, config: SystemConfig) -> Allocation:
     sum_l x_l(y) is increasing and concave, with slope sum_l rho~_l /
     (mu~_l C~''_l) (MixtureCost.prime_inv, prime2).  Newton on g(y) = r
     (model._newton) from y_hi = min_l mu~_l C~'_l(r / rho~_l), where one class
-    alone takes all of r; a total off r by more than KKT_TOL max(1, r), or
-    NaN past the float range, is a BracketFailureError.
+    alone takes all of r.  When every label's mixture has one common power
+    p, the split is homogeneous and needs no Newton: x_l = r w_l / sum_m w_m,
+    w_l = rho~_l (mu~_l c~_l)^(-1/(p-1)).  A total off r by more than
+    KKT_TOL max(1, r), or NaN past the float range, is a BracketFailureError.
 
     r may be an array (x then gains a trailing K axis, objective is per entry);
     NaN, infinite or negative entries are a ConfigError.  The solve runs on
@@ -207,17 +209,22 @@ def _level_shares(r: np.ndarray, params: PredictedClassParams,
                   mixes: Sequence[MixtureCost]) -> np.ndarray:
     """Optimal splits, shape (K, len(r)), of a 1-D array of workloads r > 0."""
     rho, mu = params.rho_tilde, params.mu_tilde
+    powers = {mix.common_power for mix in mixes}
+    if len(powers) == 1 and None not in powers:
+        # mu~_l c~_l (x_l / rho~_l)^(p-1) = y makes x_l proportional to w_l
+        w = rho * (mu * [mix.coeff for mix in mixes]) ** (-1.0 / (powers.pop() - 1.0))
+        x = w[:, None] * r / w.sum()
+    else:
+        def loads(y):  # t_l = x_l / rho~_l at level y
+            return [mix.prime_inv(y / m) for mix, m in zip(mixes, mu)]
 
-    def loads(y):  # t_l = x_l / rho~_l at level y
-        return [mix.prime_inv(y / m) for mix, m in zip(mixes, mu)]
+        def f_df(y, i):
+            t = loads(y)
+            return (sum(p * tl for p, tl in zip(rho, t)) - r[i],
+                    sum(p / (m * mix.prime2(tl)) for p, m, mix, tl in zip(rho, mu, mixes, t)))
 
-    def f_df(y, i):
-        t = loads(y)
-        return (sum(p * tl for p, tl in zip(rho, t)) - r[i],
-                sum(p / (m * mix.prime2(tl)) for p, m, mix, tl in zip(rho, mu, mixes, t)))
-
-    y_hi = np.min([m * mix.prime(r / p) for p, m, mix in zip(rho, mu, mixes)], axis=0)
-    x = np.stack([p * tl for p, tl in zip(rho, loads(_newton(f_df, y_hi)))])
+        y_hi = np.min([m * mix.prime(r / p) for p, m, mix in zip(rho, mu, mixes)], axis=0)
+        x = np.stack([p * tl for p, tl in zip(rho, loads(_newton(f_df, y_hi)))])
     res, tol = np.abs(sum(x) - r), KKT_TOL * np.maximum(1.0, r)
     if not np.all(res <= tol):  # NaN-safe
         i = int(np.argmax(~(res <= tol)))

@@ -144,9 +144,9 @@ class ConfusionMatrix:
 class Dist:
     """Law of a positive time with mean 1/rate.  parse reads the only tags:
     "exponential", "deterministic", or {"family": "lognormal", "sigma": s}
-    (exp(-s^2/2 + s Z) / rate, Z standard normal).  The simulator draws with
-    sample and the diffusion analytics use second_moment, so both read a
-    config the same way."""
+    (exp(-s^2/2 + s Z) / rate, Z standard normal).  The simulator reads
+    uniforms and maps them through draws, and the diffusion analytics use
+    second_moment, so both read a config the same way."""
 
     family: str
     sigma: float = 0.0
@@ -170,21 +170,24 @@ class Dist:
             return {"family": "lognormal", "sigma": self.sigma}
         return self.family
 
-    def sample(self, rng, rate, n: int) -> np.ndarray:
-        """n draws with mean 1/rate (a scalar, or one rate per draw), through the
-        scalar math.log/math.exp so every value is bit-stable; none from rng
-        for the deterministic family."""
+    def uniforms(self, rng, n: int) -> np.ndarray:
+        """The uniforms in [0, 1) of n draws: n values read from rng, or n
+        zeros and none read for the deterministic family."""
+        return np.zeros(n) if self.family == "deterministic" else rng.random(n)
+
+    def draws(self, u: np.ndarray, rate) -> np.ndarray:
+        """The draws of the uniforms u, with mean 1/rate (a scalar, or one rate
+        per draw), each through the scalar math.log/math.exp: a value depends
+        on its uniform and rate only, bit for bit, whatever array holds it."""
         if self.family == "deterministic":
-            return np.ones(n) / rate
-        one_minus_u = 1.0 - rng.random(n)  # in (0, 1], making -log safe
+            return np.ones(len(u)) / rate
+        one_minus_u = 1.0 - u  # in (0, 1], making -log safe
         if self.family == "exponential":
-            log = math.log
-            return -np.array([log(v) for v in one_minus_u.tolist()]) / rate
+            return -np.fromiter(map(math.log, one_minus_u.tolist()), float, len(u)) / rate
         from scipy.special import ndtri  # here, so only lognormal draws load scipy
         # exp(m + s Z) has mean exp(m + s^2/2), so m = -s^2/2 gives mean 1
         x = -0.5 * self.sigma * self.sigma + self.sigma * ndtri(one_minus_u)
-        exp = math.exp
-        return np.array([exp(v) for v in x.tolist()]) / rate
+        return np.fromiter(map(math.exp, x.tolist()), float, len(u)) / rate
 
     def second_moment(self, rate):
         """E[X^2] of a draw with mean 1/rate: 2/rate^2, 1/rate^2 or e^(s^2)/rate^2,

@@ -25,7 +25,7 @@ def workload_variance_rate(config: SystemConfig) -> float:
     c_v = sum_k p_k alpha_v[k] - m^2 and interarrival variance
     c_u = alpha_u - 1/lambda^2, where alpha_u = E[U^2] and alpha_v[k] =
     E[V_k^2] are the second moments of the config's laws (Dist.second_moment,
-    the laws Dist.sample draws from),
+    the laws Dist.draws maps uniforms to),
 
         v = lambda * c_v + lambda^3 * c_u * m^2.
 

@@ -628,11 +628,34 @@ def test_out_of_range_moments_are_one_error_line(tmp_path, command, doc, error):
     assert not out.exists()
 
 
+POWER_300 = {**README_CONFIG, "costs": [{"coeff": 1.0, "power": 300.0}] * 2}
+
+
+def test_common_power_300_floor_is_written(tmp_path):
+    # Newton on the common marginal level could not follow y^(1/299) and left
+    # a residual; a common power splits the workload in closed form
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(POWER_300))
+    out = tmp_path / "o"
+    env = dict(os.environ, PYTHONPATH=str(Path(pqsched.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "pqsched.cli", "lower-bound", "--config",
+                           str(cfg), "--paths", "8", "--steps", "100", "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0
+    warning, = proc.stderr.splitlines()
+    assert warning.startswith("warning: HeavyTrafficDeviation: rho = 0.85")
+    assert "jstar_mean = 1.056346e+119" in proc.stdout.splitlines()
+    assert (out / "lower_bound.csv").exists()
+
+
 @pytest.mark.parametrize("doc, error", [
     # per-path costs past the float range once wrote inf into lower_bound.csv
     ({**README_CONFIG, "costs": [{"coeff": 1e308, "power": 2.0}, {"coeff": 10.0, "power": 2.0}],
       "horizon": 100.0},
      f"NonFinite: jstar_mean = inf {OVER}"),
+    # a common power of 300: the floor leaves the float range (the level
+    # solve once stopped first, on a residual at workload 0.2855)
+    ({**POWER_300, "horizon": 200.0}, f"NonFinite: jstar_mean = inf {OVER}"),
 ])
 def test_overflowing_cost_floor_is_one_error_line(tmp_path, doc, error):
     cfg = tmp_path / "config.json"

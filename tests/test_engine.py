@@ -359,7 +359,7 @@ def test_simulate_block_checks_the_arrival_schedule():
     # deterministic stream would silently give Poisson arrivals
     cfg = _det_config(lam=20.0)
     with pytest.raises(ConfigError, match="exponential interarrivals"):
-        next(simulate_block(cfg, [PolicyRef.for_config("pcmu", cfg)], [0],
+        next(simulate_block(cfg, [PolicyRef.for_config("pcmu", cfg)], [[0]],
                             arrival_schedule=RateSchedule.constant(1.0)))
 
 

@@ -124,13 +124,23 @@ def _assert_matches_oracle(summaries, oracle, rule, eval_times):
         assert s.charging_rule == rule
 
 
-@pytest.mark.parametrize("n_jobs", [1, 2])
-@pytest.mark.parametrize("rule", _RULES)
-def test_seed_blocks_match_per_seed_oracle(monkeypatch, n_jobs, rule):
-    cfg = _critical(horizon=2.0)
-    n_paths, base_seed = 7, 11
-    # one block of 7 seeds, or blocks of 4 and 3 with two workers, priced in
-    # batches of 3 seeds: neither divides the other, so a last batch is short
+_LAWS = {"exponential": "exponential", "deterministic": "deterministic",
+         "lognormal": {"family": "lognormal", "sigma": 0.8}}
+_KINDS = {"index-kinds": POLICY_KINDS[:3], "fcfs-and-index-kinds": POLICY_KINDS[::-1]}
+
+
+@pytest.mark.parametrize("rule, n_jobs, law, kinds, n_paths", [
+    pytest.param(rule, n_jobs, "exponential", POLICY_KINDS, 7, id=f"{rule}-{n_jobs}")
+    for rule in _RULES for n_jobs in (1, 2)] + [
+    pytest.param(rule, n_jobs, law, kinds, 10, id=f"{rule}-{n_jobs}-{law_id}-{kinds_id}-10")
+    for rule in _RULES for n_jobs in (1, 2) for law_id, law in _LAWS.items()
+    for kinds_id, kinds in _KINDS.items()])
+def test_seed_blocks_match_per_seed_oracle(monkeypatch, rule, n_jobs, law, kinds, n_paths):
+    cfg, base_seed = replace(_critical(horizon=2.0), service_dist=law), 11
+    # one block of n_paths seeds, or two blocks with two workers, run in
+    # batches of 3 seeds: neither divides the other, so a last batch is
+    # short, and a one-seed batch ends one block (7 = 3 + 3 + 1, 4 = 3 + 1,
+    # 10 = 3 + 3 + 3 + 1)
     monkeypatch.setattr(cost, "_BATCH_JOBS", 3 * int(cfg.lam * cfg.horizon + 1.0))
     eval_times = np.linspace(0.0, cfg.horizon, 7)
     oracle = reference_engine.replication_oracle(cfg, POLICY_KINDS, n_paths, base_seed, rule,
@@ -142,7 +152,7 @@ def test_seed_blocks_match_per_seed_oracle(monkeypatch, n_jobs, rule):
     assert np.any(np.max(sizes[1:4], axis=0) > sizes[0])
     assert np.any(np.max(sizes[5:], axis=0) > sizes[4])
     assert np.any(oracle["pcmu"]["open_jobs"] > 0)
-    together = compare_policies(cfg, POLICY_KINDS, n_paths, base_seed, rule, eval_times, n_jobs)
+    together = compare_policies(cfg, kinds, n_paths, base_seed, rule, eval_times, n_jobs)
     _assert_matches_oracle(together, oracle, rule, eval_times)
     for kind in ("pcmu", "fcfs"):
         alone = replicate(cfg, kind, n_paths, base_seed, rule, eval_times, n_jobs)
@@ -161,16 +171,21 @@ def test_two_seed_blocks_of_one_match_oracle(n_jobs):
 
 def test_block_builds_each_index_value_once():
     # the seeds of a block share one table per policy: each (class, length)
-    # index value is computed once, up to the block's largest class size
+    # index value is computed once, up to the block's largest class size,
+    # whichever batch of the block holds the seed that needs it
     cfg = _critical(horizon=1.0)
     ref = PolicyRef.for_config("pcmu", cfg)
     calls = []
     counting = PolicyRef("pcmu", lambda l, n: calls.append((l, n)) or ref.index(l, n))
-    block = list(simulate_block(cfg, [counting], range(5)))
-    largest = np.max([np.bincount(labels, minlength=2) for (_, _, _, labels), _ in block],
-                     axis=0)
+    batches = simulate_block(cfg, [counting], [range(2), range(2, 5)])
+    # each seed's slice of its batch: arrival times, labels and completions
+    seeds = [(a[lo:hi], labels[lo:hi], completion[lo:hi])
+             for bounds, (a, _, _, labels), [(completion, *_)] in batches
+             for lo, hi in zip(bounds, bounds[1:])]
+    assert len(seeds) == 5
+    largest = np.max([np.bincount(labels, minlength=2) for _, labels, _ in seeds], axis=0)
     assert sorted(calls) == [(l, m) for l in range(2) for m in range(1, largest[l] + 1)]
-    for seed, ((a, *_), [(completion, *_)]) in zip(range(5), block):
+    for seed, (a, _, completion) in enumerate(seeds):
         path, = run_paths(cfg, [ref], seed, sampling_grid=2)
         assert np.array_equal(a, path.arrival_times)
         assert np.array_equal(completion, path.completion, equal_nan=True)
