@@ -133,15 +133,18 @@ def main():
 def cmd_simulate(config_path, policies, paths, seed, out_dir):
     """Replicate policies on paired seeds and summarize cumulative cost."""
     from . import cost as cost_mod
-    from .engine import EVENT_CAP, export_curves_csv, export_jobs_csv, run_paths
+    from .engine import EVENT_CAP, export_curves_csv, export_jobs_csv, run_path
 
+    if paths < 1:
+        raise ConfigError(f"--paths {paths}: simulate needs at least 1 path")
     policies = list(dict.fromkeys(policies))   # a repeated --policy runs once
     run = _Run("simulate", out_dir, config_path, {"base_seed": seed, "n_paths": paths},
                {"policies": policies})
     config = run.load()
     if paths == 1:
         with run.timed("simulate"):
-            results = run_paths(config, policies, seed, sampling_grid=201)
+            # the draws do not depend on the policy: each path reads the same stream
+            results = [run_path(config, kind, seed, sampling_grid=201) for kind in policies]
         with run.timed("write"):
             for kind, path in zip(policies, results):
                 export_jobs_csv(path, run.path(f"jobs_{kind}.csv"))
@@ -179,6 +182,9 @@ def cmd_lower_bound(config_path, paths, steps, seed, out_dir):
     """Workload-diffusion cost floor for the configured system."""
     from . import httheory as ht
 
+    if paths < 2:
+        raise ConfigError(f"--paths {paths}: lower-bound needs at least 2 paths for a "
+                          "standard error")
     run = _Run("lower-bound", out_dir, config_path, {"seed": seed, "n_paths": paths},
                {"n_steps": steps})
     config = run.load()

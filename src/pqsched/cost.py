@@ -12,9 +12,12 @@ dropping exactly the longest-delayed jobs; neither rule matches the idealized
 arrival-measure integral exactly at the boundary, which charges full sojourns
 that extend past the horizon.
 
-Replications use the deterministic seed schedule base_seed + i, so running
-two policies with the same base seed pairs them path-by-path on identical
-arrival/service/classification draws (common random numbers).
+`path_cost` prices one path; `compare_policies` replicates policies on the
+deterministic seed schedule base_seed + i, so the policies it compares, or
+two calls with the same base seed, are paired path-by-path on identical
+arrival/service/classification draws (common random numbers).  J(horizon)
+has one definition: a path's path_cost ends on the number, bit for bit, that
+a replication of its seed holds in terminal_costs.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ __all__ = [
     "CostCurve",
     "ReplicationSummary",
     "path_cost",
-    "terminal_cost",
-    "replicate",
     "compare_policies",
     "paired_gap",
     "export_summary_csv",
@@ -109,14 +110,7 @@ def path_cost(path: PathResult, config: SystemConfig,
     return CostCurve(grid, _cumulative(charge, a, [0, len(a)], grid)[0], rule)
 
 
-def terminal_cost(path: PathResult, config: SystemConfig,
-                  rule: str = TRUNCATE_AT_HORIZON) -> float:
-    """J(horizon): every job charged, open ones per the rule; the same number,
-    bit for bit, as path_cost's last value and replicate's terminal_costs."""
-    return float(path_cost(path, config, rule, [path.horizon]).values[-1])
-
-
-@dataclass
+@dataclass(frozen=True)
 class ReplicationSummary:
     """Cross-replication mean/uncertainty of the cumulative cost curve.
 
@@ -124,8 +118,8 @@ class ReplicationSummary:
     so callers can form paired contrasts across policies run on the same
     seeds, event_counts each path's arrivals plus completions, open_jobs its
     jobs open at the horizon and open_costs their cost truncated there (under
-    either rule).  ratio_to_oracle is filled by compare_policies when an
-    oracle run shares the seeds.
+    either rule).  ratio_to_oracle is mean over the oracle's mean (NaN where
+    that is 0) when the oracle was compared on the same seeds, else None.
     """
 
     policy_kind: str
@@ -197,18 +191,24 @@ def resolve_n_jobs(n_jobs: Optional[int] = None) -> int:
     return 1
 
 
-def _replicate(config: SystemConfig, policies: list, n_paths: int, base_seed: int, rule: str,
-               eval_times: Optional[Sequence[float]], n_jobs: Optional[int]) -> list:
-    """One ReplicationSummary per policy (a kind or a PolicyRef, resolved
-    once) on seeds base_seed..base_seed+n_paths-1.  A task is a block of
-    seeds, one per worker, with every policy.  No seed's bits depend on its
-    block and results are aggregated in seed order, so the summaries are
-    independent of scheduling.
+def compare_policies(config: SystemConfig, kinds: Sequence[str], n_paths: int,
+                     base_seed: int, rule: str = TRUNCATE_AT_HORIZON,
+                     eval_times: Optional[Sequence[float]] = None,
+                     n_jobs: Optional[int] = None) -> dict:
+    """Replicate each policy (a kind or a PolicyRef, resolved once; a repeat
+    runs once) on seeds base_seed..base_seed+n_paths-1, drawing each seed's
+    arrival stream once for all of them: one ReplicationSummary per policy,
+    with oracle ratios when the oracle is among them.
+
+    A task is a block of seeds, one per worker, with every policy.  No seed's
+    bits depend on its block and results are aggregated in seed order, so the
+    summaries are independent of scheduling.
     """
     if n_paths < 2:
-        raise ConfigError("replicate needs n_paths >= 2 for a standard error")
-    policies = [p if isinstance(p, PolicyRef) else PolicyRef.for_config(str(p), config)
-                for p in policies]
+        raise ConfigError("compare_policies needs n_paths >= 2 for a standard error")
+    kinds = list(dict.fromkeys(kinds))
+    policies = [k if isinstance(k, PolicyRef) else PolicyRef.for_config(str(k), config)
+                for k in kinds]
     if eval_times is None:
         eval_times = np.linspace(0.0, config.horizon, 11)
     eval_times = np.asarray(eval_times, dtype=float)
@@ -231,40 +231,21 @@ def _replicate(config: SystemConfig, policies: list, n_paths: int, base_seed: in
     else:
         blocks = [_block(t) for t in tasks]
 
-    summaries = []
-    for j, policy in enumerate(policies):
-        values, events, open_jobs, open_costs = (  # row i = seed base_seed+i
-            np.concatenate([b[j][f] for batches in blocks for b in batches]) for f in range(4))
-        mean, stderr = _mean_stderr(values)
-        summaries.append(ReplicationSummary(
-            policy_kind=policy.kind, n_paths=n_paths, base_seed=base_seed, charging_rule=rule,
-            grid=eval_times, mean=mean, stderr=stderr,
-            terminal_costs=values[:, -1].copy(), event_counts=events,
-            open_jobs=open_jobs, open_costs=open_costs))
-    return summaries
-
-
-def replicate(config: SystemConfig, policy, n_paths: int, base_seed: int,
-              rule: str = TRUNCATE_AT_HORIZON,
-              eval_times: Optional[Sequence[float]] = None,
-              n_jobs: Optional[int] = None) -> ReplicationSummary:
-    """Run n_paths independent paths on seeds base_seed..base_seed+n_paths-1."""
-    return _replicate(config, [policy], n_paths, base_seed, rule, eval_times, n_jobs)[0]
-
-
-def compare_policies(config: SystemConfig, kinds: Sequence[str], n_paths: int,
-                     base_seed: int, rule: str = TRUNCATE_AT_HORIZON,
-                     eval_times: Optional[Sequence[float]] = None,
-                     n_jobs: Optional[int] = None) -> dict:
-    """Replicate several policies on the same seeds, drawing each seed's
-    arrival stream once for all of them; fill oracle ratios."""
-    kinds = list(dict.fromkeys(kinds))
-    out = dict(zip(kinds, _replicate(config, kinds, n_paths, base_seed, rule, eval_times, n_jobs)))
-    if "oracle" in out:
-        base = out["oracle"].mean
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for summary in out.values():
-                summary.ratio_to_oracle = np.where(base > 0, summary.mean / base, np.nan)
+    # per policy: J on eval_times, events, open jobs, open costs; row i is seed base_seed+i
+    rows = [[np.concatenate([b[j][f] for batches in blocks for b in batches]) for f in range(4)]
+            for j in range(len(policies))]
+    stats = [_mean_stderr(values) for values, *_ in rows]
+    base = stats[kinds.index("oracle")][0] if "oracle" in kinds else None
+    out = {}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for kind, policy, (values, events, open_jobs, open_costs), (mean, stderr) in zip(
+                kinds, policies, rows, stats):
+            out[kind] = ReplicationSummary(
+                policy_kind=policy.kind, n_paths=n_paths, base_seed=base_seed,
+                charging_rule=rule, grid=eval_times, mean=mean, stderr=stderr,
+                terminal_costs=values[:, -1].copy(), event_counts=events, open_jobs=open_jobs,
+                open_costs=open_costs,
+                ratio_to_oracle=None if base is None else np.where(base > 0, mean / base, np.nan))
     return out
 
 
@@ -276,12 +257,11 @@ def paired_gap(a: ReplicationSummary, b: ReplicationSummary) -> tuple[float, flo
     return float(mean), float(stderr)
 
 
-def export_summary_csv(summaries, path):
-    """Rows (policy, t, mean_cost, stderr, ratio_to_oracle) for each summary."""
-    if isinstance(summaries, dict):
-        summaries = list(summaries.values())
+def export_summary_csv(summaries: dict, path):
+    """Rows (policy, t, mean_cost, stderr, ratio_to_oracle) for each summary
+    of compare_policies; the ratio is blank where it is None or not finite."""
     write_csv(path, ["policy", "t", "mean_cost", "stderr", "ratio_to_oracle"],
               ([s.policy_kind, repr(float(t)), repr(float(s.mean[i])), repr(float(s.stderr[i])),
                 repr(float(s.ratio_to_oracle[i]))
                 if s.ratio_to_oracle is not None and np.isfinite(s.ratio_to_oracle[i]) else ""]
-               for s in summaries for i, t in enumerate(s.grid)))
+               for s in summaries.values() for i, t in enumerate(s.grid)))

@@ -26,12 +26,13 @@ pass.  The index policies run one flat event loop over a table of
 `PolicyRef.index` values shared by a block's seeds: an arrival raises only
 its own class's value, so it decides between the served class and the
 arriving one, and only a completion rescans the classes.  Replication
-prices a batch's columns and builds no curves; `run_paths` is a batch of
-one seed that also derives them.  The total workload W_+ follows the Lindley
-recursion W_i = max(0, W_{i-1} - (a_i - a_{i-1})) + s_i over arrivals, the
-remaining work of any work-conserving policy, so one pass per seed serves
-every policy and classifier (a service schedule adds a jump where it
-rescales a job at its first start).
+(`cost.compare_policies`) prices a batch's columns and builds no curves;
+`run_path` is a batch of one seed under one policy that also derives them.
+The total workload W_+ follows the Lindley recursion W_i = max(0, W_{i-1} -
+(a_i - a_{i-1})) + s_i over arrivals, the remaining work of any
+work-conserving policy, so it is the same for every policy and classifier on
+a seed (a service schedule adds a jump where it rescales a job at its first
+start).
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ __all__ = [
     "PathResult",
     "RateSchedule",
     "run_path",
-    "run_paths",
     "simulate_block",
     "export_jobs_csv",
     "export_curves_csv",
@@ -452,49 +452,32 @@ def _grow(row: list, config: SystemConfig, policy: PolicyRef, l: int, n: int):
     row.extend(new)
 
 
-def run_paths(config: SystemConfig, policies: Sequence, seed: int, sampling_grid: int = 51,
-              *, arrival_schedule: Optional[RateSchedule] = None,
-              service_schedule: Optional[RateSchedule] = None,
-              event_cap: int = EVENT_CAP) -> list:
-    """Simulate [0, horizon] under each policy on the seed's one arrival
-    stream -- a batch of one seed that also builds the curves; one
-    PathResult per policy, each fully deterministic.
-
-    The policies re-evaluate at arrivals and completions only; queue-length
-    indices are constant between events, so no decision could change anywhere
-    else.  A policy may be a PolicyRef or one of {"oracle","naive","pcmu","fcfs"}.
-    Raises EventOverflowError if a path has more than event_cap arrivals and
-    completions up to the horizon.
-    """
-    if sampling_grid < 2:
-        raise ConfigError("sampling_grid must be >= 2")
-    policies = [PolicyRef.for_config(p, config) if isinstance(p, str) else p for p in policies]
-
-    k_classes = config.n_classes
-    horizon = config.horizon
-    (_, (a, true_class, service, label), runs), = simulate_block(
-        config, policies, [[seed]], arrival_schedule, service_schedule, event_cap)
-    grid = np.linspace(0.0, horizon, sampling_grid)
-    shared = _workload(grid, a, service, []) if service_schedule is None else ()
-    for column in (a, true_class, service, label, grid, *shared):  # every policy's path holds them
-        column.setflags(write=False)
-    results = []
-    for policy, (completion, remaining, jumps, (events,)) in zip(policies, runs):
-        work, workload = shared or _workload(grid, a, service, jumps)  # shared: no jumps
-        composition = _composition(grid, k_classes, a, true_class, label, completion)
-        curves = Curves(grid, composition.sum(axis=1), workload, composition)
-        results.append(PathResult(a, true_class, label, service, completion, remaining, work,
-                                  curves, seed, int(events), horizon, k_classes, policy.kind))
-    return results
-
-
 def run_path(config: SystemConfig, policy, seed: int, sampling_grid: int = 51, *,
              arrival_schedule: Optional[RateSchedule] = None,
              service_schedule: Optional[RateSchedule] = None,
              event_cap: int = EVENT_CAP) -> PathResult:
-    """`run_paths` for one policy."""
-    return run_paths(config, [policy], seed, sampling_grid, arrival_schedule=arrival_schedule,
-                     service_schedule=service_schedule, event_cap=event_cap)[0]
+    """Simulate [0, horizon] under one policy and seed -- a batch of one
+    seed that also builds the curves; fully deterministic.
+
+    The policy re-evaluates at arrivals and completions only; queue-length
+    indices are constant between events, so no decision could change anywhere
+    else.  The policy may be a PolicyRef or one of {"oracle","naive","pcmu","fcfs"}.
+    Raises EventOverflowError if the path has more than event_cap arrivals and
+    completions up to the horizon.
+    """
+    if sampling_grid < 2:
+        raise ConfigError("sampling_grid must be >= 2")
+    if isinstance(policy, str):
+        policy = PolicyRef.for_config(policy, config)
+    k_classes, horizon = config.n_classes, config.horizon
+    (_, (a, true_class, service, label), [(completion, remaining, jumps, (events,))]), = \
+        simulate_block(config, [policy], [[seed]], arrival_schedule, service_schedule, event_cap)
+    grid = np.linspace(0.0, horizon, sampling_grid)
+    work, workload = _workload(grid, a, service, jumps)
+    composition = _composition(grid, k_classes, a, true_class, label, completion)
+    curves = Curves(grid, composition.sum(axis=1), workload, composition)
+    return PathResult(a, true_class, label, service, completion, remaining, work, curves, seed,
+                      int(events), horizon, k_classes, policy.kind)
 
 
 def export_jobs_csv(result: PathResult, path):

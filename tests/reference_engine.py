@@ -1,7 +1,7 @@
 """Reference event-by-event simulator: the oracle the columnar engine is checked against.
 
 This is the scalar discrete-event loop pqsched used to ship, kept outside the
-package so tests can compare `pqsched.run_paths` against it bit for bit.  It
+package so tests can compare `pqsched.run_path` against it bit for bit.  It
 draws the same four Philox substreams one value at a time, keeps one `Job`
 object per arrival and a live `QueueState`, and asks `decide` for the class
 to serve after every arrival and completion, a full rescan of every class.
@@ -21,7 +21,7 @@ time, as pqsched used to export them, to check the closed forms
 pqsched used to ship (one mask pass per class, each class's `CostFn` applied
 to its jobs' sojourns), the oracle for the one-pass pricing in `cost`, and
 `replication_oracle` rebuilds a replication's per-seed figures from
-`run_paths` and `job_costs`, one seed at a time.
+`pqsched.run_path` and `job_costs`, one seed and policy at a time.
 
 Nothing in `src/` imports this module.
 """
@@ -37,6 +37,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
+import pqsched
 from pqsched import (
     COMPLETED_ONLY,
     ConfigError,
@@ -52,7 +53,6 @@ from pqsched import (
     SystemConfig,
     TRUNCATE_AT_HORIZON,
     derive_predicted_params,
-    run_paths,
 )
 from pqsched.policies import POLICY_KINDS
 
@@ -527,8 +527,8 @@ def replication_oracle(config: SystemConfig, kinds, n_paths: int, base_seed: int
     out = {kind: {"values": [], "events": [], "open_jobs": [], "open_costs": []}
            for kind in kinds}
     for seed in range(base_seed, base_seed + n_paths):
-        for kind, path in zip(kinds, run_paths(config, kinds, seed, sampling_grid=2)):
-            rows = out[kind]
+        for kind in kinds:
+            path, rows = pqsched.run_path(config, kind, seed, sampling_grid=2), out[kind]
             rows["values"].append(cost_curve(path, config, rule, eval_times))
             rows["events"].append(path.event_count)
             rows["open_jobs"].append(int(np.count_nonzero(~path.done)))

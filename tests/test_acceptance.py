@@ -27,7 +27,6 @@ from pqsched import (
     kkt_solve,
     quadratic_coefficients,
     relative_regret,
-    replicate,
     reviewer_params,
     run_path,
     save_config,
@@ -345,9 +344,10 @@ def test_criterion_08_model_selection_fidelity():
 
     n = 400
     cfg0 = build(ConfusionMatrix.identity(2))
-    oracle = replicate(cfg0, "oracle", n, 0, rule=TRUNCATE_AT_HORIZON).terminal_costs
-    pcmu = [replicate(build(q), "pcmu", n, 0, rule=TRUNCATE_AT_HORIZON).terminal_costs
-            for q in qs]
+    oracle = compare_policies(cfg0, ["oracle"], n, 0,
+                              rule=TRUNCATE_AT_HORIZON)["oracle"].terminal_costs
+    pcmu = [compare_policies(build(q), ["pcmu"], n, 0,
+                             rule=TRUNCATE_AT_HORIZON)["pcmu"].terminal_costs for q in qs]
 
     rng = np.random.default_rng(123)
     B = 2000
@@ -404,7 +404,8 @@ def test_criterion_09_triage_shapes():
     sys_cfg = reviewer_system_config(reviewer_params(z, cfg3), cfg3, horizon=10.0)
     assert abs(sys_cfg.rho - 1.0) < 1e-9
     n = 1200
-    des = replicate(sys_cfg, "pcmu", n, 0, rule=TRUNCATE_AT_HORIZON).terminal_costs
+    des = compare_policies(sys_cfg, ["pcmu"], n, 0,
+                           rule=TRUNCATE_AT_HORIZON)["pcmu"].terminal_costs
     rel = des.mean() / rbm - 1.0
     ok = inc and dec and interior and abs(rel) < 0.10
     assert _verdict(ok, 9, (

@@ -14,11 +14,11 @@ import pqsched
 from pqsched import (
     COMPLETED_ONLY,
     load_config,
+    path_cost,
     quadratic_coefficients,
     relative_regret,
     run_path,
     save_config,
-    terminal_cost,
     workload_variance_rate,
 )
 from pqsched.cli import main
@@ -99,8 +99,8 @@ def test_simulate_manifest_records_open_jobs(runner, tmp_path, config_path):
     for kind in ("pcmu", "fcfs"):
         paths = [run_path(cfg, kind, 3 + i) for i in range(6)]
         counts = [int(np.count_nonzero(~p.done)) for p in paths]
-        truncated = sum(terminal_cost(p, cfg) for p in paths)
-        completed = sum(terminal_cost(p, cfg, COMPLETED_ONLY) for p in paths)
+        truncated = sum(path_cost(p, cfg).values[-1] for p in paths)
+        completed = sum(path_cost(p, cfg, COMPLETED_ONLY).values[-1] for p in paths)
         assert sum(counts) > 0
         got = open_jobs[kind]
         assert (got["total"], got["max_per_path"]) == (sum(counts), max(counts))
@@ -773,6 +773,25 @@ def test_negative_seed_fails_before_writing(runner, tmp_path, config_path, triag
     result = runner.invoke(main, [command, "--config", str(cfg), "--paths", "2", "--seed", "-1",
                                   "--out", str(out)])
     _assert_one_line_error(result, "seed -1 is outside [0, 2**128)")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, paths, needle", [
+    # a one-path floor once reported jstar_stderr = 0 and jnaive_stderr = 0
+    ("lower-bound", 1, "--paths 1: lower-bound needs at least 2 paths for a standard error"),
+    ("lower-bound", 0, "--paths 0: lower-bound needs at least 2 paths"),
+    ("lower-bound", -2, "--paths -2: lower-bound needs at least 2 paths"),
+    # these once named a library function the command does not call
+    ("simulate", 0, "--paths 0: simulate needs at least 1 path"),
+    ("simulate", -2, "--paths -2: simulate needs at least 1 path"),
+])
+def test_too_few_paths_fail_before_writing(runner, tmp_path, command, paths, needle):
+    cfg = tmp_path / "system.json"
+    cfg.write_text(json.dumps(README_CONFIG))
+    out = tmp_path / "o"
+    result = runner.invoke(main, [command, "--config", str(cfg), "--paths", str(paths),
+                                  "--out", str(out)])
+    _assert_one_line_error(result, f"Error: {needle}")
     assert not out.exists()
 
 

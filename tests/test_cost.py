@@ -15,11 +15,9 @@ from pqsched import (
     compare_policies,
     paired_gap,
     path_cost,
-    replicate,
     resolve_n_jobs,
     run_path,
     export_summary_csv,
-    terminal_cost,
 )
 from conftest import make_two_class
 from helpers import curve_at
@@ -55,7 +53,7 @@ def test_single_completed_job_cost(two_class_config):
     assert curve_at(curve, 0.5) == 0.0
     assert curve_at(curve, 1.0) == pytest.approx(9.0)
     assert curve_at(curve, 10.0) == pytest.approx(9.0)
-    assert terminal_cost(path, cfg) == pytest.approx(9.0)
+    assert path_cost(path, cfg).values[-1] == pytest.approx(9.0)
     assert curve.charging_rule == TRUNCATE_AT_HORIZON
 
 
@@ -69,12 +67,12 @@ def test_misclassified_job_charged_by_true_class(two_class_config):
 def test_truncate_vs_completed_rules(two_class_config):
     open_job = _job(4.0, 0, 0, 2.0)         # never completes
     path = _fake_path([open_job], horizon=10.0)
-    trunc = terminal_cost(path, two_class_config, rule=TRUNCATE_AT_HORIZON)
+    trunc = path_cost(path, two_class_config, rule=TRUNCATE_AT_HORIZON).values[-1]
     assert trunc == pytest.approx(0.5 * (10.0 - 4.0) ** 2)     # (1/2) * 6^2
-    comp = terminal_cost(path, two_class_config, rule=COMPLETED_ONLY)
+    comp = path_cost(path, two_class_config, rule=COMPLETED_ONLY).values[-1]
     assert comp == 0.0
     with pytest.raises(ConfigError):
-        terminal_cost(path, two_class_config, rule="both")
+        path_cost(path, two_class_config, rule="both")
 
 
 def test_curve_monotone_and_right_continuous(two_class_config):
@@ -100,14 +98,14 @@ def test_empty_path_zero_cost(two_class_config):
     path = _fake_path([])
     curve = path_cost(path, two_class_config)
     assert np.all(curve.values == 0.0)
-    assert terminal_cost(path, two_class_config) == 0.0
+    assert path_cost(path, two_class_config).values[-1] == 0.0
 
 
 # ------------------------------------------------------------ replication
 
 def test_replicate_summary_statistics(critical_config):
     cfg = make_two_class(lam=20.0)
-    s = replicate(cfg, "pcmu", n_paths=40, base_seed=0)
+    s = compare_policies(cfg, ["pcmu"], n_paths=40, base_seed=0)["pcmu"]
     assert s.n_paths == 40
     assert s.terminal_costs.shape == (40,)
     # stderr at the horizon is the sample standard error of terminal costs
@@ -122,8 +120,8 @@ def test_replicate_summary_statistics(critical_config):
 def test_replicate_pool_matches_serial(critical_config):
     # the resolved policy is pickled to the workers; seed-order aggregation
     # makes the summary independent of the pool
-    serial = replicate(critical_config, "pcmu", n_paths=6, base_seed=3, n_jobs=1)
-    pooled = replicate(critical_config, "pcmu", n_paths=6, base_seed=3, n_jobs=2)
+    serial = compare_policies(critical_config, ["pcmu"], n_paths=6, base_seed=3, n_jobs=1)["pcmu"]
+    pooled = compare_policies(critical_config, ["pcmu"], n_paths=6, base_seed=3, n_jobs=2)["pcmu"]
     for field in ("grid", "mean", "stderr", "terminal_costs"):
         assert np.array_equal(getattr(serial, field), getattr(pooled, field))
     assert pooled.policy_kind == "pcmu"
@@ -132,19 +130,20 @@ def test_replicate_pool_matches_serial(critical_config):
 def test_replicate_seed_schedule_past_philox_keys(two_class_config):
     # seeds 2**128 - 2, 2**128 - 1 are keys; 2**128 is not
     with pytest.raises(ConfigError, match=r"seed 340282366920938463463374607431768211456 "):
-        replicate(two_class_config, "pcmu", 3, 2 ** 128 - 2)
-    assert replicate(two_class_config, "pcmu", 2, 2 ** 128 - 2).n_paths == 2
+        compare_policies(two_class_config, ["pcmu"], 3, 2 ** 128 - 2)
+    assert compare_policies(two_class_config, ["pcmu"], 2, 2 ** 128 - 2)["pcmu"].n_paths == 2
 
 
 def test_replicate_needs_two_paths(two_class_config):
-    with pytest.raises(ConfigError):
-        replicate(two_class_config, "pcmu", n_paths=1, base_seed=0)
+    for n_paths in (1, 0, -2):
+        with pytest.raises(ConfigError, match=r"^compare_policies needs n_paths >= 2 "):
+            compare_policies(two_class_config, ["pcmu"], n_paths=n_paths, base_seed=0)
 
 
 def test_identity_confusion_gives_zero_paired_gap(identity_config):
     cfg = make_two_class(lam=20.0, confusion=((1.0, 0.0), (0.0, 1.0)))
-    a = replicate(cfg, "oracle", n_paths=30, base_seed=5)
-    b = replicate(cfg, "pcmu", n_paths=30, base_seed=5)
+    a = compare_policies(cfg, ["oracle"], n_paths=30, base_seed=5)["oracle"]
+    b = compare_policies(cfg, ["pcmu"], n_paths=30, base_seed=5)["pcmu"]
     assert np.array_equal(a.terminal_costs, b.terminal_costs)
     gap, se = paired_gap(a, b)
     assert gap == 0.0 and se == 0.0
@@ -152,19 +151,19 @@ def test_identity_confusion_gives_zero_paired_gap(identity_config):
 
 def test_paired_gap_requires_shared_seed_schedule():
     cfg = make_two_class(lam=20.0)
-    a = replicate(cfg, "oracle", n_paths=10, base_seed=0)
-    b = replicate(cfg, "pcmu", n_paths=10, base_seed=1)
+    a = compare_policies(cfg, ["oracle"], n_paths=10, base_seed=0)["oracle"]
+    b = compare_policies(cfg, ["pcmu"], n_paths=10, base_seed=1)["pcmu"]
     with pytest.raises(ConfigError):
         paired_gap(a, b)
-    c = replicate(cfg, "pcmu", n_paths=12, base_seed=0)
+    c = compare_policies(cfg, ["pcmu"], n_paths=12, base_seed=0)["pcmu"]
     with pytest.raises(ConfigError):
         paired_gap(a, c)
 
 
 def test_stderr_scales_inverse_root_n():
     cfg = make_two_class(lam=20.0)
-    small = replicate(cfg, "pcmu", n_paths=200, base_seed=0)
-    big = replicate(cfg, "pcmu", n_paths=400, base_seed=0)
+    small = compare_policies(cfg, ["pcmu"], n_paths=200, base_seed=0)["pcmu"]
+    big = compare_policies(cfg, ["pcmu"], n_paths=400, base_seed=0)["pcmu"]
     ratio = small.terminal_stderr / big.terminal_stderr
     assert ratio == pytest.approx(np.sqrt(2.0), rel=0.2)
 
@@ -192,9 +191,9 @@ def test_export_summary_csv(tmp_path):
     assert {r[0] for r in body} == {"oracle", "pcmu"}
     for r in body:
         float(r[1]), float(r[2]), float(r[3])      # parse back cleanly
-    # single-summary export leaves the oracle column blank
-    solo = replicate(cfg, "pcmu", n_paths=5, base_seed=0)
-    export_summary_csv([solo], tmp_path / "solo.csv")
+    # an export without the oracle leaves its column blank
+    solo = compare_policies(cfg, ["pcmu"], n_paths=5, base_seed=0)
+    export_summary_csv(solo, tmp_path / "solo.csv")
     with open(tmp_path / "solo.csv", newline="") as fh:
         solo_rows = list(csv.reader(fh))
     assert all(r[4] == "" for r in solo_rows[1:])
@@ -203,7 +202,7 @@ def test_export_summary_csv(tmp_path):
 def test_custom_eval_times(two_class_config):
     cfg = make_two_class(lam=20.0)
     times = [0.0, 0.25, 1.0]
-    s = replicate(cfg, "pcmu", n_paths=5, base_seed=0, eval_times=times)
+    s = compare_policies(cfg, ["pcmu"], n_paths=5, base_seed=0, eval_times=times)["pcmu"]
     assert np.array_equal(s.grid, times)
     assert s.mean.shape == (3,)
 
@@ -213,11 +212,11 @@ def test_eval_times_must_end_at_the_horizon():
     cfg = make_two_class()
     for times in ([0.0, 0.5], [0.0, 1.0, 0.5, 1.0], [-0.5, 1.0], [0.0, 2.0], [], [[0.0, 1.0]]):
         with pytest.raises(ConfigError):
-            replicate(cfg, "pcmu", n_paths=5, base_seed=0, eval_times=times)
+            compare_policies(cfg, ["pcmu"], n_paths=5, base_seed=0, eval_times=times)
         with pytest.raises(ConfigError):
             compare_policies(cfg, ("oracle", "pcmu"), n_paths=5, base_seed=0, eval_times=times)
-    s = replicate(cfg, "pcmu", n_paths=5, base_seed=0, eval_times=[0.0, 0.5, 1.0])
-    expect = [terminal_cost(run_path(cfg, "pcmu", seed=i), cfg) for i in range(5)]
+    s = compare_policies(cfg, ["pcmu"], n_paths=5, base_seed=0, eval_times=[0.0, 0.5, 1.0])["pcmu"]
+    expect = [path_cost(run_path(cfg, "pcmu", seed=i), cfg).values[-1] for i in range(5)]
     assert s.terminal_costs.tolist() == expect   # one J(T), bit for bit
 
 
@@ -263,8 +262,10 @@ def test_pool_is_capped_at_seeds_and_cpus(monkeypatch, two_class_config, n_jobs,
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    capped = replicate(two_class_config, "pcmu", n_paths=n_paths, base_seed=0, n_jobs=n_jobs)
+    capped = compare_policies(two_class_config, ["pcmu"], n_paths=n_paths, base_seed=0,
+                              n_jobs=n_jobs)["pcmu"]
     assert sizes == ([] if pool is None else [pool])
-    serial = replicate(two_class_config, "pcmu", n_paths=n_paths, base_seed=0, n_jobs=1)
+    serial = compare_policies(two_class_config, ["pcmu"], n_paths=n_paths, base_seed=0,
+                              n_jobs=1)["pcmu"]
     for field in ("mean", "stderr", "terminal_costs", "event_counts", "open_jobs"):
         assert np.array_equal(getattr(capped, field), getattr(serial, field))

@@ -20,9 +20,7 @@ from pqsched import (
     engine,
     export_curves_csv,
     export_jobs_csv,
-    replicate,
     run_path,
-    run_paths,
     save_config,
 )
 from pqsched.cli import main
@@ -101,19 +99,16 @@ def small_configs(draw):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(cfg=small_configs(), kinds=st.permutations(POLICY_KINDS),
-       seed=st.integers(0, 2**32 - 1), grid=st.integers(2, 60),
+@given(cfg=small_configs(), seed=st.integers(0, 2**32 - 1), grid=st.integers(2, 60),
        arrival_schedule=_SCHEDULES, service_schedule=_SCHEDULES)
-def test_matches_reference(cfg, kinds, seed, grid, arrival_schedule, service_schedule):
+def test_matches_reference(cfg, seed, grid, arrival_schedule, service_schedule):
     # every policy on one stream, FCFS under a service schedule included
     if cfg.arrival_dist.family != "exponential":
         arrival_schedule = None  # thinning needs exponential interarrivals
     kwargs = dict(sampling_grid=grid, arrival_schedule=arrival_schedule,
                   service_schedule=service_schedule)
-    paths = run_paths(cfg, kinds, seed, **kwargs)
-    assert [p.policy_kind for p in paths] == list(kinds)
-    for kind, path in zip(kinds, paths):
-        assert_same_path(cfg, kind, seed, new=path, **kwargs)
+    for kind in POLICY_KINDS:
+        assert_same_path(cfg, kind, seed, **kwargs)
         if kind != "fcfs":  # the folded index gives the old index's bits
             new = PolicyRef.for_config(kind, cfg).index
             old = reference_engine.RefPolicy.for_config(kind, cfg).index
@@ -143,13 +138,17 @@ def test_long_critical_path_matches_reference(critical_config):
 
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
-def test_compare_policies_equals_replicate_per_kind(critical_config, n_jobs):
+def test_compare_policies_one_kind_equals_all_kinds(critical_config, n_jobs):
+    # one kind alone equals the same kind among all kinds, in every field
     cfg = replace(critical_config, horizon=2.0)
     out = compare_policies(cfg, POLICY_KINDS, n_paths=6, base_seed=3, n_jobs=n_jobs)
     for kind in POLICY_KINDS:
-        alone = replicate(cfg, kind, n_paths=6, base_seed=3, n_jobs=1)
-        for field in ("grid", "mean", "stderr", "terminal_costs", "event_counts"):
+        alone = compare_policies(cfg, [kind], n_paths=6, base_seed=3, n_jobs=1)[kind]
+        for field in ("policy_kind", "n_paths", "base_seed", "charging_rule", "grid", "mean",
+                      "stderr", "terminal_costs", "event_counts", "open_jobs", "open_costs"):
             assert np.array_equal(getattr(out[kind], field), getattr(alone, field)), field
+        # alone, no oracle shares the seeds
+        assert alone.ratio_to_oracle is None or kind == "oracle"
 
 
 def test_simulate_single_path_csvs_match_reference(tmp_path, critical_config):

@@ -79,3 +79,16 @@ def test_analytics_take_the_config_alone():
     model = importlib.import_module("pqsched.model")
     assert "mixture_cost" not in model.__all__
     assert not hasattr(model, "mixture_cost") and not hasattr(pqsched, "mixture_cost")
+
+
+def test_two_simulation_entries():
+    # run_path simulates one seed, compare_policies replicates; both build on
+    # simulate_block, and path_cost prices a path
+    for name in ("run_path", "simulate_block", "compare_policies", "path_cost"):
+        assert callable(getattr(pqsched, name)), name
+    for name in ("run_paths", "replicate", "terminal_cost"):
+        assert name not in pqsched.__all__ and not hasattr(pqsched, name), name
+    engine = importlib.import_module("pqsched.engine")
+    # a tracer reads the default event cap from this keyword
+    cap = inspect.signature(pqsched.run_path).parameters["event_cap"]
+    assert cap.kind is inspect.Parameter.KEYWORD_ONLY and cap.default == engine.EVENT_CAP

@@ -2,7 +2,7 @@
 
 The oracle for pricing is `reference_engine.job_costs`, one mask pass per
 class; the oracle for a replication is `reference_engine.replication_oracle`,
-`run_paths` and that pricing one seed at a time.  Every figure but the open
+`run_path` and that pricing one seed at a time.  Every figure but the open
 jobs' summed cost must match bit for bit.
 """
 
@@ -26,10 +26,8 @@ from pqsched import (
     compare_policies,
     cost,
     path_cost,
-    replicate,
-    run_paths,
+    run_path,
     simulate_block,
-    terminal_cost,
 )
 from helpers import ten_class_config
 import reference_engine
@@ -87,7 +85,8 @@ def test_one_pass_pricing_matches_per_class_oracle(case, rule, n_grid):
         curve = reference_engine.cost_curve(p, cfg, rule, grid)
         assert np.array_equal(rows[i], curve)
         assert np.array_equal(path_cost(p, cfg, rule, grid).values, curve)
-        assert terminal_cost(p, cfg, rule) == np.concatenate(([0.0], np.cumsum(expect)))[-1]
+        assert (path_cost(p, cfg, rule).values[-1]
+                == np.concatenate(([0.0], np.cumsum(expect)))[-1])
 
 
 @pytest.mark.parametrize("rule", _RULES)
@@ -95,12 +94,13 @@ def test_terminal_cost_has_one_definition(rule):
     # J(T) of a path is one number, bit for bit, whichever route reports it
     cfg, kinds, n = ten_class_config(), ("oracle", "pcmu", "naive"), 200
     together = compare_policies(cfg, kinds, n, 0, rule)
-    alone = replicate(cfg, "pcmu", n, 0, rule)
+    alone = {kind: compare_policies(cfg, [kind], n, 0, rule)[kind] for kind in kinds}
     for seed in range(n):
-        for kind, p in zip(kinds, run_paths(cfg, kinds, seed, sampling_grid=2)):
-            j = terminal_cost(p, cfg, rule)
-            assert j == path_cost(p, cfg, rule).values[-1] == together[kind].terminal_costs[seed]
-            assert kind != "pcmu" or j == alone.terminal_costs[seed]
+        for kind in kinds:
+            p = run_path(cfg, kind, seed, sampling_grid=2)
+            j = path_cost(p, cfg, rule).values[-1]
+            assert j == path_cost(p, cfg, rule, [p.horizon]).values[-1]
+            assert j == together[kind].terminal_costs[seed] == alone[kind].terminal_costs[seed]
 
 
 def _critical(horizon):
@@ -146,17 +146,16 @@ def test_seed_blocks_match_per_seed_oracle(monkeypatch, rule, n_jobs, law, kinds
     oracle = reference_engine.replication_oracle(cfg, POLICY_KINDS, n_paths, base_seed, rule,
                                                  eval_times)
     # the next seeds' queues outgrow the tables the first seed of a block built
-    sizes = [np.bincount(p.predicted_class, minlength=2)
-             for s in range(base_seed, base_seed + n_paths)
-             for p in run_paths(cfg, ["pcmu"], s, sampling_grid=2)]
+    sizes = [np.bincount(run_path(cfg, "pcmu", s, sampling_grid=2).predicted_class, minlength=2)
+             for s in range(base_seed, base_seed + n_paths)]
     assert np.any(np.max(sizes[1:4], axis=0) > sizes[0])
     assert np.any(np.max(sizes[5:], axis=0) > sizes[4])
     assert np.any(oracle["pcmu"]["open_jobs"] > 0)
     together = compare_policies(cfg, kinds, n_paths, base_seed, rule, eval_times, n_jobs)
     _assert_matches_oracle(together, oracle, rule, eval_times)
     for kind in ("pcmu", "fcfs"):
-        alone = replicate(cfg, kind, n_paths, base_seed, rule, eval_times, n_jobs)
-        _assert_matches_oracle({kind: alone}, oracle, rule, eval_times)
+        alone = compare_policies(cfg, [kind], n_paths, base_seed, rule, eval_times, n_jobs)
+        _assert_matches_oracle(alone, oracle, rule, eval_times)
 
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
@@ -186,15 +185,15 @@ def test_block_builds_each_index_value_once():
     largest = np.max([np.bincount(labels, minlength=2) for _, labels, _ in seeds], axis=0)
     assert sorted(calls) == [(l, m) for l in range(2) for m in range(1, largest[l] + 1)]
     for seed, (a, _, completion) in enumerate(seeds):
-        path, = run_paths(cfg, [ref], seed, sampling_grid=2)
+        path = run_path(cfg, ref, seed, sampling_grid=2)
         assert np.array_equal(a, path.arrival_times)
         assert np.array_equal(completion, path.completion, equal_nan=True)
 
 
 def test_open_cost_share_under_both_rules():
     cfg = _critical(horizon=1.0)
-    trunc = replicate(cfg, "pcmu", n_paths=5, base_seed=2)
-    comp = replicate(cfg, "pcmu", n_paths=5, base_seed=2, rule=COMPLETED_ONLY)
+    trunc = compare_policies(cfg, ["pcmu"], n_paths=5, base_seed=2)["pcmu"]
+    comp = compare_policies(cfg, ["pcmu"], n_paths=5, base_seed=2, rule=COMPLETED_ONLY)["pcmu"]
     assert np.array_equal(trunc.open_jobs, comp.open_jobs)
     assert np.array_equal(trunc.open_costs, comp.open_costs)
     assert 0.0 < trunc.open_cost_share < 1.0
