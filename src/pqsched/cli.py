@@ -20,8 +20,7 @@ from . import __version__
 from .errors import ConfigError, PqschedError
 # each command imports the simulator, pricing, analytics, triage and ingest
 # modules it runs, so a process loads only those
-from .model import (ConfusionMatrix, _check_finite, load_config, load_json, validate_config,
-                    write_csv, write_json)
+from .model import ConfusionMatrix, _check_finite, load_config, load_json, write_csv, write_json
 from .policies import POLICY_KINDS
 
 
@@ -63,10 +62,10 @@ class _Run:
 
     def load(self):
         """The system config at config_path, read as stage "load"; its
-        validation warnings are echoed on stderr at once."""
+        warnings are echoed on stderr at once."""
         with self.timed("load"):
             config = load_config(self.config_path)
-        self.warnings = validate_config(config).warnings
+        self.warnings = config.warnings
         for text in self.warnings:
             click.echo(f"warning: {text}", err=True)
         return config

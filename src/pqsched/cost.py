@@ -174,12 +174,14 @@ def _price(config: SystemConfig, rule: str, eval_times: np.ndarray, batch) -> li
     for completion, _, _, events in runs:
         charge, cost, done = _charge(config, rule, config.horizon, a, true_class, completion)
         out.append((_cumulative(charge, a, bounds, eval_times), events, 2 * n - events,
-                    np.bincount(seed_of[~done], cost[~done], minlength=len(n))))
+                    np.bincount(seed_of[~done], cost[~done], minlength=len(n)).astype(float)))
     return out
 
 
 def resolve_n_jobs(n_jobs: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else PQSCHED_THREADS, else 1."""
+    """Worker count: explicit argument, else PQSCHED_THREADS, else 1.  It is
+    not capped here: a caller caps it, as compare_policies caps it at its
+    number of paths and at the CPUs the process may run on."""
     if n_jobs is not None:
         return max(1, int(n_jobs))
     env = os.environ.get("PQSCHED_THREADS", "").strip()

@@ -11,7 +11,8 @@ class PqschedError(Exception):
 
 
 class ConfigError(PqschedError):
-    """A system configuration violates its invariants (see validate_config)."""
+    """A system configuration violates its invariants (SystemConfig's
+    docstring lists their codes), or another input is malformed."""
 
 
 class ZeroColumnError(ConfigError):

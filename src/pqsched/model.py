@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -38,9 +38,7 @@ __all__ = [
     "SystemConfig",
     "PredictedClassParams",
     "MixtureCost",
-    "ValidationReport",
     "derive_predicted_params",
-    "validate_config",
     "config_to_json",
     "config_from_json",
     "load_config",
@@ -129,7 +127,8 @@ class ConfusionMatrix:
         return self.entries[k]
 
     def issues(self) -> list[str]:
-        """Structural problems, as stable codes with detail (used by validate_config)."""
+        """Structural problems, as stable codes with detail: SystemConfig's
+        constructor and select-model's candidate files refuse any."""
         out = []
         q = self.entries
         if not np.all((q >= 0) & (q <= 1)):  # NaN included
@@ -215,9 +214,21 @@ class SystemConfig:
         always mean what they say: the mean interarrival time is 1/lam and
         the mean class-k service time is 1/mu_k under every family.
 
-    A config that exists has one class count K: prevalences and service_rates
-    are 1-D of length K, there are K costs and confusion is K x K (an array is
-    read as a ConfusionMatrix).  The constructor refuses any other (ShapeMismatch).
+    A config that exists is valid.  It has one class count K: prevalences and
+    service_rates are 1-D of length K, there are K costs and confusion is K x K
+    (an array is read as a ConfusionMatrix); the constructor refuses any other
+    (ShapeMismatch).  It then refuses every broken rule at once, in one
+    ConfigError of "; "-joined coded texts: NonFinite (a NaN or infinite
+    lambda, prevalence, service rate, horizon, or cost coeff or power, a
+    lambda whose cube overflows, or an arrival_dist or service_dist whose
+    second moment overflows, such as a lognormal sigma near 27),
+    NonPositiveRate, NegativePrevalence, PrevalenceNotNormalized, BadCost
+    (coeff <= 0 or power < 2), EntryOutOfRange, RowNotStochastic and
+    NonPositiveHorizon.  A label no job gets (a zero column) is allowed: the
+    quadratic analytics price it at its one-class limit, and whatever needs
+    its service law raises ZeroColumnError (derive_predicted_params).
+    |rho - 1| > 0.05 is only a warning (HeavyTrafficDeviation), since
+    overloaded transients are legitimate.
     """
 
     lam: float
@@ -242,6 +253,36 @@ class SystemConfig:
         counts |= {"costs": len(self.costs), "confusion": self.confusion.n_classes}
         if len(set(counts.values())) > 1:
             raise ConfigError(shape_mismatch(counts))
+        numbers = {"lambda": self.lam, "prevalences": self.prevalences,
+                   "service_rates": self.service_rates, "horizon": self.horizon}
+        numbers |= {f"costs[{i}].{name}": getattr(c, name)
+                    for i, c in enumerate(self.costs) for name in ("coeff", "power")}
+        errors = [non_finite(name, value) for name, value in numbers.items()
+                  if not np.all(np.isfinite(value))]
+        if self.lam <= 0:
+            errors.append(f"NonPositiveRate: lambda = {self.lam}")
+        if np.any(self.service_rates <= 0):
+            errors.append(f"NonPositiveRate: service_rates = {self.service_rates.tolist()}")
+        if np.any(self.prevalences < 0):
+            errors.append("NegativePrevalence: prevalences must be >= 0")
+        if abs(self.prevalences.sum() - 1.0) > _ROW_SUM_TOL:
+            errors.append(f"PrevalenceNotNormalized: sum = {self.prevalences.sum():.15g}")
+        for i, c in enumerate(self.costs):
+            if c.coeff <= 0:
+                errors.append(f"BadCost: class {i} coeff {c.coeff} (must be > 0)")
+            if c.power < 2:
+                errors.append(f"BadCost: class {i} power {c.power} (must be >= 2)")
+        errors += self.confusion.issues()
+        if not errors:  # workload_variance_rate's arithmetic: these moments, and lambda ** 3
+            for name, rate in (("arrival_dist", self.lam), ("service_dist", self.service_rates)):
+                dist = getattr(self, name)
+                if not np.all(np.isfinite(dist.second_moment(rate))):
+                    errors.append(non_finite(name, dist.to_json(), "its second moment overflows"))
+            errors += cube_overflow("lambda", self.lam)
+        if self.horizon <= 0:
+            errors.append(f"NonPositiveHorizon: horizon = {self.horizon}")
+        if errors:
+            raise ConfigError("; ".join(errors))
 
     @property
     def n_classes(self) -> int:
@@ -256,6 +297,14 @@ class SystemConfig:
     def rho(self) -> float:
         """Traffic intensity lam * sum_k p_k / mu_k."""
         return float(self.lam * np.sum(self.prevalences / self.service_rates))
+
+    @property
+    def warnings(self) -> list:
+        """[HeavyTrafficDeviation] when |rho - 1| > 0.05, else []."""
+        rho = self.rho
+        if abs(rho - 1.0) > HEAVY_TRAFFIC_BAND:
+            return [f"HeavyTrafficDeviation: rho = {rho:.6g}; diffusion formulas assume rho ~ 1"]
+        return []
 
     def with_confusion(self, q) -> "SystemConfig":
         """Same system under a different classifier."""
@@ -297,10 +346,8 @@ def derive_predicted_params(config: SystemConfig) -> PredictedClassParams:
     p_tilde = p @ q  # p~_l = sum_k p_k q_kl
     dead = np.nonzero(p_tilde <= 0.0)[0]
     if dead.size:
-        raise ZeroColumnError(
-            f"predicted class(es) {dead.tolist()} have zero arrival mass; "
-            "every column l needs sum_k p_k q_kl > 0"
-        )
+        raise ZeroColumnError(f"ZeroColumn: predicted class(es) {dead.tolist()} have zero "
+                              "arrival mass (sum_k p_k q_kl = 0)")
 
     lambda_tilde = config.lam * p_tilde
     # rho~_l = sum_k lam p_k q_kl / mu_k, and mu~_l = lam~_l / rho~_l.
@@ -410,81 +457,6 @@ def cube_overflow(name: str, rate) -> list:
         non_finite(name, rate, "its cube, a term of the workload variance rate, overflows")]
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of validate_config: coded errors/warnings plus headline numbers."""
-
-    errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    rho: float = float("nan")
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def raise_if_invalid(self):
-        if self.errors:
-            raise ConfigError("; ".join(self.errors))
-
-
-def validate_config(config: SystemConfig) -> ValidationReport:
-    """Check every type invariant; report, never raise.
-
-    Error codes: NonFinite (a NaN or infinite lambda, prevalence, service
-    rate, cost coeff or power, or horizon, a lambda whose cube overflows, or
-    an arrival_dist or service_dist whose second moment overflows, such as a
-    lognormal sigma near 27), RowNotStochastic,
-    EntryOutOfRange, NonPositiveRate, PrevalenceNotNormalized,
-    NegativePrevalence, ZeroColumn, BadCost, NonPositiveHorizon.
-    |rho-1| > 0.05 is a warning (HeavyTrafficDeviation), since overloaded
-    transients are legitimate.  Class counts are SystemConfig's own check.
-    """
-    rep = ValidationReport()
-    numbers = {"lambda": config.lam, "prevalences": config.prevalences,
-               "service_rates": config.service_rates, "horizon": config.horizon}
-    numbers |= {f"costs[{i}].{name}": getattr(c, name)
-                for i, c in enumerate(config.costs) for name in ("coeff", "power")}
-    rep.errors += [non_finite(name, value) for name, value in numbers.items()
-                   if not np.all(np.isfinite(value))]
-    if config.lam <= 0:
-        rep.errors.append(f"NonPositiveRate: lambda = {config.lam}")
-    if np.any(config.service_rates <= 0):
-        rep.errors.append(f"NonPositiveRate: service_rates = {config.service_rates.tolist()}")
-    if np.any(config.prevalences < 0):
-        rep.errors.append("NegativePrevalence: prevalences must be >= 0")
-    if abs(config.prevalences.sum() - 1.0) > _ROW_SUM_TOL:
-        rep.errors.append(f"PrevalenceNotNormalized: sum = {config.prevalences.sum():.15g}")
-    for i, c in enumerate(config.costs):
-        if c.coeff <= 0:
-            rep.errors.append(f"BadCost: class {i} coeff {c.coeff} (must be > 0)")
-        if c.power < 2:
-            rep.errors.append(f"BadCost: class {i} power {c.power} (must be >= 2)")
-    rep.errors.extend(config.confusion.issues())
-
-    if not rep.errors:
-        p_tilde = config.prevalences @ config.confusion.entries
-        dead = np.nonzero(p_tilde <= 0.0)[0]
-        if dead.size:
-            rep.errors.append(f"ZeroColumn: predicted class(es) {dead.tolist()} have zero mass")
-        # workload_variance_rate's arithmetic: these moments, and lambda ** 3
-        for name, rate in (("arrival_dist", config.lam), ("service_dist", config.service_rates)):
-            dist = getattr(config, name)
-            if not np.all(np.isfinite(dist.second_moment(rate))):
-                rep.errors.append(non_finite(name, dist.to_json(), "its second moment overflows"))
-        rep.errors += cube_overflow("lambda", config.lam)
-
-    if config.horizon <= 0:
-        rep.errors.append(f"NonPositiveHorizon: horizon = {config.horizon}")
-
-    if all(config.service_rates > 0) and config.lam > 0:
-        rep.rho = config.rho
-        if abs(rep.rho - 1.0) > HEAVY_TRAFFIC_BAND:
-            rep.warnings.append(
-                f"HeavyTrafficDeviation: rho = {rep.rho:.6g}; diffusion formulas assume rho ~ 1"
-            )
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # JSON round trip.  Field names are part of the external interface:
 # lambda, prevalences, service_rates, costs[{coeff,power}], confusion
@@ -505,7 +477,8 @@ def config_to_json(config: SystemConfig) -> dict:
 
 
 def config_from_json(doc: dict) -> SystemConfig:
-    """Build a SystemConfig from its JSON document and validate it."""
+    """Build a SystemConfig from its JSON document; a label no job gets (a
+    zero column) is refused too, with derive_predicted_params' ZeroColumnError."""
     try:
         config = SystemConfig(
             lam=float(doc["lambda"]),
@@ -519,7 +492,7 @@ def config_from_json(doc: dict) -> SystemConfig:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config document: {exc}") from exc
-    validate_config(config).raise_if_invalid()
+    derive_predicted_params(config)
     return config
 
 

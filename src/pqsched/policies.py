@@ -87,17 +87,12 @@ class PolicyRef:
     def for_config(cls, kind: str, config: SystemConfig) -> "PolicyRef":
         """Resolve `kind` on `config` alone: naive and pcmu derive the
         predicted-class primitives from it, pcmu each label's MixtureCost.  The
-        engine needs an index that does not decrease in n, so an index kind
-        refuses a cost of power < 1 or a negative coefficient."""
+        engine needs an index that does not decrease in n, which a config's
+        costs give: SystemConfig refuses a coeff <= 0 or a power < 2."""
         if kind not in POLICY_KINDS:
             raise ConfigError(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
         if kind == "fcfs":
             return cls(kind)
-        for l, c in enumerate(config.costs):
-            if c.power < 1.0 or c.coeff < 0.0:
-                raise ConfigError(f"{kind} needs an index nondecreasing in the queue length: "
-                                  f"class {l} cost has coeff {c.coeff}, power {c.power} "
-                                  "(need coeff >= 0, power >= 1)")
         if kind == "oracle":
             lam_eff, mu_eff = config.class_arrival_rates, config.service_rates
         else:

@@ -117,6 +117,12 @@ def test_replicate_summary_statistics(critical_config):
     assert np.all(np.diff(s.mean) >= -1e-12)
 
 
+def test_open_costs_are_float_when_no_job_is_open():
+    s = compare_policies(make_two_class(), ["pcmu"], 3, 5)["pcmu"]
+    assert s.open_jobs.tolist() == [0, 0, 0]
+    assert s.open_costs.dtype == np.float64 and s.open_costs.tolist() == [0.0, 0.0, 0.0]
+
+
 def test_replicate_pool_matches_serial(critical_config):
     # the resolved policy is pickled to the workers; seed-order aggregation
     # makes the summary independent of the pool

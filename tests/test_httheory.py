@@ -146,15 +146,11 @@ def test_variance_rate_plugin_formula(critical_config):
     assert workload_variance_rate(cfg) == pytest.approx(expect, rel=1e-14)
 
 
-def test_variance_rate_moment_guards():
-    # a lognormal sigma near 30 overflows E[V^2] = e^(s^2) / mu^2
-    with pytest.raises(NonFiniteMomentError), np.errstate(over="ignore"):
-        workload_variance_rate(make_two_class(service_dist={"family": "lognormal",
-                                                            "sigma": 30.0}))
-    with pytest.raises(ConfigError, match="negative variance"):
-        # prevalences summing to 2 put sum_k p_k E[V_k^2] below the squared mean
-        workload_variance_rate(make_two_class(prevalences=(1.0, 1.0),
-                                              service_dist="deterministic"))
+def test_variance_rate_overflow_of_a_valid_config():
+    # finite moments and lambda^3 (SystemConfig checks both), but lambda c_v = 1e100 * 2e300
+    cfg = make_two_class(lam=1e100, service_rates=(1e-150, 1e-150))
+    with pytest.raises(NonFiniteMomentError, match="^variance rate overflowed$"):
+        workload_variance_rate(cfg)
 
 
 # --------------------------------------------------------------- BM paths

@@ -22,7 +22,6 @@ from pqsched import (
     derive_predicted_params,
     load_config,
     save_config,
-    validate_config,
 )
 from conftest import make_two_class
 
@@ -39,15 +38,6 @@ def test_costfn_value_and_derivative():
     assert cubic(2.0) == pytest.approx(8.0)      # (3/3) * 2^3
     assert cubic.prime(2.0) == pytest.approx(12.0)
     assert not cubic.is_quadratic
-
-
-def test_costfn_bad_parameters_flagged_by_validation():
-    # the constructor is permissive; validate_config owns the rules
-    for costs in (((CostFn(0.0), CostFn(1.0))),
-                  ((CostFn(-1.0), CostFn(1.0))),
-                  ((CostFn(1.0, power=1.5), CostFn(1.0)))):
-        report = validate_config(make_two_class(costs=costs))
-        assert any("BadCost" in e for e in report.errors)
 
 
 # ------------------------------------------------------- ConfusionMatrix
@@ -105,9 +95,13 @@ def test_predicted_params_identity_reduces_to_true(identity_config):
 
 
 def test_zero_predicted_column_raises():
+    # a config may leave a label empty; what needs its service law refuses it
     cfg = make_two_class(confusion=((1.0, 0.0), (1.0, 0.0)))
-    with pytest.raises(ZeroColumnError):
+    text = r"^ZeroColumn: predicted class\(es\) \[1\] have zero arrival mass \(sum_k p_k q_kl = 0\)$"
+    with pytest.raises(ZeroColumnError, match=text):
         derive_predicted_params(cfg)
+    with pytest.raises(ZeroColumnError, match=text):   # and so does a config document
+        config_from_json(config_to_json(cfg))
 
 
 @st.composite
@@ -223,54 +217,68 @@ def test_json_roundtrip_every_family(two_class_config, tag):
 
 # -------------------------------------------------------------- validation
 
-def test_validate_ok_and_heavy_traffic_warning(two_class_config):
-    report = validate_config(two_class_config)   # rho = 0.85
-    assert report.errors == []
-    assert any("HeavyTrafficDeviation" in w for w in report.warnings)
-    assert report.rho == pytest.approx(0.85)
-    assert report.ok
-    report.raise_if_invalid()  # warnings alone never raise
+def test_heavy_traffic_warning_outside_band(two_class_config, critical_config):
+    assert two_class_config.warnings == [
+        "HeavyTrafficDeviation: rho = 0.85; diffusion formulas assume rho ~ 1"]
+    assert critical_config.warnings == []    # rho = 1 exactly
 
 
-def test_validate_no_warning_inside_band(critical_config):
-    report = validate_config(critical_config)    # rho = 1 exactly
-    assert report.errors == []
-    assert report.warnings == []
+_CONSTRUCTOR_REFUSALS = {
+    "non-finite-lambda": (lambda: make_two_class(lam=float("nan")),
+                          "NonFinite: lambda = nan (must be finite)"),
+    "non-finite-cost": (lambda: make_two_class(costs=(CostFn(1.0), CostFn(math.inf, power=math.nan))),
+                        "NonFinite: costs[1].coeff = inf (must be finite); "
+                        "NonFinite: costs[1].power = nan (must be finite)"),
+    "lambda-cube": (lambda: make_two_class(lam=1e103),
+                    "NonFinite: lambda = 1e+103 (its cube, a term of the workload variance rate, "
+                    "overflows)"),
+    # a lognormal sigma near 30 overflows E[V^2] = e^(s^2) / mu^2
+    "service-moment": (lambda: make_two_class(service_dist={"family": "lognormal", "sigma": 30.0}),
+                       "NonFinite: service_dist = {'family': 'lognormal', 'sigma': 30.0} "
+                       "(its second moment overflows)"),
+    "arrival-moment": (lambda: make_two_class(lam=1e-200),
+                       "NonFinite: arrival_dist = exponential (its second moment overflows)"),
+    "lambda": (lambda: make_two_class(lam=0.0), "NonPositiveRate: lambda = 0.0"),
+    "service-rate": (lambda: make_two_class(service_rates=(-2.0, 1.0)),
+                     "NonPositiveRate: service_rates = [-2.0, 1.0]"),
+    "negative-prevalence": (lambda: make_two_class(prevalences=(-0.1, 1.1)),
+                            "NegativePrevalence: prevalences must be >= 0"),
+    "prevalence-sum": (lambda: make_two_class(prevalences=(0.3, 0.6)),
+                       "PrevalenceNotNormalized: sum = 0.9"),
+    # prevalences summing to 2 would put sum_k p_k E[V_k^2] below the squared mean
+    "prevalence-sum-2": (lambda: make_two_class(prevalences=(1.0, 1.0), service_dist="deterministic"),
+                         "PrevalenceNotNormalized: sum = 2"),
+    "zero-coeff": (lambda: make_two_class(costs=(CostFn(0.0), CostFn(1.0))),
+                   "BadCost: class 0 coeff 0.0 (must be > 0)"),
+    "negative-coeff": (lambda: make_two_class(costs=(CostFn(-1.0), CostFn(1.0))),
+                       "BadCost: class 0 coeff -1.0 (must be > 0)"),
+    "power-1.5": (lambda: make_two_class(costs=(CostFn(1.0, power=1.5), CostFn(1.0))),
+                  "BadCost: class 0 power 1.5 (must be >= 2)"),
+    # an index policy needs an index nondecreasing in the queue length
+    "power-0.5": (lambda: make_two_class(costs=(CostFn(1.0), CostFn(10.0, power=0.5))),
+                  "BadCost: class 1 power 0.5 (must be >= 2)"),
+    "entry": (lambda: make_two_class(confusion=((1.2, -0.2), (0.2, 0.8))),
+              "EntryOutOfRange: confusion entries must lie in [0, 1]"),
+    "row": (lambda: make_two_class(confusion=((0.9, 0.09), (0.2, 0.8))),
+            "RowNotStochastic: row 0 sums to 0.99"),
+    "with-confusion": (lambda: make_two_class().with_confusion(((0.9, 0.1), (0.2, 0.7))),
+                       "RowNotStochastic: row 1 sums to 0.9"),
+    "horizon": (lambda: make_two_class(horizon=0.0), "NonPositiveHorizon: horizon = 0.0"),
+    "several": (lambda: make_two_class(lam=-1.0, prevalences=(0.3, 0.6), horizon=-2.0),
+                "NonPositiveRate: lambda = -1.0; PrevalenceNotNormalized: sum = 0.9; "
+                "NonPositiveHorizon: horizon = -2.0"),
+}
 
 
-def test_validate_error_codes():
-    bad = make_two_class(service_rates=(-2.0, 1.0))
-    codes = " ".join(validate_config(bad).errors)
-    assert "NonPositiveRate" in codes
-
-    bad = make_two_class(prevalences=(-0.1, 1.1))
-    codes = " ".join(validate_config(bad).errors)
-    assert "NegativePrevalence" in codes
-
-    bad = make_two_class(prevalences=(0.3, 0.6))
-    codes = " ".join(validate_config(bad).errors)
-    assert "PrevalenceNotNormalized" in codes
-
-    bad = make_two_class(confusion=((0.9, 0.09), (0.2, 0.8)))
-    codes = " ".join(validate_config(bad).errors)
-    assert "RowNotStochastic" in codes
-
-    bad = make_two_class(confusion=((1.0, 0.0), (1.0, 0.0)))
-    codes = " ".join(validate_config(bad).errors)
-    assert "ZeroColumn" in codes
-
-    bad = make_two_class(horizon=0.0)
-    codes = " ".join(validate_config(bad).errors)
-    assert "NonPositiveHorizon" in codes
-
-    report = validate_config(make_two_class(service_rates=(-2.0, 1.0)))
-    assert not report.ok
-    with pytest.raises(ConfigError):
-        report.raise_if_invalid()
+@pytest.mark.parametrize("build, text", _CONSTRUCTOR_REFUSALS.values(), ids=_CONSTRUCTOR_REFUSALS)
+def test_invalid_config_cannot_be_built(build, text):
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert str(err.value) == text
 
 
 def test_validate_shape_mismatch_short_circuits():
-    # the constructor refuses the config, so validate_config never sees one
+    # class counts are checked first: a mismatch is the only error reported
     with pytest.raises(ConfigError, match=r"^ShapeMismatch: prevalences\(2\), service_rates\(1\), "
                        r"costs\(2\), confusion\(2\) disagree$"):
         SystemConfig(lam=1.0, prevalences=(0.3, 0.7), service_rates=(2.0,),

@@ -160,13 +160,3 @@ def test_decide_fcfs_picks_oldest_head():
     assert decide(_Heads([inf, inf]), pol) is None
 
 
-@pytest.mark.parametrize("kind", ["oracle", "naive", "pcmu"])
-def test_index_kinds_refuse_a_decreasing_index(kind):
-    # the engine's arrival shortcut needs an index nondecreasing in n
-    cfg = make_two_class(costs=(CostFn(1.0), CostFn(10.0, power=0.5)))
-    with pytest.raises(ConfigError, match="class 1 cost has coeff 10.0, power 0.5") as info:
-        PolicyRef.for_config(kind, cfg)
-    assert "\n" not in str(info.value)
-    assert PolicyRef.for_config("fcfs", cfg).kind == "fcfs"
-    linear = make_two_class(costs=(CostFn(1.0, power=1.0), CostFn(10.0, power=1.0)))
-    assert PolicyRef.for_config(kind, linear).index(1, 5) > 0.0
