@@ -174,10 +174,12 @@ def _substreams(seed: int, rng: Generator):
         yield rng
 
 
-def _uniforms(rng: Generator, chunk: int):
-    """The substream's uniforms one by one, drawn chunk by chunk."""
+def _uniform_gaps(rng: Generator, chunk: int, dist, rate: float):
+    """The substream's uniforms one by one, drawn chunk by chunk, each with
+    the gap dist.draws maps it to at rate."""
     while True:
-        yield from rng.random(chunk).tolist()
+        u = rng.random(chunk)
+        yield from zip(u.tolist(), dist.draws(u, rate).tolist())
 
 
 def _arrival_times(config: SystemConfig, rng: Generator,
@@ -188,16 +190,17 @@ def _arrival_times(config: SystemConfig, rng: Generator,
     m_max = 1.0 if schedule is None else schedule.max_multiplier
     chunk = max(1, int(min(event_cap + 1, _CHUNK, 1.1 * lam * m_max * horizon + 20)))
     if schedule is not None:
-        # Poisson thinning at the bounding rate; one or two uniforms per candidate
-        lam_max = lam * m_max
-        log, uniform, times, t = math.log, _uniforms(rng, chunk).__next__, [], 0.0
+        # Poisson thinning at the bounding rate; one or two uniforms per
+        # candidate: the gap of the first, the raw value of the second
+        draw = _uniform_gaps(rng, chunk, config.arrival_dist, lam * m_max).__next__
+        times, t = [], 0.0
         while True:
-            t = t - log(1.0 - uniform()) / lam_max
+            t += draw()[1]
             if t > horizon:  # the schedule's bound holds on [0, horizon] only
                 return np.array(times)
             m = schedule(t)
             # acceptance is certain at the bound: don't burn a thinning draw
-            if m >= m_max or uniform() * m_max <= m:
+            if m >= m_max or draw()[0] * m_max <= m:
                 times.append(t)
                 if len(times) > event_cap:
                     raise _overflow(event_cap, horizon)

@@ -176,17 +176,18 @@ class Dist:
 
     def draws(self, u: np.ndarray, rate) -> np.ndarray:
         """The draws of the uniforms u, with mean 1/rate (a scalar, or one rate
-        per draw), each through the scalar math.log/math.exp: a value depends
-        on its uniform and rate only, bit for bit, whatever array holds it."""
+        per draw), through numpy's vector log and exp: a value depends on its
+        uniform and rate only, bit for bit, whatever array, offset or length
+        holds it, and equals the same steps on a Python float
+        (test_model.py::test_draws_do_not_depend_on_the_array)."""
         if self.family == "deterministic":
             return np.ones(len(u)) / rate
         one_minus_u = 1.0 - u  # in (0, 1], making -log safe
         if self.family == "exponential":
-            return -np.fromiter(map(math.log, one_minus_u.tolist()), float, len(u)) / rate
+            return -np.log(one_minus_u) / rate
         from scipy.special import ndtri  # here, so only lognormal draws load scipy
         # exp(m + s Z) has mean exp(m + s^2/2), so m = -s^2/2 gives mean 1
-        x = -0.5 * self.sigma * self.sigma + self.sigma * ndtri(one_minus_u)
-        return np.fromiter(map(math.exp, x.tolist()), float, len(u)) / rate
+        return np.exp(-0.5 * self.sigma * self.sigma + self.sigma * ndtri(one_minus_u)) / rate
 
     def second_moment(self, rate):
         """E[X^2] of a draw with mean 1/rate: 2/rate^2, 1/rate^2 or e^(s^2)/rate^2,

@@ -28,7 +28,6 @@ Nothing in `src/` imports this module.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -296,7 +295,7 @@ def _make_service_sampler(dist, rates: np.ndarray, rng: Generator):
     family, params = _dist_family(dist)
     if family == "exponential":
         def draw(k):
-            return -math.log(_uniform_to_positive(rng.random())) / rates[k]
+            return -float(np.log(_uniform_to_positive(rng.random()))) / rates[k]
     elif family == "deterministic":
         def draw(k):
             return 1.0 / rates[k]
@@ -305,7 +304,7 @@ def _make_service_sampler(dist, rates: np.ndarray, rng: Generator):
         mu_log = -0.5 * sigma * sigma  # exp(m + s Z) has mean exp(m + s^2/2)
         def draw(k):
             z = ndtri(_uniform_to_positive(rng.random()))
-            return math.exp(mu_log + sigma * z) / rates[k]
+            return float(np.exp(mu_log + sigma * z)) / rates[k]
     else:
         raise ConfigError(f"unknown service distribution family {family!r}")
     return draw
@@ -315,7 +314,7 @@ def _make_interarrival_sampler(dist, lam: float, rng: Generator):
     family, params = _dist_family(dist)
     if family == "exponential":
         def draw(rate=lam):
-            return -math.log(_uniform_to_positive(rng.random())) / rate
+            return -float(np.log(_uniform_to_positive(rng.random()))) / rate
     elif family == "deterministic":
         def draw(rate=lam):
             return 1.0 / rate
@@ -324,7 +323,7 @@ def _make_interarrival_sampler(dist, lam: float, rng: Generator):
         mu_log = -0.5 * sigma * sigma
         def draw(rate=lam):
             z = ndtri(_uniform_to_positive(rng.random()))
-            return math.exp(mu_log + sigma * z) / rate
+            return float(np.exp(mu_log + sigma * z)) / rate
     else:
         raise ConfigError(f"unknown arrival distribution family {family!r}")
     return family, draw
@@ -365,7 +364,7 @@ def run_path(config: SystemConfig, policy, seed: int, sampling_grid: int = 51, *
         def next_arrival(t):
             # Poisson thinning at the bounding rate.
             while True:
-                t = t - math.log(_uniform_to_positive(rng_arr.random())) / lam_max
+                t = t - float(np.log(_uniform_to_positive(rng_arr.random()))) / lam_max
                 m = arrival_schedule(t)
                 if m >= arrival_schedule.max_multiplier:
                     return t  # acceptance certain: don't burn a thinning draw

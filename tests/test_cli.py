@@ -692,12 +692,13 @@ HUGE = "NonFinite: costs[1] = {'coeff': 1e+308, 'power': 3.0}"
 
 
 @pytest.mark.parametrize("args, error", [
-    # the KKT solve's slopes overflowed: raw numpy warnings, then a residual
-    # error naming a workload
+    # cost 1's KKT slope overflows: kkt_solve refuses it before any Newton step,
+    # so stderr is the config warning and this one error line, no numpy warning
     (["lower-bound", "--paths", "8", "--steps", "100"],
      f"{HUGE} (its marginal-cost slope coeff * (power - 1), times its largest posterior "
      "share, overflows)"),
-    # index values overflowed: a raw numpy warning, then a run on tied infs
+    # an index value overflows: the index table refuses it before any event
+    # loop runs, so stderr is the config warning and this one error line
     (["simulate", "--policy", "pcmu", "--paths", "3"],
      f"{HUGE} (the pcmu index of class 0 overflows the float range at queue length 2)"),
     (["simulate", "--policy", "oracle", "--paths", "3"],

@@ -284,12 +284,25 @@ def test_workload_invariant_to_confusion_and_policy(critical_config):
 
 # ------------------------------------------------------------- schedules
 
-def test_constant_schedule_one_is_identity(critical_config):
-    plain = run_path(critical_config, "pcmu", seed=12)
-    scheduled = run_path(critical_config, "pcmu", seed=12,
+@pytest.mark.parametrize("seed", range(20))
+def test_constant_schedule_one_is_identity(critical_config, seed):
+    plain = run_path(critical_config, "pcmu", seed=seed)
+    scheduled = run_path(critical_config, "pcmu", seed=seed,
                          arrival_schedule=RateSchedule.constant(1.0))
     assert np.array_equal(plain.arrival_times, scheduled.arrival_times)
     assert np.array_equal(plain.arrival_workloads, scheduled.arrival_workloads)
+
+
+def test_constant_schedule_one_is_identity_over_many_seeds(critical_config):
+    # a thinning gap one ulp off Dist.draws' reaches the arrival time only
+    # while t is a few gaps long, so a transform mismatch shows over many
+    # paths: 1,000 seeds of about 100 arrivals (math.log in the thinning
+    # route instead moves dozens of arrival times)
+    fcfs, seeds = [PolicyRef.for_config("fcfs", critical_config)], [range(1000)]
+    (bounds, (a, *_), _), = simulate_block(critical_config, fcfs, seeds)
+    (bounds_s, (a_s, *_), _), = simulate_block(critical_config, fcfs, seeds,
+                                               arrival_schedule=RateSchedule.constant(1.0))
+    assert np.array_equal(bounds, bounds_s) and np.array_equal(a, a_s)
 
 
 def test_constant_half_rate_halves_arrivals():

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox
+from scipy.special import ndtri
 
 from pqsched import (
     ConfigError,
@@ -213,6 +215,33 @@ def test_json_roundtrip_every_family(two_class_config, tag):
     back = config_from_json(doc)
     assert back.arrival_dist == back.service_dist == Dist.parse(tag)
     assert config_to_json(back) == config_to_json(cfg)
+
+
+def _scalar_draw(dist, x, rate):
+    """The draw of the Python float uniform x, one step at a time, as the
+    reference engine takes it."""
+    if dist.family == "exponential":
+        return -float(np.log(1.0 - x)) / rate
+    z = ndtri(1.0 - x)
+    return float(np.exp(-0.5 * dist.sigma * dist.sigma + dist.sigma * z)) / rate
+
+
+@pytest.mark.parametrize("dist", [Dist("exponential"), Dist("lognormal", 0.5)],
+                         ids=["exponential", "lognormal"])
+def test_draws_do_not_depend_on_the_array(dist):
+    # numpy's log and exp take vector and remainder paths by offset and
+    # length: a draw is the same bits on each, and on a Python float
+    rng = Generator(Philox(key=27))
+    u = np.concatenate(([0.0], rng.random(2048)))
+    for rate in (3.0, rng.uniform(0.5, 50.0, u.size)):
+        whole = dist.draws(u, rate)
+        per_draw = np.broadcast_to(rate, u.shape)
+        assert whole.tolist() == [_scalar_draw(dist, x, r)
+                                  for x, r in zip(u.tolist(), per_draw.tolist())]
+        for i in range(17):
+            for n in range(1, 34):
+                part = dist.draws(u[i:i + n], rate if np.ndim(rate) == 0 else rate[i:i + n])
+                assert np.array_equal(part, whole[i:i + n])
 
 
 # -------------------------------------------------------------- validation
