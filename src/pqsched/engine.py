@@ -45,7 +45,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ConfigError, EventOverflowError, ScheduleNonPositiveError
-from .model import SystemConfig, write_csv
+from .model import SystemConfig, _check_finite, write_csv
 from .policies import PolicyRef, index_overflow
 
 __all__ = [
@@ -73,15 +73,20 @@ class RateSchedule:
 
     The bound is what makes thinning-based arrival generation exact, so it
     must dominate the multiplier everywhere on [0, horizon]; the engine
-    checks every evaluation.  Multipliers must stay strictly positive.
+    checks every evaluation.  Multipliers must stay strictly positive, and
+    the bound finite and positive.
     """
 
     multiplier: Callable[[float], float]
     max_multiplier: float
 
+    def __post_init__(self):
+        if not 0.0 < self.max_multiplier < _INF:  # NaN included
+            raise ConfigError(f"max_multiplier {self.max_multiplier} must be finite and > 0")
+
     def __call__(self, t: float) -> float:
         m = self.multiplier(t)
-        if m <= 0.0:
+        if not m > 0.0:  # NaN included
             raise ScheduleNonPositiveError(f"rate multiplier {m} at t={t} (must be > 0)")
         if m > self.max_multiplier * (1.0 + 1e-12):
             raise ConfigError(
@@ -100,6 +105,8 @@ class RateSchedule:
         With a base rate lam this reproduces rate(t) = max(lam*floor_frac,
         lam + r*sin(omega t)) for amplitude_frac = r/lam.
         """
+        _check_finite({"amplitude_frac": amplitude_frac, "omega": omega,
+                       "floor_frac": floor_frac})
         def m(t, a=amplitude_frac, w=omega, f=floor_frac):
             return max(f, 1.0 + a * math.sin(w * t))
         return cls(multiplier=m, max_multiplier=max(floor_frac, 1.0 + abs(amplitude_frac)))

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyClassError, IngestError, ZeroColumnError
+from .errors import ConfigError, EmptyClassError, IngestError, ZeroColumnError
 from .model import ConfusionMatrix
 
 __all__ = [
@@ -219,11 +219,14 @@ def estimate_confusion(table: ValidationTable,
 
     With a threshold, predictions come from scores (binary rule: class 1
     iff score >= threshold); otherwise every row must carry a
-    predicted_class.  laplace > 0 adds the usual pseudo-count per cell.
+    predicted_class.  laplace > 0 adds the usual pseudo-count per cell; it
+    must be finite and >= 0.
     The class count is that of the columns the rule reads: the true classes
     under a threshold, the true and predicted classes otherwise.
     Returns (ConfusionMatrix, prevalences).
     """
+    if not 0.0 <= laplace < np.inf:  # NaN included
+        raise ConfigError(f"laplace = {laplace} must be finite and >= 0")
     K = int(table.true_class.max()) + 1
     if threshold is None:
         K = max(K, int(table.predicted_class.max()) + 1)

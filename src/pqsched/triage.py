@@ -51,69 +51,13 @@ __all__ = [
 
 DEFAULT_SCORE_GRID = 101
 _MONOTONE_TOL = 1e-9
-
-# Cephes ndtr, erf and erfc (S. L. Moshier, Methods and Programs for
-# Mathematical Functions, 1989), the routines behind scipy.special.ndtr, with
-# their branches and coefficient tables.  numpy's elementwise * and + round as
-# the compiled code does and math.exp is libm's exp (np.exp's SIMD kernels can
-# differ from it in the last bit), so _ndtr equals scipy's ndtr bit for bit.
-_SQRT1_2 = 7.07106781186547524401e-1
-_MAXLOG = 7.09782712893383996843e2
-_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-          7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-          2.26290000613890934246e4, 4.92673942608635921086e4)
-_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-           1.65666309194161350182e3, 5.57535340817727675546e2)
-_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-
-
-def _poly(x: np.ndarray, coefs: tuple, monic: bool = False) -> np.ndarray:
-    """Horner's rule from the leading coefficient: Cephes polevl, or with
-    monic p1evl, whose leading 1 is left out of coefs."""
-    y = x + coefs[0] if monic else np.full_like(x, coefs[0])
-    for c in coefs[1:]:
-        y = y * x + c
-    return y
-
-
-def _erf(x: np.ndarray) -> np.ndarray:
-    """Cephes erf for |x| <= 1, the only range where ndtr and erfc call it."""
-    z = x * x
-    return x * _poly(z, _ERF_T) / _poly(z, _ERF_U, monic=True)
-
-
-def _erfc(x: np.ndarray) -> np.ndarray:
-    """Cephes erfc for x >= 0 (NaN passes): 1 - erf below 1, exp(-x^2) P/Q
-    below 8 and exp(-x^2) R/S above, and 0 where -x^2 < -MAXLOG underflows."""
-    y, near, far = x.copy(), x < 1.0, x >= 1.0
-    y[near], y[far] = 1.0 - _erf(x[near]), 0.0
-    with np.errstate(over="ignore"):  # an x^2 past the float range underflows
-        far &= -x * x >= -_MAXLOG
-    for part, p, q in ((far & (x < 8.0), _ERFC_P, _ERFC_Q), (far & (x >= 8.0), _ERFC_R, _ERFC_S)):
-        t = x[part]
-        e = np.fromiter(map(math.exp, -t * t), float, t.size)
-        y[part] = e * _poly(t, p) / _poly(t, q, monic=True)
-    return y
+_SQRT1_2 = math.sqrt(0.5)
 
 
 def _ndtr(a) -> np.ndarray:
-    """The standard normal CDF of an array, Cephes ndtr: 0.5 + 0.5 erf(x)
-    for |x| < sqrt(1/2), x = a / sqrt 2, else 0.5 erfc(|x|), mirrored for x > 0."""
-    x = np.asarray(a, dtype=float) * _SQRT1_2
-    z = np.abs(x)
-    y = 0.5 * _erfc(z)
-    y = np.where(x > 0, 1.0 - y, y)
-    near = z < _SQRT1_2
-    y[near] = 0.5 + 0.5 * _erf(x[near])
-    return y
+    """The standard normal CDF of an array: 0.5 erfc(-a / sqrt 2), libm's erfc per entry."""
+    x = np.asarray(a, dtype=float) * -_SQRT1_2
+    return 0.5 * np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 class PassingCurves:
@@ -166,9 +110,8 @@ class PassingCurves:
         g_k(z) = Phi((loc_k - logit z) / scale_k), so the pair (loc, scale)
         controls how sharply each class's mass sits above a threshold.
 
-        Phi is a port of Cephes ndtr (Moshier 1989), the routine behind
-        scipy.special.ndtr, and equals it bit for bit, so these curves load
-        no scipy."""
+        Phi is 0.5 erfc(-x / sqrt 2) with the C library's erfc, so these
+        curves load no scipy."""
         if len(locs) != 2 or len(scales) != 2:
             raise ConfigError("need one (loc, scale) pair per class")
         _check_finite({"curves.loc": locs, "curves.scale": scales})

@@ -1,4 +1,5 @@
 import csv
+import math
 import time
 import tracemalloc
 
@@ -376,13 +377,30 @@ def test_simulate_block_checks_the_arrival_schedule():
                             arrival_schedule=RateSchedule.constant(1.0)))
 
 
-def test_schedule_guards():
+def test_schedule_guards(critical_config):
     zero = RateSchedule(multiplier=lambda t: 0.0, max_multiplier=1.0)
     with pytest.raises(ScheduleNonPositiveError):
         zero(0.3)
     cheat = RateSchedule(multiplier=lambda t: 2.0, max_multiplier=1.0)
     with pytest.raises(ConfigError):
         cheat(0.3)
+    # a NaN multiplier is refused where it is read, on either stream
+    nan = RateSchedule(multiplier=lambda t: math.nan, max_multiplier=1.0)
+    with pytest.raises(ScheduleNonPositiveError):
+        nan(0.3)
+    for stream in ("arrival_schedule", "service_schedule"):
+        with pytest.raises(ScheduleNonPositiveError):
+            run_path(critical_config, "pcmu", seed=0, **{stream: nan})
+    # an infinite bound would thin forever
+    for bound in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ConfigError, match="max_multiplier"):
+            RateSchedule(multiplier=lambda t: 1.0, max_multiplier=bound)
+    with pytest.raises(ConfigError, match="max_multiplier"):
+        RateSchedule.constant(math.nan)
+    for args in [(math.nan, 1.0), (0.5, math.nan), (math.inf, 1.0), (0.5, -math.inf),
+                 (0.5, 1.0, math.nan)]:
+        with pytest.raises(ConfigError, match="NonFinite"):
+            RateSchedule.sinusoidal(*args)
 
 
 # ------------------------------------------------------------------ guards

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pqsched import (
+    ConfigError,
     EmptyClassError,
     IngestError,
     ValidationTable,
@@ -75,6 +76,10 @@ def test_confusion_zero_column_and_laplace():
     q, _ = estimate_confusion(one_sided, laplace=1.0)
     # rows become (counts + 1) / (row_total + 2)
     assert np.allclose(q.entries, [[3 / 4, 1 / 4], [2 / 3, 1 / 3]])
+    # a pseudo-count that is negative, NaN or infinite smooths nothing
+    for laplace in (-1.0, -0.5, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="laplace"):
+            estimate_confusion(one_sided, laplace=laplace)
 
 
 def test_confusion_empty_class():

@@ -174,7 +174,7 @@ print(json.dumps({name: name in sys.modules for name in
 def test_import_leaves_scipy_optimize_out(tmp_path):
     # scipy.special and the process pool are imported where they are used, so
     # configs that draw no normal variates and build no pool load neither;
-    # gaussian_logit curves take Phi from a port of Cephes ndtr
+    # gaussian_logit curves take Phi from the C library's erfc (math.erfc)
     exponential, deterministic = tmp_path / "exponential.json", tmp_path / "deterministic.json"
     save_config(make_two_class(), exponential)
     save_config(make_two_class(arrival_dist="deterministic", service_dist="deterministic"),

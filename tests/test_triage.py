@@ -70,24 +70,44 @@ def test_gaussian_logit_curve_values():
     assert np.all(c.g(1, zs[1:-1]) < c.g(0, zs[1:-1]))
 
 
-def test_ndtr_port_equals_scipy_bit_for_bit():
-    # Cephes ndtr branches where |a / sqrt 2| crosses sqrt(1/2), 1 and 8, and
-    # erfc underflows where a^2 / 2 passes MAXLOG (|a| near 37.68); sweep
-    # 200 ulps across each edge, on both sides of 0
-    edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * triage._MAXLOG)]
+def test_ndtr_is_close_to_scipy():
+    # 0.5 erfc(-a / sqrt 2) against scipy's Cephes ndtr, on a sweep 200 ulps
+    # across each edge where Cephes switches branch (|a / sqrt 2| at sqrt(1/2),
+    # 1 and 8) or its erfc underflows (a^2 / 2 past MAXLOG), on both sides of 0
+    maxlog = 7.09782712893383996843e2
+    edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * maxlog)]
     steps = np.arange(-200, 201)
     near = np.concatenate([e + steps * np.spacing(e) for e in edges])
     a = np.concatenate([np.linspace(-40.0, 40.0, 400_001), near, -near,
                         [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, 1e200, -1e200]])
-    x = np.abs(a) * triage._SQRT1_2
-    for edge in (triage._SQRT1_2, 1.0, 8.0):
+    assert a.size == 403_217
+    x = np.abs(a) * math.sqrt(0.5)
+    for edge in (math.sqrt(0.5), 1.0, 8.0):
         assert np.any(x < edge) and np.any(x >= edge)
     square = x[x < 30.0] ** 2
-    assert np.any(square <= triage._MAXLOG) and np.any(square > triage._MAXLOG)
+    assert np.any(square <= maxlog) and np.any(square > maxlog)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = triage._ndtr(a)
-    assert np.array_equal(got, ndtr(a), equal_nan=True)
+    ref = ndtr(a)
+    normal = ref >= 1e-300
+    assert np.all(np.abs(got[normal] - ref[normal]) <= 1e-13 * ref[normal])
+    tiny = ref < 1e-300
+    assert np.any(tiny) and np.all(np.abs(got[tiny] - ref[tiny]) <= 1e-310)
+    assert triage._ndtr([np.inf, -np.inf]).tolist() == [1.0, 0.0]
+    assert np.isnan(triage._ndtr([np.nan])).all()
+
+
+def erfc_curve_values(locs, scales, grid_size):
+    """The gaussian-logit construction, Phi(x) = 0.5 erfc(-x / sqrt 2) entry by entry."""
+    grid = np.linspace(0.0, 1.0, grid_size)
+    inner = np.clip(grid, 1e-12, 1 - 1e-12)
+    logit = np.log(inner) - np.log1p(-inner)
+    with np.errstate(over="ignore"):
+        x = (np.asarray(locs)[:, None] - logit) / np.asarray(scales)[:, None]
+    values = np.array([[0.5 * math.erfc(-v * math.sqrt(0.5)) for v in row] for row in x])
+    values[:, 0], values[:, -1] = 1.0, 0.0
+    return grid, values
 
 
 @pytest.mark.parametrize("locs, scales, grid_size", [
@@ -97,13 +117,8 @@ def test_ndtr_port_equals_scipy_bit_for_bit():
     ((4.0, -4.0), (0.05, 0.05), 501),     # steep: both tails underflow
     ((-30.0, 30.0), (1.0, 7.0), 11),
 ])
-def test_gaussian_logit_curves_equal_scipy_built_ones(locs, scales, grid_size):
-    # the construction as it stood with scipy.special.ndtr
-    grid = np.linspace(0.0, 1.0, grid_size)
-    inner = np.clip(grid, 1e-12, 1 - 1e-12)
-    logit = np.log(inner) - np.log1p(-inner)
-    values = ndtr((np.asarray(locs)[:, None] - logit) / np.asarray(scales)[:, None])
-    values[:, 0], values[:, -1] = 1.0, 0.0
+def test_gaussian_logit_curves_equal_erfc_built_ones(locs, scales, grid_size):
+    grid, values = erfc_curve_values(locs, scales, grid_size)
     got = PassingCurves.from_gaussian_logit(locs, scales, grid_size)
     assert np.array_equal(got.grid, grid) and np.array_equal(got.values, values)
 
@@ -112,17 +127,28 @@ def test_subnormal_gaussian_logit_scale_warns_nothing():
     # (loc - logit) / 1e-310 overflows to +-inf, whose Phi is 1 or 0: the
     # curve is the step it was, built without a numpy warning
     locs, scales = (-1.0, 1.0), (1e-310, 1.0)
-    grid = np.linspace(0.0, 1.0, 1001)
-    inner = np.clip(grid, 1e-12, 1 - 1e-12)
-    logit = np.log(inner) - np.log1p(-inner)
-    with np.errstate(over="ignore"):
-        values = ndtr((np.asarray(locs)[:, None] - logit) / np.asarray(scales)[:, None])
-    values[:, 0], values[:, -1] = 1.0, 0.0
+    _, values = erfc_curve_values(locs, scales, 1001)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = PassingCurves.from_gaussian_logit(locs, scales)
     assert np.array_equal(got.values, values)
     assert set(np.unique(got.values[0])) == {0.0, 1.0}
+
+
+PAIRS = r"need one \(loc, scale\) pair per class"
+
+
+@pytest.mark.parametrize("locs, scales, match", [
+    ((-1.0,), (1.0,), PAIRS),
+    ((-1.0, -3.0, 0.0), (1.0, 1.0, 1.0), PAIRS),
+    ((-1.0, -3.0), (1.0,), PAIRS),
+    ((-1.0, -3.0), (0.0, 1.0), "scales must be positive"),
+    ((-1.0, -3.0), (1.0, -0.0), "scales must be positive"),
+    ((-1.0, -3.0), (-1.0, 1.0), "scales must be positive"),
+])
+def test_gaussian_logit_refusals(locs, scales, match):
+    with pytest.raises(ConfigError, match=match):
+        PassingCurves.from_gaussian_logit(locs, scales)
 
 
 def test_curve_validation():
