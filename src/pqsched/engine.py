@@ -15,16 +15,17 @@ policy on it.  It works one batch of consecutive seeds at a time, as one
 set of columns: per seed it only reads the substreams (arrivals in chunks
 of at most event_cap + 1 values -- exactly the values one-at-a-time draws
 give) and runs the event loops; the class draws, the `Dist.draws`
-transform of the service uniforms, table growth and event counts take one
-pass over the batch.  Each value is an elementwise function of its own
-seed's uniforms, so a path is a bit-stable function of (config, policy,
-seed) whatever batch or block of seeds it is simulated in.
+transform of the service uniforms and event counts take one pass over the
+batch.  Each value is an elementwise function of its own seed's uniforms,
+so a path is a bit-stable function of (config, policy, seed) whatever
+batch or block of seeds it is simulated in.
 
 The policy only fills in the completion column.  Global FCFS serves in
 arrival order without preemption, so c_i = max(a_i, c_{i-1}) + s_i in one
 pass.  The index policies run one flat event loop over a table of
-`PolicyRef.index` values shared by a block's seeds: an arrival raises only
-its own class's value, so it decides between the served class and the
+`PolicyRef.index` values shared by a block's seeds, grown by an entry
+where an arrival first takes a class's queue to a length: an arrival raises
+only its own class's value, so it decides between the served class and the
 arriving one, and only a completion rescans the classes.  Replication
 (`cost.compare_policies`) prices a batch's columns and builds no curves;
 `run_path` is a batch of one seed under one policy that also derives them.
@@ -39,13 +40,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ConfigError, EventOverflowError, ScheduleNonPositiveError
-from .model import SystemConfig, _check_finite, write_csv
+from .model import SystemConfig, _check_finite, _check_seed, write_csv
 from .policies import PolicyRef, index_overflow
 
 __all__ = [
@@ -168,8 +170,7 @@ def _substreams(seed: int, rng: Generator):
     serves every seed and substream: each starts from the state
     Philox(key=seed) has, with the counter word a jump advances set to i.
     """
-    if not 0 <= seed < 2 ** 128:  # Philox keys
-        raise ConfigError(f"seed {seed} is outside [0, 2**128)")
+    _check_seed(seed)
     key = np.array([seed & (2 ** 64 - 1), seed >> 64], dtype=np.uint64)
     state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, dtype=np.uint64),
                                                   "key": key},
@@ -259,12 +260,13 @@ def _fcfs(at: list, service: np.ndarray, bounds: list, horizon: float):
     return c, remaining, []
 
 
-def _event_loop(tab: list, cls: list, at: list, rem: list, horizon: float,
-                schedule: Optional[RateSchedule]):
+def _event_loop(tab: list, grow: Callable[[int, int], float], cls: list, at: list, rem: list,
+                horizon: float, schedule: Optional[RateSchedule]):
     """p-FCFS over scheduling classes `cls` (0..len(tab)-1) of one seed's jobs
     arriving at `at` (with an _INF sentinel after the last), serving the
-    nonempty class of largest index value tab[l][n] (a row per class, long
-    enough for all its jobs), ties to the smallest class.
+    nonempty class of largest index value tab[l][n] (a row per class, which
+    grow(l, n) extends where an arrival first takes l to n), ties to the
+    smallest class.
 
     vals[l] caches class l's value (-1.0 while empty).  An arrival to class c
     raises vals[c] only (the index does not decrease in n), so the class to
@@ -304,7 +306,10 @@ def _event_loop(tab: list, cls: list, at: list, rem: list, horizon: float,
             c = cls[i]
             queues[c].append(i)
             m = counts[c] = counts[c] + 1
-            v = vals[c] = tab[c][m]
+            try:
+                v = vals[c] = tab[c][m]
+            except IndexError:
+                v = vals[c] = grow(c, m)
             i += 1
             t_arr = at[i]
             if cur >= 0:
@@ -373,8 +378,8 @@ def simulate_block(config: SystemConfig, policies: Sequence[PolicyRef], batches,
     services, labels) and each policy's (completion, remaining, workload
     jumps, events per seed).  The block's seeds share each policy's index
     table tab[l][m] = index(l, m) (tab[l][0] = -1.0: empty), grown to the
-    largest class size among them.  An arrival_schedule needs exponential
-    interarrivals (Poisson thinning)."""
+    longest queue of each class among them.  An arrival_schedule needs
+    exponential interarrivals (Poisson thinning)."""
     if arrival_schedule is not None and config.arrival_dist.family != "exponential":
         raise ConfigError("arrival schedules require exponential interarrivals (thinning)")
     tabs = [[[-1.0] for _ in range(config.n_classes)] for _ in policies]
@@ -384,11 +389,11 @@ def simulate_block(config: SystemConfig, policies: Sequence[PolicyRef], batches,
 
 
 def _simulate_batch(config, policies, tabs, seeds, arrival_schedule, service_schedule, event_cap):
-    """One batch of `simulate_block`; grows `tabs` to the batch's class sizes.
+    """One batch of `simulate_block`; its event loops grow `tabs`.
 
-    Per seed only the substream reads and the event loops run; the draws,
-    table growth and event counts take one pass over the batch's columns."""
-    k_classes, horizon, service_dist = config.n_classes, config.horizon, config.service_dist
+    Per seed only the substream reads and the event loops run; the draws and
+    event counts take one pass over the batch's columns."""
+    horizon, service_dist = config.horizon, config.service_dist
     a, u_class, u_service, u_label = [], [], [], []
     rng = Generator(Philox(0))  # re-keyed for each seed's substreams
     for seed in seeds:
@@ -405,61 +410,45 @@ def _simulate_batch(config, policies, tabs, seeds, arrival_schedule, service_sch
     label = _categorical(np.cumsum(config.confusion.entries, axis=1)[true_class], u_label)
     del u_class, u_service, u_label
 
-    n = np.diff(bounds)
-    seed_of, ends, at = np.repeat(np.arange(len(n)), n), bounds.tolist(), a.tolist()
+    ends, at = bounds.tolist(), a.tolist()
     runs = []
     for policy, tab in zip(policies, tabs):
         if policy.kind == "fcfs" and service_schedule is None:
             run = _fcfs(at, service, ends, horizon)
         else:
-            if policy.kind == "fcfs":  # under a service schedule: one FIFO line
-                sched = np.zeros(len(a), dtype=np.int64)
-                tab = [[-1.0] + [0.0] * int(n.max(initial=0))]
-            else:
-                sched = true_class if policy.uses_true_class else label
-                counts = np.bincount(seed_of * k_classes + sched, minlength=len(n) * k_classes)
-                _grow_to(tab, config, policy, counts.reshape(-1, k_classes))
+            # fcfs under a service schedule: one FIFO line, class 0
+            sched = (np.zeros_like(label) if policy.kind == "fcfs"
+                     else true_class if policy.uses_true_class else label)
+            grow = partial(_grow, tab, config, policy)
             completion, remaining, jumps = np.empty(len(a)), np.empty(len(a)), []
             for lo, hi in zip(ends, ends[1:]):
                 rem = service[lo:hi].tolist()
-                completion[lo:hi], js = _event_loop(tab, sched[lo:hi].tolist(),
+                completion[lo:hi], js = _event_loop(tab, grow, sched[lo:hi].tolist(),
                                                     at[lo:hi] + [_INF], rem, horizon,
                                                     service_schedule)
                 remaining[lo:hi] = rem
                 jumps += [(lo + i, t, w) for i, t, w in js]
             run = completion, remaining, jumps
-        events = n + _per_seed(~np.isnan(run[0]), ends)
+        events = np.diff(bounds) + _per_seed(~np.isnan(run[0]), ends)
         if np.any(events > event_cap):
             raise _overflow(event_cap, horizon)
         runs.append((*run, events))
     return bounds, (a, true_class, service, label), runs
 
 
-def _grow_to(tab: list, config: SystemConfig, policy: PolicyRef, counts: np.ndarray):
-    """Grow each row of tab to the class sizes counts[s, l] of the seeds s in
-    order, as a seed at a time would: an overflow names the first seed's size
-    that reaches it."""
-    if np.all(counts.max(axis=0, initial=0) < [len(row) for row in tab]):
-        return
-    for sizes in counts.tolist():
-        for l, n_l in enumerate(sizes):
-            if n_l >= len(tab[l]):
-                _grow(tab[l], config, policy, l, n_l)
-
-
-def _grow(row: list, config: SystemConfig, policy: PolicyRef, l: int, n: int):
-    """Extend class l's table row with policy.index(l, m) up to m = n.  The
-    index does not decrease in m, so the new values are finite if the last
-    is; if not, or if a Python float power overflows, the ConfigError of
-    index_overflow."""
+def _grow(tab: list, config: SystemConfig, policy: PolicyRef, l: int, m: int) -> float:
+    """Append policy.index(l, m) to class l's row of tab, which ends at m - 1,
+    and return it; the ConfigError of index_overflow if it is not finite or
+    a Python float power overflows."""
     with np.errstate(all="ignore"):
         try:
-            new = [policy.index(l, m) for m in range(len(row), n + 1)]
+            v = policy.index(l, m)
         except OverflowError:
-            new = [math.inf]
-    if not math.isfinite(new[-1]):
-        raise ConfigError(index_overflow(config, policy.kind, l, n))
-    row.extend(new)
+            v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(index_overflow(config, policy.kind, l, m))
+    tab[l].append(v)
+    return v
 
 
 def run_path(config: SystemConfig, policy, seed: int, sampling_grid: int = 51, *,

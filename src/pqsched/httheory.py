@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BracketFailureError, ConfigError, NonFiniteMomentError, NonQuadraticError
-from .model import (MixtureCost, PredictedClassParams, SystemConfig, _mean_stderr, _newton,
-                    derive_predicted_params, non_finite, shape_mismatch)
+from .model import (MixtureCost, PredictedClassParams, SystemConfig, _check_finite, _check_seed,
+                    _mean_stderr, _newton, derive_predicted_params, non_finite, shape_mismatch)
 
 __all__ = [
     "workload_variance_rate",
@@ -100,10 +100,10 @@ class WorkloadPathSet:
             raise ConfigError("need an even grid from 0 to a horizon > 0")
         if self.n_paths < 1:
             raise ConfigError("need n_paths >= 1")
-        if not self.variance_rate >= 0:
+        _check_finite({"variance_rate": self.variance_rate})
+        if self.variance_rate < 0:
             raise ConfigError("need variance_rate >= 0")
-        if not 0 <= self.seed < 2 ** 128:  # Philox keys
-            raise ConfigError(f"seed {self.seed} is outside [0, 2**128)")
+        _check_seed(self.seed)
         object.__setattr__(self, "grid", grid)
         dt = np.diff(grid)
         isq = np.concatenate([(w[:, :-1] ** 2) @ dt for w in self.blocks()])  # left endpoints
@@ -140,6 +140,9 @@ def bm_workload_paths(variance_rate: float, n_steps: int, horizon: float,
                       n_paths: int, seed: int) -> WorkloadPathSet:
     """Driftless reflected Brownian paths W = phi(sqrt(v) B) from zero, drawn
     and reduced block by block; a (seed, shape) pair pins them exactly."""
+    if n_steps < 100:  # before np.linspace, which refuses a negative count
+        raise ConfigError("need n_steps >= 100 for a usable Euler grid")
+    _check_finite({"horizon": horizon})
     return WorkloadPathSet(grid=np.linspace(0.0, horizon, n_steps + 1), n_paths=int(n_paths),
                            variance_rate=float(variance_rate), seed=int(seed))
 

@@ -448,6 +448,12 @@ def _check_finite(numbers: dict, why: str = "must be finite"):
         raise ConfigError("; ".join(bad))
 
 
+def _check_seed(seed: int):
+    """ConfigError unless seed is a Philox key, an integer in [0, 2**128)."""
+    if not 0 <= seed < 2 ** 128:
+        raise ConfigError(f"seed {seed} is outside [0, 2**128)")
+
+
 def cube_overflow(name: str, rate) -> list:
     """[its NonFinite error] if rate ** 3, the lambda^3 of the workload
     variance rate, leaves the float range (past 5.6e102, where a Python

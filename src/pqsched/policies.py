@@ -63,8 +63,9 @@ class _PrimeIndex:
         return float(self.mu[l] * self.primes[l](n / self.lam[l])) if n > 0 else 0.0
 
 
-def _no_index(l, n):
-    raise ConfigError("fcfs has no per-class index")
+def _fifo_index(l, n):
+    """fcfs's index: 0 for every queue, one FIFO line."""
+    return 0.0
 
 
 @dataclass(frozen=True)
@@ -72,12 +73,12 @@ class PolicyRef:
     """A policy kind with its index resolved: index(l, n) is the index value
     of scheduling class l holding n jobs (0 for n <= 0), the closed form
     A_l * n**(p-1) when all the relevant costs share one power p, else
-    mu_l * C_l'(n / lam_l).  It is a bound method of a module-level class,
-    so a PolicyRef pickles to pool workers.
+    mu_l * C_l'(n / lam_l); fcfs's is 0, one FIFO line.  It is module-level
+    or a bound method of a module-level class, so it pickles to pool workers.
     """
 
     kind: str
-    index: Callable[[int, float], float] = _no_index
+    index: Callable[[int, float], float]
 
     @property
     def uses_true_class(self) -> bool:
@@ -92,7 +93,7 @@ class PolicyRef:
         if kind not in POLICY_KINDS:
             raise ConfigError(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
         if kind == "fcfs":
-            return cls(kind)
+            return cls(kind, _fifo_index)
         if kind == "oracle":
             lam_eff, mu_eff = config.class_arrival_rates, config.service_rates
         else:

@@ -697,10 +697,11 @@ HUGE = "NonFinite: costs[1] = {'coeff': 1e+308, 'power': 3.0}"
     (["lower-bound", "--paths", "8", "--steps", "100"],
      f"{HUGE} (its marginal-cost slope coeff * (power - 1), times its largest posterior "
      "share, overflows)"),
-    # an index value overflows: the index table refuses it before any event
-    # loop runs, so stderr is the config warning and this one error line
+    # an index value overflows: the index table refuses it where a queue first
+    # reaches that length, so stderr is the config warning and this one error
+    # line; the queue length is the first that overflows, not the class's job count
     (["simulate", "--policy", "pcmu", "--paths", "3"],
-     f"{HUGE} (the pcmu index of class 0 overflows the float range at queue length 2)"),
+     f"{HUGE} (the pcmu index of class 0 overflows the float range at queue length 1)"),
     (["simulate", "--policy", "oracle", "--paths", "3"],
      f"{HUGE} (the oracle index of class 1 overflows the float range at queue length 1)"),
     (["simulate", "--policy", "naive", "--paths", "1"],
@@ -774,6 +775,18 @@ def test_negative_seed_fails_before_writing(runner, tmp_path, config_path, triag
     result = runner.invoke(main, [command, "--config", str(cfg), "--paths", "2", "--seed", "-1",
                                   "--out", str(out)])
     _assert_one_line_error(result, "seed -1 is outside [0, 2**128)")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, steps", [("lower-bound", -5), ("triage", -3)])
+def test_negative_steps_fail_before_writing(runner, tmp_path, config_path, triage_path, command,
+                                            steps):
+    # np.linspace once refused the RBM grid with a raw ValueError traceback
+    cfg = triage_path if command == "triage" else config_path
+    out = tmp_path / "o"
+    result = runner.invoke(main, [command, "--config", str(cfg), "--paths", "2", "--steps",
+                                  str(steps), "--out", str(out)])
+    _assert_one_line_error(result, "Error: need n_steps >= 100 for a usable Euler grid")
     assert not out.exists()
 
 

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +177,22 @@ def test_bm_paths_zero_variance_and_step_floor():
         bm_workload_paths(1.0, n_steps=99, horizon=1.0, n_paths=3, seed=0)
 
 
+@pytest.mark.parametrize("args, needle", [
+    (dict(n_steps=-5), "need n_steps >= 100"),
+    (dict(n_steps=-5, variance_rate=math.inf), "need n_steps >= 100"),  # n_steps first
+    (dict(variance_rate=math.inf), "NonFinite: variance_rate = inf"),
+    (dict(horizon=math.inf), "NonFinite: horizon = inf"),
+], ids=["negative-steps", "steps-first", "infinite-variance", "infinite-horizon"])
+def test_bm_paths_checks_arguments_before_the_grid(args, needle):
+    # a negative count once reached np.linspace (a raw ValueError), and an
+    # infinite variance or horizon gave NaN integrals and a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=re.escape(needle)):
+            bm_workload_paths(**(dict(variance_rate=1.0, n_steps=100, horizon=1.0, n_paths=3,
+                                      seed=0) | args))
+
+
 @pytest.mark.parametrize("seed", [-1, 2 ** 128], ids=["-1", "2**128"])
 def test_bm_paths_seed_outside_philox_keys(seed):
     # Philox keys are [0, 2**128); numpy's own ValueError is not a PqschedError
@@ -185,10 +203,11 @@ def test_bm_paths_seed_outside_philox_keys(seed):
 
 
 @pytest.mark.parametrize("bad", [dict(n_paths=0), dict(variance_rate=-1.0),
+                                 dict(variance_rate=math.inf),
                                  dict(grid=np.linspace(0.0, 1.0, 101) ** 2),
                                  dict(grid=np.linspace(0.0, 1.0, 100))])
 def test_path_set_built_directly_is_checked(bad):
-    # no path (a NaN mean), a negative variance (NaN integrals), an uneven
+    # no path (a NaN mean), a negative or infinite variance (NaN integrals), an uneven
     # grid (drawn with grid[-1]/n_steps steps but integrated with diff(grid))
     # and too few steps are refused as bm_workload_paths refuses them
     args = dict(grid=np.linspace(0.0, 1.0, 101), n_paths=3, variance_rate=1.0, seed=0)

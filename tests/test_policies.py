@@ -107,9 +107,10 @@ def test_index_zero_queue_and_fcfs(two_class_config):
     pol = PolicyRef.for_config("pcmu", two_class_config)
     assert pol.index(0, 0) == 0.0
     assert pol.index(1, -3) == 0.0
+    # fcfs's jobs are one FIFO line: every queue's index is 0
     fcfs = PolicyRef.for_config("fcfs", two_class_config)
-    with pytest.raises(ConfigError):
-        fcfs.index(0, 1)
+    assert fcfs.index(0, 1) == 0.0
+    assert fcfs.index(1, 7) == 0.0
 
 
 def test_decide_empty_and_argmax(two_class_config):

@@ -6,6 +6,7 @@ class; the oracle for a replication is `reference_engine.replication_oracle`,
 jobs' summed cost must match bit for bit.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -145,7 +146,7 @@ def test_seed_blocks_match_per_seed_oracle(monkeypatch, rule, n_jobs, law, kinds
     eval_times = np.linspace(0.0, cfg.horizon, 7)
     oracle = reference_engine.replication_oracle(cfg, POLICY_KINDS, n_paths, base_seed, rule,
                                                  eval_times)
-    # the next seeds' queues outgrow the tables the first seed of a block built
+    # later seeds of a block hold more jobs of a class than its first seed
     sizes = [np.bincount(run_path(cfg, "pcmu", s, sampling_grid=2).predicted_class, minlength=2)
              for s in range(base_seed, base_seed + n_paths)]
     assert np.any(np.max(sizes[1:4], axis=0) > sizes[0])
@@ -168,10 +169,24 @@ def test_two_seed_blocks_of_one_match_oracle(n_jobs):
     _assert_matches_oracle(out, oracle, TRUNCATE_AT_HORIZON, eval_times)
 
 
+def _longest_queues(labels, a, completion, k) -> list:
+    """The longest queue each of k classes reaches on one seed's path: its
+    length after each of its arrivals, less the completions at or before it
+    (the event loop serves a completion before an arrival at the same time)."""
+    longest = []
+    for l in range(k):
+        mine = labels == l
+        done = np.sort(completion[mine & ~np.isnan(completion)])
+        lengths = np.arange(1, np.count_nonzero(mine) + 1) - np.searchsorted(done, a[mine],
+                                                                             side="right")
+        longest.append(int(lengths.max(initial=0)))
+    return longest
+
+
 def test_block_builds_each_index_value_once():
     # the seeds of a block share one table per policy: each (class, length)
-    # index value is computed once, up to the block's largest class size,
-    # whichever batch of the block holds the seed that needs it
+    # index value is computed once, up to the longest queue the block's seeds
+    # reach, whichever batch of the block holds the seed that reaches it
     cfg = _critical(horizon=1.0)
     ref = PolicyRef.for_config("pcmu", cfg)
     calls = []
@@ -182,12 +197,57 @@ def test_block_builds_each_index_value_once():
              for bounds, (a, _, _, labels), [(completion, *_)] in batches
              for lo, hi in zip(bounds, bounds[1:])]
     assert len(seeds) == 5
+    longest = np.max([_longest_queues(labels, a, completion, 2)
+                      for a, labels, completion in seeds], axis=0)
+    assert sorted(calls) == [(l, m) for l in range(2) for m in range(1, longest[l] + 1)]
+    # a class's job count is not its longest queue: a table to the counts is longer
     largest = np.max([np.bincount(labels, minlength=2) for _, labels, _ in seeds], axis=0)
-    assert sorted(calls) == [(l, m) for l in range(2) for m in range(1, largest[l] + 1)]
+    assert np.all(longest < largest)
     for seed, (a, _, completion) in enumerate(seeds):
         path = run_path(cfg, ref, seed, sampling_grid=2)
         assert np.array_equal(a, path.arrival_times)
         assert np.array_equal(completion, path.completion, equal_nan=True)
+
+
+def _overflows(index, l, n) -> bool:
+    with np.errstate(all="ignore"):
+        try:
+            return not math.isfinite(index(l, n))
+        except OverflowError:  # a Python float power
+            return True
+
+
+@pytest.mark.parametrize("powers", [(240.0, 240.0), (240.0, 230.0)],
+                         ids=["common-power", "mixed-power"])
+def test_index_past_float_range_above_every_queue_reached(powers):
+    # with costs of power 230-240 the index leaves the float range near queue
+    # length 10: past every queue these light-traffic paths reach, but not
+    # past each class's job count, where tables grown to the job counts once
+    # refused these paths
+    cfg = SystemConfig(lam=1.0, prevalences=(0.5, 0.5), service_rates=(4.0, 4.0),
+                       costs=(CostFn(1.0, power=powers[0]), CostFn(2.0, power=powers[1])),
+                       confusion=ConfusionMatrix(((0.9, 0.1), (0.2, 0.8))), horizon=50.0)
+    kinds, n_paths = POLICY_KINDS[:3], 3
+    for kind in kinds:
+        index = PolicyRef.for_config(kind, cfg).index
+        for seed in range(n_paths):
+            path = run_path(cfg, kind, seed, sampling_grid=2)
+            sched = path.true_class if kind == "oracle" else path.predicted_class
+            longest = _longest_queues(sched, path.arrival_times, path.completion, 2)
+            counts = np.bincount(sched, minlength=2)
+            assert not any(_overflows(index, l, longest[l]) for l in range(2))
+            assert all(_overflows(index, l, counts[l]) for l in range(2))
+            jobs = reference_engine.run_path(cfg, kind, seed, sampling_grid=2).jobs
+            expect = np.array([np.nan if j.completion_time is None else j.completion_time
+                               for j in jobs])
+            assert np.array_equal(path.arrival_times, [j.arrival_time for j in jobs])
+            assert np.array_equal(path.completion, expect, equal_nan=True)
+            assert np.array_equal(path.remaining, [j.remaining for j in jobs])
+    eval_times = np.linspace(0.0, cfg.horizon, 5)
+    oracle = reference_engine.replication_oracle(cfg, kinds, n_paths, 0, TRUNCATE_AT_HORIZON,
+                                                 eval_times)
+    out = compare_policies(cfg, kinds, n_paths, 0, eval_times=eval_times)
+    _assert_matches_oracle(out, oracle, TRUNCATE_AT_HORIZON, eval_times)
 
 
 def test_open_cost_share_under_both_rules():
