@@ -33,7 +33,7 @@ class NonQuadraticError(PqschedError):
 
 
 class BracketFailureError(PqschedError):
-    """The workload-split level solve left its total off the workload by more than KKT_TOL."""
+    """The workload split missed its workload by more than KKT_TOL r, or did not converge."""
 
 
 class NonFiniteMomentError(PqschedError):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BracketFailureError, ConfigError, NonFiniteMomentError, NonQuadraticError
 from .model import (MixtureCost, PredictedClassParams, SystemConfig, _check_finite, _check_seed,
-                    _mean_stderr, _newton, derive_predicted_params, non_finite, shape_mismatch)
+                    _mean_stderr, derive_predicted_params, non_finite, shape_mismatch)
 
 __all__ = [
     "workload_variance_rate",
@@ -47,6 +47,9 @@ __all__ = [
 KKT_TOL = 1e-10
 # kkt_solve works through at most this many workloads at a time
 _KKT_BLOCK = 2 ** 16
+# _joint_newton stops an entry after a step of at most this much in log x, which
+# leaves an error of order its square
+_KKT_STEP_TOL, _KKT_MAX_ITER = 2.0 ** -27, 100
 # WorkloadPathSet draws, reflects and reduces this many paths at a time
 RBM_BLOCK_ROWS = 128
 # uniform draws are clipped into the open unit interval before the normal
@@ -163,14 +166,11 @@ class Allocation:
 def kkt_solve(r, config: SystemConfig) -> Allocation:
     """Workload split equalizing marginal value mu~_l C~'_l(x_l / rho~_l).
 
-    At a common level y, x_l(y) = rho~_l prime_inv_l(y / mu~_l), and g(y) =
-    sum_l x_l(y) is increasing and concave, with slope sum_l rho~_l /
-    (mu~_l C~''_l) (MixtureCost.prime_inv, prime2).  Newton on g(y) = r
-    (model._newton) from y_hi = min_l mu~_l C~'_l(r / rho~_l), where one class
-    alone takes all of r.  When every label's mixture has one common power
-    p, the split is homogeneous and needs no Newton: x_l = r w_l / sum_m w_m,
-    w_l = rho~_l (mu~_l c~_l)^(-1/(p-1)).  A total off r by more than
-    KKT_TOL max(1, r), or NaN past the float range, is a BracketFailureError.
+    When every label's mixture has one common power p, the split is
+    homogeneous: x_l = r w_l / sum_m w_m, w_l = rho~_l (mu~_l c~_l)^(-1/(p-1)).
+    Otherwise _joint_newton solves for it.  A total off r by more than KKT_TOL
+    r (NaN included) or an entry still moving after _KKT_MAX_ITER steps is a
+    BracketFailureError naming the workload.
 
     r may be an array (x then gains a trailing K axis, objective is per entry);
     NaN, infinite or negative entries are a ConfigError.  The solve runs on
@@ -184,7 +184,7 @@ def kkt_solve(r, config: SystemConfig) -> Allocation:
     if not (np.all(np.isfinite(r_arr)) and np.all(r_arr >= 0.0)):
         raise ConfigError("total workload must be finite and nonnegative")
     params, K = derive_predicted_params(config), config.n_classes
-    # every slope _newton takes (MixtureCost.prime2, prime_inv) scales by w_kl c_k (p_k - 1)
+    # _joint_newton's last step takes slopes sum_k w_kl c_k (p_k - 1) x^(p_k - 2)
     bad = [non_finite(f"costs[{k}]", {"coeff": c.coeff, "power": c.power}, "its marginal-cost "
                       "slope coeff * (power - 1), times its largest posterior share, overflows")
            for k, c in enumerate(config.costs)
@@ -208,7 +208,8 @@ def kkt_solve(r, config: SystemConfig) -> Allocation:
 
 def _level_shares(r: np.ndarray, params: PredictedClassParams,
                   mixes: Sequence[MixtureCost]) -> np.ndarray:
-    """Optimal splits, shape (K, len(r)), of a 1-D array of workloads r > 0."""
+    """Optimal splits, shape (K, len(r)), of a 1-D array of workloads r > 0, each
+    checked to sum to its r within KKT_TOL r."""
     rho, mu = params.rho_tilde, params.mu_tilde
     powers = {mix.common_power for mix in mixes}
     if len(powers) == 1 and None not in powers:
@@ -216,22 +217,71 @@ def _level_shares(r: np.ndarray, params: PredictedClassParams,
         w = rho * (mu * [mix.coeff for mix in mixes]) ** (-1.0 / (powers.pop() - 1.0))
         x = w[:, None] * r / w.sum()
     else:
-        def loads(y):  # t_l = x_l / rho~_l at level y
-            return [mix.prime_inv(y / m) for mix, m in zip(mixes, mu)]
-
-        def f_df(y, i):
-            t = loads(y)
-            return (sum(p * tl for p, tl in zip(rho, t)) - r[i],
-                    sum(p / (m * mix.prime2(tl)) for p, m, mix, tl in zip(rho, mu, mixes, t)))
-
-        y_hi = np.min([m * mix.prime(r / p) for p, m, mix in zip(rho, mu, mixes)], axis=0)
-        x = np.stack([p * tl for p, tl in zip(rho, loads(_newton(f_df, y_hi)))])
-    res, tol = np.abs(sum(x) - r), KKT_TOL * np.maximum(1.0, r)
+        x = _joint_newton(r, params, mixes[0].costs)
+    res, tol = np.abs(sum(x) - r), KKT_TOL * r
     if not np.all(res <= tol):  # NaN-safe
         i = int(np.argmax(~(res <= tol)))
         raise BracketFailureError(
             f"allocation level solve left residual {res[i]} > {tol[i]} at workload {r[i]}")
     return x
+
+
+def _joint_newton(r: np.ndarray, params: PredictedClassParams, costs) -> np.ndarray:
+    """The split without a common power.  f'_l(x) = mu~_l C~'_l(x / rho~_l) is
+    sum_e a_el x^e, its terms grouped by exponent e = power - 1 >= 1.  One
+    Newton on the split and the level nu = f'_l(x_l) together (Boyd &
+    Vandenberghe, Convex Optimization, 10.2) runs on u_l = log(x_l / r) and
+    log nu, so no share turns negative and no value leaves the float range.
+    With phi_l = log f'_l, slope phi'_l = x f''/f' in [min e, max e], and
+    softmax weights pi_l linearizing log sum_l e^u_l = 0, a step is log nu =
+    (sum pi phi / phi' - log sum e^u) / sum pi / phi', du_l = (log nu - phi_l)
+    / phi'_l, from the level where the cheapest label alone takes all of r,
+    each u_l the least at which one of its terms alone reaches that level.
+    One step in x, nu = (r - sum x + sum f'/f'') / sum 1/f'', dx_l = (nu -
+    f'_l) / f''_l, then removes the log arithmetic's error (near |log nu|
+    ulps) where every f' and f'' is a normal float."""
+    e_k = np.array([c.power - 1.0 for c in costs])
+    cw = np.array([c.coeff for c in costs])[:, None] * params.mix_weights  # c_k w_kl
+    es = np.unique(e_k[np.any(cw > 0.0, axis=1)])
+    a = [(cw[e_k == e].sum(axis=0) * params.mu_tilde / params.rho_tilde ** e)[:, None]
+         for e in es]  # a_el, (K, 1)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: a term the label lacks
+        log_b = [np.log(ae) + e * np.log(r) for ae, e in zip(a, es)]  # log a_el r^e
+
+    def log_marginal(u, i):  # phi_l and phi'_l at u_l, for the entries i
+        lt = [lb[:, i] + e * u for lb, e in zip(log_b, es)]
+        m = np.max(lt, axis=0)
+        terms = [np.exp(t - m) for t in lt]
+        s = sum(terms)
+        return m + np.log(s), sum(e * t for e, t in zip(es, terms)) / s
+
+    i = np.arange(r.size)
+    log_nu = log_marginal(np.zeros((params.n_classes, r.size)), i)[0].min(axis=0)
+    u = np.min([(log_nu - lb) / e for lb, e in zip(log_b, es)], axis=0)
+    out = np.empty(u.shape)
+    for _ in range(_KKT_MAX_ITER):
+        phi, slope = log_marginal(u, i)
+        share = np.exp(u)
+        pi = share / sum(share)
+        log_nu = (sum(pi * phi / slope) - np.log(sum(share))) / sum(pi / slope)
+        step = (log_nu - phi) / slope
+        u = out[:, i] = u + step
+        live = np.max(np.abs(step), axis=0) > _KKT_STEP_TOL
+        i, u = i[live], u[:, live]
+        if i.size == 0:
+            break
+    else:
+        raise BracketFailureError(f"allocation level solve did not converge in {_KKT_MAX_ITER} "
+                                  f"steps at workload {r[i[0]]}")
+    x = r * np.exp(out)
+    with np.errstate(all="ignore"):  # refused below, entry by entry
+        f1 = f2 = 0.0
+        for ae, e in zip(a, es):
+            t = ae * np.power(x, e - 1.0)
+            f1, f2 = f1 + t * x, f2 + e * t
+        polished = x + ((r - sum(x) + sum(f1 / f2)) / sum(1.0 / f2) - f1) / f2
+    ok = (np.minimum(f1, f2) >= np.finfo(float).tiny) & (polished > 0.0) & (polished < np.inf)
+    return np.where(np.all(ok, axis=0), polished, x)
 
 
 def two_class_xstar(r: float, config: SystemConfig) -> np.ndarray:

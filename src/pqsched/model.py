@@ -48,30 +48,6 @@ __all__ = [
 # |rho - 1| beyond this is flagged as "not really heavy traffic" (a warning,
 # never an error: deliberately overloaded transients are legitimate configs).
 HEAVY_TRAFFIC_BAND = 0.05
-# Newton stops after a step of at most this fraction of t, which leaves an
-# error of order its square, below an ulp
-_NEWTON_RTOL, _NEWTON_MAX_ITER = 2.0 ** -27, 100
-
-
-def _newton(f_df, hi: np.ndarray) -> np.ndarray:
-    """Roots in [0, hi] of increasing f with f(0) <= 0 <= f(hi), elementwise,
-    where f_df(t, i) gives f and f' at t for the entries i of hi: Newton from
-    hi, a step leaving the bracket known so far replaced by its midpoint."""
-    out = np.empty(hi.size)
-    i, lo, t = np.arange(hi.size), np.zeros(hi.size), hi
-    for _ in range(_NEWTON_MAX_ITER):
-        f, df = f_df(t, i)
-        hi, lo = np.where(f > 0.0, t, hi), np.where(f < 0.0, t, lo)
-        step = t - f / df
-        newton = (step >= lo) & (step <= hi)
-        step = np.where(newton, step, 0.5 * (lo + hi))
-        out[i] = step
-        live = np.abs(step - t) > np.where(newton, _NEWTON_RTOL * t, 0.0)
-        i, lo, hi, t = i[live], lo[live], hi[live], step[live]
-        if i.size == 0:
-            break
-    return out
-
 _ROW_SUM_TOL = 1e-12
 
 
@@ -364,13 +340,9 @@ class MixtureCost:
     """Posterior-weighted delay cost of one predicted class.
 
     C~(t) = sum_k w_k C_k(t) and C~'(t) = sum_k w_k C_k'(t).  When every
-    component shares the same power the mixture is itself a monomial with
-    coefficient c~ = sum_k w_k c_k (exposed as .coeff), and the marginal cost
-    inverts in closed form.  Otherwise prime_inv runs _newton on an array of
-    levels y from min_k (y / (w_k c_k))^(1/(p_k-1)), above the root since each
-    term alone reaches y; C~' is increasing and, for powers >= 2, convex, so
-    the iterates fall monotonically onto the root.  _newton's bracket makes
-    any power > 1 converge.  prime2 is C~'', kkt_solve's slope.
+    component shares one power, the mixture is itself a monomial: that power
+    is .common_power and c~ = sum_k w_k c_k is .coeff, which give kkt_solve
+    its closed-form split; otherwise both are None.
     """
 
     def __init__(self, weights: Sequence[float], costs: Sequence[CostFn]):
@@ -388,29 +360,6 @@ class MixtureCost:
 
     def prime(self, t):
         return sum(w * c.prime(t) for c, w in zip(self.costs, self.weights) if w > 0)
-
-    def prime2(self, t):
-        return sum(w * c.coeff * (c.power - 1.0) * np.power(t, c.power - 2.0)
-                   for c, w in zip(self.costs, self.weights) if w > 0)
-
-    def prime_inv(self, y):
-        """t with C~'(t) = y, elementwise."""
-        y = np.asarray(y, dtype=float)
-        if self.common_power is not None:
-            return np.power(y / self.coeff, 1.0 / (self.common_power - 1.0))
-        # C~'(t) = t * sum_k a_k t^(q_k - 1) and C~''(t) = sum_k a_k q_k t^(q_k - 1)
-        terms = [(w * c.coeff, c.power - 1.0) for c, w in zip(self.costs, self.weights) if w > 0]
-        out = np.zeros(y.size)
-        idx = np.flatnonzero(y.reshape(-1) > 0.0)
-        level = y.reshape(-1)[idx]
-
-        def f_df(t, i):
-            u = [np.power(t, q - 1.0) for _, q in terms]
-            return (t * sum(a * uk for (a, _), uk in zip(terms, u)) - level[i],
-                    sum(a * q * uk for (a, q), uk in zip(terms, u)))
-
-        out[idx] = _newton(f_df, np.min([np.power(level / a, 1.0 / q) for a, q in terms], axis=0))
-        return out.reshape(y.shape)[()]
 
 
 def _mean_stderr(x: np.ndarray) -> tuple:

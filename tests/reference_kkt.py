@@ -1,10 +1,16 @@
-"""Reference KKT workload split: the oracle the array solver is checked against.
+"""Reference KKT workload splits: the oracles the array solver is checked against.
 
-This is the scalar `kkt_solve` pqsched used to ship: one workload r at a time,
-a Python bisection on the pivot share, and, for a mixture of unequal powers, a
-`scipy.optimize.brentq` root find for each inverse marginal cost
+`kkt_solve` is the scalar solver pqsched used to ship: one workload r at a
+time, a Python bisection on the pivot share, and, for a mixture of unequal
+powers, a `scipy.optimize.brentq` root find for each inverse marginal cost
 (`prime_inv`, formerly `MixtureCost.prime_inv`).  Both are copied unchanged
 except that the solver calls the module-level `prime_inv`.
+
+`level_shares` is the array solver that came next, for costs without one
+common power: a Newton on the common marginal level y (`newton`, formerly
+`model._newton`) whose every step inverts each label's marginal cost with
+another Newton (`newton_prime_inv`, formerly `MixtureCost.prime_inv`, and
+`prime2`, formerly `MixtureCost.prime2`), copied unchanged.
 
 Nothing in `src/` imports this module.
 """
@@ -16,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from pqsched import Allocation, BracketFailureError, ConfigError
+from pqsched import Allocation, BracketFailureError, ConfigError, derive_predicted_params
 from pqsched.model import MixtureCost, PredictedClassParams
 
 KKT_TOL = 1e-10
@@ -104,3 +110,81 @@ def kkt_solve(r: float, params: PredictedClassParams, costs) -> Allocation:
             f"allocation bisection stalled at residual {best_res} > {tol}")
     return Allocation(r=r, x=best_x,
                       objective=_allocation_objective(best_x, params, mixes))
+
+
+# ---------------------------------------------------------------------------
+# the nested level / inverse Newton
+# ---------------------------------------------------------------------------
+
+# Newton stops after a step of at most this fraction of t, which leaves an
+# error of order its square, below an ulp
+_NEWTON_RTOL, _NEWTON_MAX_ITER = 2.0 ** -27, 100
+
+
+def newton(f_df, hi: np.ndarray) -> np.ndarray:
+    """Roots in [0, hi] of increasing f with f(0) <= 0 <= f(hi), elementwise,
+    where f_df(t, i) gives f and f' at t for the entries i of hi: Newton from
+    hi, a step leaving the bracket known so far replaced by its midpoint."""
+    out = np.empty(hi.size)
+    i, lo, t = np.arange(hi.size), np.zeros(hi.size), hi
+    for _ in range(_NEWTON_MAX_ITER):
+        f, df = f_df(t, i)
+        hi, lo = np.where(f > 0.0, t, hi), np.where(f < 0.0, t, lo)
+        step = t - f / df
+        newton = (step >= lo) & (step <= hi)
+        step = np.where(newton, step, 0.5 * (lo + hi))
+        out[i] = step
+        live = np.abs(step - t) > np.where(newton, _NEWTON_RTOL * t, 0.0)
+        i, lo, hi, t = i[live], lo[live], hi[live], step[live]
+        if i.size == 0:
+            break
+    return out
+
+
+def prime2(mix: MixtureCost, t):
+    """C~''(t) of the mixture."""
+    return sum(w * c.coeff * (c.power - 1.0) * np.power(t, c.power - 2.0)
+               for c, w in zip(mix.costs, mix.weights) if w > 0)
+
+
+def newton_prime_inv(mix: MixtureCost, y):
+    """t with C~'(t) = y, elementwise: (y / c~)^(1/(p-1)) for a common power,
+    else newton on an array of levels y from min_k (y / (w_k c_k))^(1/(p_k-1)),
+    above the root since each term alone reaches y."""
+    y = np.asarray(y, dtype=float)
+    if mix.common_power is not None:
+        return np.power(y / mix.coeff, 1.0 / (mix.common_power - 1.0))
+    # C~'(t) = t * sum_k a_k t^(q_k - 1) and C~''(t) = sum_k a_k q_k t^(q_k - 1)
+    terms = [(w * c.coeff, c.power - 1.0) for c, w in zip(mix.costs, mix.weights) if w > 0]
+    out = np.zeros(y.size)
+    idx = np.flatnonzero(y.reshape(-1) > 0.0)
+    level = y.reshape(-1)[idx]
+
+    def f_df(t, i):
+        u = [np.power(t, q - 1.0) for _, q in terms]
+        return (t * sum(a * uk for (a, _), uk in zip(terms, u)) - level[i],
+                sum(a * q * uk for (a, q), uk in zip(terms, u)))
+
+    out[idx] = newton(f_df, np.min([np.power(level / a, 1.0 / q) for a, q in terms], axis=0))
+    return out.reshape(y.shape)[()]
+
+
+def level_shares(r: np.ndarray, config) -> np.ndarray:
+    """Optimal splits, shape (K, len(r)), of a 1-D array of workloads r > 0:
+    x_l(y) = rho~_l prime_inv_l(y / mu~_l) at a common level y, and newton on
+    g(y) = sum_l x_l(y) = r from y_hi = min_l mu~_l C~'_l(r / rho~_l), where one
+    class alone takes all of r, with slope sum_l rho~_l / (mu~_l C~''_l)."""
+    params = derive_predicted_params(config)
+    rho, mu = params.rho_tilde, params.mu_tilde
+    mixes = [MixtureCost(params.mix_weights[:, l], config.costs) for l in range(len(rho))]
+
+    def loads(y):  # t_l = x_l / rho~_l at level y
+        return [newton_prime_inv(mix, y / m) for mix, m in zip(mixes, mu)]
+
+    def f_df(y, i):
+        t = loads(y)
+        return (sum(p * tl for p, tl in zip(rho, t)) - r[i],
+                sum(p / (m * prime2(mix, tl)) for p, m, mix, tl in zip(rho, mu, mixes, t)))
+
+    y_hi = np.min([m * mix.prime(r / p) for p, m, mix in zip(rho, mu, mixes)], axis=0)
+    return np.stack([p * tl for p, tl in zip(rho, loads(newton(f_df, y_hi)))])

@@ -1,18 +1,20 @@
-"""The array KKT solver against the scalar reference, and its input contract."""
+"""The array KKT solver against the scalar and nested references, and its input contract."""
 
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import pqsched
 from pqsched import (
+    BracketFailureError,
     ConfigError,
     ConfusionMatrix,
     CostFn,
@@ -25,6 +27,7 @@ from pqsched import (
 )
 import reference_kkt
 from conftest import make_two_class
+from helpers import ten_class_config
 
 
 def _random_system(rng, K, powers):
@@ -96,14 +99,84 @@ def test_small_workload_marginal_balance(r):
             lam=lam, prevalences=p, service_rates=mu,
             costs=tuple(CostFn(c, pw) for c, pw in zip(coeff, power)),
             confusion=ConfusionMatrix(Q))
-        params = derive_predicted_params(cfg)
         rng.uniform(0.2, 3.0)  # criterion 2's workload draw, kept for the stream
         alloc = kkt_solve(r, cfg)
-        marg = np.array([params.mu_tilde[l] * MixtureCost(params.mix_weights[:, l], cfg.costs)
-                         .prime(alloc.x[l] / params.rho_tilde[l]) for l in range(K)])
-        worst = max(worst, (marg.max() - marg.min()) / marg.mean())
+        worst = max(worst, _marginal_spread(cfg, alloc.x))
         assert alloc.x.sum() == pytest.approx(r, rel=1e-12, abs=0.0)
     assert worst <= 1e-12
+
+
+def _marginal_spread(cfg, x):
+    """(max - min) / mean over labels l of the marginal value mu~_l C~'_l(x_l / rho~_l)."""
+    params = derive_predicted_params(cfg)
+    marg = np.array([params.mu_tilde[l] * MixtureCost(params.mix_weights[:, l], cfg.costs)
+                     .prime(x[l] / params.rho_tilde[l]) for l in range(cfg.n_classes)])
+    return (marg.max() - marg.min()) / marg.mean()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(kkt_cases())
+def test_joint_newton_matches_nested_level_solve(case):
+    # the array oracle: the Newton on the common level, inverting every
+    # label's marginal cost with another Newton at each step, that kkt_solve
+    # ran before one joint Newton on the split and the level
+    cfg, rs = case
+    rs = rs[rs > 0.0]
+    assume(cfg.n_classes > 1 and rs.size > 0)
+    x = kkt_solve(rs, cfg).x.T
+    assert np.all(np.abs(x - reference_kkt.level_shares(rs, cfg)) <= 1e-12 * np.maximum(1.0, rs))
+
+
+def _ten_class_mixed():
+    """The benchmark's ten-class system with powers 2, 2.5, 3, 2, 2.5, ... by class,
+    so two labels (classes 4 and 5's) have no quadratic term."""
+    cfg = ten_class_config()
+    return replace(cfg, costs=tuple(CostFn(c.coeff, (2.0, 2.5, 3.0)[k % 3])
+                                    for k, c in enumerate(cfg.costs)))
+
+
+_TEN_CLASS_RS = (1e-150, 1e-12, 1e-4, 0.3, 1.0, 10.0, 1e4)
+
+
+@pytest.mark.parametrize("r", _TEN_CLASS_RS)
+def test_ten_class_mixed_powers(r):
+    cfg = _ten_class_mixed()
+    alloc = kkt_solve(r, cfg)
+    ref = reference_kkt.kkt_solve(r, derive_predicted_params(cfg), cfg.costs)
+    assert np.max(np.abs(alloc.x - ref.x)) <= 1e-10 * max(1.0, r)
+    assert _marginal_spread(cfg, alloc.x) <= 1e-12
+    assert alloc.x.sum() == pytest.approx(r, rel=1e-12, abs=0.0)
+    batch = kkt_solve(np.array(_TEN_CLASS_RS), cfg)
+    assert np.array_equal(batch.x[_TEN_CLASS_RS.index(r)], alloc.x)
+
+
+def test_tiny_workload_split_sums_to_it():
+    # the residual check was KKT_TOL max(1, r), absolute below r = 1, and the
+    # nested level solve split r = 1e-300 into zeros (its level underflowed);
+    # every accepted split now sums to r within KKT_TOL r
+    alloc = kkt_solve(1e-300, _ten_class_mixed())
+    assert np.all(alloc.x >= 0.0) and alloc.x.max() > 0.0
+    assert abs(alloc.x.sum() - 1e-300) <= httheory.KKT_TOL * 1e-300
+
+
+@pytest.mark.parametrize("r", [1e-300, 1e-12, 0.3, 1e4])
+def test_split_off_its_workload_is_refused(monkeypatch, r):
+    # a split that misses r by 1e-9 r, beside one that does not, names r
+    solve = httheory._joint_newton
+
+    def newton(rs, *args):
+        return solve(rs, *args) * np.where(rs == r, 1.0 - 1e-9, 1.0)
+
+    monkeypatch.setattr(httheory, "_joint_newton", newton)
+    with pytest.raises(BracketFailureError, match=f"at workload {r}$"):
+        kkt_solve(np.array([2.0, r]), _ten_class_mixed())
+
+
+def test_unconverged_split_is_refused(monkeypatch):
+    monkeypatch.setattr(httheory, "_KKT_MAX_ITER", 1)
+    with pytest.raises(BracketFailureError, match="did not converge in 1 steps at workload 0.3$"):
+        kkt_solve(0.3, _ten_class_mixed())
 
 
 @pytest.mark.parametrize("costs", [(CostFn(1.0), CostFn(10.0)),
@@ -124,18 +197,18 @@ def test_mixture_prime_inv_newton(powers):
     # overshoot without its bracket
     mix = MixtureCost((0.3, 0.7), (CostFn(2.0, powers[0]), CostFn(3.0, powers[1])))
     y = np.concatenate([[0.0, -1.0], np.logspace(-12, 12, 49)])
-    t = mix.prime_inv(y)
+    t = reference_kkt.newton_prime_inv(mix, y)
     assert t.shape == y.shape
     assert t[0] == 0.0 and t[1] == 0.0
     assert np.allclose(mix.prime(t[2:]), y[2:], rtol=1e-13, atol=0.0)
     ref = [reference_kkt.prime_inv(mix, v) for v in y[2:]]
     assert np.allclose(t[2:], ref, rtol=1e-9, atol=1e-14)
-    assert np.array_equal(t, [mix.prime_inv(v) for v in y])
+    assert np.array_equal(t, [reference_kkt.newton_prime_inv(mix, v) for v in y])
 
 
 # prime_inv at levels 1e-12, 1e-8, ..., 1e12, recorded when kkt_solve still
-# bisected on a pivot share; the level solve reuses prime_inv's Newton loop
-# and must not move a bit of it
+# bisected on a pivot share; the level-solve oracle reuses prime_inv's Newton
+# loop, moved from MixtureCost, and must not move a bit of it
 _PRIME_INV_BITS = {
     ((0.3, 0.7), ((2.0, 2.0), (3.0, 3.0))): [
         1.6666666666569446e-12, 1.6666665694444556e-08, 0.00016656955770522728,
@@ -152,7 +225,7 @@ _PRIME_INV_BITS = {
 @pytest.mark.parametrize("weights, costs", list(_PRIME_INV_BITS), ids=["2-3", "1.5-3", "2-2.5-6"])
 def test_mixture_prime_inv_bits_are_pinned(weights, costs):
     mix = MixtureCost(weights, tuple(CostFn(c, pw) for c, pw in costs))
-    t = mix.prime_inv(np.logspace(-12, 12, 7))
+    t = reference_kkt.newton_prime_inv(mix, np.logspace(-12, 12, 7))
     assert t.tolist() == _PRIME_INV_BITS[weights, costs]
 
 
