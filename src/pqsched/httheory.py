@@ -50,8 +50,10 @@ _KKT_BLOCK = 2 ** 16
 # _joint_newton stops an entry after a step of at most this much in log x, which
 # leaves an error of order its square
 _KKT_STEP_TOL, _KKT_MAX_ITER = 2.0 ** -27, 100
-# WorkloadPathSet draws, reflects and reduces this many paths at a time
-RBM_BLOCK_ROWS = 128
+# WorkloadPathSet draws, reflects and reduces at most this many paths at a
+# time, and fewer on long grids, so that a block keeps about RBM_BLOCK_CELLS
+# cells (see WorkloadPathSet.block_rows)
+RBM_BLOCK_ROWS, RBM_BLOCK_CELLS = 128, 2 ** 16
 # uniform draws are clipped into the open unit interval before the normal
 # inverse CDF so a measure-zero 0.0 draw cannot produce -inf
 _U_EPS = 2.0 ** -53
@@ -86,8 +88,15 @@ def workload_variance_rate(config: SystemConfig) -> float:
 class WorkloadPathSet:
     """Reflected workload paths W = phi(sqrt(v) B) from zero on an even grid
     from 0.  Only each path's left-Riemann integral of W^2 is kept
-    (integral_sq, jstar and jnaive take O(RBM_BLOCK_ROWS x len(grid))
-    memory); blocks() redraws the paths from the seed."""
+    (integral_sq, jstar and jnaive take O(block_rows x len(grid)) memory);
+    blocks() redraws the paths from the seed.
+
+    The paths are the same bits at any block size.  integral_sq's are too,
+    as long as every block but the last has a multiple of 4 rows: gemv
+    reduces the rows of a product in groups of 4 and the leftover rows by
+    another kernel that rounds differently, so the blocks must cut the
+    matrix where a one-thread product of the whole matrix groups its rows.
+    block_rows is a multiple of 32."""
 
     grid: np.ndarray
     n_paths: int
@@ -108,8 +117,18 @@ class WorkloadPathSet:
             raise ConfigError("need variance_rate >= 0")
         _check_seed(self.seed)
         object.__setattr__(self, "grid", grid)
-        dt = np.diff(grid)
-        isq = np.concatenate([(w[:, :-1] ** 2) @ dt for w in self.blocks()])  # left endpoints
+        dt, n_steps = np.diff(grid), grid.size - 1
+        isq = np.empty(self.n_paths)
+        # every block is squared into this one contiguous buffer, as gemv wants it
+        sq = np.empty(min(self.n_paths, self.block_rows + 1) * n_steps)
+        start = 0
+        for w in self.blocks():
+            cells = len(w) * n_steps
+            if sq.size < cells:  # a subclass's blocks() may yield more rows
+                sq = np.empty(cells)
+            w_sq = np.square(w[:, :-1], out=sq[:cells].reshape(-1, n_steps))
+            np.matmul(w_sq, dt, out=isq[start:start + len(w)])  # left endpoints
+            start += len(w)
         isq.setflags(write=False)
         object.__setattr__(self, "isq", isq)
 
@@ -117,8 +136,16 @@ class WorkloadPathSet:
         """Left-endpoint Riemann sum of W(t)^2 over the grid, per path (read-only)."""
         return self.isq
 
+    @property
+    def block_rows(self) -> int:
+        """Rows per block of blocks(): RBM_BLOCK_ROWS up to 512 steps, and
+        beyond that the largest multiple of 32 that keeps a block within
+        RBM_BLOCK_CELLS cells, but never fewer than 32 (64 rows at 1,000
+        steps, 32 at 2,500)."""
+        return min(RBM_BLOCK_ROWS, max(32, RBM_BLOCK_CELLS // (self.grid.size - 1) // 32 * 32))
+
     def blocks(self):
-        """The paths RBM_BLOCK_ROWS rows at a time, as views of one reused buffer.
+        """The paths block_rows rows at a time, as views of one reused buffer.
         Philox uniforms are drawn in row order, so the blocks stack to one matrix
         whatever their size.  A one-row remainder joins the block before it:
         numpy takes a one-row product by a dot kernel that rounds unlike gemv."""
@@ -126,8 +153,9 @@ class WorkloadPathSet:
         n, n_steps = self.n_paths, self.grid.size - 1
         rng = np.random.Generator(np.random.Philox(key=self.seed))
         scale = np.sqrt(self.variance_rate * (self.grid[-1] / n_steps))
-        path, scratch = np.empty((2, min(n, RBM_BLOCK_ROWS + 1), n_steps + 1))
-        stops = [*range(RBM_BLOCK_ROWS, n - 1, RBM_BLOCK_ROWS), n]
+        rows = self.block_rows
+        path, scratch = np.empty((2, min(n, rows + 1), n_steps + 1))
+        stops = [*range(rows, n - 1, rows), n]
         for start, stop in zip([0] + stops[:-1], stops):
             w, s = path[:stop - start], scratch[:stop - start]
             z = s.reshape(-1)[:w.size - len(w)].reshape(-1, n_steps)  # contiguous, for rng.random

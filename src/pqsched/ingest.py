@@ -167,6 +167,8 @@ def _read_clean(path, data: bytes) -> Optional[tuple]:
     if (lengths == 0).any() or max(lengths.max(initial=0), last) > csv.field_size_limit():
         return None
     header = data[:ends[0] if ends.size else len(data)].decode("ascii").split(",")
+    n_rows = ends.size - (last == 0)
+    del ends, lengths   # one int64 per line each: gone before loadtxt's peak
     if "true_class" not in header:
         return None
     where = {name: i for i, name in enumerate(header)}
@@ -185,7 +187,7 @@ def _read_clean(path, data: bytes) -> Optional[tuple]:
                                comments=None, quotechar=None, ndmin=1)
         except (ValueError, Warning):   # an unreadable token, a short row, no rows
             return None
-    if table.size != ends.size - (last == 0):
+    if table.size != n_rows:
         return None
     return ({name: (table[name], np.ones(table.size, bool), []) for name, _ in fields},
             np.arange(2, table.size + 2))

@@ -4,7 +4,8 @@
 time, a Python bisection on the pivot share, and, for a mixture of unequal
 powers, a `scipy.optimize.brentq` root find for each inverse marginal cost
 (`prime_inv`, formerly `MixtureCost.prime_inv`).  Both are copied unchanged
-except that the solver calls the module-level `prime_inv`.
+except that the solver calls the module-level `prime_inv`, and that both
+were made to work relative to r below r = 1 (see their docstrings).
 
 `level_shares` is the array solver that came next, for costs without one
 common power: a Newton on the common marginal level y (`newton`, formerly
@@ -26,22 +27,29 @@ from pqsched import Allocation, BracketFailureError, ConfigError, derive_predict
 from pqsched.model import MixtureCost, PredictedClassParams
 
 KKT_TOL = 1e-10
-_KKT_MAX_ITER = 200
+# enough halvings to take [0, r] to float resolution from any r > 0 (it was
+# 200; the ten-class mixed config at r = 1e-150 takes 300)
+_KKT_MAX_ITER = 1100
 
 
-def prime_inv(self, y):
-    """MixtureCost.prime_inv as it was, with `self` the mixture."""
+def prime_inv(self, y, scale=1.0):
+    """MixtureCost.prime_inv as it was, with `self` the mixture, but at a
+    scale: the bracket search starts at hi = scale, brentq's absolute xtol
+    is 1e-14 scale (both were at scale 1), and its residual is relative,
+    C~'(t) / y - 1 (it was C~'(t) - y, whose products underflow inside
+    brentq at r = 1e-150).  So a root far below 1 is found to a relative
+    1e-14 within brentq's 100 iterations."""
     if self.common_power is not None:
         return np.power(np.asarray(y, dtype=float) / self.coeff, 1.0 / (self.common_power - 1.0))
     y = float(y)
     if y <= 0.0:
         return 0.0
-    hi = 1.0
+    hi = scale
     while self.prime(hi) < y:
         hi *= 2.0
         if hi > 1e30:  # pragma: no cover - pathological input
             raise ConfigError("marginal-cost inverse failed to bracket")
-    return float(brentq(lambda t: self.prime(t) - y, 0.0, hi, xtol=1e-14, rtol=1e-14))
+    return float(brentq(lambda t: self.prime(t) / y - 1.0, 0.0, hi, xtol=1e-14 * scale, rtol=1e-14))
 
 
 def _allocation_objective(x: np.ndarray, params: PredictedClassParams,
@@ -58,7 +66,11 @@ def kkt_solve(r: float, params: PredictedClassParams, costs) -> Allocation:
     Pivot on class 0: for trial x_0, every other class's share follows from
     inverting its marginal at the pivot's level, and total share
     g(x_0) = x_0 + sum_{l>0} x_l(x_0) is strictly increasing.  Bisection on
-    g(x_0) = r converges unconditionally on [0, r].
+    g(x_0) = r converges unconditionally on [0, r].  Below r = 1 its
+    tolerances are relative to r (they were absolute): prime_inv runs at
+    scale r and the bisection stops at KKT_TOL r, so small workloads are
+    split as finely as large ones.  From r = 1 up its tolerances are as
+    they were.
     """
     if r < 0:
         raise ConfigError("total workload must be nonnegative")
@@ -78,10 +90,10 @@ def kkt_solve(r: float, params: PredictedClassParams, costs) -> Allocation:
         x = np.empty(K)
         x[0] = x0
         for l in range(1, K):
-            x[l] = rho[l] * prime_inv(mixes[l], level / mu[l])
+            x[l] = rho[l] * prime_inv(mixes[l], level / mu[l], min(1.0, r))
         return x
 
-    tol = KKT_TOL * max(1.0, r)
+    tol = KKT_TOL * r  # KKT_TOL max(1, r) as was, from r = 1 up
     lo, hi = 0.0, r
     g_hi = float(shares(hi).sum())
     if g_hi < r - tol:
@@ -99,7 +111,7 @@ def kkt_solve(r: float, params: PredictedClassParams, costs) -> Allocation:
         res = abs(g - r)
         if res < best_res:
             best_x, best_res = x, res
-        if res <= 1e-15 * max(1.0, r):
+        if res <= 1e-15 * r:
             break
         if g < r:
             lo = mid

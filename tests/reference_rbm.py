@@ -29,6 +29,19 @@ def reflect_matrix(x: np.ndarray) -> np.ndarray:
     return x - np.minimum(0.0, running_min)
 
 
+def one_thread_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x as gemv rounds it on one thread, whatever the thread count: the
+    rows of a in groups of 4, each its own product, with the 1-3 leftover
+    rows joined to the last group.  One-thread gemv reduces rows in groups
+    of 4 and the leftover rows by another kernel, so these are its bits.  A
+    large product of the whole matrix is split across BLAS threads at rows
+    that need not be multiples of 4, and a row next to a split rounds
+    differently: at 1,001 paths x 1,000 steps, a two-thread `a @ x` moves
+    the last path's integral by an ulp."""
+    stops = [*range(4, len(a) - 3, 4), len(a)]
+    return np.concatenate([a[start:stop] @ x for start, stop in zip([0] + stops[:-1], stops)])
+
+
 @dataclass(frozen=True)
 class DensePaths:
     grid: np.ndarray

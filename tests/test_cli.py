@@ -196,10 +196,18 @@ def test_lower_bound_manifest_records_exact_integral_and_block_rows(runner, tmp_
     w = pqsched.bm_workload_paths(workload_variance_rate(cfg), 120, cfg.horizon, 300, 7)
     assert man["expected_integral_sq"] == 0.5 * workload_variance_rate(cfg) * cfg.horizon ** 2
     assert man["integral_sq_mean"] == float(w.integral_sq().mean())
-    assert man["rbm_block_rows"] == pqsched.httheory.RBM_BLOCK_ROWS == 128
+    assert man["rbm_block_rows"] == w.block_rows == pqsched.httheory.RBM_BLOCK_ROWS == 128
     # the lower-bound table itself carries neither
     names = [row[0] for row in _read_csv(out / "lower_bound.csv")[1:]]
     assert "expected_integral_sq" not in names and "integral_sq_mean" not in names
+
+
+def test_lower_bound_manifest_reports_the_block_rows_of_its_grid(runner, tmp_path, config_path):
+    out = tmp_path / "lb"
+    result = runner.invoke(main, ["lower-bound", "--config", str(config_path), "--paths", "100",
+                                  "--steps", "1000", "--seed", "7", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert _manifest(out)["rbm_block_rows"] == 64
 
 
 # ------------------------------------------------------------- select-model

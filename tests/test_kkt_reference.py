@@ -60,7 +60,7 @@ def test_array_solve_matches_reference(case):
     assert batch.objective.shape == rs.shape
     for i, r in enumerate(rs):
         ref = reference_kkt.kkt_solve(float(r), params, cfg.costs)
-        assert np.max(np.abs(batch.x[i] - ref.x)) <= 1e-10 * max(1.0, r)
+        assert np.max(np.abs(batch.x[i] - ref.x)) <= 1e-10 * r
         assert abs(batch.objective[i] - ref.objective) <= 1e-10 * abs(ref.objective)
         # a point's split does not depend on the points solved with it
         one = kkt_solve(r, cfg)
@@ -144,7 +144,7 @@ def test_ten_class_mixed_powers(r):
     cfg = _ten_class_mixed()
     alloc = kkt_solve(r, cfg)
     ref = reference_kkt.kkt_solve(r, derive_predicted_params(cfg), cfg.costs)
-    assert np.max(np.abs(alloc.x - ref.x)) <= 1e-10 * max(1.0, r)
+    assert np.max(np.abs(alloc.x - ref.x)) <= 1e-10 * r
     assert _marginal_spread(cfg, alloc.x) <= 1e-12
     assert alloc.x.sum() == pytest.approx(r, rel=1e-12, abs=0.0)
     batch = kkt_solve(np.array(_TEN_CLASS_RS), cfg)

@@ -128,12 +128,17 @@ def _assert_matches_oracle(summaries, oracle, rule, eval_times):
 _LAWS = {"exponential": "exponential", "deterministic": "deterministic",
          "lognormal": {"family": "lognormal", "sigma": 0.8}}
 _KINDS = {"index-kinds": POLICY_KINDS[:3], "fcfs-and-index-kinds": POLICY_KINDS[::-1]}
+# seeds per law, enough that in every block (one, or two with two workers) a
+# seed after the first reaches a longer pcmu queue than the first: under
+# lognormal service seed 11 reaches 19 and 20, and no seed before 36 beats it
+_PATHS = {"exponential": 16, "deterministic": 16, "lognormal": 52}
 
 
 @pytest.mark.parametrize("rule, n_jobs, law, kinds, n_paths", [
     pytest.param(rule, n_jobs, "exponential", POLICY_KINDS, 7, id=f"{rule}-{n_jobs}")
     for rule in _RULES for n_jobs in (1, 2)] + [
-    pytest.param(rule, n_jobs, law, kinds, 10, id=f"{rule}-{n_jobs}-{law_id}-{kinds_id}-10")
+    pytest.param(rule, n_jobs, law, kinds, _PATHS[law_id],
+                 id=f"{rule}-{n_jobs}-{law_id}-{kinds_id}-{_PATHS[law_id]}")
     for rule in _RULES for n_jobs in (1, 2) for law_id, law in _LAWS.items()
     for kinds_id, kinds in _KINDS.items()])
 def test_seed_blocks_match_per_seed_oracle(monkeypatch, rule, n_jobs, law, kinds, n_paths):
@@ -141,16 +146,23 @@ def test_seed_blocks_match_per_seed_oracle(monkeypatch, rule, n_jobs, law, kinds
     # one block of n_paths seeds, or two blocks with two workers, run in
     # batches of 3 seeds: neither divides the other, so a last batch is
     # short, and a one-seed batch ends one block (7 = 3 + 3 + 1, 4 = 3 + 1,
-    # 10 = 3 + 3 + 3 + 1)
+    # 16 = 5 x 3 + 1, 52 = 17 x 3 + 1)
     monkeypatch.setattr(cost, "_BATCH_JOBS", 3 * int(cfg.lam * cfg.horizon + 1.0))
     eval_times = np.linspace(0.0, cfg.horizon, 7)
     oracle = reference_engine.replication_oracle(cfg, POLICY_KINDS, n_paths, base_seed, rule,
                                                  eval_times)
     # later seeds of a block hold more jobs of a class than its first seed
-    sizes = [np.bincount(run_path(cfg, "pcmu", s, sampling_grid=2).predicted_class, minlength=2)
+    paths = [run_path(cfg, "pcmu", s, sampling_grid=2)
              for s in range(base_seed, base_seed + n_paths)]
+    sizes = [np.bincount(p.predicted_class, minlength=2) for p in paths]
     assert np.any(np.max(sizes[1:4], axis=0) > sizes[0])
     assert np.any(np.max(sizes[5:], axis=0) > sizes[4])
+    # and in every block a later seed reaches a longer queue than its first,
+    # so the block's pcmu table grows after its first seed
+    longest = [_longest_queues(p.predicted_class, p.arrival_times, p.completion, 2) for p in paths]
+    size = -(-n_paths // n_jobs)
+    for first in range(0, n_paths, size):
+        assert np.any(np.max(longest[first + 1:first + size], axis=0) > longest[first]), first
     assert np.any(oracle["pcmu"]["open_jobs"] > 0)
     together = compare_policies(cfg, kinds, n_paths, base_seed, rule, eval_times, n_jobs)
     _assert_matches_oracle(together, oracle, rule, eval_times)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from pqsched import CostFn, bm_workload_paths, jstar, kkt_solve
-from pqsched import httheory
 from conftest import make_two_class
 from helpers import stack
 import reference_rbm as ref
@@ -23,14 +22,26 @@ def test_blocks_match_dense_reference(n_paths):
     assert len(got.integral_sq()) == got.n_paths == n_paths
 
 
-@pytest.mark.parametrize("rows", [64, 256, 512])
-def test_block_size_does_not_move_a_bit(monkeypatch, rows):
-    want = bm_workload_paths(1.3, n_steps=200, horizon=2.0, n_paths=1000, seed=8)
-    want_paths = stack(want)
-    monkeypatch.setattr(httheory, "RBM_BLOCK_ROWS", rows)
-    got = bm_workload_paths(1.3, n_steps=200, horizon=2.0, n_paths=1000, seed=8)
-    assert np.array_equal(got.integral_sq(), want.integral_sq())
-    assert np.array_equal(stack(got), want_paths)
+@pytest.mark.parametrize("n_paths", [33, 257, 1001])
+@pytest.mark.parametrize("n_steps", [100, 600, 1000, 2500])
+def test_block_size_does_not_move_a_bit(n_steps, n_paths):
+    # grids on both sides of 512 steps, where blocks drop below RBM_BLOCK_ROWS,
+    # and path counts that leave a remainder block
+    got = bm_workload_paths(1.3, n_steps=n_steps, horizon=2.0, n_paths=n_paths, seed=8)
+    want = ref.bm_workload_paths(1.3, n_steps=n_steps, horizon=2.0, n_paths=n_paths, seed=8)
+    rows = [len(b) for b in got.blocks()]
+    assert all(r == got.block_rows for r in rows[:-1]) and got.block_rows % 32 == 0
+    assert 1 < rows[-1] <= got.block_rows + 1 and sum(rows) == n_paths
+    assert np.array_equal(stack(got), want.values)
+    dt = np.diff(want.grid)
+    assert np.array_equal(got.integral_sq(), ref.one_thread_product(want.values[:, :-1] ** 2, dt))
+
+
+@pytest.mark.parametrize("n_steps, rows", [(100, 128), (512, 128), (513, 96), (600, 96),
+                                           (1000, 64), (2048, 32), (2500, 32), (10 ** 4, 32)])
+def test_block_rows_follow_the_grid(n_steps, rows):
+    w = bm_workload_paths(1.0, n_steps=n_steps, horizon=1.0, n_paths=1, seed=0)
+    assert w.block_rows == rows
 
 
 def test_blocks_replay_the_same_stream():
@@ -96,11 +107,12 @@ def test_monte_carlo_mean_matches_closed_form(v, horizon, seed):
 
 
 def test_integral_sq_memory_stays_within_a_few_blocks():
-    # the dense generator peaked at 534 MiB on this 4000 x 2500 set
+    # the dense generator peaked at 534 MiB on this 4000 x 2500 set, and
+    # 128-row blocks with a squared temporary per block at 7.5 MiB
     tracemalloc.start()
     try:
         bm_workload_paths(0.0222, n_steps=2500, horizon=100.0, n_paths=4000, seed=0).integral_sq()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2 ** 20
+    assert peak < 4 * 2 ** 20
