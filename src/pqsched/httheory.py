@@ -138,11 +138,12 @@ class WorkloadPathSet:
 
     @property
     def block_rows(self) -> int:
-        """Rows per block of blocks(): RBM_BLOCK_ROWS up to 512 steps, and
-        beyond that the largest multiple of 32 that keeps a block within
-        RBM_BLOCK_CELLS cells, but never fewer than 32 (64 rows at 1,000
-        steps, 32 at 2,500)."""
-        return min(RBM_BLOCK_ROWS, max(32, RBM_BLOCK_CELLS // (self.grid.size - 1) // 32 * 32))
+        """Rows per block of blocks(): the largest multiple of 32 within both
+        RBM_BLOCK_ROWS and RBM_BLOCK_CELLS cells, but never fewer than 32
+        (128 rows up to 512 steps, 64 at 1,000, 32 at 2,500).  It stays a
+        multiple of 32 whatever RBM_BLOCK_ROWS holds, so integral_sq's bits
+        do not depend on it."""
+        return max(32, min(RBM_BLOCK_ROWS, RBM_BLOCK_CELLS // (self.grid.size - 1)) // 32 * 32)
 
     def blocks(self):
         """The paths block_rows rows at a time, as views of one reused buffer.

@@ -11,14 +11,16 @@ plus a threshold (binary: score >= threshold means predicted class 1).
 
 The file is read into a `ValidationTable` of numpy columns.  A clean file
 (printable ASCII without `"`, `\\n` line ends, no blank line, no line over
-`csv.field_size_limit()`, a header naming true_class) is parsed in one
-`np.loadtxt` pass; any other file, or one numpy refuses (a blank cell, `1_0`,
-a class beyond int64), row by row with the csv module and Python's own
-int / float.  Both routes give the same table and the same errors: a bad
-file raises the error of its first offending line (within a line, in the
-column order above), and every error about a row, from the reader or an
-estimator, cites its CSV line, as do a field over the csv field limit and a
-byte that is not UTF-8.
+`csv.field_size_limit()`, a header naming true_class) is scanned one
+_SCAN_BYTES chunk at a time, then parsed in one `np.loadtxt` pass sized by
+the scan's row count, so the reader holds the columns it returns (about 40 B
+a row) plus one chunk.  Any other file, or one numpy refuses (a blank cell,
+`1_0`, a class beyond int64), is read whole and row by row with the csv
+module and Python's own int / float.  Both routes give the same table and
+the same errors: a bad file raises the error of its first offending line
+(within a line, in the column order above), and every error about a row,
+from the reader or an estimator, cites its CSV line, as do a field over the
+csv field limit and a byte that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ _COLUMNS = tuple(field[0] for field in _FIELDS)
 # characters stay out: numpy skips \x1c-\x1f around a token as whitespace,
 # which Python's float refuses and only the per-row route's strip() removes
 _CLEAN = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
+# the bytes of a clean file checked at a time, and the service times squared
+# at a time: each a fixed slice of the file or column, never the whole
+_SCAN_BYTES, _SQUARE_ROWS = 2 ** 20, 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,9 +120,12 @@ def _tokens(raw: list, name: str, conv, what: str) -> tuple:
     return values, present, faults
 
 
-def _read_rows(path, data: bytes) -> tuple:
-    """Any file, row by row with the csv module: ({column: _tokens' triple}
-    for the columns the header names, the CSV line of each row)."""
+def _read_rows(path) -> tuple:
+    """Any file, read whole and row by row with the csv module: ({column:
+    _tokens' triple} for the columns the header names, the CSV line of each
+    row)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -155,28 +163,56 @@ def _read_rows(path, data: bytes) -> tuple:
              if name in where}, np.asarray(lines))
 
 
-def _read_clean(path, data: bytes) -> Optional[tuple]:
-    """A clean file (see the module docstring) in one np.loadtxt pass, as
-    _read_rows would read it; None where the file is not clean or numpy
-    refuses it.  With no quotes, \\r or blank lines, row i sits on line i + 2."""
-    if data.translate(None, _CLEAN):
+def _scan(path) -> Optional[tuple]:
+    """(header, row count) of a clean file (see the module docstring), read
+    _SCAN_BYTES at a time; None where the file is not clean.  The line left
+    open at a chunk's end carries over as its length so far."""
+    limit = csv.field_size_limit()
+    head, n_ends, run = b"", 0, 0   # run: the bytes of the open line so far
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_SCAN_BYTES):
+            if (chunk.translate(None, _CLEAN) or b"\n\n" in chunk
+                    or run == 0 and chunk[:1] == b"\n"):   # a blank line, maybe across chunks
+                return None
+            end = chunk.rfind(b"\n")
+            if not n_ends:
+                head += chunk[:chunk.find(b"\n")] if end >= 0 else chunk
+            n_ends += chunk.count(b"\n")
+            if end < 0:
+                run += len(chunk)
+            else:
+                # every line that ends in the chunk ends within limit bytes of
+                # its start: hop from line start to the last \n in reach
+                start = -run   # the open line's start, counted from this chunk
+                while start <= end:
+                    reach = chunk.rfind(b"\n", max(start, 0), start + limit + 1)
+                    if reach < 0:
+                        return None
+                    start = reach + 1
+                run = len(chunk) - 1 - end
+            if run > limit:
+                return None
+    header = head.decode("ascii").split(",")
+    return (header, n_ends - (run == 0)) if "true_class" in header else None
+
+
+def _read_clean(path) -> Optional[tuple]:
+    """A clean file (see the module docstring) as _read_rows would read it;
+    None where the file is not clean or numpy refuses it.  _scan checks it
+    and counts its rows one chunk at a time, then one np.loadtxt pass of at
+    most that many rows reads the columns, so the read holds its columns
+    (about 40 B a row) plus one chunk.  With no quotes, \\r or blank lines,
+    row i sits on line i + 2."""
+    scanned = _scan(path)
+    if scanned is None:
         return None
-    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
-    lengths = np.diff(ends, prepend=-1) - 1   # of each line a \n ends
-    last = len(data) - 1 - (ends[-1] if ends.size else -1)
-    if (lengths == 0).any() or max(lengths.max(initial=0), last) > csv.field_size_limit():
-        return None
-    header = data[:ends[0] if ends.size else len(data)].decode("ascii").split(",")
-    n_rows = ends.size - (last == 0)
-    del ends, lengths   # one int64 per line each: gone before loadtxt's peak
-    if "true_class" not in header:
-        return None
+    header, n_rows = scanned
     where = {name: i for i, name in enumerate(header)}
     fields = [(name, conv) for name, conv, *_ in _FIELDS if name in where]
     # loadtxt reads a file named by its path in C chunks, and any other input
     # line by line in Python (about 1.5x the time and 20 MB more for 2e5 rows),
-    # so it reads the file again; a row count off the data's (a file rewritten
-    # in between) sends the file down the per-row route
+    # so it reads the file again; one row past the scan's count (a file
+    # rewritten in between) sends the file down the per-row route
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -184,7 +220,7 @@ def _read_clean(path, data: bytes) -> Optional[tuple]:
                                usecols=[where[name] for name, _ in fields],
                                dtype=[(name, np.int64 if conv is int else float)
                                       for name, conv in fields],
-                               comments=None, quotechar=None, ndmin=1)
+                               comments=None, quotechar=None, ndmin=1, max_rows=n_rows + 1)
         except (ValueError, Warning):   # an unreadable token, a short row, no rows
             return None
     if table.size != n_rows:
@@ -196,10 +232,8 @@ def _read_clean(path, data: bytes) -> Optional[tuple]:
 def read_validation_csv(path) -> ValidationTable:
     """Parse a validation CSV into a ValidationTable, by the numpy route if
     the file is clean and numpy reads it, else row by row."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    clean = _read_clean(path, data)
-    columns, lines = _read_rows(path, data) if clean is None else clean
+    clean = _read_clean(path)
+    columns, lines = _read_rows(path) if clean is None else clean
     faults, table = [], {}
     for name, conv, _, broken, rule in _FIELDS:
         values, present, column_faults = columns.get(name) or (
@@ -207,7 +241,9 @@ def read_validation_csv(path) -> ValidationTable:
         faults += column_faults
         faults += [(i, f"{name}={values[i].item()} {rule}")
                    for i in np.flatnonzero(present & broken(values))[:1].tolist()]
-        table[name] = values - 1 if conv is int else values
+        if conv is int:   # to 0-based, in place: the table is this call's own
+            np.subtract(values, 1, out=values)
+        table[name] = values
     if faults:   # the first offending line wins; within it, the column order
         row, complaint = min(faults, key=lambda fault: fault[0])
         raise IngestError(f"line {lines[row]}: {complaint}")
@@ -264,9 +300,14 @@ def estimate_rates(table: ValidationTable):
     counts = np.bincount(table.true_class)
     # bincount adds the weights in row order, as a running sum would; squares
     # are Python's x ** 2 (C pow), which np.square and x * x can miss by an
-    # ulp: glibc's pow is not correctly rounded (tests/test_ingest_reference.py)
+    # ulp: glibc's pow is not correctly rounded (tests/test_ingest_reference.py);
+    # they are taken _SQUARE_ROWS at a time, so only a chunk is Python floats
     sums = np.bincount(table.true_class, weights=table.service_time)
-    squares = np.fromiter(map(pow, table.service_time.tolist(), repeat(2)), float, len(table))
+    squares = np.empty(len(table))
+    for start in range(0, len(table), _SQUARE_ROWS):
+        chunk = table.service_time[start:start + _SQUARE_ROWS]
+        squares[start:start + chunk.size] = np.fromiter(
+            map(pow, chunk.tolist(), repeat(2)), float, chunk.size)
     sq_sums = np.bincount(table.true_class, weights=squares)
     missing = np.nonzero(counts == 0)[0]
     if missing.size:

@@ -1,10 +1,21 @@
 """Shared test utilities (no pytest imports here)."""
 
+import importlib.util
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from pqsched import ConfusionMatrix, CostFn, SystemConfig, WorkloadPathSet, kkt_solve
+
+
+def bench_inputs():
+    """bench/inputs.py, the benchmark's input generators, as a module."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def exact_int_w2(path) -> float:

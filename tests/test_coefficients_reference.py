@@ -1,9 +1,6 @@
 """The stacked stiffness kernel against the per-config reference, and the
 one-class limit of a label that is never predicted."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,19 +21,11 @@ from pqsched import (
 )
 from pqsched.httheory import stiffness_coefficients
 from conftest import make_two_class
-from helpers import kkt_per_path
+from helpers import bench_inputs, kkt_per_path
 import reference_coefficients as ref
 
 RTOL = 1e-13
 FIELDS = ("beta", "beta_naive", "jstar_coeff", "jnaive_coeff")
-
-
-def _bench_inputs():
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @st.composite
@@ -85,7 +74,7 @@ def test_kernel_matches_reference(system):
 
 
 def test_rank_models_matches_reference_on_benchmark_candidates():
-    inputs = _bench_inputs()
+    inputs = bench_inputs()
     config = config_from_json(inputs.ten_class_config())
     rng = np.random.default_rng([0, 0x9E3779B9])
     models = [(m["name"], ConfusionMatrix(m["confusion"]))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from pqsched import (
     read_validation_csv,
     scores_by_class,
 )
+from helpers import bench_inputs
 from reference_ingest import ValidationRecord, as_table
 
 
@@ -232,6 +235,23 @@ def test_csv_to_estimates_end_to_end(tmp_path):
     assert p == pytest.approx([0.5, 0.5])
     mu, _ = estimate_rates(recs)
     assert mu == pytest.approx([2.0, 1.0])
+
+
+def test_estimate_holds_its_columns_and_one_chunk(tmp_path):
+    # the benchmark's 2e5-row CSV: its columns take about 40 B a row (7.6 MiB);
+    # a whole-file newline scan and a Python float list of every service
+    # time took the peak to 16.4-16.9 MiB
+    path = _write(tmp_path, bench_inputs().validation_rows(np.random.default_rng(0), 200_000))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        table = read_validation_csv(path)
+        estimate_rates(table)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert table.reader == "numpy" and len(table) == 200_000
+    assert peak <= 12 * 2 ** 20
 
 
 def test_class_count_is_that_of_the_columns_read():

@@ -11,6 +11,7 @@ from pqsched import (
     IngestError,
     estimate_confusion,
     estimate_rates,
+    ingest,
     read_validation_csv,
     scores_by_class,
 )
@@ -25,6 +26,9 @@ TOKENS = ("", " ", "1", "2", "3", " 2 ", "+3", "1_0", "0", "-1", "0.5", ".25",
           # control and separator characters: Python's float refuses them, and
           # str.strip, like numpy, skips all but \x00 as whitespace
           "\x00", "1\x0b", "0.5\x1c", "\x85", "2\u2028", "2\u3000")
+# scan chunks of 1, 7 and 64 bytes split the drawn files' lines, headers and
+# blank lines, which the default chunk holds whole
+CHUNKS = (1, 7, 64, ingest._SCAN_BYTES)
 
 
 # TOKENS that every row may hold in the column: Python's int or float reads
@@ -80,8 +84,9 @@ def _dictreader_lines(path):
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=csv_texts())
-def test_reader_matches_reference(tmp_path, text):
+@given(text=csv_texts(), chunk=st.sampled_from(CHUNKS))
+def test_reader_matches_reference(tmp_path, monkeypatch, text, chunk):
+    monkeypatch.setattr(ingest, "_SCAN_BYTES", chunk)
     path = tmp_path / "validation.csv"
     path.write_text(text, encoding="utf-8", newline="")
     expected, expected_error = _outcome(ref.read_validation_csv, path)
@@ -135,8 +140,9 @@ def clean_csv_texts(draw):
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(drawn=clean_csv_texts())
-def test_clean_reader_matches_reference(tmp_path, drawn):
+@given(drawn=clean_csv_texts(), chunk=st.sampled_from(CHUNKS))
+def test_clean_reader_matches_reference(tmp_path, monkeypatch, drawn, chunk):
+    monkeypatch.setattr(ingest, "_SCAN_BYTES", chunk)
     text, readable = drawn
     path = tmp_path / "validation.csv"
     path.write_text(text, encoding="ascii", newline="")
@@ -152,6 +158,62 @@ def test_clean_reader_matches_reference(tmp_path, drawn):
         assert np.array_equal(got, getattr(want, name), equal_nan=True), name
     assert table.line.tolist() == _dictreader_lines(path)
     assert table.reader == "numpy" or not readable
+
+
+def _blank_line_on_chunk_edge(chunk):
+    """A blank line whose two \\n sit on either side of a chunk edge."""
+    head = "true_class,e" + "e" * (-len("true_class,e\n1\n") % chunk)
+    return head + "\n1\n\n2\n"
+
+
+# make(chunk) -> file text, csv.field_size_limit() to read it under (None for
+# the default), and the reader that must take it (None for an error)
+CHUNK_EDGES = [
+    pytest.param(lambda c: "true_class,score\n1,0." + "5" * c + "\n2,0.25\n", None, "numpy",
+                 id="line-across-chunks"),
+    pytest.param(_blank_line_on_chunk_edge, None, "per-row", id="blank-line-across-chunks"),
+    # lines 17 and 16 bytes long against a limit of 16, from byte 59 (across 64)
+    pytest.param(lambda c: "true_class,score\n" + "1,0.5\n" * 7 + "2,0.0000000000001\n", 16,
+                 "per-row", id="line-over-limit-across-chunks"),
+    pytest.param(lambda c: "true_class,score\n" + "1,0.5\n" * 7 + "2,0.0000000000001", 16,
+                 "per-row", id="last-line-over-limit"),
+    pytest.param(lambda c: "true_class,score\n" + "1,0.5\n" * 7 + "2,0.000000000001\n", 16,
+                 "numpy", id="line-at-limit"),
+    pytest.param(lambda c: "true_class,score\n1,0.5\n2,0.25", None, "numpy",
+                 id="no-final-newline"),
+    pytest.param(lambda c: "true_class,score," + "e" * c + "\n1,0.5\n", None, "numpy",
+                 id="header-over-a-chunk"),
+    pytest.param(lambda c: "true_class,score\n", None, None, id="header-only"),
+    pytest.param(lambda c: "true_class,score", None, None, id="header-only-no-newline"),
+    pytest.param(lambda c: "", None, None, id="empty"),
+    pytest.param(lambda c: "true_class,score\n" + "1,0.5\n" * 12 + "2,0.25\t", None, "per-row",
+                 id="tab-in-last-chunk"),
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("make, limit, reader", CHUNK_EDGES)
+def test_scan_chunk_edges_match_reference(tmp_path, monkeypatch, chunk, make, limit, reader):
+    monkeypatch.setattr(ingest, "_SCAN_BYTES", chunk)
+    path = tmp_path / "validation.csv"
+    path.write_text(make(chunk), encoding="ascii", newline="")
+    default_limit = csv.field_size_limit(limit or csv.field_size_limit())
+    try:
+        expected, expected_error = _outcome(ref.read_validation_csv, path)
+        table, error = _outcome(read_validation_csv, path)
+    finally:
+        csv.field_size_limit(default_limit)
+    assert error == expected_error
+    if expected is None:
+        assert reader is None
+        return
+    want = as_table(expected)
+    for name in COLUMNS:
+        got = getattr(table, name)
+        assert got.dtype == getattr(want, name).dtype
+        assert np.array_equal(got, getattr(want, name), equal_nan=True), name
+    assert table.line.tolist() == _dictreader_lines(path)
+    assert table.reader == reader
 
 
 @pytest.mark.parametrize("text, message", [
@@ -225,8 +287,17 @@ def test_second_moment_squares_like_the_reference():
     # The reference squares with Python's x ** 2 (C pow).  On glibc 2.36 pow
     # is not correctly rounded: for this x it is off by -2.1181e-22 and x * x
     # by +2.1170e-22, so the two differ by one ulp.  A switch of
-    # estimate_rates to x * x or np.square fails here.
+    # estimate_rates to x * x or np.square fails here.  Squares are taken
+    # _SQUARE_ROWS at a time, so x also sits on each side of the first chunk
+    # edge, alone in classes 1 and 2.
     x = 0.0018489275439882772
     records = [ValidationRecord(true_class=0, service_time=x)]
     _, alpha_v_hat = estimate_rates(as_table(records))
     assert alpha_v_hat[0] == x ** 2 == ref.estimate_rates(records)[1][0]
+    edge = ingest._SQUARE_ROWS
+    records = [ValidationRecord(true_class=0, service_time=0.5) for _ in range(edge + 3)]
+    records[edge - 1] = ValidationRecord(true_class=1, service_time=x)
+    records[edge] = ValidationRecord(true_class=2, service_time=x)
+    _, alpha_v_hat = estimate_rates(as_table(records))
+    assert alpha_v_hat[1] == alpha_v_hat[2] == x ** 2
+    assert np.array_equal(alpha_v_hat, ref.estimate_rates(records)[1])

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pqsched import CostFn, bm_workload_paths, jstar, kkt_solve
+from pqsched import CostFn, bm_workload_paths, httheory, jstar, kkt_solve
 from conftest import make_two_class
 from helpers import stack
 import reference_rbm as ref
@@ -42,6 +42,18 @@ def test_block_size_does_not_move_a_bit(n_steps, n_paths):
 def test_block_rows_follow_the_grid(n_steps, rows):
     w = bm_workload_paths(1.0, n_steps=n_steps, horizon=1.0, n_paths=1, seed=0)
     assert w.block_rows == rows
+
+
+@pytest.mark.parametrize("n_steps", [200, 500, 1000])
+def test_block_rows_keep_the_rule_whatever_the_constant(monkeypatch, n_steps):
+    # 126-row blocks move integral_sq bits at 200 and 500 steps; block_rows
+    # rounds any RBM_BLOCK_ROWS down to a multiple of 32
+    monkeypatch.setattr(httheory, "RBM_BLOCK_ROWS", 126)
+    got = bm_workload_paths(1.3, n_steps=n_steps, horizon=2.0, n_paths=1001, seed=8)
+    want = ref.bm_workload_paths(1.3, n_steps=n_steps, horizon=2.0, n_paths=1001, seed=8)
+    assert got.block_rows == (96 if n_steps <= 512 else 64)
+    dt = np.diff(want.grid)
+    assert np.array_equal(got.integral_sq(), ref.one_thread_product(want.values[:, :-1] ** 2, dt))
 
 
 def test_blocks_replay_the_same_stream():
