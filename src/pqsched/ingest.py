@@ -10,17 +10,17 @@ Confusion estimation needs either a predicted_class column or a score column
 plus a threshold (binary: score >= threshold means predicted class 1).
 
 The file is read into a `ValidationTable` of numpy columns.  A clean file
-(printable ASCII without `"`, `\\n` line ends, no blank line, no line over
-`csv.field_size_limit()`, a header naming true_class) is scanned one
-_SCAN_BYTES chunk at a time, then parsed in one `np.loadtxt` pass sized by
-the scan's row count, so the reader holds the columns it returns (about 40 B
-a row) plus one chunk.  Any other file, or one numpy refuses (a blank cell,
-`1_0`, a class beyond int64), is read whole and row by row with the csv
-module and Python's own int / float.  Both routes give the same table and
-the same errors: a bad file raises the error of its first offending line
-(within a line, in the column order above), and every error about a row,
-from the reader or an estimator, cites its CSV line, as do a field over the
-csv field limit and a byte that is not UTF-8.
+(printable ASCII without `"`, `\\n` or `\\r\\n` line ends, no blank line,
+no line over `csv.field_size_limit()`, a header naming true_class) is
+scanned one _SCAN_BYTES chunk at a time, then parsed in one `np.loadtxt`
+pass sized by the scan's row count, so the reader holds the columns it
+returns (about 40 B a row) plus one chunk.  Any other file, or one numpy
+refuses (a blank cell, `1_0`, a class beyond int64), is read whole and row
+by row with the csv module and Python's own int / float.  Both routes give
+the same table and the same errors: a bad file raises the error of its
+first offending line (within a line, in the column order above), and every
+error about a row, from the reader or an estimator, cites its CSV line, as
+do a field over the csv field limit and a byte that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -53,9 +53,10 @@ _FIELDS = (
     ("service_time", float, "is not a number", lambda v: v <= 0.0, "must be positive"),
 )
 _COLUMNS = tuple(field[0] for field in _FIELDS)
-# the bytes of a clean file: printable ASCII but the quote, and \n.  Control
-# characters stay out: numpy skips \x1c-\x1f around a token as whitespace,
-# which Python's float refuses and only the per-row route's strip() removes
+# the bytes of a clean file once _scan reads each \r\n as \n: printable ASCII
+# but the quote, and \n.  Control characters stay out: numpy skips \x1c-\x1f
+# around a token as whitespace, which Python's float refuses and only the
+# per-row route's strip() removes
 _CLEAN = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
 # the bytes of a clean file checked at a time, and the service times squared
 # at a time: each a fixed slice of the file or column, never the whole
@@ -165,12 +166,17 @@ def _read_rows(path) -> tuple:
 
 def _scan(path) -> Optional[tuple]:
     """(header, row count) of a clean file (see the module docstring), read
-    _SCAN_BYTES at a time; None where the file is not clean.  The line left
-    open at a chunk's end carries over as its length so far."""
+    _SCAN_BYTES at a time; None where the file is not clean.  A \\r\\n end
+    is checked as \\n, and a \\r that ends a chunk carries over to meet its
+    \\n.  The line left open at a chunk's end carries over as its length so
+    far."""
     limit = csv.field_size_limit()
-    head, n_ends, run = b"", 0, 0   # run: the bytes of the open line so far
+    head, n_ends, run, cr = b"", 0, 0, b""   # run: the bytes of the open line so far
     with open(path, "rb") as fh:
         while chunk := fh.read(_SCAN_BYTES):
+            if cr or b"\r" in chunk:   # a \r left after this is not clean
+                chunk = (cr + chunk).replace(b"\r\n", b"\n")
+                chunk, cr = (chunk[:-1], b"\r") if chunk.endswith(b"\r") else (chunk, b"")
             if (chunk.translate(None, _CLEAN) or b"\n\n" in chunk
                     or run == 0 and chunk[:1] == b"\n"):   # a blank line, maybe across chunks
                 return None
@@ -192,6 +198,8 @@ def _scan(path) -> Optional[tuple]:
                 run = len(chunk) - 1 - end
             if run > limit:
                 return None
+    if cr:   # a lone \r ends the file
+        return None
     header = head.decode("ascii").split(",")
     return (header, n_ends - (run == 0)) if "true_class" in header else None
 
@@ -201,8 +209,8 @@ def _read_clean(path) -> Optional[tuple]:
     None where the file is not clean or numpy refuses it.  _scan checks it
     and counts its rows one chunk at a time, then one np.loadtxt pass of at
     most that many rows reads the columns, so the read holds its columns
-    (about 40 B a row) plus one chunk.  With no quotes, \\r or blank lines,
-    row i sits on line i + 2."""
+    (about 40 B a row) plus one chunk.  With no quotes, lone \\r or blank
+    lines, row i sits on line i + 2."""
     scanned = _scan(path)
     if scanned is None:
         return None

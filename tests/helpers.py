@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from pqsched import ConfusionMatrix, CostFn, SystemConfig, WorkloadPathSet, kkt_solve
+from reference_rbm import row_integrals
 
 
 def bench_inputs():
@@ -78,9 +79,10 @@ def stack(w: WorkloadPathSet) -> np.ndarray:
 
 def kkt_per_path(config: SystemConfig, w: WorkloadPathSet) -> np.ndarray:
     """Per path of w, the left-Riemann integral of the KKT split's cost:
-    kkt_solve at every grid point, block by block, whatever the cost powers."""
-    dt = np.diff(w.grid)
-    return np.concatenate([kkt_solve(b[:, :-1], config).objective @ dt for b in w.blocks()])
+    kkt_solve at every grid point, block by block, whatever the cost powers,
+    each row summed and times the even step."""
+    return np.concatenate([row_integrals(w.grid, kkt_solve(b[:, :-1], config).objective)
+                           for b in w.blocks()])
 
 
 def reviewer_system_config(params, config, horizon: float = 1.0):
@@ -106,13 +108,14 @@ def curve_at(curve, t: float) -> float:
 @dataclass(frozen=True)
 class GivenPaths(WorkloadPathSet):
     """A WorkloadPathSet over given rows (one path each) instead of RBM draws:
-    blocks() yields the matrix as one block, which the set reduces exactly as
-    it reduces drawn blocks."""
+    blocks() yields a copy of the matrix as one block, which the set reduces
+    exactly as it reduces drawn blocks (and may overwrite, as it may a drawn
+    block)."""
 
     matrix: np.ndarray = None
 
     def blocks(self):
-        yield self.matrix
+        yield self.matrix.copy()
 
 
 def given_paths(grid, values, variance_rate: float = 1.0, seed: int = 0) -> GivenPaths:

@@ -3,8 +3,9 @@
 This is the dense `bm_workload_paths` pqsched used to ship: it draws every
 uniform at once into an n_paths x n_steps matrix, takes the normals, the
 increments, the path, its running minimum and the reflection as whole
-matrices, and reduces the left-Riemann integral of W^2 with one product.
-`WorkloadPathSet` must reproduce `values` and `integral_sq` bit for bit.
+matrices.  It takes each path's left-Riemann integral of W^2 as its row's
+sum times the even step (`row_integrals`), and `WorkloadPathSet` must
+reproduce `values` and `integral_sq` bit for bit.
 
 Nothing in `src/` imports this module.
 """
@@ -21,25 +22,18 @@ from pqsched.errors import ConfigError
 _U_EPS = 2.0 ** -53
 
 
+def row_integrals(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per row of values (one value per left grid point), its left-endpoint
+    Riemann sum over the even grid: the row's sum times T / n_steps."""
+    return values.sum(axis=1) * (grid[-1] / (grid.size - 1))
+
+
 def reflect_matrix(x: np.ndarray) -> np.ndarray:
     """phi(x)(t) = x(t) - min(0, inf_{s<=t} x(s)) along each row of x: the
     minimal nonnegative version of the path, pushed up only when it would go
     negative."""
     running_min = np.minimum.accumulate(x, axis=1)
     return x - np.minimum(0.0, running_min)
-
-
-def one_thread_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x as gemv rounds it on one thread, whatever the thread count: the
-    rows of a in groups of 4, each its own product, with the 1-3 leftover
-    rows joined to the last group.  One-thread gemv reduces rows in groups
-    of 4 and the leftover rows by another kernel, so these are its bits.  A
-    large product of the whole matrix is split across BLAS threads at rows
-    that need not be multiples of 4, and a row next to a split rounds
-    differently: at 1,001 paths x 1,000 steps, a two-thread `a @ x` moves
-    the last path's integral by an ulp."""
-    stops = [*range(4, len(a) - 3, 4), len(a)]
-    return np.concatenate([a[start:stop] @ x for start, stop in zip([0] + stops[:-1], stops)])
 
 
 @dataclass(frozen=True)
@@ -50,9 +44,9 @@ class DensePaths:
     seed: int
 
     def integral_sq(self) -> np.ndarray:
-        """Left-endpoint Riemann sum of W(t)^2 over the grid, per path."""
-        dt = np.diff(self.grid)
-        return (self.values[:, :-1] ** 2) @ dt
+        """Left-endpoint Riemann sum of W(t)^2 over the grid, per path: each
+        row's sum times the even step."""
+        return row_integrals(self.grid, self.values[:, :-1] ** 2)
 
 
 def bm_workload_paths(variance_rate: float, n_steps: int, horizon: float,

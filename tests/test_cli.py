@@ -196,7 +196,7 @@ def test_lower_bound_manifest_records_exact_integral_and_block_rows(runner, tmp_
     w = pqsched.bm_workload_paths(workload_variance_rate(cfg), 120, cfg.horizon, 300, 7)
     assert man["expected_integral_sq"] == 0.5 * workload_variance_rate(cfg) * cfg.horizon ** 2
     assert man["integral_sq_mean"] == float(w.integral_sq().mean())
-    assert man["rbm_block_rows"] == w.block_rows == pqsched.httheory.RBM_BLOCK_ROWS == 128
+    assert man["rbm_block_rows"] == w.block_rows == pqsched.httheory.RBM_BLOCK_CELLS // 120 == 546
     # the lower-bound table itself carries neither
     names = [row[0] for row in _read_csv(out / "lower_bound.csv")[1:]]
     assert "expected_integral_sq" not in names and "integral_sq_mean" not in names
@@ -207,7 +207,7 @@ def test_lower_bound_manifest_reports_the_block_rows_of_its_grid(runner, tmp_pat
     result = runner.invoke(main, ["lower-bound", "--config", str(config_path), "--paths", "100",
                                   "--steps", "1000", "--seed", "7", "--out", str(out)])
     assert result.exit_code == 0, result.output
-    assert _manifest(out)["rbm_block_rows"] == 64
+    assert _manifest(out)["rbm_block_rows"] == 65
 
 
 # ------------------------------------------------------------- select-model
@@ -422,9 +422,10 @@ def test_estimate_rates_count_true_classes(runner, tmp_path):
 @pytest.mark.parametrize("text, reader", [
     ("true_class,score,service_time\n1,0.9,0.5\n2,0.1,1.0\n", "numpy"),
     ('true_class,score,service_time\n1,"0.9",0.5\n2,0.1,1.0\n', "per-row"),
-    ("true_class,score,service_time\r\n1,0.9,0.5\r\n2,0.1,1.0\r\n", "per-row"),
+    ("true_class,score,service_time\r\n1,0.9,0.5\r\n2,0.1,1.0\r\n", "numpy"),
+    ("true_class,score,service_time\r1,0.9,0.5\r2,0.1,1.0\r", "per-row"),
     ("true_class,score,service_time\n1,0.9\x1c,0.5\n2,0.1,1.0\n", "per-row"),
-], ids=["clean", "quoted", "crlf", "control-character"])
+], ids=["clean", "quoted", "crlf", "lone-cr", "control-character"])
 def test_estimate_manifest_names_reader_and_stage_timings(runner, tmp_path, text, reader):
     csv_path = tmp_path / "validation.csv"
     csv_path.write_bytes(text.encode("ascii"))

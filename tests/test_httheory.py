@@ -208,12 +208,27 @@ def test_bm_paths_seed_outside_philox_keys(seed):
                                  dict(grid=np.linspace(0.0, 1.0, 100))])
 def test_path_set_built_directly_is_checked(bad):
     # no path (a NaN mean), a negative or infinite variance (NaN integrals), an uneven
-    # grid (drawn with grid[-1]/n_steps steps but integrated with diff(grid))
-    # and too few steps are refused as bm_workload_paths refuses them
+    # grid (drawn and integrated with grid[-1]/n_steps steps) and too few steps
+    # are refused as bm_workload_paths refuses them
     args = dict(grid=np.linspace(0.0, 1.0, 101), n_paths=3, variance_rate=1.0, seed=0)
     WorkloadPathSet(**args)
     with pytest.raises(ConfigError):
         WorkloadPathSet(**(args | bad))
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan], ids=["inf", "nan"])
+def test_path_set_built_directly_checks_its_horizon_as_bm_paths_does(horizon):
+    # an infinite last grid point once reached np.linspace, which warned
+    # (invalid value encountered in multiply) before the uneven-grid error
+    grid = np.append(np.linspace(0.0, 1.0, 101)[:-1], horizon)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as direct:
+            WorkloadPathSet(grid=grid, n_paths=3, variance_rate=1.0, seed=0)
+        with pytest.raises(ConfigError) as built:
+            bm_workload_paths(1.0, n_steps=100, horizon=horizon, n_paths=3, seed=0)
+    want = f"NonFinite: horizon = {horizon} (must be finite)"
+    assert str(direct.value) == str(built.value) == want
 
 
 def test_bm_integral_consistency_across_step_counts():
@@ -514,19 +529,21 @@ def _three_class():
 # beside the config: taking the config alone must not move a bit.  The mixed
 # and three-class ones were re-pinned when one joint Newton replaced the
 # nested level and inverse Newtons, which moved them by at most 8.4e-16
-# relative (4.4e-16 in x)
+# relative (4.4e-16 in x).  All four estimates were re-pinned when each path's
+# integral became its row's sum times the even step, not a gemv product with
+# np.diff(grid), which moved them by at most 7.4e-16 relative
 _ESTIMATE_BITS = {
-    "jstar_mixed": ([0.2003190142244596, 1.6623229899297312, 0.8884973371604099,
-                     0.6318651355475353, 0.08450664486807127],
+    "jstar_mixed": ([0.20031901422445964, 1.6623229899297312, 0.8884973371604099,
+                     0.6318651355475352, 0.08450664486807132],
                     0.6935022243460415, 0.2823598054905077),
-    "jstar_three": ([0.03964497947831137, 0.2426309209600376, 0.14148221339867267,
-                     0.10411747241123069, 0.018744705672605506],
-                    0.10932405838417159, 0.03993229786530354),
-    "jstar_quad": ([0.5417862943018042, 2.3647975879615384, 1.524017121776079,
-                    1.1646572405954168, 0.28688830227592227],
-                   1.176429309382152, 0.3692715798958735),
-    "jnaive_quad": ([0.7841260827269065, 3.4225662195459186, 2.205706545690726,
-                     1.685605799542226, 0.41521279332784045],
+    "jstar_three": ([0.03964497947831137, 0.24263092096003763, 0.14148221339867262,
+                     0.10411747241123069, 0.01874470567260552],
+                    0.10932405838417156, 0.03993229786530354),
+    "jstar_quad": ([0.5417862943018042, 2.364797587961538, 1.524017121776079,
+                    1.164657240595417, 0.2868883022759223],
+                   1.176429309382152, 0.3692715798958734),
+    "jnaive_quad": ([0.7841260827269065, 3.422566219545918, 2.205706545690726,
+                     1.6856057995422264, 0.4152127933278406],
                     1.7026434881667238, 0.5344459253611704),
 }
 _KKT_RS = (1e-12, 0.3, 1.0, 1e4)

@@ -116,10 +116,11 @@ CLEAN_TOKENS = tuple(t for t in TOKENS if t.isascii() and t.isprintable() and no
 @st.composite
 def clean_csv_texts(draw):
     """Clean validation CSVs, which the numpy route admits: printable ASCII
-    without quotes, \\n line ends, no blank line; with repeated, absent and
-    unknown columns, long rows, and now and then no final newline.  Returns
-    the text and whether every cell the reader uses is numpy-readable (and no
-    row is short), so that a file the oracle accepts must take that route."""
+    without quotes, \\n or \\r\\n line ends (mixed), no blank line; with
+    repeated, absent and unknown columns, long rows, and now and then no
+    final newline.  Returns the text and whether every cell the reader uses
+    is numpy-readable (and no row is short), so that a file the oracle
+    accepts must take that route."""
     header = draw(st.lists(st.sampled_from(COLUMNS + ("extra",)), min_size=1, max_size=5))
     if "true_class" not in header or draw(st.booleans()):
         header.insert(draw(st.integers(0, len(header))), "true_class")
@@ -135,7 +136,9 @@ def clean_csv_texts(draw):
             draw(st.sampled_from(pools[used[i]] if readable and i in used else
                                  CLEAN_TOKENS + pools[used.get(i, float)]))
             for i in range(max(width, 1))) or " ")                 # a blank line is not clean
-    return "\n".join(lines) + draw(st.sampled_from(("\n", ""))), readable
+    ends = [draw(st.sampled_from(("\n", "\r\n"))) for _ in lines]
+    ends[-1] = draw(st.sampled_from((ends[-1], "")))
+    return "".join(line + end for line, end in zip(lines, ends)), readable
 
 
 @settings(max_examples=300, deadline=None,
@@ -160,10 +163,11 @@ def test_clean_reader_matches_reference(tmp_path, monkeypatch, drawn, chunk):
     assert table.reader == "numpy" or not readable
 
 
-def _blank_line_on_chunk_edge(chunk):
-    """A blank line whose two \\n sit on either side of a chunk edge."""
-    head = "true_class,e" + "e" * (-len("true_class,e\n1\n") % chunk)
-    return head + "\n1\n\n2\n"
+def _on_chunk_edge(before, after):
+    """make(chunk) for a file whose text before ends a chunk: a header
+    padded to that length, then the rest of the file."""
+    return lambda chunk: "true_class,e" + "e" * (-len("true_class,e" + before) % chunk) + (
+        before + after)
 
 
 # make(chunk) -> file text, csv.field_size_limit() to read it under (None for
@@ -171,7 +175,7 @@ def _blank_line_on_chunk_edge(chunk):
 CHUNK_EDGES = [
     pytest.param(lambda c: "true_class,score\n1,0." + "5" * c + "\n2,0.25\n", None, "numpy",
                  id="line-across-chunks"),
-    pytest.param(_blank_line_on_chunk_edge, None, "per-row", id="blank-line-across-chunks"),
+    pytest.param(_on_chunk_edge("\n1\n", "\n2\n"), None, "per-row", id="blank-line-across-chunks"),
     # lines 17 and 16 bytes long against a limit of 16, from byte 59 (across 64)
     pytest.param(lambda c: "true_class,score\n" + "1,0.5\n" * 7 + "2,0.0000000000001\n", 16,
                  "per-row", id="line-over-limit-across-chunks"),
@@ -188,6 +192,25 @@ CHUNK_EDGES = [
     pytest.param(lambda c: "", None, None, id="empty"),
     pytest.param(lambda c: "true_class,score\n" + "1,0.5\n" * 12 + "2,0.25\t", None, "per-row",
                  id="tab-in-last-chunk"),
+    # \r\n ends: a pair split by a chunk edge, blank lines split either way, a
+    # lone \r within a chunk, at a chunk's end and as the file's last byte, and
+    # a lone \r before a \r\n, which loadtxt reads as a row and a blank line
+    pytest.param(_on_chunk_edge("\r", "\n1\r\n2\r\n"), None, "numpy", id="crlf-across-chunks"),
+    pytest.param(_on_chunk_edge("\r\n1\r\n", "\r\n2\r\n"), None, "per-row",
+                 id="blank-crlf-line-after-chunk-edge"),
+    pytest.param(_on_chunk_edge("\r\n1\r\n\r", "\n2\r\n"), None, "per-row",
+                 id="blank-crlf-line-cr-ends-chunk"),
+    pytest.param(lambda c: "true_class,score\r1,0.5\r\n2,0.25\r\n", None, "per-row",
+                 id="lone-cr"),
+    pytest.param(_on_chunk_edge("\r", "1\r\n2\r\n"), None, "per-row", id="lone-cr-ends-chunk"),
+    pytest.param(lambda c: "true_class,score\r\n1,0.5\r\n2,0.25\r", None, "per-row",
+                 id="final-lone-cr"),
+    pytest.param(lambda c: "true_class,score\r\n1,0.5\r\n2,0.25", None, "numpy",
+                 id="crlf-no-final-newline"),
+    pytest.param(lambda c: "true_class,score\r\n1,0.5\r\r\n2,0.25\r\n", None, "per-row",
+                 id="cr-before-crlf"),
+    pytest.param(_on_chunk_edge("\r\n1\r", "\r\n2\r\n"), None, "per-row",
+                 id="cr-ends-chunk-before-crlf"),
 ]
 
 
@@ -201,12 +224,15 @@ def test_scan_chunk_edges_match_reference(tmp_path, monkeypatch, chunk, make, li
     try:
         expected, expected_error = _outcome(ref.read_validation_csv, path)
         table, error = _outcome(read_validation_csv, path)
+        scanned = ingest._scan(path)
     finally:
         csv.field_size_limit(default_limit)
     assert error == expected_error
     if expected is None:
         assert reader is None
         return
+    # the scan itself refuses each per-row file, not only loadtxt's row count
+    assert (scanned is None) == (reader == "per-row")
     want = as_table(expected)
     for name in COLUMNS:
         got = getattr(table, name)
