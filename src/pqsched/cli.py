@@ -211,7 +211,7 @@ def cmd_lower_bound(config_path, paths, steps, seed, out_dir):
         click.echo(f"{name} = {value:.8g}")
     manifest = run.finish(expected_integral_sq=0.5 * v * config.horizon ** 2,
                           integral_sq_mean=float(w.integral_sq().mean()),
-                          rbm_block_rows=w.block_rows)
+                          rbm_block_rows=min(w.n_paths, w.block_rows))
     click.echo(f"manifest: {manifest}")
 
 

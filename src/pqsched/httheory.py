@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BracketFailureError, ConfigError, NonFiniteMomentError, NonQuadraticError
-from .model import (MixtureCost, PredictedClassParams, SystemConfig, _check_finite, _check_seed,
-                    _mean_stderr, derive_predicted_params, non_finite, shape_mismatch)
+from .model import (PredictedClassParams, SystemConfig, _check_finite, _check_seed, _mean_stderr,
+                    cost_terms, derive_predicted_params, non_finite, shape_mismatch)
 
 __all__ = [
     "workload_variance_rate",
@@ -194,8 +194,8 @@ def kkt_solve(r, config: SystemConfig) -> Allocation:
     NaN, infinite or negative entries are a ConfigError.  The solve runs on
     arrays, _KKT_BLOCK entries at a time; each entry stops on its own step,
     so no split depends on its batch.  The predicted classes come from
-    derive_predicted_params(config), label l priced at MixtureCost(w_.l,
-    config.costs), so every label must be non-empty (ZeroColumnError
+    derive_predicted_params(config), label l priced at C~_l = sum_k w_kl C_k
+    (cost_terms), so every label must be non-empty (ZeroColumnError
     otherwise), unlike the one-class limit of the quadratic coefficients.
     """
     r_arr = np.asarray(r, dtype=float)
@@ -209,14 +209,16 @@ def kkt_solve(r, config: SystemConfig) -> Allocation:
            if not math.isfinite(float(params.mix_weights[k].max()) * c.coeff * (c.power - 1.0))]
     if bad:
         raise ConfigError("; ".join(bad))
-    mixes = [MixtureCost(params.mix_weights[:, l], config.costs) for l in range(K)]
+    e, s = cost_terms(config.costs, params.mix_weights)
     flat = r_arr.reshape(-1)
     x = np.zeros((K, flat.size))
     x[0] = flat  # the whole split when K == 1, and zero where r == 0
     for i in range(0, flat.size if K > 1 else 0, _KKT_BLOCK):
         rows = i + np.flatnonzero(flat[i:i + _KKT_BLOCK] > 0.0)
-        x[:, rows] = _level_shares(flat[rows], params, mixes)
-    objective = sum(params.lambda_tilde[l] * mixes[l](x[l] / params.rho_tilde[l])
+        x[:, rows] = _level_shares(flat[rows], params, e, s)
+    w, t = params.mix_weights, x / params.rho_tilde[:, None]  # sum_l lambda~_l C~_l(t_l)
+    objective = sum(params.lambda_tilde[l] * sum(w[k, l] * c(t[l]) for k, c in
+                                                 enumerate(config.costs) if w[k, l] > 0)
                     for l in range(K))
     if r_arr.ndim == 0:
         return Allocation(r=float(r_arr), x=x[:, 0].copy(), objective=float(objective[0]))
@@ -224,18 +226,16 @@ def kkt_solve(r, config: SystemConfig) -> Allocation:
                       objective=objective.reshape(r_arr.shape))
 
 
-def _level_shares(r: np.ndarray, params: PredictedClassParams,
-                  mixes: Sequence[MixtureCost]) -> np.ndarray:
-    """Optimal splits, shape (K, len(r)), of a 1-D array of workloads r > 0, each
-    checked to sum to its r within KKT_TOL r."""
+def _level_shares(r: np.ndarray, params: PredictedClassParams, e, s) -> np.ndarray:
+    """Optimal splits, shape (K, len(r)), of a 1-D array of workloads r > 0 on
+    cost_terms' table (e, s), each checked to sum to its r within KKT_TOL r."""
     rho, mu = params.rho_tilde, params.mu_tilde
-    powers = {mix.common_power for mix in mixes}
-    if len(powers) == 1 and None not in powers:
+    if len(e) == 1:
         # mu~_l c~_l (x_l / rho~_l)^(p-1) = y makes x_l proportional to w_l
-        w = rho * (mu * [mix.coeff for mix in mixes]) ** (-1.0 / (powers.pop() - 1.0))
+        w = rho * (mu * s[0]) ** (-1.0 / e[0])
         x = w[:, None] * r / w.sum()
     else:
-        x = _joint_newton(r, params, mixes[0].costs)
+        x = _joint_newton(r, params, e, s)
     res, tol = np.abs(sum(x) - r), KKT_TOL * r
     if not np.all(res <= tol):  # NaN-safe
         i = int(np.argmax(~(res <= tol)))
@@ -244,10 +244,10 @@ def _level_shares(r: np.ndarray, params: PredictedClassParams,
     return x
 
 
-def _joint_newton(r: np.ndarray, params: PredictedClassParams, costs) -> np.ndarray:
+def _joint_newton(r: np.ndarray, params: PredictedClassParams, es, s) -> np.ndarray:
     """The split without a common power.  f'_l(x) = mu~_l C~'_l(x / rho~_l) is
-    sum_e a_el x^e, its terms grouped by exponent e = power - 1 >= 1.  One
-    Newton on the split and the level nu = f'_l(x_l) together (Boyd &
+    sum_e a_el x^e, a_el = mu~_l s_el / rho~_l^e on cost_terms' table (es, s).
+    One Newton on the split and the level nu = f'_l(x_l) together (Boyd &
     Vandenberghe, Convex Optimization, 10.2) runs on u_l = log(x_l / r) and
     log nu, so no share turns negative and no value leaves the float range.
     With phi_l = log f'_l, slope phi'_l = x f''/f' in [min e, max e], and
@@ -258,11 +258,7 @@ def _joint_newton(r: np.ndarray, params: PredictedClassParams, costs) -> np.ndar
     One step in x, nu = (r - sum x + sum f'/f'') / sum 1/f'', dx_l = (nu -
     f'_l) / f''_l, then removes the log arithmetic's error (near |log nu|
     ulps) where every f' and f'' is a normal float."""
-    e_k = np.array([c.power - 1.0 for c in costs])
-    cw = np.array([c.coeff for c in costs])[:, None] * params.mix_weights  # c_k w_kl
-    es = np.unique(e_k[np.any(cw > 0.0, axis=1)])
-    a = [(cw[e_k == e].sum(axis=0) * params.mu_tilde / params.rho_tilde ** e)[:, None]
-         for e in es]  # a_el, (K, 1)
+    a = [(se * params.mu_tilde / params.rho_tilde ** e)[:, None] for se, e in zip(s, es)]  # (K, 1)
     with np.errstate(divide="ignore"):  # log 0 = -inf: a term the label lacks
         log_b = [np.log(ae) + e * np.log(r) for ae, e in zip(a, es)]  # log a_el r^e
 

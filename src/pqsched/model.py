@@ -37,8 +37,8 @@ __all__ = [
     "Dist",
     "SystemConfig",
     "PredictedClassParams",
-    "MixtureCost",
     "derive_predicted_params",
+    "cost_terms",
     "config_to_json",
     "config_from_json",
     "load_config",
@@ -336,30 +336,18 @@ def derive_predicted_params(config: SystemConfig) -> PredictedClassParams:
                                 rho_tilde=rho_tilde, mix_weights=mix_weights)
 
 
-class MixtureCost:
-    """Posterior-weighted delay cost of one predicted class.
-
-    C~(t) = sum_k w_k C_k(t) and C~'(t) = sum_k w_k C_k'(t).  When every
-    component shares one power, the mixture is itself a monomial: that power
-    is .common_power and c~ = sum_k w_k c_k is .coeff, which give kkt_solve
-    its closed-form split; otherwise both are None.
-    """
-
-    def __init__(self, weights: Sequence[float], costs: Sequence[CostFn]):
-        self.weights = np.asarray(weights, dtype=float)
-        self.costs = tuple(costs)
-        if len(self.weights) != len(self.costs):
-            raise ConfigError("mixture weights and costs must align")
-        powers = {c.power for c, w in zip(self.costs, self.weights) if w > 0}
-        self.common_power = powers.pop() if len(powers) == 1 else None
-        self.coeff = (None if self.common_power is None
-                      else float(sum(w * c.coeff for c, w in zip(self.costs, self.weights))))
-
-    def __call__(self, t):
-        return sum(w * c(t) for c, w in zip(self.costs, self.weights) if w > 0)
-
-    def prime(self, t):
-        return sum(w * c.prime(t) for c, w in zip(self.costs, self.weights) if w > 0)
+def cost_terms(costs: Sequence[CostFn], weights) -> tuple:
+    """The mixture costs C~_l = sum_k w_kl C_k of the labels, w[k, l] the
+    weights, grouped by exponent: C~_l'(t) = sum_i s[i, l] t^e[i].  e holds,
+    ascending, the exponents power - 1 of the costs with some w_kl > 0, and
+    s[i, l] sums c_k w_kl over the costs of exponent e[i] in k order.  One
+    exponent (len(e) == 1) is a common power: C~_l is then the monomial of
+    coefficient s[0, l] and power e[0] + 1."""
+    w = np.asarray(weights, dtype=float)
+    e_k = np.array([c.power - 1.0 for c in costs])
+    cw = np.array([c.coeff for c in costs])[:, None] * w  # c_k w_kl
+    e = np.unique(e_k[np.any(w > 0.0, axis=1)])
+    return e, np.array([cw[e_k == x].sum(axis=0) for x in e])
 
 
 def _mean_stderr(x: np.ndarray) -> tuple:

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .model import MixtureCost, SystemConfig, derive_predicted_params, non_finite
+from .model import SystemConfig, cost_terms, derive_predicted_params, non_finite
 
 __all__ = [
     "POLICY_KINDS",
@@ -53,14 +53,16 @@ class _PowerIndex:
 
 @dataclass(frozen=True)
 class _PrimeIndex:
-    """mu[l] * primes[l](n / lam[l]): the index of a mixed-power system."""
+    """mu[l] * sum_k w_kl C_k'(n / lam[l]), terms[l] the pairs (w_kl, C_k) with
+    w_kl > 0: the index of a mixed-power system."""
 
     mu: np.ndarray
-    primes: tuple
+    terms: tuple
     lam: np.ndarray
 
     def at(self, l: int, n: float) -> float:
-        return float(self.mu[l] * self.primes[l](n / self.lam[l])) if n > 0 else 0.0
+        t = n / self.lam[l]
+        return float(self.mu[l] * sum(w * c.prime(t) for w, c in self.terms[l])) if n > 0 else 0.0
 
 
 def _fifo_index(l, n):
@@ -87,31 +89,37 @@ class PolicyRef:
     @classmethod
     def for_config(cls, kind: str, config: SystemConfig) -> "PolicyRef":
         """Resolve `kind` on `config` alone: naive and pcmu derive the
-        predicted-class primitives from it, pcmu each label's MixtureCost.  The
-        engine needs an index that does not decrease in n, which a config's
-        costs give: SystemConfig refuses a coeff <= 0 or a power < 2."""
+        predicted-class primitives from it, and class l is priced at C~_l =
+        sum_k w_kl C_k, w from _rates_and_weights.  The engine needs an index
+        that does not decrease in n, which a config's costs give:
+        SystemConfig refuses a coeff <= 0 or a power < 2."""
         if kind not in POLICY_KINDS:
             raise ConfigError(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
         if kind == "fcfs":
             return cls(kind, _fifo_index)
-        if kind == "oracle":
-            lam_eff, mu_eff = config.class_arrival_rates, config.service_rates
-        else:
-            params = derive_predicted_params(config)
-            lam_eff, mu_eff = params.lambda_tilde, params.mu_tilde
-        costs, powers = config.costs, {c.power for c in config.costs}
-        if kind == "pcmu":
-            costs = [MixtureCost(params.mix_weights[:, l], costs) for l in range(config.n_classes)]
-            powers = {m.common_power for m in costs}
-        if len(powers) == 1 and None not in powers:
-            p = powers.pop()
-            # index(l, n) = mu_l * c_l * (n / lam_l)^(p-1) = A_l * n^(p-1); an A_l
+        lam, mu, w = _rates_and_weights(config, kind)
+        e, s = cost_terms(config.costs, w)
+        if len(e) == 1:
+            # index(l, n) = mu_l c~_l (n / lam_l)^e = A_l n^e, by scalar pows; an A_l
             # past the float range is refused where the engine tabulates it
+            p = float(e[0])
             with np.errstate(all="ignore"):
-                a = tuple(float(mu_eff[l] * c.coeff / lam_eff[l] ** (p - 1.0))
-                          for l, c in enumerate(costs))
-            return cls(kind, _PowerIndex(a, p - 1.0).at)
-        return cls(kind, _PrimeIndex(mu_eff, tuple(c.prime for c in costs), lam_eff).at)
+                a = tuple(float(mu[l] * s[0, l] / lam[l] ** p) for l in range(config.n_classes))
+            return cls(kind, _PowerIndex(a, p).at)
+        terms = tuple(tuple((w[k, l], c) for k, c in enumerate(config.costs) if w[k, l] > 0)
+                      for l in range(config.n_classes))
+        return cls(kind, _PrimeIndex(mu, terms, lam).at)
+
+
+def _rates_and_weights(config: SystemConfig, kind: str) -> tuple:
+    """(lam, mu, w) of an index kind: its classes' arrival and service rates, true
+    for oracle and predicted otherwise, and the weight w[k, l] of cost k in class
+    l, pcmu's posterior weights and the identity otherwise."""
+    if kind == "oracle":
+        return config.class_arrival_rates, config.service_rates, np.eye(config.n_classes)
+    params = derive_predicted_params(config)
+    w = params.mix_weights if kind == "pcmu" else np.eye(config.n_classes)
+    return params.lambda_tilde, params.mu_tilde, w
 
 
 def index_overflow(config: SystemConfig, kind: str, l: int, n: int) -> str:
@@ -119,12 +127,7 @@ def index_overflow(config: SystemConfig, kind: str, l: int, n: int) -> str:
     leaves the float range.  That value is mu_l sum_k w_kl C_k'(n / lam_l),
     w the identity but for pcmu's posterior weights; the text names the cost
     k of the largest term."""
-    if kind == "oracle":
-        lam, w = config.class_arrival_rates, np.eye(config.n_classes)
-    else:
-        params = derive_predicted_params(config)
-        lam = params.lambda_tilde
-        w = params.mix_weights if kind == "pcmu" else np.eye(config.n_classes)
+    lam, _, w = _rates_and_weights(config, kind)
     with np.errstate(all="ignore"):
         terms = [w[k, l] * c.prime(n / lam[l]) if w[k, l] > 0 else -np.inf
                  for k, c in enumerate(config.costs)]

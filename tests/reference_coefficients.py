@@ -19,11 +19,11 @@ import numpy as np
 from pqsched.errors import NonQuadraticError
 from pqsched.httheory import QuadraticCostCoefficients
 from pqsched.model import (
-    MixtureCost,
     PredictedClassParams,
     SystemConfig,
     derive_predicted_params,
 )
+from reference_mixture import MixtureCost
 
 
 def quadratic_coefficients(config: SystemConfig,

@@ -44,7 +44,6 @@ from pqsched import (
     CostFn,
     Curves,
     EventOverflowError,
-    MixtureCost,
     PqschedError,
     PathResult,
     PredictedClassParams,
@@ -54,6 +53,7 @@ from pqsched import (
     derive_predicted_params,
 )
 from pqsched.policies import POLICY_KINDS
+from reference_mixture import MixtureCost
 
 _INF = float("inf")
 

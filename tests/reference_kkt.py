@@ -24,7 +24,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from pqsched import Allocation, BracketFailureError, ConfigError, derive_predicted_params
-from pqsched.model import MixtureCost, PredictedClassParams
+from pqsched.model import PredictedClassParams
+from reference_mixture import MixtureCost
 
 KKT_TOL = 1e-10
 # enough halvings to take [0, r] to float resolution from any r > 0 (it was

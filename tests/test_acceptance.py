@@ -14,7 +14,6 @@ from pqsched import (
     ConfusionMatrix,
     CostFn,
     McParams,
-    MixtureCost,
     PassingCurves,
     SystemConfig,
     TriageConfig,
@@ -36,6 +35,7 @@ from pqsched import (
 )
 from pqsched.cli import main as cli_main
 from helpers import exact_int_w2, kkt_per_path, reviewer_system_config, ten_class_config
+from reference_mixture import MixtureCost
 
 
 def _verdict(ok, n, detail):

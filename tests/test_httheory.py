@@ -13,7 +13,6 @@ from pqsched import (
     ConfigError,
     ConfusionMatrix,
     CostFn,
-    MixtureCost,
     NonFiniteMomentError,
     NonQuadraticError,
     PolicyRef,
@@ -33,6 +32,7 @@ from pqsched import (
 from conftest import make_two_class
 from helpers import given_paths, kkt_per_path, stack
 from reference_rbm import reflect_matrix
+from reference_mixture import MixtureCost
 
 IDENTITY = ((1.0, 0.0), (0.0, 1.0))
 

@@ -18,7 +18,6 @@ from pqsched import (
     ConfigError,
     ConfusionMatrix,
     CostFn,
-    MixtureCost,
     SystemConfig,
     derive_predicted_params,
     httheory,
@@ -28,6 +27,7 @@ from pqsched import (
 import reference_kkt
 from conftest import make_two_class
 from helpers import ten_class_config
+from reference_mixture import MixtureCost
 
 
 def _random_system(rng, K, powers):

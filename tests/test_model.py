@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -16,17 +17,21 @@ from pqsched import (
     ConfusionMatrix,
     CostFn,
     Dist,
-    MixtureCost,
+    PolicyRef,
     SystemConfig,
     ZeroColumnError,
     config_from_json,
     config_to_json,
+    cost_terms,
     derive_predicted_params,
+    kkt_solve,
     load_config,
     save_config,
 )
+import reference_engine
 import reference_kkt
 from conftest import make_two_class
+from reference_mixture import MixtureCost
 
 
 # ---------------------------------------------------------------- CostFn
@@ -141,21 +146,93 @@ def test_predicted_params_invariants(cfg):
                        params.lambda_tilde / params.mu_tilde, atol=1e-12)
 
 
-# ------------------------------------------------------------ MixtureCost
+# ------------------------------------------------------------ cost_terms
 
 def test_mixture_cost_common_power_coefficient():
     # p = (0.5, 0.5), q = ((0.8, 0.2), (0.2, 0.8)), costs (1, 10) quadratic:
     # the predicted-1 mixture weight on true class 1 is 0.8, so the blended
-    # quadratic coefficient is 0.8*1 + 0.2*10 = 2.8.
+    # quadratic coefficient is 0.8*1 + 0.2*10 = 2.8, and label 2's is 8.2.
     cfg = make_two_class(prevalences=(0.5, 0.5), service_rates=(1.0, 1.0),
                          confusion=((0.8, 0.2), (0.2, 0.8)))
     params = derive_predicted_params(cfg)
+    e, s = cost_terms(cfg.costs, params.mix_weights)
+    assert e.tolist() == [1.0] and s.shape == (1, 2)
+    assert s[0] == pytest.approx([2.8, 8.2], abs=1e-14)
+    # C~(t) = c~ t^2 / 2 and C~'(t) = c~ t, as the oracle mixture prices them
     mix = MixtureCost(params.mix_weights[:, 0], cfg.costs)
-    assert mix.common_power == 2.0
-    assert mix.coeff == pytest.approx(2.8, abs=1e-14)
-    assert mix(2.0) == pytest.approx(2.8 / 2 * 4.0, abs=1e-12)
-    assert mix.prime(2.0) == pytest.approx(5.6, abs=1e-12)
+    assert mix(2.0) == pytest.approx(s[0, 0] / 2 * 4.0, abs=1e-12)
+    assert mix.prime(2.0) == pytest.approx(s[0, 0] * 2.0, abs=1e-12) == pytest.approx(5.6)
     assert reference_kkt.newton_prime_inv(mix, 5.6) == pytest.approx(2.0, abs=1e-10)
+
+
+@st.composite
+def cost_systems(draw):
+    """A config of 1 to 5 classes whose costs share one power or not, and whose
+    confusion matrix may hold zeros (never on its diagonal, so no label is empty)."""
+    k = draw(st.integers(1, 5))
+    power = st.sampled_from([2.0, 2.5, 3.0, 4.0])
+    powers = [draw(power)] * k if draw(st.booleans()) else [draw(power) for _ in range(k)]
+    entry = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+    q = np.array([[draw(entry) for _ in range(k)] for _ in range(k)])
+    q[np.diag_indices(k)] = [draw(st.floats(0.05, 1.0)) for _ in range(k)]
+    p = np.array([draw(st.floats(0.05, 1.0)) for _ in range(k)])
+    return SystemConfig(lam=draw(st.floats(0.5, 3.0)), prevalences=p / p.sum(),
+                        service_rates=[draw(st.floats(0.5, 5.0)) for _ in range(k)],
+                        costs=tuple(CostFn(draw(st.floats(0.01, 100.0)), pw) for pw in powers),
+                        confusion=q / q.sum(axis=1, keepdims=True))
+
+
+@given(cost_systems())
+@settings(max_examples=200, deadline=None)
+def test_cost_terms_group_the_mixture_by_exponent(cfg):
+    w = derive_predicted_params(cfg).mix_weights
+    e, s = cost_terms(cfg.costs, w)
+    present = {c.power - 1.0 for k, c in enumerate(cfg.costs) if np.any(w[k] > 0)}
+    assert e.tolist() == sorted(present) and np.all(np.diff(e) > 0)
+    assert s.shape == (len(e), cfg.n_classes)
+    mixes = [MixtureCost(w[:, l], cfg.costs) for l in range(cfg.n_classes)]
+    if len(e) == 1:  # the one common-power test: the oracle's monomial, bit for bit
+        assert all(m.common_power == e[0] + 1.0 for m in mixes)
+        assert s[0].tolist() == [m.coeff for m in mixes]
+    for t in (1e-3, 0.7, 1.0, 4.0, 250.0):
+        got = np.sum(s * t ** e[:, None], axis=0)
+        want = np.array([m.prime(t) for m in mixes])
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
+# A cost of coeff 1e-300 whose weight is 1e-30, in one label or in all: its
+# c_k w_kl underflows to 0 but it is present, as it is in the oracle mixture.
+# The split (hex pins) and every index keep their bits.
+_UNDERFLOW = {
+    "one_label": (SystemConfig(2.0, [0.5, 0.5], [1.0, 2.0], (CostFn(1e-300, 3.0), CostFn(1.0)),
+                               [[1.0, 1e-30], [0.4, 0.6]]),
+                  ["0x1.eb851eb851eb7p-2", "0x1.47ae147ae147cp-6", "0x1.eb851eb851eb9p-1",
+                   "0x1.47ae147ae147dp-5", "0x1.70a3d70a3d70ap+1", "0x1.eb851eb851ebap-4"],
+                  ["0x1.1111111111111p-5", "0x1.1111111111112p-3", "0x1.3333333333334p+0"]),
+    "every_label": (SystemConfig(2.0, [1e-30, 1.0], [1.0, 2.0],
+                                 (CostFn(1e-300, 3.0), CostFn(1.0)), [[0.5, 0.5], [0.4, 0.6]]),
+                    ["0x1.9999999999999p-3", "0x1.3333333333333p-2", "0x1.9999999999999p-2",
+                     "0x1.3333333333333p-1", "0x1.3333333333333p+0", "0x1.ccccccccccccdp+0"],
+                    ["0x1.fffffffffffffp-3", "0x1.fffffffffffffp-1", "0x1.2000000000000p+3"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNDERFLOW))
+def test_cost_terms_count_an_underflowing_cost_as_present(name):
+    cfg, x_hex, objective_hex = _UNDERFLOW[name]
+    w = derive_predicted_params(cfg).mix_weights
+    assert 1e-300 * w[0, 1] == 0.0 < w[0, 1]
+    e, s = cost_terms(cfg.costs, w)
+    assert e.tolist() == [1.0, 2.0] and s[1, 1] == 0.0
+    assert MixtureCost(w[:, 1], cfg.costs).common_power is None
+    alloc = kkt_solve(np.array([0.5, 1.0, 3.0]), cfg)
+    assert [v.hex() for v in alloc.x.ravel()] == x_hex
+    assert [v.hex() for v in alloc.objective] == objective_hex
+    for kind in ("oracle", "naive", "pcmu"):
+        new = PolicyRef.for_config(kind, cfg).index
+        old = reference_engine.RefPolicy.for_config(kind, cfg).index
+        for l, n in itertools.product(range(2), (1, 2, 5, 40)):
+            assert new(l, n) == old(l, n), (kind, l, n)
 
 
 def test_mixture_cost_mixed_powers_numeric_inverse():

@@ -77,8 +77,9 @@ def test_analytics_take_the_config_alone():
     for name, params in want.items():
         assert list(inspect.signature(getattr(pqsched, name)).parameters) == params, name
     model = importlib.import_module("pqsched.model")
-    assert "mixture_cost" not in model.__all__
-    assert not hasattr(model, "mixture_cost") and not hasattr(pqsched, "mixture_cost")
+    for name in ("mixture_cost", "MixtureCost"):  # cost_terms prices every label's mixture
+        assert name not in model.__all__, name
+        assert not hasattr(model, name) and not hasattr(pqsched, name), name
 
 
 def test_two_simulation_entries():

@@ -7,10 +7,11 @@ from pqsched import (
     CostFn,
     PolicyRef,
     PredictedClassParams,
+    SystemConfig,
     derive_predicted_params,
 )
 from conftest import make_two_class
-from reference_engine import decide, naive_gcmu_index, oracle_gcmu_index, pcmu_index
+from reference_engine import RefPolicy, decide, naive_gcmu_index, oracle_gcmu_index, pcmu_index
 
 
 def _plain_params():
@@ -101,6 +102,27 @@ def test_index_mixed_powers_falls_back_to_primes():
         for n in (1, 4, 9):
             direct = pcmu_index(l, [n, n], params, cfg.costs)
             assert pol.index(l, n) == pytest.approx(direct, rel=1e-10)
+
+
+@pytest.mark.parametrize("power", [2.0, 2.5, 3.0, 4.0, None])
+def test_index_keeps_the_reference_bits(power):
+    # every index kind on 1 to 5 classes, at one common power or mixed ones
+    # (None), against the index resolved class by class from the oracle
+    # mixtures: each A_l is taken with scalar operations, as there, since
+    # numpy's array ** moves some A_l by an ulp at powers 2.5 and 4
+    rng = np.random.default_rng(int(10 * (power or 0)))
+    for _ in range(60):
+        k = int(rng.integers(1, 6))
+        powers = [power] * k if power else rng.choice([2.0, 2.5, 3.0, 4.0], k)
+        costs = tuple(CostFn(c, p) for c, p in zip(rng.lognormal(0.0, 1.0, k), powers))
+        cfg = SystemConfig(lam=rng.uniform(0.5, 5.0), prevalences=rng.dirichlet(np.ones(k)),
+                           service_rates=rng.uniform(0.5, 5.0, k), costs=costs,
+                           confusion=rng.dirichlet(np.ones(k), k))
+        for kind in ("oracle", "naive", "pcmu"):
+            new = PolicyRef.for_config(kind, cfg).index
+            old = RefPolicy.for_config(kind, cfg).index
+            got = [new(l, n) for l in range(k) for n in (1, 2, 3, 17)]
+            assert got == [old(l, n) for l in range(k) for n in (1, 2, 3, 17)], (kind, cfg)
 
 
 def test_index_zero_queue_and_fcfs(two_class_config):
