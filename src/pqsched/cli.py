@@ -20,7 +20,8 @@ from . import __version__
 from .errors import ConfigError, PqschedError
 # each command imports the simulator, pricing, analytics, triage and ingest
 # modules it runs, so a process loads only those
-from .model import ConfusionMatrix, _check_finite, load_config, load_json, write_csv, write_json
+from .model import (ConfusionMatrix, _check_finite, _confusion_faults, _square, load_config,
+                    load_json, write_csv, write_json)
 from .policies import POLICY_KINDS
 
 
@@ -215,21 +216,42 @@ def cmd_lower_bound(config_path, paths, steps, seed, out_dir):
     click.echo(f"manifest: {manifest}")
 
 
-def _load_candidate(path: str):
-    """Candidate file: either a square JSON array or
-    {"name": ..., "confusion": [[...], ...]}, with stochastic rows of
-    entries in [0, 1].  rank_models checks that it has the config's K."""
+def _read_candidate(path: str) -> tuple:
+    """(name, K x K array) of a candidate file: either a square JSON array or
+    {"name": ..., "confusion": [[...], ...]}."""
     doc = load_json(path)
     try:
-        q = ConfusionMatrix(doc["confusion"] if isinstance(doc, dict) else doc)
+        q = _square(doc["confusion"] if isinstance(doc, dict) else doc)
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed model file: {type(exc).__name__} {exc}") from exc
-    issues = q.issues()
-    if issues:
-        raise ConfigError(f"{path}: {'; '.join(issues)}")
     if isinstance(doc, dict) and "name" in doc:
         return str(doc["name"]), q
     return Path(path).stem, q
+
+
+def _load_candidates(paths) -> list:
+    """(name, K x K array) of every candidate file, which must hold stochastic
+    rows of entries in [0, 1]; rank_models checks that it has the config's K.
+    The files are read in order up to the first that fails to load, and
+    checked as one stack per class count; the first file at fault raises."""
+    models, failure = [], None
+    for path in paths:
+        try:
+            models.append(_read_candidate(path))
+        except (PqschedError, OSError) as exc:   # raised after the faults of the files before it
+            failure = exc
+            break
+    faulty = []
+    for k in {len(q) for _, q in models}:
+        index = [i for i, (_, q) in enumerate(models) if len(q) == k]
+        out_of_range, bad_rows = _confusion_faults(np.stack([models[i][1] for i in index]))
+        faulty += [index[j] for j in np.flatnonzero(out_of_range | bad_rows.any(axis=-1))]
+    if faulty:
+        i = min(faulty)
+        raise ConfigError(f"{paths[i]}: {'; '.join(ConfusionMatrix(models[i][1]).issues())}")
+    if failure is not None:
+        raise failure
+    return models
 
 
 @main.command("select-model")
@@ -247,15 +269,16 @@ def cmd_select_model(config_path, model_paths, out_dir):
                {"models": [str(p) for p in model_paths]})
     config = run.load()
     with run.timed("models"):
-        models = [_load_candidate(p) for p in model_paths]
+        models = _load_candidates(model_paths)
     with run.timed("rank"):
         ranked = ht.rank_models(models, config)
     criteria = ("relative_regret", "jstar_coeff", "jnaive_coeff")
     with run.timed("write"):
+        # a column of Python floats through repr is its _fmt
         run.write_csv("criteria.csv", ["model_name", *criteria],
-                      [[m.name] + [_fmt(getattr(m, c)) for c in criteria] for m in ranked])
-    for m in ranked:
-        click.echo(f"{m.name}: relative_regret = {m.relative_regret:.6g}")
+                      zip([m.name for m in ranked],
+                          *(map(repr, [getattr(m, c) for m in ranked]) for c in criteria)))
+    click.echo("\n".join(f"{m.name}: relative_regret = {m.relative_regret:.6g}" for m in ranked))
     click.echo(f"manifest: {run.finish()}")
 
 
@@ -267,7 +290,7 @@ def cmd_select_model(config_path, model_paths, out_dir):
 @click.option("--ztx", default=0.5, show_default=True,
               help="Reviewer toxicity threshold.")
 @click.option("--paths", default=2000, show_default=True,
-              help="RBM paths per grid point (shared seeds).")
+              help="RBM paths, drawn once and shared by every grid point.")
 @click.option("--steps", default=400, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
@@ -287,18 +310,19 @@ def cmd_triage(config_path, zfl_grid, ztx, paths, steps, seed, out_dir):
     grid = _parse_grid(zfl_grid)
     mc = triage_mod.McParams(n_paths=paths, n_steps=steps, seed=seed)
     with run.timed("grid"):
-        decisions, skipped = triage_mod.evaluate_grid(config, ztx, grid, mc)
-    best = min(decisions, key=lambda d: d.total)
+        d, skipped = triage_mod.evaluate_grid(config, ztx, grid, mc)
+    best = int(np.argmin(d.total))   # the first of the least totals
     with run.timed("write"):
+        columns = [c.tolist() for c in (d.z_fl, d.z_tx, d.gamma, d.filtering, d.hiring,
+                                        d.misclassification, d.queueing, d.total)]
         run.write_csv("triage.csv", ["z_fl", "z_tx", "gamma", "filtering", "hiring",
                                      "misclass", "queueing", "total"],
-                      [[_fmt(x) for x in (d.z_fl, d.z_tx, d.gamma, d.filtering, d.hiring,
-                                          d.misclassification, d.queueing, d.total)]
-                       for d in decisions + [best]])
-    click.echo(f"argmin: z_fl = {best.z_fl:.4g}, z_tx = {best.z_tx:.4g}, "
-               f"total = {best.total:.6g} (Gamma = {best.gamma:.4g})")
-    argmin = {"z_fl": best.z_fl, "z_tx": best.z_tx}
-    manifest = run.finish(grid_points=len(decisions), argmin=argmin, skipped=skipped)
+                      zip(*(map(repr, c + [c[best]]) for c in columns)))
+    z_fl, z_tx, gamma, *_, total = (c[best] for c in columns)
+    click.echo(f"argmin: z_fl = {z_fl:.4g}, z_tx = {z_tx:.4g}, "
+               f"total = {total:.6g} (Gamma = {gamma:.4g})")
+    manifest = run.finish(grid_points=d.total.size, argmin={"z_fl": z_fl, "z_tx": z_tx},
+                          skipped=skipped)
     click.echo(f"manifest: {manifest}")
 
 

@@ -87,9 +87,7 @@ class ConfusionMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _as_readonly(self.entries))
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
-            raise ConfigError(f"confusion matrix must be square, got shape {self.entries.shape}")
+        object.__setattr__(self, "entries", _square(self.entries))
 
     @classmethod
     def identity(cls, k: int) -> "ConfusionMatrix":
@@ -105,14 +103,28 @@ class ConfusionMatrix:
     def issues(self) -> list[str]:
         """Structural problems, as stable codes with detail: SystemConfig's
         constructor and select-model's candidate files refuse any."""
-        out = []
         q = self.entries
-        if not np.all((q >= 0) & (q <= 1)):  # NaN included
-            out.append("EntryOutOfRange: confusion entries must lie in [0, 1]")
-        bad = np.nonzero(np.abs(q.sum(axis=1) - 1.0) > _ROW_SUM_TOL)[0]
-        for k in bad:
-            out.append(f"RowNotStochastic: row {k} sums to {q[k].sum():.15g}")
-        return out
+        out_of_range, bad_rows = _confusion_faults(q)
+        out = ["EntryOutOfRange: confusion entries must lie in [0, 1]"] if out_of_range else []
+        return out + [f"RowNotStochastic: row {k} sums to {q[k].sum():.15g}"
+                      for k in np.flatnonzero(bad_rows)]
+
+
+def _square(a) -> np.ndarray:
+    """a as a read-only float array; ConfigError unless it is a square matrix."""
+    q = _as_readonly(a)
+    if q.ndim != 2 or q.shape[0] != q.shape[1]:
+        raise ConfigError(f"confusion matrix must be square, got shape {q.shape}")
+    return q
+
+
+def _confusion_faults(q) -> tuple:
+    """(out_of_range, bad_rows) of confusion matrices q shaped (..., K, K):
+    out_of_range[...] where some entry lies outside [0, 1] (NaN included),
+    bad_rows[..., k] where row k does not sum to 1 within _ROW_SUM_TOL.  The
+    rule of ConfusionMatrix.issues, on one matrix or a stack of them."""
+    return (~np.all((q >= 0) & (q <= 1), axis=(-2, -1)),
+            np.abs(q.sum(axis=-1) - 1.0) > _ROW_SUM_TOL)
 
 
 @dataclass(frozen=True)

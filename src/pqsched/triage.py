@@ -22,7 +22,8 @@ critical load, which is what makes the RBM approximation the right tool.
 total_cost prices the four parts and reviewer_params gives one reviewer's
 primitives, at thresholds or arrays of them; evaluate_grid prices a whole
 grid in one array pass: one interpolation per curve, elementwise formulas
-and one unit-RBM draw.
+and one unit-RBM draw shared by every point.  Its decisions come back as
+columns, one array per cost, not one object per point.
 """
 
 from __future__ import annotations
@@ -384,25 +385,24 @@ def _decisions(z_fl, z_tx, config: TriageConfig, mc: McParams) -> tuple:
 def evaluate_grid(config: TriageConfig, z_tx, zfl_grid,
                   mc: McParams = McParams()) -> tuple:
     """total_cost at every feasible (z_fl, z_tx) pair, as one array pass
-    with common random numbers: (decisions, skipped).
+    with common random numbers: (decisions, skipped), decisions one
+    TriageDecision of 1-D arrays, a point per entry, in (z_fl, z_tx) order.
 
     z_tx may be a scalar or a grid; pairs with z_tx < z_fl are skipped, and
     so are filtering levels staffed below their passing share (q > 1);
     skipped counts them as "z_tx_below_z_fl" and "gamma_below_pass_share".
-    Raises EmptyGridError if no pair is left.  Decisions are ordered by
-    (z_fl, z_tx).
+    Raises EmptyGridError if no pair is left.
     """
     axes = (np.sort(np.atleast_1d(np.asarray(g, dtype=float)), kind="stable")
             for g in (zfl_grid, z_tx))
     z_fl, z_tx = (a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
-    feasible, kept = ~(z_tx < z_fl), []
+    feasible, understaffed = ~(z_tx < z_fl), np.ones(0, dtype=bool)
     if feasible.any():
         d, understaffed = _decisions(*_check_thresholds((z_fl[feasible], z_tx[feasible])),
                                      config, mc)
-        points = zip(*(v.tolist() for v in vars(d).values()))
-        kept = [TriageDecision(*p) for p, bad in zip(points, understaffed.tolist()) if not bad]
-    if not kept:
+    if understaffed.all():   # true too when no pair was feasible
         raise EmptyGridError("no feasible (z_fl, z_tx) pair on the grids")
+    kept = TriageDecision(**{name: value[~understaffed] for name, value in vars(d).items()})
     return kept, {"z_tx_below_z_fl": int(np.count_nonzero(~feasible)),
                   "gamma_below_pass_share": int(np.count_nonzero(understaffed))}
 

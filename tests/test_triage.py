@@ -425,7 +425,8 @@ def test_evaluate_grid_order_and_feasibility():
     grid = [0.4, 0.1, 0.3]
     decisions, skipped = evaluate_grid(cfg, 0.35, grid, FAST_MC)
     # infeasible pair (0.4, 0.35) dropped and counted; results sorted by z_fl
-    assert [(d.z_fl, d.z_tx) for d in decisions] == [(0.1, 0.35), (0.3, 0.35)]
+    assert list(zip(decisions.z_fl.tolist(), decisions.z_tx.tolist())) == [(0.1, 0.35),
+                                                                           (0.3, 0.35)]
     assert skipped == {"z_tx_below_z_fl": 1, "gamma_below_pass_share": 0}
     with pytest.raises(EmptyGridError):
         evaluate_grid(cfg, 0.05, [0.2, 0.3], FAST_MC)
@@ -436,23 +437,23 @@ def test_evaluate_grid_common_random_numbers():
     grid = np.linspace(0.05, 0.45, 5)
     a = evaluate_grid(cfg, 0.5, grid, FAST_MC)[0]
     b = evaluate_grid(cfg, 0.5, grid, FAST_MC)[0]
-    assert [d.total for d in a] == [d.total for d in b]
+    assert a.total.tolist() == b.total.tolist()
 
 
 def _argmin(cfg, z_tx, grid):
-    """The triage command's argmin: the first decision of least total cost."""
-    return min(evaluate_grid(cfg, z_tx, grid, FAST_MC)[0], key=lambda d: d.total)
+    """The triage command's argmin: the index of the first point of least total cost."""
+    decisions = evaluate_grid(cfg, z_tx, grid, FAST_MC)[0]
+    return decisions, int(np.argmin(decisions.total))
 
 
 def test_grid_argmin_is_the_first_least_total():
     cfg = make_triage()
     grid = np.linspace(0.05, 0.45, 7)
-    decisions = evaluate_grid(cfg, 0.5, grid, FAST_MC)[0]
-    best = _argmin(cfg, 0.5, grid)
-    assert best.total == pytest.approx(min(d.total for d in decisions))
+    decisions, best = _argmin(cfg, 0.5, grid)
+    assert decisions.total[best] == pytest.approx(min(decisions.total.tolist()))
     # duplicated grid point: the first (equal) entry wins
-    dup = _argmin(cfg, 0.5, [0.3, 0.3])
-    assert dup.z_fl == 0.3
+    dup, best = _argmin(cfg, 0.5, [0.3, 0.3])
+    assert best == 0 and dup.z_fl[best] == 0.3
 
 
 def test_mcparams_defaults():
