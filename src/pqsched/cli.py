@@ -21,7 +21,7 @@ from .errors import ConfigError, PqschedError
 # each command imports the simulator, pricing, analytics, triage and ingest
 # modules it runs, so a process loads only those
 from .model import (ConfusionMatrix, _check_finite, _confusion_faults, _square, load_config,
-                    load_json, write_csv, write_json)
+                    load_json, shape_mismatch, write_csv, write_json)
 from .policies import POLICY_KINDS
 
 
@@ -73,10 +73,10 @@ class _Run:
 
     @contextmanager
     def timed(self, stage: str):
-        """Record the wall time of the block as timings[stage], in seconds."""
+        """Add the wall time of the block to timings[stage], in seconds."""
         t0 = time.perf_counter()
         yield
-        self.timings[stage] = round(time.perf_counter() - t0, 6)
+        self.timings[stage] = round(self.timings.get(stage, 0.0) + time.perf_counter() - t0, 6)
 
     def path(self, name: str) -> Path:
         self.out.mkdir(parents=True, exist_ok=True)
@@ -229,11 +229,11 @@ def _read_candidate(path: str) -> tuple:
     return Path(path).stem, q
 
 
-def _load_candidates(paths) -> list:
-    """(name, K x K array) of every candidate file, which must hold stochastic
-    rows of entries in [0, 1]; rank_models checks that it has the config's K.
-    The files are read in order up to the first that fails to load, and
-    checked as one stack per class count; the first file at fault raises."""
+def _load_candidates(paths, k: int) -> tuple:
+    """(names, (n, k, k) stack) of the candidate files: k x k, stochastic rows,
+    entries in [0, 1].  Read in order up to the first file that fails to load
+    and checked as one stack per class count; the first file at fault raises,
+    then the load failure, then the first candidate that is not k x k."""
     models, failure = [], None
     for path in paths:
         try:
@@ -241,17 +241,21 @@ def _load_candidates(paths) -> list:
         except (PqschedError, OSError) as exc:   # raised after the faults of the files before it
             failure = exc
             break
-    faulty = []
-    for k in {len(q) for _, q in models}:
-        index = [i for i, (_, q) in enumerate(models) if len(q) == k]
-        out_of_range, bad_rows = _confusion_faults(np.stack([models[i][1] for i in index]))
+    stacks, faulty = {}, []
+    for n in {len(q) for _, q in models}:
+        index = [i for i, (_, q) in enumerate(models) if len(q) == n]
+        stacks[n] = np.stack([models[i][1] for i in index])
+        out_of_range, bad_rows = _confusion_faults(stacks[n])
         faulty += [index[j] for j in np.flatnonzero(out_of_range | bad_rows.any(axis=-1))]
     if faulty:
         i = min(faulty)
         raise ConfigError(f"{paths[i]}: {'; '.join(ConfusionMatrix(models[i][1]).issues())}")
     if failure is not None:
         raise failure
-    return models
+    for name, q in models:
+        if len(q) != k:
+            raise ConfigError(shape_mismatch({"config": k, f"candidate {name!r}": q.shape}))
+    return [name for name, _ in models], stacks[k]
 
 
 @main.command("select-model")
@@ -269,16 +273,15 @@ def cmd_select_model(config_path, model_paths, out_dir):
                {"models": [str(p) for p in model_paths]})
     config = run.load()
     with run.timed("models"):
-        models = _load_candidates(model_paths)
+        names, stack = _load_candidates(model_paths, config.n_classes)
     with run.timed("rank"):
-        ranked = ht.rank_models(models, config)
-    criteria = ("relative_regret", "jstar_coeff", "jnaive_coeff")
+        order, *columns = ht.rank_models(stack, config)
     with run.timed("write"):
         # a column of Python floats through repr is its _fmt
-        run.write_csv("criteria.csv", ["model_name", *criteria],
-                      zip([m.name for m in ranked],
-                          *(map(repr, [getattr(m, c) for m in ranked]) for c in criteria)))
-    click.echo("\n".join(f"{m.name}: relative_regret = {m.relative_regret:.6g}" for m in ranked))
+        names, columns = [names[i] for i in order.tolist()], [c[order].tolist() for c in columns]
+        run.write_csv("criteria.csv", ["model_name", "relative_regret", "jstar_coeff",
+                                       "jnaive_coeff"], zip(names, *(map(repr, c) for c in columns)))
+    click.echo("\n".join(f"{n}: relative_regret = {r:.6g}" for n, r in zip(names, columns[0])))
     click.echo(f"manifest: {run.finish()}")
 
 
@@ -344,18 +347,16 @@ def cmd_estimate(csv_path, threshold, out_dir):
         table = ingest_mod.read_validation_csv(csv_path)
     blank = {c: table.blank_line(c) for c in ("predicted_class", "score", "service_time")}
     skipped = {}   # output left out -> why
-    if threshold is not None or blank["predicted_class"] is None:
+    # every estimate is made before the first file is written, so a refused one leaves none
+    confusion = threshold is not None or blank["predicted_class"] is None
+    if confusion:
         with run.timed("confusion"):
             q_hat, p_hat = ingest_mod.estimate_confusion(table, threshold=threshold)
-            K = q_hat.n_classes
-            run.write_csv("confusion.csv", ["true_class"] + [f"q_{l+1}" for l in range(K)],
-                          [[k + 1] + [_fmt(x) for x in q_hat.row(k)] for k in range(K)])
-        click.echo(f"confusion: {K} classes from {len(table)} records")
     else:
         skipped["confusion.csv"] = ("no --threshold and predicted_class blank on line "
                                     f"{blank['predicted_class']}")
-
     with run.timed("rates"):
+        ingest_mod._check_class_count(table, int(table.true_class.max()) + 1)
         columns = [np.bincount(table.true_class) / len(table)]   # one entry per true class
         n_classes = columns[0].size
         if blank["service_time"] is None:
@@ -363,6 +364,14 @@ def cmd_estimate(csv_path, threshold, out_dir):
         else:
             skipped["rates.csv mu_hat, alpha_v_hat"] = (
                 f"service_time blank on line {blank['service_time']}")
+
+    if confusion:
+        with run.timed("confusion"):
+            K = q_hat.n_classes
+            run.write_csv("confusion.csv", ["true_class"] + [f"q_{l+1}" for l in range(K)],
+                          [[k + 1] + [_fmt(x) for x in q_hat.row(k)] for k in range(K)])
+        click.echo(f"confusion: {K} classes from {len(table)} records")
+    with run.timed("rates"):
         run.write_csv("rates.csv",
                       ["class", "prevalence", "mu_hat", "alpha_v_hat"][:len(columns) + 1],
                       [[k + 1] + [_fmt(column[k]) for column in columns]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +39,6 @@ __all__ = [
     "jstar",
     "jnaive",
     "relative_regret",
-    "RankedModel",
     "rank_models",
 ]
 
@@ -431,38 +429,23 @@ def jnaive(config: SystemConfig, w_paths: WorkloadPathSet) -> JEstimate:
 
 
 def relative_regret(config: SystemConfig) -> float:
-    """jstar coefficient of config over that of config.with_confusion(I), the
-    perfect classifier.  >= 1, equal to 1 iff the classifier costs nothing;
-    the W factor cancels, so the ratio needs no simulation."""
-    num = quadratic_coefficients(config).jstar_coeff
-    den = quadratic_coefficients(config.with_confusion(np.eye(config.n_classes))).jstar_coeff
-    return float(num / den)
+    """jstar coefficient of config over that of the perfect classifier I.
+    >= 1, equal to 1 iff the classifier costs nothing; the W factor cancels,
+    so the ratio needs no simulation."""
+    return float(rank_models(config.confusion.entries[None], config)[1][0])
 
 
-@dataclass(frozen=True)
-class RankedModel:
-    name: str
-    relative_regret: float
-    jstar_coeff: float
-    jnaive_coeff: float
+def rank_models(q, config: SystemConfig) -> tuple:
+    """(order, relative_regret, jstar_coeff, jnaive_coeff) of an (n, K, K)
+    stack q of candidate confusion matrices priced under config.
 
-
-def rank_models(models: Sequence[tuple], config: SystemConfig) -> list:
-    """Order candidate confusion matrices by scheduling regret (ascending).
-
-    models is a sequence of (name, confusion) pairs, priced under config as
-    one stack; a confusion that is not K x K is a ConfigError (ShapeMismatch)
-    naming it.  Sorting is stable, so exact ties keep input order.
+    The three value columns are (n,) in input order; order is their stable
+    argsort by regret (ascending), so exact ties keep input order.  A stack
+    of another shape is a ConfigError (ShapeMismatch).
     """
-    k = config.n_classes
-    stack = np.empty((len(models), k, k))
-    for i, (name, q) in enumerate(models):
-        q = np.asarray(getattr(q, "entries", q), dtype=float)
-        if q.shape != (k, k):
-            raise ConfigError(shape_mismatch({"config": k, f"candidate {name!r}": q.shape}))
-        stack[i] = q
-    _, _, jstar_coeff, jnaive_coeff, _ = _stiffness(config, stack)
+    q, k = np.asarray(q, dtype=float), config.n_classes
+    if q.ndim != 3 or q.shape[1:] != (k, k):
+        raise ConfigError(shape_mismatch({"config": k, "candidates": q.shape}))
+    _, _, jstar_coeff, jnaive_coeff, _ = _stiffness(config, q)
     regret = jstar_coeff / _stiffness(config, np.eye(k))[2]
-    return [RankedModel(str(models[i][0]), float(regret[i]), float(jstar_coeff[i]),
-                        float(jnaive_coeff[i]))
-            for i in np.argsort(regret, kind="stable")]
+    return np.argsort(regret, kind="stable"), regret, jstar_coeff, jnaive_coeff

@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, EmptyClassError, IngestError, ZeroColumnError
-from .model import ConfusionMatrix
+from .model import ConfusionMatrix, _check_finite
 
 __all__ = [
     "ValidationTable",
@@ -258,6 +258,17 @@ def read_validation_csv(path) -> ValidationTable:
     return ValidationTable(line=lines, reader="per-row" if clean is None else "numpy", **table)
 
 
+def _check_class_count(table: ValidationTable, k: int):
+    """EmptyClassError naming the first true class with no row when the class
+    count k exceeds the row count, as then some class has none.  Callers
+    check k before they make anything k-sized."""
+    if k > len(table):
+        seen = np.zeros(len(table) + 1, bool)   # the first missing class is at most len(table)
+        seen[table.true_class[table.true_class <= len(table)]] = True
+        raise EmptyClassError(f"no records for true class {int(np.argmin(seen)) + 1}: the labels "
+                              f"give {k} classes, more than the {len(table)} rows")
+
+
 def estimate_confusion(table: ValidationTable,
                        threshold: Optional[float] = None,
                        laplace: float = 0.0):
@@ -282,6 +293,7 @@ def estimate_confusion(table: ValidationTable,
     if blank is not None:
         raise IngestError(f"line {blank}: " + ("no predicted_class and no threshold given"
                                                if threshold is None else "no score to threshold"))
+    _check_class_count(table, K)
     pred = table.predicted_class if threshold is None else np.where(table.score >= threshold, 0, 1)
     counts = np.bincount(table.true_class * K + pred, minlength=K * K).reshape(K, K)
     totals = np.bincount(table.true_class, minlength=K)
@@ -301,10 +313,11 @@ def estimate_confusion(table: ValidationTable,
 
 def estimate_rates(table: ValidationTable):
     """Per-class service rates and second moments, (mu_hat, alpha_v_hat), one
-    entry per true class up to the largest."""
+    entry per true class up to the largest; each must be finite."""
     blank = table.blank_line("service_time")
     if blank is not None:
         raise IngestError(f"line {blank}: missing service_time")
+    _check_class_count(table, int(table.true_class.max()) + 1)
     counts = np.bincount(table.true_class)
     # bincount adds the weights in row order, as a running sum would; squares
     # are Python's x ** 2 (C pow), which np.square and x * x can miss by an
@@ -314,13 +327,22 @@ def estimate_rates(table: ValidationTable):
     squares = np.empty(len(table))
     for start in range(0, len(table), _SQUARE_ROWS):
         chunk = table.service_time[start:start + _SQUARE_ROWS]
-        squares[start:start + chunk.size] = np.fromiter(
-            map(pow, chunk.tolist(), repeat(2)), float, chunk.size)
+        try:
+            squares[start:start + chunk.size] = np.fromiter(
+                map(pow, chunk.tolist(), repeat(2)), float, chunk.size)
+        except OverflowError:   # a square past the float range: its class is refused below
+            with np.errstate(over="ignore"):
+                squares[start:start + chunk.size] = chunk * chunk
     sq_sums = np.bincount(table.true_class, weights=squares)
     missing = np.nonzero(counts == 0)[0]
     if missing.size:
         raise EmptyClassError(f"no service times for class(es) {[int(k) + 1 for k in missing]}")
-    return counts / sums, sq_sums / counts   # (mu_hat, alpha_v_hat)
+    with np.errstate(over="ignore"):   # a subnormal mean service time overflows its rate
+        mu_hat, alpha_v_hat = counts / sums, sq_sums / counts
+    for k in np.flatnonzero(~np.isfinite(mu_hat) | ~np.isfinite(alpha_v_hat))[:1].tolist():
+        _check_finite({f"class {k + 1} mu_hat": mu_hat[k],
+                       f"class {k + 1} alpha_v_hat": alpha_v_hat[k]}, "overflows the float range")
+    return mu_hat, alpha_v_hat
 
 
 def scores_by_class(table: ValidationTable) -> list:

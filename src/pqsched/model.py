@@ -472,10 +472,17 @@ def write_json(path, doc):
 
 
 def load_json(path):
-    """Parse a JSON file; malformed JSON becomes a ConfigError naming the file."""
+    """Parse a JSON file; malformed JSON, or an integer literal that no float
+    holds, becomes a ConfigError naming the file."""
+    def parse_int(literal: str) -> int:
+        if math.isinf(float(literal)):   # rounded as float(int(literal)), with no digit limit
+            raise ConfigError(f"{path}: integer {literal[:10]}... ({len(literal)} characters) "
+                              "overflows the float range")
+        return int(literal)
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=parse_int)
         except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
 

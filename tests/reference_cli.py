@@ -2,8 +2,10 @@
 
 This is the per-object path pqsched used to ship.  `select-model` read its
 candidate files one at a time, building a `ConfusionMatrix` for each and
-running its `issues()` check before it read the next file; it wrote one
-`criteria.csv` row and one stdout line per ranked model.  `evaluate_grid`
+running its `issues()` check before it read the next file; `rank_models`
+copied the candidates one by one into a stack, checking the shape of each,
+and returned one `RankedModel` per candidate, from which the command wrote
+one `criteria.csv` row and one stdout line per ranked model.  `evaluate_grid`
 turned its one array pass into a list of `TriageDecision`s, one per kept
 point, and `triage` formatted each of them, then the first of least total,
 into a `triage.csv` row.  The functions are copied unchanged but for their
@@ -14,18 +16,49 @@ Nothing in `src/` imports this module.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from pqsched.cli import _fmt
 from pqsched.errors import ConfigError, EmptyGridError
-from pqsched.httheory import rank_models
-from pqsched.model import ConfusionMatrix, load_json
+from pqsched.httheory import _stiffness
+from pqsched.model import ConfusionMatrix, SystemConfig, load_json, shape_mismatch
 from pqsched.triage import McParams, TriageConfig, TriageDecision, _check_thresholds, _decisions
 
 CRITERIA = ("relative_regret", "jstar_coeff", "jnaive_coeff")
 TRIAGE_HEADER = ["z_fl", "z_tx", "gamma", "filtering", "hiring", "misclass", "queueing", "total"]
+
+
+@dataclass(frozen=True)
+class RankedModel:
+    name: str
+    relative_regret: float
+    jstar_coeff: float
+    jnaive_coeff: float
+
+
+def rank_models(models: Sequence[tuple], config: SystemConfig) -> list:
+    """Order candidate confusion matrices by scheduling regret (ascending).
+
+    models is a sequence of (name, confusion) pairs, priced under config as
+    one stack; a confusion that is not K x K is a ConfigError (ShapeMismatch)
+    naming it.  Sorting is stable, so exact ties keep input order.
+    """
+    k = config.n_classes
+    stack = np.empty((len(models), k, k))
+    for i, (name, q) in enumerate(models):
+        q = np.asarray(getattr(q, "entries", q), dtype=float)
+        if q.shape != (k, k):
+            raise ConfigError(shape_mismatch({"config": k, f"candidate {name!r}": q.shape}))
+        stack[i] = q
+    _, _, jstar_coeff, jnaive_coeff, _ = _stiffness(config, stack)
+    regret = jstar_coeff / _stiffness(config, np.eye(k))[2]
+    return [RankedModel(str(models[i][0]), float(regret[i]), float(jstar_coeff[i]),
+                        float(jnaive_coeff[i]))
+            for i in np.argsort(regret, kind="stable")]
 
 
 def load_candidate(path: str):

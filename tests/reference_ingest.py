@@ -4,7 +4,9 @@ This is the per-row path pqsched used to ship: `csv.DictReader` builds one
 `ValidationRecord` per data row, and the estimators loop over the records.
 Everything below `as_table` is copied unchanged but the class-count rule of
 `_infer_n_classes`, which counts predicted classes only for an estimator
-that reads them (the confusion without a threshold), as the package does.
+that reads them (the confusion without a threshold), as the package does,
+and `_check_class_count`, the package's refusal of more classes than
+records, with the first class that has none.
 Its errors cite 0-based record numbers where the columnar estimators cite
 CSV lines.
 
@@ -123,6 +125,14 @@ def _infer_n_classes(records: Sequence[ValidationRecord],
     return n_classes
 
 
+def _check_class_count(records: Sequence[ValidationRecord], K: int):
+    if K > len(records):
+        seen = {r.true_class for r in records}
+        first = min(k for k in range(K) if k not in seen)
+        raise EmptyClassError(f"no records for true class {first + 1}: the labels give {K} "
+                              f"classes, more than the {len(records)} rows")
+
+
 def estimate_confusion(records: Sequence[ValidationRecord],
                        threshold: Optional[float] = None,
                        n_classes: Optional[int] = None,
@@ -152,6 +162,7 @@ def estimate_confusion(records: Sequence[ValidationRecord],
                                   "no threshold given")
             pred = rec.predicted_class
         counts[rec.true_class, pred] += 1
+    _check_class_count(records, K)
     missing = np.nonzero(totals == 0)[0]
     if missing.size:
         raise EmptyClassError(
@@ -180,6 +191,7 @@ def estimate_rates(records: Sequence[ValidationRecord],
         counts[rec.true_class] += 1
         sums[rec.true_class] += rec.service_time
         sq_sums[rec.true_class] += rec.service_time ** 2
+    _check_class_count(records, K)
     missing = np.nonzero(counts == 0)[0]
     if missing.size:
         raise EmptyClassError(

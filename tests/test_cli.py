@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -581,6 +582,80 @@ def test_non_finite_config_number_fails_before_writing(runner, tmp_path):
     assert not out.exists()
 
 
+def _assert_refused_quietly(result, out, error):
+    """Exit 1 with the one stderr line "Error: <error>", nothing on stdout, no
+    output directory, and no warning: they run as errors."""
+    assert (result.exit_code, result.stdout, result.stderr) == (1, "", f"Error: {error}\n")
+    assert not out.exists()
+
+
+def _invoke_warnings_as_errors(runner, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return runner.invoke(main, args)
+
+
+BIG_INT = "1" + "0" * 400   # a JSON integer literal that no float holds
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("simulate", "config"), ("lower-bound", "config"), ("triage", "config"),
+    ("select-model", "config"), ("select-model", "model")])
+def test_json_integer_beyond_the_float_range_is_one_error_line(runner, tmp_path, command, bad):
+    # once a raw OverflowError traceback from the loaders' float()
+    # rho = 1 once lambda is 1, so no HeavyTrafficDeviation warning reaches stderr
+    system = {**README_CONFIG, "service_rates": [1.0, 1.0]}
+    doc, key = (TRIAGE_DOC, "Lambda") if command == "triage" else (system, "lambda")
+    files = {"config": {**doc, key: "BIG"}, "model": [[1.0, 0.0], [0.0, "BIG"]]}
+    paths = {name: tmp_path / f"{name}.json" for name in files}
+    for name, content in files.items():
+        if name != bad:
+            content = json.loads(json.dumps(content).replace('"BIG"', "1"))
+        paths[name].write_text(json.dumps(content).replace('"BIG"', BIG_INT))
+    args = [command, "--config", str(paths["config"])]
+    if command == "select-model":
+        args += ["--model", str(paths["model"])]
+    out = tmp_path / "o"
+    result = _invoke_warnings_as_errors(runner, [*args, "--out", str(out)])
+    _assert_refused_quietly(result, out, f"{paths[bad]}: integer 1000000000... (401 characters) "
+                                         "overflows the float range")
+
+
+@pytest.mark.parametrize("label", [40, 10 ** 8, 2 ** 63 - 1])
+@pytest.mark.parametrize("header, rest", [
+    # estimate_confusion refuses; estimate_rates with confusion skipped; the
+    # prevalence count alone
+    ("true_class,predicted_class,service_time", (",1,1.0", ",2,1.0", ",1,1.0")),
+    ("true_class,service_time", (",1.0",) * 3),
+    ("true_class,score", (",0.5",) * 3)], ids=["confusion", "rates", "prevalence"])
+def test_estimate_refuses_more_classes_than_rows(runner, tmp_path, label, header, rest):
+    # once a K x K allocation: a MemoryError or OverflowError traceback, or a
+    # line listing every class up to the label
+    csv_path = tmp_path / "validation.csv"
+    rows = [f"{k}{tail}" for k, tail in zip((1, 2, label), rest)]
+    csv_path.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "est"
+    result = _invoke_warnings_as_errors(runner, ["estimate", "--csv", str(csv_path),
+                                                 "--out", str(out)])
+    _assert_refused_quietly(result, out, f"no records for true class 3: the labels give {label} "
+                                         "classes, more than the 3 rows")
+
+
+@pytest.mark.parametrize("service, error", [
+    # a subnormal mean: its reciprocal overflows, once printed as a numpy warning
+    ("1e-320", "NonFinite: class 1 mu_hat = inf (overflows the float range)"),
+    # a square past the float range: once an OverflowError traceback
+    ("1e200", "NonFinite: class 1 alpha_v_hat = inf (overflows the float range)")])
+def test_estimate_refuses_non_finite_rates_before_writing(runner, tmp_path, service, error):
+    csv_path = tmp_path / "validation.csv"
+    csv_path.write_text("true_class,predicted_class,service_time\n"
+                        f"1,1,{service}\n2,2,1.0\n1,2,{service}\n")
+    out = tmp_path / "est"
+    result = _invoke_warnings_as_errors(runner, ["estimate", "--csv", str(csv_path),
+                                                 "--out", str(out)])
+    _assert_refused_quietly(result, out, error)
+
+
 @pytest.mark.parametrize("command", ["lower-bound", "simulate"])
 @pytest.mark.parametrize("key", ["arrival_dist", "service_dist"])
 def test_overflowing_second_moment_is_one_error_line(tmp_path, command, key):
@@ -831,7 +906,7 @@ def test_model_file_without_confusion(runner, tmp_path, config_path):
 
 
 @pytest.mark.parametrize("confusion, needle", [
-    # rank_models names a candidate of the wrong K by its file's stem, not its path
+    # select-model names a candidate of the wrong K by its file's stem, not its path
     ([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
      "Error: ShapeMismatch: config(2), candidate 'model'(3,3) disagree"),
     ([[0.9, 0.3], [0.2, 0.8]], "RowNotStochastic: row 0 sums to 1.2"),

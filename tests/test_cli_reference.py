@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqsched import McParams, config_from_json
@@ -25,7 +25,7 @@ SYSTEM = {"lambda": 1.0, "prevalences": [0.5, 0.5], "service_rates": [1.0, 1.0],
           "costs": [{"coeff": 1.0, "power": 2.0}, {"coeff": 10.0, "power": 2.0}],
           "confusion": [[1.0, 0.0], [0.0, 1.0]], "horizon": 1.0}
 
-# every text but the good ones is at fault; wrong_k is refused by rank_models
+# every text but the good ones is at fault; wrong_k is refused as not K x K
 CANDIDATES = {
     "truncated": '{"name": "m", "confusion": [[0.9, 0.1], [0.2',
     "no_confusion": '{"name": "m"}',
@@ -61,6 +61,8 @@ def _run(args, out):
 
 @settings(max_examples=80, deadline=None)
 @given(texts=st.lists(candidates, min_size=1, max_size=6))
+# two files of the wrong K: the first is named
+@example(texts=[CANDIDATES["wrong_k"], "[[1.0, 0.0], [0.0, 1.0]]", CANDIDATES["wrong_k"]])
 def test_select_model_error_and_bytes_match_the_per_file_oracle(texts):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

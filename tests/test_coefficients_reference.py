@@ -59,7 +59,8 @@ def test_kernel_matches_reference(system):
         config.lam, config.prevalences, config.service_rates,
         np.array([fn.coeff for fn in config.costs]), stack)
     stacked = dict(zip(FIELDS, (1.0 / inv_beta, 1.0 / inv_naive, jstar_coeff, jnaive_coeff)))
-    ranked = {m.name: m for m in rank_models([(str(i), q) for i, q in enumerate(stack)], config)}
+    _, regret, ranked_jstar, ranked_jnaive = rank_models(stack, config)
+    clean = quadratic_coefficients(config.with_confusion(np.eye(config.n_classes))).jstar_coeff
     for i, q in enumerate(stack):
         want = ref.quadratic_coefficients(config.with_confusion(q))
         single = quadratic_coefficients(config.with_confusion(q))
@@ -67,9 +68,10 @@ def test_kernel_matches_reference(system):
             assert _close(getattr(single, field), getattr(want, field)), field
             # a matrix's coefficients do not depend on the stack it is priced in
             assert np.array_equal(stacked[field][i], getattr(single, field)), field
-        m = ranked[str(i)]
-        assert (m.jstar_coeff, m.jnaive_coeff) == (single.jstar_coeff, single.jnaive_coeff)
-        assert m.relative_regret == relative_regret(config.with_confusion(q))
+        assert (ranked_jstar[i], ranked_jnaive[i]) == (single.jstar_coeff, single.jnaive_coeff)
+        assert regret[i] == relative_regret(config.with_confusion(q))
+        # relative_regret prices I in the stack's kernel, not as a second config
+        assert relative_regret(config.with_confusion(q)) == float(single.jstar_coeff / clean)
         assert np.ndim(single.jstar_coeff) == 0 and jstar_coeff.shape == (len(stack),)
 
 
@@ -85,10 +87,10 @@ def test_rank_models_matches_reference_on_benchmark_candidates():
         coeffs = ref.quadratic_coefficients(config.with_confusion(q))
         want.append((name, coeffs.jstar_coeff / den, coeffs.jstar_coeff, coeffs.jnaive_coeff))
     want.sort(key=lambda m: m[1])
-    got = rank_models(models, config)
-    assert [m.name for m in got] == [m[0] for m in want]
-    for m, w in zip(got, want):
-        assert _close([m.relative_regret, m.jstar_coeff, m.jnaive_coeff], w[1:])
+    order, *got = rank_models(np.stack([q.entries for _, q in models]), config)
+    assert [models[i][0] for i in order] == [m[0] for m in want]
+    for i, w in zip(order, want):
+        assert _close([c[i] for c in got], w[1:])
 
 
 # ------------------------------------------------ a label never predicted
@@ -105,10 +107,9 @@ def test_dead_label_takes_the_one_class_limit(dead, two_class_config):
     assert np.isfinite(regret) and regret >= 1.0
     assert regret == pytest.approx(relative_regret(two_class_config.with_confusion(near)),
                                    rel=1e-6)
-    ranked = {m.name: m for m in rank_models([("dead", q), ("near", near)], two_class_config)}
-    assert ranked["dead"].relative_regret == pytest.approx(regret, rel=RTOL)
-    for field in ("relative_regret", "jstar_coeff", "jnaive_coeff"):
-        at, beside = getattr(ranked["dead"], field), getattr(ranked["near"], field)
+    _, *ranked = rank_models(np.stack([q.entries, near.entries]), two_class_config)
+    assert ranked[0][0] == pytest.approx(regret, rel=RTOL)
+    for field, (at, beside) in zip(("relative_regret", "jstar_coeff", "jnaive_coeff"), ranked):
         assert np.isfinite(at) and at == pytest.approx(beside, rel=1e-6), field
     coeffs = quadratic_coefficients(at_dead)
     assert coeffs.beta[dead] == np.inf and coeffs.beta_naive[dead] == np.inf

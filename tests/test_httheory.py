@@ -491,28 +491,27 @@ def test_wrong_shape_confusions_are_one_line_config_errors(two_class_config):
         with pytest.raises(ConfigError, match=r"^ShapeMismatch: prevalences\(2\), "
                            r"service_rates\(2\), costs\(2\), confusion\(3\) disagree$"):
             build()
-    for candidate, shown in ((np.eye(3), "(3,3)"), (np.ones((2, 3)) / 3, "(2,3)"),
-                             (np.eye(2)[None], "(1,2,2)")):
+    # rank_models takes an (n, K, K) stack; the CLI names a candidate file of the wrong K
+    for candidates, shown in ((np.eye(3)[None], "(1,3,3)"), (np.ones((2, 2, 3)) / 3, "(2,2,3)"),
+                              (np.eye(2), "(2,2)"), (np.eye(2)[None, None], "(1,1,2,2)")):
         with pytest.raises(ConfigError) as err:
-            rank_models([("ok", np.eye(2)), ("big", candidate)], two_class_config)
-        assert str(err.value) == f"ShapeMismatch: config(2), candidate 'big'{shown} disagree"
+            rank_models(candidates, two_class_config)
+        assert str(err.value) == f"ShapeMismatch: config(2), candidates{shown} disagree"
 
 
 def test_rank_models_orders_and_is_stable(two_class_config):
     noisy = ((0.7, 0.3), (0.3, 0.7))
     mild = ((0.95, 0.05), (0.05, 0.95))
-    models = [("noisy", ConfusionMatrix(noisy)),
-              ("ident", ConfusionMatrix(IDENTITY)),
-              ("noisy_twin", ConfusionMatrix(noisy)),
-              ("mild", ConfusionMatrix(mild))]
-    ranked = rank_models(models, two_class_config)
-    assert [m.name for m in ranked] == ["ident", "mild", "noisy", "noisy_twin"]
-    regrets = [m.relative_regret for m in ranked]
-    assert regrets == sorted(regrets)
-    assert ranked[0].relative_regret == pytest.approx(1.0, abs=1e-12)
-    assert ranked[2].jstar_coeff == pytest.approx(ranked[3].jstar_coeff)
-    single = rank_models([("only", ConfusionMatrix(IDENTITY))], two_class_config)
-    assert len(single) == 1 and single[0].name == "only"
+    names = ["noisy", "ident", "noisy_twin", "mild"]
+    order, regret, jstar_coeff, jnaive_coeff = rank_models(
+        np.array([noisy, IDENTITY, noisy, mild]), two_class_config)
+    assert [names[i] for i in order] == ["ident", "mild", "noisy", "noisy_twin"]
+    assert regret.shape == jstar_coeff.shape == jnaive_coeff.shape == (4,)
+    assert np.all(np.diff(regret[order]) >= 0)
+    assert regret[1] == pytest.approx(1.0, abs=1e-12)
+    assert jstar_coeff[0] == pytest.approx(jstar_coeff[2])
+    single = rank_models(np.array([IDENTITY]), two_class_config)
+    assert [len(c) for c in single] == [1, 1, 1, 1] and single[0][0] == 0
 
 
 # ----------------------------------------------------------- pinned bits
@@ -583,10 +582,11 @@ def test_analytics_bits_are_pinned(two_class_config):
     assert np.array_equal(coeffs.beta, [22.082644628099168, 17.028355387523632])
     assert np.array_equal(coeffs.beta_naive, [5.421487603305785, 17.84499054820416])
     assert (coeffs.jstar_coeff, coeffs.jnaive_coeff) == (9.614459371365024, 13.914985380205746)
-    models = [("noisy", ((0.7, 0.3), (0.3, 0.7))), ("dead", ((1.0, 0.0), (1.0, 0.0))),
-              ("ref", ((0.9, 0.1), (0.2, 0.8))), ("ident", IDENTITY)]
-    assert [(m.name, m.relative_regret, m.jstar_coeff, m.jnaive_coeff)
-            for m in rank_models(models, two_class_config)] == [
+    names = ["noisy", "dead", "ref", "ident"]
+    order, *columns = rank_models(np.array([((0.7, 0.3), (0.3, 0.7)), ((1.0, 0.0), (1.0, 0.0)),
+                                            ((0.9, 0.1), (0.2, 0.8)), IDENTITY]),
+                                  two_class_config)
+    assert [(names[i], *(c[i] for c in columns)) for i in order.tolist()] == [
         ("ident", 1.0, 6.8965517241379315, 6.896551724137932),
         ("ref", 1.3940966088479285, 9.614459371365024, 13.914985380205746),
         ("noisy", 1.4454574347332576, 9.96867196367764, 16.450702537208684),

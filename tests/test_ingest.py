@@ -123,6 +123,31 @@ def test_rates_guards():
         estimate_rates(as_table([ValidationRecord(1, predicted_class=1, service_time=1.0)]))
 
 
+def test_estimators_refuse_more_classes_than_rows_before_allocating():
+    # a K x K count table for label 10^8 once asked for 80 PB
+    table = as_table([ValidationRecord(0, predicted_class=0, service_time=1.0),
+                      ValidationRecord(10 ** 8 - 1, predicted_class=0, service_time=1.0)])
+    error = "no records for true class 2: the labels give 100000000 classes, more than the 2 rows"
+    tracemalloc.start()
+    try:
+        for estimate in (estimate_confusion, estimate_rates):
+            with pytest.raises(EmptyClassError) as err:
+                estimate(table)
+            assert str(err.value) == error
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("service, field", [(1e-320, "mu_hat"), (1e200, "alpha_v_hat")])
+def test_rates_refuse_a_non_finite_estimate(service, field):
+    table = as_table([ValidationRecord(0, service_time=1.0),
+                      ValidationRecord(1, service_time=service)])
+    with pytest.raises(ConfigError) as err:
+        estimate_rates(table)
+    assert str(err.value) == f"NonFinite: class 2 {field} = inf (overflows the float range)"
+
+
 # ------------------------------------------------------------- grouping
 
 def test_scores_by_class():
@@ -261,5 +286,6 @@ def test_class_count_is_that_of_the_columns_read():
     assert q.n_classes == 2
     mu, alpha_v = estimate_rates(table)                 # reads true classes only
     assert mu.tolist() == [2.0, 1.0] and alpha_v.tolist() == [0.25, 1.0]
-    with pytest.raises(EmptyClassError, match=r"true class\(es\) \[3\]"):
+    # 3 classes in 2 rows: refused by the row count, naming the first empty class
+    with pytest.raises(EmptyClassError, match=r"^no records for true class 3: the labels give 3 "):
         estimate_confusion(table)                        # predicted class 3 counts here

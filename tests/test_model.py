@@ -470,6 +470,21 @@ def test_json_malformed_raises(two_class_config):
         config_from_json(doc2)
 
 
+def test_json_integer_is_refused_only_past_the_float_range(tmp_path):
+    from pqsched.model import load_json
+    target = tmp_path / "ints.json"
+    fits = [10 ** 308, -(10 ** 308), 2 ** 1024 - 2 ** 970 - 1]   # the last rounds to float max
+    target.write_text(json.dumps(fits))
+    assert load_json(target) == fits and all(type(n) is int for n in load_json(target))
+    # the first rounds to 2 ** 1024; the last is past int()'s 4300-digit limit
+    for literal in (str(2 ** 1024 - 2 ** 970), "-1" + "0" * 309, "9" * 5000):
+        target.write_text('{"lambda": [1, %s]}' % literal)
+        with pytest.raises(ConfigError) as err:
+            load_json(target)
+        assert str(err.value) == (f"{target}: integer {literal[:10]}... ({len(literal)} "
+                                  "characters) overflows the float range")
+
+
 def test_save_and_load_config(tmp_path, two_class_config):
     target = tmp_path / "config.json"
     save_config(two_class_config, target)
