@@ -364,6 +364,14 @@ def cmd_estimate(csv_path, threshold, out_dir):
         else:
             skipped["rates.csv mu_hat, alpha_v_hat"] = (
                 f"service_time blank on line {blank['service_time']}")
+    curves = None
+    if blank["score"] is None and n_classes == 2:
+        with run.timed("curves"):
+            curves = triage_mod.PassingCurves.from_samples(*ingest_mod.scores_by_class(table))
+    else:
+        skipped["curves.csv"] = (f"pass-rate curves need 2 classes, found {n_classes}"
+                                 if blank["score"] is None
+                                 else f"score blank on line {blank['score']}")
 
     if confusion:
         with run.timed("confusion"):
@@ -376,16 +384,10 @@ def cmd_estimate(csv_path, threshold, out_dir):
                       ["class", "prevalence", "mu_hat", "alpha_v_hat"][:len(columns) + 1],
                       [[k + 1] + [_fmt(column[k]) for column in columns]
                        for k in range(n_classes)])
-
-    if blank["score"] is None and n_classes == 2:
+    if curves is not None:
         with run.timed("curves"):
-            curves = triage_mod.PassingCurves.from_samples(*ingest_mod.scores_by_class(table))
             run.write_csv("curves.csv", ["z", "g_toxic", "g_nontoxic"],
                           [[_fmt(x) for x in point] for point in zip(curves.grid, *curves.values)])
-    else:
-        skipped["curves.csv"] = (f"pass-rate curves need 2 classes, found {n_classes}"
-                                 if blank["score"] is None
-                                 else f"score blank on line {blank['score']}")
     for output, reason in skipped.items():
         click.echo(f"{output}: skipped ({reason})")
     skipped = [{"output": output, "reason": reason} for output, reason in skipped.items()]

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BracketFailureError, ConfigError, NonFiniteMomentError, NonQuadraticError
 from .model import (PredictedClassParams, SystemConfig, _check_finite, _check_seed, _mean_stderr,
-                    cost_terms, derive_predicted_params, non_finite, shape_mismatch)
+                    cost_terms, derive_predicted_params, ndtri, non_finite, shape_mismatch)
 
 __all__ = [
     "workload_variance_rate",
@@ -51,8 +51,8 @@ _KKT_STEP_TOL, _KKT_MAX_ITER = 2.0 ** -27, 100
 # WorkloadPathSet draws, reflects and reduces its paths in blocks of about
 # this many cells (see WorkloadPathSet.block_rows)
 RBM_BLOCK_CELLS = 2 ** 16
-# uniform draws are clipped into the open unit interval before the normal
-# inverse CDF so a measure-zero 0.0 draw cannot produce -inf
+# uniform draws are clipped to at least this before the normal inverse CDF, so
+# a measure-zero 0.0 draw cannot produce -inf
 _U_EPS = 2.0 ** -53
 
 
@@ -138,21 +138,26 @@ class WorkloadPathSet:
         """The paths block_rows rows at a time, as views of one reused buffer
         that each block rewrites in full.  Philox uniforms are drawn in row
         order, so the blocks stack to one matrix whatever their size."""
-        from scipy.special import ndtri  # here, so only RBM draws load scipy
         n, n_steps = self.n_paths, self.grid.size - 1
         rng = np.random.Generator(np.random.Philox(key=self.seed))
         scale = np.sqrt(self.variance_rate * (self.grid[-1] / n_steps))
         rows = self.block_rows
         path, scratch = np.empty((2, min(n, rows), n_steps + 1))
+        # ndtri's scratch, first the path buffer, which each block rewrites after it
+        cells = min(n, rows) * n_steps
+        work = (path.reshape(-1), *np.empty((3, cells)), np.empty(cells, dtype=bool))
         for start in range(0, n, rows):
             w, s = path[:n - start], scratch[:n - start]   # the last block may be short
-            z = s.reshape(-1)[:w.size - len(w)].reshape(-1, n_steps)  # contiguous, for rng.random
-            ndtri(np.clip(rng.random(out=z), _U_EPS, 1.0 - _U_EPS, out=z), out=z)
+            z = s.reshape(-1)[:w.size - len(w)]   # contiguous, for rng.random and ndtri
+            # Philox's largest double is 1 - 2^-53, so only 0 needs clipping
+            ndtri(np.maximum(rng.random(out=z), _U_EPS, out=z), out=z, work=work)
             w[:, 0] = 0.0
-            np.cumsum(np.multiply(scale, z, out=w[:, 1:]), axis=1, out=w[:, 1:])
+            np.cumsum(np.multiply(scale, z.reshape(-1, n_steps), out=w[:, 1:]), axis=1,
+                      out=w[:, 1:])
             # reflect: phi(x)(t) = x(t) - min(0, inf_{s<=t} x(s)); the running
-            # minimum includes x(0) = 0, so it is <= 0 and is its own min(0, .)
-            yield np.subtract(w, np.minimum.accumulate(w, axis=1, out=s), out=w)
+            # minimum includes x(0) = 0, so it is <= 0 and is its own min(0, .);
+            # fmin is minimum on these finite paths, and faster
+            yield np.subtract(w, np.fmin.accumulate(w, axis=1, out=s), out=w)
 
 
 def bm_workload_paths(variance_rate: float, n_steps: int, horizon: float,

@@ -127,6 +127,98 @@ def _confusion_faults(q) -> tuple:
             np.abs(q.sum(axis=-1) - 1.0) > _ROW_SUM_TOL)
 
 
+# Cephes ndtri (Moshier 1989), the routine behind scipy.special.ndtri: P0/Q0 on
+# e^-2 < y <= 1 - e^-2, P1/Q1 and P2/Q2 in the tails on z = 1 / sqrt(-2 log y),
+# x < 8 and x >= 8.  The Q lists lead with Cephes p1evl's implicit 1.
+_NDTRI_E2, _NDTRI_S2PI = 0.13533528323661269189, 2.50662827463100050242
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: np.ndarray, coef, out: np.ndarray) -> np.ndarray:
+    """Cephes polevl into out: (coef[0] x + coef[1]) x + ... + coef[-1], from
+    x + coef[1] when coef[0] is p1evl's 1 (1 x is x)."""
+    if coef[0] == 1.0:
+        np.add(x, coef[1], out=out)
+    else:
+        np.add(np.multiply(x, coef[0], out=out), coef[1], out=out)
+    for c in coef[2:]:
+        np.add(np.multiply(out, x, out=out), c, out=out)
+    return out
+
+
+def ndtri(y, out=None, work=None) -> np.ndarray:
+    """Inverse standard normal CDF of each y in [0, 1], by Cephes' formulas
+    in numpy: -inf at 0 and +inf at 1, with no warning.  On e^-2 < y <=
+    1 - e^-2 it takes scipy's operations in scipy's order, so it equals
+    scipy.special.ndtri bit for bit there.  The tails take numpy's vector
+    log, so they equal scipy's where numpy's log is the C library's, and
+    otherwise differ by a few ulps.  A value depends on its y alone, whatever
+    array, offset or length holds it.
+
+    out, a contiguous array of y's shape, may be y itself.  work is four
+    float arrays and one bool array, each at least y.size long, that ndtri
+    may overwrite; a caller that keeps them allocates only the two tails'
+    index arrays per call (and a little more for y of 0, of 1 or below about
+    e^-32)."""
+    y = np.asarray(y, dtype=float)
+    res = np.empty_like(y) if out is None else out
+    n, y, flat = y.size, y.reshape(-1), res.reshape(-1)
+    if work is None:
+        work = (*np.empty((4, n)), np.empty(n, dtype=bool))
+    a, b, c, t, mask = (v[:n] for v in work)
+    # gather the tails, y <= e^-2 and then 1 - y (exact) of y > 1 - e^-2,
+    # before out is overwritten
+    lower = np.flatnonzero(np.less_equal(y, _NDTRI_E2, out=mask))
+    upper = np.flatnonzero(np.greater(y, 1.0 - _NDTRI_E2, out=mask))
+    k, m = lower.size, lower.size + upper.size
+    np.take(y, lower, out=t[:k])
+    np.subtract(1.0, np.take(y, upper, out=t[k:m]), out=t[k:m])
+    # every entry by the central formula (y + y y2 P0(y2) / Q0(y2)) s2pi,
+    # with y - 0.5 in out and y2 in a
+    np.multiply(np.subtract(y, 0.5, out=flat), flat, out=a)
+    np.multiply(_polevl(a, _NDTRI_P0, b), a, out=b)
+    np.multiply(np.divide(b, _polevl(a, _NDTRI_Q0, c), out=b), flat, out=b)
+    np.multiply(np.add(flat, b, out=flat), _NDTRI_S2PI, out=flat)
+    # then the tails' x = sqrt(-2 log y) in a, z = 1 / x in c, and
+    # x - log(x) / x - z P(z) / Q(z) in b
+    a, b, c, t = a[:m], b[:m], c[:m], t[:m]
+    ends = np.flatnonzero(t == 0.0) if m and t.min() == 0.0 else None   # y = 0 or 1
+    if ends is not None:
+        t[ends] = 0.5   # any value the formulas take without a warning
+    np.sqrt(np.multiply(np.log(t, out=a), -2.0, out=a), out=a)
+    np.subtract(a, np.divide(np.log(a, out=b), a, out=b), out=b)
+    np.divide(1.0, a, out=c)
+    far = np.flatnonzero(a >= 8.0) if m and a.max() >= 8.0 else None   # y below about e^-32
+    np.multiply(_polevl(c, _NDTRI_P1, a), c, out=a)
+    np.divide(a, _polevl(c, _NDTRI_Q1, t), out=a)
+    if far is not None:
+        z = c[far]
+        a[far] = z * _polevl(z, _NDTRI_P2, np.empty_like(z)) / _polevl(z, _NDTRI_Q2,
+                                                                         np.empty_like(z))
+    np.subtract(b, a, out=b)
+    if ends is not None:
+        b[ends] = np.inf
+    flat[lower] = np.negative(b[:k], out=b[:k])
+    flat[upper] = b[k:]
+    return res
+
+
 @dataclass(frozen=True)
 class Dist:
     """Law of a positive time with mean 1/rate.  parse reads the only tags:
@@ -164,16 +256,16 @@ class Dist:
 
     def draws(self, u: np.ndarray, rate) -> np.ndarray:
         """The draws of the uniforms u, with mean 1/rate (a scalar, or one rate
-        per draw), through numpy's vector log and exp: a value depends on its
-        uniform and rate only, bit for bit, whatever array, offset or length
-        holds it, and equals the same steps on a Python float
+        per draw), through numpy's vector log and exp and, for the lognormal
+        family, ndtri: a value depends on its uniform and rate only, bit for
+        bit, whatever array, offset or length holds it, and equals the same
+        steps on a Python float
         (test_model.py::test_draws_do_not_depend_on_the_array)."""
         if self.family == "deterministic":
             return np.ones(len(u)) / rate
         one_minus_u = 1.0 - u  # in (0, 1], making -log safe
         if self.family == "exponential":
             return -np.log(one_minus_u) / rate
-        from scipy.special import ndtri  # here, so only lognormal draws load scipy
         # exp(m + s Z) has mean exp(m + s^2/2), so m = -s^2/2 gives mean 1
         return np.exp(-0.5 * self.sigma * self.sigma + self.sigma * ndtri(one_minus_u)) / rate
 

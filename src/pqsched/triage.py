@@ -138,7 +138,7 @@ class PassingCurves:
         for k, scores in enumerate((scores_toxic, scores_nontoxic)):
             s = np.asarray(scores, dtype=float)
             if s.size == 0:
-                raise EmptyClassError(f"no validation scores for class {k}")
+                raise EmptyClassError(f"no validation scores for class {k + 1}")
             if np.any(s < 0) or np.any(s > 1):
                 raise ConfigError("scores must lie in [0, 1]")
             s = np.sort(s)

@@ -34,7 +34,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 import pqsched
 from pqsched import (
@@ -52,6 +51,7 @@ from pqsched import (
     TRUNCATE_AT_HORIZON,
     derive_predicted_params,
 )
+from pqsched.model import ndtri
 from pqsched.policies import POLICY_KINDS
 from reference_mixture import MixtureCost
 

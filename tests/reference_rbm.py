@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from pqsched.errors import ConfigError
+from pqsched.model import ndtri
 
 _U_EPS = 2.0 ** -53
 

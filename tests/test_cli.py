@@ -1,5 +1,4 @@
 import csv
-import importlib
 import json
 import os
 import subprocess
@@ -641,15 +640,20 @@ def test_estimate_refuses_more_classes_than_rows(runner, tmp_path, label, header
                                          "classes, more than the 3 rows")
 
 
-@pytest.mark.parametrize("service, error", [
+@pytest.mark.parametrize("rows, error", [
     # a subnormal mean: its reciprocal overflows, once printed as a numpy warning
-    ("1e-320", "NonFinite: class 1 mu_hat = inf (overflows the float range)"),
+    (("true_class,predicted_class,service_time", "1,1,1e-320", "2,2,1.0", "1,2,1e-320"),
+     "NonFinite: class 1 mu_hat = inf (overflows the float range)"),
     # a square past the float range: once an OverflowError traceback
-    ("1e200", "NonFinite: class 1 alpha_v_hat = inf (overflows the float range)")])
-def test_estimate_refuses_non_finite_rates_before_writing(runner, tmp_path, service, error):
+    (("true_class,predicted_class,service_time", "1,1,1e200", "2,2,1.0", "1,2,1e200"),
+     "NonFinite: class 1 alpha_v_hat = inf (overflows the float range)"),
+    # class 1 has no scores: once refused only after rates.csv was written,
+    # and named 0-based
+    (("true_class,score", "2,0.5", "2,0.3"), "no validation scores for class 1")],
+    ids=["mu_hat", "alpha_v_hat", "curves"])
+def test_estimate_refuses_before_writing(runner, tmp_path, rows, error):
     csv_path = tmp_path / "validation.csv"
-    csv_path.write_text("true_class,predicted_class,service_time\n"
-                        f"1,1,{service}\n2,2,1.0\n1,2,{service}\n")
+    csv_path.write_text("\n".join(rows) + "\n")
     out = tmp_path / "est"
     result = _invoke_warnings_as_errors(runner, ["estimate", "--csv", str(csv_path),
                                                  "--out", str(out)])
@@ -1043,7 +1047,7 @@ def test_every_manifest_records_stage_timings(runner, tmp_path, config_path, tri
         assert all(isinstance(t, float) and t >= 0.0 for t in timings.values())
 
 
-# ------------------------------------------------- deferred scipy import
+# ------------------------------------------------------- no scipy at run time
 
 # the pqsched modules each command imports, beyond the cli's errors, model and policies
 COMMAND_MODULES = {"simulate": {"cost", "engine"}, "lower-bound": {"httheory"},
@@ -1051,21 +1055,19 @@ COMMAND_MODULES = {"simulate": {"cost", "engine"}, "lower-bound": {"httheory"},
                    "estimate": {"httheory", "ingest", "triage"}}
 
 
-@pytest.mark.parametrize("command, service_dist, loads_scipy", [
-    ("simulate", "exponential", False),
-    ("simulate", {"family": "lognormal", "sigma": 0.5}, True),
-    ("lower-bound", "exponential", True),
-    pytest.param("select-model", "exponential", False, id="select-model"),
-    pytest.param("triage", "exponential", True, id="triage"),
-    pytest.param("estimate", "exponential", False, id="estimate"),
+@pytest.mark.parametrize("command, service_dist", [
+    ("simulate", "exponential"),
+    ("simulate", {"family": "lognormal", "sigma": 0.5}),
+    ("lower-bound", "exponential"),
+    pytest.param("select-model", "exponential", id="select-model"),
+    pytest.param("triage", "exponential", id="triage"),
+    pytest.param("estimate", "exponential", id="estimate"),
 ])
-def test_fresh_process_loads_scipy_at_first_use(runner, tmp_path, command, service_dist,
-                                                loads_scipy):
-    # scipy.special is imported inside the functions that draw normals, and
-    # each command imports the pqsched modules it runs; a fresh process loads
-    # only those, and writes the same bytes as this process, where everything
-    # is loaded already
-    importlib.import_module("scipy.special")
+def test_no_command_imports_scipy(runner, tmp_path, command, service_dist):
+    # the normals of the RBM paths and of lognormal draws come from
+    # pqsched.model.ndtri, so a fresh process where any scipy import fails runs
+    # every command; it loads only the pqsched modules the command runs, and
+    # writes the same bytes as this process, where everything is loaded
     cfg = tmp_path / "system.json"
     cfg.write_text(json.dumps({**README_CONFIG, "service_dist": service_dist}))
     model, triage = tmp_path / "q1.json", tmp_path / "triage.json"
@@ -1080,15 +1082,14 @@ def test_fresh_process_loads_scipy_at_first_use(runner, tmp_path, command, servi
         "estimate": ["--csv", str(_validation_csv(tmp_path)), "--threshold", "0.5"],
     }[command]]
     fresh, here = tmp_path / "fresh", tmp_path / "here"
-    code = ("import sys; from pqsched.cli import main; "
-            "main(sys.argv[1:], standalone_mode=False); print('scipy' in sys.modules); "
+    code = ("import sys; sys.modules['scipy'] = None; from pqsched.cli import main; "
+            "main(sys.argv[1:], standalone_mode=False); "
             "print(sorted(m for m in sys.modules if m.startswith('pqsched.')))")
     env = dict(os.environ, PYTHONPATH=str(Path(pqsched.__file__).resolve().parents[1]))
     env.pop("PQSCHED_THREADS", None)
     proc = subprocess.run([sys.executable, "-c", code, *args, "--out", str(fresh)],
                           env=env, check=True, capture_output=True, text=True)
-    *_, scipy_loaded, modules = proc.stdout.splitlines()
-    assert scipy_loaded == str(loads_scipy)
+    *_, modules = proc.stdout.splitlines()
     assert modules == str(sorted(f"pqsched.{m}" for m in {"cli", "errors", "model", "policies"}
                                  | COMMAND_MODULES[command]))
     assert runner.invoke(main, [*args, "--out", str(here)]).exit_code == 0

@@ -245,8 +245,8 @@ print(json.dumps({name: name in sys.modules for name in
 
 
 def test_import_leaves_scipy_optimize_out(tmp_path):
-    # scipy.special and the process pool are imported where they are used, so
-    # configs that draw no normal variates and build no pool load neither;
+    # no pqsched module imports scipy, and the process pool is imported where
+    # it is used, so loading configs builds no pool and loads no scipy;
     # gaussian_logit curves take Phi from the C library's erfc (math.erfc)
     exponential, deterministic = tmp_path / "exponential.json", tmp_path / "deterministic.json"
     save_config(make_two_class(), exponential)

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
+from scipy import special
 
+import pqsched.model
 from pqsched import (
     ConfigError,
     ConfusionMatrix,
@@ -28,6 +29,7 @@ from pqsched import (
     load_config,
     save_config,
 )
+from pqsched.model import ndtri
 import reference_engine
 import reference_kkt
 from conftest import make_two_class
@@ -302,6 +304,54 @@ def _scalar_draw(dist, x, rate):
         return -float(np.log(1.0 - x)) / rate
     z = ndtri(1.0 - x)
     return float(np.exp(-0.5 * dist.sigma * dist.sigma + dist.sigma * z)) / rate
+
+
+def _ndtri_sweep() -> np.ndarray:
+    """Each branch edge of Cephes ndtri +-1 ulp (e^-2, 1 - e^-2, and e^-32,
+    where x = sqrt(-2 log y) reaches 8), the ends and other corners, 10^6
+    Philox uniforms and 4 * 10^4 log-uniform y down to 1e-323."""
+    e2 = 0.13533528323661269189   # Cephes' e^-2
+    edges = [np.nextafter(e, e + d) for e in (e2, 1.0 - e2, math.exp(-32.0)) for d in (-1, 0, 1)]
+    corners = [0.0, 2.0 ** -53, 1.0 - 2.0 ** -53, 1.0, 1e-300, 5e-324, 0.5]
+    rng = Generator(Philox(key=37))
+    return np.concatenate((edges, corners, rng.random(10 ** 6),
+                           np.exp(-rng.uniform(0.0, 743.0, 40_000))))
+
+
+def test_ndtri_is_scipy_on_the_central_branch_and_within_4_ulps_in_the_tails():
+    y = _ndtri_sweep()
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        z = ndtri(y)
+    want = special.ndtri(y)
+    central = (y > 0.13533528323661269189) & (y <= 1.0 - 0.13533528323661269189)
+    assert np.array_equal(z[central], want[central])
+    ulps = np.abs(z.view(np.int64) - want.view(np.int64))
+    assert ulps[~central].max() <= 4
+    assert z[y == 0.0].tolist() == [-math.inf] and z[y == 1.0].tolist() == [math.inf]
+    assert ndtri(0.5).shape == () and ndtri(0.5) == 0.0
+
+
+class _LibmLog:
+    """numpy, but for a log that is the C library's, one entry at a time."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def log(x, out):
+        out[...] = [math.log(v) for v in x.tolist()]
+        return out
+
+
+def test_ndtri_with_the_c_librarys_log_is_scipy_bit_for_bit(monkeypatch):
+    # checks the coefficients and the order of operations in the tails too:
+    # only numpy's log kernel stands between the port and scipy
+    y = _ndtri_sweep()
+    monkeypatch.setattr(pqsched.model, "np", _LibmLog())
+    z = ndtri(y)
+    monkeypatch.undo()
+    assert np.array_equal(z, special.ndtri(y))
 
 
 @pytest.mark.parametrize("dist", [Dist("exponential"), Dist("lognormal", 0.5)],
