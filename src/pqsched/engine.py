@@ -21,19 +21,20 @@ so a path is a bit-stable function of (config, policy, seed) whatever
 batch or block of seeds it is simulated in.
 
 The policy only fills in the completion column.  Global FCFS serves in
-arrival order without preemption, so c_i = max(a_i, c_{i-1}) + s_i in one
-pass.  The index policies run one flat event loop over a table of
-`PolicyRef.index` values shared by a block's seeds, grown by an entry
-where an arrival first takes a class's queue to a length: an arrival raises
-only its own class's value, so it decides between the served class and the
-arriving one, and only a completion rescans the classes.  Replication
-(`cost.compare_policies`) prices a batch's columns and builds no curves;
-`run_path` is a batch of one seed under one policy that also derives them.
-The total workload W_+ follows the Lindley recursion W_i = max(0, W_{i-1} -
-(a_i - a_{i-1})) + s_i over arrivals, the remaining work of any
-work-conserving policy, so it is the same for every policy and classifier on
-a seed (a service schedule adds a jump where it rescales a job at its first
-start).
+arrival order without preemption, so a job completes at a_i + W_i, its
+arrival plus the work it finds and brings.  The index policies run one flat
+event loop over a table of `PolicyRef.index` values shared by a block's
+seeds, grown by an entry where an arrival first takes a class's queue to a
+length: an arrival raises only its own class's value, so it decides between
+the served class and the arriving one, and only a completion rescans the
+classes.  Replication (`cost.compare_policies`) prices a batch's columns and
+builds no curves; `run_path` is a batch of one seed under one policy that
+also derives them.
+The total workload W_+ follows one Lindley recursion, `_lindley`: W_i =
+max(0, W_{i-1} - (a_i - a_{i-1})) + s_i over arrivals, the remaining work of
+any work-conserving policy, so it is the same for every policy and classifier
+on a seed (a service schedule adds a jump, one more update, where it rescales
+a job at its first start).
 """
 
 from __future__ import annotations
@@ -240,24 +241,25 @@ def _per_seed(mask: np.ndarray, bounds: list) -> np.ndarray:
     return np.diff(np.concatenate(([0], np.cumsum(mask)))[bounds])
 
 
-def _fcfs(at: list, service: np.ndarray, bounds: list, horizon: float):
-    """Global FCFS in closed form, seed by seed over a batch's arrival times
-    (a list) and services: completion (NaN while open) and remaining work at
-    the horizon."""
-    completion = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        c = 0.0
-        for ai, si in zip(at[lo:hi], service[lo:hi].tolist()):
-            c = (ai if ai > c else c) + si
-            completion.append(c)
-    c = np.array(completion, dtype=float)
-    done = c <= horizon  # a prefix of each seed: c is nondecreasing there
-    remaining = np.where(done, 0.0, service)
-    n_done = _per_seed(done, bounds)
-    first_open = (np.asarray(bounds[:-1]) + n_done)[n_done < np.diff(bounds)]
-    remaining[first_open] = c[first_open] - horizon  # in service at the horizon
-    c[~done] = np.nan
-    return c, remaining, []
+def _lindley(gaps: np.ndarray, added: np.ndarray) -> np.ndarray:
+    """W after each update of the Lindley recursion W = max(0, W - gap) +
+    added, from W = 0; an infinite gap empties the system."""
+    out, w = [], 0.0
+    for g, dw in zip(gaps.tolist(), added.tolist()):
+        w = (w - g if w > g else 0.0) + dw  # w > g exactly where w - g > 0
+        out.append(w)
+    return np.array(out, dtype=float)
+
+
+def _fcfs(a: np.ndarray, service: np.ndarray, bounds: list, horizon: float):
+    """Global FCFS in closed form over a batch's arrival times and services:
+    a job completes at a + W_+, the work it finds plus its own, each seed's
+    first arrival finding none; completion (NaN while open) and remaining
+    work at the horizon."""
+    gaps = np.diff(a, prepend=0.0, append=_INF)  # a spare entry for trailing empty seeds
+    gaps[bounds[:-1]] = _INF
+    c = a + _lindley(gaps[:-1], service)
+    return np.where(c <= horizon, c, np.nan), np.clip(c - horizon, 0.0, service), []
 
 
 def _event_loop(tab: list, grow: Callable[[int, int], float], cls: list, at: list, rem: list,
@@ -332,21 +334,16 @@ def _event_loop(tab: list, grow: Callable[[int, int], float], cls: list, at: lis
 
 
 def _workload(grid: np.ndarray, a: np.ndarray, s: np.ndarray, jumps: list):
-    """W_+ after each arrival and on the grid, by the Lindley recursion
-    W = max(0, W - elapsed) + added over the arrivals and, merged in after
-    their arrivals, the jumps (arrivals so far, t, added work)."""
+    """W_+ after each arrival and on the grid, by `_lindley` over the
+    arrivals and, merged in after their arrivals, the jumps (arrivals so far,
+    t, added work)."""
     t, added = a, s
     if jumps:
         pos, jt, jw = (np.array(v) for v in zip(*jumps))
         t, added = np.insert(a, pos, jt), np.insert(s, pos, jw)
-    knot_w, w, prev = [0.0], 0.0, 0.0
-    for ti, dw in zip(t.tolist(), added.tolist()):
-        x = w - (ti - prev)
-        w = (x if x > 0.0 else 0.0) + dw
-        prev = ti
-        knot_w.append(w)
     # W_+ drains at unit rate from its last update (0 at time 0)
-    knot_t, knot_w = np.concatenate(([0.0], t)), np.array(knot_w)
+    knot_t = np.concatenate(([0.0], t))
+    knot_w = np.concatenate(([0.0], _lindley(np.diff(knot_t), added)))
     j = np.searchsorted(knot_t, grid, side="right") - 1
     x = knot_w[j] - (grid - knot_t[j])
     work = np.delete(knot_w[1:], pos + np.arange(len(pos))) if jumps else knot_w[1:]
@@ -414,7 +411,7 @@ def _simulate_batch(config, policies, tabs, seeds, arrival_schedule, service_sch
     runs = []
     for policy, tab in zip(policies, tabs):
         if policy.kind == "fcfs" and service_schedule is None:
-            run = _fcfs(at, service, ends, horizon)
+            run = _fcfs(a, service, ends, horizon)
         else:
             # fcfs under a service schedule: one FIFO line, class 0
             sched = (np.zeros_like(label) if policy.kind == "fcfs"

@@ -406,7 +406,10 @@ def run_path(config: SystemConfig, policy, seed: int, sampling_grid: int = 51, *
         job.started = True
         serving = job
         serving_class = job.true_class if by_true else job.predicted_class
-        serving_end = now + job.remaining
+        # global FCFS without a schedule ends a job at a + W_+ (the engine's closed form)
+        serving_end = (job.arrival_time + arrival_w[job.id]
+                       if policy.kind == "fcfs" and service_schedule is None
+                       else now + job.remaining)
 
     def choose_and_start(now: float):
         nonlocal serving, serving_end, serving_class

@@ -96,6 +96,39 @@ def test_fcfs_never_preempts():
     assert path.remaining[1] == pytest.approx(4.25 - 3.7)
 
 
+def test_fcfs_completes_at_arrival_plus_workload():
+    # global FCFS on the critical system at T = 10: a job ends at its arrival
+    # plus the work it finds and brings, W_+ after its arrival, bit for bit
+    cfg = make_two_class(horizon=10.0, lam=100.0, prevalences=(0.5, 0.5),
+                         service_rates=(150.0, 75.0), costs=(CostFn(1.0), CostFn(4.0)))
+    open_jobs = 0
+    for seed in range(4):
+        path = run_path(cfg, "fcfs", seed, sampling_grid=2)
+        c = path.arrival_times + path.arrival_workloads
+        assert np.array_equal(path.done, c <= cfg.horizon)
+        assert np.array_equal(path.completion[path.done], c[path.done])
+        assert np.array_equal(path.remaining, np.clip(c - cfg.horizon, 0.0, path.service))
+        open_jobs += np.count_nonzero(~path.done)
+    assert open_jobs > 0
+
+
+def test_fcfs_batch_with_empty_seeds_equals_each_seed_alone():
+    # at lam = 1, T = 1 seeds 3 and 5-7 draw no arrival, in the middle of the
+    # batch and at its end: each seed starts the system empty
+    cfg = make_two_class()
+    fcfs = [PolicyRef.for_config("fcfs", cfg)]
+    seeds = list(range(8))
+    (bounds, _, [(completion, remaining, _, events)]), = simulate_block(cfg, fcfs, [seeds])
+    sizes = np.diff(bounds)
+    assert sizes[-1] == 0 and np.count_nonzero(sizes[:-1] == 0) > 0 and sizes.max() > 1
+    for i, seed in enumerate(seeds):
+        path = run_path(cfg, "fcfs", seed, sampling_grid=2)
+        lo, hi = bounds[i], bounds[i + 1]
+        assert np.array_equal(completion[lo:hi], path.completion, equal_nan=True)
+        assert np.array_equal(remaining[lo:hi], path.remaining)
+        assert events[i] == path.event_count
+
+
 # ------------------------------------------------- classification sampling
 
 def test_sample_classification_identity_and_certain():
