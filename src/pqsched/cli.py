@@ -105,13 +105,13 @@ class _Run:
 
 
 class _Group(click.Group):
-    """Reports a PqschedError or OSError from any command as one Error: line."""
+    """Reports a PqschedError, OSError or MemoryError from any command as one Error: line."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (PqschedError, OSError) as exc:
-            raise click.ClickException(str(exc)) from exc
+        except (PqschedError, OSError, MemoryError) as exc:
+            raise click.ClickException(str(exc) or type(exc).__name__) from exc
 
 
 @click.group(cls=_Group)
@@ -274,13 +274,18 @@ def cmd_select_model(config_path, model_paths, out_dir):
     config = run.load()
     with run.timed("models"):
         names, stack = _load_candidates(model_paths, config.n_classes)
-    with run.timed("rank"):
+    criteria = ["relative_regret", "jstar_coeff", "jnaive_coeff"]
+    # a criterion that overflows is refused for the first candidate holding one
+    with np.errstate(all="ignore"), run.timed("rank"):
         order, *columns = ht.rank_models(stack, config)
+    i = int(np.argmin(np.isfinite(columns).all(axis=0)))
+    _check_finite({f"{name} of candidate {names[i]!r}": c[i]
+                   for name, c in zip(criteria, columns)}, "overflows the float range")
     with run.timed("write"):
         # a column of Python floats through repr is its _fmt
         names, columns = [names[i] for i in order.tolist()], [c[order].tolist() for c in columns]
-        run.write_csv("criteria.csv", ["model_name", "relative_regret", "jstar_coeff",
-                                       "jnaive_coeff"], zip(names, *(map(repr, c) for c in columns)))
+        run.write_csv("criteria.csv", ["model_name", *criteria],
+                      zip(names, *(map(repr, c) for c in columns)))
     click.echo("\n".join(f"{n}: relative_regret = {r:.6g}" for n, r in zip(names, columns[0])))
     click.echo(f"manifest: {run.finish()}")
 

@@ -22,7 +22,6 @@ a replication of its seed holds in terminal_costs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
@@ -43,7 +42,6 @@ __all__ = [
     "compare_policies",
     "paired_gap",
     "export_summary_csv",
-    "resolve_n_jobs",
 ]
 
 COMPLETED_ONLY = "completed_only"
@@ -151,22 +149,9 @@ class ReplicationSummary:
         return float(open_cost / total) if total > 0.0 else 0.0
 
 
-def _block(args):
-    """Per policy, each seed's J on eval_times, events, open jobs and their
-    cost.  The block's seeds share each policy's index table, and run in
-    batches of consecutive seeds with about _BATCH_JOBS expected arrivals,
-    each drawn, simulated and priced as one set of columns."""
-    config, policies, seeds, rule, eval_times = args
-    size = max(1, int(_BATCH_JOBS // (config.lam * config.horizon + 1.0)))
-    batches = simulate_block(config, policies, [seeds[i:i + size]
-                                                for i in range(0, len(seeds), size)])
-    # map drops each batch once priced, before the next one is simulated
-    return list(map(partial(_price, config, rule, eval_times), batches))
-
-
 def _price(config: SystemConfig, rule: str, eval_times: np.ndarray, batch) -> list:
-    """`_block`'s figures for a simulated batch, every job of a policy priced
-    in one pass."""
+    """Per policy, each seed's J on eval_times, events, open jobs and their
+    cost for a simulated batch, every job of a policy priced in one pass."""
     bounds, (a, true_class, *_), runs = batch
     n = np.diff(bounds)
     seed_of = np.repeat(np.arange(len(n)), n)
@@ -178,33 +163,17 @@ def _price(config: SystemConfig, rule: str, eval_times: np.ndarray, batch) -> li
     return out
 
 
-def resolve_n_jobs(n_jobs: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else PQSCHED_THREADS, else 1.  It is
-    not capped here: a caller caps it, as compare_policies caps it at its
-    number of paths and at the CPUs the process may run on."""
-    if n_jobs is not None:
-        return max(1, int(n_jobs))
-    env = os.environ.get("PQSCHED_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"PQSCHED_THREADS={env!r} is not an integer")
-    return 1
-
-
 def compare_policies(config: SystemConfig, kinds: Sequence[str], n_paths: int,
                      base_seed: int, rule: str = TRUNCATE_AT_HORIZON,
-                     eval_times: Optional[Sequence[float]] = None,
-                     n_jobs: Optional[int] = None) -> dict:
+                     eval_times: Optional[Sequence[float]] = None) -> dict:
     """Replicate each policy (a kind or a PolicyRef, resolved once; a repeat
     runs once) on seeds base_seed..base_seed+n_paths-1, drawing each seed's
     arrival stream once for all of them: one ReplicationSummary per policy,
     with oracle ratios when the oracle is among them.
 
-    A task is a block of seeds, one per worker, with every policy.  No seed's
-    bits depend on its block and results are aggregated in seed order, so the
-    summaries are independent of scheduling.
+    The seeds share each policy's index table and run in batches of about
+    _BATCH_JOBS expected arrivals, each drawn, simulated and priced as one set
+    of columns; no seed's bits depend on its batch.
     """
     if n_paths < 2:
         raise ConfigError("compare_policies needs n_paths >= 2 for a standard error")
@@ -219,25 +188,17 @@ def compare_policies(config: SystemConfig, kinds: Sequence[str], n_paths: int,
         raise ConfigError(f"eval_times must be nondecreasing in [0, horizon] and end at the "
                           f"horizon {config.horizon}")
 
-    # a fork pool starts all its workers at the first submit: no more than
-    # there are seeds or CPUs this process may run on
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(resolve_n_jobs(n_jobs), n_paths, cpus or 1)
-    size = -(-n_paths // workers)
-    tasks = [(config, policies, range(base_seed + i, base_seed + min(i + size, n_paths)), rule,
-              eval_times) for i in range(0, n_paths, size)]
-    if len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # here, so one worker never loads it
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            blocks = list(pool.map(_block, tasks))
-    else:
-        blocks = [_block(t) for t in tasks]
+    size = max(1, int(_BATCH_JOBS // (config.lam * config.horizon + 1.0)))
+    seeds = range(base_seed, base_seed + n_paths)
+    batches = simulate_block(config, policies, [seeds[i:i + size] for i in range(0, n_paths, size)])
+    # map drops each batch once priced, before the next one is simulated
+    priced = list(map(partial(_price, config, rule, eval_times), batches))
 
     # per policy: J on eval_times, events, open jobs, open costs; row i is seed base_seed+i
-    rows = [[np.concatenate([b[j][f] for batches in blocks for b in batches]) for f in range(4)]
+    rows = [[np.concatenate([b[j][f] for b in priced]) for f in range(4)]
             for j in range(len(policies))]
     stats = [_mean_stderr(values) for values, *_ in rows]
-    base = stats[kinds.index("oracle")][0] if "oracle" in kinds else None
+    base = next((mean for p, (mean, _) in zip(policies, stats) if p.kind == "oracle"), None)
     out = {}
     with np.errstate(divide="ignore", invalid="ignore"):
         for kind, policy, (values, events, open_jobs, open_costs), (mean, stderr) in zip(

@@ -158,8 +158,9 @@ class PathResult:
 
 
 def _overflow(event_cap: int, horizon: float) -> EventOverflowError:
-    return EventOverflowError(f"more than {event_cap} events before the horizon "
-                              f"{horizon}; check rho or raise event_cap")
+    return EventOverflowError(f"more than {event_cap} events before the horizon {horizon}; "
+                              "lower rho or lambda * horizon (event_cap is an argument of "
+                              "run_path and simulate_block)")
 
 
 def _substreams(seed: int, rng: Generator):

@@ -76,7 +76,7 @@ class PolicyRef:
     of scheduling class l holding n jobs (0 for n <= 0), the closed form
     A_l * n**(p-1) when all the relevant costs share one power p, else
     mu_l * C_l'(n / lam_l); fcfs's is 0, one FIFO line.  It is module-level
-    or a bound method of a module-level class, so it pickles to pool workers.
+    or a bound method of a module-level class.
     """
 
     kind: str

@@ -19,19 +19,19 @@ def bench_inputs():
     return module
 
 
-def exact_int_w2(path) -> float:
-    """Exact time integral of the squared workload along one simulated path.
+def exact_int_w2(t, w, horizon) -> float:
+    """Exact time integral of the squared workload over [0, horizon] along one
+    path, from its arrival times t and its workload W_+ after each arrival.
 
     Between consecutive arrivals the workload drains linearly at unit rate,
-    so each segment contributes a closed-form cubic.  Uses the per-arrival
-    workload snapshots recorded by the engine; independent of the sampling
-    grid resolution.
+    so each segment contributes a closed-form cubic; independent of any
+    sampling grid.
     """
-    t = np.asarray(path.arrival_times, dtype=float)
+    t = np.asarray(t, dtype=float)
     if t.size == 0:
         return 0.0
-    w = np.asarray(path.arrival_workloads, dtype=float)
-    dt = np.diff(np.append(t, path.horizon))
+    w = np.asarray(w, dtype=float)
+    dt = np.diff(np.append(t, horizon))
     busy = np.minimum(dt, w)
     return float(((w ** 3 - (w - busy) ** 3) / 3.0).sum())
 

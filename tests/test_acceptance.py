@@ -29,11 +29,13 @@ from pqsched import (
     reviewer_params,
     run_path,
     save_config,
+    simulate_block,
     total_cost,
     two_class_xstar,
     workload_variance_rate,
 )
 from pqsched.cli import main as cli_main
+from pqsched.engine import _lindley
 from helpers import exact_int_w2, kkt_per_path, reviewer_system_config, ten_class_config
 from reference_mixture import MixtureCost
 
@@ -252,22 +254,33 @@ def _rbm_mean_int_sq(v, n_steps, horizon, n_per, n_chunks, seed0):
     return total / count
 
 
+def _des_int_sq(cfg, n_paths):
+    """Exact int W^2 of seeds 0..n_paths-1: W_+ after each arrival is the
+    Lindley recursion over simulate_block's draws (no policy), with an
+    infinite gap at each seed's first arrival, in batches of about 2**16
+    arrivals."""
+    size = max(1, (1 << 16) // int(cfg.lam * cfg.horizon))
+    batches = [range(i, min(i + size, n_paths)) for i in range(0, n_paths, size)]
+    out = []
+    for bounds, (a, _, service, _), _ in simulate_block(cfg, [], batches):
+        gaps = np.diff(a, prepend=0.0, append=np.inf)   # a spare entry for trailing empty seeds
+        gaps[bounds[:-1]] = np.inf
+        w = _lindley(gaps[:-1], service)
+        out += [exact_int_w2(a[lo:hi], w[lo:hi], cfg.horizon)
+                for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return np.array(out)
+
+
 def test_criterion_06_diffusion_consistency():
     cfg_a = _critical_mix_config(10.0)
     v = workload_variance_rate(cfg_a)
     assert abs(v - 0.026989795918367348) < 1e-15
 
-    des_a = np.empty(4000)
-    for s in range(4000):
-        des_a[s] = exact_int_w2(run_path(cfg_a, "fcfs", seed=s,
-                                         sampling_grid=2))
+    des_a = _des_int_sq(cfg_a, 4000)
     rbm_a = _rbm_mean_int_sq(v, 250, 10.0, 25000, 4, seed0=500)
 
     cfg_b = _critical_mix_config(100.0)
-    des_b = np.empty(2500)
-    for s in range(2500):
-        des_b[s] = exact_int_w2(run_path(cfg_b, "fcfs", seed=s,
-                                         sampling_grid=2))
+    des_b = _des_int_sq(cfg_b, 2500)
     rbm_b = _rbm_mean_int_sq(v, 2500, 100.0, 10000, 6, seed0=900)
 
     d_a = des_a.mean() / rbm_a - 1.0

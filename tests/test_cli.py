@@ -620,6 +620,43 @@ def test_json_integer_beyond_the_float_range_is_one_error_line(runner, tmp_path,
                                          "overflows the float range")
 
 
+@pytest.mark.parametrize("coeff, error", [
+    (5e-324, "NonFinite: jnaive_coeff of candidate 'q' = nan (overflows the float range)"),
+    (1e-310, "NonFinite: relative_regret of candidate 'q' = inf (overflows the float range); "
+             "NonFinite: jnaive_coeff of candidate 'q' = nan (overflows the float range)")])
+def test_select_model_refuses_a_criterion_that_overflows(runner, tmp_path, coeff, error):
+    # a subnormal cost coefficient once gave numpy warnings and a nan in criteria.csv
+    system = {**README_CONFIG, "service_rates": [1.0, 1.0],
+              "costs": [{"coeff": coeff, "power": 2.0}, {"coeff": 10.0, "power": 2.0}]}
+    cfg, model, out = tmp_path / "config.json", tmp_path / "q.json", tmp_path / "o"
+    cfg.write_text(json.dumps(system))
+    model.write_text(json.dumps([[0.8, 0.2], [0.3, 0.7]]))
+    result = _invoke_warnings_as_errors(runner, ["select-model", "--config", str(cfg), "--model",
+                                                 str(model), "--out", str(out)])
+    _assert_refused_quietly(result, out, error)
+
+
+HUGE_COUNT = str(10 ** 18)   # points past any address space, never a size a machine can hold
+
+
+@pytest.mark.parametrize("command, args", [
+    ("lower-bound", ["--steps", HUGE_COUNT]),
+    ("triage", ["--steps", HUGE_COUNT]),
+    ("triage", ["--zfl-grid", f"0.1:0.2:{HUGE_COUNT}"])], ids=["lower-bound", "triage", "grid"])
+def test_allocation_past_any_address_space_is_one_error_line(runner, tmp_path, command, args):
+    # once a raw _ArrayMemoryError traceback; the text is numpy's
+    cfg = tmp_path / "config.json"
+    # rho = 1, so no HeavyTrafficDeviation warning reaches stderr
+    cfg.write_text(json.dumps(TRIAGE_DOC if command == "triage"
+                              else {**README_CONFIG, "service_rates": [1.0, 1.0]}))
+    out = tmp_path / "o"
+    result = _invoke_warnings_as_errors(runner, [command, "--config", str(cfg), "--paths", "2",
+                                                 *args, "--out", str(out)])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr.startswith("Error: Unable to allocate ")
+    assert result.stderr.count("\n") == 1 and not out.exists()
+
+
 @pytest.mark.parametrize("label", [40, 10 ** 8, 2 ** 63 - 1])
 @pytest.mark.parametrize("header, rest", [
     # estimate_confusion refuses; estimate_rates with confusion skipped; the
@@ -1086,7 +1123,6 @@ def test_no_command_imports_scipy(runner, tmp_path, command, service_dist):
             "main(sys.argv[1:], standalone_mode=False); "
             "print(sorted(m for m in sys.modules if m.startswith('pqsched.')))")
     env = dict(os.environ, PYTHONPATH=str(Path(pqsched.__file__).resolve().parents[1]))
-    env.pop("PQSCHED_THREADS", None)
     proc = subprocess.run([sys.executable, "-c", code, *args, "--out", str(fresh)],
                           env=env, check=True, capture_output=True, text=True)
     *_, modules = proc.stdout.splitlines()

@@ -1,6 +1,4 @@
-import concurrent.futures
 import csv
-import os
 
 import numpy as np
 import pytest
@@ -12,10 +10,10 @@ from pqsched import (
     CostFn,
     Curves,
     PathResult,
+    PolicyRef,
     compare_policies,
     paired_gap,
     path_cost,
-    resolve_n_jobs,
     run_path,
     export_summary_csv,
 )
@@ -123,16 +121,6 @@ def test_open_costs_are_float_when_no_job_is_open():
     assert s.open_costs.dtype == np.float64 and s.open_costs.tolist() == [0.0, 0.0, 0.0]
 
 
-def test_replicate_pool_matches_serial(critical_config):
-    # the resolved policy is pickled to the workers; seed-order aggregation
-    # makes the summary independent of the pool
-    serial = compare_policies(critical_config, ["pcmu"], n_paths=6, base_seed=3, n_jobs=1)["pcmu"]
-    pooled = compare_policies(critical_config, ["pcmu"], n_paths=6, base_seed=3, n_jobs=2)["pcmu"]
-    for field in ("grid", "mean", "stderr", "terminal_costs"):
-        assert np.array_equal(getattr(serial, field), getattr(pooled, field))
-    assert pooled.policy_kind == "pcmu"
-
-
 def test_replicate_seed_schedule_past_philox_keys(two_class_config):
     # seeds 2**128 - 2, 2**128 - 1 are keys; 2**128 is not
     with pytest.raises(ConfigError, match=r"seed 340282366920938463463374607431768211456 "):
@@ -184,6 +172,18 @@ def test_compare_policies_ratio(critical_config):
                        out["pcmu"].mean[mask] / out["oracle"].mean[mask])
 
 
+def test_resolved_oracle_gives_the_same_ratios():
+    # the oracle is found by its kind: a resolved one once gave no ratio at all
+    cfg = make_two_class(lam=20.0)
+    by_name = compare_policies(cfg, ["oracle", "pcmu"], n_paths=3, base_seed=0)
+    oracle = PolicyRef.for_config("oracle", cfg)
+    resolved = compare_policies(cfg, [oracle, "pcmu"], n_paths=3, base_seed=0)
+    for kind, key in (("oracle", oracle), ("pcmu", "pcmu")):
+        assert resolved[key].ratio_to_oracle is not None
+        assert np.array_equal(resolved[key].ratio_to_oracle, by_name[kind].ratio_to_oracle,
+                              equal_nan=True)
+
+
 def test_export_summary_csv(tmp_path):
     cfg = make_two_class(lam=20.0)
     out = compare_policies(cfg, ("oracle", "pcmu"), n_paths=10, base_seed=0)
@@ -224,54 +224,3 @@ def test_eval_times_must_end_at_the_horizon():
     s = compare_policies(cfg, ["pcmu"], n_paths=5, base_seed=0, eval_times=[0.0, 0.5, 1.0])["pcmu"]
     expect = [path_cost(run_path(cfg, "pcmu", seed=i), cfg).values[-1] for i in range(5)]
     assert s.terminal_costs.tolist() == expect   # one J(T), bit for bit
-
-
-# ---------------------------------------------------------------- workers
-
-def test_resolve_n_jobs(monkeypatch):
-    monkeypatch.delenv("PQSCHED_THREADS", raising=False)
-    assert resolve_n_jobs() == 1
-    assert resolve_n_jobs(4) == 4
-    monkeypatch.setenv("PQSCHED_THREADS", "3")
-    assert resolve_n_jobs() == 3
-    assert resolve_n_jobs(2) == 2          # explicit argument wins
-    monkeypatch.setenv("PQSCHED_THREADS", "many")
-    with pytest.raises(ConfigError):
-        resolve_n_jobs()
-
-
-@pytest.mark.parametrize("n_jobs, n_paths, cpus, pool", [
-    (64, 3, 4, 3),       # no more workers than seeds
-    (64, 10, 4, 4),      # nor than usable CPUs
-    (64, 9, 4, 3),       # one per block: 9 seeds in blocks of 3
-    (3, 10, 4, 3),       # the asked-for count, below both caps
-    (64, 10, 1, None),   # one usable CPU builds no pool
-])
-def test_pool_is_capped_at_seeds_and_cpus(monkeypatch, two_class_config, n_jobs, n_paths,
-                                          cpus, pool):
-    # a fork pool starts every worker at its first submit, so a large n_jobs
-    # must never reach it; a recorder stands in for the pool and maps here
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    capped = compare_policies(two_class_config, ["pcmu"], n_paths=n_paths, base_seed=0,
-                              n_jobs=n_jobs)["pcmu"]
-    assert sizes == ([] if pool is None else [pool])
-    serial = compare_policies(two_class_config, ["pcmu"], n_paths=n_paths, base_seed=0,
-                              n_jobs=1)["pcmu"]
-    for field in ("mean", "stderr", "terminal_costs", "event_counts", "open_jobs"):
-        assert np.array_equal(getattr(capped, field), getattr(serial, field))

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import time
 import tracemalloc
 
@@ -52,7 +53,7 @@ def test_empty_path_before_first_arrival():
     assert path.completion.size == 0
     assert np.all(path.curves.workload == 0.0)
     assert np.all(path.curves.queue_lengths == 0)
-    assert exact_int_w2(path) == 0.0
+    assert exact_int_w2(path.arrival_times, path.arrival_workloads, path.horizon) == 0.0
 
 
 def test_single_job_deterministic():
@@ -447,10 +448,13 @@ def test_seed_outside_philox_keys(critical_config, seed):
 
 
 def test_event_overflow(critical_config):
+    # the text names what a CLI user can change, and event_cap only where it is taken
+    text = re.escape("more than 10 events before the horizon 1.0; lower rho or lambda * "
+                     "horizon (event_cap is an argument of run_path and simulate_block)")
     for kind in ("pcmu", "fcfs"):
-        with pytest.raises(EventOverflowError):
+        with pytest.raises(EventOverflowError, match=f"^{text}$"):
             run_path(critical_config, kind, seed=0, event_cap=10)
-        with pytest.raises(EventOverflowError):
+        with pytest.raises(EventOverflowError, match=f"^{text}$"):
             run_path(critical_config, kind, seed=0, event_cap=10,
                      arrival_schedule=RateSchedule.constant(1.0))
 

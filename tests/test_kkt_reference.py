@@ -245,8 +245,7 @@ print(json.dumps({name: name in sys.modules for name in
 
 
 def test_import_leaves_scipy_optimize_out(tmp_path):
-    # no pqsched module imports scipy, and the process pool is imported where
-    # it is used, so loading configs builds no pool and loads no scipy;
+    # no pqsched module imports scipy, so loading configs loads no scipy;
     # gaussian_logit curves take Phi from the C library's erfc (math.erfc)
     exponential, deterministic = tmp_path / "exponential.json", tmp_path / "deterministic.json"
     save_config(make_two_class(), exponential)
