@@ -17,6 +17,7 @@ from pqsched import (
     RateSchedule,
     SystemConfig,
     compare_policies,
+    cost,
     engine,
     export_curves_csv,
     export_jobs_csv,
@@ -137,8 +138,11 @@ def test_long_critical_path_matches_reference(critical_config):
         assert path.arrival_times.size > 1500
 
 
-def test_compare_policies_one_kind_equals_all_kinds(critical_config):
-    # one kind alone equals the same kind among all kinds, in every field
+@pytest.mark.parametrize("batch_jobs", [1, 1 << 11])
+def test_compare_policies_one_kind_equals_all_kinds(monkeypatch, critical_config, batch_jobs):
+    # one kind alone equals the same kind among all kinds, in every field,
+    # with one seed per batch or all six seeds in one batch
+    monkeypatch.setattr(cost, "_BATCH_JOBS", batch_jobs)
     cfg = replace(critical_config, horizon=2.0)
     out = compare_policies(cfg, POLICY_KINDS, n_paths=6, base_seed=3)
     for kind in POLICY_KINDS:

@@ -134,16 +134,20 @@ _KINDS = {"index-kinds": POLICY_KINDS[:3], "fcfs-and-index-kinds": POLICY_KINDS[
 _PATHS = {"exponential": 16, "deterministic": 16, "lognormal": 52}
 
 
-@pytest.mark.parametrize("rule, law, kinds, n_paths", [
-    pytest.param(rule, "exponential", POLICY_KINDS, 7, id=rule) for rule in _RULES] + [
-    pytest.param(rule, law, kinds, _PATHS[law_id],
-                 id=f"{rule}-{law_id}-{kinds_id}-{_PATHS[law_id]}")
-    for rule in _RULES for law_id, law in _LAWS.items() for kinds_id, kinds in _KINDS.items()])
-def test_seed_blocks_match_per_seed_oracle(monkeypatch, rule, law, kinds, n_paths):
+@pytest.mark.parametrize("rule, batch, law, kinds, n_paths", [
+    pytest.param(rule, batch, "exponential", POLICY_KINDS, 7, id=f"{rule}-{batch}")
+    for rule in _RULES for batch in ("3", "all")] + [
+    pytest.param(rule, batch, law, kinds, _PATHS[law_id],
+                 id=f"{rule}-{batch}-{law_id}-{kinds_id}-{_PATHS[law_id]}")
+    for rule in _RULES for batch in ("3", "all") for law_id, law in _LAWS.items()
+    for kinds_id, kinds in _KINDS.items()])
+def test_seed_blocks_match_per_seed_oracle(monkeypatch, rule, batch, law, kinds, n_paths):
     cfg, base_seed = replace(_critical(horizon=2.0), service_dist=law), 11
     # the n_paths seeds run in batches of 3 seeds, so the last batch is
-    # short, of one seed (7 = 3 + 3 + 1, 16 = 5 x 3 + 1, 52 = 17 x 3 + 1)
-    monkeypatch.setattr(cost, "_BATCH_JOBS", 3 * int(cfg.lam * cfg.horizon + 1.0))
+    # short, of one seed (7 = 3 + 3 + 1, 16 = 5 x 3 + 1, 52 = 17 x 3 + 1),
+    # or all in one batch
+    per_batch = 3 if batch == "3" else n_paths
+    monkeypatch.setattr(cost, "_BATCH_JOBS", per_batch * int(cfg.lam * cfg.horizon + 1.0))
     eval_times = np.linspace(0.0, cfg.horizon, 7)
     oracle = reference_engine.replication_oracle(cfg, POLICY_KINDS, n_paths, base_seed, rule,
                                                  eval_times)
@@ -165,9 +169,11 @@ def test_seed_blocks_match_per_seed_oracle(monkeypatch, rule, law, kinds, n_path
         _assert_matches_oracle(alone, oracle, rule, eval_times)
 
 
-def test_two_seed_blocks_of_one_match_oracle(monkeypatch):
+@pytest.mark.parametrize("batch_jobs", [1, 1 << 11])
+def test_two_seed_blocks_of_one_match_oracle(monkeypatch, batch_jobs):
     cfg = replace(_critical(horizon=1.0), costs=(CostFn(2.0), CostFn(3.0)))
-    monkeypatch.setattr(cost, "_BATCH_JOBS", 1)   # one seed per batch
+    # one seed per batch, or both seeds in one batch
+    monkeypatch.setattr(cost, "_BATCH_JOBS", batch_jobs)
     eval_times = np.linspace(0.0, cfg.horizon, 11)
     oracle = reference_engine.replication_oracle(cfg, POLICY_KINDS, 2, 0, TRUNCATE_AT_HORIZON,
                                                  eval_times)
