@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +42,6 @@ __all__ = [
     "config_to_json",
     "config_from_json",
     "load_config",
-    "save_config",
 ]
 
 # |rho - 1| beyond this is flagged as "not really heavy traffic" (a warning,
@@ -506,10 +505,74 @@ def cube_overflow(name: str, rate) -> list:
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip.  Field names are part of the external interface:
-# lambda, prevalences, service_rates, costs[{coeff,power}], confusion
-# (row-major), horizon, arrival_dist, service_dist.
+# JSON documents.  A config dataclass is read field by field (_from_json): each
+# key through the reader of its field's annotation, and an absent key takes the
+# field's default.  A missing key is "MissingField: <path>", and a value of
+# another JSON type "WrongType: <path> = <value> (expected ...)", the path
+# dotted as costs[0].coeff.
 # ---------------------------------------------------------------------------
+
+def _typed(value, name: str, ok: bool, expected: str):
+    """value if ok, else the WrongType error naming it."""
+    if not ok:
+        raise ConfigError(f"WrongType: {name} = {json.dumps(value, default=repr)} "
+                          f"(expected {expected})")
+    return value
+
+
+def _number(value, name: str) -> float:
+    """A JSON number, not a boolean, as a float."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return float(_typed(value, name, ok, "a number"))
+
+
+def _integer(value, name: str) -> int:
+    """A JSON number with no fraction (100 or 1e3, not 100.7) as an int."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool) and value % 1 == 0
+    return int(_typed(value, name, ok, "an integer"))
+
+
+def _list_of(read, expected: str):
+    """The reader of a JSON list: the tuple of its entries, each read as name[i]."""
+    return lambda value, name: tuple(read(v, f"{name}[{i}]") for i, v in enumerate(
+        _typed(value, name, isinstance(value, list), expected)))
+
+
+def _array(value, name: str) -> np.ndarray:
+    """A JSON number, or a list of arrays of one shape, as a float array."""
+    if not isinstance(value, list):
+        return np.array(_number(value, name))
+    entries = [_array(v, f"{name}[{i}]") for i, v in enumerate(value)]
+    _typed(value, name, len({a.shape for a in entries}) < 2, "a rectangular array of numbers")
+    return np.array(entries)
+
+
+def _field(doc, key: str, name: str, read, default=MISSING):
+    """doc[key] through read, as name.key (key at the top, name ''): an absent
+    key, or a null where the default is None, gives default, or MissingField."""
+    path = f"{name}.{key}" if name else key
+    if key in _typed(doc, name or "document", isinstance(doc, dict), "an object") and (
+            doc[key] is not None or default is not None):
+        return read(doc[key], path)
+    if default is MISSING:
+        raise ConfigError(f"MissingField: {path}")
+    return default
+
+
+def _from_json(cls, doc, name: str = "", keys: dict = {}, readers: dict = {}):
+    """The dataclass cls from its JSON object doc at name: each field's key
+    (or keys[field]) through the reader of its annotation (or readers[it])."""
+    readers = _READERS | readers
+    return cls(**{f.name: _field(doc, keys.get(f.name, f.name), name, readers[f.type], f.default)
+                  for f in fields(cls)})
+
+
+_number_list = _list_of(_number, "a list of numbers")
+_READERS = {"float": _number, "Optional[float]": _number, "tuple": _number_list,
+            "Optional[tuple]": _number_list, "np.ndarray": _array, "ConfusionMatrix": _array,
+            "Dist": Dist.parse, "tuple[CostFn, ...]": _list_of(
+                lambda doc, name: _from_json(CostFn, doc, name), "a list of objects")}
+
 
 def config_to_json(config: SystemConfig) -> dict:
     return {
@@ -527,25 +590,9 @@ def config_to_json(config: SystemConfig) -> dict:
 def config_from_json(doc: dict) -> SystemConfig:
     """Build a SystemConfig from its JSON document; a label no job gets (a
     zero column) is refused too, with derive_predicted_params' ZeroColumnError."""
-    try:
-        config = SystemConfig(
-            lam=float(doc["lambda"]),
-            prevalences=doc["prevalences"],
-            service_rates=doc["service_rates"],
-            costs=tuple(CostFn(float(c["coeff"]), float(c.get("power", 2.0))) for c in doc["costs"]),
-            confusion=doc["confusion"],
-            horizon=float(doc.get("horizon", 1.0)),
-            arrival_dist=doc.get("arrival_dist", "exponential"),
-            service_dist=doc.get("service_dist", "exponential"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config document: {exc}") from exc
+    config = _from_json(SystemConfig, doc, keys={"lam": "lambda"})
     derive_predicted_params(config)
     return config
-
-
-def save_config(config: SystemConfig, path):
-    write_json(path, config_to_json(config))
 
 
 def write_csv(path, header, rows):

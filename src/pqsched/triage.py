@@ -36,7 +36,8 @@ import numpy as np
 
 from .errors import ConfigError, EmptyClassError, EmptyGridError, EmptyPassError
 from .httheory import bm_workload_paths, stiffness_coefficients, variance_rate
-from .model import Dist, _check_finite, cube_overflow, load_json
+from .model import (Dist, _check_finite, _field, _from_json, _integer, _number_list, _typed,
+                    cube_overflow, load_json)
 
 __all__ = [
     "PassingCurves",
@@ -51,6 +52,7 @@ __all__ = [
 ]
 
 DEFAULT_SCORE_GRID = 101
+DEFAULT_LOGIT_GRID = 1001
 _MONOTONE_TOL = 1e-9
 _SQRT1_2 = math.sqrt(0.5)
 
@@ -101,12 +103,8 @@ class PassingCurves:
         return float(out) if np.isscalar(z) else out
 
     @classmethod
-    def from_grid(cls, grid, g_toxic, g_nontoxic) -> "PassingCurves":
-        return cls(grid, np.vstack([g_toxic, g_nontoxic]))
-
-    @classmethod
     def from_gaussian_logit(cls, locs: Sequence[float], scales: Sequence[float],
-                            grid_size: int = 1001) -> "PassingCurves":
+                            grid_size: int = DEFAULT_LOGIT_GRID) -> "PassingCurves":
         """Scores are sigmoid(L) with L ~ Normal(loc_k, scale_k):
         g_k(z) = Phi((loc_k - logit z) / scale_k), so the pair (loc, scale)
         controls how sharply each class's mass sits above a threshold.
@@ -120,6 +118,9 @@ class PassingCurves:
             raise ConfigError("scales must be positive")
         if int(grid_size) < 2:
             raise ConfigError("curve grid needs at least two points")
+        # past about 2**60 points numpy refuses the size itself, not with a MemoryError
+        if int(grid_size) > (most := np.iinfo(np.intp).max // 16):
+            raise ConfigError(f"curve grid needs at most {most} points")
         grid = np.linspace(0.0, 1.0, int(grid_size))
         inner = np.clip(grid, 1e-12, 1 - 1e-12)
         logit = np.log(inner) - np.log1p(-inner)
@@ -411,41 +412,26 @@ def evaluate_grid(config: TriageConfig, z_tx, zfl_grid,
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-def curves_from_json(doc: dict) -> PassingCurves:
-    """Curve spec: {"kind": "gaussian_logit", "loc": [.,.], "scale": [.,.]}
-    or {"kind": "grid", "z": [...], "g_toxic": [...], "g_nontoxic": [...]}."""
-    kind = doc.get("kind")
+def curves_from_json(doc, name: str = "curves") -> PassingCurves:
+    """Curve spec: {"kind": "gaussian_logit", "loc": [.,.], "scale": [.,.]} and
+    an optional integer "grid_size", or {"kind": "grid", "z": [...], "g_toxic":
+    [...], "g_nontoxic": [...]}; its keys are named name.key."""
+    kind = _field(doc, "kind", name,
+                  lambda tag, path: _typed(tag, path, isinstance(tag, str), "a string"))
     if kind == "gaussian_logit":
         return PassingCurves.from_gaussian_logit(
-            doc["loc"], doc["scale"], grid_size=doc.get("grid_size", 1001))
+            *(_field(doc, key, name, _number_list) for key in ("loc", "scale")),
+            _field(doc, "grid_size", name, _integer, DEFAULT_LOGIT_GRID))
     if kind == "grid":
-        return PassingCurves.from_grid(doc["z"], doc["g_toxic"], doc["g_nontoxic"])
+        z, *g = (_field(doc, key, name, _number_list) for key in ("z", "g_toxic", "g_nontoxic"))
+        if len(g[0]) != len(g[1]):
+            raise ConfigError("curve values must be shaped (2, len(grid))")
+        return PassingCurves(z, g)
     raise ConfigError(f"unknown curve kind {kind!r}")
 
 
 def triage_config_from_json(doc: dict) -> TriageConfig:
-    try:
-        return TriageConfig(
-            Lambda=float(doc["Lambda"]),
-            p=tuple(float(x) for x in doc["p"]),
-            mu=tuple(float(x) for x in doc["mu"]),
-            curves=curves_from_json(doc["curves"]),
-            c_trp=float(doc["c_trp"]),
-            c_trn=float(doc["c_trn"]),
-            c_fp=float(doc["c_fp"]),
-            c_fn=float(doc["c_fn"]),
-            c_tp=float(doc["c_tp"]),
-            c_tn=float(doc["c_tn"]),
-            c_r=float(doc["c_r"]),
-            delay_costs=tuple(float(x) for x in doc["delay_costs"]),
-            alpha_u=(None if doc.get("alpha_u") is None else float(doc["alpha_u"])),
-            alpha_v=(None if doc.get("alpha_v") is None
-                     else tuple(float(x) for x in doc["alpha_v"])),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"triage config missing field {exc.args[0]!r}")
-    except (AttributeError, TypeError, ValueError) as exc:  # e.g. "curves" not an object
-        raise ConfigError(f"malformed triage config: {exc}") from exc
+    return _from_json(TriageConfig, doc, readers={"PassingCurves": curves_from_json})
 
 
 def load_triage_config(path) -> TriageConfig:

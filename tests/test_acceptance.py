@@ -20,6 +20,7 @@ from pqsched import (
     TRUNCATE_AT_HORIZON,
     bm_workload_paths,
     compare_policies,
+    config_to_json,
     derive_predicted_params,
     evaluate_grid,
     jstar,
@@ -28,12 +29,12 @@ from pqsched import (
     relative_regret,
     reviewer_params,
     run_path,
-    save_config,
     simulate_block,
     total_cost,
     two_class_xstar,
     workload_variance_rate,
 )
+from pqsched.model import write_json
 from pqsched.cli import main as cli_main
 from pqsched.engine import _lindley
 from helpers import exact_int_w2, kkt_per_path, reviewer_system_config, ten_class_config
@@ -438,7 +439,7 @@ def test_criterion_10_cli_determinism(tmp_path):
                        confusion=ConfusionMatrix(((0.9, 0.1), (0.2, 0.8))),
                        horizon=1.0)
     cfg_file = tmp_path / "system.json"
-    save_config(cfg, cfg_file)
+    write_json(cfg_file, config_to_json(cfg))
     model_a = tmp_path / "model_a.json"
     model_a.write_text('[[0.8, 0.2], [0.3, 0.7]]')
     model_b = tmp_path / "model_b.json"

@@ -13,14 +13,15 @@ from click.testing import CliRunner
 import pqsched
 from pqsched import (
     COMPLETED_ONLY,
+    config_to_json,
     load_config,
     path_cost,
     quadratic_coefficients,
     relative_regret,
     run_path,
-    save_config,
     workload_variance_rate,
 )
+from pqsched.model import write_json
 from pqsched.cli import main
 from conftest import make_two_class
 
@@ -34,7 +35,7 @@ def runner():
 def config_path(tmp_path):
     cfg = make_two_class(lam=20.0)
     target = tmp_path / "system.json"
-    save_config(cfg, target)
+    write_json(target, config_to_json(cfg))
     return target
 
 
@@ -140,7 +141,7 @@ def test_simulate_single_path_runs_a_repeated_policy_once(runner, tmp_path, conf
 def test_simulate_identity_confusion_matches_oracle(runner, tmp_path):
     cfg = make_two_class(lam=20.0, confusion=((1.0, 0.0), (0.0, 1.0)))
     config_file = tmp_path / "ident.json"
-    save_config(cfg, config_file)
+    write_json(config_file, config_to_json(cfg))
     out = tmp_path / "ident_out"
     result = runner.invoke(main, ["simulate", "--config", str(config_file),
                                   "--policy", "oracle", "--policy", "pcmu",
@@ -998,13 +999,68 @@ def test_gaussian_logit_grid_of_fewer_than_two_points(runner, tmp_path, triage_p
     assert not out.exists()
 
 
-@pytest.mark.parametrize("field, value", [("Lambda", "abc"), ("p", 0.5), ("curves", [1, 2])])
-def test_triage_field_of_wrong_type(runner, tmp_path, triage_path, field, value):
+@pytest.mark.parametrize("field, value, expected", [
+    ("Lambda", "abc", 'WrongType: Lambda = "abc" (expected a number)'),
+    ("p", 0.5, "WrongType: p = 0.5 (expected a list of numbers)"),
+    ("curves", [1, 2], "WrongType: curves = [1, 2] (expected an object)")])
+def test_triage_field_of_wrong_type(runner, tmp_path, triage_path, field, value, expected):
     bad = tmp_path / "bad_triage.json"
     bad.write_text(json.dumps({**json.loads(triage_path.read_text()), field: value}))
     out = tmp_path / "o"
     result = runner.invoke(main, ["triage", "--config", str(bad), "--out", str(out)])
-    _assert_one_line_error(result, "malformed triage config")
+    _assert_one_line_error(result, f"Error: {expected}")
+    assert not out.exists()
+
+
+def _without(doc: dict, *path):
+    """A deep copy of doc without the key at path."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return doc
+
+
+@pytest.mark.parametrize("command, doc, expected", [
+    ("simulate", {**README_CONFIG, "lambda": None}, "WrongType: lambda = null (expected a number)"),
+    ("simulate", {**README_CONFIG, "lambda": True}, "WrongType: lambda = true (expected a number)"),
+    ("simulate", {**README_CONFIG, "lambda": "100"},
+     'WrongType: lambda = "100" (expected a number)'),
+    ("simulate", {**README_CONFIG, "horizon": False},
+     "WrongType: horizon = false (expected a number)"),
+    ("lower-bound", {**README_CONFIG, "prevalences": [0.5, None]},
+     "WrongType: prevalences[1] = null (expected a number)"),
+    ("lower-bound", _without(README_CONFIG, "costs", 0, "coeff"), "MissingField: costs[0].coeff"),
+    ("lower-bound", _without(README_CONFIG, "confusion"), "MissingField: confusion"),
+    ("select-model", {**README_CONFIG, "confusion": [[0.9, 0.1], [0.2]]},
+     "WrongType: confusion = [[0.9, 0.1], [0.2]] (expected a rectangular array of numbers)"),
+    ("select-model", {**README_CONFIG, "costs": [{"coeff": 1.0}, 2.0]},
+     "WrongType: costs[1] = 2.0 (expected an object)"),
+    ("triage", {**TRIAGE_DOC, "delay_costs": [{}, 1.0]},
+     "WrongType: delay_costs[0] = {} (expected a number)"),
+    ("triage", _without(TRIAGE_DOC, "curves", "loc"), "MissingField: curves.loc"),
+    ("triage", _without(TRIAGE_DOC, "c_r"), "MissingField: c_r"),
+    ("triage", {**TRIAGE_DOC, "curves": {**TRIAGE_DOC["curves"], "grid_size": 100.7}},
+     "WrongType: curves.grid_size = 100.7 (expected an integer)"),
+    ("triage", {**TRIAGE_DOC, "curves": {**TRIAGE_DOC["curves"], "grid_size": "50"}},
+     'WrongType: curves.grid_size = "50" (expected an integer)'),
+    # numpy refuses such a size with a ValueError, which once ended in a traceback
+    ("triage", {**TRIAGE_DOC, "curves": {**TRIAGE_DOC["curves"], "grid_size": 2 ** 64}},
+     "curve grid needs at most 576460752303423487 points"),
+    ("triage", {**TRIAGE_DOC, "curves": {**TRIAGE_DOC["curves"], "grid_size": 1e300}},
+     "curve grid needs at most 576460752303423487 points"),
+])
+def test_config_field_missing_or_of_wrong_type_is_named(runner, tmp_path, command, doc,
+                                                       expected):
+    # these once ended in "malformed config document: ..." with Python's text
+    bad, model, out = tmp_path / "bad.json", tmp_path / "model.json", tmp_path / "o"
+    bad.write_text(json.dumps(doc))
+    model.write_text(json.dumps(README_CONFIG["confusion"]))
+    extra = {"select-model": ["--model", str(model)], "simulate": ["--paths", "2"]}
+    result = runner.invoke(main, [command, "--config", str(bad), *extra.get(command, []),
+                                  "--out", str(out)])
+    assert result.exit_code == 1 and result.stderr.splitlines() == [f"Error: {expected}"]
     assert not out.exists()
 
 
@@ -1043,7 +1099,7 @@ def test_validation_warnings_in_manifest_and_stderr(runner, tmp_path, command, e
 
 def test_heavy_traffic_config_has_no_warnings(runner, tmp_path, critical_config):
     cfg = tmp_path / "critical.json"
-    save_config(critical_config, cfg)
+    write_json(cfg, config_to_json(critical_config))
     out = tmp_path / "lb"
     result = runner.invoke(main, ["lower-bound", "--config", str(cfg), "--paths", "8",
                                   "--steps", "100", "--out", str(out)])

@@ -17,13 +17,14 @@ from pqsched import (
     RateSchedule,
     SystemConfig,
     compare_policies,
+    config_to_json,
     cost,
     engine,
     export_curves_csv,
     export_jobs_csv,
     run_path,
-    save_config,
 )
+from pqsched.model import write_json
 from pqsched.cli import main
 import reference_engine
 
@@ -157,7 +158,7 @@ def test_compare_policies_one_kind_equals_all_kinds(monkeypatch, critical_config
 def test_simulate_single_path_csvs_match_reference(tmp_path, critical_config):
     cfg = replace(critical_config, horizon=3.0,
                   costs=(CostFn(1.0), CostFn(4.0, power=3.0)))
-    save_config(cfg, tmp_path / "system.json")
+    write_json(tmp_path / "system.json", config_to_json(cfg))
     out = tmp_path / "out"
     args = ["simulate", "--config", str(tmp_path / "system.json"), "--paths", "1",
             "--seed", "5", "--out", str(out)]

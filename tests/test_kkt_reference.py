@@ -19,11 +19,12 @@ from pqsched import (
     ConfusionMatrix,
     CostFn,
     SystemConfig,
+    config_to_json,
     derive_predicted_params,
     httheory,
     kkt_solve,
-    save_config,
 )
+from pqsched.model import write_json
 import reference_kkt
 from conftest import make_two_class
 from helpers import ten_class_config
@@ -248,9 +249,9 @@ def test_import_leaves_scipy_optimize_out(tmp_path):
     # no pqsched module imports scipy, so loading configs loads no scipy;
     # gaussian_logit curves take Phi from the C library's erfc (math.erfc)
     exponential, deterministic = tmp_path / "exponential.json", tmp_path / "deterministic.json"
-    save_config(make_two_class(), exponential)
-    save_config(make_two_class(arrival_dist="deterministic", service_dist="deterministic"),
-                deterministic)
+    write_json(exponential, config_to_json(make_two_class()))
+    write_json(deterministic, config_to_json(
+        make_two_class(arrival_dist="deterministic", service_dist="deterministic")))
     triage = {"Lambda": 100.0, "p": [0.2, 0.8], "mu": [50.0, 200.0],
               "c_trp": 20.0, "c_trn": -3.0, "c_fp": 3.0, "c_fn": 3.0, "c_tp": -3.0,
               "c_tn": -3.0, "c_r": 800.0, "delay_costs": [15.0, 1.0]}

@@ -3,7 +3,7 @@ import json
 import math
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -27,9 +27,8 @@ from pqsched import (
     derive_predicted_params,
     kkt_solve,
     load_config,
-    save_config,
 )
-from pqsched.model import ndtri
+from pqsched.model import ndtri, write_json
 import reference_engine
 import reference_kkt
 from conftest import make_two_class
@@ -512,12 +511,77 @@ def test_json_non_finite_number_names_its_field(two_class_config, field, value):
 def test_json_malformed_raises(two_class_config):
     doc = config_to_json(two_class_config)
     del doc["lambda"]
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^MissingField: lambda$"):
         config_from_json(doc)
     doc2 = config_to_json(two_class_config)
     doc2["costs"] = "cheap"
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError,
+                       match=r'^WrongType: costs = "cheap" \(expected a list of objects\)$'):
         config_from_json(doc2)
+
+
+@pytest.mark.parametrize("path, name", [
+    (("prevalences",), "prevalences"), (("service_rates",), "service_rates"),
+    (("costs",), "costs"), (("confusion",), "confusion"),
+    (("costs", 1, "coeff"), "costs[1].coeff")])
+def test_json_missing_field_names_its_path(two_class_config, path, name):
+    doc = config_to_json(two_class_config)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    with pytest.raises(ConfigError) as err:
+        config_from_json(doc)
+    assert str(err.value) == f"MissingField: {name}"
+
+
+@pytest.mark.parametrize("field, value, expected", [
+    # a number field takes a JSON number only: not a string, a boolean or a null
+    ("lambda", "100", 'lambda = "100" (expected a number)'),
+    ("lambda", True, "lambda = true (expected a number)"),
+    ("lambda", None, "lambda = null (expected a number)"),
+    ("horizon", False, "horizon = false (expected a number)"),
+    ("prevalences", [0.5, None], "prevalences[1] = null (expected a number)"),
+    ("service_rates", "abc", 'service_rates = "abc" (expected a number)'),
+    ("confusion", [[0.9, "0.1"], [0.2, 0.8]], 'confusion[0][1] = "0.1" (expected a number)'),
+    ("confusion", [[0.9, 0.1], [0.2]],
+     "confusion = [[0.9, 0.1], [0.2]] (expected a rectangular array of numbers)"),
+    ("costs", [{"coeff": 1.0}, [10.0]], "costs[1] = [10.0] (expected an object)"),
+    ("costs", [{"coeff": 1.0, "power": "3"}, {"coeff": 10.0}],
+     'costs[0].power = "3" (expected a number)'),
+])
+def test_json_field_of_wrong_type_names_its_path(two_class_config, field, value, expected):
+    with pytest.raises(ConfigError) as err:
+        config_from_json({**config_to_json(two_class_config), field: value})
+    assert str(err.value) == f"WrongType: {expected}"
+
+
+def test_json_document_is_an_object():
+    with pytest.raises(ConfigError) as err:
+        config_from_json([[0.9, 0.1], [0.2, 0.8]])   # a model file given as the config
+    assert str(err.value) == "WrongType: document = [[0.9, 0.1], [0.2, 0.8]] (expected an object)"
+
+
+@pytest.mark.parametrize("value, shape", [(0.5, "()"), ([[0.3, 0.7], [0.3, 0.7]], "(2,2)")])
+def test_json_shape_fault_reaches_the_constructor(two_class_config, value, shape):
+    # a scalar or a 2-D list of numbers is read, and the constructor refuses its shape
+    with pytest.raises(ConfigError) as err:
+        config_from_json({**config_to_json(two_class_config), "prevalences": value})
+    assert str(err.value) == (f"ShapeMismatch: prevalences{shape}, service_rates(2), costs(2), "
+                              "confusion(2) disagree")
+
+
+def test_json_absent_keys_take_the_dataclass_defaults(two_class_config):
+    doc = config_to_json(two_class_config) | {"comment": "unknown keys are ignored"}
+    for key in ("horizon", "arrival_dist", "service_dist"):
+        del doc[key]
+    for cost in doc["costs"]:
+        del cost["power"]
+    back = config_from_json(doc)
+    defaults = {f.name: f.default for f in fields(SystemConfig) + fields(CostFn)}
+    assert back.horizon == defaults["horizon"]
+    assert back.arrival_dist == back.service_dist == Dist.parse(defaults["arrival_dist"])
+    assert [c.power for c in back.costs] == [defaults["power"]] * 2
 
 
 def test_json_integer_is_refused_only_past_the_float_range(tmp_path):
@@ -537,7 +601,7 @@ def test_json_integer_is_refused_only_past_the_float_range(tmp_path):
 
 def test_save_and_load_config(tmp_path, two_class_config):
     target = tmp_path / "config.json"
-    save_config(two_class_config, target)
+    write_json(target, config_to_json(two_class_config))
     text = target.read_text()
     assert text.endswith("\n")
     assert json.loads(text)["lambda"] == 1.0
@@ -545,7 +609,7 @@ def test_save_and_load_config(tmp_path, two_class_config):
     assert np.array_equal(back.service_rates, [2.0, 1.0])
     # a second save writes identical bytes
     target2 = tmp_path / "config2.json"
-    save_config(back, target2)
+    write_json(target2, config_to_json(back))
     assert target2.read_bytes() == target.read_bytes()
 
 

@@ -53,9 +53,9 @@ def test_star_import_and_dir_list_every_listed_name():
 def test_import_and_config_load_leave_the_other_modules_unloaded(tmp_path):
     # only a command, or the first lookup of one of their names, loads these
     cfg = tmp_path / "system.json"
-    pqsched.save_config(pqsched.SystemConfig(1.0, [0.3, 0.7], [2.0, 1.0],
-                                             [pqsched.CostFn(1.0), pqsched.CostFn(10.0)],
-                                             [[0.9, 0.1], [0.2, 0.8]]), cfg)
+    pqsched.model.write_json(cfg, pqsched.config_to_json(pqsched.SystemConfig(
+        1.0, [0.3, 0.7], [2.0, 1.0], [pqsched.CostFn(1.0), pqsched.CostFn(10.0)],
+        [[0.9, 0.1], [0.2, 0.8]])))
     unloaded = ["pqsched.engine", "pqsched.cost", "pqsched.httheory", "pqsched.ingest",
                 "pqsched.triage", "numpy.random", "scipy", "concurrent.futures"]
     code = ("import sys, pqsched, pqsched.cli; from pqsched import cli; "

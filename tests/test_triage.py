@@ -39,8 +39,7 @@ def make_triage(**overrides) -> TriageConfig:
 
 def step_curves(drop_at=0.5):
     # pass rate 1 below the step, 0 at and beyond it
-    return PassingCurves.from_grid([0.0, drop_at, 1.0],
-                                   [1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+    return PassingCurves([0.0, drop_at, 1.0], [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 FAST_MC = McParams(n_paths=200, n_steps=100, seed=0)
@@ -153,14 +152,13 @@ def test_gaussian_logit_refusals(locs, scales, match):
 
 def test_curve_validation():
     with pytest.raises(ConfigError):
-        PassingCurves.from_grid([0.0, 1.0], [0.9, 0.0], [1.0, 0.0])  # g(0) != 1
+        PassingCurves([0.0, 1.0], [[0.9, 0.0], [1.0, 0.0]])  # g(0) != 1
     with pytest.raises(ConfigError):
-        PassingCurves.from_grid([0.0, 0.5, 1.0],
-                                [1.0, 0.2, 0.4], [1.0, 1.0, 0.0])    # increases
+        PassingCurves([0.0, 0.5, 1.0], [[1.0, 0.2, 0.4], [1.0, 1.0, 0.0]])    # increases
     with pytest.raises(ConfigError):
-        PassingCurves.from_grid([0.1, 1.0], [1.0, 0.0], [1.0, 0.0])  # bad grid
+        PassingCurves([0.1, 1.0], [[1.0, 0.0], [1.0, 0.0]])  # bad grid
     with pytest.raises(ConfigError):
-        PassingCurves.from_grid([0.0, 1.0], [1.0, -0.2], [1.0, 0.0])
+        PassingCurves([0.0, 1.0], [[1.0, -0.2], [1.0, 0.0]])
 
 
 def test_from_samples_empirical_rule():
@@ -300,8 +298,7 @@ def test_reviewer_params_empty_pass():
 
 def test_never_passing_class_row_pinned():
     # only non-toxic content passes: toxic row has no arrivals and is pinned
-    curves = PassingCurves.from_grid([0.0, 0.4, 1.0],
-                                     [1.0, 0.0, 0.0], [1.0, 0.8, 0.0])
+    curves = PassingCurves([0.0, 0.4, 1.0], [[1.0, 0.0, 0.0], [1.0, 0.8, 0.0]])
     cfg = make_triage(curves=curves)
     params = reviewer_params((0.6, 0.7), cfg)
     assert params.q[0] == pytest.approx([0.0, 1.0])
@@ -340,7 +337,7 @@ def test_reviewer_variance_zero_for_deterministic_unsplit():
     # Lambda = 1 with unit service rates: Gamma(0) = 1, so the single
     # reviewer keeps the whole stream (no splitting noise), and
     # deterministic moments remove the rest.
-    curves = PassingCurves.from_grid([0.0, 1.0], [1.0, 1.0], [1.0, 0.5])
+    curves = PassingCurves([0.0, 1.0], [[1.0, 1.0], [1.0, 0.5]])
     cfg = make_triage(Lambda=1.0, p=(0.5, 0.5), mu=(1.0, 1.0), curves=curves,
                       alpha_u=1.0, alpha_v=(1.0, 1.0))
     assert reviewer_params((0.0, 0.0), cfg).variance_rate == pytest.approx(0.0, abs=1e-12)
@@ -481,8 +478,51 @@ def test_triage_config_from_json_roundtrip():
     assert cfg.alpha_u == pytest.approx(2.0 / 50000.0 ** 2)   # default filled
     doc = _triage_doc()
     del doc["c_r"]
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^MissingField: c_r$"):
         triage_config_from_json(doc)
+
+
+def test_triage_json_optional_moments_null_or_absent():
+    # a null where the default is None is the default, as an absent key is
+    absent = triage_config_from_json(_triage_doc())
+    null = triage_config_from_json({**_triage_doc(), "alpha_u": None, "alpha_v": None})
+    assert (null.alpha_u, null.alpha_v) == (absent.alpha_u, absent.alpha_v)
+    assert absent.alpha_v == (2.0 / 50.0 ** 2, 2.0 / 200.0 ** 2)
+
+
+@pytest.mark.parametrize("field, value, expected", [
+    ("Lambda", True, "WrongType: Lambda = true (expected a number)"),
+    ("p", 0.5, "WrongType: p = 0.5 (expected a list of numbers)"),
+    ("p", [[0.2], 0.8], "WrongType: p[0] = [0.2] (expected a number)"),
+    ("delay_costs", [{}, 1.0], "WrongType: delay_costs[0] = {} (expected a number)"),
+    ("alpha_v", [8e-4, "5e-5"], 'WrongType: alpha_v[1] = "5e-5" (expected a number)'),
+    ("curves", [1, 2], "WrongType: curves = [1, 2] (expected an object)"),
+    ("curves", {"loc": [-1.0, -3.0]}, "MissingField: curves.kind"),
+    ("curves", {"kind": 5}, "WrongType: curves.kind = 5 (expected a string)"),
+    ("curves", {"kind": "gaussian_logit", "loc": [-1.0, -3.0]}, "MissingField: curves.scale"),
+    ("curves", {"kind": "grid", "z": [0.0, "0.5", 1.0]},
+     'WrongType: curves.z[1] = "0.5" (expected a number)'),
+    ("curves", {"kind": "grid", "z": [0.0, 1.0], "g_toxic": [1.0, 0.0], "g_nontoxic": [1.0]},
+     "curve values must be shaped (2, len(grid))"),
+])
+def test_triage_json_field_missing_or_of_wrong_type(field, value, expected):
+    with pytest.raises(ConfigError) as err:
+        triage_config_from_json({**_triage_doc(), field: value})
+    assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("grid_size, points", [(100, 100), (100.0, 100), (100.7, None),
+                                               ("50", None), (True, None)])
+def test_gaussian_logit_grid_size_is_an_integer(grid_size, points):
+    doc = _triage_doc()
+    doc["curves"]["grid_size"] = grid_size
+    if points is None:
+        with pytest.raises(ConfigError) as err:
+            triage_config_from_json(doc)
+        assert str(err.value) == (f"WrongType: curves.grid_size = {json.dumps(grid_size)} "
+                                  "(expected an integer)")
+    else:
+        assert triage_config_from_json(doc).curves.grid.size == points
 
 
 def test_curves_from_json_kinds():

@@ -51,7 +51,7 @@ def curve_sets(draw):
         steps = np.array(draw(st.lists(st.sampled_from((0.0, 0.05, 0.2, 0.5)), min_size=n - 1,
                                        max_size=n - 1)))
         values.append(np.clip(1.0 - np.concatenate([[0.0], np.cumsum(steps)]), 0.0, 1.0))
-    return PassingCurves.from_grid(z, *values)
+    return PassingCurves(z, values)
 
 
 @st.composite
@@ -101,7 +101,7 @@ def underflow_config():
     """Something passes at z_fl = 1 (the toxic share 5e-324), yet Gamma =
     Lambda * 5e-324 / mu_0 underflows to 0."""
     return TriageConfig(Lambda=50000.0, p=(5e-324, 1.0), mu=(50.0, 200.0),
-                        curves=PassingCurves.from_grid([0.0, 1.0], [1.0, 1.0], [1.0, 0.0]),
+                        curves=PassingCurves([0.0, 1.0], [[1.0, 1.0], [1.0, 0.0]]),
                         c_trp=20.0, c_trn=-3.0, c_fp=3.0, c_fn=3.0, c_tp=-3.0, c_tn=-3.0,
                         c_r=800.0, delay_costs=(15.0, 1.0))
 
@@ -112,7 +112,7 @@ def recorded_understaffed_config():
     is a small negative difference of large terms.  alpha_u is the squared
     mean 1/Lambda^2 (the draw had 1e-8, below it, which priced the same)."""
     return TriageConfig(Lambda=100.0, p=(1.19e-7, 1.0 - 1.19e-7), mu=(17.27, 180.19),
-                        curves=PassingCurves.from_grid([0.0, 1.0], [1.0, 1.0], [1.0, 0.8]),
+                        curves=PassingCurves([0.0, 1.0], [[1.0, 1.0], [1.0, 0.8]]),
                         c_trp=1.0, c_trn=-1.0, c_fp=0.0, c_fn=0.0, c_tp=0.0, c_tn=0.0,
                         c_r=1.0, delay_costs=(1.0, 1.0), alpha_u=1e-4, alpha_v=(0.0067, 5.5e-5))
 
@@ -121,7 +121,7 @@ def understaffed_config():
     """Only the fast non-toxic class passes near z_fl = 1, so Gamma falls
     below the passing share there: q = 3 at z_fl = 1, but 0.02 at z_fl = 0."""
     return TriageConfig(Lambda=100.0, p=(0.5, 0.5), mu=(1.0, 300.0),
-                        curves=PassingCurves.from_grid([0.0, 1.0], [1.0, 0.0], [1.0, 1.0]),
+                        curves=PassingCurves([0.0, 1.0], [[1.0, 0.0], [1.0, 1.0]]),
                         c_trp=20.0, c_trn=-3.0, c_fp=3.0, c_fn=3.0, c_tp=-3.0, c_tn=-3.0,
                         c_r=800.0, delay_costs=(15.0, 1.0))
 
